@@ -3,9 +3,10 @@
 
 Scalar case: the joint-coding region strictly contains the separate
 two-code time-sharing region, with the corner point witnessing perfect
-embedding.  Parallel case with a pooled power budget: the two objectives
-prefer different power splits, so the corner is unreachable; the gap is
-printed and the boundary written as CSV.
+embedding.  Parallel case with a pooled power budget: exact secrecy
+water-filling finds the split that maximizes each objective; the two
+splits differ, so the corner is unreachable.  The gap is printed and the
+boundary written as CSV, for two and for three subchannels.
 """
 
 from secembed import gauss
@@ -27,8 +28,8 @@ print("  boundary written to scalar_region.csv")
 
 pch = ParallelGaussChannel(a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1),
                            total_power=1.0)
-bnd = gauss.region_parallel_total(pch, grid=1e-3)
-print("\ntwo subchannels, pooled power P=1")
+bnd = gauss.region_parallel_total(pch)
+print("\ntwo subchannels, pooled power P=1 (exact water-filling)")
 print(f"  allocation maximizing R1:       {bnd.alloc_max_r1}")
 print(f"  allocation maximizing sum rate: {bnd.alloc_max_sum}")
 print(f"  max R1 = {bnd.max_r1:.6f}, max sum = {bnd.max_sum:.6f}")
@@ -40,6 +41,15 @@ with open("pooled_region.csv", "w") as f:
     for r1, r2 in bnd.points:
         f.write(f"{r1:.9f},{r2:.9f}\n")
 print("  boundary written to pooled_region.csv")
+
+# three subchannels: each objective fills power where its slope is highest
+tri = gauss.region_parallel_total(ParallelGaussChannel(
+    a=(1.0, 1.2, 0.9), b1=(0.5, 0.3, 0.4), b2=(0.1, 0.1, 0.1), total_power=1.0))
+print("\nthree subchannels, pooled power P=1")
+print("  allocation maximizing R1:       " + ", ".join(f"{p:.4f}" for p in tri.alloc_max_r1))
+print("  allocation maximizing sum rate: " + ", ".join(f"{p:.4f}" for p in tri.alloc_max_sum))
+print(f"  max R1 = {tri.max_r1:.6f}, max sum = {tri.max_sum:.6f}, "
+      f"gap {tri.embedding_gap():.6f} bits")
 
 # fixed split for contrast: every fixed allocation is perfectly embeddable
 fixed = gauss.region_parallel_individual(

@@ -104,9 +104,7 @@ def _cmd_region_parallel(args) -> int:
 def _cmd_region_parallel_total(args) -> int:
     ch = _parallel_channel(args, pooled=True)
     bnd = gauss.region_parallel_total(ch, grid=args.grid)
-    payload = bnd.to_dict()
-    del payload["boundary"]
-    _emit_json(payload, args.out)
+    _emit_json(bnd.to_dict(), args.out)
     if args.csv:
         _emit_csv(bnd.points, ("R1", "R2"), args.csv)
     return 0
@@ -224,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="secembed",
                                   description="security-embedding coding toolkit")
     top.add_argument("--threads", type=int, default=1,
-                     help="parallelism cap (outputs are independent of it)")
+                     help="accepted for compatibility; no command reads it")
     sub = top.add_subparsers(dest="group", required=True)
 
     region = sub.add_parser("region", help="Gaussian secrecy regions")
@@ -257,7 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     rt.add_argument("--b2")
     rt.add_argument("--P", type=float, default=1.0)
     rt.add_argument("--preset", choices=["two-subchannel-reference"])
-    rt.add_argument("--grid", type=float, default=1e-3)
+    rt.add_argument("--grid", type=float, default=1e-3,
+                    help="accepted for compatibility and must be positive; the "
+                         "allocation is solved exactly and the result does not "
+                         "depend on it")
     rt.add_argument("--out")
     rt.add_argument("--csv")
     rt.set_defaults(func=_cmd_region_parallel_total)

@@ -6,17 +6,17 @@ its power budget and gain triple (legitimate gain ``a``, strong
 eavesdropper gain ``b1``, weak eavesdropper gain ``b2`` with b1 >= b2).
 Rates are in bits per channel use (base-2 logs throughout).
 
-The total-power region is computed by direct numerical search over
-power allocations (weighted-objective sweep on the simplex with grid
-refinement) rather than a closed-form waterfilling rule; the objective
-is concave in the allocation, so refinement around the coarse argmax is
-globally valid.
+Under a pooled power budget each weighted objective
+w1*Σ[Cs(p,a,b1)]⁺ + w2*Σ[Cs(p,a,b2)]⁺ is separable and concave in the
+allocation, so its exact maximizer is a secrecy water-filling solution
+(Liang, Poor and Shamai, IEEE T-IT 54(6), 2008): the region's extreme
+allocations are two such solves, and its frontier is traced by more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from functools import cached_property
 
 import numpy as np
 
@@ -215,70 +215,120 @@ def region_parallel_individual(ch: ParallelGaussChannel) -> ParallelRegionResult
     )
 
 
-def _simplex_argmax(f, total: float, dims: int, resolution: float):
-    """Deterministic coarse-to-fine argmax of a concave f over the simplex.
+FRONTIER_SAG = 1e-8  # vertical sag (bits) certified for every traced frontier chord
+N_BOUNDARY = 201  # evenly spaced R1 samples in TotalPowerBoundary.points
 
-    Searches allocations with sum equal to the total (each scalar term is
-    nondecreasing in power, so spare power is never useful).  Returns
-    (allocation tuple, value).
+
+def _cap_pairs(ch: ParallelGaussChannel, p) -> tuple:
+    """(cap_high_sum, cap_low_sum) of an allocation, or arrays of them per row of ``p``."""
+    a, b1, b2, p = (np.asarray(v, dtype=float) for v in (ch.a, ch.b1, ch.b2, p))
+    return tuple(np.maximum(0.5 * (np.log2(1.0 + a * p) - np.log2(1.0 + b * p)), 0.0).sum(axis=-1)
+                 for b in (b1, b2))
+
+
+def _waterfill(ch: ParallelGaussChannel, w1, w2) -> np.ndarray:
+    """Exact maximizers of w1*Σ[Cs(p,a,b1)]⁺ + w2*Σ[Cs(p,a,b2)]⁺ subject to Σp = P.
+
+    One row per weight pair, each with a subchannel of positive slope at 0.
+    By KKT, p_l > 0 exactly where the slope at 0 exceeds a water level mu,
+    and there the slope equals mu.  A one-term slope u/((1+ap)(1+bp)) inverts
+    as a quadratic in p; with two, Newton steps from the b1-only root rise
+    monotonically to it, the slope being convex and decreasing.  Σp is convex
+    and decreasing in mu, so Newton steps on mu rise alike from max_l slope_l(P).
     """
-    if dims == 1:
-        return (total,), f((total,))
-    if total == 0:
-        p = tuple(0.0 for _ in range(dims))
-        return p, f(p)
-    if resolution <= 0:
-        raise ValueError("grid resolution must be positive")
-    free = dims - 1
-    npts = 9
-    center = np.full(free, total / dims)
-    width = total
-    best_p, best_v = None, -np.inf
-    while True:
-        axes = [
-            np.unique(np.clip(np.linspace(c - width, c + width, npts), 0.0, total))
-            for c in center
-        ]
-        for combo in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, free):
-            last = total - combo.sum()
-            if last < -1e-12:
-                continue
-            p = tuple(float(x) for x in combo) + (max(float(last), 0.0),)
-            v = f(p)
-            if best_p is None or v > best_v + 1e-15:
-                best_p, best_v = p, v
-        center = np.array(best_p[:free])
-        spacing = 2.0 * width / (npts - 1)
-        if spacing <= resolution * total:
-            return best_p, best_v
-        # a concave objective's true argmax lies within one coarse cell
-        width = spacing
+    a, b1, b2, total = np.array(ch.a), np.array(ch.b1), np.array(ch.b2), float(ch.total_power)
+    u1 = np.asarray(w1, dtype=float)[:, None] * np.maximum(a - b1, 0.0)
+    u2 = np.asarray(w2, dtype=float)[:, None] * np.maximum(a - b2, 0.0)
+    b = np.where(u1 > 0, b1, b2)  # its quadratic root: exact for one term, a lower bound for two
+
+    def slope(p):  # the weighted slope times 2 ln 2, and its derivative in p
+        t1, t2 = u1 / ((1 + a * p) * (1 + b1 * p)), u2 / ((1 + a * p) * (1 + b2 * p))
+        da = a / (1 + a * p)
+        return t1 + t2, -t1 * (da + b1 / (1 + b1 * p)) - t2 * (da + b2 / (1 + b2 * p))
+
+    def powers(mu):
+        active = u1 + u2 > mu
+        k = np.where(active, (u1 + u2) / mu, 1.0)
+        p = 2 * (k - 1) / np.where(active, (a + b) + np.sqrt((a - b) ** 2 + 4 * a * b * k), 1.0)
+        for _ in range(100):
+            s, ds = slope(p)
+            ds = np.where(active, ds, -1.0)
+            step = np.where(active, (mu - s) / ds, 0.0)
+            p = np.maximum(p + step, 0.0)
+            if np.all(np.abs(step) <= 1e-12 * (p + total)):
+                break
+        return p, np.where(active, 1.0 / ds, 0.0)
+
+    mu = slope(np.full_like(u1, total))[0].max(axis=1, keepdims=True)
+    for _ in range(100):
+        p, dp = powers(mu)
+        step = (total - p.sum(axis=1, keepdims=True)) / dp.sum(axis=1, keepdims=True)
+        mu = mu + step
+        if np.all(np.abs(step) <= 1e-13 * mu):
+            break
+    return p / p.sum(axis=1, keepdims=True) * total
+
+
+def _trace_frontier(ch: ParallelGaussChannel, left: tuple, right: tuple) -> np.ndarray:
+    """Pareto frontier from the max-sum end ``left`` to the max-R1 end ``right``.
+
+    Each round splits every open chord at the exact maximizer of the
+    weighted objective normal to it, in one vectorized solve.  No pair lies
+    above that maximizer's supporting line, so the line's height above the
+    chord bounds its sag; chords within FRONTIER_SAG are closed.
+    """
+    pts = [np.array([left, right])]
+    chords = np.array([[*left, *right]])
+    for _ in range(80):  # a guard: chords reach float resolution within ~30 rounds
+        chords = chords[(chords[:, 2] > chords[:, 0]) & (chords[:, 1] > chords[:, 3])]
+        if not len(chords):
+            break
+        xi, yi, xj, yj = chords.T
+        slope = (yi - yj) / (xj - xi)
+        new = np.column_stack(_cap_pairs(ch, _waterfill(ch, slope, np.ones_like(slope))))
+        pts.append(new)
+        x, y = new.T
+        split = (slope * (x - xi) + (y - yi) > FRONTIER_SAG) & (x > xi) & (x < xj)
+        chords = np.vstack([np.column_stack([chords[split, :2], new[split]]),
+                            np.column_stack([new[split], chords[split, 2:]])])
+    pts = np.unique(np.vstack(pts), axis=0)  # sorted by cap_high, then cap_low
+    later_max = np.append(np.maximum.accumulate(pts[::-1, 1])[::-1][1:], -np.inf)
+    return pts[pts[:, 1] > later_max]  # Pareto filter
 
 
 @dataclass(frozen=True)
 class TotalPowerBoundary:
     """Upper boundary of the pooled-power region (union over allocations).
 
-    ``max_r1`` is the largest achievable high-security rate, ``max_sum``
-    the largest achievable sum rate; the two extreme allocations achieve
-    them.  ``frontier`` holds the achievable (cap_high_sum, cap_low_sum)
-    pairs traced by the weighted sweep, sorted by increasing cap_high.
+    ``max_r1`` and ``max_sum`` are the largest high-security and sum rates,
+    reached by the two extreme allocations.  ``frontier`` (traced on first
+    use) holds (cap_high_sum, cap_low_sum) pairs by increasing cap_high, with
+    no achievable pair over FRONTIER_SAG bits above their polyline.
     """
 
     channel: ParallelGaussChannel
-    points: np.ndarray
-    frontier: np.ndarray
     alloc_max_r1: tuple
     alloc_max_sum: tuple
     max_r1: float
     max_sum: float
 
+    @cached_property
+    def frontier(self) -> np.ndarray:
+        high, low = _cap_pairs(self.channel, [self.alloc_max_sum, self.alloc_max_r1])
+        return _trace_frontier(self.channel, (high[0], self.max_sum), (self.max_r1, low[1]))
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        r1_grid = np.linspace(0.0, self.max_r1, N_BOUNDARY)
+        a, b = self.frontier.T
+        sums = np.where(r1_grid <= a[0], self.max_sum, np.interp(r1_grid, a, b))
+        return np.column_stack([r1_grid, np.maximum(sums - r1_grid, 0.0)])
+
     def best_sum_given_r1(self, r1: float):
         """max cap_low_sum over allocations whose cap_high_sum covers r1."""
         if r1 > self.max_r1 + 1e-12:
             return None
-        a = self.frontier[:, 0]
-        b = self.frontier[:, 1]
+        a, b = self.frontier.T
         if r1 <= a[0]:
             return float(self.max_sum)
         return float(np.interp(r1, a, b))
@@ -297,89 +347,37 @@ class TotalPowerBoundary:
     def embedding_gap(self) -> float:
         """Vertical distance of (max_r1, max_sum - max_r1) above the boundary.
 
-        Positive means the channel is not perfectly embeddable under the
-        pooled power constraint.
+        The best sum rate at R1 = max_r1 is the low-security sum at the only
+        allocation reaching max_r1.  Positive means the channel is not
+        perfectly embeddable under the pooled power constraint.
         """
-        want = self.max_sum - self.max_r1
-        have = self.max_r2_at(self.max_r1)
-        return want - have
+        low = float(_cap_pairs(self.channel, self.alloc_max_r1)[1])
+        return (self.max_sum - self.max_r1) - max(low - self.max_r1, 0.0)
 
     def to_dict(self) -> dict:
-        return {
-            "max_r1": self.max_r1,
-            "max_sum": self.max_sum,
-            "alloc_max_r1": list(self.alloc_max_r1),
-            "alloc_max_sum": list(self.alloc_max_sum),
-            "embedding_gap": self.embedding_gap(),
-            "boundary": [[float(a), float(b)] for a, b in self.points],
-        }
+        return {"max_r1": self.max_r1, "max_sum": self.max_sum,
+                "alloc_max_r1": list(self.alloc_max_r1), "alloc_max_sum": list(self.alloc_max_sum),
+                "embedding_gap": self.embedding_gap()}
 
 
-def _simplex_grid(total: float, dims: int, steps: int):
-    """All allocations with the given sum on a regular simplex grid."""
-    if dims == 1:
-        yield (total,)
-        return
-    for k in range(steps + 1):
-        head = total * k / steps
-        for rest in _simplex_grid(total - head, dims - 1, steps - k):
-            yield (head,) + rest
+def region_parallel_total(ch: ParallelGaussChannel, grid: float | None = None) -> TotalPowerBoundary:
+    """Pooled-power region boundary by exact secrecy water-filling.
 
-
-def region_parallel_total(ch: ParallelGaussChannel, grid: float = 1e-3,
-                          n_weights: int = 401, n_boundary: int = 201) -> TotalPowerBoundary:
-    """Pooled-power region boundary via allocation search on the simplex.
-
-    The achievable (cap_high_sum, cap_low_sum) pairs form a convex set
-    because both sums are concave in the allocation, so the region
-    boundary is the Pareto frontier of those pairs.  For few subchannels
-    the simplex is enumerated directly at the requested resolution; for
-    larger banks the frontier is traced by maximizing weighted
-    objectives w*cap_high + (1-w)*cap_low, each located by grid
-    refinement.  The two extreme allocations are always refined to the
-    requested resolution.
+    The extreme allocations are single-objective ``_waterfill`` solves.  An
+    objective with no subchannel of a > b is flat: the low one then takes
+    the equal split and the high one the low one's allocation, so the gap
+    is 0.  ``grid`` is accepted for compatibility and changes nothing, but
+    must still be positive if given.
     """
+    if grid is not None and not grid > 0:
+        raise ValueError("grid resolution must be positive")
     if ch.total_power is None:
         raise ValueError("pooled-power region needs total_power")
-    total = float(ch.total_power)
-    dims = ch.n_sub
-
-    def cap_pair(p):
-        high = sum(cs_scalar(pw, a, s) for pw, a, s in zip(p, ch.a, ch.b1))
-        low = sum(cs_scalar(pw, a, w) for pw, a, w in zip(p, ch.a, ch.b2))
-        return high, low
-
-    alloc_r1, _ = _simplex_argmax(lambda p: cap_pair(p)[0], total, dims, grid)
-    alloc_sum, _ = _simplex_argmax(lambda p: cap_pair(p)[1], total, dims, grid)
-    max_r1 = cap_pair(alloc_r1)[0]
-    max_sum = cap_pair(alloc_sum)[1]
-
-    pairs = {cap_pair(alloc_r1), cap_pair(alloc_sum)}
-    steps = max(2, round(1.0 / grid))
-    if total == 0:
-        pairs.add(cap_pair(tuple(0.0 for _ in range(dims))))
-    elif comb(steps + dims - 1, dims - 1) <= 2_000_000:
-        for p in _simplex_grid(total, dims, steps):
-            pairs.add(cap_pair(p))
-    else:
-        for w in np.linspace(0.0, 1.0, n_weights):
-            alloc, _ = _simplex_argmax(
-                lambda p: w * cap_pair(p)[0] + (1.0 - w) * cap_pair(p)[1],
-                total, dims, grid)
-            pairs.add(cap_pair(alloc))
-    # Pareto frontier in (cap_high, cap_low), increasing high / decreasing low
-    frontier = []
-    for high, low in sorted(pairs, key=lambda t: (t[0], t[1])):
-        while frontier and frontier[-1][1] <= low:
-            frontier.pop()
-        frontier.append((high, low))
-    frontier = np.array(frontier)
-
-    r1_grid = np.linspace(0.0, max_r1, n_boundary)
-    a, b = frontier[:, 0], frontier[:, 1]
-    sums = np.where(r1_grid <= a[0], max_sum, np.interp(r1_grid, a, b))
-    points = np.column_stack([r1_grid, np.maximum(sums - r1_grid, 0.0)])
-    return TotalPowerBoundary(
-        channel=ch, points=points, frontier=frontier,
-        alloc_max_r1=alloc_r1, alloc_max_sum=alloc_sum,
-        max_r1=max_r1, max_sum=max_sum)
+    total, dims = float(ch.total_power), ch.n_sub
+    alloc_sum = alloc_r1 = tuple(total / dims for _ in range(dims))
+    if total > 0 and any(a > w for a, w in zip(ch.a, ch.b2)):
+        both = any(a > s for a, s in zip(ch.a, ch.b1))  # else the high objective is flat
+        rows = _waterfill(ch, [0.0, 1.0][:1 + both], [1.0, 0.0][:1 + both]).tolist()
+        alloc_sum, alloc_r1 = tuple(rows[0]), tuple(rows[-1])
+    high, low = _cap_pairs(ch, [alloc_r1, alloc_sum])
+    return TotalPowerBoundary(ch, alloc_r1, alloc_sum, float(high[0]), float(low[1]))
