@@ -221,8 +221,6 @@ def _add_budget_args(p):
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="secembed",
                                   description="security-embedding coding toolkit")
-    top.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; no command reads it")
     sub = top.add_subparsers(dest="group", required=True)
 
     region = sub.add_parser("region", help="Gaussian secrecy regions")

@@ -230,12 +230,12 @@ def index_to_syndrome(m: int, length: int) -> np.ndarray:
     """Little-endian bits of the 0-based message index m."""
     if not 0 <= m < (1 << length):
         raise ValueError(f"message index {m} out of range 0..{(1 << length) - 1}")
-    return np.array([(m >> j) & 1 for j in range(length)], dtype=np.uint8)
+    return gf2.unpack_rows([m], length)[0]
 
 
 def syndrome_to_index(bits) -> int:
-    bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-    return int(sum(int(b) << j for j, b in enumerate(bits)))
+    """0-based message index of little-endian syndrome bits; inverse of index_to_syndrome."""
+    return gf2.pack_rows(np.reshape(bits, (1, -1)))[0]
 
 
 def encode(code: CosetCodePair, m1: int, m2: int, rng: np.random.Generator) -> np.ndarray:

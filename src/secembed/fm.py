@@ -26,9 +26,6 @@ __all__ = [
     "LinIneqSystem",
     "ContradictionError",
     "UnboundConstantError",
-    "eliminate",
-    "simplify_with_assumptions",
-    "instantiate",
     "nested_binning_constraints",
     "derive_nested_binning_region",
     "layered_scheme_constraints",
@@ -201,6 +198,27 @@ def _prune(ineqs) -> tuple:
     return tuple(best[k] for k in order)
 
 
+def _fm_step(ineqs, var) -> tuple:
+    """One Fourier-Motzkin step on var.
+
+    Keeps the inequalities free of var and adds, for every lower bound
+    and every upper bound on var, the positive combination that cancels
+    it; the result is pruned.
+    """
+    lowers, uppers, rest = [], [], []
+    for iq in ineqs:
+        a = iq.coeff(var)
+        if a > 0:
+            uppers.append(iq)
+        elif a < 0:
+            lowers.append(iq)
+        else:
+            rest.append(iq)
+    combos = [lo.scaled(up.coeff(var)).plus(up.scaled(-lo.coeff(var)))
+              for lo in lowers for up in uppers]
+    return _prune(rest + combos)
+
+
 @dataclass(frozen=True)
 class LinIneqSystem:
     """Inequality system over declared rate variables and constant symbols."""
@@ -240,25 +258,10 @@ class LinIneqSystem:
         """
         if var not in self.variables:
             raise ValueError(f"{var} is not a declared variable")
-        lowers, uppers, rest = [], [], []
-        for iq in self.inequalities:
-            a = iq.coeff(var)
-            if a > 0:
-                uppers.append(iq)
-            elif a < 0:
-                lowers.append(iq)
-            else:
-                rest.append(iq)
-        combos = []
-        for lo in lowers:
-            for up in uppers:
-                a_lo = -lo.coeff(var)  # positive
-                a_up = up.coeff(var)  # positive
-                combos.append(lo.scaled(a_up).plus(up.scaled(a_lo)))
         return LinIneqSystem(
             variables=tuple(v for v in self.variables if v != var),
             constants=self.constants,
-            inequalities=_prune(rest + combos),
+            inequalities=_fm_step(self.inequalities, var),
             nonneg_constants=self.nonneg_constants,
         )
 
@@ -305,14 +308,7 @@ class LinIneqSystem:
                 return (lo * up, sym)
 
             var = min(symbols, key=cost)
-            lowers = [iq for iq in facts if iq.coeff(var) < 0]
-            uppers = [iq for iq in facts if iq.coeff(var) > 0]
-            rest = [iq for iq in facts if iq.coeff(var) == 0]
-            combos = []
-            for lo in lowers:
-                for up in uppers:
-                    combos.append(lo.scaled(up.coeff(var)).plus(up.scaled(-lo.coeff(var))))
-            facts = _prune(rest + combos)
+            facts = _fm_step(facts, var)
             symbols.discard(var)
         return not any(iq.is_contradiction() for iq in facts)
 
@@ -436,18 +432,6 @@ class LinIneqSystem:
                                       strict=row["relation"] == "<"))
         return cls.build(d["variables"], d["constants"], ineqs,
                          d.get("nonneg_constants"))
-
-
-def eliminate(system: LinIneqSystem, var: str) -> LinIneqSystem:
-    return system.eliminate(var)
-
-
-def simplify_with_assumptions(system: LinIneqSystem, assumptions=()) -> LinIneqSystem:
-    return system.simplify_with_assumptions(assumptions)
-
-
-def instantiate(system: LinIneqSystem, values: dict):
-    return system.instantiate(values)
 
 
 def nested_binning_constraints() -> LinIneqSystem:

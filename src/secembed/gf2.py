@@ -8,11 +8,14 @@ argument, so results are reproducible from a seed.
 
 Internally rows and columns are packed into Python ints (bit ``j`` of a
 row int is column ``j``), which keeps Gaussian elimination and the
-subset-rank searches fast at desk scale (up to ~64 positions).
+subset-rank searches fast at desk scale (up to ~64 positions).  That
+format has one packer, ``pack_rows``, and one unpacker, ``unpack_rows``;
+every conversion between arrays and ints goes through them.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from math import comb
 
@@ -21,6 +24,8 @@ import numpy as np
 __all__ = [
     "InfeasibleSystemError",
     "BudgetExceededError",
+    "pack_rows",
+    "unpack_rows",
     "rank",
     "nullspace",
     "solve_affine",
@@ -49,25 +54,18 @@ def _as_bits(m) -> np.ndarray:
     return a
 
 
-def _row_ints(m: np.ndarray) -> list[int]:
-    """Pack each row into an int; bit j of the int is column j."""
-    rows, cols = m.shape
-    out = []
-    for i in range(rows):
-        v = 0
-        for j in range(cols - 1, -1, -1):
-            v = (v << 1) | int(m[i, j])
-        out.append(v)
-    return out
+def pack_rows(m) -> list[int]:
+    """Pack each row of a 0/1 matrix into an int; bit j of the int is column j."""
+    packed = np.packbits(np.asarray(m, dtype=np.uint8), axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
-def _col_ints(m: np.ndarray) -> list[int]:
-    """Pack each column into an int; bit i of the int is row i."""
-    return _row_ints(np.ascontiguousarray(m.T))
-
-
-def _int_to_bits(v: int, length: int) -> np.ndarray:
-    return np.array([(v >> j) & 1 for j in range(length)], dtype=np.uint8)
+def unpack_rows(rows, length: int) -> np.ndarray:
+    """Inverse of pack_rows: row ints below 2**length to a (len(rows) x length) matrix."""
+    nbytes = (length + 7) // 8
+    buf = b"".join(operator.index(v).to_bytes(nbytes, "little") for v in rows)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, count=length, bitorder="little")
 
 
 def _reduce(v: int, basis: list[int]) -> int:
@@ -94,7 +92,7 @@ def rank(m) -> int:
     if a.shape[0] == 0 or a.shape[1] == 0:
         return 0
     basis: list[int] = []
-    for v in _row_ints(a):
+    for v in pack_rows(a):
         _echelon_insert(basis, v)
     return len(basis)
 
@@ -129,28 +127,34 @@ def _rref_augmented(a_rows: list[int], ncols: int) -> tuple[list[int], list[int]
     return out, pivots
 
 
+def _kernel_rows(rows: list[int], pivots: list[int], ncols: int) -> list[int]:
+    """Kernel basis of an RREF from _rref_augmented, one packed row per free column.
+
+    Only bits 0..ncols-1 of the RREF rows are read, so an augmented part
+    is ignored.  Rows come in increasing free-column order.
+    """
+    piv_rows = {p: r for p, r in zip(pivots, rows) if p >= 0}
+    basis = []
+    for f in range(ncols):
+        if f in piv_rows:
+            continue
+        v = 1 << f
+        for p, r in piv_rows.items():
+            if (r >> f) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return basis
+
+
 def nullspace(m) -> np.ndarray:
     """Basis of {x : m @ x = 0 over GF(2)} as rows of a (dim x cols) matrix.
 
     Returns a (0 x cols) matrix when the kernel is trivial.
     """
     a = _as_bits(m)
-    k, n = a.shape
-    if k == 0:
-        return np.eye(n, dtype=np.uint8)
-    rows, pivots = _rref_augmented(_row_ints(a), n)
-    piv_set = {p: r for p, r in zip(pivots, rows) if p >= 0}
-    free = [j for j in range(n) if j not in piv_set]
-    basis = []
-    for f in free:
-        v = 1 << f
-        for p, r in piv_set.items():
-            if (r >> f) & 1:
-                v |= 1 << p
-        basis.append(_int_to_bits(v, n))
-    if not basis:
-        return np.zeros((0, n), dtype=np.uint8)
-    return np.stack(basis)
+    n = a.shape[1]
+    rows, pivots = _rref_augmented(pack_rows(a), n)
+    return unpack_rows(_kernel_rows(rows, pivots, n), n)
 
 
 def solve_affine(m, s, rng: np.random.Generator) -> np.ndarray:
@@ -161,35 +165,35 @@ def solve_affine(m, s, rng: np.random.Generator) -> np.ndarray:
     equivalently ``m.T @ x = s``.  The returned x is drawn uniformly
     from the full solution set: a particular solution plus a uniform
     GF(2) combination of a kernel basis, which gives every solution
-    probability 2**-(n - rank).
+    probability 2**-(n - rank).  Both come from one elimination of the
+    augmented system.
 
-    Raises InfeasibleSystemError when s is not in the image.
+    Raises ValueError when s is not a 0/1 vector of length k, and
+    InfeasibleSystemError when s is not in the image.
     """
     a = _as_bits(m)
     n, k = a.shape
-    s = np.asarray(s, dtype=np.uint8).reshape(-1)
+    s = np.asarray(s).reshape(-1)
     if s.shape[0] != k:
         raise ValueError(f"syndrome length {s.shape[0]} != number of constraints {k}")
+    if not np.isin(s, (0, 1)).all():
+        raise ValueError("syndrome entries must be 0 or 1")
     # constraint rows of m.T, augmented with the target bit at position n
-    aug = []
-    at = np.ascontiguousarray(a.T)
-    for j, r in enumerate(_row_ints(at)):
-        aug.append(r | (int(s[j]) << n))
+    aug = [r | (int(b) << n) for r, b in zip(pack_rows(a.T), s)]
     rows, pivots = _rref_augmented(aug, n)
-    x0 = 0
+    x = 0
     for r, p in zip(rows, pivots):
-        if p < 0:
-            if (r >> n) & 1:
-                raise InfeasibleSystemError("no solution: syndrome outside the row-space image")
-            continue
         if (r >> n) & 1:
-            x0 |= 1 << p
-    kernel = nullspace(at)
-    x = _int_to_bits(x0, n)
-    if kernel.shape[0]:
-        coeffs = rng.integers(0, 2, size=kernel.shape[0], dtype=np.uint8)
-        x ^= (coeffs[:, None] * kernel).sum(axis=0).astype(np.uint8) & 1
-    return x
+            if p < 0:
+                raise InfeasibleSystemError("no solution: syndrome outside the row-space image")
+            x |= 1 << p
+    kernel = _kernel_rows(rows, pivots, n)
+    if kernel:
+        coeffs = rng.integers(0, 2, size=len(kernel), dtype=np.uint8)
+        for c, v in zip(coeffs, kernel):
+            if c:
+                x ^= v
+    return unpack_rows([x], n)[0]
 
 
 def column_subset_dim(m, subset) -> int:
@@ -244,10 +248,10 @@ def min_rank_over_column_subsets(
     dual_ub = min(dual_size, nullity)
     if (dual_lb, dual_ub) < (lb, ub):
         g = nullspace(a)
-        d = _min_rank_search(_col_ints(g), dual_size, dual_lb, dual_ub,
+        d = _min_rank_search(pack_rows(g.T), dual_size, dual_lb, dual_ub,
                              enum_budget, node_limit)
         return size - nullity + d
-    return _min_rank_search(_col_ints(a), size, lb, ub, enum_budget, node_limit)
+    return _min_rank_search(pack_rows(a.T), size, lb, ub, enum_budget, node_limit)
 
 
 def _min_rank_search(cols: list[int], size: int, lb: int, ub: int,

@@ -101,6 +101,23 @@ def test_encode_zero_messages_in_kernel():
     assert not ((code.stacked @ x) % 2).any()
 
 
+def test_encode_words_pinned():
+    # fixed words for this code and seed: a change of kernel basis or draw order shows here
+    params = WiretapIIParams(n=16, alpha1=0.5, alpha2=0.25, eps=0.25)
+    code = coset.construct(params, seed=1)
+    rng = np.random.default_rng(2024)
+    want = [
+        ((0, 0), "0000101011100001"),
+        ((15, 0), "0110111111101110"),
+        ((0, 15), "1000001000001000"),
+        ((9, 4), "0101101100110111"),
+        ((9, 4), "0110100001011111"),
+        ((6, 11), "0110000011001000"),
+    ]
+    for (m1, m2), word in want:
+        assert "".join(map(str, coset.encode(code, m1, m2, rng))) == word
+
+
 def test_encode_message_range_errors():
     code = parity_code()
     rng = np.random.default_rng(0)

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secembed import gf2
 
@@ -92,6 +94,38 @@ def test_solve_affine_even_weight_set():
 def test_solve_affine_infeasible():
     with pytest.raises(gf2.InfeasibleSystemError):
         gf2.solve_affine(np.zeros((2, 1), dtype=np.uint8), [1], np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("s", [[2, 1, 0], [0, 1, 0.5]])
+def test_solve_affine_rejects_non_binary_syndrome(s):
+    with pytest.raises(ValueError, match="0 or 1"):
+        gf2.solve_affine(np.eye(3, dtype=np.uint8), s, np.random.default_rng(0))
+
+
+class FixedCoefficients:
+    """Stand-in rng that hands solve_affine a chosen kernel combination."""
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+
+    def integers(self, low, high, size, dtype):
+        assert len(self.coeffs) == size
+        return np.asarray(self.coeffs, dtype=dtype)
+
+
+def test_solve_affine_kernel_is_nullspace():
+    # x(e_i) ^ x(0) is kernel row i, so this recovers the kernel basis in draw order
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        n, k = (int(v) for v in rng.integers(1, 12, size=2))
+        m = gf2.random_matrix(n, k, rng)
+        s = (rng.integers(0, 2, size=n, dtype=np.uint8) @ m) % 2
+        want = gf2.nullspace(m.T)
+        dim = want.shape[0]
+        x0 = gf2.solve_affine(m, s, FixedCoefficients([0] * dim))
+        got = [gf2.solve_affine(m, s, FixedCoefficients(np.eye(dim)[i])) ^ x0
+               for i in range(dim)]
+        assert np.array_equal(np.array(got, dtype=np.uint8).reshape(dim, n), want)
 
 
 def test_solve_affine_satisfies_system_random():
@@ -231,3 +265,19 @@ def test_nullspace_spans_kernel():
         if ns.shape[0]:
             assert not ((np.asarray(m, dtype=int) @ ns.T) % 2).any()
             assert gf2.rank(ns) == ns.shape[0]
+
+
+WIDTHS = st.one_of(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 130]),
+                   st.integers(0, 130))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pack_unpack_round_trip(data):
+    width = data.draw(WIDTHS)
+    ints = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=5))
+    m = gf2.unpack_rows(ints, width)
+    assert m.shape == (len(ints), width) and m.dtype == np.uint8
+    for v, row in zip(ints, m):
+        assert [int(b) for b in row] == [(v >> j) & 1 for j in range(width)]
+    assert gf2.pack_rows(m) == ints
