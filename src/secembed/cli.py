@@ -37,14 +37,17 @@ def _resolve(path: str | None) -> str | None:
     return path
 
 
-def _emit_json(payload: dict, out: str | None):
-    text = json.dumps(payload, sort_keys=True, indent=2)
+def _emit_text(text: str, out: str | None):
     path = _resolve(out)
     if path:
         with open(path, "w") as f:
             f.write(text + "\n")
     else:
         print(text)
+
+
+def _emit_json(payload: dict, out: str | None):
+    _emit_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False), out)
 
 
 def _emit_csv(rows, header, path: str):
@@ -114,7 +117,7 @@ def _cmd_code_construct(args) -> int:
     params = coset.WiretapIIParams(n=args.n, alpha1=args.alpha1, alpha2=args.alpha2,
                                    eps=args.eps)
     code = coset.construct(params, seed=args.seed, max_attempts=args.max_attempts,
-                           enum_budget=args.enum_budget, node_limit=args.node_limit)
+                           node_limit=args.node_limit)
     _emit_json(code.to_bundle(seed=args.seed), args.out)
     return 0
 
@@ -123,8 +126,7 @@ def _cmd_code_audit(args) -> int:
     with open(args.bundle) as f:
         bundle = json.load(f)
     code = coset.CosetCodePair.from_bundle(bundle)
-    report = coset.audit_code(code, enum_budget=args.enum_budget,
-                              node_limit=args.node_limit)
+    report = coset.audit_code(code, node_limit=args.node_limit)
     _emit_json(report, args.out)
     return 0 if report["pass"] else 1
 
@@ -201,21 +203,13 @@ def _cmd_fm_derive(args) -> int:
     if args.json:
         _emit_json(region.to_dict(), args.out)
     else:
-        text = region.pretty(aliases=aliases)
-        path = _resolve(args.out)
-        if path:
-            with open(path, "w") as f:
-                f.write(text + "\n")
-        else:
-            print(text)
+        _emit_text(region.pretty(aliases=aliases), args.out)
     return 0
 
 
 def _add_budget_args(p):
-    p.add_argument("--enum-budget", type=int, default=10**6,
-                   help="max subsets for exhaustive certificate search")
     p.add_argument("--node-limit", type=int, default=20_000_000,
-                   help="hard node cap for the branch-and-bound fallback")
+                   help="hard node cap for the exact certificate search")
 
 
 def build_parser() -> argparse.ArgumentParser:

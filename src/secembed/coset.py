@@ -300,26 +300,26 @@ def equivocation(code: CosetCodePair, observed, level: str = "both") -> int:
     raise ValueError("level must be 'both' or 'high'")
 
 
-def worst_case_security(code: CosetCodePair, *, enum_budget: int = 10**6,
+def worst_case_security(code: CosetCodePair, *,
                         node_limit: int = 20_000_000) -> tuple[int, int]:
     """Exact (d1_star, d2_star): worst-case equivocations over all observed sets.
 
     d1_star minimizes the h1 column-subspace dimension over all position
     subsets of size n*(1-alpha1) (eavesdropper sees n*alpha1 positions);
     d2_star does the same for the stacked matrix at size n*(1-alpha2).
-    Exhaustive enumeration under the budget, exact branch-and-bound
-    otherwise; both paths are exact.
+    Both come from the exact branch-and-bound of
+    gf2.min_rank_over_column_subsets (on the kernel side where that is
+    smaller), which raises BudgetExceededError past node_limit nodes.
     """
     p = code.params
-    d1 = gf2.min_rank_over_column_subsets(
-        code.h1, p.n - p.n_alpha1, enum_budget=enum_budget, node_limit=node_limit)
-    d2 = gf2.min_rank_over_column_subsets(
-        code.stacked, p.n - p.n_alpha2, enum_budget=enum_budget, node_limit=node_limit)
+    d1 = gf2.min_rank_over_column_subsets(code.h1, p.n - p.n_alpha1, node_limit=node_limit)
+    d2 = gf2.min_rank_over_column_subsets(code.stacked, p.n - p.n_alpha2,
+                                          node_limit=node_limit)
     return d1, d2
 
 
 def construct(params: WiretapIIParams, seed: int, max_attempts: int = 100, *,
-              enum_budget: int = 10**6, node_limit: int = 20_000_000) -> CosetCodePair:
+              node_limit: int = 20_000_000) -> CosetCodePair:
     """Rejection-sample a two-level coset code with exact security certificates.
 
     Each attempt draws the stacked parity-check matrix with i.i.d.
@@ -345,7 +345,7 @@ def construct(params: WiretapIIParams, seed: int, max_attempts: int = 100, *,
             continue
         code = CosetCodePair(params=params, h1=h[:params.k1], h2=h[params.k1:],
                              d1_star=0, d2_star=0)
-        d1, d2 = worst_case_security(code, enum_budget=enum_budget, node_limit=node_limit)
+        d1, d2 = worst_case_security(code, node_limit=node_limit)
         if d1 >= params.d1_threshold and d2 >= params.d2_threshold:
             return CosetCodePair(params=params, h1=h[:params.k1], h2=h[params.k1:],
                                  d1_star=d1, d2_star=d2)
@@ -423,8 +423,7 @@ def union_bound_report(params: WiretapIIParams, *, exact_counts: bool = False) -
         rank_ok=rank_term < 0.5, subset_ok=subset_term < 0.5)
 
 
-def audit_code(code: CosetCodePair, *, enum_budget: int = 10**6,
-               node_limit: int = 20_000_000) -> dict:
+def audit_code(code: CosetCodePair, *, node_limit: int = 20_000_000) -> dict:
     """Re-derive the security certificates exactly and check the 3/eps bounds.
 
     Returns a JSON-ready report: recomputed d1_star/d2_star, whether they
@@ -434,7 +433,7 @@ def audit_code(code: CosetCodePair, *, enum_budget: int = 10**6,
     """
     p = code.params
     full_rank = gf2.rank(code.stacked) == code.rows
-    d1, d2 = worst_case_security(code, enum_budget=enum_budget, node_limit=node_limit)
+    d1, d2 = worst_case_security(code, node_limit=node_limit)
     margin = p.margin_bits
     leak_high = code.k1 - d1
     leak_both = code.k1 + code.k2 - d2

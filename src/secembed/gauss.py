@@ -37,10 +37,15 @@ __all__ = [
 ]
 
 
+def _check_nonneg(values, what: str):
+    """Reject NaN, infinite or negative powers and gains."""
+    if not np.isfinite(values).all() or min(values) < 0:
+        raise ValueError(f"{what} must be finite and nonnegative")
+
+
 def cs_scalar(power: float, a: float, b: float) -> float:
     """Secrecy capacity [0.5*log2(1+a*P) - 0.5*log2(1+b*P)]^+ in bits/use."""
-    if power < 0 or a < 0 or b < 0:
-        raise ValueError("power and gains must be nonnegative")
+    _check_nonneg((power, a, b), "power and gains")
     val = 0.5 * (np.log2(1.0 + a * power) - np.log2(1.0 + b * power))
     return float(max(0.0, val))
 
@@ -53,8 +58,7 @@ class ScalarGaussChannel:
     b2: float
 
     def __post_init__(self):
-        if min(self.power, self.a, self.b1, self.b2) < 0:
-            raise ValueError("power and gains must be nonnegative")
+        _check_nonneg((self.power, self.a, self.b1, self.b2), "power and gains")
         if self.b1 < self.b2:
             raise ValueError("strong eavesdropper gain b1 must be >= b2")
 
@@ -82,19 +86,19 @@ class ParallelGaussChannel:
         object.__setattr__(self, "b2", b2)
         if not (len(a) == len(b1) == len(b2)) or not a:
             raise ValueError("gain lists must be nonempty and of equal length")
-        if any(x < 0 for x in a + b1 + b2):
-            raise ValueError("gains must be nonnegative")
+        _check_nonneg(a + b1 + b2, "gains")
         if any(s < w for s, w in zip(b1, b2)):
             raise ValueError("need b1_l >= b2_l in every subchannel")
         if (self.powers is None) == (self.total_power is None):
             raise ValueError("give exactly one of powers / total_power")
         if self.powers is not None:
             powers = tuple(float(p) for p in self.powers)
-            if len(powers) != len(a) or any(p < 0 for p in powers):
-                raise ValueError("powers must match subchannels and be nonnegative")
+            if len(powers) != len(a):
+                raise ValueError("powers must match subchannels")
+            _check_nonneg(powers, "powers")
             object.__setattr__(self, "powers", powers)
-        elif self.total_power < 0:
-            raise ValueError("total power must be nonnegative")
+        else:
+            _check_nonneg((self.total_power,), "total power")
 
     @property
     def n_sub(self) -> int:

@@ -8,7 +8,7 @@ argument, so results are reproducible from a seed.
 
 Internally rows and columns are packed into Python ints (bit ``j`` of a
 row int is column ``j``), which keeps Gaussian elimination and the
-subset-rank searches fast at desk scale (up to ~64 positions).  That
+subset-rank search fast at desk scale (up to ~64 positions).  That
 format has one packer, ``pack_rows``, and one unpacker, ``unpack_rows``;
 every conversion between arrays and ints goes through them.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from math import comb
 
 import numpy as np
 
@@ -42,7 +41,19 @@ class InfeasibleSystemError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exact search exceeds its configured node budget."""
+    """Raised when an exact search exceeds its configured node budget.
+
+    ``nodes`` is the number of search nodes visited; the exact answer is
+    known to lie in the bracket [``lower``, ``upper``].
+    """
+
+    def __init__(self, nodes: int, lower: int, upper: int):
+        super().__init__(
+            f"subset-rank search exceeded {nodes} nodes with the minimum rank in "
+            f"[{lower}, {upper}]; instance beyond desk scale")
+        self.nodes = nodes
+        self.lower = lower
+        self.upper = upper
 
 
 def _as_bits(m) -> np.ndarray:
@@ -69,10 +80,15 @@ def unpack_rows(rows, length: int) -> np.ndarray:
 
 
 def _reduce(v: int, basis: list[int]) -> int:
-    """Reduce v by an echelon basis (each vector has a unique top bit)."""
+    """Reduce v by an echelon basis (each vector has a unique top bit).
+
+    v ^ b < v exactly when v has b's top bit set, which is the test for
+    clearing that bit.
+    """
     for b in basis:
-        if (v >> (b.bit_length() - 1)) & 1:
-            v ^= b
+        w = v ^ b
+        if w < v:
+            v = w
     return v
 
 
@@ -207,28 +223,25 @@ def column_subset_dim(m, subset) -> int:
     return rank(a[:, idx])
 
 
-def min_rank_over_column_subsets(
-    m,
-    size: int,
-    *,
-    enum_budget: int = 10**6,
-    node_limit: int = 20_000_000,
-) -> int:
+def min_rank_over_column_subsets(m, size: int, *, node_limit: int = 20_000_000) -> int:
     """Exact minimum of rank(m[:, S]) over all column subsets of the given size.
 
-    Uses exhaustive subset enumeration when the subset count fits in
-    ``enum_budget``, otherwise an exact branch-and-bound over candidate
-    spanning subspaces (rank is monotone in the subset, so partial ranks
-    prune).  Both paths return the exact minimum.  Where helpful the
-    search runs on the kernel side via the identity
+    Runs an exact branch-and-bound over candidate spanning subspaces
+    (rank is monotone in the subset, so partial ranks prune).  When its
+    rank bracket is smaller, the search runs on the kernel side via the
+    identity
 
         rank(m[:, S]) = |S| - dim ker(m) + rank(g[:, complement of S])
 
     with g a kernel basis of m, which keeps the search depth small.
 
-    Raises BudgetExceededError when branch-and-bound exceeds node_limit;
-    that signals the instance is beyond desk scale, not an approximation.
+    Raises ValueError when node_limit < 1, and BudgetExceededError when
+    the search exceeds node_limit nodes; that signals the instance is
+    beyond desk scale, not an approximation.  The error carries the
+    bracket [lower, upper] on the minimum that the search had reached.
     """
+    if node_limit < 1:
+        raise ValueError(f"node_limit must be >= 1, got {node_limit}")
     a = _as_bits(m)
     k, n = a.shape
     if not 0 <= size <= n:
@@ -247,55 +260,19 @@ def min_rank_over_column_subsets(
     dual_lb = max(0, dual_size - full)
     dual_ub = min(dual_size, nullity)
     if (dual_lb, dual_ub) < (lb, ub):
+        shift = size - nullity
         g = nullspace(a)
-        d = _min_rank_search(pack_rows(g.T), dual_size, dual_lb, dual_ub,
-                             enum_budget, node_limit)
-        return size - nullity + d
-    return _min_rank_search(pack_rows(a.T), size, lb, ub, enum_budget, node_limit)
-
-
-def _min_rank_search(cols: list[int], size: int, lb: int, ub: int,
-                     enum_budget: int, node_limit: int) -> int:
-    if comb(len(cols), size) <= enum_budget:
-        return _min_rank_enumerate(cols, size, lb, ub)
-    return _min_rank_subspaces(cols, size, lb, ub, node_limit)
-
-
-def _min_rank_enumerate(cols: list[int], size: int, lb: int, ub: int) -> int:
-    n = len(cols)
-    best = ub
-    basis: list[int] = []
-
-    def rec(start: int, need: int) -> bool:
-        nonlocal best
-        if need == 0:
-            best = len(basis)
-            return best <= lb
-        if len(basis) >= best:
-            return False
-        for i in range(start, n - need + 1):
-            v = _reduce(cols[i], basis)
-            if v == 0:
-                if rec(i + 1, need - 1):
-                    return True
-            elif len(basis) + 1 < best:
-                basis.append(v)
-                basis.sort(reverse=True)
-                stop = rec(i + 1, need - 1)
-                basis.remove(v)
-                if stop:
-                    return True
-        return False
-
-    rec(0, size)
-    return best
+        try:
+            d = _min_rank_subspaces(pack_rows(g.T), dual_size, dual_lb, dual_ub, node_limit)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(exc.nodes, shift + exc.lower, shift + exc.upper) from None
+        return shift + d
+    return _min_rank_subspaces(pack_rows(a.T), size, lb, ub, node_limit)
 
 
 def _canon_insert(basis: tuple[int, ...], v: int) -> tuple[int, ...]:
     """Insert v into a fully reduced basis, keeping the canonical RREF form."""
-    for b in basis:
-        if (v >> (b.bit_length() - 1)) & 1:
-            v ^= b
+    v = _reduce(v, basis)
     p = v.bit_length() - 1
     nb = [b ^ v if (b >> p) & 1 else b for b in basis]
     nb.append(v)
@@ -310,7 +287,8 @@ def _min_rank_subspaces(cols: list[int], size: int, lb: int, ub: int,
     That minimum equals the minimum subset rank: a subset of the stated
     size and rank r spans an r-dim subspace containing all its columns,
     and conversely any r-dim subspace holding >= size columns yields a
-    subset of rank <= r.
+    subset of rank <= r.  Targets r are tried upward from lb, so when
+    the budget runs out at target r every smaller target was refuted.
     """
     cnt = Counter(cols)
     zero = cnt.pop(0, 0)
@@ -322,10 +300,9 @@ def _min_rank_subspaces(cols: list[int], size: int, lb: int, ub: int,
     def dfs(basis: tuple[int, ...], count: int, target: int,
             visited: set[tuple[int, ...]]) -> bool:
         nonlocal nodes
+        if nodes == node_limit:
+            raise BudgetExceededError(nodes, target, ub)
         nodes += 1
-        if nodes > node_limit:
-            raise BudgetExceededError(
-                f"subset-rank search exceeded {node_limit} nodes; instance beyond desk scale")
         if count >= size:
             return True
         dim = len(basis)
@@ -333,10 +310,7 @@ def _min_rank_subspaces(cols: list[int], size: int, lb: int, ub: int,
             return False
         reps: dict[int, int] = {}
         for v in vals:
-            r = v
-            for b in basis:
-                if (r >> (b.bit_length() - 1)) & 1:
-                    r ^= b
+            r = _reduce(v, basis)
             if r:
                 reps[r] = reps.get(r, 0) + cnt[v]
         slots = (1 << (target - dim)) - 1

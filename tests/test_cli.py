@@ -1,11 +1,13 @@
 """CLI surface tests: formats, exit codes, determinism, round trips."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from secembed import dmc
+from secembed import cli, dmc
 from secembed.cli import main
 
 
@@ -163,6 +165,55 @@ def test_domain_error_exit_code_and_stderr_json(capsys):
     assert payload["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["region", "scalar", "--P", "nan", "--a", "1", "--b1", "0.5", "--b2", "0.1"],
+    ["region", "scalar", "--P", "1", "--a", "inf", "--b1", "0.5", "--b2", "0.1"],
+    ["region", "parallel", "--a", "1,1", "--b1", "0.5,0.3", "--b2", "0.1,0.1",
+     "--powers", "0.5,nan"],
+    ["region", "parallel-total", "--a", "1,1", "--b1", "0.5,0.3", "--b2", "0.1,0.1",
+     "--P", "nan"],
+])
+def test_non_finite_gaussian_input_is_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert not out
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "finite" in payload["message"]
+
+
+def test_emit_json_refuses_non_json_numbers():
+    with pytest.raises(ValueError):
+        cli._emit_json({"x": float("nan")}, None)
+
+
+CONSTRUCT_16 = ["code", "construct", "--n", "16", "--alpha1", "0.5", "--alpha2", "0.25",
+                "--eps", "0.25", "--seed", "7"]
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_node_limit_below_one_is_domain_error(tmp_path, capsys, limit):
+    code, out, err = run_cli(capsys, *CONSTRUCT_16, "--node-limit", limit)
+    assert code == 1 and not out
+    assert json.loads(err)["error"] == "ValueError"
+    bundle = tmp_path / "bundle.json"
+    assert run_cli(capsys, *CONSTRUCT_16, "--out", str(bundle))[0] == 0
+    code, out, err = run_cli(capsys, "code", "audit", "--bundle", str(bundle),
+                             "--node-limit", limit)
+    assert code == 1 and not out
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_node_budget_error_reports_bracket(capsys):
+    code, out, err = run_cli(capsys, "code", "construct", "--n", "24", "--alpha1", "0.5",
+                             "--alpha2", "0.25", "--eps", "0.25", "--seed", "1",
+                             "--node-limit", "5")
+    assert code == 1 and not out
+    payload = json.loads(err)
+    assert payload["error"] == "BudgetExceededError"
+    assert "exceeded 5 nodes with the minimum rank in [4, 6]" in payload["message"]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["region", "scalar", "--P", "1"])  # missing required gains
@@ -176,3 +227,17 @@ def test_out_dir_env(tmp_path, capsys, monkeypatch):
                              "--out", "bound.json")
     assert code == 0
     assert (tmp_path / "bound.json").exists()
+
+
+def test_readme_command_line_block_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(ln)[1:] for ln in lines if ln.startswith("secembed ")]
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: secembed {shlex.join(argv)}")

@@ -228,6 +228,17 @@ def test_construct_determinism():
     assert (a.d1_star, a.d2_star) == (b.d1_star, b.d2_star)
 
 
+@pytest.mark.parametrize("n, pinned", [
+    (16, [(3, 7), (3, 6), (3, 7), (3, 6), (3, 7)]),
+    (24, [(5, 11), (4, 11), (4, 11), (4, 11), (4, 11)]),
+])
+def test_construct_certificates_pinned(n, pinned):
+    # exact (d1_star, d2_star) for seeds 1-5; a change to the search must keep them
+    params = WiretapIIParams(n=n, alpha1=0.5, alpha2=0.25, eps=0.25)
+    got = [coset.construct(params, seed=seed) for seed in range(1, 6)]
+    assert [(c.d1_star, c.d2_star) for c in got] == pinned
+
+
 def test_construct_collapsed_second_level():
     params = WiretapIIParams(n=8, alpha1=0.5, alpha2=0.5, eps=0.25)
     code = coset.construct(params, seed=0)

@@ -45,6 +45,24 @@ def test_channel_validation():
         ParallelGaussChannel(a=(1,), b1=(0.5,), b2=(0.1,), powers=(1,), total_power=1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_power_and_gains_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        gauss.cs_scalar(bad, 1.0, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        gauss.cs_scalar(1.0, 1.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        ScalarGaussChannel(power=bad, a=1.0, b1=0.5, b2=0.1)
+    with pytest.raises(ValueError, match="finite"):
+        ScalarGaussChannel(power=1.0, a=bad, b1=0.5, b2=0.1)
+    with pytest.raises(ValueError, match="finite"):
+        ParallelGaussChannel(a=(1, bad), b1=(0.5, 0.5), b2=(0.1, 0.1), total_power=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        ParallelGaussChannel(a=(1, 1), b1=(0.5, 0.5), b2=(0.1, 0.1), powers=(0.5, bad))
+    with pytest.raises(ValueError, match="finite"):
+        ParallelGaussChannel(a=(1, 1), b1=(0.5, 0.5), b2=(0.1, 0.1), total_power=bad)
+
+
 def test_region_scalar_degenerate_orders():
     # both eavesdroppers at least as strong as the legitimate receiver
     res = gauss.region_scalar(ScalarGaussChannel(1.0, 0.5, 1.0, 0.8))

@@ -209,16 +209,36 @@ def test_min_rank_small_matches_oracle():
         assert gf2.min_rank_over_column_subsets(m, size) == want
 
 
-def test_min_rank_branch_and_bound_path_matches_enumeration():
-    # force the subspace branch-and-bound by shrinking the budget
-    rng = np.random.default_rng(23)
-    for _ in range(40):
-        k = int(rng.integers(2, 6))
-        n = int(rng.integers(6, 11))
-        m = gf2.random_matrix(k, n, rng)
-        size = int(rng.integers(1, n))
-        want = gf2.min_rank_over_column_subsets(m, size)
-        got = gf2.min_rank_over_column_subsets(m, size, enum_budget=0)
+def draw_min_rank_instance(data):
+    """A k x n matrix (k <= 6, n <= 11) and a subset size; columns drawn as
+    ints below 2**k, so zero and repeated columns are common."""
+    k = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 11))
+    cols = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n))
+    m = gf2.unpack_rows(cols, k).T
+    return m, data.draw(st.integers(0, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_min_rank_matches_oracle_property(data):
+    m, size = draw_min_rank_instance(data)
+    assert gf2.min_rank_over_column_subsets(m, size) == min_rank_oracle(m, size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_min_rank_budget_bracket_contains_oracle(data):
+    m, size = draw_min_rank_instance(data)
+    node_limit = data.draw(st.integers(1, 30))
+    want = min_rank_oracle(m, size)
+    try:
+        got = gf2.min_rank_over_column_subsets(m, size, node_limit=node_limit)
+    except gf2.BudgetExceededError as exc:
+        assert exc.nodes == node_limit
+        assert exc.lower <= want <= exc.upper == min(size, gf2.rank(m))
+        assert f"[{exc.lower}, {exc.upper}]" in str(exc)
+    else:
         assert got == want
 
 
@@ -234,7 +254,15 @@ def test_min_rank_node_budget_error():
     rng = np.random.default_rng(2)
     m = gf2.random_matrix(12, 28, rng)
     with pytest.raises(gf2.BudgetExceededError):
-        gf2.min_rank_over_column_subsets(m, 14, enum_budget=0, node_limit=3)
+        gf2.min_rank_over_column_subsets(m, 14, node_limit=3)
+
+
+def test_min_rank_rejects_node_limit_below_one():
+    m = np.eye(3, dtype=np.uint8)
+    for node_limit in (0, -5):
+        for size in (0, 2):
+            with pytest.raises(ValueError, match="node_limit"):
+                gf2.min_rank_over_column_subsets(m, size, node_limit=node_limit)
 
 
 def test_matrix_text_roundtrip():
