@@ -19,7 +19,7 @@ never estimated from samples:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
+from math import isfinite, log2
 
 import numpy as np
 
@@ -41,14 +41,22 @@ def rates_to_counts(rates, n: int) -> tuple[int, int, int]:
 
     Each 2**(n*rate) must be an integer count (relative tolerance 1e-6
     against the nearest integer); anything else is rejected rather than
-    rounded, so the realized rates are exactly the requested ones.
+    rounded, so the realized rates are exactly the requested ones.  The
+    block length n must be a positive integer.
     """
     if len(rates) != 3:
         raise ValueError("rates must be (R1, R2, T)")
+    if n < 1:
+        raise ValueError(f"block length n must be a positive integer, got n={n}")
     counts = []
     for r in rates:
+        if not isfinite(r):
+            raise ValueError(f"rate {r} is not finite")
         if r < 0:
             raise ValueError("rates must be nonnegative")
+        if n * r >= 1024:  # 2.0 ** 1024 overflows a float
+            raise ValueError(
+                f"2**(n*{r}) at n={n} is too large to be a codebook count")
         raw = 2.0 ** (n * r)
         near = round(raw)
         if near < 1 or abs(raw - near) > 1e-6 * max(near, 1):
@@ -135,72 +143,108 @@ def _erasure_decomposition(w: np.ndarray, atol: float = 1e-9):
     return delta, reveal_local.astype(np.int64)
 
 
-def _pattern_statistics(codebook: NestedCodebook, reveal: np.ndarray):
-    """Per-reveal-pattern collision statistics of the projected codebook.
+# Keys per block of reveal patterns, rounded up to a power-of-two count of
+# patterns: enough patterns to amortize numpy's per-call overhead on small
+# codebooks, few enough to keep a block in cache.
+_BLOCK_KEYS = 2**16
 
-    For every pattern B of non-erased positions (iterated in Gray-code
-    order so the projection updates incrementally) the codewords are
-    grouped by their revealed values; the sums of c*log2(c) over group
-    sizes at global, bin and subbin granularity determine the exact
-    pattern-conditional message information.  Yields
-    (popcount, i_bin, i_subbin) per pattern, where i_bin = I(M1; f(X)_B)
-    and i_subbin = I(M1, M2; f(X)_B) in bits.
+
+def _row_clogc(bounds: np.ndarray, row_starts: np.ndarray,
+               lut: np.ndarray) -> np.ndarray:
+    """Per-row sums of c*log2(c) over runs given by sorted boundary offsets.
+
+    bounds holds every run start, then the end of the last row; every
+    row start is a run start, so runs never cross rows.
+    """
+    sizes = bounds[1:] - bounds[:-1]
+    return np.add.reduceat(lut.take(sizes), np.searchsorted(bounds, row_starts))
+
+
+def _pattern_blocks(codebook: NestedCodebook, reveal: np.ndarray):
+    """Pattern-conditional message information, one block of reveal patterns at a time.
+
+    For a pattern B of non-erased positions the codewords are grouped by
+    their revealed values; the sums of c*log2(c) over group sizes at
+    global, bin and subbin granularity give I(M1; f(X)_B) and
+    I(M1, M2; f(X)_B) in bits.  Each codeword's key is its (bin, subbin)
+    group id plus its revealed values in base-|reveal| digits above it.
+    The n positions split into `low` and n - low high ones: the keys of
+    all 2**low low sub-patterns form one table built by doubling, and a
+    block is that table plus the high sub-pattern's keys, the high
+    sub-patterns walked in Gray-code order so each step adds or removes
+    one position.  Each block is sorted row-wise; the finest runs give
+    the subbin level, and the coarser levels merge runs, so their
+    boundaries are found among the finest runs' start keys.  Yields
+    (popcount, i_bin, i_subbin) arrays with one entry per pattern of the
+    block; yields nothing when the reveal map is constant, since then no
+    pattern carries information.
     """
     n = codebook.n
-    flat = codebook.flat()
     k_total = codebook.size
     base = int(reveal.max()) + 1 if reveal.size else 1
     if base < 2:
-        # reveal map constant: projections carry nothing for any pattern
-        for t in range(1 << n):
-            yield bin(t ^ (t >> 1)).count("1"), 0.0, 0.0
         return
     groups = codebook.n_bins * codebook.n_subbins
     span_bits = n * log2(base) + log2(max(groups, 1))
     if span_bits > 62:
         raise ValueError("pattern projection would overflow 64-bit keys")
     dtype = np.int32 if span_bits <= 30 else np.int64
-    proj_units = reveal[flat].astype(dtype)
+    proj_units = reveal[codebook.flat()].astype(dtype)
     weights = (base ** np.arange(n)).astype(dtype)
     contrib = np.ascontiguousarray((proj_units * weights[None, :]).T * dtype(groups))
-    gid = (np.arange(k_total) // codebook.n_per).astype(dtype)
     lut = np.zeros(k_total + 1)
     counts_range = np.arange(1, k_total + 1)
     lut[1:] = counts_range * np.log2(counts_range)
     log_bins = log2(codebook.n_bins)
     log_groups = log2(groups)
-    n_subbins = codebook.n_subbins
 
-    key = gid.copy()
-    yield 0, 0.0, 0.0  # empty pattern: nothing revealed
-    pc = 0
-    for t in range(1, 1 << n):
-        j = (t & -t).bit_length() - 1
-        g = t ^ (t >> 1)
-        if (g >> j) & 1:
-            key += contrib[j]
-            pc += 1
-        else:
-            key -= contrib[j]
-            pc -= 1
-        ks = np.sort(key)
-        # finest-level runs; coarser levels merge runs, so their boundaries
-        # are found among the finest-level group representatives
-        bnd = np.flatnonzero(ks[1:] != ks[:-1]) + 1
-        starts = np.concatenate(([0], bnd))
-        ends = np.concatenate((bnd, [k_total]))
-        s_sub = float(lut[ends - starts].sum())
-        reps = ks[starts] // n_subbins
-        keep = np.flatnonzero(reps[1:] != reps[:-1]) + 1
-        bstarts = starts[np.concatenate(([0], keep))]
-        s_bin = float(lut[np.diff(np.concatenate((bstarts, [k_total])))].sum())
+    low = min(n, (max(1, _BLOCK_KEYS // k_total) - 1).bit_length())
+    rows = 1 << low
+    low_keys = np.empty((rows, k_total), dtype=dtype)
+    low_keys[0] = np.arange(k_total) // codebook.n_per
+    low_pc = np.zeros(rows, dtype=np.int64)
+    for j in range(low):
+        np.add(low_keys[:1 << j], contrib[j], out=low_keys[1 << j:2 << j])
+        low_pc[1 << j:2 << j] = low_pc[:1 << j] + 1
+    size = rows * k_total
+    row_starts = np.arange(0, size, k_total)
+    keys = np.empty_like(low_keys)
+    flat_keys = keys.reshape(-1)
+    new_run = np.ones(size + 1, dtype=bool)  # the last entry marks the end
+    high = np.zeros(k_total, dtype=dtype)
+    high_pc = 0
+    for t in range(1 << (n - low)):
+        if t:
+            j = (t & -t).bit_length() - 1
+            if ((t ^ (t >> 1)) >> j) & 1:
+                high += contrib[low + j]
+                high_pc += 1
+            else:
+                high -= contrib[low + j]
+                high_pc -= 1
+        np.add(low_keys, high, out=keys)
+        keys.sort(axis=1)
+        np.not_equal(flat_keys[1:], flat_keys[:-1], out=new_run[1:size])
+        new_run[row_starts] = True
+        bounds = np.flatnonzero(new_run)
+        s_sub = _row_clogc(bounds, row_starts, lut)
+        # coarser levels: a finest run starts a new group where its
+        # (projection, bin) or projection key changes, or where a row starts
+        first = np.searchsorted(bounds, row_starts)
+        reps = flat_keys.take(bounds[:-1]) // codebook.n_subbins
+        merged = np.ones(bounds.size, dtype=bool)
+        np.not_equal(reps[1:], reps[:-1], out=merged[1:-1])
+        merged[first] = True
+        s_bin = _row_clogc(bounds.take(np.flatnonzero(merged)), row_starts, lut)
         reps //= codebook.n_bins
-        keep = np.flatnonzero(reps[1:] != reps[:-1]) + 1
-        gstarts = starts[np.concatenate(([0], keep))]
-        s_glob = float(lut[np.diff(np.concatenate((gstarts, [k_total])))].sum())
-        i_bin = log_bins - (s_glob - s_bin) / k_total
-        i_sub = log_groups - (s_glob - s_sub) / k_total
-        yield pc, max(i_bin, 0.0), max(i_sub, 0.0)
+        np.not_equal(reps[1:], reps[:-1], out=merged[1:-1])
+        merged[first] = True
+        s_glob = _row_clogc(bounds.take(np.flatnonzero(merged)), row_starts, lut)
+        i_bin = np.maximum(log_bins - (s_glob - s_bin) / k_total, 0.0)
+        i_sub = np.maximum(log_groups - (s_glob - s_sub) / k_total, 0.0)
+        if t == 0:
+            i_bin[0] = i_sub[0] = 0.0  # empty pattern: nothing revealed
+        yield low_pc + high_pc, i_bin, i_sub
 
 
 def _leakage_erasure(codebook: NestedCodebook, reveal: np.ndarray,
@@ -209,18 +253,19 @@ def _leakage_erasure(codebook: NestedCodebook, reveal: np.ndarray,
 
     requests is a list of (delta, level) pairs; returns total bits
     I(messages; Z^n) per request, with level 'bin' scoring m1 and
-    'subbin' scoring (m1, m2).  One pass over the reveal patterns serves
-    every request because the pattern-conditional information depends
-    only on the shared reveal map.
+    'subbin' scoring (m1, m2).  Each request weighs every reveal pattern
+    by its probability (1 - delta)**|B| * delta**(n - |B|).  One pass
+    over the blocks of reveal patterns serves every request because the
+    pattern-conditional information depends only on the shared reveal
+    map.
     """
     n = codebook.n
     k = np.arange(n + 1)
     pc_weights = [(1.0 - delta) ** k * delta ** (n - k) for delta, _ in requests]
     results = [0.0] * len(requests)
-    for pc, i_bin, i_sub in _pattern_statistics(codebook, reveal):
+    for pc, i_bin, i_sub in _pattern_blocks(codebook, reveal):
         for idx, (_, level) in enumerate(requests):
-            val = i_bin if level == "bin" else i_sub
-            results[idx] += pc_weights[idx][pc] * val
+            results[idx] += float(pc_weights[idx][pc] @ (i_bin if level == "bin" else i_sub))
     return results
 
 
@@ -341,6 +386,8 @@ def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
     use separate substreams of one seed sequence.
     """
     counts = rates_to_counts(rates, n)
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     total_symbols = counts[0] * counts[1] * counts[2] * n
     if total_symbols > codebook_budget:
         raise ValueError(

@@ -61,7 +61,13 @@ def _floats(text: str) -> tuple:
     return tuple(float(x) for x in text.split(","))
 
 
+def _check_points(args):
+    if args.points < 2:
+        raise ValueError(f"--points must be at least 2, got {args.points}")
+
+
 def _cmd_region_scalar(args) -> int:
+    _check_points(args)
     ch = gauss.ScalarGaussChannel(power=args.P, a=args.a, b1=args.b1, b2=args.b2)
     res = gauss.region_scalar(ch)
     naive = gauss.naive_region(ch)
@@ -96,6 +102,7 @@ def _parallel_channel(args, pooled: bool) -> gauss.ParallelGaussChannel:
 
 
 def _cmd_region_parallel(args) -> int:
+    _check_points(args)
     ch = _parallel_channel(args, pooled=False)
     res = gauss.region_parallel_individual(ch)
     _emit_json(res.to_dict(), args.out)
@@ -155,6 +162,8 @@ def _cmd_sim_dmc(args) -> int:
     px = _floats(args.px)
     rates = _floats(args.rates)
     blocks = [int(x) for x in args.n.split(",")]
+    for n in blocks:
+        binning.rates_to_counts(rates, n)  # reject every block before simulating any
     reports = []
     for n in blocks:
         rep = binning.simulate_nested_binning(

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secembed import binning, dmc
 from secembed.binning import NestedCodebook
@@ -44,6 +46,143 @@ def leakage_oracle(codebook, kernel, level):
     return sum(p * math.log2(p / (pm[g] * pz[z])) for (g, z), p in joint.items())
 
 
+def pattern_statistics_reference(codebook, reveal):
+    """Per-pattern loop over the 2**n reveal patterns in Gray-code order.
+
+    Yields (popcount, I(M1; f(X)_B), I(M1, M2; f(X)_B)) for one pattern B
+    at a time, updating the projection key by one position per step.
+    """
+    n = codebook.n
+    k_total = codebook.size
+    base = int(reveal.max()) + 1 if reveal.size else 1
+    if base < 2:
+        for t in range(1 << n):
+            yield bin(t ^ (t >> 1)).count("1"), 0.0, 0.0
+        return
+    groups = codebook.n_bins * codebook.n_subbins
+    proj = reveal[codebook.flat()].astype(np.int64)
+    contrib = (proj * base ** np.arange(n)[None, :]).T * groups
+    lut = np.zeros(k_total + 1)
+    lut[1:] = np.arange(1, k_total + 1) * np.log2(np.arange(1, k_total + 1))
+    key = np.arange(k_total) // codebook.n_per
+    yield 0, 0.0, 0.0
+    pc = 0
+    for t in range(1, 1 << n):
+        j = (t & -t).bit_length() - 1
+        if ((t ^ (t >> 1)) >> j) & 1:
+            key = key + contrib[j]
+            pc += 1
+        else:
+            key = key - contrib[j]
+            pc -= 1
+        ks = np.sort(key)
+        bnd = np.flatnonzero(ks[1:] != ks[:-1]) + 1
+        starts = np.concatenate(([0], bnd))
+        ends = np.concatenate((bnd, [k_total]))
+        s_sub = float(lut[ends - starts].sum())
+        reps = ks[starts] // codebook.n_subbins
+        keep = np.flatnonzero(reps[1:] != reps[:-1]) + 1
+        bstarts = starts[np.concatenate(([0], keep))]
+        s_bin = float(lut[np.diff(np.concatenate((bstarts, [k_total])))].sum())
+        reps //= codebook.n_bins
+        keep = np.flatnonzero(reps[1:] != reps[:-1]) + 1
+        gstarts = starts[np.concatenate(([0], keep))]
+        s_glob = float(lut[np.diff(np.concatenate((gstarts, [k_total])))].sum())
+        i_bin = math.log2(codebook.n_bins) - (s_glob - s_bin) / k_total
+        i_sub = math.log2(groups) - (s_glob - s_sub) / k_total
+        yield pc, max(i_bin, 0.0), max(i_sub, 0.0)
+
+
+def leakage_erasure_reference(codebook, reveal, requests):
+    """Pattern-by-pattern sum that binning._leakage_erasure must equal."""
+    n = codebook.n
+    results = [0.0] * len(requests)
+    for pc, i_bin, i_sub in pattern_statistics_reference(codebook, reveal):
+        for idx, (delta, level) in enumerate(requests):
+            weight = (1.0 - delta) ** pc * delta ** (n - pc)
+            results[idx] += weight * (i_bin if level == "bin" else i_sub)
+    return results
+
+
+def erasure_kernel(reveal, delta):
+    """Input x shows symbol reveal[x] with probability 1 - delta, else the erasure."""
+    nz = max(reveal) + 2
+    w = np.zeros((len(reveal), nz))
+    w[np.arange(len(reveal)), reveal] = 1.0 - delta
+    w[:, -1] = delta
+    return w
+
+
+@st.composite
+def erasure_cases(draw):
+    n = draw(st.integers(1, 9))
+    counts = tuple(draw(st.sampled_from([1, 2, 3, 5])) for _ in range(3))
+    nx = draw(st.sampled_from([2, 3]))
+    reveal = draw(st.lists(st.integers(0, nx - 1), min_size=nx, max_size=nx))
+    delta = draw(st.sampled_from([0.0, 0.3, 0.5, 0.9]))
+    requests = draw(st.lists(st.tuples(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]),
+                                       st.sampled_from(["bin", "subbin"])),
+                             min_size=1, max_size=4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    cb = binning.make_codebook(np.full(nx, 1.0 / nx), n, counts,
+                               np.random.default_rng(seed))
+    return cb, erasure_kernel(reveal, delta), requests
+
+
+@pytest.mark.parametrize("block_keys", [1, 2**20])
+@settings(max_examples=60, deadline=None)
+@given(case=erasure_cases())
+def test_leakage_erasure_matches_per_pattern_reference(case, block_keys):
+    """Blocks of one pattern and blocks of every pattern both equal the loop."""
+    cb, kernel, requests = case
+    delta, reveal = binning._erasure_decomposition(kernel)
+    want = leakage_erasure_reference(cb, reveal, requests)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binning, "_BLOCK_KEYS", block_keys)
+        got = binning._leakage_erasure(cb, reveal, requests)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_leakage_erasure_wide_keys_match_reference():
+    """Keys over 30 bits take the int64 path; base-5 reveals at n=12 need 31."""
+    cb = binning.make_codebook(np.full(5, 0.2), 12, (2, 3, 2), np.random.default_rng(4))
+    reveal = np.arange(5)
+    requests = [(0.5, "bin"), (0.9, "subbin")]
+    want = leakage_erasure_reference(cb, reveal, requests)
+    assert binning._leakage_erasure(cb, reveal, requests) == pytest.approx(want, abs=1e-12)
+
+
+def test_leakage_erasure_constant_kernel_is_zero():
+    cb = binning.make_codebook([0.5, 0.5], 6, (3, 5, 2), np.random.default_rng(8))
+    delta, reveal = binning._erasure_decomposition(dmc.constant_kernel(2))
+    assert delta == 1.0
+    assert binning._leakage_erasure(cb, reveal, [(1.0, "bin"), (0.5, "subbin")]) == [0.0, 0.0]
+
+
+# (error_rate, leak_m1_strong, leak_messages_weak) of simulate_nested_binning on
+# the reference channel at rates (0.25, 0.25, log2(3)/4) with 400 trials,
+# computed by the per-pattern loop
+REFERENCE_RUNS = {
+    (8, 1): (0.1825, 0.04704771957268182, 0.012966811831343267),
+    (8, 2): (0.2125, 0.04815267506091521, 0.011211203815514372),
+    (8, 3): (0.2575, 0.045364425991109354, 0.010942214122268768),
+    (12, 1): (0.195, 0.03018083256802155, 0.005058795984484001),
+    (12, 2): (0.17, 0.031121987089097122, 0.005016085158413651),
+    (12, 3): (0.1725, 0.031615564768248165, 0.005082606288780296),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(REFERENCE_RUNS))
+def test_reference_channel_runs_pinned(n, seed):
+    report = binning.simulate_nested_binning(bec_triple(), [0.5, 0.5],
+                                             (0.25, 0.25, np.log2(3) / 4),
+                                             n=n, trials=400, seed=seed)
+    error, leak1, leak2 = REFERENCE_RUNS[n, seed]
+    assert report.error_rate == error
+    assert report.leak_m1_strong == pytest.approx(leak1, abs=1e-12)
+    assert report.leak_messages_weak == pytest.approx(leak2, abs=1e-12)
+
+
 def test_rates_to_counts():
     assert binning.rates_to_counts((0.25, 0.25, np.log2(3) / 4), 8) == (4, 4, 9)
     assert binning.rates_to_counts((0.5, 0.0, 0.0), 8) == (16, 1, 1)
@@ -51,6 +190,24 @@ def test_rates_to_counts():
         binning.rates_to_counts((0.3, 0.1, 0.1), 8)  # 2**2.4 not an integer
     with pytest.raises(ValueError):
         binning.rates_to_counts((-0.1, 0.0, 0.0), 8)
+
+
+@pytest.mark.parametrize("rates, n, match", [
+    ((math.inf, 0.0, 0.0), 8, "not finite"),
+    ((math.nan, 0.0, 0.0), 8, "not finite"),
+    ((300.0, 0.0, 0.0), 8, "too large"),
+    ((0.25, 0.25, 0.0), 0, "positive integer, got n=0"),
+    ((0.25, 0.25, 0.0), -4, "positive integer, got n=-4"),
+])
+def test_rates_to_counts_domain_errors(rates, n, match):
+    with pytest.raises(ValueError, match=match):
+        binning.rates_to_counts(rates, n)
+
+
+def test_simulate_rejects_negative_trials():
+    with pytest.raises(ValueError, match="trials must be nonnegative, got -5"):
+        binning.simulate_nested_binning(bec_triple(), [0.5, 0.5], (0.25, 0.25, 0.0),
+                                        n=8, trials=-5, seed=1)
 
 
 def test_make_codebook_shape_and_determinism():

@@ -182,6 +182,41 @@ def test_non_finite_gaussian_input_is_domain_error(capsys, argv):
     assert "finite" in payload["message"]
 
 
+SIM_BEC = ["sim", "dmc", "--bec", "0.5,0.9", "--px", "0.5,0.5", "--seed", "1"]
+
+
+@pytest.mark.parametrize("extra, match", [
+    (["--rates", "inf,0,0", "--n", "8"], "not finite"),
+    (["--rates", "300,0,0", "--n", "8"], "too large"),
+    (["--rates", "0.25,0.25,0", "--n", "8,0"], "positive integer, got n=0"),
+    (["--rates", "0.25,0.25,0", "--n", "-4"], "positive integer, got n=-4"),
+    (["--rates", "0.25,0.25,0", "--n", "8", "--trials", "-5"], "trials"),
+])
+def test_sim_dmc_bad_input_is_domain_error(tmp_path, capsys, extra, match):
+    out_file = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, *SIM_BEC, *extra, "--out", str(out_file))
+    assert code == 1 and not out
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert match in payload["message"]
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "scalar", "--P", "1", "--a", "1", "--b1", "0.5", "--b2", "0.1"],
+    ["region", "parallel", "--preset", "two-subchannel-reference"],
+])
+@pytest.mark.parametrize("points", ["-3", "1"])
+def test_region_points_below_two_prints_no_result(tmp_path, capsys, argv, points):
+    csv = tmp_path / "boundary.csv"
+    code, out, err = run_cli(capsys, *argv, "--csv", str(csv), "--points", points)
+    assert code == 1 and not out
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "--points" in payload["message"]
+    assert not csv.exists()
+
+
 def test_emit_json_refuses_non_json_numbers():
     with pytest.raises(ValueError):
         cli._emit_json({"x": float("nan")}, None)
