@@ -22,7 +22,8 @@ print(f"  naive hull violation at corner: {naive.hull_violation(res.corner):.6f}
 
 with open("scalar_region.csv", "w") as f:
     f.write("R1,R2\n")
-    for r1, r2 in res.region.upper_boundary(201):
+    for r1, r2 in gauss.boundary_points([(res.cap_high, res.cap_low)], res.cap_high,
+                                        res.cap_low, 201):
         f.write(f"{r1:.9f},{r2:.9f}\n")
 print("  boundary written to scalar_region.csv")
 

@@ -23,7 +23,7 @@ from math import isfinite, log2
 
 import numpy as np
 
-from secembed.dmc import DmcTriple, entropy_bits
+from secembed.dmc import DmcTriple, _check_distribution, entropy_bits
 
 __all__ = [
     "NestedCodebook",
@@ -111,9 +111,7 @@ class NestedCodebook:
 
 def make_codebook(px, n: int, counts, rng: np.random.Generator) -> NestedCodebook:
     """Draw all codewords i.i.d. from px (bin/subbin structure is just labeling)."""
-    px = np.asarray(px, dtype=float).reshape(-1)
-    if (px < 0).any() or abs(px.sum() - 1.0) > 1e-9:
-        raise ValueError("px must be a distribution")
+    px = _check_distribution(px, "px", neg_tol=0.0)
     n_bins, n_subbins, n_per = counts
     words = rng.choice(len(px), size=(n_bins, n_subbins, n_per, n), p=px)
     return NestedCodebook(codewords=words, nx=len(px))
@@ -323,6 +321,11 @@ def exact_leakage(codebook: NestedCodebook, kernel, level: str = "bin", *,
     return _leakage_general(codebook, w, level, budget)
 
 
+# Scores per chunk of ML-decoding trials (trials x codewords floats): bounds
+# the decoder's memory at n = 16 and keeps n <= 12 in one chunk.
+_DECODE_SCORES = 2**20
+
+
 def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
                          rng: np.random.Generator) -> float:
     """Message error rate of maximum-likelihood decoding over the codebook.
@@ -341,10 +344,14 @@ def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
     cdf = np.cumsum(w, axis=1)
     u = rng.random(size=x.shape)
     y = (u[:, :, None] >= cdf[x][:, :, :-1]).sum(axis=2)
-    scores = np.zeros((trials, k_total))
-    for i in range(codebook.n):
-        scores += logw[flat[:, i][None, :], y[:, i][:, None]]
-    decoded = np.argmax(scores, axis=1)
+    decoded = np.empty(trials, dtype=np.int64)
+    rows = max(1, _DECODE_SCORES // k_total)
+    for start in range(0, trials, rows):
+        yc = y[start:start + rows]
+        scores = np.zeros((len(yc), k_total))
+        for i in range(codebook.n):  # the unchunked sum order, so argmax ties break alike
+            scores += logw[flat[:, i][None, :], yc[:, i][:, None]]
+        decoded[start:start + rows] = np.argmax(scores, axis=1)
     errs = (decoded // codebook.n_per) != (sent // codebook.n_per)
     return float(errs.mean())
 

@@ -17,6 +17,7 @@ error JSON on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -66,6 +67,12 @@ def _check_points(args):
         raise ValueError(f"--points must be at least 2, got {args.points}")
 
 
+def _emit_corner_csv(cap_high: float, cap_low: float, args):
+    """Boundary CSV of {R1 <= cap_high, R1 + R2 <= cap_low}."""
+    pts = gauss.boundary_points([(cap_high, cap_low)], cap_high, cap_low, args.points)
+    _emit_csv(pts, ("R1", "R2"), args.csv)
+
+
 def _cmd_region_scalar(args) -> int:
     _check_points(args)
     ch = gauss.ScalarGaussChannel(power=args.P, a=args.a, b1=args.b1, b2=args.b2)
@@ -82,7 +89,7 @@ def _cmd_region_scalar(args) -> int:
     }
     _emit_json(payload, args.out)
     if args.csv:
-        _emit_csv(res.region.upper_boundary(args.points), ("R1", "R2"), args.csv)
+        _emit_corner_csv(res.cap_high, res.cap_low, args)
     return 0
 
 
@@ -107,7 +114,7 @@ def _cmd_region_parallel(args) -> int:
     res = gauss.region_parallel_individual(ch)
     _emit_json(res.to_dict(), args.out)
     if args.csv:
-        _emit_csv(res.region.upper_boundary(args.points), ("R1", "R2"), args.csv)
+        _emit_corner_csv(res.cap_high_sum, res.cap_low_sum, args)
     return 0
 
 
@@ -332,9 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, IndexError, OSError, RuntimeError) as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = [
     "DmcTriple",
@@ -42,6 +41,16 @@ def _check_stochastic(mat: np.ndarray, what: str):
     rows = mat.reshape(mat.shape[0], -1).sum(axis=1)
     if not np.allclose(rows, 1.0, atol=1e-12, rtol=0.0):
         raise ValueError(f"{what} rows must sum to 1 within 1e-12")
+
+
+def _check_distribution(p, what: str, *, neg_tol: float = _ATOL,
+                        sum_tol: float = 1e-9) -> np.ndarray:
+    """``p`` as a flat float vector, or ValueError naming ``what`` unless it is a
+    finite distribution (entries >= -neg_tol, summing to 1 within sum_tol)."""
+    p = np.asarray(p, dtype=float).reshape(-1)
+    if not np.isfinite(p).all() or (p < -neg_tol).any() or abs(p.sum() - 1.0) > sum_tol:
+        raise ValueError(f"{what} must be a distribution of finite entries")
+    return p
 
 
 def entropy_bits(p) -> float:
@@ -155,11 +164,9 @@ class AuxiliaryChain:
     px_v: np.ndarray
 
     def __post_init__(self):
-        pu = np.asarray(self.pu, dtype=float).reshape(-1)
+        pu = _check_distribution(self.pu, "p(u)", sum_tol=1e-12)
         pv_u = np.asarray(self.pv_u, dtype=float)
         px_v = np.asarray(self.px_v, dtype=float)
-        if (pu < -_ATOL).any() or abs(pu.sum() - 1.0) > 1e-12:
-            raise ValueError("p(u) must be a distribution")
         _check_stochastic(pv_u, "p(v|u)")
         _check_stochastic(px_v, "p(x|v)")
         if pv_u.shape[0] != pu.shape[0] or px_v.shape[0] != pv_u.shape[1]:
@@ -200,6 +207,8 @@ def check_degraded(ch: DmcTriple, which: str = "z2_of_z1",
     tolerance.  Returns the witness kernel when feasible, otherwise the
     best-achievable residual as an infeasibility certificate.
     """
+    from scipy.optimize import linprog  # slow to import, and only needed here
+
     if which not in _DEGRADE_PAIRS:
         raise ValueError(f"which must be one of {sorted(_DEGRADE_PAIRS)}")
     src_name, tgt_name = _DEGRADE_PAIRS[which]
@@ -259,11 +268,6 @@ class RatePointBounds:
     raw: tuple
     side_condition_ok: bool | None = None
 
-    def region(self):
-        from secembed.regions import RateRegion
-
-        return RateRegion.from_rate_bounds(self.r1_max, self.sum_max)
-
     def to_dict(self) -> dict:
         d = {"r1_max": self.r1_max, "sum_max": self.sum_max,
              "raw_r1": self.raw[0], "raw_sum": self.raw[1]}
@@ -280,8 +284,8 @@ def region_point_simple(ch: DmcTriple, px) -> RatePointBounds:
 
     both clamped at zero, computed exactly in bits.
     """
-    px = np.asarray(px, dtype=float).reshape(-1)
-    if px.shape[0] != ch.nx or (px < -_ATOL).any() or abs(px.sum() - 1.0) > 1e-9:
+    px = _check_distribution(px, "px")
+    if px.shape[0] != ch.nx:
         raise ValueError("px must be a distribution over the input alphabet")
     ixy = mi_bits(px[:, None] * ch.py_x)
     ixz1 = mi_bits(px[:, None] * ch.pz1_x)

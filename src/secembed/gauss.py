@@ -11,6 +11,8 @@ w1*Σ[Cs(p,a,b1)]⁺ + w2*Σ[Cs(p,a,b2)]⁺ is separable and concave in the
 allocation, so its exact maximizer is a secrecy water-filling solution
 (Liang, Poor and Shamai, IEEE T-IT 54(6), 2008): the region's extreme
 allocations are two such solves, and its frontier is traced by more.
+Every region boundary, fixed-power corner or pooled-power frontier, is
+sampled by the one routine ``boundary_points``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "naive_region",
     "region_parallel_individual",
     "region_parallel_total",
+    "boundary_points",
 ]
 
 
@@ -43,11 +46,34 @@ def _check_nonneg(values, what: str):
         raise ValueError(f"{what} must be finite and nonnegative")
 
 
+def _cs(power, a, b):
+    """[0.5*log2(1+a*P) - 0.5*log2(1+b*P)]^+, elementwise over arrays."""
+    return np.maximum(0.5 * (np.log2(1.0 + a * power) - np.log2(1.0 + b * power)), 0.0)
+
+
 def cs_scalar(power: float, a: float, b: float) -> float:
     """Secrecy capacity [0.5*log2(1+a*P) - 0.5*log2(1+b*P)]^+ in bits/use."""
     _check_nonneg((power, a, b), "power and gains")
-    val = 0.5 * (np.log2(1.0 + a * power) - np.log2(1.0 + b * power))
-    return float(max(0.0, val))
+    return float(_cs(power, a, b))
+
+
+def boundary_points(frontier, max_r1: float, max_sum: float, num: int) -> np.ndarray:
+    """(num, 2) samples (R1, R2) of a region's upper boundary, R1 evenly over [0, max_r1].
+
+    ``frontier`` holds (R1, sum-rate) vertices by increasing R1.  The sum
+    rate is ``max_sum`` up to the first vertex and their polyline after it,
+    and R2 is the sum rate less R1, clamped at zero.  A corner region
+    {R1 <= cap_high, R1 + R2 <= cap_low} is the one-vertex frontier
+    [(cap_high, cap_low)] with max_r1 = cap_high and max_sum = cap_low.
+    """
+    r1 = np.linspace(0.0, max_r1, num)
+    return np.column_stack([r1, np.maximum(_sum_rate_at(frontier, max_sum, r1) - r1, 0.0)])
+
+
+def _sum_rate_at(frontier, max_sum: float, r1):
+    """Largest sum rate at ``r1`` under ``frontier``, as ``boundary_points`` reads it."""
+    a, b = np.asarray(frontier, dtype=float).T
+    return np.where(r1 <= a[0], max_sum, np.interp(r1, a, b))
 
 
 @dataclass(frozen=True)
@@ -112,14 +138,6 @@ class ScalarRegionResult:
     cap_low: float
     corner: tuple
     region: RateRegion
-
-    def to_dict(self) -> dict:
-        return {
-            "cap_high": self.cap_high,
-            "cap_low": self.cap_low,
-            "corner": list(self.corner),
-            "region": self.region.to_dict(),
-        }
 
 
 def region_scalar(ch: ScalarGaussChannel) -> ScalarRegionResult:
@@ -226,8 +244,7 @@ N_BOUNDARY = 201  # evenly spaced R1 samples in TotalPowerBoundary.points
 def _cap_pairs(ch: ParallelGaussChannel, p) -> tuple:
     """(cap_high_sum, cap_low_sum) of an allocation, or arrays of them per row of ``p``."""
     a, b1, b2, p = (np.asarray(v, dtype=float) for v in (ch.a, ch.b1, ch.b2, p))
-    return tuple(np.maximum(0.5 * (np.log2(1.0 + a * p) - np.log2(1.0 + b * p)), 0.0).sum(axis=-1)
-                 for b in (b1, b2))
+    return tuple(_cs(p, a, b).sum(axis=-1) for b in (b1, b2))
 
 
 def _waterfill(ch: ParallelGaussChannel, w1, w2) -> np.ndarray:
@@ -323,19 +340,13 @@ class TotalPowerBoundary:
 
     @cached_property
     def points(self) -> np.ndarray:
-        r1_grid = np.linspace(0.0, self.max_r1, N_BOUNDARY)
-        a, b = self.frontier.T
-        sums = np.where(r1_grid <= a[0], self.max_sum, np.interp(r1_grid, a, b))
-        return np.column_stack([r1_grid, np.maximum(sums - r1_grid, 0.0)])
+        return boundary_points(self.frontier, self.max_r1, self.max_sum, N_BOUNDARY)
 
     def best_sum_given_r1(self, r1: float):
         """max cap_low_sum over allocations whose cap_high_sum covers r1."""
         if r1 > self.max_r1 + 1e-12:
             return None
-        a, b = self.frontier.T
-        if r1 <= a[0]:
-            return float(self.max_sum)
-        return float(np.interp(r1, a, b))
+        return float(_sum_rate_at(self.frontier, self.max_sum, r1))
 
     def max_r2_at(self, r1: float):
         s = self.best_sum_given_r1(r1)

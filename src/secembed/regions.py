@@ -1,7 +1,7 @@
 """Numeric rate regions: finite lists of linear inequalities over rate symbols.
 
-This is the common currency between the Gaussian calculators, the
-finite-alphabet region evaluators and the symbolic elimination engine.
+This is the common currency between the Gaussian calculators and the
+symbolic elimination engine; ``gauss.boundary_points`` samples boundaries.
 A region is a conjunction of half-spaces ``sum_i coeff_i * r_i <= bound``
 (or strict ``<``) over named nonnegative rate variables.
 """
@@ -77,41 +77,6 @@ class RateRegion:
         if lower > upper + 1e-12:
             return None
         return float(upper)
-
-    def vertices(self, tol: float = 1e-9) -> list[tuple[float, float]]:
-        """Vertices of a bounded two-variable region."""
-        if len(self.variables) != 2:
-            raise ValueError("vertices applies to two-variable regions")
-        pts = []
-        hs = self.halfspaces
-        for i in range(len(hs)):
-            for j in range(i + 1, len(hs)):
-                a = np.array([hs[i].coeffs, hs[j].coeffs], dtype=float)
-                b = np.array([hs[i].bound, hs[j].bound], dtype=float)
-                if abs(np.linalg.det(a)) < 1e-14:
-                    continue
-                p = np.linalg.solve(a, b)
-                if self.contains(p, tol=tol):
-                    pts.append((float(p[0]), float(p[1])))
-        uniq = []
-        for p in sorted(pts):
-            if not uniq or abs(p[0] - uniq[-1][0]) > tol or abs(p[1] - uniq[-1][1]) > tol:
-                uniq.append(p)
-        return uniq
-
-    def upper_boundary(self, num: int = 101) -> np.ndarray:
-        """(num, 2) samples of the upper frontier over the feasible R1 range."""
-        verts = self.vertices()
-        if not verts:
-            return np.zeros((0, 2))
-        r1_max = max(v[0] for v in verts)
-        grid = np.linspace(0.0, r1_max, num)
-        out = []
-        for r1 in grid:
-            r2 = self.max_r2_at(float(r1))
-            if r2 is not None:
-                out.append((float(r1), max(r2, 0.0)))
-        return np.array(out)
 
     def canonical(self, ndigits: int = 10) -> tuple:
         """Scale-normalized, sorted halfspace tuples for region comparison."""

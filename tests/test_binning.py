@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,46 @@ def test_reference_channel_runs_pinned(n, seed):
     assert report.error_rate == error
     assert report.leak_m1_strong == pytest.approx(leak1, abs=1e-12)
     assert report.leak_messages_weak == pytest.approx(leak2, abs=1e-12)
+
+
+# error_rate of decode-only runs (measure_leakage=False) at n = 16, rates
+# (0.25, 0.25, log2(3)/4), 400 trials, seed 1, on the reference channel and on
+# one with a BSC(0.02) main output; the decoder scores these in several chunks.
+DECODE_ONLY_N16 = {"noiseless": 0.16, "bsc": 0.365}
+
+
+@pytest.mark.parametrize("main", sorted(DECODE_ONLY_N16))
+def test_decode_only_n16_pinned_and_memory_bounded(main):
+    kernel = dmc.noiseless_kernel(2) if main == "noiseless" else dmc.bsc_kernel(0.02)
+    ch = DmcTriple.independent(kernel, dmc.bec_kernel(0.5), dmc.bec_kernel(0.9))
+    tracemalloc.start()
+    try:
+        report = binning.simulate_nested_binning(ch, [0.5, 0.5], (0.25, 0.25, np.log2(3) / 4),
+                                                 n=16, trials=400, seed=1,
+                                                 measure_leakage=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.error_rate == DECODE_ONLY_N16[main]
+    assert report.leak_m1_strong is None
+    assert peak < 32 * 2**20  # a single 400 x 20,736 score matrix is 66 MB
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_decoder_chunking_does_not_change_error_rate(monkeypatch, seed):
+    cb = binning.make_codebook([0.5, 0.5], 8, (4, 4, 9), np.random.default_rng(seed))
+    kernel = dmc.bsc_kernel(0.1)
+    whole = binning.empirical_error_rate(cb, kernel, 97, np.random.default_rng(seed))
+    for scores in (1, 144 * 5, 144 * 96 + 1):  # 1 row, 5 rows, 96 rows per chunk
+        monkeypatch.setattr(binning, "_DECODE_SCORES", scores)
+        assert binning.empirical_error_rate(cb, kernel, 97,
+                                            np.random.default_rng(seed)) == whole
+
+
+@pytest.mark.parametrize("px", [[math.nan, 1.0], [0.5, math.inf], [-math.inf, 1.0]])
+def test_make_codebook_rejects_non_finite_px(px):
+    with pytest.raises(ValueError, match="px must be a distribution of finite entries"):
+        binning.make_codebook(px, 4, (2, 2, 1), np.random.default_rng(0))
 
 
 def test_rates_to_counts():

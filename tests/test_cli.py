@@ -49,6 +49,47 @@ def test_region_parallel_total_reference(capsys):
     assert abs(payload["alloc_max_r1"][0] - payload["alloc_max_sum"][0]) > 0.1
 
 
+# Full --csv text of the README scalar channel and the two-subchannel preset
+# at --points 11; both sample the corner region {R1 <= cap_high, R1 + R2 <= cap_low}.
+PINNED_CSV = {
+    "scalar": (["--P", "1", "--a", "1", "--b1", "0.5", "--b2", "0.1"], """R1,R2
+0,0.431248238125
+0.0207518749639,0.410496363161
+0.0415037499279,0.389744488197
+0.0622556248918,0.368992613233
+0.0830074998558,0.348240738269
+0.10375937482,0.327488863305
+0.124511249784,0.306736988341
+0.145263124748,0.285985113377
+0.166014999712,0.265233238413
+0.186766874675,0.24448136345
+0.207518749639,0.223729488486
+"""),
+    "parallel": (["--preset", "two-subchannel-reference"], """R1,R2
+0,0.51457317283
+0.0257286586415,0.488844514188
+0.051457317283,0.463115855547
+0.0771859759245,0.437387196905
+0.102914634566,0.411658538264
+0.128643293207,0.385929879622
+0.154371951849,0.360201220981
+0.18010061049,0.334472562339
+0.205829269132,0.308743903698
+0.231557927773,0.283015245056
+0.257286586415,0.257286586415
+"""),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(PINNED_CSV))
+def test_region_csv_text_pinned(tmp_path, capsys, verb):
+    argv, want = PINNED_CSV[verb]
+    csv = tmp_path / "boundary.csv"
+    code, _, err = run_cli(capsys, "region", verb, *argv, "--points", "11", "--csv", str(csv))
+    assert code == 0 and not err
+    assert csv.read_text() == want
+
+
 def test_code_construct_audit_roundtrip(tmp_path, capsys):
     bundle = tmp_path / "bundle.json"
     code, out, err = run_cli(capsys, "code", "construct", "--n", "16",
@@ -200,6 +241,20 @@ def test_sim_dmc_bad_input_is_domain_error(tmp_path, capsys, extra, match):
     assert payload["error"] == "ValueError"
     assert match in payload["message"]
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dmc", "region-point", "--bec", "0.5,0.9", "--px", "nan,1"],
+    ["dmc", "region-point", "--bec", "0.5,0.9", "--px", "0.5,inf"],
+    ["sim", "dmc", "--bec", "0.5,0.9", "--px", "nan,1", "--seed", "1",
+     "--rates", "0.25,0.25,0", "--n", "8"],
+])
+def test_non_finite_px_is_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and not out
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "px must be a distribution of finite entries" in payload["message"]
 
 
 @pytest.mark.parametrize("argv", [

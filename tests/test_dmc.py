@@ -233,3 +233,13 @@ def test_channel_dict_roundtrip():
     ch = random_triple(rng, nx=2, ny=3, nz1=2, nz2=2)
     back = DmcTriple.from_dict(ch.to_dict())
     assert np.allclose(back.p, ch.p, atol=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_distributions_reject_non_finite_entries(bad):
+    ch = DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.5),
+                               dmc.bec_kernel(0.9))
+    with pytest.raises(ValueError, match="px must be a distribution of finite entries"):
+        dmc.region_point_simple(ch, [bad, 1.0])
+    with pytest.raises(ValueError, match=r"p\(u\) must be a distribution of finite entries"):
+        AuxiliaryChain(pu=[bad], pv_u=[[0.5, 0.5]], px_v=np.eye(2))

@@ -208,3 +208,36 @@ def test_boundary_points_monotone_and_feasible():
     assert (pts[:, 1] >= -1e-12).all()
     # sum rate along the boundary never exceeds the pooled maximum
     assert (pts.sum(axis=1) <= bnd.max_sum + 1e-9).all()
+
+
+@pytest.mark.parametrize("b1, b2", [(0.5, 0.1), (1.5, 0.1), (1.0, 1.0), (0.3, 0.3)])
+def test_boundary_points_one_vertex_frontier_is_the_corner_region(b1, b2):
+    res = gauss.region_scalar(ScalarGaussChannel(1.0, 1.0, b1, b2))
+    pts = gauss.boundary_points([(res.cap_high, res.cap_low)], res.cap_high, res.cap_low, 57)
+    assert pts.shape == (57, 2)
+    assert pts[0, 0] == 0.0 and pts[-1, 0] == res.cap_high
+    for r1, r2 in pts:
+        assert r2 == max(res.cap_low - r1, 0.0)
+        assert r2 == pytest.approx(res.region.max_r2_at(r1), abs=1e-15)
+        assert res.region.contains((r1, r2))
+
+
+def test_boundary_points_r1_extent_is_explicit():
+    # a frontier vertex just past max_r1 must not stretch the R1 samples
+    frontier = np.array([[0.2, 1.0], [0.5, 0.9], [0.8 + 4e-16, 0.85]])
+    pts = gauss.boundary_points(frontier, 0.8, 1.1, 7)
+    assert np.array_equal(pts[:, 0], np.linspace(0.0, 0.8, 7))
+    sums = pts.sum(axis=1)
+    assert (sums[pts[:, 0] <= 0.2] == 1.1).all()  # max_sum before the first vertex
+    assert np.allclose(sums[pts[:, 0] > 0.2], np.interp(pts[pts[:, 0] > 0.2, 0], *frontier.T),
+                       rtol=0, atol=1e-15)
+
+
+def test_total_power_points_sample_its_frontier():
+    ch = ParallelGaussChannel(a=(1.0, 1.2, 0.9), b1=(0.5, 0.3, 0.4), b2=(0.1, 0.1, 0.1),
+                              total_power=1.0)
+    bnd = gauss.region_parallel_total(ch)
+    want = gauss.boundary_points(bnd.frontier, bnd.max_r1, bnd.max_sum, gauss.N_BOUNDARY)
+    assert np.array_equal(bnd.points, want)
+    for r1, r2 in bnd.points:
+        assert bnd.max_r2_at(r1) == pytest.approx(r2, abs=1e-12)

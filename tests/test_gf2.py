@@ -242,6 +242,33 @@ def test_min_rank_budget_bracket_contains_oracle(data):
         assert got == want
 
 
+def ghw_generator(code, m):
+    """Generator matrix and generalized Hamming weights d_0..d_k of the simplex
+    code [2**m - 1, m] or of RM(1, m) [2**m, m + 1].
+
+    Both have d_r = 2**m - 2**(m - r) for r <= m; RM(1, m) adds d_(m+1) = 2**m.
+    """
+    cols = np.arange(1 if code == "simplex" else 0, 2**m)
+    g = gf2.unpack_rows(cols.tolist(), m).T
+    weights = [2**m - 2**(m - r) for r in range(m + 1)]
+    if code == "rm1":
+        g = np.vstack([np.ones((1, 2**m), dtype=g.dtype), g])
+        weights.append(2**m)
+    return g, weights
+
+
+@pytest.mark.parametrize("code", ["simplex", "rm1"])
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_min_rank_matches_generalized_hamming_weights(code, m):
+    """Wei's identity: min_{|S|=s} rank(G_S) = k - max{r : d_r <= n - s}."""
+    g, weights = ghw_generator(code, m)
+    k, n = g.shape
+    assert gf2.rank(g) == k == len(weights) - 1
+    for s in range(n + 1):
+        want = k - max(r for r, d in enumerate(weights) if d <= n - s)
+        assert gf2.min_rank_over_column_subsets(g, s) == want, s
+
+
 def test_min_rank_identity_and_zero_column():
     eye = np.eye(6, dtype=np.uint8)
     for size in range(7):
