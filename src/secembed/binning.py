@@ -23,7 +23,7 @@ from math import isfinite, log2
 
 import numpy as np
 
-from secembed.dmc import DmcTriple, _check_distribution, entropy_bits
+from secembed.dmc import DmcTriple, _check_distribution, _check_stochastic, entropy_bits
 
 __all__ = [
     "NestedCodebook",
@@ -117,7 +117,7 @@ def make_codebook(px, n: int, counts, rng: np.random.Generator) -> NestedCodeboo
     return NestedCodebook(codewords=words, nx=len(px))
 
 
-def _erasure_decomposition(w: np.ndarray, atol: float = 1e-9):
+def _erasure_decomposition(w: np.ndarray):
     """Split a kernel into input-independent noise symbols plus a reveal map.
 
     Returns (delta, reveal) where delta is the total noise probability
@@ -125,12 +125,12 @@ def _erasure_decomposition(w: np.ndarray, atol: float = 1e-9):
     or None when the kernel has no such structure (then the general
     enumeration path applies).
     """
-    nx, nz = w.shape
+    atol = 1e-9  # an entry this close to constant across inputs, or to 0, is that
     const = np.ptp(w, axis=0) <= atol
     delta = float(w[0, const].sum())
     rest = ~const
     if not rest.any():
-        return delta, np.zeros(nx, dtype=np.int64)
+        return delta, np.zeros(len(w), dtype=np.int64)
     sub = w[:, rest]
     nonzero = sub > atol
     if (nonzero.sum(axis=1) != 1).any():
@@ -145,6 +145,10 @@ def _erasure_decomposition(w: np.ndarray, atol: float = 1e-9):
 # patterns: enough patterns to amortize numpy's per-call overhead on small
 # codebooks, few enough to keep a block in cache.
 _BLOCK_KEYS = 2**16
+
+# Floats per chunk of ML-decoding scores (trials x codewords) and of general-path
+# leakage laws (groups x |Z|**n): bounds both; n <= 12 decodes in one chunk.
+_DECODE_SCORES = 2**20
 
 
 def _row_clogc(bounds: np.ndarray, row_starts: np.ndarray,
@@ -267,35 +271,39 @@ def _leakage_erasure(codebook: NestedCodebook, reveal: np.ndarray,
     return results
 
 
+def _word_laws(words: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """|Z|**m output laws of length-m words (last axis), position 0 most significant."""
+    laws = np.ones(words.shape[:-1] + (1,))
+    for i in range(words.shape[-1]):
+        laws = (laws[..., None] * w[words[..., i], None, :]).reshape(*words.shape[:-1], -1)
+    return laws
+
+
 def _leakage_general(codebook: NestedCodebook, w: np.ndarray, level: str,
                      budget: int) -> float:
-    """Exact leakage by enumerating every output sequence (small n only)."""
+    """Exact leakage by enumerating every output sequence (small n only).
+
+    A word's law is the outer product of its half-block laws, so a group's
+    mean law is A^T B / |group| for its words' stacked half-block laws A, B.
+    """
     nz = w.shape[1]
     n = codebook.n
     if nz**n > budget:
         raise ValueError(
             f"|Z|**n = {nz**n} exceeds the exact-leakage budget {budget}")
-    flat = codebook.flat()
-
-    def product_vector(word):
-        v = np.ones(1)
-        for x in word:
-            v = np.outer(v, w[x]).reshape(-1)
-        return v
-
+    half = n // 2
     group = codebook.n_per if level == "subbin" else codebook.n_subbins * codebook.n_per
-    total = np.zeros(nz**n)
-    h_cond = 0.0
     n_groups = codebook.size // group
-    for gidx in range(n_groups):
-        dist = np.zeros(nz**n)
-        for word in flat[gidx * group:(gidx + 1) * group]:
-            dist += product_vector(word)
-        dist /= group
-        total += dist
-        h_cond += entropy_bits(dist) / n_groups
-    total /= n_groups
-    return entropy_bits(total) - h_cond
+    words = codebook.flat().reshape(n_groups, group, n)
+    chunk = max(1, _DECODE_SCORES // nz**n)
+    total, h_cond = 0.0, 0.0
+    for block in np.split(words, range(chunk, n_groups, chunk)):
+        laws = np.matmul(_word_laws(block[..., :half], w).transpose(0, 2, 1),
+                         _word_laws(block[..., half:], w)) / group
+        total = total + laws.sum(axis=0)
+        logs = np.log2(laws, out=np.zeros_like(laws), where=laws > 0)
+        h_cond -= float(np.multiply(logs, laws, out=logs).sum()) / n_groups
+    return entropy_bits(total / n_groups) - h_cond
 
 
 def exact_leakage(codebook: NestedCodebook, kernel, level: str = "bin", *,
@@ -309,6 +317,9 @@ def exact_leakage(codebook: NestedCodebook, kernel, level: str = "bin", *,
     if level not in ("bin", "subbin"):
         raise ValueError("level must be 'bin' or 'subbin'")
     w = np.asarray(kernel, dtype=float)
+    if w.ndim != 2:
+        raise ValueError("kernel must be a 2-D matrix p(z|x)")
+    _check_stochastic(w, "kernel")
     if w.shape[0] != codebook.nx:
         raise ValueError("kernel input alphabet does not match the codebook")
     dec = _erasure_decomposition(w)
@@ -321,11 +332,6 @@ def exact_leakage(codebook: NestedCodebook, kernel, level: str = "bin", *,
     return _leakage_general(codebook, w, level, budget)
 
 
-# Scores per chunk of ML-decoding trials (trials x codewords floats): bounds
-# the decoder's memory at n = 16 and keeps n <= 12 in one chunk.
-_DECODE_SCORES = 2**20
-
-
 def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
                          rng: np.random.Generator) -> float:
     """Message error rate of maximum-likelihood decoding over the codebook.
@@ -335,7 +341,11 @@ def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
     tie breaking; the trial errs when the decoded (bin, subbin) pair
     differs from the transmitted one.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials}")
     w = np.asarray(py_x, dtype=float)
+    if w.ndim != 2 or w.shape[0] != codebook.nx:
+        raise ValueError("py_x must have one row per codebook input symbol")
     flat = codebook.flat()
     k_total = codebook.size
     logw = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -1e30)
@@ -395,6 +405,9 @@ def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
     counts = rates_to_counts(rates, n)
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
+    px = _check_distribution(px, "px", neg_tol=0.0)
+    if px.shape[0] != ch.nx:
+        raise ValueError("px must be a distribution over the input alphabet")
     total_symbols = counts[0] * counts[1] * counts[2] * n
     if total_symbols > codebook_budget:
         raise ValueError(

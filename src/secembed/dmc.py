@@ -179,9 +179,6 @@ class AuxiliaryChain:
     def joint_uvx(self) -> np.ndarray:
         return np.einsum("u,uv,vx->uvx", self.pu, self.pv_u, self.px_v)
 
-    def px(self) -> np.ndarray:
-        return self.joint_uvx().sum(axis=(0, 1))
-
 
 @dataclass(frozen=True)
 class DegradationResult:

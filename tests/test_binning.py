@@ -47,6 +47,38 @@ def leakage_oracle(codebook, kernel, level):
     return sum(p * math.log2(p / (pm[g] * pz[z])) for (g, z), p in joint.items())
 
 
+def leakage_general_reference(codebook, kernel, level):
+    """Per-codeword loop that binning._leakage_general must equal.
+
+    Builds each word's |Z|**n product law from n outer products, sums the
+    laws of a group, and scores the groups' laws against their mean.
+    """
+    w = np.asarray(kernel, dtype=float)
+    nz = w.shape[1]
+    n = codebook.n
+    flat = codebook.flat()
+
+    def product_vector(word):
+        v = np.ones(1)
+        for x in word:
+            v = np.outer(v, w[x]).reshape(-1)
+        return v
+
+    group = codebook.n_per if level == "subbin" else codebook.n_subbins * codebook.n_per
+    total = np.zeros(nz**n)
+    h_cond = 0.0
+    n_groups = codebook.size // group
+    for gidx in range(n_groups):
+        dist = np.zeros(nz**n)
+        for word in flat[gidx * group:(gidx + 1) * group]:
+            dist += product_vector(word)
+        dist /= group
+        total += dist
+        h_cond += dmc.entropy_bits(dist) / n_groups
+    total /= n_groups
+    return dmc.entropy_bits(total) - h_cond
+
+
 def pattern_statistics_reference(codebook, reveal):
     """Per-pattern loop over the 2**n reveal patterns in Gray-code order.
 
@@ -142,6 +174,61 @@ def test_leakage_erasure_matches_per_pattern_reference(case, block_keys):
         mp.setattr(binning, "_BLOCK_KEYS", block_keys)
         got = binning._leakage_erasure(cb, reveal, requests)
     assert got == pytest.approx(want, abs=1e-12)
+
+
+@st.composite
+def general_cases(draw):
+    n = draw(st.integers(1, 8))
+    counts = tuple(draw(st.sampled_from([1, 2, 3, 5])) for _ in range(3))
+    nx = draw(st.integers(2, 4))
+    nz = draw(st.integers(2, 4))
+    # integer weights with zeros, each row normalized; a zero row gets one unit
+    weights = np.array(draw(st.lists(st.integers(0, 4), min_size=nx * nz,
+                                     max_size=nx * nz)), dtype=float).reshape(nx, nz)
+    weights[weights.sum(axis=1) == 0, 0] = 1.0
+    seed = draw(st.integers(0, 2**32 - 1))
+    cb = binning.make_codebook(np.full(nx, 1.0 / nx), n, counts,
+                               np.random.default_rng(seed))
+    return cb, weights / weights.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("scores", [1, 2**20])
+@settings(max_examples=60, deadline=None)
+@given(case=general_cases())
+def test_leakage_general_matches_per_codeword_reference(case, scores):
+    """Chunks of one group and one chunk of every group both equal the loop."""
+    cb, kernel = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binning, "_DECODE_SCORES", scores)
+        for level in ("bin", "subbin"):
+            got = binning._leakage_general(cb, kernel, level, budget=2**24)
+            assert got == pytest.approx(leakage_general_reference(cb, kernel, level),
+                                        abs=1e-12)
+
+
+def test_leakage_general_budget_raises_before_allocating():
+    cb = binning.make_codebook([0.5, 0.5], 12, (8, 8, 27), np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"\|Z\|\*\*n = 4096 exceeds the exact-leakage "
+                                             r"budget 4095"):
+            binning.exact_leakage(cb, dmc.bsc_kernel(0.2), "subbin", budget=4095)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16  # the half-block laws alone would take 1.8 MB
+
+
+def test_leakage_general_memory_bounded():
+    """The n = 12 BSC codebook of the benchmark's general-path op, subbin level."""
+    cb = binning.make_codebook([0.5, 0.5], 12, (8, 8, 27), np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        binning.exact_leakage(cb, dmc.bsc_kernel(0.4), "subbin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_leakage_erasure_wide_keys_match_reference():
@@ -249,6 +336,42 @@ def test_simulate_rejects_negative_trials():
     with pytest.raises(ValueError, match="trials must be nonnegative, got -5"):
         binning.simulate_nested_binning(bec_triple(), [0.5, 0.5], (0.25, 0.25, 0.0),
                                         n=8, trials=-5, seed=1)
+
+
+@pytest.mark.parametrize("kernel, match", [
+    ([[2.0, 0.0], [0.0, 2.0]], "kernel rows must sum to 1"),
+    ([[math.nan, 1.0], [0.0, 1.0]], "kernel rows must sum to 1"),
+    ([[math.inf, 1.0], [0.0, 1.0]], "kernel rows must sum to 1"),
+    ([[1.5, -0.5], [0.2, 0.8]], "kernel has negative entries"),
+    ([0.5, 0.5], "kernel must be a 2-D matrix"),
+])
+def test_exact_leakage_rejects_non_stochastic_kernel(kernel, match):
+    cb = binning.make_codebook([0.5, 0.5], 4, (2, 2, 2), np.random.default_rng(1))
+    for level in ("bin", "subbin"):
+        with pytest.raises(ValueError, match=match):
+            binning.exact_leakage(cb, kernel, level)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_error_rate_rejects_trials_below_one(trials):
+    cb = binning.make_codebook([0.5, 0.5], 4, (2, 2, 2), np.random.default_rng(1))
+    with pytest.raises(ValueError, match=f"trials must be a positive integer, got {trials}"):
+        binning.empirical_error_rate(cb, dmc.bsc_kernel(0.1), trials,
+                                     np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("py_x", [[[0.9, 0.1]], [[0.9, 0.1]] * 3, [0.9, 0.1]])
+def test_error_rate_rejects_py_x_over_wrong_alphabet(py_x):
+    cb = binning.make_codebook([0.5, 0.5], 4, (2, 2, 2), np.random.default_rng(1))
+    with pytest.raises(ValueError, match="py_x must have one row per codebook input symbol"):
+        binning.empirical_error_rate(cb, py_x, 10, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("px", [[1.0], [0.5, 0.25, 0.25]])
+def test_simulate_rejects_px_over_wrong_alphabet(px):
+    with pytest.raises(ValueError, match="px must be a distribution over the input alphabet"):
+        binning.simulate_nested_binning(bec_triple(), px, (0.25, 0.25, 0.0),
+                                        n=8, trials=10, seed=1)
 
 
 def test_make_codebook_shape_and_determinism():

@@ -1,6 +1,7 @@
 """CLI surface tests: formats, exit codes, determinism, round trips."""
 
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -255,6 +256,46 @@ def test_non_finite_px_is_domain_error(capsys, argv):
     payload = json.loads(err)
     assert payload["error"] == "ValueError"
     assert "px must be a distribution of finite entries" in payload["message"]
+
+
+@pytest.mark.parametrize("px", ["1", "0.5,0.25,0.25"])
+def test_sim_dmc_px_over_wrong_alphabet_is_domain_error(tmp_path, capsys, px):
+    out_file = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, "sim", "dmc", "--bec", "0.5,0.9", "--px", px,
+                             "--rates", "0.25,0.25,0", "--n", "8", "--trials", "10",
+                             "--seed", "1", "--out", str(out_file))
+    assert code == 1 and not out
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "px must be a distribution over the input alphabet" in payload["message"]
+    assert not out_file.exists()
+
+
+# (error_rate, normalized_leak_m1_strong, normalized_leak_messages_weak) of
+# `sim dmc` on a noiseless main output with BSC(0.2) and BSC(0.4) eavesdroppers
+# (the general leakage path), rates (0.25, 0.25, log2(3)/4), 400 trials, seed 1,
+# computed by the per-codeword loop
+BSC_RUNS = {
+    8: (0.1825, 0.017097231814318326, 0.0036807401002580953),
+    12: (0.195, 0.007716043949970312, 0.0013122873911779465),
+}
+
+
+def test_sim_dmc_bsc_eavesdroppers_pinned(tmp_path, capsys):
+    channel = tmp_path / "bsc.json"
+    channel.write_text(json.dumps(dmc.DmcTriple.independent(
+        dmc.noiseless_kernel(2), dmc.bsc_kernel(0.2), dmc.bsc_kernel(0.4)).to_dict()))
+    code, out, err = run_cli(capsys, "sim", "dmc", "--channel", str(channel),
+                             "--px", "0.5,0.5", "--rates", f"0.25,0.25,{math.log2(3) / 4!r}",
+                             "--n", "8,12", "--trials", "400", "--seed", "1")
+    assert code == 0
+    runs = json.loads(out)["runs"]
+    assert [r["n"] for r in runs] == sorted(BSC_RUNS)
+    for r in runs:
+        error, leak1, leak2 = BSC_RUNS[r["n"]]
+        assert r["error_rate"] == error
+        assert r["normalized_leak_m1_strong"] == pytest.approx(leak1, abs=1e-12)
+        assert r["normalized_leak_messages_weak"] == pytest.approx(leak2, abs=1e-12)
 
 
 @pytest.mark.parametrize("argv", [
