@@ -36,6 +36,8 @@ _ATOL = 1e-12
 
 
 def _check_stochastic(mat: np.ndarray, what: str):
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{what} has non-finite entries")
     if (mat < -_ATOL).any():
         raise ValueError(f"{what} has negative entries")
     rows = mat.reshape(mat.shape[0], -1).sum(axis=1)
@@ -215,33 +217,19 @@ def check_degraded(ch: DmcTriple, which: str = "z2_of_z1",
     nt = tgt.shape[1]
     nvar = ns * nt + 1  # w entries then the residual bound t
 
-    # |sum_s src[x,s] w[s,t'] - tgt[x,t']| <= t  for every (x, t')
-    a_ub = []
-    b_ub = []
-    for x in range(nx):
-        for t in range(nt):
-            row = np.zeros(nvar)
-            row[[s * nt + t for s in range(ns)]] = src[x]
-            row[-1] = -1.0
-            a_ub.append(row.copy())
-            b_ub.append(tgt[x, t])
-            row2 = -row
-            row2[-1] = -1.0
-            a_ub.append(row2)
-            b_ub.append(-tgt[x, t])
-    a_eq = []
-    b_eq = []
-    for s in range(ns):
-        row = np.zeros(nvar)
-        row[s * nt:(s + 1) * nt] = 1.0
-        a_eq.append(row)
-        b_eq.append(1.0)
+    # |sum_s src[x,s] w[s,t'] - tgt[x,t']| <= t  for every (x, t'): row x*nt + t'
+    # of kron(src, I) is the sum; its + and - rows alternate
+    m = np.kron(src, np.eye(nt))
+    t_col = np.full((nx * nt, 1), -1.0)
+    a_ub = np.stack([np.hstack([m, t_col]), np.hstack([-m, t_col])], axis=1)
+    a_ub = a_ub.reshape(-1, nvar)
+    b_ub = np.stack([tgt.reshape(-1), -tgt.reshape(-1)], axis=1).reshape(-1)
+    # each row of w sums to one
+    a_eq = np.hstack([np.kron(np.eye(ns), np.ones(nt)), np.zeros((ns, 1))])
     c = np.zeros(nvar)
     c[-1] = 1.0
-    res = linprog(c, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
-                  A_eq=np.array(a_eq), b_eq=np.array(b_eq),
-                  bounds=[(0, None)] * (nvar - 1) + [(0, None)],
-                  method="highs")
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(ns),
+                  bounds=(0, None), method="highs")
     if not res.success:
         return DegradationResult(degraded=False, witness=None, residual=float("inf"))
     residual = float(res.x[-1])

@@ -9,17 +9,22 @@ closure step substitutes the slack symbol by zero and relaxes strict
 inequalities to weak ones, mirroring the limit that turns achievability
 constraints into a closed rate region.
 
+Every inequality is built in one canonical form: zero terms dropped,
+terms sorted by symbol, and the whole scaled by the unique positive
+factor that makes coefficients and constant coprime integers.  Equal
+half-spaces therefore compare equal.
+
 Redundancy removal happens at two levels: syntactic dominance (same
-coefficient pattern, weaker constant side) during elimination, and
-exact implication checking (rational feasibility of the negation, via
-full elimination) in simplify_with_assumptions.
+coefficients, weaker constant side) during elimination, and exact
+implication checking (rational feasibility of the negation, via full
+elimination) in simplify_with_assumptions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "LinIneq",
@@ -35,7 +40,7 @@ __all__ = [
 
 
 class ContradictionError(ValueError):
-    """An assumption contradicts the system (or itself)."""
+    """The assumptions contradict the system (or each other)."""
 
 
 class UnboundConstantError(KeyError):
@@ -43,21 +48,39 @@ class UnboundConstantError(KeyError):
 
 
 def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError):
+        raise ValueError(f"{x!r} is not a finite rational") from None
 
 
 @dataclass(frozen=True)
 class LinIneq:
-    """sum(coeff * symbol) + const  <=  0   (or < 0 when strict)."""
+    """sum(coeff * symbol) + const  <=  0   (or < 0 when strict), canonical."""
 
     terms: tuple
     const: Fraction
     strict: bool = False
 
+    def __post_init__(self):
+        terms = sorted((s, _q(c)) for s, c in self.terms)
+        terms = [(s, c) for s, c in terms if c]
+        const = _q(self.const)
+        values = [c for _, c in terms] + [const]
+        g = gcd(*(v.numerator for v in values))
+        if g:
+            scale = Fraction(lcm(*(v.denominator for v in values)), g)
+            if scale != 1:
+                terms = [(s, c * scale) for s, c in terms]
+                const *= scale
+        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "const", const)
+
     @classmethod
     def make(cls, coeffs, const=0, strict=False) -> "LinIneq":
-        terms = tuple(sorted((s, _q(c)) for s, c in dict(coeffs).items() if _q(c) != 0))
-        return cls(terms=terms, const=_q(const), strict=strict)
+        return cls(terms=tuple(dict(coeffs).items()), const=const, strict=strict)
 
     @classmethod
     def at_most(cls, lhs, rhs, const=0, strict=False) -> "LinIneq":
@@ -77,13 +100,6 @@ class LinIneq:
     def symbols(self) -> set:
         return {s for s, _ in self.terms}
 
-    def scaled(self, q: Fraction) -> "LinIneq":
-        q = _q(q)
-        if q <= 0:
-            raise ValueError("inequalities scale by positive rationals only")
-        return LinIneq.make({s: c * q for s, c in self.terms},
-                            const=self.const * q, strict=self.strict)
-
     def plus(self, other: "LinIneq") -> "LinIneq":
         coeffs = self.coeffs
         for s, c in other.terms:
@@ -101,21 +117,6 @@ class LinIneq:
             coeffs[s] = coeffs.get(s, Fraction(0)) + a * _q(c)
         return LinIneq.make(coeffs, const=self.const + a * _q(replacement_const),
                             strict=self.strict)
-
-    def normalized(self) -> "LinIneq":
-        """Primitive-integer form (unique positive scaling)."""
-        values = [c for _, c in self.terms] + [self.const]
-        if not any(values):
-            return LinIneq(terms=(), const=Fraction(0), strict=self.strict)
-        lcm = 1
-        for v in values:
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        g = 0
-        for v in values:
-            g = gcd(g, abs(v.numerator * lcm // v.denominator))
-        scale = Fraction(lcm, g if g else 1)
-        return LinIneq.make({s: c * scale for s, c in self.terms},
-                            const=self.const * scale, strict=self.strict)
 
     def is_tautology(self) -> bool:
         if self.terms:
@@ -175,27 +176,20 @@ class LinIneq:
 def _prune(ineqs) -> tuple:
     """Drop tautologies and syntactically dominated inequalities.
 
-    Two inequalities with the same normalized coefficient pattern keep
-    only the stronger constant side (larger constant; strict beats weak
-    at equal constants).  Contradiction facts (no symbols, false) are
-    kept: they record an infeasible projection.
+    Inequalities are canonical, so two with the same terms share their
+    coefficient pattern; only the stronger constant side is kept (larger
+    constant; strict beats weak at equal constants), in first-seen order.
+    Contradiction facts (no symbols, false) are kept: they record an
+    infeasible projection.
     """
     best = {}
-    order = []
     for iq in ineqs:
-        nq = iq.normalized()
-        if nq.is_tautology():
+        if iq.is_tautology():
             continue
-        key = nq.terms
-        score = (nq.const, nq.strict)
-        if key not in best:
-            best[key] = nq
-            order.append(key)
-        else:
-            cur = best[key]
-            if score > (cur.const, cur.strict):
-                best[key] = nq
-    return tuple(best[k] for k in order)
+        cur = best.get(iq.terms)
+        if cur is None or (iq.const, iq.strict) > (cur.const, cur.strict):
+            best[iq.terms] = iq
+    return tuple(best.values())
 
 
 def _fm_step(ineqs, var) -> tuple:
@@ -209,13 +203,20 @@ def _fm_step(ineqs, var) -> tuple:
     for iq in ineqs:
         a = iq.coeff(var)
         if a > 0:
-            uppers.append(iq)
+            uppers.append((iq, a))
         elif a < 0:
-            lowers.append(iq)
+            lowers.append((iq, -a))
         else:
             rest.append(iq)
-    combos = [lo.scaled(up.coeff(var)).plus(up.scaled(-lo.coeff(var)))
-              for lo in lowers for up in uppers]
+    combos = []
+    for lo, a_lo in lowers:
+        for up, a_up in uppers:
+            coeffs = {s: a_up * c for s, c in lo.terms}
+            for s, c in up.terms:
+                coeffs[s] = coeffs.get(s, 0) + a_lo * c
+            combos.append(LinIneq(terms=tuple(coeffs.items()),
+                                  const=a_up * lo.const + a_lo * up.const,
+                                  strict=lo.strict or up.strict))
     return _prune(rest + combos)
 
 
@@ -295,22 +296,16 @@ class LinIneqSystem:
         declared constants is included.
         """
         facts = _prune(list(self.inequalities) + self._domain_facts() + list(extra))
-        symbols = set()
-        for iq in facts:
-            symbols |= iq.symbols()
-        while symbols:
-            if any(iq.is_contradiction() for iq in facts):
-                return False
-
-            def cost(sym):
-                lo = sum(1 for iq in facts if iq.coeff(sym) < 0)
-                up = sum(1 for iq in facts if iq.coeff(sym) > 0)
-                return (lo * up, sym)
-
-            var = min(symbols, key=cost)
+        while not any(iq.is_contradiction() for iq in facts):
+            signs = {}  # symbol -> [lower-bound count, upper-bound count]
+            for iq in facts:
+                for s, c in iq.terms:
+                    signs.setdefault(s, [0, 0])[c > 0] += 1
+            if not signs:
+                return True
+            var = min(signs, key=lambda s: (signs[s][0] * signs[s][1], s))
             facts = _fm_step(facts, var)
-            symbols.discard(var)
-        return not any(iq.is_contradiction() for iq in facts)
+        return False
 
     def implies(self, target: LinIneq, assumptions=()) -> bool:
         """Exact implication: system + assumptions forces the target."""
@@ -319,16 +314,15 @@ class LinIneqSystem:
     def simplify_with_assumptions(self, assumptions=()) -> "LinIneqSystem":
         """Remove inequalities implied by the rest plus the assumptions.
 
-        Assumptions are linear facts over the constant symbols.  Any
-        assumption inconsistent with the system (or itself) raises
-        ContradictionError.
+        Assumptions are linear facts over the constant symbols.  If the
+        system and the assumptions together are infeasible (one assumption
+        alone, or several jointly), ContradictionError is raised.
         """
         assumptions = [a if isinstance(a, LinIneq) else LinIneq.make(a)
                        for a in assumptions]
-        for a in assumptions:
-            if not self.is_feasible(extra=[a]):
-                raise ContradictionError(
-                    f"assumption contradicts the system: {a.render(self.variables)}")
+        if assumptions and not self.is_feasible(extra=assumptions):
+            shown = "; ".join(a.render(self.variables) for a in assumptions)
+            raise ContradictionError(f"assumptions contradict the system: {shown}")
         kept = list(_prune(self.inequalities))
         i = 0
         while i < len(kept):

@@ -340,8 +340,8 @@ def test_simulate_rejects_negative_trials():
 
 @pytest.mark.parametrize("kernel, match", [
     ([[2.0, 0.0], [0.0, 2.0]], "kernel rows must sum to 1"),
-    ([[math.nan, 1.0], [0.0, 1.0]], "kernel rows must sum to 1"),
-    ([[math.inf, 1.0], [0.0, 1.0]], "kernel rows must sum to 1"),
+    ([[math.nan, 1.0], [0.0, 1.0]], "kernel has non-finite"),
+    ([[math.inf, 1.0], [0.0, 1.0]], "kernel has non-finite"),
     ([[1.5, -0.5], [0.2, 0.8]], "kernel has negative entries"),
     ([0.5, 0.5], "kernel must be a 2-D matrix"),
 ])

@@ -243,3 +243,16 @@ def test_distributions_reject_non_finite_entries(bad):
         dmc.region_point_simple(ch, [bad, 1.0])
     with pytest.raises(ValueError, match=r"p\(u\) must be a distribution of finite entries"):
         AuxiliaryChain(pu=[bad], pv_u=[[0.5, 0.5]], px_v=np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernels_reject_non_finite_entries(bad):
+    p = np.zeros((2, 2, 2, 2))
+    p[:, 0, 0, 0] = 1.0
+    p[0, 0, 0, 0] = bad
+    with pytest.raises(ValueError, match=r"p\(y,z1,z2\|x\) has non-finite entries"):
+        DmcTriple(p)
+    with pytest.raises(ValueError, match=r"p\(v\|u\) has non-finite entries"):
+        AuxiliaryChain(pu=[1.0], pv_u=[[bad, 1.0]], px_v=np.eye(2))
+    with pytest.raises(ValueError, match=r"p\(x\|v\) has non-finite entries"):
+        AuxiliaryChain(pu=[1.0], pv_u=[[0.5, 0.5]], px_v=[[1.0, 0.0], [bad, 1.0]])

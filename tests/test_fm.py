@@ -1,10 +1,13 @@
 """Elimination engine tests: projections, golden regions, exact implication."""
 
+import math
 import pathlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secembed import fm
 from secembed.fm import LinIneq, LinIneqSystem
@@ -13,7 +16,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def canon(system):
-    return {iq.normalized() for iq in system.inequalities}
+    return set(system.inequalities)
 
 
 def satisfies(iq, point):
@@ -106,9 +109,9 @@ def test_eliminate_randomness_rate_reproduces_target_shape():
     sys = fm.nested_binning_constraints()
     out = sys.eliminate("T")
     got = canon(out)
-    want_r1 = LinIneq.at_most({"R1": 1, "I_XZ1": 1}, {"I_XY": 1}, strict=True).normalized()
+    want_r1 = LinIneq.at_most({"R1": 1, "I_XZ1": 1}, {"I_XY": 1}, strict=True)
     want_sum = LinIneq.at_most({"R1": 1, "R2": 1, "I_XZ2": 1}, {"I_XY": 1},
-                               strict=True).normalized()
+                               strict=True)
     assert want_r1 in got and want_sum in got
     assert "T" not in out.variables
 
@@ -160,10 +163,10 @@ def test_golden_layered_region():
     assert got == (GOLDEN / "layered_region.txt").read_text()
     structural = region.structural_inequalities()
     assert len(structural) == 2
-    want_r1 = LinIneq.at_most({"R1": 1, "I_VZ1_U": 1}, {"I_VY_U": 1}).normalized()
+    want_r1 = LinIneq.at_most({"R1": 1, "I_VZ1_U": 1}, {"I_VY_U": 1})
     want_sum = LinIneq.at_most({"R1": 1, "R2": 1, "I_VZ2_U": 1, "I_UZ2": 1},
-                               {"I_VY_U": 1, "I_UY": 1}).normalized()
-    assert {iq.normalized() for iq in structural} == {want_r1, want_sum}
+                               {"I_VY_U": 1, "I_UY": 1})
+    assert set(structural) == {want_r1, want_sum}
 
 
 def test_simplify_without_assumptions_is_dominance_only():
@@ -174,7 +177,7 @@ def test_simplify_without_assumptions_is_dominance_only():
     ], nonneg_constants=())
     out = sys.simplify_with_assumptions()
     # x <= c + 1 is implied by x <= c, so exact implication removes it too
-    assert canon(out) == {LinIneq.make({"x": 1, "c": -1}).normalized()}
+    assert canon(out) == {LinIneq.make({"x": 1, "c": -1})}
 
 
 def test_simplify_contradictory_assumption_raises():
@@ -185,6 +188,56 @@ def test_simplify_contradictory_assumption_raises():
         # c < c rendered as 0 < 0
         sys.simplify_with_assumptions([
             LinIneq.make({"I_XY": 1}, strict=True).plus(LinIneq.make({"I_XY": -1}))])
+
+
+def test_simplify_jointly_contradictory_assumptions_raise():
+    # I_XZ2 <= 1 and I_XZ2 >= 2: each is consistent with the system alone
+    sys = fm.nested_binning_constraints()
+    with pytest.raises(fm.ContradictionError,
+                       match="0 <= -I_XZ2 \\+ 1; 0 <= I_XZ2 - 2"):
+        sys.simplify_with_assumptions([LinIneq.make({"I_XZ2": 1}, const=-1),
+                                       LinIneq.make({"I_XZ2": -1}, const=2)])
+
+
+def test_make_stores_primitive_integer_form():
+    iq = LinIneq.make({"x": Fraction(1, 2)}, const=1)   # x/2 + 1 <= 0
+    assert iq.terms == (("x", 1),) and iq.const == 2
+    assert LinIneq.make({"y": 6, "x": -4}, const=Fraction(2, 3)) == \
+        LinIneq.make({"x": -6, "y": 9}, const=1)
+    assert LinIneq.make({"x": 0}, const=-3) == LinIneq.make({}, const=-1)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_rationals_are_domain_errors(bad):
+    match = f"{bad!r} is not a finite rational"
+    with pytest.raises(ValueError, match=match):
+        LinIneq.make({"x": bad})
+    with pytest.raises(ValueError, match=match):
+        LinIneq.make({"x": 1}, const=bad)
+    with pytest.raises(ValueError, match=match):
+        LinIneq.at_most({"x": 1}, {"y": bad})
+    with pytest.raises(ValueError, match=match):
+        LinIneq.at_most({"x": 1}, {}, const=bad)
+    with pytest.raises(ValueError, match=match):
+        fm.derive_nested_binning_region().instantiate(
+            {"I_XY": bad, "I_XZ1": 0.5, "I_XZ2": 0.1})
+
+
+def test_constraint_presets_pretty():
+    # these reach the flipped (lower-bound) and strict render paths
+    assert fm.nested_binning_constraints().pretty() == (
+        "R2 + T > I_XZ1\n"
+        "T > I_XZ2\n"
+        "R1 + R2 + T < I_XY\n"
+        "with R1 >= 0, R2 >= 0, T >= 0")
+    assert fm.layered_scheme_constraints().pretty() == (
+        "-R2 + R2a + R2b <= 0\n"
+        "R2b + T > I_VZ1_U\n"
+        "T > I_VZ2_U\n"
+        "R2a < I_UY - I_UZ2 - eps\n"
+        "R2 - R2a - R2b <= 0\n"
+        "R1 + R2b + T < I_VY_U\n"
+        "with R1 >= 0, R2 >= 0, R2a >= 0, R2b >= 0, T >= 0")
 
 
 def test_substitute_chain_rule_identity():
@@ -236,3 +289,47 @@ def test_projection_soundness_completeness_sample():
     complete, sound = run_projection_property_trials(200, seed=101)
     assert complete > 100
     assert sound > 100
+
+
+SYMBOLS = ("x0", "x1", "x2", "x3")
+small_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+positive_rationals = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+
+
+@st.composite
+def raw_inequalities(draw):
+    """(coeffs, const, strict, positive scale) for one inequality."""
+    coeffs = {s: draw(small_rationals) for s in SYMBOLS[:draw(st.integers(1, 4))]}
+    return coeffs, draw(small_rationals), draw(st.booleans()), draw(positive_rationals)
+
+
+def build(raw, rescale):
+    coeffs, const, strict, q = raw
+    if not rescale:
+        q = 1
+    return LinIneq.make({s: c * q for s, c in coeffs.items()}, const=const * q,
+                        strict=strict)
+
+
+@settings(max_examples=80, deadline=None)
+@given(raws=st.lists(raw_inequalities(), min_size=1, max_size=6),
+       target=raw_inequalities())
+def test_positive_rescaling_changes_nothing(raws, target):
+    plain = [build(r, False) for r in raws]
+    rescaled = [build(r, True) for r in raws]
+    assert plain == rescaled
+    for iq, (coeffs, const, _, _) in zip(plain, raws):
+        values = [c for _, c in iq.terms] + [iq.const]
+        assert all(v.denominator == 1 for v in values)
+        assert math.gcd(*(v.numerator for v in values)) in (0, 1)
+        # the stored form is a positive multiple of the raw one
+        assert {s for s, _ in iq.terms} == {s for s, c in coeffs.items() if c}
+        raw = [coeffs[s] for s, _ in iq.terms] + [const]
+        lam = next((v / r for v, r in zip(values, raw) if r), None)
+        assert lam is None or (lam > 0 and all(v == lam * r for v, r in zip(values, raw)))
+    a = LinIneqSystem.build(SYMBOLS, (), plain)
+    b = LinIneqSystem.build(SYMBOLS, (), rescaled)
+    for var in SYMBOLS:
+        assert set(a.eliminate(var).inequalities) == set(b.eliminate(var).inequalities)
+    assert a.is_feasible() == b.is_feasible()
+    assert a.implies(build(target, False)) == b.implies(build(target, True))
