@@ -100,11 +100,13 @@ def _parallel_channel(args, pooled: bool) -> gauss.ParallelGaussChannel:
         if pooled:
             return gauss.ParallelGaussChannel(a=a, b1=b1, b2=b2, total_power=total)
         return gauss.ParallelGaussChannel(a=a, b1=b1, b2=b2, powers=(0.5, 0.5))
-    kwargs = {"a": _floats(args.a), "b1": _floats(args.b1), "b2": _floats(args.b2)}
+    flags = ("a", "b1", "b2") if pooled else ("a", "b1", "b2", "powers")
+    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}; give them or --preset")
+    kwargs = {flag: _floats(getattr(args, flag)) for flag in flags}
     if pooled:
         kwargs["total_power"] = args.P
-    else:
-        kwargs["powers"] = _floats(args.powers)
     return gauss.ParallelGaussChannel(**kwargs)
 
 

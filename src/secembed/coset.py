@@ -19,9 +19,11 @@ matrices until full row rank and both certificates clear their
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, inf
+from math import comb, inf, isfinite
 from typing import FrozenSet
 
 import numpy as np
@@ -43,8 +45,6 @@ __all__ = [
     "construct",
     "union_bound_report",
     "audit_code",
-    "index_to_syndrome",
-    "syndrome_to_index",
 ]
 
 ERASURE = -1
@@ -55,59 +55,64 @@ class ConstructionExhaustedError(RuntimeError):
 
 
 def _as_int(value: float, what: str) -> int:
-    r = round(value)
-    if abs(value - r) > 1e-9:
+    if not isfinite(value) or abs(value - round(value)) > 1e-9:
         raise ValueError(f"{what} = {value} must be an integer (no silent rounding)")
-    return int(r)
+    return int(round(value))
+
+
+def _is_finite_real(value) -> bool:
+    try:
+        return isinstance(value, numbers.Real) and isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 @dataclass(frozen=True)
 class WiretapIIParams:
     """Block length and level fractions for a two-level erasure-wiretap code.
 
-    Requires 1 >= alpha1 >= alpha2 >= 0 and exact integrality of
-    n*alpha1, n*alpha2, n*(1-alpha1-eps) and n*(alpha1-alpha2).
-    eps = 0 is allowed for hand-built codes; construct() needs eps > 0.
+    Requires an integer n >= 1, finite reals 1 >= alpha1 >= alpha2 >= 0
+    and eps >= 0, and exact integrality of n*alpha1, n*alpha2,
+    n*(1-alpha1-eps) and n*(alpha1-alpha2).  Those sizes are derived
+    once: n_alpha1 and n_alpha2 are the eavesdroppers' observed counts,
+    k1 = n*(1-alpha1-eps) the high-security and k2 = n*(alpha1-alpha2)
+    the low-security message bits.  eps = 0 is allowed for hand-built
+    codes; construct() needs eps > 0.
     """
 
     n: int
     alpha1: float
     alpha2: float
     eps: float = 0.0
+    n_alpha1: int = field(init=False, repr=False, compare=False)
+    n_alpha2: int = field(init=False, repr=False, compare=False)
+    k1: int = field(init=False, repr=False, compare=False)
+    k2: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"n = {self.n!r} must be an integer")
+        object.__setattr__(self, "n", int(self.n))
+        for name in ("n", "alpha1", "alpha2", "eps"):
+            if not _is_finite_real(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be a finite real number")
         if self.n < 1:
             raise ValueError("block length must be >= 1")
         if not (1.0 >= self.alpha1 >= self.alpha2 >= 0.0):
             raise ValueError("need 1 >= alpha1 >= alpha2 >= 0")
         if self.eps < 0:
             raise ValueError("eps must be >= 0")
-        for value, what in [
+        # n*(alpha1-alpha2) rounds to n_alpha1 - n_alpha2: all four lie within 1e-9 of ints
+        for name, (value, what) in zip(("n_alpha1", "n_alpha2", "k1", "k2"), [
             (self.n * self.alpha1, "n*alpha1"),
             (self.n * self.alpha2, "n*alpha2"),
             (self.n * (1.0 - self.alpha1 - self.eps), "n*(1-alpha1-eps)"),
             (self.n * (self.alpha1 - self.alpha2), "n*(alpha1-alpha2)"),
-        ]:
-            if _as_int(value, what) < 0:
+        ]):
+            size = _as_int(value, what)
+            if size < 0:
                 raise ValueError(f"{what} must be nonnegative")
-
-    @property
-    def n_alpha1(self) -> int:
-        return _as_int(self.n * self.alpha1, "n*alpha1")
-
-    @property
-    def n_alpha2(self) -> int:
-        return _as_int(self.n * self.alpha2, "n*alpha2")
-
-    @property
-    def k1(self) -> int:
-        """High-security message bits, n*(1-alpha1-eps)."""
-        return _as_int(self.n * (1.0 - self.alpha1 - self.eps), "n*(1-alpha1-eps)")
-
-    @property
-    def k2(self) -> int:
-        """Low-security message bits, n*(alpha1-alpha2)."""
-        return self.n_alpha1 - self.n_alpha2
+            object.__setattr__(self, name, size)
 
     @property
     def r1(self) -> float:
@@ -146,6 +151,9 @@ class CosetCodePair:
     of codes built by construct() always satisfy the 3/eps thresholds;
     externally supplied bundles are checked by audit_code rather than
     rejected here.
+
+    The code owns one read-only copy of the full-row-rank parity-check
+    matrix ``stacked`` = [h1; h2]; ``h1`` and ``h2`` are row views of it.
     """
 
     params: WiretapIIParams
@@ -153,20 +161,23 @@ class CosetCodePair:
     h2: np.ndarray
     d1_star: int
     d2_star: int
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h1 = np.asarray(self.h1, dtype=np.uint8).reshape(-1, self.params.n)
-        h2 = np.asarray(self.h2, dtype=np.uint8).reshape(-1, self.params.n)
-        if h1.shape[0] != self.params.k1 or h2.shape[0] != self.params.k2:
+        p = self.params
+        h1 = np.asarray(self.h1, dtype=np.uint8).reshape(-1, p.n)
+        h2 = np.asarray(self.h2, dtype=np.uint8).reshape(-1, p.n)
+        if h1.shape[0] != p.k1 or h2.shape[0] != p.k2:
             raise ValueError(
                 f"parity-check shapes {h1.shape}, {h2.shape} do not match "
-                f"k1={self.params.k1}, k2={self.params.k2}")
-        h1.flags.writeable = False
-        h2.flags.writeable = False
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", h2)
-        if self.rows and gf2.rank(self.stacked) != self.rows:
+                f"k1={p.k1}, k2={p.k2}")
+        stacked = np.vstack([h1, h2])  # a copy: the caller's arrays are never aliased
+        if gf2.rank(stacked) != stacked.shape[0]:
             raise ValueError("stacked parity-check matrix must have full row rank")
+        stacked.flags.writeable = False
+        object.__setattr__(self, "stacked", stacked)
+        object.__setattr__(self, "h1", stacked[:p.k1])
+        object.__setattr__(self, "h2", stacked[p.k1:])
 
     @property
     def n(self) -> int:
@@ -182,12 +193,7 @@ class CosetCodePair:
 
     @property
     def rows(self) -> int:
-        return self.k1 + self.k2
-
-    @property
-    def stacked(self) -> np.ndarray:
-        """Full parity-check matrix [h1; h2], (k1+k2) x n."""
-        return np.vstack([self.h1, self.h2])
+        return self.stacked.shape[0]
 
     def to_bundle(self, seed=None) -> dict:
         """JSON-ready code bundle with matrices in the text format."""
@@ -202,13 +208,22 @@ class CosetCodePair:
 
     @classmethod
     def from_bundle(cls, bundle: dict) -> "CosetCodePair":
-        params = WiretapIIParams(**bundle["params"])
+        """Inverse of to_bundle; a malformed bundle raises ValueError or KeyError."""
+        if not isinstance(bundle, dict):
+            raise ValueError("code bundle must be a JSON object")
+        params = bundle["params"]
+        if not isinstance(params, dict) or set(params) != {"n", "alpha1", "alpha2", "eps"}:
+            raise ValueError("bundle params must have exactly the keys n, alpha1, alpha2, eps")
+        if not (isinstance(bundle["H1"], str) and isinstance(bundle["H2"], str)):
+            raise ValueError("bundle H1 and H2 must be matrix text")
+        if not (isinstance(bundle["d1_star"], int) and isinstance(bundle["d2_star"], int)):
+            raise ValueError("bundle d1_star and d2_star must be integers")
         return cls(
-            params=params,
+            params=WiretapIIParams(**params),
             h1=gf2.matrix_from_text(bundle["H1"]),
             h2=gf2.matrix_from_text(bundle["H2"]),
-            d1_star=int(bundle["d1_star"]),
-            d2_star=int(bundle["d2_star"]),
+            d1_star=bundle["d1_star"],
+            d2_star=bundle["d2_star"],
         )
 
 
@@ -226,27 +241,21 @@ class Observation:
         object.__setattr__(self, "observed", frozenset(int(i) for i in self.observed))
 
 
-def index_to_syndrome(m: int, length: int) -> np.ndarray:
-    """Little-endian bits of the 0-based message index m."""
-    if not 0 <= m < (1 << length):
-        raise ValueError(f"message index {m} out of range 0..{(1 << length) - 1}")
-    return gf2.unpack_rows([m], length)[0]
-
-
-def syndrome_to_index(bits) -> int:
-    """0-based message index of little-endian syndrome bits; inverse of index_to_syndrome."""
-    return gf2.pack_rows(np.reshape(bits, (1, -1)))[0]
-
-
 def encode(code: CosetCodePair, m1: int, m2: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random codeword of the coset addressed by (m1, m2).
 
     Message indices are 0-based: m1 in 0..2**k1-1, m2 in 0..2**k2-1.
-    The returned x satisfies h1 @ x = s1(m1) and h2 @ x = s2(m2) and is
-    uniform over that coset.  Infeasibility cannot occur because the
-    stacked matrix has full row rank.
+    The pair is the one syndrome ``m1 | m2 << k1``, little-endian over
+    the rows of the stacked matrix (h1's rows first).  The returned x
+    satisfies stacked @ x = that syndrome and is uniform over that
+    coset.  Infeasibility cannot occur because the stacked matrix has
+    full row rank.
     """
-    s = np.concatenate([index_to_syndrome(m1, code.k1), index_to_syndrome(m2, code.k2)])
+    m1, m2 = operator.index(m1), operator.index(m2)  # Python ints: no shift overflow
+    for m, k in ((m1, code.k1), (m2, code.k2)):
+        if not 0 <= m < (1 << k):
+            raise ValueError(f"message index {m} out of range 0..{(1 << k) - 1}")
+    s = gf2.unpack_rows([m1 | m2 << code.k1], code.rows)[0]
     return gf2.solve_affine(code.stacked.T, s, rng)
 
 
@@ -255,9 +264,8 @@ def decode(code: CosetCodePair, x) -> tuple[int, int]:
     x = np.asarray(x, dtype=np.uint8).reshape(-1)
     if x.shape[0] != code.n:
         raise ValueError(f"codeword length {x.shape[0]} != n = {code.n}")
-    s1 = (code.h1 @ x) % 2 if code.k1 else np.zeros(0, dtype=np.uint8)
-    s2 = (code.h2 @ x) % 2 if code.k2 else np.zeros(0, dtype=np.uint8)
-    return syndrome_to_index(s1), syndrome_to_index(s2)
+    s = gf2.pack_rows([code.stacked @ x % 2])[0]
+    return s & ((1 << code.k1) - 1), s >> code.k1
 
 
 def _check_positions(observed, n: int) -> frozenset:
@@ -432,7 +440,6 @@ def audit_code(code: CosetCodePair, *, node_limit: int = 20_000_000) -> dict:
     equivocation) and a pass flag against the 3/eps allowance.
     """
     p = code.params
-    full_rank = gf2.rank(code.stacked) == code.rows
     d1, d2 = worst_case_security(code, node_limit=node_limit)
     margin = p.margin_bits
     leak_high = code.k1 - d1
@@ -441,7 +448,7 @@ def audit_code(code: CosetCodePair, *, node_limit: int = 20_000_000) -> dict:
     report = {
         "params": p.to_dict(),
         "rates": {"r1": p.r1, "r2": p.r2},
-        "full_row_rank": bool(full_rank),
+        "full_row_rank": True,  # a CosetCodePair cannot be built otherwise
         "d1_star": d1,
         "d2_star": d2,
         "certificates_match": bool(d1 == code.d1_star and d2 == code.d2_star),
@@ -461,7 +468,7 @@ def audit_code(code: CosetCodePair, *, node_limit: int = 20_000_000) -> dict:
             "pass": bool(leak_both <= margin) if finite else None,
         },
     }
-    checks = [report["full_row_rank"], report["certificates_match"]]
+    checks = [report["certificates_match"]]
     if finite:
         checks += [report["strong_eavesdropper"]["pass"], report["weak_eavesdropper"]["pass"]]
     report["pass"] = bool(all(checks))

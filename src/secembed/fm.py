@@ -22,6 +22,7 @@ elimination) in simplify_with_assumptions.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -48,11 +49,14 @@ class UnboundConstantError(KeyError):
 
 
 def _q(x) -> Fraction:
+    """x as an exact Fraction; a non-Rational real (np.float32, ...) goes through float."""
     if isinstance(x, Fraction):
         return x
     try:
+        if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational):
+            x = float(x)
         return Fraction(x)
-    except (OverflowError, ValueError):
+    except (OverflowError, ValueError, TypeError):
         raise ValueError(f"{x!r} is not a finite rational") from None
 
 

@@ -372,3 +372,46 @@ def test_readme_command_line_block_parses():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: secembed {shlex.join(argv)}")
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["region", "parallel"], "--a, --b1, --b2, --powers"),
+    (["region", "parallel", "--a", "1,1", "--b1", "0.5,0.3", "--b2", "0.1,0.1"], "--powers"),
+    (["region", "parallel", "--a", "1,1", "--b1", "0.5,0.3", "--powers", "0.5,0.5"], "--b2"),
+    (["region", "parallel-total"], "--a, --b1, --b2"),
+    (["region", "parallel-total", "--a", "1,1", "--b1", "0.5,0.3"], "--b2"),
+])
+def test_region_parallel_missing_gains_is_domain_error(capsys, argv, missing):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and not out
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert f"missing {missing};" in payload["message"]
+
+
+@pytest.mark.parametrize("verb", [["construct", "--seed", "1"], ["bound"]])
+@pytest.mark.parametrize("eps", ["inf", "1e308", "nan"])
+def test_code_non_finite_eps_is_domain_error(capsys, verb, eps):
+    code, out, err = run_cli(capsys, "code", verb[0], "--n", "16", "--alpha1", "0.5",
+                             "--alpha2", "0.25", "--eps", eps, *verb[1:])
+    assert code == 1 and not out
+    assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: [b],
+    lambda b: {**b, "params": {**b["params"], "n": 16.0}},
+    lambda b: {**b, "params": {**b["params"], "n": "16"}},
+    lambda b: {**b, "params": {**b["params"], "extra": 1}},
+    lambda b: {**b, "H1": None},
+], ids=["list", "n-float", "n-text", "params-extra", "H1-none"])
+def test_code_audit_malformed_bundle_is_domain_error(tmp_path, capsys, edit):
+    bundle = tmp_path / "bundle.json"
+    assert run_cli(capsys, *CONSTRUCT_16, "--out", str(bundle))[0] == 0
+    bundle.write_text(json.dumps(edit(json.loads(bundle.read_text()))))
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "code", "audit", "--bundle", str(bundle),
+                             "--out", str(report))
+    assert code == 1 and not out
+    assert json.loads(err)["error"] == "ValueError"
+    assert not report.exists()

@@ -1,10 +1,13 @@
 """Coset-code tests: syndrome round trips and exact-equivocation oracles."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secembed import coset, gf2
 from secembed.coset import CosetCodePair, WiretapIIParams
@@ -303,3 +306,132 @@ def test_audit_flags_tampered_certificates():
     report = coset.audit_code(tampered)
     assert report["certificates_match"] is False
     assert report["pass"] is False
+
+
+def reference_encode(code, m1, m2, rng):
+    """Two little-endian syndromes concatenated, then one solve on [h1; h2]."""
+    s = np.concatenate([gf2.unpack_rows([m1], code.k1)[0], gf2.unpack_rows([m2], code.k2)[0]])
+    return gf2.solve_affine(np.vstack([code.h1, code.h2]).T, s, rng)
+
+
+def reference_decode(code, x):
+    """One packed syndrome per block."""
+    x = np.asarray(x, dtype=np.uint8)
+    return tuple(gf2.pack_rows((h @ x % 2).reshape(1, -1))[0] for h in (code.h1, code.h2))
+
+
+def full_rank_code(params, rng):
+    rows = params.k1 + params.k2
+    while True:
+        h = gf2.random_matrix(rows, params.n, rng)
+        if gf2.rank(h) == rows:
+            return CosetCodePair(params=params, h1=h[:params.k1], h2=h[params.k1:],
+                                 d1_star=0, d2_star=0)
+
+
+@st.composite
+def codes(draw):
+    """Random full-rank codes with n in 1..24; k1 or k2 may be 0."""
+    n = draw(st.integers(1, 24))
+    n_alpha1 = draw(st.integers(0, n))
+    n_alpha2 = draw(st.integers(0, n_alpha1))
+    k1 = draw(st.integers(0, n - n_alpha1))
+    params = WiretapIIParams(n=n, alpha1=n_alpha1 / n, alpha2=n_alpha2 / n,
+                             eps=(n - n_alpha1 - k1) / n)
+    assert (params.k1, params.k2) == (k1, n_alpha1 - n_alpha2)
+    return full_rank_code(params, np.random.default_rng(draw(st.integers(0, 2**32))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(code=codes(), data=st.data())
+def test_encode_decode_match_two_block_reference(code, data):
+    seed = data.draw(st.integers(0, 2**32))
+    for _ in range(3):
+        m1 = data.draw(st.integers(0, 2**code.k1 - 1))
+        m2 = data.draw(st.integers(0, 2**code.k2 - 1))
+        x = coset.encode(code, m1, m2, np.random.default_rng(seed))
+        assert np.array_equal(x, reference_encode(code, m1, m2, np.random.default_rng(seed)))
+        assert coset.decode(code, x) == (m1, m2)
+        word = data.draw(st.lists(st.integers(0, 1), min_size=code.n, max_size=code.n))
+        assert coset.decode(code, word) == reference_decode(code, word)
+
+
+def test_encode_numpy_messages_beyond_63_syndrome_bits():
+    params = WiretapIIParams(n=128, alpha1=0.5, alpha2=0.125, eps=0.125)
+    code = full_rank_code(params, np.random.default_rng(128))
+    assert (code.k1, code.k2, code.rows) == (48, 48, 96)
+    for m1, m2 in [(2**48 - 1, 2**48 - 2), (2**47 + 5, 2**48 - 3), (0, 2**48 - 1)]:
+        m1, m2 = np.int64(m1), np.int64(m2)
+        x = coset.encode(code, m1, m2, np.random.default_rng(3))
+        assert np.array_equal(x, reference_encode(code, m1, m2, np.random.default_rng(3)))
+        assert coset.decode(code, x) == (m1, m2)
+    with pytest.raises(ValueError, match="out of range"):
+        coset.encode(code, np.int64(2**48), 0, np.random.default_rng(0))
+
+
+def test_code_does_not_alias_caller_arrays():
+    params = WiretapIIParams(n=16, alpha1=0.5, alpha2=0.25, eps=0.25)
+    h = coset.construct(params, seed=1).stacked.copy()
+    h1, h2 = h[:params.k1], h[params.k1:]
+    code = CosetCodePair(params=params, h1=h1, h2=h2, d1_star=3, d2_star=7)
+    before = code.stacked.copy()
+    word = coset.encode(code, 9, 4, np.random.default_rng(5))
+    h[0, 0] ^= 1
+    h2[-1, -1] ^= 1
+    assert np.array_equal(code.stacked, before)
+    assert np.array_equal(code.h1, before[:params.k1])
+    assert np.array_equal(code.h2, before[params.k1:])
+    assert np.array_equal(coset.encode(code, 9, 4, np.random.default_rng(5)), word)
+
+
+def test_stacked_and_blocks_are_read_only():
+    code = parity_code()
+    for a in (code.stacked, code.h1, code.h2):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"n": 16.0}, "n = 16.0 must be an integer"),
+    ({"n": "16"}, "n = '16' must be an integer"),
+    ({"n": True}, "n = True must be an integer"),
+    ({"n": 10**400}, "must be a finite real number"),
+    ({"alpha1": math.nan}, "alpha1 = nan must be a finite real number"),
+    ({"alpha2": "0.25"}, "alpha2 = '0.25' must be a finite real number"),
+    ({"eps": math.inf}, "eps = inf must be a finite real number"),
+    ({"eps": 10**400}, "must be a finite real number"),
+    ({"eps": 1e308}, "n\\*\\(1-alpha1-eps\\) = -inf must be an integer"),
+])
+def test_params_reject_non_numeric_and_non_finite(kwargs, match):
+    args = {"n": 16, "alpha1": 0.5, "alpha2": 0.25, "eps": 0.25, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        WiretapIIParams(**args)
+
+
+def test_params_sizes_are_plain_ints():
+    p = WiretapIIParams(n=np.int64(16), alpha1=np.float32(0.5), alpha2=0.25, eps=0.25)
+    assert type(p.n) is int and p.to_dict()["n"] == 16
+    assert [type(v) for v in (p.n_alpha1, p.n_alpha2, p.k1, p.k2)] == [int] * 4
+
+
+def _code_bundle():
+    params = WiretapIIParams(n=16, alpha1=0.5, alpha2=0.25, eps=0.25)
+    return coset.construct(params, seed=6).to_bundle(seed=6)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda b: [b], "must be a JSON object"),
+    (lambda b: json.dumps(b), "must be a JSON object"),
+    (lambda b: {**b, "params": list(b["params"].values())}, "exactly the keys"),
+    (lambda b: {**b, "params": {**b["params"], "extra": 1}}, "exactly the keys"),
+    (lambda b: {**b, "params": {k: v for k, v in b["params"].items() if k != "eps"}},
+     "exactly the keys"),
+    (lambda b: {**b, "H1": [[1, 0]]}, "must be matrix text"),
+    (lambda b: {**b, "H2": None}, "must be matrix text"),
+    (lambda b: {**b, "d1_star": None}, "must be integers"),
+], ids=["list", "text", "params-list", "params-extra", "params-no-eps", "H1-list", "H2-none",
+        "d1-none"])
+def test_from_bundle_rejects_malformed_bundles(edit, match):
+    with pytest.raises(ValueError, match=match):
+        CosetCodePair.from_bundle(edit(_code_bundle()))

@@ -223,6 +223,29 @@ def test_non_finite_rationals_are_domain_errors(bad):
             {"I_XY": bad, "I_XZ1": 0.5, "I_XZ2": 0.1})
 
 
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_numpy_floats_convert_exactly(dtype):
+    assert LinIneq.make({"x": dtype(0.5)}, const=dtype(-1.5)) == \
+        LinIneq.make({"x": Fraction(1, 2)}, const=Fraction(-3, 2))
+    assert LinIneq.at_most({"x": dtype(0.25)}, {"y": dtype(1)}, const=dtype(0.75)) == \
+        LinIneq.at_most({"x": Fraction(1, 4)}, {"y": 1}, const=Fraction(3, 4))
+    region = fm.derive_nested_binning_region()
+    exact = {"I_XY": 1.0, "I_XZ1": 0.5, "I_XZ2": 0.125}
+    assert region.instantiate({k: dtype(v) for k, v in exact.items()}) == \
+        region.instantiate(exact)
+    for bad in (dtype("nan"), dtype("inf")):
+        with pytest.raises(ValueError, match="is not a finite rational"):
+            LinIneq.make({"x": bad})
+
+
+@pytest.mark.parametrize("bad", [None, [1], object()])
+def test_non_numbers_are_domain_errors(bad):
+    with pytest.raises(ValueError, match="is not a finite rational"):
+        LinIneq.make({"x": bad})
+    with pytest.raises(ValueError, match="is not a finite rational"):
+        LinIneq.at_most({"x": 1}, {}, const=bad)
+
 def test_constraint_presets_pretty():
     # these reach the flipped (lower-bound) and strict render paths
     assert fm.nested_binning_constraints().pretty() == (
