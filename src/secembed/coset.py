@@ -238,7 +238,7 @@ class Observation:
         z = np.asarray(self.z, dtype=np.int8)
         z.flags.writeable = False
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "observed", frozenset(int(i) for i in self.observed))
+        object.__setattr__(self, "observed", frozenset(gf2.positions(self.observed, z.shape[0])))
 
 
 def encode(code: CosetCodePair, m1: int, m2: int, rng: np.random.Generator) -> np.ndarray:
@@ -261,29 +261,20 @@ def encode(code: CosetCodePair, m1: int, m2: int, rng: np.random.Generator) -> n
 
 def decode(code: CosetCodePair, x) -> tuple[int, int]:
     """Recover (m1, m2) by syndrome computation; exact inverse of encode."""
-    x = np.asarray(x, dtype=np.uint8).reshape(-1)
+    x = gf2.bit_array(x, "codeword").reshape(-1)
     if x.shape[0] != code.n:
         raise ValueError(f"codeword length {x.shape[0]} != n = {code.n}")
     s = gf2.pack_rows([code.stacked @ x % 2])[0]
     return s & ((1 << code.k1) - 1), s >> code.k1
 
 
-def _check_positions(observed, n: int) -> frozenset:
-    s = frozenset(int(i) for i in observed)
-    if s and (min(s) < 0 or max(s) >= n):
-        raise IndexError(f"observed positions must lie in 0..{n - 1}")
-    return s
-
-
 def eavesdrop(x, observed) -> Observation:
     """Observation with z_i = x_i for observed positions, erasure elsewhere."""
-    x = np.asarray(x, dtype=np.int8).reshape(-1)
-    s = _check_positions(observed, x.shape[0])
+    x = gf2.bit_array(x, "codeword").reshape(-1)
+    idx = gf2.positions(observed, x.shape[0])
     z = np.full(x.shape[0], ERASURE, dtype=np.int8)
-    idx = sorted(s)
-    if idx:
-        z[idx] = x[idx]
-    return Observation(z=z, observed=s)
+    z[idx] = x[idx]
+    return Observation(z=z, observed=idx)
 
 
 def equivocation(code: CosetCodePair, observed, level: str = "both") -> int:
@@ -299,7 +290,7 @@ def equivocation(code: CosetCodePair, observed, level: str = "both") -> int:
     level="both" scores (m1, m2) against the stacked matrix;
     level="high" scores m1 alone against h1.
     """
-    s = _check_positions(observed, code.n)
+    s = set(gf2.positions(observed, code.n))
     complement = [i for i in range(code.n) if i not in s]
     if level == "both":
         return gf2.column_subset_dim(code.stacked, complement)

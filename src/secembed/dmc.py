@@ -189,6 +189,7 @@ class DegradationResult:
     residual: float
 
 
+_DEGRADED_TOL = 1e-9  # largest LP residual still read as degraded
 _DEGRADE_PAIRS = {
     "z2_of_z1": ("pz1_x", "pz2_x"),
     "z2_of_y": ("py_x", "pz2_x"),
@@ -196,14 +197,13 @@ _DEGRADE_PAIRS = {
 }
 
 
-def check_degraded(ch: DmcTriple, which: str = "z2_of_z1",
-                   tol: float = 1e-9) -> DegradationResult:
+def check_degraded(ch: DmcTriple, which: str = "z2_of_z1") -> DegradationResult:
     """Decide whether the target output is a stochastic degradation of the source.
 
     Solves the linear feasibility problem for a kernel w with
     p(target|x) = sum_source p(source|x) w(target|source) by minimizing
     the maximum equation residual; degraded iff the optimum is within
-    tolerance.  Returns the witness kernel when feasible, otherwise the
+    _DEGRADED_TOL.  Returns the witness kernel when feasible, otherwise the
     best-achievable residual as an infeasibility certificate.
     """
     from scipy.optimize import linprog  # slow to import, and only needed here
@@ -234,7 +234,7 @@ def check_degraded(ch: DmcTriple, which: str = "z2_of_z1",
         return DegradationResult(degraded=False, witness=None, residual=float("inf"))
     residual = float(res.x[-1])
     witness = res.x[:-1].reshape(ns, nt)
-    if residual <= tol:
+    if residual <= _DEGRADED_TOL:
         return DegradationResult(degraded=True, witness=witness, residual=residual)
     return DegradationResult(degraded=False, witness=None, residual=residual)
 

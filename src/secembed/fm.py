@@ -11,8 +11,8 @@ constraints into a closed rate region.
 
 Every inequality is built in one canonical form: zero terms dropped,
 terms sorted by symbol, and the whole scaled by the unique positive
-factor that makes coefficients and constant coprime integers.  Equal
-half-spaces therefore compare equal.
+factor that makes coefficients and constant coprime integers, held as
+Python ints (Fraction only converts inputs).  Equal half-spaces compare equal.
 
 Redundancy removal happens at two levels: syntactic dominance (same
 coefficients, weaker constant side) during elimination, and exact
@@ -48,9 +48,9 @@ class UnboundConstantError(KeyError):
     """instantiate() was called with a constant symbol left unbound."""
 
 
-def _q(x) -> Fraction:
-    """x as an exact Fraction; a non-Rational real (np.float32, ...) goes through float."""
-    if isinstance(x, Fraction):
+def _q(x) -> int | Fraction:
+    """x exact: int and Fraction unchanged, a non-Rational real (np.float32, ...) via float."""
+    if isinstance(x, (int, Fraction)):
         return x
     try:
         if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational):
@@ -62,25 +62,22 @@ def _q(x) -> Fraction:
 
 @dataclass(frozen=True)
 class LinIneq:
-    """sum(coeff * symbol) + const  <=  0   (or < 0 when strict), canonical."""
+    """sum(coeff * symbol) + const  <=  0   (or < 0 when strict), as coprime ints."""
 
     terms: tuple
-    const: Fraction
+    const: int
     strict: bool = False
 
     def __post_init__(self):
         terms = sorted((s, _q(c)) for s, c in self.terms)
         terms = [(s, c) for s, c in terms if c]
-        const = _q(self.const)
-        values = [c for _, c in terms] + [const]
-        g = gcd(*(v.numerator for v in values))
-        if g:
-            scale = Fraction(lcm(*(v.denominator for v in values)), g)
-            if scale != 1:
-                terms = [(s, c * scale) for s, c in terms]
-                const *= scale
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "const", const)
+        values = [c for _, c in terms] + [_q(self.const)]
+        den = lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        g = gcd(*nums) or 1  # an all-zero row stays all-zero
+        nums = [v // g for v in nums]
+        object.__setattr__(self, "terms", tuple((s, v) for (s, _), v in zip(terms, nums)))
+        object.__setattr__(self, "const", nums[-1])
 
     @classmethod
     def make(cls, coeffs, const=0, strict=False) -> "LinIneq":
@@ -98,8 +95,8 @@ class LinIneq:
     def coeffs(self) -> dict:
         return dict(self.terms)
 
-    def coeff(self, symbol) -> Fraction:
-        return self.coeffs.get(symbol, Fraction(0))
+    def coeff(self, symbol) -> int:
+        return self.coeffs.get(symbol, 0)
 
     def symbols(self) -> set:
         return {s for s, _ in self.terms}
@@ -107,7 +104,7 @@ class LinIneq:
     def plus(self, other: "LinIneq") -> "LinIneq":
         coeffs = self.coeffs
         for s, c in other.terms:
-            coeffs[s] = coeffs.get(s, Fraction(0)) + c
+            coeffs[s] = coeffs.get(s, 0) + c
         return LinIneq.make(coeffs, const=self.const + other.const,
                             strict=self.strict or other.strict)
 
@@ -118,7 +115,7 @@ class LinIneq:
         coeffs = self.coeffs
         del coeffs[symbol]
         for s, c in dict(replacement_coeffs).items():
-            coeffs[s] = coeffs.get(s, Fraction(0)) + a * _q(c)
+            coeffs[s] = coeffs.get(s, 0) + a * _q(c)
         return LinIneq.make(coeffs, const=self.const + a * _q(replacement_const),
                             strict=self.strict)
 
@@ -151,8 +148,8 @@ class LinIneq:
         rhs = [(s, -c) for s, c in ineq.terms if s not in var_set]
         rhs_const = -ineq.const
 
-        def side(parts, const, force_zero):
-            if not parts and (const == 0 or force_zero):
+        def side(parts, const):
+            if not parts and const == 0:
                 return "0"
             out = ""
             for i, (s, c) in enumerate(parts):
@@ -168,13 +165,13 @@ class LinIneq:
                     out += f" {sign} {abs(const)}"
                 else:
                     out = str(const)
-            return out or "0"
+            return out
 
         if flip:
             rel = ">" if self.strict else ">="
         else:
             rel = "<" if self.strict else "<="
-        return f"{side(lhs, 0, True)} {rel} {side(rhs, rhs_const, False)}"
+        return f"{side(lhs, 0)} {rel} {side(rhs, rhs_const)}"
 
 
 def _prune(ineqs) -> tuple:
@@ -394,13 +391,12 @@ class LinIneqSystem:
             group = {s: _q(c) for s, c in dict(group).items()}
             anchor = next(iter(group))
             while True:
-                q = coeffs.get(anchor, Fraction(0)) / group[anchor]
-                if q == 0 or any(coeffs.get(s, Fraction(0)) != q * c
-                                 for s, c in group.items()):
+                q = Fraction(coeffs.get(anchor, 0), group[anchor])  # exact, never int / int
+                if q == 0 or any(coeffs.get(s, 0) != q * c for s, c in group.items()):
                     break
                 for s, c in group.items():
                     coeffs.pop(s)
-                coeffs[name] = coeffs.get(name, Fraction(0)) + q
+                coeffs[name] = coeffs.get(name, 0) + q
         shown = LinIneq.make(coeffs, const=iq.const, strict=iq.strict)
         return shown.render(self.variables)
 

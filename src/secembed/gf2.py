@@ -25,6 +25,8 @@ __all__ = [
     "BudgetExceededError",
     "pack_rows",
     "unpack_rows",
+    "bit_array",
+    "positions",
     "rank",
     "nullspace",
     "solve_affine",
@@ -56,12 +58,41 @@ class BudgetExceededError(RuntimeError):
         self.upper = upper
 
 
+def bit_array(a, what: str = "matrix") -> np.ndarray:
+    """a as uint8 once every entry equals 0 or 1, of any dtype (``np.eye(3)``).
+
+    2, 0.5 or -1 is a ValueError, never truncated; a uint8 array costs one
+    ``max()`` pass and no copy."""
+    a = np.asarray(a)
+    if a.dtype == np.uint8:
+        bad = a.size and a.max() > 1
+    else:
+        bad = not ((a == 0) | (a == 1)).all()
+        a = a if bad else a.astype(np.uint8)
+    if bad:
+        raise ValueError(f"{what} entries must be 0 or 1")
+    return a
+
+
+def positions(items, n: int) -> list[int]:
+    """Sorted distinct 0-based positions below n, read with operator.index:
+    numpy integers pass, a non-integral one (0.9, "3") is a ValueError."""
+    idx = set()
+    for i in items:
+        try:
+            idx.add(operator.index(i))
+        except TypeError:
+            raise ValueError(f"position {i!r} is not an integer") from None
+    idx = sorted(idx)
+    if idx and (idx[0] < 0 or idx[-1] >= n):
+        raise IndexError(f"positions must lie in 0..{n - 1}")
+    return idx
+
+
 def _as_bits(m) -> np.ndarray:
-    a = np.asarray(m, dtype=np.uint8)
+    a = bit_array(m)
     if a.ndim != 2:
         raise ValueError("expected a 2-D binary matrix")
-    if a.size and a.max() > 1:
-        raise ValueError("matrix entries must be 0 or 1")
     return a
 
 
@@ -189,11 +220,9 @@ def solve_affine(m, s, rng: np.random.Generator) -> np.ndarray:
     """
     a = _as_bits(m)
     n, k = a.shape
-    s = np.asarray(s).reshape(-1)
+    s = bit_array(s, "syndrome").reshape(-1)
     if s.shape[0] != k:
         raise ValueError(f"syndrome length {s.shape[0]} != number of constraints {k}")
-    if not np.isin(s, (0, 1)).all():
-        raise ValueError("syndrome entries must be 0 or 1")
     # constraint rows of m.T, augmented with the target bit at position n
     aug = [r | (int(b) << n) for r, b in zip(pack_rows(a.T), s)]
     rows, pivots = _rref_augmented(aug, n)
@@ -215,9 +244,7 @@ def solve_affine(m, s, rng: np.random.Generator) -> np.ndarray:
 def column_subset_dim(m, subset) -> int:
     """Rank of the submatrix formed by the selected (0-based) columns."""
     a = _as_bits(m)
-    idx = sorted(set(int(i) for i in subset))
-    if idx and (idx[0] < 0 or idx[-1] >= a.shape[1]):
-        raise IndexError(f"column index out of range 0..{a.shape[1] - 1}")
+    idx = positions(subset, a.shape[1])
     if not idx or a.shape[0] == 0:
         return 0
     return rank(a[:, idx])

@@ -33,11 +33,10 @@ class RateRegion:
     halfspaces: tuple[HalfSpace, ...]
 
     @classmethod
-    def from_rate_bounds(cls, r1_max: float, sum_max: float,
-                         variables=("R1", "R2")) -> "RateRegion":
+    def from_rate_bounds(cls, r1_max: float, sum_max: float) -> "RateRegion":
         """Corner region {R1 <= r1_max, R1 + R2 <= sum_max, R1, R2 >= 0}."""
         return cls(
-            variables=tuple(variables),
+            variables=("R1", "R2"),
             halfspaces=(
                 HalfSpace((1.0, 0.0), float(r1_max)),
                 HalfSpace((1.0, 1.0), float(sum_max)),
@@ -78,14 +77,14 @@ class RateRegion:
             return None
         return float(upper)
 
-    def canonical(self, ndigits: int = 10) -> tuple:
-        """Scale-normalized, sorted halfspace tuples for region comparison."""
+    def canonical(self) -> tuple:
+        """Scale-normalized, sorted halfspace tuples (10 digits) for region comparison."""
         rows = []
         for hs in self.halfspaces:
             scale = max(abs(c) for c in hs.coeffs) or 1.0
             rows.append((
-                tuple(round(c / scale, ndigits) for c in hs.coeffs),
-                round(hs.bound / scale, ndigits),
+                tuple(round(c / scale, 10) for c in hs.coeffs),
+                round(hs.bound / scale, 10),
                 hs.strict,
             ))
         return tuple(sorted(set(rows)))

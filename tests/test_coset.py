@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secembed import coset, gf2
+from secembed import binning, coset, dmc, gf2
 from secembed.coset import CosetCodePair, WiretapIIParams
 
 
@@ -330,9 +330,9 @@ def full_rank_code(params, rng):
 
 
 @st.composite
-def codes(draw):
-    """Random full-rank codes with n in 1..24; k1 or k2 may be 0."""
-    n = draw(st.integers(1, 24))
+def codes(draw, max_n=24):
+    """Random full-rank codes with n in 1..max_n; k1 or k2 may be 0."""
+    n = draw(st.integers(1, max_n))
     n_alpha1 = draw(st.integers(0, n))
     n_alpha2 = draw(st.integers(0, n_alpha1))
     k1 = draw(st.integers(0, n - n_alpha1))
@@ -435,3 +435,85 @@ def _code_bundle():
 def test_from_bundle_rejects_malformed_bundles(edit, match):
     with pytest.raises(ValueError, match=match):
         CosetCodePair.from_bundle(edit(_code_bundle()))
+
+
+@pytest.fixture(scope="module")
+def n16_code():
+    return coset.construct(WiretapIIParams(16, 0.5, 0.25, 0.25), seed=1)
+
+
+@pytest.mark.parametrize("word", [[2] * 16, [0.5] * 16, [1.9] + [0] * 15, [-1] * 16,
+                                  [256] + [0] * 15, [np.nan] * 16])
+def test_non_binary_words_are_rejected(n16_code, word):
+    with pytest.raises(ValueError, match="codeword entries must be 0 or 1"):
+        coset.decode(n16_code, word)
+    with pytest.raises(ValueError, match="codeword entries must be 0 or 1"):
+        coset.eavesdrop(word, [0, 1])
+
+
+def test_binary_words_of_any_dtype_are_accepted(n16_code):
+    x = coset.encode(n16_code, 5, 3, np.random.default_rng(0))
+    for word in (x.astype(float), x.astype(bool), x.astype(np.int64), list(map(int, x))):
+        assert coset.decode(n16_code, word) == (5, 3)
+        assert np.array_equal(coset.eavesdrop(word, [0, 1]).z, coset.eavesdrop(x, [0, 1]).z)
+
+
+@pytest.mark.parametrize("observed", [[0.9], [0, 2.0], ["3"], [None]])
+def test_non_integral_positions_are_rejected(n16_code, observed):
+    x = np.zeros(16, dtype=np.uint8)
+    with pytest.raises(ValueError, match="is not an integer"):
+        coset.eavesdrop(x, observed)
+    with pytest.raises(ValueError, match="is not an integer"):
+        coset.equivocation(n16_code, observed)
+    with pytest.raises(ValueError, match="is not an integer"):
+        coset.Observation(z=x, observed=observed)
+
+
+def test_numpy_integer_positions_are_accepted(n16_code):
+    x = np.ones(16, dtype=np.uint8)
+    obs = coset.eavesdrop(x, np.array([3, 7]))
+    assert obs.observed == {3, 7} and all(type(i) is int for i in obs.observed)
+    assert coset.equivocation(n16_code, [np.int64(3), np.int8(7)]) == \
+        coset.equivocation(n16_code, [3, 7])
+
+
+def nested_codebook(code):
+    """The code as a nested codebook: bin m1, subbin m2, slot a kernel combination."""
+    kernel = gf2.nullspace(code.stacked)
+    slots = np.array([np.array(r, dtype=np.uint8) @ kernel % 2
+                      for r in itertools.product((0, 1), repeat=len(kernel))])
+    rng = np.random.default_rng(0)
+    words = [[(coset.encode(code, m1, m2, rng) + slots) % 2 for m2 in range(2**code.k2)]
+             for m1 in range(2**code.k1)]
+    return binning.NestedCodebook(codewords=np.array(words), nx=2)
+
+
+def bec_leakage_oracle(code, delta, level):
+    """Sum over revealed sets B of P(B) (k - rank(H[:, B^c])) on a BEC(delta)."""
+    k, h = (code.k1, code.h1) if level == "bin" else (code.rows, code.stacked)
+    n = code.n
+    total = 0.0
+    for bits in itertools.product((0, 1), repeat=n):
+        hidden = [i for i in range(n) if not bits[i]]
+        revealed = n - len(hidden)
+        total += (1 - delta)**revealed * delta**len(hidden) * (
+            k - gf2.column_subset_dim(h, hidden))
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(code=codes(max_n=10),
+       delta=st.floats(0, 1, exclude_min=True, exclude_max=True),
+       level=st.sampled_from(["bin", "subbin"]))
+def test_coset_code_bec_leakage_is_a_rank_sum(code, delta, level):
+    got = binning.exact_leakage(nested_codebook(code), dmc.bec_kernel(delta), level)
+    assert got == pytest.approx(bec_leakage_oracle(code, delta, level), abs=1e-12)
+
+
+def test_coset_code_bec_leakage_is_a_rank_sum_n12():
+    code = coset.construct(WiretapIIParams(12, 0.5, 0.25, 0.25), seed=2)
+    cb = nested_codebook(code)
+    assert cb.codewords.shape == (2**code.k1, 2**code.k2, 2**(12 - code.rows), 12)
+    assert len({tuple(w) for w in cb.flat()}) == 2**12
+    got = binning.exact_leakage(cb, dmc.bec_kernel(0.3), "subbin")
+    assert got == pytest.approx(bec_leakage_oracle(code, 0.3, "subbin"), abs=1e-12)

@@ -36,7 +36,7 @@ def extension_exists(system, var, point):
     lo_strict = up_strict = False
     for iq in system.inequalities:
         a = iq.coeff(var)
-        rest = iq.const
+        rest = Fraction(iq.const)  # stored ints: keep -rest / a exact
         for s, c in iq.terms:
             if s != var:
                 rest += c * point[s]
@@ -202,6 +202,7 @@ def test_simplify_jointly_contradictory_assumptions_raise():
 def test_make_stores_primitive_integer_form():
     iq = LinIneq.make({"x": Fraction(1, 2)}, const=1)   # x/2 + 1 <= 0
     assert iq.terms == (("x", 1),) and iq.const == 2
+    assert type(iq.terms[0][1]) is int and type(iq.const) is int
     assert LinIneq.make({"y": 6, "x": -4}, const=Fraction(2, 3)) == \
         LinIneq.make({"x": -6, "y": 9}, const=1)
     assert LinIneq.make({"x": 0}, const=-3) == LinIneq.make({}, const=-1)
@@ -308,6 +309,28 @@ def test_system_json_roundtrip():
     assert back.nonneg_constants == sys.nonneg_constants
 
 
+def stored_types(system):
+    return ({type(c) for iq in system.inequalities for _, c in iq.terms}
+            | {type(iq.const) for iq in system.inequalities})
+
+
+@pytest.mark.parametrize("derive", [fm.derive_nested_binning_region,
+                                    fm.derive_layered_region])
+def test_derived_regions_store_python_ints(derive):
+    region = derive()
+    assert stored_types(region) == {int}
+    back = LinIneqSystem.from_dict(region.to_dict())
+    assert stored_types(back) == {int}
+    assert back == region
+
+
+def test_alias_with_non_unit_group_divides_exactly():
+    # x + a + 2b - 1 <= 0: the group a + 2b is G/3 for the alias G = 3a + 6b
+    sys = LinIneqSystem.build(("x",), ("a", "b"),
+                              [LinIneq.make({"x": 1, "a": 1, "b": 2}, const=-1)])
+    assert sys.pretty(aliases=(("G", {"a": 3, "b": 6}),)) == "3 x <= -G + 3"
+
+
 def test_projection_soundness_completeness_sample():
     complete, sound = run_projection_property_trials(200, seed=101)
     assert complete > 100
@@ -343,7 +366,7 @@ def test_positive_rescaling_changes_nothing(raws, target):
     assert plain == rescaled
     for iq, (coeffs, const, _, _) in zip(plain, raws):
         values = [c for _, c in iq.terms] + [iq.const]
-        assert all(v.denominator == 1 for v in values)
+        assert all(type(v) is int for v in values)
         assert math.gcd(*(v.numerator for v in values)) in (0, 1)
         # the stored form is a positive multiple of the raw one
         assert {s for s, _ in iq.terms} == {s for s, c in coeffs.items() if c}

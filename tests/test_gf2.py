@@ -102,6 +102,32 @@ def test_solve_affine_rejects_non_binary_syndrome(s):
         gf2.solve_affine(np.eye(3, dtype=np.uint8), s, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("m", [[[0.5, 1.0]], [[1.7, 1.0]], [[256, 1]], [[-1, 1]],
+                               [[np.nan, 1]], [["1", "0"]]])
+def test_non_binary_matrices_are_domain_errors(m):
+    for fn in (gf2.rank, gf2.nullspace, gf2.matrix_to_text):
+        with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
+            fn(m)
+    with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
+        gf2.column_subset_dim(m, [0])
+
+
+def test_binary_matrices_of_any_dtype_are_accepted():
+    for m in (np.eye(3), np.eye(3, dtype=bool), np.eye(3, dtype=np.int64), np.eye(3).tolist()):
+        assert gf2.rank(m) == 3
+    assert gf2.bit_array([[True, False]]).dtype == np.uint8
+    a = gf2.random_matrix(4, 6, np.random.default_rng(0))
+    assert gf2.bit_array(a) is a  # a uint8 input is checked, not copied
+
+
+def test_non_integral_column_positions_are_domain_errors():
+    m = np.eye(4, dtype=np.uint8)
+    with pytest.raises(ValueError, match="position 0.5 is not an integer"):
+        gf2.column_subset_dim(m, [0.5, 3.7])
+    assert gf2.column_subset_dim(m, np.array([0, 3])) == 2
+    assert gf2.column_subset_dim(m, [np.int64(0), np.uint8(3)]) == 2
+
+
 class FixedCoefficients:
     """Stand-in rng that hands solve_affine a chosen kernel combination."""
 
