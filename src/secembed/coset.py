@@ -165,12 +165,12 @@ class CosetCodePair:
 
     def __post_init__(self):
         p = self.params
-        h1 = np.asarray(self.h1, dtype=np.uint8).reshape(-1, p.n)
-        h2 = np.asarray(self.h2, dtype=np.uint8).reshape(-1, p.n)
-        if h1.shape[0] != p.k1 or h2.shape[0] != p.k2:
+        h1 = gf2.bit_array(self.h1, "h1")
+        h2 = gf2.bit_array(self.h2, "h2")
+        if h1.shape != (p.k1, p.n) or h2.shape != (p.k2, p.n):
             raise ValueError(
                 f"parity-check shapes {h1.shape}, {h2.shape} do not match "
-                f"k1={p.k1}, k2={p.k2}")
+                f"(k1, n) = {(p.k1, p.n)}, (k2, n) = {(p.k2, p.n)}")
         stacked = np.vstack([h1, h2])  # a copy: the caller's arrays are never aliased
         if gf2.rank(stacked) != stacked.shape[0]:
             raise ValueError("stacked parity-check matrix must have full row rank")
@@ -299,6 +299,14 @@ def equivocation(code: CosetCodePair, observed, level: str = "both") -> int:
     raise ValueError("level must be 'both' or 'high'")
 
 
+def _certificates(p: WiretapIIParams, stacked: np.ndarray, node_limit: int) -> tuple[int, int]:
+    """(d1_star, d2_star) of the stacked matrix [h1; h2] under params p."""
+    d1 = gf2.min_rank_over_column_subsets(stacked[:p.k1], p.n - p.n_alpha1,
+                                          node_limit=node_limit)
+    d2 = gf2.min_rank_over_column_subsets(stacked, p.n - p.n_alpha2, node_limit=node_limit)
+    return d1, d2
+
+
 def worst_case_security(code: CosetCodePair, *,
                         node_limit: int = 20_000_000) -> tuple[int, int]:
     """Exact (d1_star, d2_star): worst-case equivocations over all observed sets.
@@ -310,11 +318,7 @@ def worst_case_security(code: CosetCodePair, *,
     gf2.min_rank_over_column_subsets (on the kernel side where that is
     smaller), which raises BudgetExceededError past node_limit nodes.
     """
-    p = code.params
-    d1 = gf2.min_rank_over_column_subsets(code.h1, p.n - p.n_alpha1, node_limit=node_limit)
-    d2 = gf2.min_rank_over_column_subsets(code.stacked, p.n - p.n_alpha2,
-                                          node_limit=node_limit)
-    return d1, d2
+    return _certificates(code.params, code.stacked, node_limit)
 
 
 def construct(params: WiretapIIParams, seed: int, max_attempts: int = 100, *,
@@ -342,9 +346,7 @@ def construct(params: WiretapIIParams, seed: int, max_attempts: int = 100, *,
         h = gf2.random_matrix(rows, params.n, rng)
         if gf2.rank(h) != rows:
             continue
-        code = CosetCodePair(params=params, h1=h[:params.k1], h2=h[params.k1:],
-                             d1_star=0, d2_star=0)
-        d1, d2 = worst_case_security(code, node_limit=node_limit)
+        d1, d2 = _certificates(params, h, node_limit)
         if d1 >= params.d1_threshold and d2 >= params.d2_threshold:
             return CosetCodePair(params=params, h1=h[:params.k1], h2=h[params.k1:],
                                  d1_star=d1, d2_star=d2)

@@ -96,7 +96,10 @@ class LinIneq:
         return dict(self.terms)
 
     def coeff(self, symbol) -> int:
-        return self.coeffs.get(symbol, 0)
+        for s, c in self.terms:
+            if s == symbol:
+                return c
+        return 0
 
     def symbols(self) -> set:
         return {s for s, _ in self.terms}

@@ -11,6 +11,12 @@ row int is column ``j``), which keeps Gaussian elimination and the
 subset-rank search fast at desk scale (up to ~64 positions).  That
 format has one packer, ``pack_rows``, and one unpacker, ``unpack_rows``;
 every conversion between arrays and ints goes through them.
+
+Row reduction has one form, ``_rref``: the fully reduced echelon form
+whose pivots are each row's lowest set bit.  ``rank``, ``nullspace``,
+``solve_affine`` (target bit appended above the columns) and the
+min-rank setup all read it.  Only the subset-rank branch-and-bound
+keeps its own top-bit canonical basis.
 """
 
 from __future__ import annotations
@@ -123,74 +129,46 @@ def _reduce(v: int, basis: list[int]) -> int:
     return v
 
 
-def _echelon_insert(basis: list[int], v: int) -> bool:
-    """Reduce v by basis and insert if independent.  Returns True if inserted."""
-    v = _reduce(v, basis)
-    if v == 0:
-        return False
-    basis.append(v)
-    basis.sort(reverse=True)
-    return True
+def _rref(rows) -> dict[int, int]:
+    """Fully reduced row echelon form of packed rows as {pivot bit: row}.
+
+    A pivot bit is a one-bit int (``1 << j`` for column j).  Each row's
+    pivot is its lowest set bit, and no other row has that bit, which
+    makes this the unique RREF in column order 0, 1, ...  Each new row is
+    reduced by every pivot, then clears its own pivot elsewhere.
+    """
+    basis: dict[int, int] = {}
+    for v in rows:
+        for p, b in basis.items():
+            if v & p:
+                v ^= b
+        if v:
+            p = v & -v
+            for q, b in basis.items():
+                if b & p:
+                    basis[q] = b ^ v
+            basis[p] = v
+    return basis
 
 
 def rank(m) -> int:
     """GF(2) rank of a binary matrix (row rank = column rank)."""
-    a = _as_bits(m)
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return 0
-    basis: list[int] = []
-    for v in pack_rows(a):
-        _echelon_insert(basis, v)
-    return len(basis)
+    return len(_rref(pack_rows(_as_bits(m))))
 
 
-def _rref_augmented(a_rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Full RREF of rows with bits >= ncols treated as an augmented part.
+def _kernel_rows(basis: dict[int, int], ncols: int) -> list[int]:
+    """Kernel basis of an _rref form, one packed row per free column below ncols.
 
-    Pivots are chosen only among bits 0..ncols-1.  Returns (rows, pivots)
-    where row i has pivot column pivots[i] and pivot bits are eliminated
-    from all other rows.
+    Free column bit f gives f plus every pivot whose row has bit f; bits
+    from ncols up (an augmented part) are never read.  Rows come in
+    increasing free-column order.
     """
-    rows = [r for r in a_rows if r]
-    pivots: list[int] = []
-    out: list[int] = []
-    for col in range(ncols):
-        pick = None
-        for idx, r in enumerate(rows):
-            if (r >> col) & 1:
-                pick = idx
-                break
-        if pick is None:
-            continue
-        piv = rows.pop(pick)
-        rows = [r ^ piv if (r >> col) & 1 else r for r in rows]
-        out = [r ^ piv if (r >> col) & 1 else r for r in out]
-        out.append(piv)
-        pivots.append(col)
-        rows = [r for r in rows if r]
-    # anything left has support only in the augmented bits
-    out.extend(rows)
-    pivots.extend([-1] * len(rows))
-    return out, pivots
+    return [f | sum(p for p, r in basis.items() if r & f) for f in _free_bits(basis, ncols)]
 
 
-def _kernel_rows(rows: list[int], pivots: list[int], ncols: int) -> list[int]:
-    """Kernel basis of an RREF from _rref_augmented, one packed row per free column.
-
-    Only bits 0..ncols-1 of the RREF rows are read, so an augmented part
-    is ignored.  Rows come in increasing free-column order.
-    """
-    piv_rows = {p: r for p, r in zip(pivots, rows) if p >= 0}
-    basis = []
-    for f in range(ncols):
-        if f in piv_rows:
-            continue
-        v = 1 << f
-        for p, r in piv_rows.items():
-            if (r >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return basis
+def _free_bits(basis: dict[int, int], ncols: int) -> list[int]:
+    """Bits of the non-pivot columns below ncols, in column order."""
+    return [1 << j for j in range(ncols) if 1 << j not in basis]
 
 
 def nullspace(m) -> np.ndarray:
@@ -200,8 +178,7 @@ def nullspace(m) -> np.ndarray:
     """
     a = _as_bits(m)
     n = a.shape[1]
-    rows, pivots = _rref_augmented(pack_rows(a), n)
-    return unpack_rows(_kernel_rows(rows, pivots, n), n)
+    return unpack_rows(_kernel_rows(_rref(pack_rows(a)), n), n)
 
 
 def solve_affine(m, s, rng: np.random.Generator) -> np.ndarray:
@@ -224,30 +201,25 @@ def solve_affine(m, s, rng: np.random.Generator) -> np.ndarray:
     if s.shape[0] != k:
         raise ValueError(f"syndrome length {s.shape[0]} != number of constraints {k}")
     # constraint rows of m.T, augmented with the target bit at position n
-    aug = [r | (int(b) << n) for r, b in zip(pack_rows(a.T), s)]
-    rows, pivots = _rref_augmented(aug, n)
-    x = 0
-    for r, p in zip(rows, pivots):
-        if (r >> n) & 1:
-            if p < 0:
-                raise InfeasibleSystemError("no solution: syndrome outside the row-space image")
-            x |= 1 << p
-    kernel = _kernel_rows(rows, pivots, n)
-    if kernel:
-        coeffs = rng.integers(0, 2, size=len(kernel), dtype=np.uint8)
-        for c, v in zip(coeffs, kernel):
-            if c:
-                x ^= v
+    target = 1 << n
+    basis = _rref([r | (target if b else 0) for r, b in zip(pack_rows(a.T), s)])
+    if target in basis:  # a row reads 0 = 1
+        raise InfeasibleSystemError("no solution: syndrome outside the row-space image")
+    # Kernel row f is f plus the pivots whose row has bit f, so the drawn free
+    # bits and the target bit fix each pivot bit by the parity of its row.
+    free = _free_bits(basis, n)
+    drawn = target
+    for f, c in zip(free, rng.integers(0, 2, size=len(free), dtype=np.uint8)):
+        if c:
+            drawn |= f
+    x = drawn ^ target | sum(p for p, r in basis.items() if (r & drawn).bit_count() & 1)
     return unpack_rows([x], n)[0]
 
 
 def column_subset_dim(m, subset) -> int:
     """Rank of the submatrix formed by the selected (0-based) columns."""
     a = _as_bits(m)
-    idx = positions(subset, a.shape[1])
-    if not idx or a.shape[0] == 0:
-        return 0
-    return rank(a[:, idx])
+    return rank(a[:, positions(subset, a.shape[1])])
 
 
 def min_rank_over_column_subsets(m, size: int, *, node_limit: int = 20_000_000) -> int:
@@ -270,14 +242,11 @@ def min_rank_over_column_subsets(m, size: int, *, node_limit: int = 20_000_000) 
     if node_limit < 1:
         raise ValueError(f"node_limit must be >= 1, got {node_limit}")
     a = _as_bits(m)
-    k, n = a.shape
+    n = a.shape[1]
     if not 0 <= size <= n:
         raise ValueError(f"subset size {size} out of range 0..{n}")
-    if size == 0 or k == 0:
-        return 0
-    full = rank(a)
-    if full == 0:
-        return 0
+    basis = _rref(pack_rows(a))
+    full = len(basis)
     nullity = n - full
     lb = max(0, size - nullity)
     ub = min(size, full)
@@ -288,7 +257,7 @@ def min_rank_over_column_subsets(m, size: int, *, node_limit: int = 20_000_000) 
     dual_ub = min(dual_size, nullity)
     if (dual_lb, dual_ub) < (lb, ub):
         shift = size - nullity
-        g = nullspace(a)
+        g = unpack_rows(_kernel_rows(basis, n), n)
         try:
             d = _min_rank_subspaces(pack_rows(g.T), dual_size, dual_lb, dual_ub, node_limit)
         except BudgetExceededError as exc:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secembed import cli, dmc
+from secembed import cli, dmc, gf2
 from secembed.cli import main
 
 
@@ -415,3 +415,20 @@ def test_code_audit_malformed_bundle_is_domain_error(tmp_path, capsys, edit):
     assert code == 1 and not out
     assert json.loads(err)["error"] == "ValueError"
     assert not report.exists()
+
+
+def test_code_audit_rejects_transposed_parity_check(tmp_path, capsys):
+    """A bundle whose H1 is the transpose of the real one names another matrix
+    shape, so audit refuses it instead of reshaping it into a different code."""
+    bundle = tmp_path / "bundle.json"
+    assert run_cli(capsys, "code", "construct", "--n", "16", "--alpha1", "0.5", "--alpha2", "0.25",
+                   "--eps", "0.25", "--seed", "1", "--out", str(bundle))[0] == 0
+    saved = json.loads(bundle.read_text())
+    h1 = gf2.matrix_from_text(saved["H1"])
+    assert h1.shape == (4, 16)
+    bundle.write_text(json.dumps({**saved, "H1": gf2.matrix_to_text(h1.T)}))
+    code, out, err = run_cli(capsys, "code", "audit", "--bundle", str(bundle))
+    assert code == 1 and not out
+    error = json.loads(err)
+    assert error["error"] == "ValueError"
+    assert "(16, 4)" in error["message"]

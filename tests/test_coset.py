@@ -392,6 +392,51 @@ def test_stacked_and_blocks_are_read_only():
             a[0, 0] = 0
 
 
+PARITY_H2 = [[1, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("h1, h2, match", [
+    ([[1, 0.5, 1.9, 1]], PARITY_H2, "h1 entries must be 0 or 1"),
+    ([[1, 1, 1, 1]], [[1, 0, 2, 0]], "h2 entries must be 0 or 1"),
+    ([[1, 1], [1, 1]], PARITY_H2, r"\(2, 2\), \(1, 4\) do not match"),
+    ([[1], [1], [1], [1]], PARITY_H2, r"\(4, 1\), \(1, 4\) do not match"),
+    ([1, 1, 1, 1], PARITY_H2, r"\(4,\), \(1, 4\) do not match"),
+    ([[1, 1, 1, 1]], [], r"\(1, 4\), \(0,\) do not match"),
+], ids=["h1-fraction", "h2-two", "h1-2x2", "h1-transposed", "h1-flat", "h2-flat-empty"])
+def test_parity_checks_are_read_exactly(h1, h2, match):
+    """Entries must be 0 or 1 and shapes exactly (k1, n) and (k2, n): never
+    truncated or reshaped into another code."""
+    params = WiretapIIParams(n=4, alpha1=0.75, alpha2=0.5, eps=0.0)
+    with pytest.raises(ValueError, match=match):
+        CosetCodePair(params=params, h1=h1, h2=h2, d1_star=1, d2_star=1)
+
+
+def test_parity_checks_of_any_binary_dtype_and_zero_rows_are_accepted():
+    params = WiretapIIParams(n=4, alpha1=0.75, alpha2=0.5, eps=0.0)
+    code = CosetCodePair(params=params, h1=np.ones((1, 4)), h2=[[True, False, True, False]],
+                         d1_star=1, d2_star=1)
+    assert code.stacked.dtype == np.uint8
+    assert np.array_equal(code.stacked, parity_code().stacked)
+    params = WiretapIIParams(n=4, alpha1=0.5, alpha2=0.5, eps=0.25)
+    assert (params.k1, params.k2) == (1, 0)
+    code = CosetCodePair(params=params, h1=[[1, 1, 0, 0]], h2=np.zeros((0, 4), np.uint8),
+                         d1_star=1, d2_star=1)
+    assert code.h2.shape == (0, 4) and code.rows == 1
+
+
+def test_construct_ranks_each_draw_once_and_builds_one_code(monkeypatch):
+    ranks, builds = [], []
+    rank, post_init = gf2.rank, CosetCodePair.__post_init__
+    monkeypatch.setattr(gf2, "rank", lambda m: ranks.append(np.shape(m)) or rank(m))
+    monkeypatch.setattr(CosetCodePair, "__post_init__",
+                        lambda self: builds.append(1) or post_init(self))
+    code = coset.construct(WiretapIIParams(16, 0.5, 0.25, 0.25), seed=1)
+    # one rank per draw in the loop, one in the accepted code's own check
+    assert len(builds) == 1
+    assert ranks == [(8, 16)] * 2
+    assert coset.worst_case_security(code) == (code.d1_star, code.d2_star)
+
+
 @pytest.mark.parametrize("kwargs, match", [
     ({"n": 16.0}, "n = 16.0 must be an integer"),
     ({"n": "16"}, "n = '16' must be an integer"),

@@ -362,3 +362,99 @@ def test_pack_unpack_round_trip(data):
     for v, row in zip(ints, m):
         assert [int(b) for b in row] == [(v >> j) & 1 for j in range(width)]
     assert gf2.pack_rows(m) == ints
+
+
+def reference_rref(a_rows, ncols):
+    """Column-scan RREF: pivots only among bits 0..ncols-1, and pivot -1 for
+    leftover rows with support in the augmented bits alone."""
+    rows = [r for r in a_rows if r]
+    pivots, out = [], []
+    for col in range(ncols):
+        pick = next((i for i, r in enumerate(rows) if (r >> col) & 1), None)
+        if pick is None:
+            continue
+        piv = rows.pop(pick)
+        rows = [r ^ piv if (r >> col) & 1 else r for r in rows]
+        out = [r ^ piv if (r >> col) & 1 else r for r in out]
+        out.append(piv)
+        pivots.append(col)
+        rows = [r for r in rows if r]
+    return out + rows, pivots + [-1] * len(rows)
+
+
+def reference_kernel(rows, pivots, ncols):
+    """One kernel row per free column of a reference_rref form, in column order."""
+    piv_rows = {p: r for p, r in zip(pivots, rows) if p >= 0}
+    basis = []
+    for f in range(ncols):
+        if f in piv_rows:
+            continue
+        v = 1 << f
+        for p, r in piv_rows.items():
+            if (r >> f) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return basis
+
+
+def reference_solve_affine(m, s, rng):
+    """Particular solution plus a uniform kernel combination, from reference_rref."""
+    m = np.asarray(m, dtype=np.uint8)
+    n = m.shape[0]
+    aug = [r | (int(b) << n) for r, b in zip(gf2.pack_rows(m.T), s)]
+    rows, pivots = reference_rref(aug, n)
+    x = 0
+    for r, p in zip(rows, pivots):
+        if (r >> n) & 1:
+            if p < 0:
+                raise gf2.InfeasibleSystemError("no solution")
+            x |= 1 << p
+    kernel = reference_kernel(rows, pivots, n)
+    if kernel:
+        coeffs = rng.integers(0, 2, size=len(kernel), dtype=np.uint8)
+        for c, v in zip(coeffs, kernel):
+            if c:
+                x ^= v
+    return gf2.unpack_rows([x], n)[0]
+
+
+@st.composite
+def systems(draw):
+    """A k x n parity-check matrix (k <= 24, n <= 70) and a syndrome.
+
+    Some rows are overwritten by the XOR of two others, so rank deficits
+    are common; the syndrome is either in the image or drawn blindly,
+    which makes a deficient system mostly inconsistent."""
+    k = draw(st.integers(0, 24))
+    n = draw(st.integers(0, 70))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k))
+    if k:
+        index = st.integers(0, k - 1)
+        for i, j, l in draw(st.lists(st.tuples(index, index, index), max_size=k)):
+            rows[i] = rows[j] ^ rows[l]
+    if draw(st.booleans()):
+        x = draw(st.integers(0, (1 << n) - 1))
+        s = [(r & x).bit_count() & 1 for r in rows]
+    else:
+        s = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    return gf2.unpack_rows(rows, n), np.array(s, dtype=np.uint8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(systems(), st.integers(0, 2**32))
+def test_reduction_matches_column_scan_reference(system, seed):
+    h, s = system
+    n = h.shape[1]
+    rows, pivots = reference_rref(gf2.pack_rows(h), n)
+    assert gf2.rank(h) == len(rows) == gf2.rank(h.T)
+    assert np.array_equal(gf2.nullspace(h),
+                          gf2.unpack_rows(reference_kernel(rows, pivots, n), n))
+    try:
+        want = reference_solve_affine(h.T, s, np.random.default_rng(seed))
+    except gf2.InfeasibleSystemError:
+        with pytest.raises(gf2.InfeasibleSystemError):
+            gf2.solve_affine(h.T, s, np.random.default_rng(seed))
+    else:
+        got = gf2.solve_affine(h.T, s, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+        assert np.array_equal(h.astype(int) @ got % 2, s)
