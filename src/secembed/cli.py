@@ -201,6 +201,8 @@ def _cmd_dmc_region_point(args) -> int:
     else:
         with open(args.aux) as f:
             spec = json.load(f)
+        if not isinstance(spec, dict):
+            raise ValueError("--aux must hold a JSON object with pu, pv_u, px_v")
         aux = dmc.AuxiliaryChain(pu=np.asarray(spec["pu"], dtype=float),
                                  pv_u=np.asarray(spec["pv_u"], dtype=float),
                                  px_v=np.asarray(spec["px_v"], dtype=float))

@@ -314,9 +314,9 @@ def worst_case_security(code: CosetCodePair, *,
     d1_star minimizes the h1 column-subspace dimension over all position
     subsets of size n*(1-alpha1) (eavesdropper sees n*alpha1 positions);
     d2_star does the same for the stacked matrix at size n*(1-alpha2).
-    Both come from the exact branch-and-bound of
-    gf2.min_rank_over_column_subsets (on the kernel side where that is
-    smaller), which raises BudgetExceededError past node_limit nodes.
+    Both come from the generalized-Hamming-weight search of
+    gf2.min_rank_over_column_subsets (row space or kernel side), which
+    raises BudgetExceededError past node_limit words and subcodes.
     """
     return _certificates(code.params, code.stacked, node_limit)
 

@@ -9,6 +9,7 @@ auxiliary chains; no optimization over distributions is attempted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,7 +132,13 @@ class DmcTriple:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DmcTriple":
-        shape = (d["nx"], d["ny"], d["nz1"], d["nz2"])
+        """Inverse of to_dict; a malformed document is a ValueError."""
+        shape = [d.get(k) for k in ("nx", "ny", "nz1", "nz2")] if isinstance(d, dict) else []
+        if len(shape) != 4 or not all(type(v) is int and v >= 1 for v in shape):
+            raise ValueError("channel must be a JSON object with integers nx, ny, nz1, nz2 >= 1")
+        size = math.prod(shape)
+        if not isinstance(d.get("p"), list) or len(d["p"]) != size:
+            raise ValueError(f"channel p must be a list of {size} entries")
         return cls(np.asarray(d["p"], dtype=float).reshape(shape))
 
 

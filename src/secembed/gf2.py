@@ -15,14 +15,13 @@ every conversion between arrays and ints goes through them.
 Row reduction has one form, ``_rref``: the fully reduced echelon form
 whose pivots are each row's lowest set bit.  ``rank``, ``nullspace``,
 ``solve_affine`` (target bit appended above the columns) and the
-min-rank setup all read it.  Only the subset-rank branch-and-bound
-keeps its own top-bit canonical basis.
+subset-rank search, which grows subcodes of bounded support by Wei's
+generalized Hamming weight identity, all read it.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import Counter
 
 import numpy as np
 
@@ -51,8 +50,8 @@ class InfeasibleSystemError(ValueError):
 class BudgetExceededError(RuntimeError):
     """Raised when an exact search exceeds its configured node budget.
 
-    ``nodes`` is the number of search nodes visited; the exact answer is
-    known to lie in the bracket [``lower``, ``upper``].
+    ``nodes`` counts the listed code words plus the subcodes grown from
+    them; the exact answer is known to lie in [``lower``, ``upper``].
     """
 
     def __init__(self, nodes: int, lower: int, upper: int):
@@ -114,19 +113,6 @@ def unpack_rows(rows, length: int) -> np.ndarray:
     buf = b"".join(operator.index(v).to_bytes(nbytes, "little") for v in rows)
     packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
     return np.unpackbits(packed, axis=1, count=length, bitorder="little")
-
-
-def _reduce(v: int, basis: list[int]) -> int:
-    """Reduce v by an echelon basis (each vector has a unique top bit).
-
-    v ^ b < v exactly when v has b's top bit set, which is the test for
-    clearing that bit.
-    """
-    for b in basis:
-        w = v ^ b
-        if w < v:
-            v = w
-    return v
 
 
 def _rref(rows) -> dict[int, int]:
@@ -225,19 +211,17 @@ def column_subset_dim(m, subset) -> int:
 def min_rank_over_column_subsets(m, size: int, *, node_limit: int = 20_000_000) -> int:
     """Exact minimum of rank(m[:, S]) over all column subsets of the given size.
 
-    Runs an exact branch-and-bound over candidate spanning subspaces
-    (rank is monotone in the subset, so partial ranks prune).  When its
-    rank bracket is smaller, the search runs on the kernel side via the
-    identity
+    By Wei's generalized-Hamming-weight identity, with C the row space of m
+    and C' its kernel, it is rank(m) - r for r the largest dimension of a
+    subcode of C supported within n - size positions, and equally size - r'
+    for r' the same for C' within size positions.  The search takes the side
+    with fewer levels, lists its words within the bound and grows closed
+    subcodes (all code words inside one support) one listed word at a time.
 
-        rank(m[:, S]) = |S| - dim ker(m) + rank(g[:, complement of S])
-
-    with g a kernel basis of m, which keeps the search depth small.
-
-    Raises ValueError when node_limit < 1, and BudgetExceededError when
-    the search exceeds node_limit nodes; that signals the instance is
-    beyond desk scale, not an approximation.  The error carries the
-    bracket [lower, upper] on the minimum that the search had reached.
+    node_limit caps the listed words (2**dim - 1, checked before listing)
+    plus the grown subcodes.  Raises ValueError when node_limit < 1, and
+    BudgetExceededError past it: the instance is beyond desk scale, and the
+    error carries the bracket [lower, upper] on the minimum reached so far.
     """
     if node_limit < 1:
         raise ValueError(f"node_limit must be >= 1, got {node_limit}")
@@ -247,85 +231,51 @@ def min_rank_over_column_subsets(m, size: int, *, node_limit: int = 20_000_000) 
         raise ValueError(f"subset size {size} out of range 0..{n}")
     basis = _rref(pack_rows(a))
     full = len(basis)
-    nullity = n - full
-    lb = max(0, size - nullity)
+    lb = max(0, size - (n - full))
     ub = min(size, full)
     if lb == ub:
         return lb
-    dual_size = n - size
-    dual_lb = max(0, dual_size - full)
-    dual_ub = min(dual_size, nullity)
-    if (dual_lb, dual_ub) < (lb, ub):
-        shift = size - nullity
-        g = unpack_rows(_kernel_rows(basis, n), n)
-        try:
-            d = _min_rank_subspaces(pack_rows(g.T), dual_size, dual_lb, dual_ub, node_limit)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(exc.nodes, shift + exc.lower, shift + exc.upper) from None
-        return shift + d
-    return _min_rank_subspaces(pack_rows(a.T), size, lb, ub, node_limit)
-
-
-def _canon_insert(basis: tuple[int, ...], v: int) -> tuple[int, ...]:
-    """Insert v into a fully reduced basis, keeping the canonical RREF form."""
-    v = _reduce(v, basis)
-    p = v.bit_length() - 1
-    nb = [b ^ v if (b >> p) & 1 else b for b in basis]
-    nb.append(v)
-    nb.sort(reverse=True)
-    return tuple(nb)
-
-
-def _min_rank_subspaces(cols: list[int], size: int, lb: int, ub: int,
-                        node_limit: int) -> int:
-    """Smallest r such that some r-dim subspace contains >= size columns.
-
-    That minimum equals the minimum subset rank: a subset of the stated
-    size and rank r spans an r-dim subspace containing all its columns,
-    and conversely any r-dim subspace holding >= size columns yields a
-    subset of rank <= r.  Targets r are tried upward from lb, so when
-    the budget runs out at target r every smaller target was refuted.
-    """
-    cnt = Counter(cols)
-    zero = cnt.pop(0, 0)
-    vals = sorted(cnt)
-    if zero >= size:
-        return 0
-    nodes = 0
-
-    def dfs(basis: tuple[int, ...], count: int, target: int,
-            visited: set[tuple[int, ...]]) -> bool:
-        nonlocal nodes
-        if nodes == node_limit:
-            raise BudgetExceededError(nodes, target, ub)
-        nodes += 1
-        if count >= size:
-            return True
-        dim = len(basis)
-        if dim == target:
-            return False
-        reps: dict[int, int] = {}
-        for v in vals:
-            r = _reduce(v, basis)
-            if r:
-                reps[r] = reps.get(r, 0) + cnt[v]
-        slots = (1 << (target - dim)) - 1
-        top = sorted(reps.values(), reverse=True)[:slots]
-        if count + sum(top) < size:
-            return False
-        for r in sorted(reps, key=lambda x: (-reps[x], x)):
-            nb = _canon_insert(basis, r)
-            if nb in visited:
+    # Either side answers top - r, so the smaller top grows fewer levels.
+    sides = [(full, list(basis.values()), n - size), (size, _kernel_rows(basis, n), size)]
+    sides = [side for side in sides if (1 << len(side[1])) - 1 <= node_limit]
+    if not sides:
+        raise BudgetExceededError(node_limit, lb, ub)
+    top, rows, bound = min(sides, key=lambda side: (side[0], len(side[1])))
+    nodes = (1 << len(rows)) - 1
+    # Each word of the span of rows[12:] shifts the whole span of rows[:12] once.
+    tables = []
+    for part in np.split(unpack_rows(rows, n), [12]):
+        tables.append(np.zeros((1, n), np.uint8))
+        for row in part:
+            tables[-1] = np.vstack([tables[-1], tables[-1] ^ row])
+    light = []
+    for offset in tables[1]:
+        block = tables[0] ^ offset
+        weight = block.sum(axis=1)
+        light += pack_rows(block[(weight > 0) & (weight <= bound)])
+    # A closed subcode is fixed by its support, which keys the search; growing
+    # support S to U adds at most |U| - |S| dimensions, which prunes S.
+    r, seen, frontier = 0, {0}, [(0, 0)]
+    while frontier:
+        grown = []
+        for supp, dim in frontier:
+            if dim + bound - supp.bit_count() <= r:
                 continue
-            visited.add(nb)
-            if dfs(nb, count + reps[r], target, visited):
-                return True
-        return False
-
-    for target in range(max(lb, 1), ub + 1):
-        if dfs((), zero, target, set()):
-            return target
-    return ub
+            for w in light:
+                u = supp | w
+                if u in seen or u.bit_count() > bound:
+                    continue
+                if nodes == node_limit:
+                    raise BudgetExceededError(nodes, lb, min(ub, top - r))
+                nodes += 1
+                seen.add(u)
+                dim_u = len(rows) - len(_rref([b & ~u for b in rows]))
+                if top - dim_u == lb:
+                    return lb
+                r = max(r, dim_u)
+                grown.append((u, dim_u))
+        frontier = grown
+    return top - r
 
 
 def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -29,7 +29,7 @@ def test_criterion_1_wiretap2_perfect_embedding(tmp_path):
 
     Runs through the CLI surface: `code construct` must succeed within
     100 attempts and `code audit` must re-derive the certificates by
-    the exact branch-and-bound search and confirm both bounds.
+    the exact generalized-Hamming-weight search and confirm both bounds.
     """
     import json
 

@@ -197,6 +197,47 @@ def test_channel_file_roundtrip(tmp_path, capsys):
     assert json.loads(out)["sum_max"] == pytest.approx(0.9, abs=1e-12)
 
 
+def bec_channel_dict(**changes):
+    ch = dmc.DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.5),
+                                   dmc.bec_kernel(0.9))
+    return {**ch.to_dict(), **changes}
+
+
+@pytest.mark.parametrize("command", [
+    ["sim", "dmc", "--px", "0.5,0.5", "--rates", "0.1,0.1,0.1", "--n", "4", "--seed", "1"],
+    ["dmc", "region-point", "--px", "0.5,0.5"],
+])
+@pytest.mark.parametrize("channel", [
+    [1, 2],
+    "channel",
+    bec_channel_dict(nx="2"),
+    bec_channel_dict(nx=2.5),
+    bec_channel_dict(nx=True),
+    bec_channel_dict(ny=0),
+    bec_channel_dict(p=5),
+    bec_channel_dict(p=[0.5] * 4),
+])
+def test_malformed_channel_file_is_domain_error(tmp_path, capsys, command, channel):
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps(channel))
+    code, out, err = run_cli(capsys, *command, "--channel", str(path))
+    assert code == 1 and not out
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError" and "channel" in payload["message"]
+
+
+@pytest.mark.parametrize("spec", [[1], "aux", 3])
+def test_malformed_aux_file_is_domain_error(tmp_path, capsys, spec):
+    aux = tmp_path / "aux.json"
+    aux.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "dmc", "region-point", "--bec", "0.5,0.9",
+                             "--aux", str(aux))
+    assert code == 1 and not out
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "--aux must hold a JSON object with pu, pv_u, px_v"}
+
+
 def test_domain_error_exit_code_and_stderr_json(capsys):
     code, out, err = run_cli(capsys, "code", "construct", "--n", "10",
                              "--alpha1", "0.33", "--alpha2", "0.25", "--eps", "0.1",
@@ -342,7 +383,7 @@ def test_node_budget_error_reports_bracket(capsys):
     assert code == 1 and not out
     payload = json.loads(err)
     assert payload["error"] == "BudgetExceededError"
-    assert "exceeded 5 nodes with the minimum rank in [4, 6]" in payload["message"]
+    assert "exceeded 5 nodes with the minimum rank in [0, 6]" in payload["message"]
 
 
 def test_usage_error_exit_code():

@@ -234,9 +234,12 @@ def test_construct_determinism():
 @pytest.mark.parametrize("n, pinned", [
     (16, [(3, 7), (3, 6), (3, 7), (3, 6), (3, 7)]),
     (24, [(5, 11), (4, 11), (4, 11), (4, 11), (4, 11)]),
+    (32, [(6, 15), (6, 14), (6, 14), (6, 15), (6, 15)]),
+    (40, [(8, 18)] * 5),
 ])
 def test_construct_certificates_pinned(n, pinned):
-    # exact (d1_star, d2_star) for seeds 1-5; a change to the search must keep them
+    # exact (d1_star, d2_star) for seeds 1-5, as the subset-rank branch-and-bound
+    # computed them (about 45 s per n = 40 seed); a change to the search must keep them
     params = WiretapIIParams(n=n, alpha1=0.5, alpha2=0.25, eps=0.25)
     got = [coset.construct(params, seed=seed) for seed in range(1, 6)]
     assert [(c.d1_star, c.d2_star) for c in got] == pinned

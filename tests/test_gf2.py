@@ -1,6 +1,8 @@
 """GF(2) linear algebra tests against brute-force oracles."""
 
 import itertools
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -262,10 +264,156 @@ def test_min_rank_budget_bracket_contains_oracle(data):
         got = gf2.min_rank_over_column_subsets(m, size, node_limit=node_limit)
     except gf2.BudgetExceededError as exc:
         assert exc.nodes == node_limit
-        assert exc.lower <= want <= exc.upper == min(size, gf2.rank(m))
+        assert exc.lower <= want <= exc.upper <= min(size, gf2.rank(m))
         assert f"[{exc.lower}, {exc.upper}]" in str(exc)
     else:
         assert got == want
+
+
+# The subset-rank branch-and-bound that computed min_rank_over_column_subsets
+# before the generalized-Hamming-weight search, kept as an independent
+# reference: it searches column subspaces with its own top-bit basis.
+
+def _reduce(v: int, basis: list[int]) -> int:
+    """Reduce v by an echelon basis (each vector has a unique top bit).
+
+    v ^ b < v exactly when v has b's top bit set, which is the test for
+    clearing that bit.
+    """
+    for b in basis:
+        w = v ^ b
+        if w < v:
+            v = w
+    return v
+
+
+def _canon_insert(basis: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """Insert v into a fully reduced basis, keeping the canonical RREF form."""
+    v = _reduce(v, basis)
+    p = v.bit_length() - 1
+    nb = [b ^ v if (b >> p) & 1 else b for b in basis]
+    nb.append(v)
+    nb.sort(reverse=True)
+    return tuple(nb)
+
+
+def _min_rank_subspaces(cols: list[int], size: int, lb: int, ub: int,
+                        node_limit: int) -> int:
+    """Smallest r such that some r-dim subspace contains >= size columns.
+
+    That minimum equals the minimum subset rank: a subset of the stated
+    size and rank r spans an r-dim subspace containing all its columns,
+    and conversely any r-dim subspace holding >= size columns yields a
+    subset of rank <= r.  Targets r are tried upward from lb, so when
+    the budget runs out at target r every smaller target was refuted.
+    """
+    cnt = Counter(cols)
+    zero = cnt.pop(0, 0)
+    vals = sorted(cnt)
+    if zero >= size:
+        return 0
+    nodes = 0
+
+    def dfs(basis: tuple[int, ...], count: int, target: int,
+            visited: set[tuple[int, ...]]) -> bool:
+        nonlocal nodes
+        if nodes == node_limit:
+            raise gf2.BudgetExceededError(nodes, target, ub)
+        nodes += 1
+        if count >= size:
+            return True
+        dim = len(basis)
+        if dim == target:
+            return False
+        reps: dict[int, int] = {}
+        for v in vals:
+            r = _reduce(v, basis)
+            if r:
+                reps[r] = reps.get(r, 0) + cnt[v]
+        slots = (1 << (target - dim)) - 1
+        top = sorted(reps.values(), reverse=True)[:slots]
+        if count + sum(top) < size:
+            return False
+        for r in sorted(reps, key=lambda x: (-reps[x], x)):
+            nb = _canon_insert(basis, r)
+            if nb in visited:
+                continue
+            visited.add(nb)
+            if dfs(nb, count + reps[r], target, visited):
+                return True
+        return False
+
+    for target in range(max(lb, 1), ub + 1):
+        if dfs((), zero, target, set()):
+            return target
+    return ub
+
+
+def reference_min_rank(m, size, node_limit=20_000_000):
+    """The branch-and-bound on whichever of m and its kernel has the smaller bracket."""
+    a = np.asarray(m, dtype=np.uint8)
+    n = a.shape[1]
+    full = gf2.rank(a)
+    nullity = n - full
+    lb = max(0, size - nullity)
+    ub = min(size, full)
+    if lb == ub:
+        return lb
+    dual_size = n - size
+    dual_lb = max(0, dual_size - full)
+    dual_ub = min(dual_size, nullity)
+    if (dual_lb, dual_ub) < (lb, ub):
+        shift = size - nullity
+        g = gf2.nullspace(a)
+        try:
+            d = _min_rank_subspaces(gf2.pack_rows(g.T), dual_size, dual_lb, dual_ub, node_limit)
+        except gf2.BudgetExceededError as exc:
+            raise gf2.BudgetExceededError(exc.nodes, shift + exc.lower, shift + exc.upper) from None
+        return shift + d
+    return _min_rank_subspaces(gf2.pack_rows(a.T), size, lb, ub, node_limit)
+
+
+@st.composite
+def repetitive_matrices(draw):
+    """A k x n matrix (k <= 10, n <= 20) whose columns are zero or one of at
+    most max(1, n // 2) nonzero values, so repeated and zero columns are the rule."""
+    k = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 20))
+    pool = draw(st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=max(1, n // 2)))
+    cols = draw(st.lists(st.sampled_from([0] + pool), min_size=n, max_size=n))
+    return gf2.unpack_rows(cols, k).T
+
+
+@settings(max_examples=200, deadline=None)
+@given(repetitive_matrices())
+def test_min_rank_matches_branch_and_bound_reference(m):
+    for size in range(m.shape[1] + 1):
+        assert gf2.min_rank_over_column_subsets(m, size) == reference_min_rank(m, size), size
+
+
+def test_min_rank_budget_bracket_tightens_as_subcodes_grow():
+    # the search had grown a subcode of dimension 2 when the budget ran out,
+    # so the bracket's upper end is rank 6 - 2, below min(size, rank) = 6
+    m = gf2.random_matrix(6, 16, np.random.default_rng(2))
+    assert gf2.min_rank_over_column_subsets(m, 8) == reference_min_rank(m, 8) == 4
+    with pytest.raises(gf2.BudgetExceededError) as exc:
+        gf2.min_rank_over_column_subsets(m, 8, node_limit=100)
+    assert (exc.value.nodes, exc.value.lower, exc.value.upper) == (100, 0, 4)
+
+
+def test_min_rank_budget_is_checked_before_listing():
+    # 2**30 - 1 words on the row-space side and 2**34 - 1 on the kernel side:
+    # both exceed the default budget, which must fail before any allocation
+    m = gf2.random_matrix(30, 64, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(gf2.BudgetExceededError) as exc:
+            gf2.min_rank_over_column_subsets(m, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.nodes, exc.value.lower, exc.value.upper) == (20_000_000, 0, 30)
+    assert peak < 1 << 20
 
 
 def ghw_generator(code, m):
