@@ -8,10 +8,11 @@ two eavesdropper outputs is computed EXACTLY for the realized codebook
 by marginalizing the memoryless channel law over bins and subbins,
 never estimated from samples:
 
-* an erasure-style kernel (every output symbol either reveals a
-  deterministic function of the input or is input-independent noise)
-  admits an exact decomposition over the 2**n reveal patterns, which is
-  what makes block lengths around 16 tractable;
+* an erasure-style kernel (each output symbol reveals a deterministic
+  function of the input or, with total probability delta, is
+  input-independent noise) takes one pass over the 2**n reveal patterns
+  that sums their information by pattern size k into S_k; the leakage
+  is the polynomial sum_k (1 - delta)**k delta**(n - k) S_k;
 * any other kernel is handled by enumerating all |Z|**n output
   sequences, subject to the leakage budget.
 """
@@ -162,30 +163,30 @@ def _row_clogc(bounds: np.ndarray, row_starts: np.ndarray,
     return np.add.reduceat(lut.take(sizes), np.searchsorted(bounds, row_starts))
 
 
-def _pattern_blocks(codebook: NestedCodebook, reveal: np.ndarray):
-    """Pattern-conditional message information, one block of reveal patterns at a time.
+def _erasure_profile(codebook: NestedCodebook, reveal: np.ndarray) -> np.ndarray:
+    """Pattern-conditional message information summed by pattern size.
 
-    For a pattern B of non-erased positions the codewords are grouped by
-    their revealed values; the sums of c*log2(c) over group sizes at
-    global, bin and subbin granularity give I(M1; f(X)_B) and
-    I(M1, M2; f(X)_B) in bits.  Each codeword's key is its (bin, subbin)
-    group id plus its revealed values in base-|reveal| digits above it.
-    The n positions split into `low` and n - low high ones: the keys of
-    all 2**low low sub-patterns form one table built by doubling, and a
-    block is that table plus the high sub-pattern's keys, the high
+    Returns a (2, n + 1) profile: [0, k] sums I(M1; f(X)_B) and [1, k]
+    sums I(M1, M2; f(X)_B), in bits, over the reveal patterns B of size
+    k; a constant reveal map gives zeros.  For a pattern B the codewords
+    are grouped by their revealed values; the sums of c*log2(c) over
+    group sizes at global, bin and subbin granularity give both
+    informations.  Each codeword's key is its (bin, subbin) group id
+    plus its revealed values in base-|reveal| digits above it.  The n
+    positions split into `low` and n - low high ones: the keys of all
+    2**low low sub-patterns form one table built by doubling, and a block
+    is that table plus the high sub-pattern's keys, the high
     sub-patterns walked in Gray-code order so each step adds or removes
     one position.  Each block is sorted row-wise; the finest runs give
     the subbin level, and the coarser levels merge runs, so their
-    boundaries are found among the finest runs' start keys.  Yields
-    (popcount, i_bin, i_subbin) arrays with one entry per pattern of the
-    block; yields nothing when the reveal map is constant, since then no
-    pattern carries information.
+    boundaries are found among the finest runs' start keys.
     """
     n = codebook.n
     k_total = codebook.size
+    profile = np.zeros((2, n + 1))
     base = int(reveal.max()) + 1 if reveal.size else 1
     if base < 2:
-        return
+        return profile
     groups = codebook.n_bins * codebook.n_subbins
     span_bits = n * log2(base) + log2(max(groups, 1))
     if span_bits > 62:
@@ -194,9 +195,8 @@ def _pattern_blocks(codebook: NestedCodebook, reveal: np.ndarray):
     proj_units = reveal[codebook.flat()].astype(dtype)
     weights = (base ** np.arange(n)).astype(dtype)
     contrib = np.ascontiguousarray((proj_units * weights[None, :]).T * dtype(groups))
-    lut = np.zeros(k_total + 1)
-    counts_range = np.arange(1, k_total + 1)
-    lut[1:] = counts_range * np.log2(counts_range)
+    counts_range = np.arange(k_total + 1)
+    lut = counts_range * np.log2(np.maximum(counts_range, 1))
     log_bins = log2(codebook.n_bins)
     log_groups = log2(groups)
 
@@ -214,16 +214,14 @@ def _pattern_blocks(codebook: NestedCodebook, reveal: np.ndarray):
     flat_keys = keys.reshape(-1)
     new_run = np.ones(size + 1, dtype=bool)  # the last entry marks the end
     high = np.zeros(k_total, dtype=dtype)
-    high_pc = 0
     for t in range(1 << (n - low)):
         if t:
             j = (t & -t).bit_length() - 1
             if ((t ^ (t >> 1)) >> j) & 1:
                 high += contrib[low + j]
-                high_pc += 1
             else:
                 high -= contrib[low + j]
-                high_pc -= 1
+        high_pc = bin(t ^ (t >> 1)).count("1")
         np.add(low_keys, high, out=keys)
         keys.sort(axis=1)
         np.not_equal(flat_keys[1:], flat_keys[:-1], out=new_run[1:size])
@@ -246,29 +244,15 @@ def _pattern_blocks(codebook: NestedCodebook, reveal: np.ndarray):
         i_sub = np.maximum(log_groups - (s_glob - s_sub) / k_total, 0.0)
         if t == 0:
             i_bin[0] = i_sub[0] = 0.0  # empty pattern: nothing revealed
-        yield low_pc + high_pc, i_bin, i_sub
+        profile[0, high_pc:high_pc + low + 1] += np.bincount(low_pc, i_bin, low + 1)
+        profile[1, high_pc:high_pc + low + 1] += np.bincount(low_pc, i_sub, low + 1)
+    return profile
 
 
-def _leakage_erasure(codebook: NestedCodebook, reveal: np.ndarray,
-                     requests) -> list[float]:
-    """Exact leakages for erasure-style kernels sharing one reveal map.
-
-    requests is a list of (delta, level) pairs; returns total bits
-    I(messages; Z^n) per request, with level 'bin' scoring m1 and
-    'subbin' scoring (m1, m2).  Each request weighs every reveal pattern
-    by its probability (1 - delta)**|B| * delta**(n - |B|).  One pass
-    over the blocks of reveal patterns serves every request because the
-    pattern-conditional information depends only on the shared reveal
-    map.
-    """
-    n = codebook.n
-    k = np.arange(n + 1)
-    pc_weights = [(1.0 - delta) ** k * delta ** (n - k) for delta, _ in requests]
-    results = [0.0] * len(requests)
-    for pc, i_bin, i_sub in _pattern_blocks(codebook, reveal):
-        for idx, (_, level) in enumerate(requests):
-            results[idx] += float(pc_weights[idx][pc] @ (i_bin if level == "bin" else i_sub))
-    return results
+def _erasure_leakage(row: np.ndarray, delta: float) -> float:
+    """Leakage in bits at noise probability delta: sum_k (1-delta)**k delta**(n-k) row[k]."""
+    k = np.arange(row.size)
+    return float(((1.0 - delta) ** k * delta ** (row.size - 1 - k)) @ row)
 
 
 def _word_laws(words: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -327,8 +311,8 @@ def exact_leakage(codebook: NestedCodebook, kernel, level: str = "bin", *,
         if 2**codebook.n > budget:
             raise ValueError(
                 f"2**n = {2**codebook.n} patterns exceed the exact-leakage budget {budget}")
-        delta, reveal = dec
-        return _leakage_erasure(codebook, reveal, [(delta, level)])[0]
+        profile = _erasure_profile(codebook, dec[1])
+        return _erasure_leakage(profile[1 if level == "subbin" else 0], dec[0])
     return _leakage_general(codebook, w, level, budget)
 
 
@@ -423,8 +407,9 @@ def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
         dec2 = _erasure_decomposition(ch.pz2_x)
         if (dec1 is not None and dec2 is not None
                 and np.array_equal(dec1[1], dec2[1]) and 2**n <= leakage_budget):
-            requests = [(dec1[0], "bin"), (dec2[0], "subbin")]
-            leak1, leak2 = _leakage_erasure(codebook, dec1[1], requests)
+            profile = _erasure_profile(codebook, dec1[1])
+            leak1 = _erasure_leakage(profile[0], dec1[0])
+            leak2 = _erasure_leakage(profile[1], dec2[0])
         else:
             leak1 = exact_leakage(codebook, ch.pz1_x, "bin", budget=leakage_budget)
             leak2 = exact_leakage(codebook, ch.pz2_x, "subbin", budget=leakage_budget)

@@ -122,7 +122,9 @@ def _cmd_region_parallel(args) -> int:
 
 def _cmd_region_parallel_total(args) -> int:
     ch = _parallel_channel(args, pooled=True)
-    bnd = gauss.region_parallel_total(ch, grid=args.grid)
+    if not args.grid > 0:
+        raise ValueError("grid resolution must be positive")
+    bnd = gauss.region_parallel_total(ch)
     _emit_json(bnd.to_dict(), args.out)
     if args.csv:
         _emit_csv(bnd.points, ("R1", "R2"), args.csv)
@@ -201,11 +203,11 @@ def _cmd_dmc_region_point(args) -> int:
     else:
         with open(args.aux) as f:
             spec = json.load(f)
-        if not isinstance(spec, dict):
+        keys = ("pu", "pv_u", "px_v")
+        if not isinstance(spec, dict) or any(
+                np.asarray(spec[k]).dtype.kind not in "iuf" for k in keys):
             raise ValueError("--aux must hold a JSON object with pu, pv_u, px_v")
-        aux = dmc.AuxiliaryChain(pu=np.asarray(spec["pu"], dtype=float),
-                                 pv_u=np.asarray(spec["pv_u"], dtype=float),
-                                 px_v=np.asarray(spec["px_v"], dtype=float))
+        aux = dmc.AuxiliaryChain(*(np.asarray(spec[k], dtype=float) for k in keys))
         bounds = dmc.region_point_full(ch, aux)
     _emit_json(bounds.to_dict(), args.out)
     return 0

@@ -137,9 +137,11 @@ class DmcTriple:
         if len(shape) != 4 or not all(type(v) is int and v >= 1 for v in shape):
             raise ValueError("channel must be a JSON object with integers nx, ny, nz1, nz2 >= 1")
         size = math.prod(shape)
-        if not isinstance(d.get("p"), list) or len(d["p"]) != size:
-            raise ValueError(f"channel p must be a list of {size} entries")
-        return cls(np.asarray(d["p"], dtype=float).reshape(shape))
+        p = d.get("p")
+        if not (isinstance(p, list) and len(p) == size
+                and all(type(v) in (int, float) for v in p)):
+            raise ValueError(f"channel p must be a list of {size} numbers")
+        return cls(np.asarray(p, dtype=float).reshape(shape))
 
 
 def bec_kernel(delta: float) -> np.ndarray:

@@ -375,17 +375,14 @@ class TotalPowerBoundary:
                 "embedding_gap": self.embedding_gap()}
 
 
-def region_parallel_total(ch: ParallelGaussChannel, grid: float | None = None) -> TotalPowerBoundary:
+def region_parallel_total(ch: ParallelGaussChannel) -> TotalPowerBoundary:
     """Pooled-power region boundary by exact secrecy water-filling.
 
     The extreme allocations are single-objective ``_waterfill`` solves.  An
     objective with no subchannel of a > b is flat: the low one then takes
     the equal split and the high one the low one's allocation, so the gap
-    is 0.  ``grid`` is accepted for compatibility and changes nothing, but
-    must still be positive if given.
+    is 0.
     """
-    if grid is not None and not grid > 0:
-        raise ValueError("grid resolution must be positive")
     if ch.total_power is None:
         raise ValueError("pooled-power region needs total_power")
     total, dims = float(ch.total_power), ch.n_sub

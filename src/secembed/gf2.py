@@ -222,6 +222,9 @@ def min_rank_over_column_subsets(m, size: int, *, node_limit: int = 20_000_000) 
     plus the grown subcodes.  Raises ValueError when node_limit < 1, and
     BudgetExceededError past it: the instance is beyond desk scale, and the
     error carries the bracket [lower, upper] on the minimum reached so far.
+    The limit does not bound time: each grown support also scans the listed
+    words, and that scan is not counted, so mid-size instances (size near
+    rank near n/2) can run for minutes without raising.
     """
     if node_limit < 1:
         raise ValueError(f"node_limit must be >= 1, got {node_limit}")

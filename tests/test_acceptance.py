@@ -87,7 +87,7 @@ def test_criterion_4_two_subchannel_pooled_power_gap():
     full-rate corner is strictly infeasible (embeddable, not perfectly)."""
     ch = ParallelGaussChannel(a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1),
                               total_power=1.0)
-    bnd = gauss.region_parallel_total(ch, grid=1e-3)
+    bnd = gauss.region_parallel_total(ch)
     alloc_gap = max(abs(x - y) for x, y in zip(bnd.alloc_max_r1, bnd.alloc_max_sum))
     gap = bnd.embedding_gap()
     corner = (bnd.max_r1, bnd.max_sum - bnd.max_r1)

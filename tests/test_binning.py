@@ -127,7 +127,7 @@ def pattern_statistics_reference(codebook, reveal):
 
 
 def leakage_erasure_reference(codebook, reveal, requests):
-    """Pattern-by-pattern sum that binning._leakage_erasure must equal."""
+    """Pattern-by-pattern sums that the erasure profile's evaluations must equal."""
     n = codebook.n
     results = [0.0] * len(requests)
     for pc, i_bin, i_sub in pattern_statistics_reference(codebook, reveal):
@@ -165,6 +165,23 @@ def erasure_cases(draw):
 @pytest.mark.parametrize("block_keys", [1, 2**20])
 @settings(max_examples=60, deadline=None)
 @given(case=erasure_cases())
+def test_erasure_profile_matches_per_pattern_reference(case, block_keys):
+    """Each profile coefficient is the loop's sum over the patterns of that size."""
+    cb, kernel, _ = case
+    _, reveal = binning._erasure_decomposition(kernel)
+    want = np.zeros((2, cb.n + 1))
+    for pc, i_bin, i_sub in pattern_statistics_reference(cb, reveal):
+        want[:, pc] += (i_bin, i_sub)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binning, "_BLOCK_KEYS", block_keys)
+        got = binning._erasure_profile(cb, reveal)
+    assert got.shape == (2, cb.n + 1)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("block_keys", [1, 2**20])
+@settings(max_examples=60, deadline=None)
+@given(case=erasure_cases())
 def test_leakage_erasure_matches_per_pattern_reference(case, block_keys):
     """Blocks of one pattern and blocks of every pattern both equal the loop."""
     cb, kernel, requests = case
@@ -172,7 +189,9 @@ def test_leakage_erasure_matches_per_pattern_reference(case, block_keys):
     want = leakage_erasure_reference(cb, reveal, requests)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binning, "_BLOCK_KEYS", block_keys)
-        got = binning._leakage_erasure(cb, reveal, requests)
+        profile = binning._erasure_profile(cb, reveal)
+    got = [binning._erasure_leakage(profile[1 if level == "subbin" else 0], d)
+           for d, level in requests]
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -237,14 +256,18 @@ def test_leakage_erasure_wide_keys_match_reference():
     reveal = np.arange(5)
     requests = [(0.5, "bin"), (0.9, "subbin")]
     want = leakage_erasure_reference(cb, reveal, requests)
-    assert binning._leakage_erasure(cb, reveal, requests) == pytest.approx(want, abs=1e-12)
+    profile = binning._erasure_profile(cb, reveal)
+    got = [binning._erasure_leakage(profile[0], 0.5), binning._erasure_leakage(profile[1], 0.9)]
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_leakage_erasure_constant_kernel_is_zero():
     cb = binning.make_codebook([0.5, 0.5], 6, (3, 5, 2), np.random.default_rng(8))
     delta, reveal = binning._erasure_decomposition(dmc.constant_kernel(2))
     assert delta == 1.0
-    assert binning._leakage_erasure(cb, reveal, [(1.0, "bin"), (0.5, "subbin")]) == [0.0, 0.0]
+    profile = binning._erasure_profile(cb, reveal)
+    assert profile.shape == (2, 7) and not profile.any()
+    assert [binning._erasure_leakage(row, d) for row, d in zip(profile, (1.0, 0.5))] == [0.0, 0.0]
 
 
 # (error_rate, leak_m1_strong, leak_messages_weak) of simulate_nested_binning on

@@ -216,6 +216,7 @@ def bec_channel_dict(**changes):
     bec_channel_dict(ny=0),
     bec_channel_dict(p=5),
     bec_channel_dict(p=[0.5] * 4),
+    {"nx": 2, "ny": 1, "nz1": 1, "nz2": 1, "p": [{}, {}]},
 ])
 def test_malformed_channel_file_is_domain_error(tmp_path, capsys, command, channel):
     path = tmp_path / "ch.json"
@@ -226,7 +227,10 @@ def test_malformed_channel_file_is_domain_error(tmp_path, capsys, command, chann
     assert payload["error"] == "ValueError" and "channel" in payload["message"]
 
 
-@pytest.mark.parametrize("spec", [[1], "aux", 3])
+@pytest.mark.parametrize("spec", [
+    [1], "aux", 3,
+    {"pu": {"a": 1}, "pv_u": [[1]], "px_v": [[0.5, 0.5]]},
+])
 def test_malformed_aux_file_is_domain_error(tmp_path, capsys, spec):
     aux = tmp_path / "aux.json"
     aux.write_text(json.dumps(spec))

@@ -150,7 +150,7 @@ def test_parallel_individual_zero_high_when_b1_matches_a():
 
 def test_parallel_total_single_subchannel_matches_scalar_boundary():
     ch = ParallelGaussChannel(a=(1.0,), b1=(0.5,), b2=(0.1,), total_power=1.0)
-    bnd = gauss.region_parallel_total(ch, grid=1e-3)
+    bnd = gauss.region_parallel_total(ch)
     sca = gauss.region_scalar(ScalarGaussChannel(1.0, 1.0, 0.5, 0.1))
     assert bnd.max_r1 == pytest.approx(sca.cap_high, abs=1e-12)
     assert bnd.max_sum == pytest.approx(sca.cap_low, abs=1e-12)
@@ -162,7 +162,7 @@ def test_parallel_total_single_subchannel_matches_scalar_boundary():
 def test_parallel_total_symmetric_subchannels_split_evenly():
     ch = ParallelGaussChannel(a=(1.0, 1.0), b1=(0.5, 0.5), b2=(0.1, 0.1),
                               total_power=1.0)
-    bnd = gauss.region_parallel_total(ch, grid=1e-4)
+    bnd = gauss.region_parallel_total(ch)
     assert bnd.alloc_max_sum[0] == pytest.approx(0.5, abs=1e-3)
     assert bnd.alloc_max_r1[0] == pytest.approx(0.5, abs=1e-3)
     assert bnd.embedding_gap() == pytest.approx(0.0, abs=1e-9)
@@ -171,7 +171,7 @@ def test_parallel_total_symmetric_subchannels_split_evenly():
 def test_parallel_total_two_subchannel_reference():
     ch = ParallelGaussChannel(a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1),
                               total_power=1.0)
-    bnd = gauss.region_parallel_total(ch, grid=1e-3)
+    bnd = gauss.region_parallel_total(ch)
     # the weak-eavesdropper objective is symmetric: even split
     assert bnd.alloc_max_sum[0] == pytest.approx(0.5, abs=2e-3)
     # the strong-eavesdropper objective prefers the better second subchannel
@@ -189,7 +189,7 @@ def test_parallel_total_two_subchannel_reference():
 def test_parallel_total_region_nests_fixed_allocations():
     ch = ParallelGaussChannel(a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1),
                               total_power=1.0)
-    bnd = gauss.region_parallel_total(ch, grid=1e-3)
+    bnd = gauss.region_parallel_total(ch)
     rng = np.random.default_rng(8)
     for _ in range(25):
         split = float(rng.uniform(0, 1))
@@ -202,7 +202,7 @@ def test_parallel_total_region_nests_fixed_allocations():
 def test_boundary_points_monotone_and_feasible():
     ch = ParallelGaussChannel(a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1),
                               total_power=1.0)
-    bnd = gauss.region_parallel_total(ch, grid=1e-3)
+    bnd = gauss.region_parallel_total(ch)
     pts = bnd.points
     assert (np.diff(pts[:, 0]) > 0).all()
     assert (pts[:, 1] >= -1e-12).all()
