@@ -205,7 +205,7 @@ def _cmd_dmc_region_point(args) -> int:
             spec = json.load(f)
         keys = ("pu", "pv_u", "px_v")
         if not isinstance(spec, dict) or any(
-                np.asarray(spec[k]).dtype.kind not in "iuf" for k in keys):
+                np.asarray(spec.get(k)).dtype.kind not in "iuf" for k in keys):
             raise ValueError("--aux must hold a JSON object with pu, pv_u, px_v")
         aux = dmc.AuxiliaryChain(*(np.asarray(spec[k], dtype=float) for k in keys))
         bounds = dmc.region_point_full(ch, aux)

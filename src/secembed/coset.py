@@ -6,7 +6,9 @@ elsewhere.  A two-level coset code stacks two parity-check matrices,
 ``h1`` (high-security syndromes, ``k1 = n*(1 - alpha1 - eps)`` rows)
 and ``h2`` (low-security syndromes, ``k2 = n*(alpha1 - alpha2)`` rows).
 Encoding picks a uniform solution of the stacked syndrome equations;
-decoding is syndrome computation.
+decoding is syndrome computation.  Each code reduces its constraint
+rows once, when it is built, and every encode and equivocation call
+reads that reduction and the code's packed columns.
 
 Security is certified exactly: for an observed position set S the
 eavesdropper's equivocation about the messages equals the GF(2)
@@ -154,6 +156,10 @@ class CosetCodePair:
 
     The code owns one read-only copy of the full-row-rank parity-check
     matrix ``stacked`` = [h1; h2]; ``h1`` and ``h2`` are row views of it.
+    Building the code reduces its rows once, each tagged with its own
+    syndrome bit (``gf2._affine_map``): that checks the full row rank and
+    gives encode its solution map.  It also packs the columns of
+    ``stacked`` for equivocation.
     """
 
     params: WiretapIIParams
@@ -162,6 +168,8 @@ class CosetCodePair:
     d1_star: int
     d2_star: int
     stacked: np.ndarray = field(init=False, repr=False, compare=False)
+    _encoder: tuple = field(init=False, repr=False, compare=False)
+    _columns: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.params
@@ -172,9 +180,12 @@ class CosetCodePair:
                 f"parity-check shapes {h1.shape}, {h2.shape} do not match "
                 f"(k1, n) = {(p.k1, p.n)}, (k2, n) = {(p.k2, p.n)}")
         stacked = np.vstack([h1, h2])  # a copy: the caller's arrays are never aliased
-        if gf2.rank(stacked) != stacked.shape[0]:
+        encoder = gf2._affine_map(gf2.pack_rows(stacked), p.n)
+        if encoder[2]:  # a dependency among the rows
             raise ValueError("stacked parity-check matrix must have full row rank")
         stacked.flags.writeable = False
+        object.__setattr__(self, "_encoder", encoder)
+        object.__setattr__(self, "_columns", gf2.pack_rows(stacked.T))
         object.__setattr__(self, "stacked", stacked)
         object.__setattr__(self, "h1", stacked[:p.k1])
         object.__setattr__(self, "h2", stacked[p.k1:])
@@ -248,15 +259,17 @@ def encode(code: CosetCodePair, m1: int, m2: int, rng: np.random.Generator) -> n
     The pair is the one syndrome ``m1 | m2 << k1``, little-endian over
     the rows of the stacked matrix (h1's rows first).  The returned x
     satisfies stacked @ x = that syndrome and is uniform over that
-    coset.  Infeasibility cannot occur because the stacked matrix has
-    full row rank.
+    coset.  It is sampled from the solution map the code reduced once
+    when it was built, with the same draw as ``gf2.solve_affine`` on
+    ``stacked.T``.  Infeasibility cannot occur because the stacked
+    matrix has full row rank.
     """
     m1, m2 = operator.index(m1), operator.index(m2)  # Python ints: no shift overflow
     for m, k in ((m1, code.k1), (m2, code.k2)):
         if not 0 <= m < (1 << k):
             raise ValueError(f"message index {m} out of range 0..{(1 << k) - 1}")
-    s = gf2.unpack_rows([m1 | m2 << code.k1], code.rows)[0]
-    return gf2.solve_affine(code.stacked.T, s, rng)
+    x = gf2._sample_affine(code._encoder, m1 | m2 << code.k1, rng)
+    return gf2.unpack_rows([x], code.n)[0]
 
 
 def decode(code: CosetCodePair, x) -> tuple[int, int]:
@@ -288,15 +301,17 @@ def equivocation(code: CosetCodePair, observed, level: str = "both") -> int:
     syndromes is uniform on an affine space of that dimension.
 
     level="both" scores (m1, m2) against the stacked matrix;
-    level="high" scores m1 alone against h1.
+    level="high" scores m1 alone against h1, the low k1 bits of each
+    packed column.
     """
     s = set(gf2.positions(observed, code.n))
-    complement = [i for i in range(code.n) if i not in s]
     if level == "both":
-        return gf2.column_subset_dim(code.stacked, complement)
-    if level == "high":
-        return gf2.column_subset_dim(code.h1, complement)
-    raise ValueError("level must be 'both' or 'high'")
+        mask = (1 << code.rows) - 1
+    elif level == "high":
+        mask = (1 << code.k1) - 1
+    else:
+        raise ValueError("level must be 'both' or 'high'")
+    return len(gf2._rref([c & mask for i, c in enumerate(code._columns) if i not in s]))
 
 
 def _certificates(p: WiretapIIParams, stacked: np.ndarray, node_limit: int) -> tuple[int, int]:

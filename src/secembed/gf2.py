@@ -14,9 +14,12 @@ every conversion between arrays and ints goes through them.
 
 Row reduction has one form, ``_rref``: the fully reduced echelon form
 whose pivots are each row's lowest set bit.  ``rank``, ``nullspace``,
-``solve_affine`` (target bit appended above the columns) and the
-subset-rank search, which grows subcodes of bounded support by Wei's
-generalized Hamming weight identity, all read it.
+``solve_affine`` and the subset-rank search, which grows subcodes of
+bounded support by Wei's generalized Hamming weight identity, all read
+it.  ``solve_affine`` reduces the constraint rows each tagged with its
+own bit above the columns, so the reduced rows say which constraints
+sum to them: that tagged map serves every syndrome, and a coset code
+builds it once and samples from it per word.
 """
 
 from __future__ import annotations
@@ -167,6 +170,47 @@ def nullspace(m) -> np.ndarray:
     return unpack_rows(_kernel_rows(_rref(pack_rows(a)), n), n)
 
 
+def _affine_map(rows, n: int) -> tuple[list[tuple[int, int, int]], list[int], list[int]]:
+    """One reduction of the system {x : parity(rows[i] & x) = s_i} for every s.
+
+    Row i is tagged with bit n + i before _rref, so above bit n each
+    reduced row records the constraints that sum to it, and its low n
+    bits are the RREF of the untagged rows.  Returns (pivots, free,
+    checks): each pivot bit below n as (pivot, low row, tag); the free
+    bits below n in column order; and the tags of the rows with no low
+    bit, which span the dependencies among the rows (none iff the rows
+    are independent).
+    """
+    basis = _rref([r | 1 << (n + i) for i, r in enumerate(rows)])
+    low = (1 << n) - 1
+    pivots = [(p, r & low, r >> n) for p, r in basis.items() if p <= low]
+    checks = [r >> n for p, r in basis.items() if p > low]
+    return pivots, _free_bits(basis, n), checks
+
+
+def _sample_affine(affine_map, s: int, rng: np.random.Generator) -> int:
+    """Packed uniform solution x of an _affine_map system for the packed syndrome s.
+
+    A dependency with odd parity against s reads 0 = 1 and raises
+    InfeasibleSystemError.  Otherwise one coefficient is drawn per free
+    bit, and pivot bit p is set when its row's parity over the drawn bits
+    differs from its tag's parity over s: x = sP xor rK, for P the
+    particular-solution map and K the kernel basis of _kernel_rows.
+    """
+    pivots, free, checks = affine_map
+    if any((t & s).bit_count() & 1 for t in checks):
+        raise InfeasibleSystemError("no solution: syndrome outside the row-space image")
+    drawn = 0
+    for f, c in zip(free, rng.integers(0, 2, size=len(free), dtype=np.uint8).tolist()):
+        if c:
+            drawn |= f
+    x = drawn
+    for p, row, tag in pivots:
+        if ((row & drawn).bit_count() ^ (tag & s).bit_count()) & 1:
+            x |= p
+    return x
+
+
 def solve_affine(m, s, rng: np.random.Generator) -> np.ndarray:
     """Sample a uniform solution x of the transposed system x^T m = s^T.
 
@@ -175,8 +219,10 @@ def solve_affine(m, s, rng: np.random.Generator) -> np.ndarray:
     equivalently ``m.T @ x = s``.  The returned x is drawn uniformly
     from the full solution set: a particular solution plus a uniform
     GF(2) combination of a kernel basis, which gives every solution
-    probability 2**-(n - rank).  Both come from one elimination of the
-    augmented system.
+    probability 2**-(n - rank).  Both come from one reduction of the
+    constraint rows, each tagged with its own bit above the columns
+    (``_affine_map``); a caller that solves one system for many s, such
+    as a coset code's encoder, keeps that map and samples from it.
 
     Raises ValueError when s is not a 0/1 vector of length k, and
     InfeasibleSystemError when s is not in the image.
@@ -186,19 +232,7 @@ def solve_affine(m, s, rng: np.random.Generator) -> np.ndarray:
     s = bit_array(s, "syndrome").reshape(-1)
     if s.shape[0] != k:
         raise ValueError(f"syndrome length {s.shape[0]} != number of constraints {k}")
-    # constraint rows of m.T, augmented with the target bit at position n
-    target = 1 << n
-    basis = _rref([r | (target if b else 0) for r, b in zip(pack_rows(a.T), s)])
-    if target in basis:  # a row reads 0 = 1
-        raise InfeasibleSystemError("no solution: syndrome outside the row-space image")
-    # Kernel row f is f plus the pivots whose row has bit f, so the drawn free
-    # bits and the target bit fix each pivot bit by the parity of its row.
-    free = _free_bits(basis, n)
-    drawn = target
-    for f, c in zip(free, rng.integers(0, 2, size=len(free), dtype=np.uint8)):
-        if c:
-            drawn |= f
-    x = drawn ^ target | sum(p for p, r in basis.items() if (r & drawn).bit_count() & 1)
+    x = _sample_affine(_affine_map(pack_rows(a.T), n), pack_rows([s])[0], rng)
     return unpack_rows([x], n)[0]
 
 

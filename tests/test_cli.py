@@ -230,6 +230,7 @@ def test_malformed_channel_file_is_domain_error(tmp_path, capsys, command, chann
 @pytest.mark.parametrize("spec", [
     [1], "aux", 3,
     {"pu": {"a": 1}, "pv_u": [[1]], "px_v": [[0.5, 0.5]]},
+    {"pu": [1]},
 ])
 def test_malformed_aux_file_is_domain_error(tmp_path, capsys, spec):
     aux = tmp_path / "aux.json"

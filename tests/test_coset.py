@@ -372,6 +372,32 @@ def test_encode_numpy_messages_beyond_63_syndrome_bits():
         coset.encode(code, np.int64(2**48), 0, np.random.default_rng(0))
 
 
+@settings(max_examples=150, deadline=None)
+@given(code=codes(), data=st.data())
+def test_equivocation_matches_column_subset_dim(code, data):
+    everything = set(range(code.n))
+    observed = data.draw(st.one_of(st.just(set()), st.just(everything),
+                                   st.sets(st.sampled_from(sorted(everything)))))
+    hidden = sorted(everything - observed)
+    assert coset.equivocation(code, observed, "both") == \
+        gf2.column_subset_dim(code.stacked, hidden)
+    assert coset.equivocation(code, observed, "high") == gf2.column_subset_dim(code.h1, hidden)
+
+
+def test_equivocation_beyond_63_syndrome_bits():
+    params = WiretapIIParams(n=128, alpha1=0.5, alpha2=0.125, eps=0.125)
+    code = full_rank_code(params, np.random.default_rng(128))
+    assert code.rows == 96
+    rng = np.random.default_rng(7)
+    sets = [[], list(range(128))] + [rng.permutation(128)[:size] for size in (16, 32, 64, 100)]
+    for observed in sets:
+        hidden = sorted(set(range(128)) - {int(i) for i in observed})
+        assert coset.equivocation(code, observed, "both") == \
+            gf2.column_subset_dim(code.stacked, hidden)
+        assert coset.equivocation(code, observed, "high") == \
+            gf2.column_subset_dim(code.h1, hidden)
+
+
 def test_code_does_not_alias_caller_arrays():
     params = WiretapIIParams(n=16, alpha1=0.5, alpha2=0.25, eps=0.25)
     h = coset.construct(params, seed=1).stacked.copy()
@@ -414,6 +440,22 @@ def test_parity_checks_are_read_exactly(h1, h2, match):
         CosetCodePair(params=params, h1=h1, h2=h2, d1_star=1, d2_star=1)
 
 
+@pytest.mark.parametrize("h1, h2", [
+    ([[1, 1, 0, 0], [1, 1, 0, 0]], [[0, 0, 1, 0]]),
+    ([[1, 1, 0, 0], [0, 0, 0, 0]], [[0, 0, 1, 0]]),
+    ([[1, 1, 0, 0], [0, 1, 1, 0]], [[1, 0, 1, 0]]),
+], ids=["duplicated-row", "zero-row", "h2-sum-of-h1-rows"])
+def test_rank_deficient_parity_checks_are_rejected(h1, h2):
+    params = WiretapIIParams(n=4, alpha1=0.5, alpha2=0.25, eps=0.0)
+    assert (params.k1, params.k2) == (2, 1)
+    with pytest.raises(ValueError, match="full row rank"):
+        CosetCodePair(params=params, h1=h1, h2=h2, d1_star=0, d2_star=0)
+    bundle = {"params": params.to_dict(), "H1": gf2.matrix_to_text(h1),
+              "H2": gf2.matrix_to_text(h2), "d1_star": 0, "d2_star": 0, "seed": None}
+    with pytest.raises(ValueError, match="full row rank"):
+        CosetCodePair.from_bundle(bundle)
+
+
 def test_parity_checks_of_any_binary_dtype_and_zero_rows_are_accepted():
     params = WiretapIIParams(n=4, alpha1=0.75, alpha2=0.5, eps=0.0)
     code = CosetCodePair(params=params, h1=np.ones((1, 4)), h2=[[True, False, True, False]],
@@ -434,9 +476,9 @@ def test_construct_ranks_each_draw_once_and_builds_one_code(monkeypatch):
     monkeypatch.setattr(CosetCodePair, "__post_init__",
                         lambda self: builds.append(1) or post_init(self))
     code = coset.construct(WiretapIIParams(16, 0.5, 0.25, 0.25), seed=1)
-    # one rank per draw in the loop, one in the accepted code's own check
+    # one rank per draw in the loop; the code's own check is its tagged reduction
     assert len(builds) == 1
-    assert ranks == [(8, 16)] * 2
+    assert ranks == [(8, 16)]
     assert coset.worst_case_security(code) == (code.d1_star, code.d2_star)
 
 
