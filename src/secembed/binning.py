@@ -19,6 +19,8 @@ never estimated from samples:
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from math import isfinite, log2
 
@@ -163,6 +165,13 @@ def _row_clogc(bounds: np.ndarray, row_starts: np.ndarray,
     return np.add.reduceat(lut.take(sizes), np.searchsorted(bounds, row_starts))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _erasure_profile(codebook: NestedCodebook, reveal: np.ndarray) -> np.ndarray:
     """Pattern-conditional message information summed by pattern size.
 
@@ -180,6 +189,13 @@ def _erasure_profile(codebook: NestedCodebook, reveal: np.ndarray) -> np.ndarray
     one position.  Each block is sorted row-wise; the finest runs give
     the subbin level, and the coarser levels merge runs, so their
     boundaries are found among the finest runs' start keys.
+
+    The walk is split into one contiguous range of blocks per usable CPU,
+    each run by a thread (numpy releases the interpreter lock in the
+    sorts and reductions).  A thread sorts 1/2**ceil(log2(threads)) of a
+    block's rows at a time, so the keys in flight stay at one block.
+    Each block's partial profile is kept and the partials are added in
+    block order, so the result does not depend on the thread count.
     """
     n = codebook.n
     k_total = codebook.size
@@ -208,44 +224,85 @@ def _erasure_profile(codebook: NestedCodebook, reveal: np.ndarray) -> np.ndarray
     for j in range(low):
         np.add(low_keys[:1 << j], contrib[j], out=low_keys[1 << j:2 << j])
         low_pc[1 << j:2 << j] = low_pc[:1 << j] + 1
-    size = rows * k_total
-    row_starts = np.arange(0, size, k_total)
-    keys = np.empty_like(low_keys)
-    flat_keys = keys.reshape(-1)
-    new_run = np.ones(size + 1, dtype=bool)  # the last entry marks the end
-    high = np.zeros(k_total, dtype=dtype)
-    for t in range(1 << (n - low)):
-        if t:
-            j = (t & -t).bit_length() - 1
-            if ((t ^ (t >> 1)) >> j) & 1:
-                high += contrib[low + j]
-            else:
-                high -= contrib[low + j]
+    n_blocks = 1 << (n - low)
+    threads = max(1, min(_usable_cpus(), n_blocks))
+    part = max(1, rows >> (threads - 1).bit_length())  # rows sorted at a time
+    partials = np.empty((n_blocks, 2, low + 1))
+    stop = threading.Event()
+
+    def walk(first: int, last: int) -> None:
+        """Fill partials[first:last], one block per high sub-pattern."""
+        size = part * k_total
+        row_starts = np.arange(0, size, k_total)
+        keys = np.empty((part, k_total), dtype=dtype)
+        flat_keys = keys.reshape(-1)
+        new_run = np.ones(size + 1, dtype=bool)  # the last entry marks the end
+        gray = first ^ (first >> 1)
+        high = contrib[[low + j for j in range(n - low) if gray >> j & 1]].sum(
+            axis=0, dtype=dtype)
+        i_bin = np.empty(rows)
+        i_sub = np.empty(rows)
+        for t in range(first, last):
+            if stop.is_set():
+                return
+            if t > first:
+                j = (t & -t).bit_length() - 1
+                if ((t ^ (t >> 1)) >> j) & 1:
+                    high += contrib[low + j]
+                else:
+                    high -= contrib[low + j]
+            for r0 in range(0, rows, part):
+                np.add(low_keys[r0:r0 + part], high, out=keys)
+                keys.sort(axis=1)
+                np.not_equal(flat_keys[1:], flat_keys[:-1], out=new_run[1:size])
+                new_run[row_starts] = True
+                bounds = np.flatnonzero(new_run)
+                s_sub = _row_clogc(bounds, row_starts, lut)
+                # coarser levels: a finest run starts a new group where its
+                # (projection, bin) or projection key changes, or where a row starts
+                first_run = np.searchsorted(bounds, row_starts)
+                reps = flat_keys.take(bounds[:-1]) // codebook.n_subbins
+                merged = np.ones(bounds.size, dtype=bool)
+                np.not_equal(reps[1:], reps[:-1], out=merged[1:-1])
+                merged[first_run] = True
+                s_bin = _row_clogc(bounds.take(np.flatnonzero(merged)), row_starts, lut)
+                reps //= codebook.n_bins
+                np.not_equal(reps[1:], reps[:-1], out=merged[1:-1])
+                merged[first_run] = True
+                s_glob = _row_clogc(bounds.take(np.flatnonzero(merged)), row_starts, lut)
+                i_bin[r0:r0 + part] = np.maximum(log_bins - (s_glob - s_bin) / k_total, 0.0)
+                i_sub[r0:r0 + part] = np.maximum(log_groups - (s_glob - s_sub) / k_total,
+                                                 0.0)
+            if t == 0:
+                i_bin[0] = i_sub[0] = 0.0  # empty pattern: nothing revealed
+            partials[t, 0] = np.bincount(low_pc, i_bin, low + 1)
+            partials[t, 1] = np.bincount(low_pc, i_sub, low + 1)
+
+    errors = []
+
+    def guarded_walk(first: int, last: int) -> None:
+        try:
+            walk(first, last)
+        except BaseException as exc:  # re-raised in the calling thread below
+            errors.append(exc)
+            stop.set()  # the other threads quit at their next block
+
+    cuts = [n_blocks * w // threads for w in range(threads + 1)]
+    helpers = [threading.Thread(target=guarded_walk, args=span)
+               for span in zip(cuts[1:-1], cuts[2:])]
+    for helper in helpers:
+        helper.start()
+    try:
+        guarded_walk(cuts[0], cuts[1])
+        for helper in helpers:
+            helper.join()
+    finally:
+        stop.set()  # an interrupt while joining stops the helpers too
+    if errors:
+        raise errors[0]
+    for t in range(n_blocks):
         high_pc = bin(t ^ (t >> 1)).count("1")
-        np.add(low_keys, high, out=keys)
-        keys.sort(axis=1)
-        np.not_equal(flat_keys[1:], flat_keys[:-1], out=new_run[1:size])
-        new_run[row_starts] = True
-        bounds = np.flatnonzero(new_run)
-        s_sub = _row_clogc(bounds, row_starts, lut)
-        # coarser levels: a finest run starts a new group where its
-        # (projection, bin) or projection key changes, or where a row starts
-        first = np.searchsorted(bounds, row_starts)
-        reps = flat_keys.take(bounds[:-1]) // codebook.n_subbins
-        merged = np.ones(bounds.size, dtype=bool)
-        np.not_equal(reps[1:], reps[:-1], out=merged[1:-1])
-        merged[first] = True
-        s_bin = _row_clogc(bounds.take(np.flatnonzero(merged)), row_starts, lut)
-        reps //= codebook.n_bins
-        np.not_equal(reps[1:], reps[:-1], out=merged[1:-1])
-        merged[first] = True
-        s_glob = _row_clogc(bounds.take(np.flatnonzero(merged)), row_starts, lut)
-        i_bin = np.maximum(log_bins - (s_glob - s_bin) / k_total, 0.0)
-        i_sub = np.maximum(log_groups - (s_glob - s_sub) / k_total, 0.0)
-        if t == 0:
-            i_bin[0] = i_sub[0] = 0.0  # empty pattern: nothing revealed
-        profile[0, high_pc:high_pc + low + 1] += np.bincount(low_pc, i_bin, low + 1)
-        profile[1, high_pc:high_pc + low + 1] += np.bincount(low_pc, i_sub, low + 1)
+        profile[:, high_pc:high_pc + low + 1] += partials[t]
     return profile
 
 
@@ -340,11 +397,13 @@ def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
     y = (u[:, :, None] >= cdf[x][:, :, :-1]).sum(axis=2)
     decoded = np.empty(trials, dtype=np.int64)
     rows = max(1, _DECODE_SCORES // k_total)
+    logw_t = np.ascontiguousarray(logw.T)
+    cols = np.ascontiguousarray(flat.T)
     for start in range(0, trials, rows):
         yc = y[start:start + rows]
         scores = np.zeros((len(yc), k_total))
         for i in range(codebook.n):  # the unchunked sum order, so argmax ties break alike
-            scores += logw[flat[:, i][None, :], yc[:, i][:, None]]
+            scores += logw_t[yc[:, i]].take(cols[i], axis=1)
         decoded[start:start + rows] = np.argmax(scores, axis=1)
     errs = (decoded // codebook.n_per) != (sent // codebook.n_per)
     return float(errs.mean())

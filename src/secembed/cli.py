@@ -58,8 +58,16 @@ def _emit_csv(rows, header, path: str):
             f.write(",".join(f"{v:.12g}" for v in row) + "\n")
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(","))
+def _floats(text: str, flag: str) -> tuple:
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"--{flag} must be comma-separated numbers, got {text!r}") from None
+
+
+def _check_seed(args):
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
 
 
 def _check_points(args):
@@ -104,7 +112,7 @@ def _parallel_channel(args, pooled: bool) -> gauss.ParallelGaussChannel:
     missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
     if missing:
         raise ValueError(f"missing {', '.join(missing)}; give them or --preset")
-    kwargs = {flag: _floats(getattr(args, flag)) for flag in flags}
+    kwargs = {flag: _floats(getattr(args, flag), flag) for flag in flags}
     if pooled:
         kwargs["total_power"] = args.P
     return gauss.ParallelGaussChannel(**kwargs)
@@ -132,6 +140,7 @@ def _cmd_region_parallel_total(args) -> int:
 
 
 def _cmd_code_construct(args) -> int:
+    _check_seed(args)
     params = coset.WiretapIIParams(n=args.n, alpha1=args.alpha1, alpha2=args.alpha2,
                                    eps=args.eps)
     code = coset.construct(params, seed=args.seed, max_attempts=args.max_attempts,
@@ -162,17 +171,24 @@ def _load_channel(args) -> dmc.DmcTriple:
         with open(args.channel) as f:
             return dmc.DmcTriple.from_dict(json.load(f))
     if args.bec:
-        d1, d2 = _floats(args.bec)
+        deltas = _floats(args.bec, "bec")
+        if len(deltas) != 2:
+            raise ValueError(f"--bec must be two erasure probabilities D1,D2, got {args.bec!r}")
+        d1, d2 = deltas
         return dmc.DmcTriple.independent(dmc.noiseless_kernel(2),
                                          dmc.bec_kernel(d1), dmc.bec_kernel(d2))
     raise ValueError("give either --channel FILE or --bec D1,D2")
 
 
 def _cmd_sim_dmc(args) -> int:
+    _check_seed(args)
     ch = _load_channel(args)
-    px = _floats(args.px)
-    rates = _floats(args.rates)
-    blocks = [int(x) for x in args.n.split(",")]
+    px = _floats(args.px, "px")
+    rates = _floats(args.rates, "rates")
+    try:
+        blocks = [int(x) for x in args.n.split(",")]
+    except ValueError:
+        raise ValueError(f"--n must be comma-separated integers, got {args.n!r}") from None
     for n in blocks:
         binning.rates_to_counts(rates, n)  # reject every block before simulating any
     reports = []
@@ -199,7 +215,7 @@ def _cmd_dmc_region_point(args) -> int:
     if (args.px is None) == (args.aux is None):
         raise ValueError("give exactly one of --px or --aux")
     if args.px is not None:
-        bounds = dmc.region_point_simple(ch, _floats(args.px))
+        bounds = dmc.region_point_simple(ch, _floats(args.px, "px"))
     else:
         with open(args.aux) as f:
             spec = json.load(f)

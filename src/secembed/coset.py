@@ -219,9 +219,12 @@ class CosetCodePair:
 
     @classmethod
     def from_bundle(cls, bundle: dict) -> "CosetCodePair":
-        """Inverse of to_bundle; a malformed bundle raises ValueError or KeyError."""
+        """Inverse of to_bundle; a malformed bundle raises ValueError."""
         if not isinstance(bundle, dict):
             raise ValueError("code bundle must be a JSON object")
+        missing = [k for k in ("params", "H1", "H2", "d1_star", "d2_star") if k not in bundle]
+        if missing:
+            raise ValueError(f"code bundle lacks the key(s) {', '.join(missing)}")
         params = bundle["params"]
         if not isinstance(params, dict) or set(params) != {"n", "alpha1", "alpha2", "eps"}:
             raise ValueError("bundle params must have exactly the keys n, alpha1, alpha2, eps")

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -195,6 +198,109 @@ def test_leakage_erasure_matches_per_pattern_reference(case, block_keys):
     assert got == pytest.approx(want, abs=1e-12)
 
 
+def profile_by_threads(cb, reveal, block_keys, thread_counts=(1, 2, 3)):
+    """_erasure_profile of one codebook with the walk split over each thread count."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binning, "_BLOCK_KEYS", block_keys)
+        profiles = []
+        for threads in thread_counts:
+            mp.setattr(binning, "_usable_cpus", lambda: threads)
+            profiles.append(binning._erasure_profile(cb, reveal))
+    return profiles
+
+
+@pytest.mark.parametrize("block_keys", [1, 2**16])
+@settings(max_examples=40, deadline=None)
+@given(case=erasure_cases())
+def test_erasure_profile_same_for_any_thread_count(case, block_keys):
+    cb, kernel, _ = case
+    _, reveal = binning._erasure_decomposition(kernel)
+    first, *others = profile_by_threads(cb, reveal, block_keys)
+    for other in others:
+        assert np.array_equal(first, other)
+
+
+@pytest.mark.parametrize("block_keys", [1, 2**16])
+@pytest.mark.parametrize("n, counts, kernel", [
+    # the benchmark's codebook: 64 blocks at 2**16 keys
+    (12, (8, 8, 27), dmc.bec_kernel(0.5)),
+    # base-5 reveal: keys span 31.9 bits, the int64 path; 16 blocks at 2**16 keys
+    (12, (4, 4, 16), erasure_kernel(list(range(5)), 0.5)),
+    # nothing revealed: a zero profile
+    (7, (3, 5, 2), dmc.constant_kernel(2)),
+], ids=["binary", "base5", "constant"])
+def test_erasure_profile_same_for_any_thread_count_pinned(block_keys, n, counts, kernel):
+    nx = len(kernel)
+    cb = binning.make_codebook(np.full(nx, 1.0 / nx), n, counts, np.random.default_rng(3))
+    _, reveal = binning._erasure_decomposition(kernel)
+    first, *others = profile_by_threads(cb, reveal, block_keys)
+    assert first.any() == (reveal.max() > 0)
+    for other in others:
+        assert np.array_equal(first, other)
+
+
+def test_erasure_profile_more_threads_than_cores_with_fast_switching():
+    """Eight threads on short interpreter time slices still fill every block once."""
+    cb = binning.make_codebook([0.5, 0.5], 12, (8, 8, 27), np.random.default_rng(5))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        one, eight = profile_by_threads(cb, np.array([0, 1]), 2**16, thread_counts=(1, 8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(one, eight)
+
+
+def test_simulation_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(binning, "_usable_cpus", lambda: 3)
+    before = threading.active_count()
+    report = binning.simulate_nested_binning(bec_triple(), [0.5, 0.5],
+                                             (0.25, 0.25, np.log2(3) / 4),
+                                             n=12, trials=50, seed=1)
+    assert report.leak_m1_strong == pytest.approx(REFERENCE_RUNS[12, 1][1], abs=1e-12)
+    assert threading.active_count() == before
+
+
+def test_worker_error_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+    caller = threading.current_thread()
+    real = binning._row_clogc
+
+    def fail_in_workers(*args):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("worker failed")
+        return real(*args)
+
+    monkeypatch.setattr(binning, "_row_clogc", fail_in_workers)
+    monkeypatch.setattr(binning, "_usable_cpus", lambda: 3)
+    cb = binning.make_codebook([0.5, 0.5], 12, (8, 8, 27), np.random.default_rng(1))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker failed"):
+        binning.exact_leakage(cb, dmc.bec_kernel(0.5), "bin")
+    assert threading.active_count() == before
+
+
+def test_caller_error_stops_the_workers_early(monkeypatch):
+    """Workers quit at their next block once the calling thread has failed."""
+    caller = threading.current_thread()
+    real = binning._row_clogc
+    worker_calls = []
+
+    def fail_in_caller(*args):
+        if threading.current_thread() is caller:
+            raise RuntimeError("caller failed")
+        worker_calls.append(1)
+        time.sleep(0.005)
+        return real(*args)
+
+    monkeypatch.setattr(binning, "_row_clogc", fail_in_caller)
+    monkeypatch.setattr(binning, "_usable_cpus", lambda: 3)
+    cb = binning.make_codebook([0.5, 0.5], 12, (8, 8, 27), np.random.default_rng(1))
+    with pytest.raises(RuntimeError, match="caller failed"):
+        binning._erasure_profile(cb, np.array([0, 1]))
+    # the two helpers own blocks 21..63, 12 calls each (4 quarter-block sorts of 3)
+    assert len(worker_calls) < 43 * 12 // 2
+
+
 @st.composite
 def general_cases(draw):
     n = draw(st.integers(1, 8))
@@ -315,6 +421,56 @@ def test_decode_only_n16_pinned_and_memory_bounded(main):
     assert report.error_rate == DECODE_ONLY_N16[main]
     assert report.leak_m1_strong is None
     assert peak < 32 * 2**20  # a single 400 x 20,736 score matrix is 66 MB
+
+
+def error_rate_reference(codebook, py_x, trials, rng):
+    """ML decoding with 2-D fancy indexing, all trials in one score matrix.
+
+    The same draws and the same per-position sum order that
+    binning.empirical_error_rate must reproduce exactly.
+    """
+    w = np.asarray(py_x, dtype=float)
+    flat = codebook.flat()
+    logw = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -1e30)
+    sent = rng.integers(0, codebook.size, size=trials)
+    x = flat[sent]
+    cdf = np.cumsum(w, axis=1)
+    u = rng.random(size=x.shape)
+    y = (u[:, :, None] >= cdf[x][:, :, :-1]).sum(axis=2)
+    scores = np.zeros((trials, codebook.size))
+    for i in range(codebook.n):
+        scores += logw[flat[:, i][None, :], y[:, i][:, None]]
+    decoded = np.argmax(scores, axis=1)
+    return float(((decoded // codebook.n_per) != (sent // codebook.n_per)).mean())
+
+
+@st.composite
+def decode_cases(draw):
+    n = draw(st.integers(1, 8))
+    counts = tuple(draw(st.sampled_from([1, 2, 3, 5])) for _ in range(3))
+    nx = draw(st.sampled_from([2, 3]))
+    ny = draw(st.integers(2, 4))
+    # integer weights with zeros, each row normalized; a zero row gets one unit
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=nx * ny,
+                                     max_size=nx * ny)), dtype=float).reshape(nx, ny)
+    weights[weights.sum(axis=1) == 0, 0] = 1.0
+    trials = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    cb = binning.make_codebook(np.full(nx, 1.0 / nx), n, counts,
+                               np.random.default_rng(seed))
+    return cb, weights / weights.sum(axis=1, keepdims=True), trials, seed
+
+
+@pytest.mark.parametrize("scores", [1, 2**20])
+@settings(max_examples=60, deadline=None)
+@given(case=decode_cases())
+def test_error_rate_matches_fancy_indexing_reference(case, scores):
+    cb, kernel, trials, seed = case
+    want = error_rate_reference(cb, kernel, trials, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binning, "_DECODE_SCORES", scores)
+        got = binning.empirical_error_rate(cb, kernel, trials, np.random.default_rng(seed))
+    assert got == want
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

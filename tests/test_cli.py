@@ -290,6 +290,28 @@ def test_sim_dmc_bad_input_is_domain_error(tmp_path, capsys, extra, match):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sim", "dmc", "--bec", "0.5", "--px", "0.5,0.5", "--seed", "1",
+      "--rates", "0.25,0.25,0", "--n", "8"], "--bec"),
+    (["dmc", "region-point", "--bec", "0.5", "--px", "0.5,0.5"], "--bec"),
+    (["dmc", "region-point", "--bec", "0.5,0.9,0.1", "--px", "0.5,0.5"], "--bec"),
+    (["sim", "dmc", "--bec", "0.5,0.9", "--px", "0.5,0.5", "--seed", "-1",
+      "--rates", "0.25,0.25,0", "--n", "8"], "--seed"),
+    (["code", "construct", "--n", "16", "--alpha1", "0.5", "--alpha2", "0.25",
+      "--eps", "0.25", "--seed", "-1"], "--seed"),
+    ([*SIM_BEC, "--rates", "0.25,0.25,0", "--n", "8,x"], "--n"),
+    ([*SIM_BEC, "--rates", "0.25,x,0", "--n", "8"], "--rates"),
+    (["dmc", "region-point", "--bec", "0.5,0.9", "--px", "0.5,"], "--px"),
+], ids=["sim-bec-one", "point-bec-one", "point-bec-three", "sim-seed", "construct-seed",
+        "sim-n-text", "sim-rates-text", "point-px-empty"])
+def test_bad_flag_value_is_domain_error_naming_the_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and not out
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert payload["message"].startswith(flag + " must be")
+
+
 @pytest.mark.parametrize("argv", [
     ["dmc", "region-point", "--bec", "0.5,0.9", "--px", "nan,1"],
     ["dmc", "region-point", "--bec", "0.5,0.9", "--px", "0.5,inf"],
@@ -450,7 +472,10 @@ def test_code_non_finite_eps_is_domain_error(capsys, verb, eps):
     lambda b: {**b, "params": {**b["params"], "n": "16"}},
     lambda b: {**b, "params": {**b["params"], "extra": 1}},
     lambda b: {**b, "H1": None},
-], ids=["list", "n-float", "n-text", "params-extra", "H1-none"])
+    lambda b: {k: v for k, v in b.items() if k != "H1"},
+    lambda b: {k: v for k, v in b.items() if k != "H2"},
+    lambda b: {k: v for k, v in b.items() if k != "params"},
+], ids=["list", "n-float", "n-text", "params-extra", "H1-none", "no-H1", "no-H2", "no-params"])
 def test_code_audit_malformed_bundle_is_domain_error(tmp_path, capsys, edit):
     bundle = tmp_path / "bundle.json"
     assert run_cli(capsys, *CONSTRUCT_16, "--out", str(bundle))[0] == 0

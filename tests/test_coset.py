@@ -520,8 +520,12 @@ def _code_bundle():
     (lambda b: {**b, "H1": [[1, 0]]}, "must be matrix text"),
     (lambda b: {**b, "H2": None}, "must be matrix text"),
     (lambda b: {**b, "d1_star": None}, "must be integers"),
+    (lambda b: {k: v for k, v in b.items() if k != "H1"}, r"lacks the key\(s\) H1$"),
+    (lambda b: {k: v for k, v in b.items() if k not in ("params", "H2")},
+     r"lacks the key\(s\) params, H2$"),
+    (lambda b: {"seed": 6}, r"lacks the key\(s\) params, H1, H2, d1_star, d2_star$"),
 ], ids=["list", "text", "params-list", "params-extra", "params-no-eps", "H1-list", "H2-none",
-        "d1-none"])
+        "d1-none", "no-H1", "no-params-H2", "only-seed"])
 def test_from_bundle_rejects_malformed_bundles(edit, match):
     with pytest.raises(ValueError, match=match):
         CosetCodePair.from_bundle(edit(_code_bundle()))
