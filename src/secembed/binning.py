@@ -77,7 +77,7 @@ class NestedCodebook:
     nx: int
 
     def __post_init__(self):
-        cw = np.asarray(self.codewords, dtype=np.int64)
+        cw = np.array(self.codewords, dtype=np.int64)  # a copy: the caller's array is never aliased
         if cw.ndim != 4:
             raise ValueError("codewords must have axes (bin, subbin, slot, position)")
         cw.flags.writeable = False
@@ -102,11 +102,6 @@ class NestedCodebook:
     @property
     def size(self) -> int:
         return self.n_bins * self.n_subbins * self.n_per
-
-    @property
-    def rates(self) -> tuple[float, float, float]:
-        return (log2(self.n_bins) / self.n, log2(self.n_subbins) / self.n,
-                log2(self.n_per) / self.n)
 
     def flat(self) -> np.ndarray:
         return self.codewords.reshape(self.size, self.n)

@@ -30,7 +30,6 @@ __all__ = [
     "bec_kernel",
     "bsc_kernel",
     "noiseless_kernel",
-    "constant_kernel",
 ]
 
 _ATOL = 1e-12
@@ -159,11 +158,6 @@ def bsc_kernel(flip: float) -> np.ndarray:
 
 def noiseless_kernel(size: int) -> np.ndarray:
     return np.eye(size)
-
-
-def constant_kernel(size: int) -> np.ndarray:
-    """Output carries no information: a single sure symbol for every input."""
-    return np.ones((size, 1))
 
 
 @dataclass(frozen=True)

@@ -104,13 +104,6 @@ class LinIneq:
     def symbols(self) -> set:
         return {s for s, _ in self.terms}
 
-    def plus(self, other: "LinIneq") -> "LinIneq":
-        coeffs = self.coeffs
-        for s, c in other.terms:
-            coeffs[s] = coeffs.get(s, 0) + c
-        return LinIneq.make(coeffs, const=self.const + other.const,
-                            strict=self.strict or other.strict)
-
     def substitute(self, symbol, replacement_coeffs, replacement_const=0) -> "LinIneq":
         a = self.coeff(symbol)
         if a == 0:

@@ -46,6 +46,19 @@ def _check_nonneg(values, what: str):
         raise ValueError(f"{what} must be finite and nonnegative")
 
 
+def _check_powers(powers, gains, what: str):
+    """Reject NaN, infinite or negative powers, and powers so large that the
+    pooled-power solver would overflow: its largest products (the slope
+    derivative divides by cubic terms in 1 + gain * p) grow like the cube of
+    power * max(1, gain)**2, so that factor is capped at the cube root of the
+    largest float."""
+    _check_nonneg(powers, what)
+    power, g, limit = float(max(powers)), float(max(1.0, *gains)), np.finfo(float).max ** (1 / 3)
+    if power * g * g > limit:
+        raise ValueError(f"{what} too large for these gains: "
+                         f"{power:g} * max(1, gain)**2 exceeds {limit:.4g}")
+
+
 def _cs(power, a, b):
     """[0.5*log2(1+a*P) - 0.5*log2(1+b*P)]^+, elementwise over arrays."""
     return np.maximum(0.5 * (np.log2(1.0 + a * power) - np.log2(1.0 + b * power)), 0.0)
@@ -85,6 +98,7 @@ class ScalarGaussChannel:
 
     def __post_init__(self):
         _check_nonneg((self.power, self.a, self.b1, self.b2), "power and gains")
+        _check_powers((self.power,), (self.a, self.b1, self.b2), "power")
         if self.b1 < self.b2:
             raise ValueError("strong eavesdropper gain b1 must be >= b2")
 
@@ -104,12 +118,9 @@ class ParallelGaussChannel:
     total_power: float | None = None
 
     def __post_init__(self):
-        a = tuple(float(x) for x in self.a)
-        b1 = tuple(float(x) for x in self.b1)
-        b2 = tuple(float(x) for x in self.b2)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "b2", b2)
+        for name in ("a", "b1", "b2"):
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+        a, b1, b2 = self.a, self.b1, self.b2
         if not (len(a) == len(b1) == len(b2)) or not a:
             raise ValueError("gain lists must be nonempty and of equal length")
         _check_nonneg(a + b1 + b2, "gains")
@@ -121,10 +132,10 @@ class ParallelGaussChannel:
             powers = tuple(float(p) for p in self.powers)
             if len(powers) != len(a):
                 raise ValueError("powers must match subchannels")
-            _check_nonneg(powers, "powers")
+            _check_powers(powers, a + b1 + b2, "powers")
             object.__setattr__(self, "powers", powers)
         else:
-            _check_nonneg((self.total_power,), "total power")
+            _check_powers((self.total_power,), a + b1 + b2, "total power")
 
     @property
     def n_sub(self) -> int:
@@ -133,7 +144,6 @@ class ParallelGaussChannel:
 
 @dataclass(frozen=True)
 class ScalarRegionResult:
-    channel: ScalarGaussChannel
     cap_high: float
     cap_low: float
     corner: tuple
@@ -149,7 +159,6 @@ def region_scalar(ch: ScalarGaussChannel) -> ScalarRegionResult:
     cap_high = cs_scalar(ch.power, ch.a, ch.b1)
     cap_low = cs_scalar(ch.power, ch.a, ch.b2)
     return ScalarRegionResult(
-        channel=ch,
         cap_high=cap_high,
         cap_low=cap_low,
         corner=(cap_high, cap_low - cap_high),
@@ -200,7 +209,6 @@ def naive_region(ch: ScalarGaussChannel) -> NaiveRegionResult:
 
 @dataclass(frozen=True)
 class ParallelRegionResult:
-    channel: ParallelGaussChannel
     cap_high_sum: float
     cap_low_sum: float
     corner: tuple
@@ -228,7 +236,6 @@ def region_parallel_individual(ch: ParallelGaussChannel) -> ParallelRegionResult
     cap_high = sum(p[0] for p in per)
     cap_low = sum(p[1] for p in per)
     return ParallelRegionResult(
-        channel=ch,
         cap_high_sum=cap_high,
         cap_low_sum=cap_low,
         corner=(cap_high, cap_low - cap_high),

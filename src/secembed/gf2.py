@@ -53,8 +53,8 @@ class InfeasibleSystemError(ValueError):
 class BudgetExceededError(RuntimeError):
     """Raised when an exact search exceeds its configured node budget.
 
-    ``nodes`` counts the listed code words plus the subcodes grown from
-    them; the exact answer is known to lie in [``lower``, ``upper``].
+    ``nodes`` counts the listed code words plus those scanned per expanded
+    support; the exact answer is known to lie in [``lower``, ``upper``].
     """
 
     def __init__(self, nodes: int, lower: int, upper: int):
@@ -252,13 +252,11 @@ def min_rank_over_column_subsets(m, size: int, *, node_limit: int = 20_000_000) 
     with fewer levels, lists its words within the bound and grows closed
     subcodes (all code words inside one support) one listed word at a time.
 
-    node_limit caps the listed words (2**dim - 1, checked before listing)
-    plus the grown subcodes.  Raises ValueError when node_limit < 1, and
-    BudgetExceededError past it: the instance is beyond desk scale, and the
-    error carries the bracket [lower, upper] on the minimum reached so far.
-    The limit does not bound time: each grown support also scans the listed
-    words, and that scan is not counted, so mid-size instances (size near
-    rank near n/2) can run for minutes without raising.
+    node_limit caps the listed words (2**dim - 1) plus those each expanded
+    support scans, each checked before the work, so it bounds the time.
+    Raises ValueError when node_limit < 1, and BudgetExceededError past it:
+    the instance is beyond desk scale, and the error carries the bracket
+    [lower, upper] on the minimum reached so far.
     """
     if node_limit < 1:
         raise ValueError(f"node_limit must be >= 1, got {node_limit}")
@@ -298,13 +296,13 @@ def min_rank_over_column_subsets(m, size: int, *, node_limit: int = 20_000_000) 
         for supp, dim in frontier:
             if dim + bound - supp.bit_count() <= r:
                 continue
+            nodes += len(light)  # the scan below
+            if nodes > node_limit:
+                raise BudgetExceededError(node_limit, lb, min(ub, top - r))
             for w in light:
                 u = supp | w
                 if u in seen or u.bit_count() > bound:
                     continue
-                if nodes == node_limit:
-                    raise BudgetExceededError(nodes, lb, min(ub, top - r))
-                nodes += 1
                 seen.add(u)
                 dim_u = len(rows) - len(_rref([b & ~u for b in rows]))
                 if top - dim_u == lb:

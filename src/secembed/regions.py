@@ -77,18 +77,6 @@ class RateRegion:
             return None
         return float(upper)
 
-    def canonical(self) -> tuple:
-        """Scale-normalized, sorted halfspace tuples (10 digits) for region comparison."""
-        rows = []
-        for hs in self.halfspaces:
-            scale = max(abs(c) for c in hs.coeffs) or 1.0
-            rows.append((
-                tuple(round(c / scale, 10) for c in hs.coeffs),
-                round(hs.bound / scale, 10),
-                hs.strict,
-            ))
-        return tuple(sorted(set(rows)))
-
     def to_dict(self) -> dict:
         return {
             "variables": list(self.variables),

@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+import cli_golden
 import test_coset
 import test_fm
 from secembed import binning, coset, dmc, fm, gauss
@@ -19,8 +20,12 @@ from secembed.dmc import DmcTriple
 from secembed.gauss import ParallelGaussChannel, ScalarGaussChannel
 
 
+def acceptance_line(idx, ok, detail) -> str:
+    return f"ACCEPTANCE {idx} [{'PASS' if ok else 'FAIL'}] {detail}"
+
+
 def report(idx, ok, detail):
-    print(f"ACCEPTANCE {idx} [{'PASS' if ok else 'FAIL'}] {detail}")
+    print(acceptance_line(idx, ok, detail))
     assert ok, detail
 
 
@@ -116,8 +121,9 @@ def test_criterion_5_fm_rederivation():
                   f"{sound} soundness points verified over 1000 random systems")
 
 
-def test_criterion_6_nested_binning_trend():
-    """Exact leakages and empirical error fall as the block length grows.
+def criterion_6_line() -> tuple[bool, str]:
+    """(pass, ACCEPTANCE line): exact leakages and empirical error fall as
+    the block length grows.
 
     The asymptotic secrecy statement is not checkable at desk scale, so
     the substitute is a monotone trend over n in {8, 12, 16} at fixed
@@ -143,9 +149,18 @@ def test_criterion_6_nested_binning_trend():
     ok = True
     for k in range(3):
         ok = ok and means[8][k] > means[12][k] > means[16][k]
-    report(6, ok, "mean (error, leak1, leak2) by n: " +
-           "; ".join(f"n={n}: ({m[0]:.4f}, {m[1]:.6f}, {m[2]:.6f})"
-                     for n, m in means.items()))
+    detail = "mean (error, leak1, leak2) by n: " + "; ".join(
+        f"n={n}: ({m[0]:.4f}, {m[1]:.6f}, {m[2]:.6f})" for n, m in means.items())
+    return ok, acceptance_line(6, ok, detail)
+
+
+@pytest.mark.slow
+def test_criterion_6_nested_binning_trend():
+    """Criterion 6's trend holds, and its line matches the golden line."""
+    ok, line = criterion_6_line()
+    print(line)
+    assert ok, line
+    assert line + "\n" == (cli_golden.GOLDEN / "acceptance_6.txt").read_text()
 
 
 def test_criterion_7_cross_module_consistency():

@@ -16,6 +16,8 @@ from secembed import binning, dmc
 from secembed.binning import NestedCodebook
 from secembed.dmc import DmcTriple
 
+CONSTANT = np.ones((2, 1))  # a binary-input kernel whose one sure output carries nothing
+
 
 def bec_triple(d1=0.5, d2=0.9):
     return DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(d1),
@@ -227,7 +229,7 @@ def test_erasure_profile_same_for_any_thread_count(case, block_keys):
     # base-5 reveal: keys span 31.9 bits, the int64 path; 16 blocks at 2**16 keys
     (12, (4, 4, 16), erasure_kernel(list(range(5)), 0.5)),
     # nothing revealed: a zero profile
-    (7, (3, 5, 2), dmc.constant_kernel(2)),
+    (7, (3, 5, 2), CONSTANT),
 ], ids=["binary", "base5", "constant"])
 def test_erasure_profile_same_for_any_thread_count_pinned(block_keys, n, counts, kernel):
     nx = len(kernel)
@@ -369,7 +371,7 @@ def test_leakage_erasure_wide_keys_match_reference():
 
 def test_leakage_erasure_constant_kernel_is_zero():
     cb = binning.make_codebook([0.5, 0.5], 6, (3, 5, 2), np.random.default_rng(8))
-    delta, reveal = binning._erasure_decomposition(dmc.constant_kernel(2))
+    delta, reveal = binning._erasure_decomposition(CONSTANT)
     assert delta == 1.0
     profile = binning._erasure_profile(cb, reveal)
     assert profile.shape == (2, 7) and not profile.any()
@@ -560,7 +562,7 @@ def test_make_codebook_shape_and_determinism():
     assert cb.size == 24 and cb.nx == 2
     cb2 = binning.make_codebook([0.5, 0.5], 6, (2, 4, 3), np.random.default_rng(3))
     assert np.array_equal(cb.codewords, cb2.codewords)
-    assert cb.rates[0] == pytest.approx(math.log2(2) / 6)
+    assert (cb.n_bins, cb.n_subbins, cb.n_per, cb.n) == (2, 4, 3, 6)
 
 
 def test_erasure_decomposition_detects_structure():
@@ -571,7 +573,7 @@ def test_erasure_decomposition_detects_structure():
     assert list(reveal) == [0, 1]
     dec = binning._erasure_decomposition(dmc.noiseless_kernel(2))
     assert dec is not None and dec[0] == 0.0
-    dec = binning._erasure_decomposition(dmc.constant_kernel(2))
+    dec = binning._erasure_decomposition(CONSTANT)
     assert dec is not None and dec[0] == 1.0
     assert binning._erasure_decomposition(dmc.bsc_kernel(0.1)) is None
 
@@ -608,8 +610,7 @@ def test_leakage_single_bin_is_zero():
 
 
 def test_noiseless_main_constant_eavesdroppers():
-    ch = DmcTriple.independent(dmc.noiseless_kernel(2), dmc.constant_kernel(2),
-                               dmc.constant_kernel(2))
+    ch = DmcTriple.independent(dmc.noiseless_kernel(2), CONSTANT, CONSTANT)
     report = binning.simulate_nested_binning(
         ch, [0.5, 0.5], (0.25, 0.25, 0.0), n=8, trials=200, seed=1)
     assert report.leak_m1_strong == pytest.approx(0.0, abs=1e-12)
@@ -652,6 +653,14 @@ def test_ml_decoder_prefers_likely_codeword():
     err = binning.empirical_error_rate(cb, dmc.noiseless_kernel(2), 64,
                                        np.random.default_rng(0))
     assert err == 0.0
+
+
+def test_codebook_copies_the_caller_array():
+    w = np.zeros((2, 1, 1, 4), dtype=np.int64)
+    cb = NestedCodebook(w, 2)
+    assert not np.shares_memory(cb.codewords, w) and not cb.codewords.flags.writeable
+    w[...] = 1
+    assert not cb.codewords.any()
 
 
 def test_leakage_bounds_total_entropy():

@@ -563,6 +563,14 @@ def test_non_integral_positions_are_rejected(n16_code, observed):
         coset.Observation(z=x, observed=observed)
 
 
+def test_observation_copies_the_caller_array():
+    z = np.array([1, 0, -1, -1], dtype=np.int8)
+    obs = coset.Observation(z, [0, 1])
+    assert not np.shares_memory(obs.z, z) and not obs.z.flags.writeable
+    z[...] = 1
+    assert list(obs.z) == [1, 0, -1, -1]
+
+
 def test_numpy_integer_positions_are_accepted(n16_code):
     x = np.ones(16, dtype=np.uint8)
     obs = coset.eavesdrop(x, np.array([3, 7]))

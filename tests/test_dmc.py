@@ -9,6 +9,8 @@ import pytest
 from secembed import dmc
 from secembed.dmc import AuxiliaryChain, DmcTriple
 
+CONSTANT = np.ones((2, 1))  # a binary-input kernel whose one sure output carries nothing
+
 
 def mi_oracle(joint):
     """Independent double-loop mutual information in bits."""
@@ -70,7 +72,7 @@ def test_degraded_identity_witness():
 
 def test_not_degraded_information_creation():
     # strong output constant, weak output reveals x: impossible ordering
-    ch = DmcTriple.independent(dmc.noiseless_kernel(2), dmc.constant_kernel(2),
+    ch = DmcTriple.independent(dmc.noiseless_kernel(2), CONSTANT,
                                dmc.noiseless_kernel(2))
     res = dmc.check_degraded(ch, "z2_of_z1")
     assert not res.degraded
@@ -96,7 +98,7 @@ def test_region_point_simple_point_mass():
 def test_region_point_simple_reference_channel():
     # Y noiseless, Z1 a coin flip independent of X, Z2 constant
     ch = DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bsc_kernel(0.5),
-                               dmc.constant_kernel(2))
+                               CONSTANT)
     b = dmc.region_point_simple(ch, [0.5, 0.5])
     assert b.r1_max == pytest.approx(1.0, abs=1e-12)
     assert b.sum_max == pytest.approx(1.0, abs=1e-12)

@@ -125,7 +125,7 @@ def test_parallel_individual_single_subchannel_reduces_to_scalar():
     sca = gauss.region_scalar(ScalarGaussChannel(1.0, 1.0, 0.5, 0.1))
     assert par.cap_high_sum == pytest.approx(sca.cap_high, abs=1e-15)
     assert par.cap_low_sum == pytest.approx(sca.cap_low, abs=1e-15)
-    assert par.region.canonical() == sca.region.canonical()
+    assert par.region == sca.region
 
 
 def test_parallel_individual_additivity_and_corner():

@@ -134,6 +134,41 @@ def finite(bnd):
     return np.isfinite(parts).all() and np.isfinite(bnd.points).all()
 
 
+HUGE_POWER = {
+    "pooled-1e150": ["region", "parallel-total", "--a", "1,1", "--b1", "0.5,0.5",
+                     "--b2", "0.1,0.1", "--P", "1e150"],
+    "pooled-1e120": ["region", "parallel-total", "--a", "1,1.2", "--b1", "0.5,0.3",
+                     "--b2", "0.1,0.1", "--P", "1e120"],
+    "fixed-1e200": ["region", "parallel", "--a", "1,1", "--b1", "0.5,0.5", "--b2", "0.1,0.1",
+                    "--powers", "1,1e200"],
+    "scalar-1e308": ["region", "scalar", "--P", "1e308", "--a", "1e308", "--b1", "0.5",
+                     "--b2", "0.1"],
+}
+
+
+@pytest.mark.filterwarnings("error")  # as under python -W error
+@pytest.mark.parametrize("argv", HUGE_POWER.values(), ids=HUGE_POWER.keys())
+def test_huge_power_is_a_domain_error(capsys, argv):
+    # these once warned of overflow in the solver and then failed at JSON output on a nan
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError" and "power" in payload["message"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_power_just_inside_the_limit_is_solved():
+    scale = np.finfo(float).max ** (1 / 3)  # the largest power * max(1, gain)**2
+    ch = ParallelGaussChannel(**CRASH3, total_power=1e100)
+    assert finite(gauss.region_parallel_total(ch))
+    ch = ParallelGaussChannel(a=(1.0, 2.0), b1=(0.25, 0.5), b2=(0.0, 0.1), total_power=scale / 4)
+    assert finite(gauss.region_parallel_total(ch))
+    with pytest.raises(ValueError, match="total power"):
+        ParallelGaussChannel(a=(1.0, 2.0), b1=(0.25, 0.5), b2=(0.0, 0.1),
+                             total_power=scale / 4 * 1.001)
+
+
 def test_high_objective_flat_when_a_le_b1_everywhere():
     ch = ParallelGaussChannel(a=(1.0, 0.5, 0.8), b1=(1.0, 0.7, 0.9), b2=(0.2, 0.1, 0.3),
                               total_power=1.0)

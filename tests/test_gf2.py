@@ -1,6 +1,7 @@
 """GF(2) linear algebra tests against brute-force oracles."""
 
 import itertools
+import time
 import tracemalloc
 from collections import Counter
 
@@ -397,8 +398,19 @@ def test_min_rank_budget_bracket_tightens_as_subcodes_grow():
     m = gf2.random_matrix(6, 16, np.random.default_rng(2))
     assert gf2.min_rank_over_column_subsets(m, 8) == reference_min_rank(m, 8) == 4
     with pytest.raises(gf2.BudgetExceededError) as exc:
-        gf2.min_rank_over_column_subsets(m, 8, node_limit=100)
-    assert (exc.value.nodes, exc.value.lower, exc.value.upper) == (100, 0, 4)
+        gf2.min_rank_over_column_subsets(m, 8, node_limit=200)
+    assert (exc.value.nodes, exc.value.lower, exc.value.upper) == (200, 0, 4)
+
+
+def test_min_rank_node_limit_bounds_time():
+    # the budget counts each expanded support's scan of the listed words; when
+    # it did not, this instance ran 6.6 s on a 2-vCPU host and returned 10
+    m = gf2.random_matrix(14, 28, np.random.default_rng(0))
+    start = time.process_time()
+    with pytest.raises(gf2.BudgetExceededError) as exc:
+        gf2.min_rank_over_column_subsets(m, 14, node_limit=10**6)
+    assert time.process_time() - start < 2.0  # 0.6-0.9 s on that host
+    assert exc.value.nodes == 10**6 and exc.value.lower <= 10 <= exc.value.upper
 
 
 def test_min_rank_budget_is_checked_before_listing():
