@@ -6,15 +6,17 @@ a subbin is pure transmitter randomness.  Decoding is maximum
 likelihood over the whole codebook.  Leakage about the messages at the
 two eavesdropper outputs is computed EXACTLY for the realized codebook
 by marginalizing the memoryless channel law over bins and subbins,
-never estimated from samples:
+never estimated from samples.  One evaluator takes every (kernel, level)
+request and picks the path per kernel, subject to the leakage budget:
 
 * an erasure-style kernel (each output symbol reveals a deterministic
   function of the input or, with total probability delta, is
   input-independent noise) takes one pass over the 2**n reveal patterns
-  that sums their information by pattern size k into S_k; the leakage
-  is the polynomial sum_k (1 - delta)**k delta**(n - k) S_k;
-* any other kernel is handled by enumerating all |Z|**n output
-  sequences, subject to the leakage budget.
+  that sums their information by pattern size k into S_k, for both
+  levels at once; the leakage is the polynomial
+  sum_k (1 - delta)**k delta**(n - k) S_k, and requests whose kernels
+  share a reveal map share the pass;
+* any other kernel is handled by enumerating all |Z|**n output sequences.
 """
 
 from __future__ import annotations
@@ -149,15 +151,16 @@ _BLOCK_KEYS = 2**16
 _DECODE_SCORES = 2**20
 
 
-def _row_clogc(bounds: np.ndarray, row_starts: np.ndarray,
+def _row_clogc(bounds: np.ndarray, first_runs: np.ndarray,
                lut: np.ndarray) -> np.ndarray:
     """Per-row sums of c*log2(c) over runs given by sorted boundary offsets.
 
     bounds holds every run start, then the end of the last row; every
-    row start is a run start, so runs never cross rows.
+    row start is a run start, so runs never cross rows, and first_runs
+    holds the index in bounds of each row's first run.
     """
     sizes = bounds[1:] - bounds[:-1]
-    return np.add.reduceat(lut.take(sizes), np.searchsorted(bounds, row_starts))
+    return np.add.reduceat(lut.take(sizes), first_runs)
 
 
 def _usable_cpus() -> int:
@@ -252,22 +255,21 @@ def _erasure_profile(codebook: NestedCodebook, reveal: np.ndarray) -> np.ndarray
                 np.not_equal(flat_keys[1:], flat_keys[:-1], out=new_run[1:size])
                 new_run[row_starts] = True
                 bounds = np.flatnonzero(new_run)
-                s_sub = _row_clogc(bounds, row_starts, lut)
-                # coarser levels: a finest run starts a new group where its
-                # (projection, bin) or projection key changes, or where a row starts
                 first_run = np.searchsorted(bounds, row_starts)
-                reps = flat_keys.take(bounds[:-1]) // codebook.n_subbins
+                sums = [_row_clogc(bounds, first_run, lut)]
+                # coarser levels, bin then global: a finest run opens a group where
+                # key // width (its (projection, bin), then projection key) changes or a row starts
+                reps = flat_keys.take(bounds[:-1])
                 merged = np.ones(bounds.size, dtype=bool)
-                np.not_equal(reps[1:], reps[:-1], out=merged[1:-1])
-                merged[first_run] = True
-                s_bin = _row_clogc(bounds.take(np.flatnonzero(merged)), row_starts, lut)
-                reps //= codebook.n_bins
-                np.not_equal(reps[1:], reps[:-1], out=merged[1:-1])
-                merged[first_run] = True
-                s_glob = _row_clogc(bounds.take(np.flatnonzero(merged)), row_starts, lut)
+                for width in (codebook.n_subbins, codebook.n_bins):
+                    reps //= width
+                    np.not_equal(reps[1:], reps[:-1], out=merged[1:-1])
+                    merged[first_run] = True
+                    coarse = bounds.take(np.flatnonzero(merged))
+                    sums.append(_row_clogc(coarse, np.searchsorted(coarse, row_starts), lut))
+                s_sub, s_bin, s_glob = sums
                 i_bin[r0:r0 + part] = np.maximum(log_bins - (s_glob - s_bin) / k_total, 0.0)
-                i_sub[r0:r0 + part] = np.maximum(log_groups - (s_glob - s_sub) / k_total,
-                                                 0.0)
+                i_sub[r0:r0 + part] = np.maximum(log_groups - (s_glob - s_sub) / k_total, 0.0)
             if t == 0:
                 i_bin[0] = i_sub[0] = 0.0  # empty pattern: nothing revealed
             partials[t, 0] = np.bincount(low_pc, i_bin, low + 1)
@@ -342,14 +344,29 @@ def _leakage_general(codebook: NestedCodebook, w: np.ndarray, level: str,
     return entropy_bits(total / n_groups) - h_cond
 
 
+def _leakages(codebook: NestedCodebook, requests, budget: int) -> list:
+    """Exact leakage in bits of each (kernel, level) request, in order: the budget
+    bounds 2**n patterns on the erasure path and |Z|**n outputs on the general one."""
+    profiles = {}
+    out = []
+    for w, level in requests:
+        dec = _erasure_decomposition(w)
+        if dec is None:
+            out.append(_leakage_general(codebook, w, level, budget))
+            continue
+        if 2**codebook.n > budget:
+            raise ValueError(
+                f"2**n = {2**codebook.n} patterns exceed the exact-leakage budget {budget}")
+        key = dec[1].tobytes()
+        if key not in profiles:
+            profiles[key] = _erasure_profile(codebook, dec[1])
+        out.append(_erasure_leakage(profiles[key][1 if level == "subbin" else 0], dec[0]))
+    return out
+
+
 def exact_leakage(codebook: NestedCodebook, kernel, level: str = "bin", *,
                   budget: int = 2**24) -> float:
-    """Exact I(M1; Z^n) (level='bin') or I(M1,M2; Z^n) (level='subbin') in bits.
-
-    Chooses the erasure-pattern decomposition when the kernel supports
-    it (budget then applies to the 2**n patterns), otherwise enumerates
-    output sequences (budget applies to |Z|**n).
-    """
+    """Exact I(M1; Z^n) (level='bin') or I(M1,M2; Z^n) (level='subbin') in bits."""
     if level not in ("bin", "subbin"):
         raise ValueError("level must be 'bin' or 'subbin'")
     w = np.asarray(kernel, dtype=float)
@@ -358,14 +375,7 @@ def exact_leakage(codebook: NestedCodebook, kernel, level: str = "bin", *,
     _check_stochastic(w, "kernel")
     if w.shape[0] != codebook.nx:
         raise ValueError("kernel input alphabet does not match the codebook")
-    dec = _erasure_decomposition(w)
-    if dec is not None:
-        if 2**codebook.n > budget:
-            raise ValueError(
-                f"2**n = {2**codebook.n} patterns exceed the exact-leakage budget {budget}")
-        profile = _erasure_profile(codebook, dec[1])
-        return _erasure_leakage(profile[1 if level == "subbin" else 0], dec[0])
-    return _leakage_general(codebook, w, level, budget)
+    return _leakages(codebook, [(w, level)], budget)[0]
 
 
 def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
@@ -457,18 +467,8 @@ def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
 
     leak1 = leak2 = None
     if measure_leakage:
-        dec1 = _erasure_decomposition(ch.pz1_x)
-        dec2 = _erasure_decomposition(ch.pz2_x)
-        if (dec1 is not None and dec2 is not None
-                and np.array_equal(dec1[1], dec2[1]) and 2**n <= leakage_budget):
-            profile = _erasure_profile(codebook, dec1[1])
-            leak1 = _erasure_leakage(profile[0], dec1[0])
-            leak2 = _erasure_leakage(profile[1], dec2[0])
-        else:
-            leak1 = exact_leakage(codebook, ch.pz1_x, "bin", budget=leakage_budget)
-            leak2 = exact_leakage(codebook, ch.pz2_x, "subbin", budget=leakage_budget)
-        leak1 /= n
-        leak2 /= n
+        leak1, leak2 = (leak / n for leak in _leakages(
+            codebook, [(ch.pz1_x, "bin"), (ch.pz2_x, "subbin")], leakage_budget))
     return SimReport(n=n, rates=tuple(rates), counts=counts, trials=trials,
                      seed=seed, error_rate=error,
                      leak_m1_strong=leak1, leak_messages_weak=leak2)

@@ -201,12 +201,10 @@ def _cmd_sim_dmc(args) -> int:
     payload = {"seed": args.seed, "runs": [r.to_dict() for r in reports]}
     _emit_json(payload if len(reports) > 1 else reports[0].to_dict(), args.out)
     if args.csv:
-        rows = [(r.n, r.error_rate if r.error_rate is not None else float("nan"),
-                 r.leak_m1_strong if r.leak_m1_strong is not None else float("nan"),
-                 r.leak_messages_weak if r.leak_messages_weak is not None else float("nan"))
+        fields = ("error_rate", "leak_m1_strong", "leak_messages_weak")
+        rows = [(r.n, *(float("nan") if getattr(r, f) is None else getattr(r, f) for f in fields))
                 for r in reports]
-        _emit_csv(rows, ("n", "error_rate", "leak_m1_strong", "leak_messages_weak"),
-                  args.csv)
+        _emit_csv(rows, ("n", *fields), args.csv)
     return 0
 
 

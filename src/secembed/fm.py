@@ -5,7 +5,7 @@ with opaque constant symbols (mutual-information placeholders, assumed
 nonnegative unless declared otherwise).  Coefficients are exact
 rationals, and strictness is tracked through elimination: combining a
 strict bound with a non-strict one yields a strict consequence.  The
-closure step substitutes the slack symbol by zero and relaxes strict
+closure step sets the slack symbol to zero and relaxes strict
 inequalities to weak ones, mirroring the limit that turns achievability
 constraints into a closed rate region.
 
@@ -91,10 +91,6 @@ class LinIneq:
             coeffs[s] = _q(coeffs.get(s, 0)) - _q(c)
         return cls.make(coeffs, const=-_q(const), strict=strict)
 
-    @property
-    def coeffs(self) -> dict:
-        return dict(self.terms)
-
     def coeff(self, symbol) -> int:
         for s, c in self.terms:
             if s == symbol:
@@ -103,17 +99,6 @@ class LinIneq:
 
     def symbols(self) -> set:
         return {s for s, _ in self.terms}
-
-    def substitute(self, symbol, replacement_coeffs, replacement_const=0) -> "LinIneq":
-        a = self.coeff(symbol)
-        if a == 0:
-            return self
-        coeffs = self.coeffs
-        del coeffs[symbol]
-        for s, c in dict(replacement_coeffs).items():
-            coeffs[s] = coeffs.get(s, 0) + a * _q(c)
-        return LinIneq.make(coeffs, const=self.const + a * _q(replacement_const),
-                            strict=self.strict)
 
     def is_tautology(self) -> bool:
         if self.terms:
@@ -263,24 +248,16 @@ class LinIneqSystem:
             nonneg_constants=self.nonneg_constants,
         )
 
-    def substitute(self, symbol: str, coeffs, const=0) -> "LinIneqSystem":
-        """Rewrite a symbol as a linear expression of other symbols."""
-        new = [iq.substitute(symbol, coeffs, const) for iq in self.inequalities]
-        return LinIneqSystem(
-            variables=tuple(v for v in self.variables if v != symbol),
-            constants=tuple(c for c in self.constants if c != symbol),
-            inequalities=_prune(new),
-            nonneg_constants=self.nonneg_constants - {symbol},
-        )
-
     def relax_closure(self, slack_symbol=None) -> "LinIneqSystem":
         """Take the vanishing-slack limit: slack := 0, strict becomes weak."""
-        sys = self
-        if slack_symbol is not None:
-            sys = sys.substitute(slack_symbol, {}, 0)
-        weak = [LinIneq(terms=iq.terms, const=iq.const, strict=False)
-                for iq in sys.inequalities]
-        return sys.replace(_prune(weak))
+        weak = [LinIneq(terms=tuple((s, c) for s, c in iq.terms if s != slack_symbol),
+                        const=iq.const) for iq in self.inequalities]
+        return LinIneqSystem(
+            variables=tuple(v for v in self.variables if v != slack_symbol),
+            constants=tuple(c for c in self.constants if c != slack_symbol),
+            inequalities=_prune(weak),
+            nonneg_constants=self.nonneg_constants - {slack_symbol},
+        )
 
     def _domain_facts(self) -> list:
         return [LinIneq.make({c: -1}) for c in sorted(self.nonneg_constants)]
@@ -382,7 +359,7 @@ class LinIneqSystem:
         return "\n".join(lines)
 
     def _alias_render(self, iq: LinIneq, aliases) -> str:
-        coeffs = iq.coeffs
+        coeffs = dict(iq.terms)
         for name, group in aliases:
             group = {s: _q(c) for s, c in dict(group).items()}
             anchor = next(iter(group))

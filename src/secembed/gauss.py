@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import log2
 
 import numpy as np
 
@@ -47,11 +48,8 @@ def _check_nonneg(values, what: str):
 
 
 def _check_powers(powers, gains, what: str):
-    """Reject NaN, infinite or negative powers, and powers so large that the
-    pooled-power solver would overflow: its largest products (the slope
-    derivative divides by cubic terms in 1 + gain * p) grow like the cube of
-    power * max(1, gain)**2, so that factor is capped at the cube root of the
-    largest float."""
+    """Reject NaN, infinite or negative powers, and powers with power * max(1, gain)**2
+    above the cube root of the largest float, the domain the solvers are checked on."""
     _check_nonneg(powers, what)
     power, g, limit = float(max(powers)), float(max(1.0, *gains)), np.finfo(float).max ** (1 / 3)
     if power * g * g > limit:
@@ -263,10 +261,25 @@ def _waterfill(ch: ParallelGaussChannel, w1, w2) -> np.ndarray:
     as a quadratic in p; with two, Newton steps from the b1-only root rise
     monotonically to it, the slope being convex and decreasing.  Σp is convex
     and decreasing in mu, so Newton steps on mu rise alike from max_l slope_l(P).
+
+    Each row is solved with its gains times a power of two and the powers over it,
+    which leaves every a*p and every rounding as is; the row's top gain of positive
+    slope goes to about (a*P)**(1/4), or (a*P)**(1/2) below 1, so all terms stay
+    finite.  Where that top's slope at P equals its slope at 0 in float, mu is held
+    there: the held subchannels share what the others leave, inversely to their
+    rate of descent -slope'/slope at 0, as they do to first order.
     """
-    a, b1, b2, total = np.array(ch.a), np.array(ch.b1), np.array(ch.b2), float(ch.total_power)
-    u1 = np.asarray(w1, dtype=float)[:, None] * np.maximum(a - b1, 0.0)
-    u2 = np.asarray(w2, dtype=float)[:, None] * np.maximum(a - b2, 0.0)
+    w1, w2 = (np.asarray(w, dtype=float)[:, None] for w in (w1, w2))
+    a, b1, b2 = (np.array(g) for g in (ch.a, ch.b1, ch.b2))
+    # gains of a zero-slope subchannel (in its row) or term (b >= a) do not matter: 0, b <= a
+    a = np.where(w1 * (a > b1) + w2 * (a > b2) > 0, a, 0.0)
+    top = a.max(axis=1, keepdims=True)
+    reach = np.log2(top) + log2(ch.total_power)  # log2 of the row's largest a*P
+    scale = np.ldexp(1.0, np.round(reach / np.where(reach > 0, 4, 2) - np.log2(top)).astype(int))
+    a, b1, b2 = (np.minimum(g, a) * scale for g in (a, b1, b2))
+    total = ch.total_power / scale
+    u1, u2 = w1 * (a - b1), w2 * (a - b2)
+    u = u1 + u2
     b = np.where(u1 > 0, b1, b2)  # its quadratic root: exact for one term, a lower bound for two
 
     def slope(p):  # the weighted slope times 2 ln 2, and its derivative in p
@@ -275,26 +288,36 @@ def _waterfill(ch: ParallelGaussChannel, w1, w2) -> np.ndarray:
         return t1 + t2, -t1 * (da + b1 / (1 + b1 * p)) - t2 * (da + b2 / (1 + b2 * p))
 
     def powers(mu):
-        active = u1 + u2 > mu
-        k = np.where(active, (u1 + u2) / mu, 1.0)
+        active = u > mu
+        k = np.where(active, u / mu, 1.0)
         p = 2 * (k - 1) / np.where(active, (a + b) + np.sqrt((a - b) ** 2 + 4 * a * b * k), 1.0)
         for _ in range(100):
             s, ds = slope(p)
-            ds = np.where(active, ds, -1.0)
-            step = np.where(active, (mu - s) / ds, 0.0)
+            step = np.divide(mu - s, ds, out=np.zeros_like(p), where=active)
             p = np.maximum(p + step, 0.0)
             if np.all(np.abs(step) <= 1e-12 * (p + total)):
                 break
-        return p, np.where(active, 1.0 / ds, 0.0)
+        return p, np.divide(1.0, ds, out=np.zeros_like(p), where=active)
 
-    mu = slope(np.full_like(u1, total))[0].max(axis=1, keepdims=True)
+    at_total = slope(total)[0]
+    mu = at_total.max(axis=1, keepdims=True)
+    held = (at_total == u) & (u == mu)  # a top slope flat over [0, P] in float holds mu there
+    lowest = np.where(held.any(axis=1, keepdims=True), 0.0, -np.inf)  # a held mu does not fall
     for _ in range(100):
         p, dp = powers(mu)
-        step = (total - p.sum(axis=1, keepdims=True)) / dp.sum(axis=1, keepdims=True)
+        dp = dp.sum(axis=1, keepdims=True)
+        step = np.maximum(np.divide(total - p.sum(axis=1, keepdims=True), dp,
+                                    out=np.zeros_like(dp), where=dp != 0), lowest)
         mu = mu + step
         if np.all(np.abs(step) <= 1e-13 * mu):
             break
-    return p / p.sum(axis=1, keepdims=True) * total
+    held &= mu == u  # where mu stayed held, the held subchannels share the rest
+    if held.any():  # -slope'/slope at 0 is a + the u-weighted mean of b1 and b2
+        fall = a + np.divide(u1 * b1 + u2 * b2, u, out=np.full_like(u, np.inf), where=held)
+        share = np.divide(fall.min(axis=1, keepdims=True), fall, out=np.zeros_like(u), where=held)
+        rest = np.maximum(total - p.sum(axis=1, keepdims=True), 0.0) * share
+        p = p + np.divide(rest, share.sum(axis=1, keepdims=True), out=np.zeros_like(u), where=held)
+    return p / p.sum(axis=1, keepdims=True) * ch.total_power
 
 
 def _trace_frontier(ch: ParallelGaussChannel, left: tuple, right: tuple) -> np.ndarray:

@@ -628,6 +628,37 @@ def test_simulate_report_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
+# (strong kernel, weak kernel, erasure-profile passes one simulation makes)
+LEAKAGE_REQUESTS = {
+    "bec-pair": (dmc.bec_kernel(0.5), dmc.bec_kernel(0.9), 1),
+    "bec-strong-bsc-weak": (dmc.bec_kernel(0.5), dmc.bsc_kernel(0.3), 1),
+    # the same erasures with the weak outputs swapped: it reveals 1 - x, a second reveal map
+    "bec-pair-swapped-reveal": (dmc.bec_kernel(0.5), dmc.bec_kernel(0.9)[:, [1, 0, 2]], 2),
+    "bsc-pair": (dmc.bsc_kernel(0.2), dmc.bsc_kernel(0.4), 0),
+}
+
+
+@pytest.mark.parametrize("z1, z2, passes", LEAKAGE_REQUESTS.values(),
+                         ids=LEAKAGE_REQUESTS.keys())
+def test_simulation_leaks_are_exact_leakage_per_symbol(monkeypatch, z1, z2, passes):
+    ch = DmcTriple.independent(dmc.noiseless_kernel(2), z1, z2)
+    rates, n, seed = (0.25, 0.25, np.log2(3) / 4), 8, 3
+    real, calls = binning._erasure_profile, []
+
+    def counting_profile(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(binning, "_erasure_profile", counting_profile)
+    report = binning.simulate_nested_binning(ch, [0.5, 0.5], rates, n=n, trials=20, seed=seed)
+    assert len(calls) == passes
+    # the codebook substream the simulation draws from
+    rng_cb = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+    cb = binning.make_codebook([0.5, 0.5], n, binning.rates_to_counts(rates, n), rng_cb)
+    assert report.leak_m1_strong == binning.exact_leakage(cb, ch.pz1_x, "bin") / n
+    assert report.leak_messages_weak == binning.exact_leakage(cb, ch.pz2_x, "subbin") / n
+
+
 def test_simulate_budget_errors():
     ch = bec_triple()
     with pytest.raises(ValueError):

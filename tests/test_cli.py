@@ -140,6 +140,24 @@ def test_sim_dmc_sweep_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_sim_dmc_no_leakage_skips_only_the_leaks(tmp_path, capsys):
+    argv = ["sim", "dmc", "--bec", "0.5,0.9", "--px", "0.5,0.5", "--rates", "0.25,0.25,0.25",
+            "--n", "4,8", "--trials", "50", "--seed", "2"]
+    code, full, _ = run_cli(capsys, *argv)
+    assert code == 0
+    csv = tmp_path / "bare.csv"
+    code, bare, err = run_cli(capsys, *argv, "--no-leakage", "--csv", str(csv))
+    assert code == 0 and not err
+    full_runs, bare_runs = json.loads(full)["runs"], json.loads(bare)["runs"]
+    assert [r["error_rate"] for r in bare_runs] == [r["error_rate"] for r in full_runs]
+    for run in bare_runs:
+        assert run["normalized_leak_m1_strong"] is None
+        assert run["normalized_leak_messages_weak"] is None
+    rows = [line.split(",") for line in csv.read_text().strip().splitlines()[1:]]
+    assert [row[2:] for row in rows] == [["nan", "nan"]] * 2
+    assert [float(row[1]) for row in rows] == [r["error_rate"] for r in full_runs]
+
+
 def test_dmc_region_point_px(capsys):
     code, out, err = run_cli(capsys, "dmc", "region-point", "--bec", "0.5,0.9",
                              "--px", "0.5,0.5")

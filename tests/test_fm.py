@@ -262,14 +262,6 @@ def test_constraint_presets_pretty():
         "with R1 >= 0, R2 >= 0, R2a >= 0, R2b >= 0, T >= 0")
 
 
-def test_substitute_chain_rule_identity():
-    sys = LinIneqSystem.build((), ("I_VY", "I_VY_U", "I_UY"), [
-        LinIneq.at_most({"I_VY_U": 1, "I_UY": 1}, {"I_VY": 1}),
-    ])
-    out = sys.substitute("I_VY", {"I_VY_U": 1, "I_UY": 1})
-    assert out.inequalities == ()  # becomes 0 <= 0
-
-
 def test_instantiate_matches_manual_region():
     region = fm.derive_nested_binning_region()
     num = region.instantiate({"I_XY": 1.0, "I_XZ1": 0.5, "I_XZ2": 0.1})
@@ -377,3 +369,16 @@ def test_positive_rescaling_changes_nothing(raws, target):
         assert set(a.eliminate(var).inequalities) == set(b.eliminate(var).inequalities)
     assert a.is_feasible() == b.is_feasible()
     assert a.implies(build(target, False)) == b.implies(build(target, True))
+
+
+def test_relax_closure_drops_the_slack_and_weakens():
+    sys = LinIneqSystem.build(("R",), ("I", "eps"), [
+        LinIneq.at_most({"R": 2, "eps": 2}, {"I": 2}, strict=True),
+        LinIneq.at_most({"R": 1}, {"I": 1}, const=-1),
+        LinIneq.make({"eps": 1}, strict=True),
+    ])
+    out = sys.relax_closure(slack_symbol="eps")
+    assert (out.variables, out.constants, out.nonneg_constants) == (("R",), ("I",),
+                                                                     frozenset({"I"}))
+    # 2R + 2eps < 2I loses eps and gives way to the tighter R <= I - 1; eps < 0 becomes 0 <= 0
+    assert out.inequalities == (LinIneq.at_most({"R": 1}, {"I": 1}, const=-1),)

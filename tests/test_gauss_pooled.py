@@ -1,5 +1,7 @@
 """Pooled-power region: exact water-filling against oracles, KKT and edge cases."""
 
+import contextlib
+import io
 import json
 import math
 
@@ -169,6 +171,51 @@ def test_power_just_inside_the_limit_is_solved():
                              total_power=scale / 4 * 1.001)
 
 
+# Each of these warned in the solver: the first three because 1 + a*P rounds to 1, so
+# no water level lay below the top slope (they then exited 1 on a nan at JSON output),
+# the last because the slope's derivative was too small to invert.
+FLAT_OR_STEEP = {
+    "power-1e-200": (["--a", "1,1", "--b1", "0.5,0.5", "--b2", "0.1,0.1", "--P", "1e-200"],
+                     [5e-201, 5e-201]),
+    "gains-1e-100": (["--a", "1e-100,1e-100", "--b1", "5e-101,5e-101", "--b2", "1e-101,1e-101",
+                      "--P", "1"], [0.5, 0.5]),
+    "gains-1e100-power-1e-150": (["--a", "1e100,1e100", "--b1", "5e99,5e99",
+                                  "--b2", "1e99,1e99", "--P", "1e-150"], [5e-151, 5e-151]),
+    "near-the-power-limit": (["--a", "0.727", "--b1", "0.572", "--b2", "0.362",
+                              "--P", "5.638e102"], [5.638e102]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, alloc", FLAT_OR_STEEP.values(), ids=FLAT_OR_STEEP.keys())
+def test_flat_or_steep_slopes_solve_without_warning(capsys, argv, alloc):
+    assert main(["region", "parallel-total", *argv]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert not err and payload["alloc_max_r1"] == payload["alloc_max_sum"] == alloc
+    assert all(math.isfinite(payload[k]) for k in ("max_r1", "max_sum", "embedding_gap"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_held_level_is_shared_inversely_to_the_rate_of_descent():
+    # both slopes start at 1 and 1 + a*P rounds to 1: to first order the slope falls
+    # like 1 - (a + b) p, so the power splits 1 : 5
+    ch = ParallelGaussChannel(a=(3.0, 1.0), b1=(2.0, 0.0), b2=(2.0, 0.0), total_power=1e-200)
+    bnd = gauss.region_parallel_total(ch)
+    assert bnd.alloc_max_sum == pytest.approx((1e-200 / 6, 5e-200 / 6), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_held_level_leaves_the_steep_subchannel_its_power():
+    # the first slope is flat over [0, P] in float (a*P = 1e-20), so mu stays at 1e-80;
+    # the second takes the power where its slope falls to that level, the first the rest
+    ch = ParallelGaussChannel(a=(1e-80, 1.0), b1=(0.0, 0.5), b2=(0.0, 0.5), total_power=1e60)
+    bnd = gauss.region_parallel_total(ch)
+    assert bnd.alloc_max_sum[1] == pytest.approx(1e40, rel=1e-3)
+    assert sum(bnd.alloc_max_sum) == pytest.approx(1e60, rel=1e-12)
+    assert_kkt(bnd.alloc_max_sum, ch.a, ch.b2)
+
+
 def test_high_objective_flat_when_a_le_b1_everywhere():
     ch = ParallelGaussChannel(a=(1.0, 0.5, 0.8), b1=(1.0, 0.7, 0.9), b2=(0.2, 0.1, 0.3),
                               total_power=1.0)
@@ -269,3 +316,39 @@ def test_property_frontier_is_a_certified_inner_approximation(ch):
     for p in np.vstack([spread, near]):
         high, low = values(ch, p)
         assert low <= bnd.best_sum_given_r1(min(high, bnd.max_r1)) + gauss.FRONTIER_SAG
+
+
+def log_uniform():
+    return st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def wide_subchannel(draw):
+    a = draw(log_uniform())
+    below = st.one_of(log_uniform(), st.just(a),  # free, or equal, or just under a
+                      st.floats(1.0, 16.0).map(lambda k: a * (1.0 - 10.0 ** -k)))
+    b1, b2 = sorted((draw(below), draw(below)), reverse=True)
+    return a, b1, b2
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(wide_subchannel(), min_size=1, max_size=3), log_uniform())
+def test_property_parallel_total_answers_or_names_the_input(subchannels, power):
+    argv = ["region", "parallel-total", "--P", repr(power)]
+    for flag, gains in zip(("--a", "--b1", "--b2"), zip(*subchannels)):
+        argv += [flag, ",".join(map(repr, gains))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        payload = json.loads(out.getvalue())
+        assert not err.getvalue()
+        assert all(math.isfinite(payload[k]) for k in ("max_r1", "max_sum", "embedding_gap"))
+        for key in ("alloc_max_r1", "alloc_max_sum"):
+            assert min(payload[key]) >= 0.0 and math.isfinite(sum(payload[key]))
+            assert sum(payload[key]) == pytest.approx(power, rel=1e-12)
+    else:
+        assert code == 1 and not out.getvalue() and err.getvalue().count("\n") == 1
+        message = json.loads(err.getvalue())["message"]
+        assert "total power" in message or "gain" in message
