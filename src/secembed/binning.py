@@ -150,6 +150,11 @@ _BLOCK_KEYS = 2**16
 # leakage laws (groups x |Z|**n): bounds both; n <= 12 decodes in one chunk.
 _DECODE_SCORES = 2**20
 
+# Default budgets: enumerated outputs or reveal patterns of one exact leakage,
+# and codeword symbols of one simulated codebook.
+LEAKAGE_BUDGET = 2**24
+CODEBOOK_BUDGET = 2**20
+
 
 def _row_clogc(bounds: np.ndarray, first_runs: np.ndarray,
                lut: np.ndarray) -> np.ndarray:
@@ -365,7 +370,7 @@ def _leakages(codebook: NestedCodebook, requests, budget: int) -> list:
 
 
 def exact_leakage(codebook: NestedCodebook, kernel, level: str = "bin", *,
-                  budget: int = 2**24) -> float:
+                  budget: int = LEAKAGE_BUDGET) -> float:
     """Exact I(M1; Z^n) (level='bin') or I(M1,M2; Z^n) (level='subbin') in bits."""
     if level not in ("bin", "subbin"):
         raise ValueError("level must be 'bin' or 'subbin'")
@@ -392,6 +397,7 @@ def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
     w = np.asarray(py_x, dtype=float)
     if w.ndim != 2 or w.shape[0] != codebook.nx:
         raise ValueError("py_x must have one row per codebook input symbol")
+    _check_stochastic(w, "py_x")
     flat = codebook.flat()
     k_total = codebook.size
     logw = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -1e30)
@@ -440,8 +446,8 @@ class SimReport:
 
 
 def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
-                            seed: int, *, codebook_budget: int = 2**20,
-                            leakage_budget: int = 2**24,
+                            seed: int, *, codebook_budget: int = CODEBOOK_BUDGET,
+                            leakage_budget: int = LEAKAGE_BUDGET,
                             measure_leakage: bool = True) -> SimReport:
     """Build one random codebook, measure decoding error and exact leakage.
 
@@ -453,9 +459,7 @@ def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
     counts = rates_to_counts(rates, n)
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    px = _check_distribution(px, "px", neg_tol=0.0)
-    if px.shape[0] != ch.nx:
-        raise ValueError("px must be a distribution over the input alphabet")
+    px = _check_distribution(px, "px", neg_tol=0.0, size=ch.nx)
     total_symbols = counts[0] * counts[1] * counts[2] * n
     if total_symbols > codebook_budget:
         raise ValueError(

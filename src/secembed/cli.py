@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from secembed import binning, coset, dmc, fm, gauss
+from secembed import binning, coset, dmc, fm, gauss, gf2
 
 OUT_DIR_ENV = "SECEMBED_OUT_DIR"
 
@@ -244,7 +244,7 @@ def _cmd_fm_derive(args) -> int:
 
 
 def _add_budget_args(p):
-    p.add_argument("--node-limit", type=int, default=20_000_000,
+    p.add_argument("--node-limit", type=int, default=gf2.NODE_LIMIT,
                    help="hard node cap for the exact certificate search")
 
 
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     rs.add_argument("--a", type=float, required=True)
     rs.add_argument("--b1", type=float, required=True)
     rs.add_argument("--b2", type=float, required=True)
-    rs.add_argument("--points", type=int, default=201)
+    rs.add_argument("--points", type=int, default=gauss.N_BOUNDARY)
     rs.add_argument("--out")
     rs.add_argument("--csv")
     rs.set_defaults(func=_cmd_region_scalar)
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--b2")
     rp.add_argument("--powers")
     rp.add_argument("--preset", choices=["two-subchannel-reference"])
-    rp.add_argument("--points", type=int, default=201)
+    rp.add_argument("--points", type=int, default=gauss.N_BOUNDARY)
     rp.add_argument("--out")
     rp.add_argument("--csv")
     rp.set_defaults(func=_cmd_region_parallel)
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--alpha2", type=float, required=True)
     cc.add_argument("--eps", type=float, required=True)
     cc.add_argument("--seed", type=int, required=True)
-    cc.add_argument("--max-attempts", type=int, default=100)
+    cc.add_argument("--max-attempts", type=int, default=coset.MAX_ATTEMPTS)
     _add_budget_args(cc)
     cc.add_argument("--out")
     cc.set_defaults(func=_cmd_code_construct)
@@ -331,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     sd.add_argument("--n", required=True, help="block length, or comma list for a sweep")
     sd.add_argument("--trials", type=int, default=200)
     sd.add_argument("--seed", type=int, required=True)
-    sd.add_argument("--codebook-budget", type=int, default=2**20)
-    sd.add_argument("--leakage-budget", type=int, default=2**24)
+    sd.add_argument("--codebook-budget", type=int, default=binning.CODEBOOK_BUDGET)
+    sd.add_argument("--leakage-budget", type=int, default=binning.LEAKAGE_BUDGET)
     sd.add_argument("--no-leakage", action="store_true")
     sd.add_argument("--out")
     sd.add_argument("--csv")

@@ -326,7 +326,7 @@ def _certificates(p: WiretapIIParams, stacked: np.ndarray, node_limit: int) -> t
 
 
 def worst_case_security(code: CosetCodePair, *,
-                        node_limit: int = 20_000_000) -> tuple[int, int]:
+                        node_limit: int = gf2.NODE_LIMIT) -> tuple[int, int]:
     """Exact (d1_star, d2_star): worst-case equivocations over all observed sets.
 
     d1_star minimizes the h1 column-subspace dimension over all position
@@ -339,8 +339,11 @@ def worst_case_security(code: CosetCodePair, *,
     return _certificates(code.params, code.stacked, node_limit)
 
 
-def construct(params: WiretapIIParams, seed: int, max_attempts: int = 100, *,
-              node_limit: int = 20_000_000) -> CosetCodePair:
+MAX_ATTEMPTS = 100  # default cap on the matrices construct draws
+
+
+def construct(params: WiretapIIParams, seed: int, max_attempts: int = MAX_ATTEMPTS, *,
+              node_limit: int = gf2.NODE_LIMIT) -> CosetCodePair:
     """Rejection-sample a two-level coset code with exact security certificates.
 
     Each attempt draws the stacked parity-check matrix with i.i.d.
@@ -442,7 +445,7 @@ def union_bound_report(params: WiretapIIParams, *, exact_counts: bool = False) -
         rank_ok=rank_term < 0.5, subset_ok=subset_term < 0.5)
 
 
-def audit_code(code: CosetCodePair, *, node_limit: int = 20_000_000) -> dict:
+def audit_code(code: CosetCodePair, *, node_limit: int = gf2.NODE_LIMIT) -> dict:
     """Re-derive the security certificates exactly and check the 3/eps bounds.
 
     Returns a JSON-ready report: recomputed d1_star/d2_star, whether they

@@ -46,12 +46,15 @@ def _check_stochastic(mat: np.ndarray, what: str):
 
 
 def _check_distribution(p, what: str, *, neg_tol: float = _ATOL,
-                        sum_tol: float = 1e-9) -> np.ndarray:
+                        sum_tol: float = 1e-9, size: int | None = None) -> np.ndarray:
     """``p`` as a flat float vector, or ValueError naming ``what`` unless it is a
-    finite distribution (entries >= -neg_tol, summing to 1 within sum_tol)."""
+    finite distribution (entries >= -neg_tol, summing to 1 within sum_tol) with
+    ``size`` entries when ``size`` is given (the input alphabet's size)."""
     p = np.asarray(p, dtype=float).reshape(-1)
     if not np.isfinite(p).all() or (p < -neg_tol).any() or abs(p.sum() - 1.0) > sum_tol:
         raise ValueError(f"{what} must be a distribution of finite entries")
+    if size is not None and p.shape[0] != size:
+        raise ValueError(f"{what} must be a distribution over the input alphabet")
     return p
 
 
@@ -172,8 +175,10 @@ class AuxiliaryChain:
         pu = _check_distribution(self.pu, "p(u)", sum_tol=1e-12)
         pv_u = np.asarray(self.pv_u, dtype=float)
         px_v = np.asarray(self.px_v, dtype=float)
-        _check_stochastic(pv_u, "p(v|u)")
-        _check_stochastic(px_v, "p(x|v)")
+        for mat, what in ((pv_u, "p(v|u)"), (px_v, "p(x|v)")):
+            if mat.ndim != 2:
+                raise ValueError(f"{what} must be a 2-D matrix")
+            _check_stochastic(mat, what)
         if pv_u.shape[0] != pu.shape[0] or px_v.shape[0] != pv_u.shape[1]:
             raise ValueError("chain shapes do not compose")
         for arr, name in ((pu, "pu"), (pv_u, "pv_u"), (px_v, "px_v")):
@@ -272,9 +277,7 @@ def region_point_simple(ch: DmcTriple, px) -> RatePointBounds:
 
     both clamped at zero, computed exactly in bits.
     """
-    px = _check_distribution(px, "px")
-    if px.shape[0] != ch.nx:
-        raise ValueError("px must be a distribution over the input alphabet")
+    px = _check_distribution(px, "px", size=ch.nx)
     ixy = mi_bits(px[:, None] * ch.py_x)
     ixz1 = mi_bits(px[:, None] * ch.pz1_x)
     ixz2 = mi_bits(px[:, None] * ch.pz2_x)
@@ -325,17 +328,6 @@ class EmbeddabilityReport:
     embeddable: bool
     perfectly_embeddable: bool
     evaluations: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "scope": "supplied candidates only",
-            "best_sum": self.best_sum,
-            "best_r1_at_best_sum": self.best_r1_at_best_sum,
-            "best_r1_overall": self.best_r1_overall,
-            "embeddable": self.embeddable,
-            "perfectly_embeddable": self.perfectly_embeddable,
-            "evaluations": [e.to_dict() for e in self.evaluations],
-        }
 
 
 def embeddability_report(ch: DmcTriple, px_candidates=(), aux_candidates=(),

@@ -22,6 +22,7 @@ elimination) in simplify_with_assumptions.
 
 from __future__ import annotations
 
+import dataclasses
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -228,9 +229,7 @@ class LinIneqSystem:
                    inequalities=tuple(inequalities), nonneg_constants=nn)
 
     def replace(self, inequalities) -> "LinIneqSystem":
-        return LinIneqSystem(variables=self.variables, constants=self.constants,
-                             inequalities=tuple(inequalities),
-                             nonneg_constants=self.nonneg_constants)
+        return dataclasses.replace(self, inequalities=tuple(inequalities))
 
     def eliminate(self, var: str) -> "LinIneqSystem":
         """Project away one variable by combining its lower and upper bounds.
@@ -241,12 +240,9 @@ class LinIneqSystem:
         """
         if var not in self.variables:
             raise ValueError(f"{var} is not a declared variable")
-        return LinIneqSystem(
-            variables=tuple(v for v in self.variables if v != var),
-            constants=self.constants,
-            inequalities=_fm_step(self.inequalities, var),
-            nonneg_constants=self.nonneg_constants,
-        )
+        return dataclasses.replace(
+            self, variables=tuple(v for v in self.variables if v != var),
+            inequalities=_fm_step(self.inequalities, var))
 
     def relax_closure(self, slack_symbol=None) -> "LinIneqSystem":
         """Take the vanishing-slack limit: slack := 0, strict becomes weak."""

@@ -243,7 +243,7 @@ def region_parallel_individual(ch: ParallelGaussChannel) -> ParallelRegionResult
 
 
 FRONTIER_SAG = 1e-8  # vertical sag (bits) certified for every traced frontier chord
-N_BOUNDARY = 201  # evenly spaced R1 samples in TotalPowerBoundary.points
+N_BOUNDARY = 201  # evenly spaced R1 samples: TotalPowerBoundary.points, default --points
 
 
 def _cap_pairs(ch: ParallelGaussChannel, p) -> tuple:

@@ -242,7 +242,10 @@ def column_subset_dim(m, subset) -> int:
     return rank(a[:, positions(subset, a.shape[1])])
 
 
-def min_rank_over_column_subsets(m, size: int, *, node_limit: int = 20_000_000) -> int:
+NODE_LIMIT = 20_000_000  # default node cap of the min-rank search
+
+
+def min_rank_over_column_subsets(m, size: int, *, node_limit: int = NODE_LIMIT) -> int:
     """Exact minimum of rank(m[:, S]) over all column subsets of the given size.
 
     By Wei's generalized-Hamming-weight identity, with C the row space of m

@@ -3,11 +3,11 @@
 ``tests/golden/cli/`` holds, for each case below, ``<name>.out`` (stdout byte
 for byte) and, for a ``--csv`` case, ``<name>.csv``; ``exit_codes.json`` maps
 every case to its exit code.  ``demo_<script stem>.out`` is the stdout of each
-quick demo, and ``acceptance_6.txt`` the ACCEPTANCE line of criterion 6.  The
+quick demo, and ``acceptance_<k>.txt`` the ACCEPTANCE line of criterion k.  The
 files the commands read sit beside them: ``input_bsc_channel.json``,
 ``input_aux.json``, and the bundles that the ``code construct`` cases print.
 
-``tests/test_cli_golden.py``, ``tests/test_demos.py`` and criterion 6 of
+``tests/test_cli_golden.py``, ``tests/test_demos.py`` and the criteria of
 ``tests/test_acceptance.py`` compare against these files.  After an intended
 output change, regenerate them (criterion 6 takes a few minutes) and name each
 changed file and the reason in CHANGES.md:
@@ -119,7 +119,9 @@ def regenerate():
                 raise SystemExit(f"{name} failed:\n{done.stderr}")
             demo_golden(name).write_text(done.stdout)
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, sort_keys=True, indent=2) + "\n")
-    (GOLDEN / "acceptance_6.txt").write_text(test_acceptance.criterion_6_line()[1] + "\n")
+    for k in range(1, 9):
+        line = getattr(test_acceptance, f"criterion_{k}_line")()[1]
+        (GOLDEN / f"acceptance_{k}.txt").write_text(line + "\n")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,16 @@
 """Acceptance suite.
 
 One test per acceptance criterion, each printing a PASS/FAIL line with
-the measured values (run with -s to see the lines as they appear):
+the measured values (run with -s to see the lines as they appear) and
+comparing it with its golden line ``tests/golden/cli/acceptance_<k>.txt``:
 
     pytest tests/test_acceptance.py -v -s
 """
 
 import itertools
+import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ import cli_golden
 import test_coset
 import test_fm
 from secembed import binning, coset, dmc, fm, gauss
+from secembed.cli import main
 from secembed.coset import WiretapIIParams
 from secembed.dmc import DmcTriple
 from secembed.gauss import ParallelGaussChannel, ScalarGaussChannel
@@ -24,46 +29,51 @@ def acceptance_line(idx, ok, detail) -> str:
     return f"ACCEPTANCE {idx} [{'PASS' if ok else 'FAIL'}] {detail}"
 
 
-def report(idx, ok, detail):
-    print(acceptance_line(idx, ok, detail))
-    assert ok, detail
+def check_line(idx, ok, line):
+    """Print criterion idx's line, then require a pass and its golden line."""
+    print(line)
+    assert ok, line
+    assert line + "\n" == (cli_golden.GOLDEN / f"acceptance_{idx}.txt").read_text()
 
 
-def test_criterion_1_wiretap2_perfect_embedding(tmp_path):
-    """Constructed codes clear the exact worst-case leakage margin 3/eps.
+def criterion_1_line() -> tuple[bool, str]:
+    """(pass, ACCEPTANCE line): constructed codes clear the exact worst-case
+    leakage margin 3/eps.
 
     Runs through the CLI surface: `code construct` must succeed within
     100 attempts and `code audit` must re-derive the certificates by
     the exact generalized-Hamming-weight search and confirm both bounds.
     """
-    import json
-
-    from secembed.cli import main
-
     margin = 12.0  # 3 / 0.25
     details = []
     ok = True
-    for n in (16, 24, 32):
-        bundle = tmp_path / f"bundle_{n}.json"
-        audit_out = tmp_path / f"audit_{n}.json"
-        rc = main(["code", "construct", "--n", str(n), "--alpha1", "0.5",
-                   "--alpha2", "0.25", "--eps", "0.25", "--seed", "7",
-                   "--max-attempts", "100", "--out", str(bundle)])
-        ok = ok and rc == 0
-        rc = main(["code", "audit", "--bundle", str(bundle), "--out", str(audit_out)])
-        ok = ok and rc == 0
-        audit = json.loads(audit_out.read_text())
-        leak_strong = audit["strong_eavesdropper"]["worst_case_leakage_bits"]
-        leak_weak = audit["weak_eavesdropper"]["worst_case_leakage_bits"]
-        ok = ok and audit["pass"] and leak_strong <= margin and leak_weak <= margin
-        ok = ok and audit["certificates_match"]
-        details.append(f"n={n}: d1*={audit['d1_star']} d2*={audit['d2_star']} "
-                       f"leaks=({leak_strong},{leak_weak})<=12")
-    report(1, ok, "; ".join(details))
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in (16, 24, 32):
+            bundle = pathlib.Path(tmp) / f"bundle_{n}.json"
+            audit_out = pathlib.Path(tmp) / f"audit_{n}.json"
+            rc = main(["code", "construct", "--n", str(n), "--alpha1", "0.5",
+                       "--alpha2", "0.25", "--eps", "0.25", "--seed", "7",
+                       "--max-attempts", "100", "--out", str(bundle)])
+            ok = ok and rc == 0
+            rc = main(["code", "audit", "--bundle", str(bundle), "--out", str(audit_out)])
+            ok = ok and rc == 0
+            audit = json.loads(audit_out.read_text())
+            leak_strong = audit["strong_eavesdropper"]["worst_case_leakage_bits"]
+            leak_weak = audit["weak_eavesdropper"]["worst_case_leakage_bits"]
+            ok = ok and audit["pass"] and leak_strong <= margin and leak_weak <= margin
+            ok = ok and audit["certificates_match"]
+            details.append(f"n={n}: d1*={audit['d1_star']} d2*={audit['d2_star']} "
+                           f"leaks=({leak_strong},{leak_weak})<=12")
+    return ok, acceptance_line(1, ok, "; ".join(details))
 
 
-def test_criterion_2_parity_code_exact_secrecy_oracle():
-    """Hand parity code: exactly 1 bit of equivocation for every size-3 view."""
+def test_criterion_1_wiretap2_perfect_embedding():
+    check_line(1, *criterion_1_line())
+
+
+def criterion_2_line() -> tuple[bool, str]:
+    """(pass, ACCEPTANCE line): hand parity code, exactly 1 bit of
+    equivocation for every size-3 view."""
     code = test_coset.parity_code()
     worst = []
     ok = True
@@ -72,23 +82,34 @@ def test_criterion_2_parity_code_exact_secrecy_oracle():
         oracle = test_coset.equivocation_oracle(code, observed, "high")
         ok = ok and got == 1 and abs(oracle - got) < 1e-12
         worst.append(abs(oracle - got))
-    report(2, ok, f"all four |S|=3 views give 1 bit; oracle gap <= {max(worst):.2e}")
+    return ok, acceptance_line(
+        2, ok, f"all four |S|=3 views give 1 bit; oracle gap <= {max(worst):.2e}")
 
 
-def test_criterion_3_scalar_gaussian_corner_beats_naive():
-    """Corner point achievable jointly, strictly outside separate coding."""
+def test_criterion_2_parity_code_exact_secrecy_oracle():
+    check_line(2, *criterion_2_line())
+
+
+def criterion_3_line() -> tuple[bool, str]:
+    """(pass, ACCEPTANCE line): corner point achievable jointly, strictly
+    outside separate coding."""
     ch = ScalarGaussChannel(power=1.0, a=1.0, b1=0.5, b2=0.1)
     res = gauss.region_scalar(ch)
     naive = gauss.naive_region(ch)
     inside = res.region.contains(res.corner, tol=1e-12)
     margin = naive.hull_violation(res.corner)
     ok = inside and margin > 1e-9
-    report(3, ok, f"corner=({res.corner[0]:.6f},{res.corner[1]:.6f}) in region; "
-                  f"naive hull violation {margin:.6f} > 0")
+    return ok, acceptance_line(
+        3, ok, f"corner=({res.corner[0]:.6f},{res.corner[1]:.6f}) in region; "
+               f"naive hull violation {margin:.6f} > 0")
 
 
-def test_criterion_4_two_subchannel_pooled_power_gap():
-    """Pooled power: the two objectives want different allocations, so the
+def test_criterion_3_scalar_gaussian_corner_beats_naive():
+    check_line(3, *criterion_3_line())
+
+
+def criterion_4_line() -> tuple[bool, str]:
+    """(pass, ACCEPTANCE line): pooled power, the two objectives want different allocations, so the
     full-rate corner is strictly infeasible (embeddable, not perfectly)."""
     ch = ParallelGaussChannel(a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1),
                               total_power=1.0)
@@ -97,14 +118,18 @@ def test_criterion_4_two_subchannel_pooled_power_gap():
     gap = bnd.embedding_gap()
     corner = (bnd.max_r1, bnd.max_sum - bnd.max_r1)
     ok = alloc_gap > 1e-2 and gap > 1e-4 and not bnd.contains(corner, tol=1e-6)
-    report(4, ok, f"alloc_max_r1={bnd.alloc_max_r1} vs alloc_max_sum={bnd.alloc_max_sum}; "
-                  f"corner gap {gap:.6f} bits > 1e-4")
+    return ok, acceptance_line(
+        4, ok, f"alloc_max_r1={bnd.alloc_max_r1} vs alloc_max_sum={bnd.alloc_max_sum}; "
+               f"corner gap {gap:.6f} bits > 1e-4")
 
 
-def test_criterion_5_fm_rederivation():
-    """Golden symbolic regions plus projection soundness/completeness."""
-    import pathlib
+def test_criterion_4_two_subchannel_pooled_power_gap():
+    check_line(4, *criterion_4_line())
 
+
+def criterion_5_line() -> tuple[bool, str]:
+    """(pass, ACCEPTANCE line): golden symbolic regions plus projection
+    soundness/completeness."""
     golden = pathlib.Path(__file__).parent / "golden"
     nested = fm.derive_nested_binning_region()
     layered = fm.derive_layered_region()
@@ -117,8 +142,13 @@ def test_criterion_5_fm_rederivation():
     )
     complete, sound = test_fm.run_projection_property_trials(1000, seed=2024)
     ok = golden_ok and complete > 500 and sound > 500
-    report(5, ok, f"golden regions match; {complete} completeness and "
-                  f"{sound} soundness points verified over 1000 random systems")
+    return ok, acceptance_line(
+        5, ok, f"golden regions match; {complete} completeness and "
+               f"{sound} soundness points verified over 1000 random systems")
+
+
+def test_criterion_5_fm_rederivation():
+    check_line(5, *criterion_5_line())
 
 
 def criterion_6_line() -> tuple[bool, str]:
@@ -156,16 +186,12 @@ def criterion_6_line() -> tuple[bool, str]:
 
 @pytest.mark.slow
 def test_criterion_6_nested_binning_trend():
-    """Criterion 6's trend holds, and its line matches the golden line."""
-    ok, line = criterion_6_line()
-    print(line)
-    assert ok, line
-    assert line + "\n" == (cli_golden.GOLDEN / "acceptance_6.txt").read_text()
+    check_line(6, *criterion_6_line())
 
 
-def test_criterion_7_cross_module_consistency():
-    """fm-instantiated boxes equal dmc region points; constant-U chains
-    reproduce the plain input-distribution bounds."""
+def criterion_7_line() -> tuple[bool, str]:
+    """(pass, ACCEPTANCE line): fm-instantiated boxes equal dmc region
+    points; constant-U chains reproduce the plain input-distribution bounds."""
     rng = np.random.default_rng(77)
     shape = fm.derive_nested_binning_region()
     worst_box = 0.0
@@ -200,12 +226,17 @@ def test_criterion_7_cross_module_consistency():
         worst_aux = max(worst_aux, abs(full.r1_max - simple.r1_max),
                         abs(full.sum_max - simple.sum_max))
     ok = worst_box <= 1e-10 and worst_aux <= 1e-10
-    report(7, ok, f"box gap <= {worst_box:.2e}, constant-U gap <= {worst_aux:.2e} "
-                  "over 100 + 100 random instances")
+    return ok, acceptance_line(
+        7, ok, f"box gap <= {worst_box:.2e}, constant-U gap <= {worst_aux:.2e} "
+               "over 100 + 100 random instances")
 
 
-def test_criterion_8_union_bound_sweep():
-    """Loose-mode bound is conclusive exactly under the two analytic
+def test_criterion_7_cross_module_consistency():
+    check_line(7, *criterion_7_line())
+
+
+def criterion_8_line() -> tuple[bool, str]:
+    """(pass, ACCEPTANCE line): loose-mode bound is conclusive exactly under the two analytic
     conditions (rank term < 1/2 and the n > 2 subset term) on n in 3..64."""
     ok = True
     checked = 0
@@ -227,6 +258,11 @@ def test_criterion_8_union_bound_sweep():
             ok = ok and rep.total < 1.0
         ok = ok and exact.subset_term <= rep.subset_term
         checked += 1
-    report(8, ok and checked >= 60,
-           f"{checked} block lengths swept; loose terms match the analytic chain "
-           "and exact counting is never looser")
+    ok = ok and checked >= 60
+    return ok, acceptance_line(
+        8, ok, f"{checked} block lengths swept; loose terms match the analytic chain "
+               "and exact counting is never looser")
+
+
+def test_criterion_8_union_bound_sweep():
+    check_line(8, *criterion_8_line())

@@ -548,6 +548,25 @@ def test_error_rate_rejects_py_x_over_wrong_alphabet(py_x):
         binning.empirical_error_rate(cb, py_x, 10, np.random.default_rng(1))
 
 
+@pytest.mark.parametrize("py_x, match", [
+    ([[2.0, 0.0], [0.0, 2.0]], "py_x rows must sum to 1"),
+    ([[0.5, 0.6], [0.5, 0.5]], "py_x rows must sum to 1"),
+    ([[math.nan, 1.0], [0.0, 1.0]], "py_x has non-finite"),
+    ([[1.5, -0.5], [0.2, 0.8]], "py_x has negative entries"),
+])
+def test_error_rate_rejects_non_stochastic_py_x(py_x, match):
+    """The decoder's kernel is checked as exact_leakage checks an eavesdropper's."""
+    cb = binning.make_codebook([0.5, 0.5], 4, (2, 2, 2), np.random.default_rng(1))
+    with pytest.raises(ValueError, match=match):
+        binning.empirical_error_rate(cb, py_x, 50, np.random.default_rng(1))
+
+
+def test_exact_leakage_rejects_kernel_over_wrong_alphabet():
+    cb = binning.make_codebook([0.5, 0.5], 4, (2, 2, 2), np.random.default_rng(1))
+    with pytest.raises(ValueError, match="kernel input alphabet does not match the codebook"):
+        binning.exact_leakage(cb, dmc.bec_kernel(0.5)[[0, 1, 1]], "bin")
+
+
 @pytest.mark.parametrize("px", [[1.0], [0.5, 0.25, 0.25]])
 def test_simulate_rejects_px_over_wrong_alphabet(px):
     with pytest.raises(ValueError, match="px must be a distribution over the input alphabet"):

@@ -261,6 +261,23 @@ def test_malformed_aux_file_is_domain_error(tmp_path, capsys, spec):
         "message": "--aux must hold a JSON object with pu, pv_u, px_v"}
 
 
+@pytest.mark.parametrize("key, value, what", [
+    ("pv_u", 0, "p(v|u)"),
+    ("pv_u", [1, 1], "p(v|u)"),
+    ("px_v", 0, "p(x|v)"),
+    ("px_v", [1, 1], "p(x|v)"),
+])
+def test_aux_matrix_that_is_not_2d_is_domain_error(tmp_path, capsys, key, value, what):
+    spec = {"pu": [0.5, 0.5], "pv_u": [[1, 0], [0, 1]], "px_v": [[1, 0], [0, 1]], key: value}
+    aux = tmp_path / "aux.json"
+    aux.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "dmc", "region-point", "--bec", "0.5,0.9",
+                             "--aux", str(aux))
+    assert code == 1 and not out
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ValueError", "message": f"{what} must be a 2-D matrix"}
+
+
 def test_domain_error_exit_code_and_stderr_json(capsys):
     code, out, err = run_cli(capsys, "code", "construct", "--n", "10",
                              "--alpha1", "0.33", "--alpha2", "0.25", "--eps", "0.1",

@@ -482,6 +482,27 @@ def test_construct_ranks_each_draw_once_and_builds_one_code(monkeypatch):
     assert coset.worst_case_security(code) == (code.d1_star, code.d2_star)
 
 
+def test_construct_skips_rank_deficient_draws_and_exhausts(monkeypatch):
+    params = WiretapIIParams(16, 0.5, 0.25, 0.25)
+    draw, draws = gf2.random_matrix, []
+
+    def first_draw_deficient(rows, cols, rng):
+        h = draw(rows, cols, rng)
+        if not draws:
+            h[1] = h[0]
+        draws.append(h)
+        return h
+
+    monkeypatch.setattr(gf2, "random_matrix", first_draw_deficient)
+    code = coset.construct(params, seed=1)
+    assert len(draws) == 2 and np.array_equal(code.stacked, draws[1])
+    monkeypatch.setattr(gf2, "random_matrix",
+                        lambda rows, cols, rng: np.zeros((rows, cols), np.uint8))
+    with pytest.raises(coset.ConstructionExhaustedError,
+                       match="no acceptable matrix in 3 attempts at n=16"):
+        coset.construct(params, seed=1, max_attempts=3)
+
+
 @pytest.mark.parametrize("kwargs, match", [
     ({"n": 16.0}, "n = 16.0 must be an integer"),
     ({"n": "16"}, "n = '16' must be an integer"),

@@ -134,6 +134,13 @@ def test_region_point_full_constant_u_matches_simple():
         assert full.side_condition_ok  # I(U;.) = 0 on both sides
 
 
+def test_region_point_full_rejects_chain_over_wrong_alphabet():
+    ch = random_triple(np.random.default_rng(4))
+    aux = AuxiliaryChain(pu=[1.0], pv_u=[[0.5, 0.5]], px_v=[[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="auxiliary chain does not match the channel input"):
+        dmc.region_point_full(ch, aux)
+
+
 def test_region_point_full_v_equals_u_kills_r1():
     rng = np.random.default_rng(5)
     ch = random_triple(rng)
@@ -221,6 +228,28 @@ def test_embeddability_report_strong_equals_y_blocks_r1():
     rep = dmc.embeddability_report(ch, px_candidates=candidates)
     assert not rep.embeddable
     assert rep.best_r1_overall == pytest.approx(0.0, abs=1e-12)
+
+
+def test_embeddability_report_excludes_chains_failing_the_side_condition():
+    # X = (A, B), two bits: Y sees A through a BSC(0.1) and B cleanly, Z1 = Z2 = A.
+    # The chain U = A, V = X has I(U;Y) < I(U;Z2), and an R1 bound of 1 bit
+    # above the uniform input's 1 - h(0.1).
+    bsc = dmc.bsc_kernel(0.1)
+    py_x = np.zeros((4, 4))
+    for a, b, flip in itertools.product(range(2), repeat=3):
+        py_x[2 * a + b, 2 * (a ^ flip) + b] = bsc[0, flip]
+    pz_x = np.repeat(np.eye(2), 2, axis=0)
+    ch = DmcTriple.independent(py_x, pz_x, pz_x)
+    chain = AuxiliaryChain(pu=[0.5, 0.5], pv_u=[[0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5]],
+                           px_v=np.eye(4))
+    uniform = dmc.region_point_simple(ch, [0.25] * 4)
+    rep = dmc.embeddability_report(ch, px_candidates=[[0.25] * 4], aux_candidates=[chain])
+    assert rep.evaluations == (uniform, dmc.region_point_full(ch, chain))
+    assert rep.evaluations[1].side_condition_ok is False
+    assert rep.evaluations[1].r1_max == pytest.approx(1.0, abs=1e-12)
+    assert rep.best_r1_overall == uniform.r1_max == pytest.approx(0.531004406, abs=1e-9)
+    assert rep.best_sum == uniform.sum_max
+    assert rep.perfectly_embeddable
 
 
 def test_embeddability_report_empty():
