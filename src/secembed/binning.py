@@ -150,10 +150,12 @@ _BLOCK_KEYS = 2**16
 # leakage laws (groups x |Z|**n): bounds both; n <= 12 decodes in one chunk.
 _DECODE_SCORES = 2**20
 
-# Default budgets: enumerated outputs or reveal patterns of one exact leakage,
-# and codeword symbols of one simulated codebook.
+# Fixed budgets: enumerated outputs or reveal patterns of one exact leakage,
+# codeword symbols of one simulated codebook, and channel symbols (trials x n)
+# sampled by one decoding run.
 LEAKAGE_BUDGET = 2**24
 CODEBOOK_BUDGET = 2**20
+TRIALS_BUDGET = 2**20
 
 
 def _row_clogc(bounds: np.ndarray, first_runs: np.ndarray,
@@ -322,8 +324,7 @@ def _word_laws(words: np.ndarray, w: np.ndarray) -> np.ndarray:
     return laws
 
 
-def _leakage_general(codebook: NestedCodebook, w: np.ndarray, level: str,
-                     budget: int) -> float:
+def _leakage_general(codebook: NestedCodebook, w: np.ndarray, level: str) -> float:
     """Exact leakage by enumerating every output sequence (small n only).
 
     A word's law is the outer product of its half-block laws, so a group's
@@ -331,9 +332,6 @@ def _leakage_general(codebook: NestedCodebook, w: np.ndarray, level: str,
     """
     nz = w.shape[1]
     n = codebook.n
-    if nz**n > budget:
-        raise ValueError(
-            f"|Z|**n = {nz**n} exceeds the exact-leakage budget {budget}")
     half = n // 2
     group = codebook.n_per if level == "subbin" else codebook.n_subbins * codebook.n_per
     n_groups = codebook.size // group
@@ -349,19 +347,23 @@ def _leakage_general(codebook: NestedCodebook, w: np.ndarray, level: str,
     return entropy_bits(total / n_groups) - h_cond
 
 
-def _leakages(codebook: NestedCodebook, requests, budget: int) -> list:
-    """Exact leakage in bits of each (kernel, level) request, in order: the budget
+def _leakages(codebook: NestedCodebook, requests) -> list:
+    """Exact leakage in bits of each (kernel, level) request, in order: LEAKAGE_BUDGET
     bounds 2**n patterns on the erasure path and |Z|**n outputs on the general one."""
+    n = codebook.n
     profiles = {}
     out = []
     for w, level in requests:
         dec = _erasure_decomposition(w)
         if dec is None:
-            out.append(_leakage_general(codebook, w, level, budget))
+            if w.shape[1]**n > LEAKAGE_BUDGET:
+                raise ValueError(f"|Z|**n = {w.shape[1]**n} exceeds the exact-leakage "
+                                 f"budget {LEAKAGE_BUDGET}")
+            out.append(_leakage_general(codebook, w, level))
             continue
-        if 2**codebook.n > budget:
+        if 2**n > LEAKAGE_BUDGET:
             raise ValueError(
-                f"2**n = {2**codebook.n} patterns exceed the exact-leakage budget {budget}")
+                f"2**n = {2**n} patterns exceed the exact-leakage budget {LEAKAGE_BUDGET}")
         key = dec[1].tobytes()
         if key not in profiles:
             profiles[key] = _erasure_profile(codebook, dec[1])
@@ -369,8 +371,7 @@ def _leakages(codebook: NestedCodebook, requests, budget: int) -> list:
     return out
 
 
-def exact_leakage(codebook: NestedCodebook, kernel, level: str = "bin", *,
-                  budget: int = LEAKAGE_BUDGET) -> float:
+def exact_leakage(codebook: NestedCodebook, kernel, level: str = "bin") -> float:
     """Exact I(M1; Z^n) (level='bin') or I(M1,M2; Z^n) (level='subbin') in bits."""
     if level not in ("bin", "subbin"):
         raise ValueError("level must be 'bin' or 'subbin'")
@@ -380,7 +381,7 @@ def exact_leakage(codebook: NestedCodebook, kernel, level: str = "bin", *,
     _check_stochastic(w, "kernel")
     if w.shape[0] != codebook.nx:
         raise ValueError("kernel input alphabet does not match the codebook")
-    return _leakages(codebook, [(w, level)], budget)[0]
+    return _leakages(codebook, [(w, level)])[0]
 
 
 def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
@@ -390,10 +391,14 @@ def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
     A trial encodes a uniform (m1, m2, t), samples the legitimate output
     and decodes by maximum likelihood with deterministic lowest-index
     tie breaking; the trial errs when the decoded (bin, subbin) pair
-    differs from the transmitted one.
+    differs from the transmitted one.  All trials are sampled at once, so
+    trials * n may not exceed TRIALS_BUDGET.
     """
     if trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials}")
+    if trials * codebook.n > TRIALS_BUDGET:
+        raise ValueError(f"trials * n = {trials * codebook.n} exceeds the budget "
+                         f"{TRIALS_BUDGET} sampled symbols; lower trials (got {trials})")
     w = np.asarray(py_x, dtype=float)
     if w.ndim != 2 or w.shape[0] != codebook.nx:
         raise ValueError("py_x must have one row per codebook input symbol")
@@ -446,9 +451,7 @@ class SimReport:
 
 
 def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
-                            seed: int, *, codebook_budget: int = CODEBOOK_BUDGET,
-                            leakage_budget: int = LEAKAGE_BUDGET,
-                            measure_leakage: bool = True) -> SimReport:
+                            seed: int, *, measure_leakage: bool = True) -> SimReport:
     """Build one random codebook, measure decoding error and exact leakage.
 
     Reported leakages are normalized: (1/n) I(M1; Z1^n) against the
@@ -461,9 +464,9 @@ def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
         raise ValueError(f"trials must be nonnegative, got {trials}")
     px = _check_distribution(px, "px", neg_tol=0.0, size=ch.nx)
     total_symbols = counts[0] * counts[1] * counts[2] * n
-    if total_symbols > codebook_budget:
+    if total_symbols > CODEBOOK_BUDGET:
         raise ValueError(
-            f"codebook needs {total_symbols} symbols, over the budget {codebook_budget}")
+            f"codebook needs {total_symbols} symbols, over the budget {CODEBOOK_BUDGET}")
     ss = np.random.SeedSequence(seed)
     rng_cb, rng_trials = (np.random.default_rng(s) for s in ss.spawn(2))
     codebook = make_codebook(px, n, counts, rng_cb)
@@ -472,7 +475,7 @@ def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
     leak1 = leak2 = None
     if measure_leakage:
         leak1, leak2 = (leak / n for leak in _leakages(
-            codebook, [(ch.pz1_x, "bin"), (ch.pz2_x, "subbin")], leakage_budget))
+            codebook, [(ch.pz1_x, "bin"), (ch.pz2_x, "subbin")]))
     return SimReport(n=n, rates=tuple(rates), counts=counts, trials=trials,
                      seed=seed, error_rate=error,
                      leak_m1_strong=leak1, leak_messages_weak=leak2)

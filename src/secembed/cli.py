@@ -19,29 +19,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
 
 from secembed import binning, coset, dmc, fm, gauss, gf2
 
-OUT_DIR_ENV = "SECEMBED_OUT_DIR"
-
-
-def _resolve(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
 
 def _emit_text(text: str, out: str | None):
-    path = _resolve(out)
-    if path:
-        with open(path, "w") as f:
+    if out:
+        with open(out, "w") as f:
             f.write(text + "\n")
     else:
         print(text)
@@ -52,7 +39,7 @@ def _emit_json(payload: dict, out: str | None):
 
 
 def _emit_csv(rows, header, path: str):
-    with open(_resolve(path), "w") as f:
+    with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(f"{v:.12g}" for v in row) + "\n")
@@ -191,13 +178,10 @@ def _cmd_sim_dmc(args) -> int:
         raise ValueError(f"--n must be comma-separated integers, got {args.n!r}") from None
     for n in blocks:
         binning.rates_to_counts(rates, n)  # reject every block before simulating any
-    reports = []
-    for n in blocks:
-        rep = binning.simulate_nested_binning(
-            ch, px, rates, n=n, trials=args.trials, seed=args.seed,
-            codebook_budget=args.codebook_budget, leakage_budget=args.leakage_budget,
-            measure_leakage=not args.no_leakage)
-        reports.append(rep)
+    reports = [binning.simulate_nested_binning(ch, px, rates, n=n, trials=args.trials,
+                                               seed=args.seed,
+                                               measure_leakage=not args.no_leakage)
+               for n in blocks]
     payload = {"seed": args.seed, "runs": [r.to_dict() for r in reports]}
     _emit_json(payload if len(reports) > 1 else reports[0].to_dict(), args.out)
     if args.csv:
@@ -331,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     sd.add_argument("--n", required=True, help="block length, or comma list for a sweep")
     sd.add_argument("--trials", type=int, default=200)
     sd.add_argument("--seed", type=int, required=True)
-    sd.add_argument("--codebook-budget", type=int, default=binning.CODEBOOK_BUDGET)
-    sd.add_argument("--leakage-budget", type=int, default=binning.LEAKAGE_BUDGET)
     sd.add_argument("--no-leakage", action="store_true")
     sd.add_argument("--out")
     sd.add_argument("--csv")

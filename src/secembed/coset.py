@@ -391,8 +391,14 @@ class UnionBoundReport:
     mode: str
     rank_term: float
     subset_term: float
-    rank_ok: bool
-    subset_ok: bool
+
+    @property
+    def rank_ok(self) -> bool:
+        return self.rank_term < 0.5
+
+    @property
+    def subset_ok(self) -> bool:
+        return self.subset_term < 0.5
 
     @property
     def total(self) -> float:
@@ -440,9 +446,7 @@ def union_bound_report(params: WiretapIIParams, *, exact_counts: bool = False) -
     else:
         subset_term = float(Fraction(2 << n, 1 << (2 * n)))
         mode = "loose"
-    return UnionBoundReport(
-        n=n, mode=mode, rank_term=rank_term, subset_term=subset_term,
-        rank_ok=rank_term < 0.5, subset_ok=subset_term < 0.5)
+    return UnionBoundReport(n=n, mode=mode, rank_term=rank_term, subset_term=subset_term)
 
 
 def audit_code(code: CosetCodePair, *, node_limit: int = gf2.NODE_LIMIT) -> dict:

@@ -330,8 +330,11 @@ class EmbeddabilityReport:
     evaluations: tuple
 
 
-def embeddability_report(ch: DmcTriple, px_candidates=(), aux_candidates=(),
-                         tol: float = 1e-9) -> EmbeddabilityReport:
+_EMBED_TOL = 1e-9  # bound gaps at or below this are read as ties or zero
+
+
+def embeddability_report(ch: DmcTriple, px_candidates=(),
+                         aux_candidates=()) -> EmbeddabilityReport:
     """Evaluate candidates and report the embedding certificates found.
 
     Auxiliary-chain candidates whose side condition fails are evaluated
@@ -351,11 +354,11 @@ def embeddability_report(ch: DmcTriple, px_candidates=(), aux_candidates=(),
     if not usable:
         return EmbeddabilityReport(0.0, 0.0, 0.0, False, False, tuple(evals))
     best_sum = max(b.sum_max for b in usable)
-    at_best = [b for b in usable if b.sum_max >= best_sum - tol]
+    at_best = [b for b in usable if b.sum_max >= best_sum - _EMBED_TOL]
     best_r1_at_best_sum = max(b.r1_max for b in at_best)
     best_r1_overall = max(b.r1_max for b in usable)
-    embeddable = best_sum > tol and best_r1_at_best_sum > tol
-    perfectly = embeddable and best_r1_at_best_sum >= best_r1_overall - tol
+    embeddable = best_sum > _EMBED_TOL and best_r1_at_best_sum > _EMBED_TOL
+    perfectly = embeddable and best_r1_at_best_sum >= best_r1_overall - _EMBED_TOL
     return EmbeddabilityReport(
         best_sum=best_sum,
         best_r1_at_best_sum=best_r1_at_best_sum,

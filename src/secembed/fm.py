@@ -385,17 +385,6 @@ class LinIneqSystem:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinIneqSystem":
-        ineqs = []
-        for row in d["inequalities"]:
-            coeffs = {s: Fraction(n, den) for s, (n, den) in row["coeffs"].items()}
-            n, den = row["const"]
-            ineqs.append(LinIneq.make(coeffs, const=Fraction(n, den),
-                                      strict=row["relation"] == "<"))
-        return cls.build(d["variables"], d["constants"], ineqs,
-                         d.get("nonneg_constants"))
-
 
 def nested_binning_constraints() -> LinIneqSystem:
     """Decodability and the two secrecy constraints of the nested-binning scheme.

@@ -328,22 +328,22 @@ def test_leakage_general_matches_per_codeword_reference(case, scores):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(binning, "_DECODE_SCORES", scores)
         for level in ("bin", "subbin"):
-            got = binning._leakage_general(cb, kernel, level, budget=2**24)
+            got = binning._leakage_general(cb, kernel, level)
             assert got == pytest.approx(leakage_general_reference(cb, kernel, level),
                                         abs=1e-12)
 
 
 def test_leakage_general_budget_raises_before_allocating():
-    cb = binning.make_codebook([0.5, 0.5], 12, (8, 8, 27), np.random.default_rng(1))
+    cb = binning.make_codebook([0.5, 0.5], 25, (1, 1, 1), np.random.default_rng(1))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"\|Z\|\*\*n = 4096 exceeds the exact-leakage "
-                                             r"budget 4095"):
-            binning.exact_leakage(cb, dmc.bsc_kernel(0.2), "subbin", budget=4095)
+        with pytest.raises(ValueError, match=r"\|Z\|\*\*n = 33554432 exceeds the "
+                                             r"exact-leakage budget 16777216"):
+            binning.exact_leakage(cb, dmc.bsc_kernel(0.2), "subbin")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**16  # the half-block laws alone would take 1.8 MB
+    assert peak < 2**16  # the codeword's output law alone would take 256 MB
 
 
 def test_leakage_general_memory_bounded():
@@ -541,6 +541,31 @@ def test_error_rate_rejects_trials_below_one(trials):
                                      np.random.default_rng(1))
 
 
+def test_error_rate_rejects_trials_over_budget_before_sampling():
+    cb = binning.make_codebook([0.5, 0.5], 8, (2, 2, 2), np.random.default_rng(1))
+    trials = binning.TRIALS_BUDGET // 8 + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"trials \\* n = {trials * 8} exceeds the "
+                                             f"budget {binning.TRIALS_BUDGET} sampled "
+                                             f"symbols; lower trials \\(got {trials}\\)"):
+            binning.empirical_error_rate(cb, dmc.bsc_kernel(0.1), trials,
+                                         np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16  # the sampled outputs alone would take 8 MB
+
+
+def test_error_rate_accepts_trials_at_budget(monkeypatch):
+    cb = binning.make_codebook([0.5, 0.5], 8, (2, 2, 2), np.random.default_rng(1))
+    monkeypatch.setattr(binning, "TRIALS_BUDGET", 64)
+    rate = binning.empirical_error_rate(cb, dmc.bsc_kernel(0.1), 8, np.random.default_rng(1))
+    assert 0.0 <= rate <= 1.0
+    with pytest.raises(ValueError, match="trials \\* n = 72 exceeds the budget 64"):
+        binning.empirical_error_rate(cb, dmc.bsc_kernel(0.1), 9, np.random.default_rng(1))
+
+
 @pytest.mark.parametrize("py_x", [[[0.9, 0.1]], [[0.9, 0.1]] * 3, [0.9, 0.1]])
 def test_error_rate_rejects_py_x_over_wrong_alphabet(py_x):
     cb = binning.make_codebook([0.5, 0.5], 4, (2, 2, 2), np.random.default_rng(1))
@@ -616,7 +641,7 @@ def test_exact_leakage_erasure_path_matches_oracle_and_general():
         cb = binning.make_codebook([0.5, 0.5], 4, (2, 2, 3), rng)
         for level in ("bin", "subbin"):
             fast = binning.exact_leakage(cb, kernel, level)
-            slow = binning._leakage_general(cb, kernel, level, budget=2**24)
+            slow = binning._leakage_general(cb, kernel, level)
             want = leakage_oracle(cb, kernel, level)
             assert fast == pytest.approx(want, abs=1e-10)
             assert slow == pytest.approx(want, abs=1e-10)
@@ -680,12 +705,14 @@ def test_simulation_leaks_are_exact_leakage_per_symbol(monkeypatch, z1, z2, pass
 
 def test_simulate_budget_errors():
     ch = bec_triple()
+    # 2**20 codewords of 16 symbols each
     with pytest.raises(ValueError):
-        binning.simulate_nested_binning(ch, [0.5, 0.5], (0.5, 0.25, 0.25),
-                                        n=16, trials=1, seed=0, codebook_budget=100)
+        binning.simulate_nested_binning(ch, [0.5, 0.5], (0.5, 0.5, 0.25),
+                                        n=16, trials=1, seed=0)
+    # one codeword, but 2**25 reveal patterns
     with pytest.raises(ValueError):
-        binning.simulate_nested_binning(ch, [0.5, 0.5], (0.25, 0.25, 0.25),
-                                        n=8, trials=1, seed=0, leakage_budget=4)
+        binning.simulate_nested_binning(ch, [0.5, 0.5], (0.0, 0.0, 0.0),
+                                        n=25, trials=1, seed=0)
 
 
 def test_decoding_below_capacity_is_reliable():

@@ -361,6 +361,30 @@ def test_non_finite_px_is_domain_error(capsys, argv):
     assert "px must be a distribution of finite entries" in payload["message"]
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--rates", "0,0,0", "--n", "25"],
+     "2**n = 33554432 patterns exceed the exact-leakage budget 16777216"),
+    (["--rates", "0.5,0.5,0.25", "--n", "16"],
+     "codebook needs 16777216 symbols, over the budget 1048576"),
+], ids=["leakage", "codebook"])
+def test_sim_dmc_budget_error_is_domain_error(capsys, extra, message):
+    code, out, err = run_cli(capsys, *SIM_BEC, *extra, "--trials", "1")
+    assert code == 1 and not out
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def test_sim_dmc_trials_over_budget_is_domain_error(capsys):
+    trials = 2**17 + 1  # one trial over the budget at n = 8, so a missing check stays small
+    code, out, err = run_cli(capsys, *SIM_BEC, "--rates", "0.25,0.25,0", "--n", "8",
+                             "--trials", str(trials), "--no-leakage")
+    assert code == 1 and not out
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert f"lower trials (got {trials})" in payload["message"]
+
+
 @pytest.mark.parametrize("px", ["1", "0.5,0.25,0.25"])
 def test_sim_dmc_px_over_wrong_alphabet_is_domain_error(tmp_path, capsys, px):
     out_file = tmp_path / "out.json"
@@ -452,15 +476,6 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["region", "scalar", "--P", "1"])  # missing required gains
     assert exc.value.code == 2
-
-
-def test_out_dir_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SECEMBED_OUT_DIR", str(tmp_path))
-    code, out, err = run_cli(capsys, "code", "bound", "--n", "8", "--alpha1", "0.5",
-                             "--alpha2", "0.25", "--eps", "0.25",
-                             "--out", "bound.json")
-    assert code == 0
-    assert (tmp_path / "bound.json").exists()
 
 
 def test_readme_command_line_block_parses():

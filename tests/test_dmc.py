@@ -216,7 +216,7 @@ def test_embeddability_discretized_gaussian_matches_closed_form():
     # among quantized-Gaussian candidates the full-power one certifies
     # perfect embedding, as the scalar Gaussian region predicts
     rep = dmc.embeddability_report(
-        triple, px_candidates=[px(p) for p in (0.25, 0.5, 1.0)], tol=1e-9)
+        triple, px_candidates=[px(p) for p in (0.25, 0.5, 1.0)])
     assert rep.embeddable and rep.perfectly_embeddable
     assert rep.best_sum == pytest.approx(full_power.sum_max, abs=1e-12)
 
