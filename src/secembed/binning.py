@@ -37,6 +37,7 @@ __all__ = [
     "make_codebook",
     "exact_leakage",
     "empirical_error_rate",
+    "check_simulation",
     "simulate_nested_binning",
 ]
 
@@ -384,6 +385,12 @@ def exact_leakage(codebook: NestedCodebook, kernel, level: str = "bin") -> float
     return _leakages(codebook, [(w, level)])[0]
 
 
+def _check_trials(trials: int, n: int) -> None:
+    if trials * n > TRIALS_BUDGET:
+        raise ValueError(f"trials * n = {trials * n} exceeds the budget "
+                         f"{TRIALS_BUDGET} sampled symbols; lower trials (got {trials})")
+
+
 def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
                          rng: np.random.Generator) -> float:
     """Message error rate of maximum-likelihood decoding over the codebook.
@@ -396,9 +403,7 @@ def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials}")
-    if trials * codebook.n > TRIALS_BUDGET:
-        raise ValueError(f"trials * n = {trials * codebook.n} exceeds the budget "
-                         f"{TRIALS_BUDGET} sampled symbols; lower trials (got {trials})")
+    _check_trials(trials, codebook.n)
     w = np.asarray(py_x, dtype=float)
     if w.ndim != 2 or w.shape[0] != codebook.nx:
         raise ValueError("py_x must have one row per codebook input symbol")
@@ -450,14 +455,13 @@ class SimReport:
         }
 
 
-def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
-                            seed: int, *, measure_leakage: bool = True) -> SimReport:
-    """Build one random codebook, measure decoding error and exact leakage.
+def check_simulation(ch: DmcTriple, px, rates, n: int,
+                     trials: int) -> tuple[tuple[int, int, int], np.ndarray]:
+    """The checks of simulate_nested_binning that need no codebook, in its order.
 
-    Reported leakages are normalized: (1/n) I(M1; Z1^n) against the
-    strong eavesdropper and (1/n) I(M1, M2; Z2^n) against the weak one.
-    Deterministic given the seed: codebook, encoder and channel noise
-    use separate substreams of one seed sequence.
+    Returns the codebook sizes (bins, subbins, per-subbin) and px as an
+    array; raises the ValueError that the simulation would raise before
+    its leakage, so a sweep can reject every block before simulating any.
     """
     counts = rates_to_counts(rates, n)
     if trials < 0:
@@ -467,6 +471,21 @@ def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
     if total_symbols > CODEBOOK_BUDGET:
         raise ValueError(
             f"codebook needs {total_symbols} symbols, over the budget {CODEBOOK_BUDGET}")
+    if trials:
+        _check_trials(trials, n)
+    return counts, px
+
+
+def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
+                            seed: int, *, measure_leakage: bool = True) -> SimReport:
+    """Build one random codebook, measure decoding error and exact leakage.
+
+    Reported leakages are normalized: (1/n) I(M1; Z1^n) against the
+    strong eavesdropper and (1/n) I(M1, M2; Z2^n) against the weak one.
+    Deterministic given the seed: codebook, encoder and channel noise
+    use separate substreams of one seed sequence.
+    """
+    counts, px = check_simulation(ch, px, rates, n, trials)
     ss = np.random.SeedSequence(seed)
     rng_cb, rng_trials = (np.random.default_rng(s) for s in ss.spawn(2))
     codebook = make_codebook(px, n, counts, rng_cb)

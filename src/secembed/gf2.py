@@ -7,19 +7,20 @@ the only source of randomness is an explicit ``numpy.random.Generator``
 argument, so results are reproducible from a seed.
 
 Internally rows and columns are packed into Python ints (bit ``j`` of a
-row int is column ``j``), which keeps Gaussian elimination and the
-subset-rank search fast at desk scale (up to ~64 positions).  That
-format has one packer, ``pack_rows``, and one unpacker, ``unpack_rows``;
-every conversion between arrays and ints goes through them.
+row int is column ``j``), which keeps Gaussian elimination fast at desk
+scale.  That format has one packer, ``pack_rows``, and one unpacker,
+``unpack_rows``; every conversion between 0/1 arrays and ints goes through
+them.  The subset-rank search, which grows subcodes of bounded support
+by Wei's generalized Hamming weight identity, keeps the same bit masks
+in one numpy array of code words and scans it in array operations.
 
 Row reduction has one form, ``_rref``: the fully reduced echelon form
 whose pivots are each row's lowest set bit.  ``rank``, ``nullspace``,
-``solve_affine`` and the subset-rank search, which grows subcodes of
-bounded support by Wei's generalized Hamming weight identity, all read
-it.  ``solve_affine`` reduces the constraint rows each tagged with its
-own bit above the columns, so the reduced rows say which constraints
-sum to them: that tagged map serves every syndrome, and a coset code
-builds it once and samples from it per word.
+``solve_affine`` and the subset-rank search's basis all read it.
+``solve_affine`` reduces the constraint rows each tagged with its own
+bit above the columns, so the reduced rows say which constraints sum to
+them: that tagged map serves every syndrome, and a coset code builds it
+once and samples from it per word.
 """
 
 from __future__ import annotations
@@ -244,6 +245,34 @@ def column_subset_dim(m, subset) -> int:
 
 NODE_LIMIT = 20_000_000  # default node cap of the min-rank search
 
+# Elements of one supports-by-words comparison in the min-rank search (about
+# 9 bytes each in temporaries); larger batches of supports are split.
+_SCAN_ELEMENTS = 1 << 20
+
+
+def _span(rows, dtype) -> np.ndarray:
+    """All 2**len(rows) GF(2) combinations of packed rows: word i sums the rows at i's set bits."""
+    span = np.zeros(1, dtype)
+    for row in rows:
+        span = np.concatenate([span, span ^ row])
+    return span
+
+
+def _subcode_dims(words: np.ndarray, supports: list[int]) -> list[int]:
+    """Dimension of the subcode inside each support, read off the listed words.
+
+    Every code word inside a support U weighs at most |U|, within the bound
+    the words were listed under, so exactly 2**dim - 1 listed words lie in
+    U, and that count's popcount is dim.
+    """
+    cols = np.array(supports, dtype=words.dtype)[:, None]
+    step = max(1, _SCAN_ELEMENTS // len(words))
+    counts = []
+    for i in range(0, len(cols), step):
+        u = cols[i:i + step]
+        counts.append(((words | u) == u).sum(axis=1))
+    return np.bitwise_count(np.concatenate(counts)).tolist()
+
 
 def min_rank_over_column_subsets(m, size: int, *, node_limit: int = NODE_LIMIT) -> int:
     """Exact minimum of rank(m[:, S]) over all column subsets of the given size.
@@ -254,6 +283,8 @@ def min_rank_over_column_subsets(m, size: int, *, node_limit: int = NODE_LIMIT) 
     for r' the same for C' within size positions.  The search takes the side
     with fewer levels, lists its words within the bound and grows closed
     subcodes (all code words inside one support) one listed word at a time.
+    Words are bit masks in one numpy array (uint64 up to 64 positions, Python
+    ints beyond), so each expanded support scans them in array operations.
 
     node_limit caps the listed words (2**dim - 1) plus those each expanded
     support scans, each checked before the work, so it bounds the time.
@@ -281,16 +312,13 @@ def min_rank_over_column_subsets(m, size: int, *, node_limit: int = NODE_LIMIT) 
     top, rows, bound = min(sides, key=lambda side: (side[0], len(side[1])))
     nodes = (1 << len(rows)) - 1
     # Each word of the span of rows[12:] shifts the whole span of rows[:12] once.
-    tables = []
-    for part in np.split(unpack_rows(rows, n), [12]):
-        tables.append(np.zeros((1, n), np.uint8))
-        for row in part:
-            tables[-1] = np.vstack([tables[-1], tables[-1] ^ row])
+    low = _span(rows[:12], np.uint64 if n <= 64 else object)
     light = []
-    for offset in tables[1]:
-        block = tables[0] ^ offset
-        weight = block.sum(axis=1)
-        light += pack_rows(block[(weight > 0) & (weight <= bound)])
+    for offset in _span(rows[12:], low.dtype):
+        block = low ^ offset
+        weight = np.bitwise_count(block)
+        light.append(block[(weight > 0) & (weight <= bound)])
+    light = np.concatenate(light)
     # A closed subcode is fixed by its support, which keys the search; growing
     # support S to U adds at most |U| - |S| dimensions, which prunes S.
     r, seen, frontier = 0, {0}, [(0, 0)]
@@ -302,12 +330,13 @@ def min_rank_over_column_subsets(m, size: int, *, node_limit: int = NODE_LIMIT) 
             nodes += len(light)  # the scan below
             if nodes > node_limit:
                 raise BudgetExceededError(node_limit, lb, min(ub, top - r))
-            for w in light:
-                u = supp | w
-                if u in seen or u.bit_count() > bound:
-                    continue
-                seen.add(u)
-                dim_u = len(rows) - len(_rref([b & ~u for b in rows]))
+            unions = light | supp
+            unions = unions[np.bitwise_count(unions) <= bound].tolist()
+            fresh = [u for u in dict.fromkeys(unions) if u not in seen]
+            if not fresh:
+                continue
+            seen.update(fresh)
+            for u, dim_u in zip(fresh, _subcode_dims(light, fresh)):
                 if top - dim_u == lb:
                     return lb
                 r = max(r, dim_u)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secembed import cli, dmc, gf2
+from secembed import binning, cli, dmc, gf2
 from secembed.cli import main
 
 
@@ -383,6 +383,29 @@ def test_sim_dmc_trials_over_budget_is_domain_error(capsys):
     payload = json.loads(err)
     assert payload["error"] == "ValueError"
     assert f"lower trials (got {trials})" in payload["message"]
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--rates", "0.5,0.5,0.25", "--n", "8,12,16", "--trials", "10"],
+     "codebook needs 16777216 symbols, over the budget 1048576"),
+    (["--rates", "0.25,0.25,0", "--n", "8,12", "--trials", "131072", "--no-leakage"],
+     "trials * n = 1572864 exceeds the budget 1048576 sampled symbols; lower trials "
+     "(got 131072)"),
+], ids=["codebook", "trials"])
+def test_sim_dmc_checks_every_block_before_simulating(monkeypatch, capsys, extra, message):
+    # only the last block is over budget, so no block may be simulated
+    calls = []
+    simulate = binning.simulate_nested_binning
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["n"])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(binning, "simulate_nested_binning", counted)
+    code, out, err = run_cli(capsys, *SIM_BEC, *extra)
+    assert calls == []
+    assert code == 1 and not out
+    assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
 @pytest.mark.parametrize("px", ["1", "0.5,0.25,0.25"])

@@ -428,6 +428,49 @@ def test_min_rank_budget_is_checked_before_listing():
     assert peak < 1 << 20
 
 
+def test_min_rank_traversal_pinned():
+    # brackets and answers from the search that reduced rows per grown support;
+    # the budget errors pin the listing order, the traversal order and the node
+    # count: the fourth dimension is found in the support whose scan takes the
+    # node count to 1,444,088
+    m = gf2.random_matrix(14, 28, np.random.default_rng(0))
+    for node_limit, upper in [(10**5, 11), (10**6, 11), (1_444_087, 11), (1_444_088, 10),
+                              (gf2.NODE_LIMIT, 10)]:
+        with pytest.raises(gf2.BudgetExceededError) as exc:
+            gf2.min_rank_over_column_subsets(m, 14, node_limit=node_limit)
+        assert (exc.value.nodes, exc.value.lower, exc.value.upper) == (node_limit, 0, upper)
+    # (d1*, d2*) of 20 random n = 32 certificate shapes: 8 x 32 at size 16, 16 x 32 at size 24
+    rng = np.random.default_rng(32)
+    got = []
+    for _ in range(20):
+        h = gf2.random_matrix(16, 32, rng)
+        got.append((gf2.min_rank_over_column_subsets(h[:8], 16),
+                    gf2.min_rank_over_column_subsets(h, 24)))
+    d2 = [15, 14, 15, 15, 14, 14, 15, 14, 15, 14, 15, 15, 14, 15, 14, 14, 15, 15, 14, 14]
+    assert got == [(6, d) for d in d2]
+
+
+def test_min_rank_scan_memory_is_bounded():
+    # the first expanded support checks 2,371 new supports against the 2,371
+    # listed words; unchunked, that comparison would take about 48 MiB
+    m = gf2.random_matrix(12, 24, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        assert gf2.min_rank_over_column_subsets(m, 12) == 8
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20  # 9.4 MiB with the search's 2**20-element batches
+
+
+@pytest.mark.parametrize("k, n", [(3, 70), (4, 100)])
+def test_min_rank_beyond_64_positions_matches_reference(k, n):
+    # words of more than 64 positions are Python ints in an object array
+    m = gf2.random_matrix(k, n, np.random.default_rng(n))
+    for size in range(n + 1):
+        assert gf2.min_rank_over_column_subsets(m, size) == reference_min_rank(m, size), size
+
+
 def ghw_generator(code, m):
     """Generator matrix and generalized Hamming weights d_0..d_k of the simplex
     code [2**m - 1, m] or of RM(1, m) [2**m, m + 1].
