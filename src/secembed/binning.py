@@ -37,7 +37,6 @@ __all__ = [
     "make_codebook",
     "exact_leakage",
     "empirical_error_rate",
-    "check_simulation",
     "simulate_nested_binning",
 ]
 
@@ -455,8 +454,8 @@ class SimReport:
         }
 
 
-def check_simulation(ch: DmcTriple, px, rates, n: int,
-                     trials: int) -> tuple[tuple[int, int, int], np.ndarray]:
+def _check_simulation(ch: DmcTriple, px, rates, n: int,
+                      trials: int) -> tuple[tuple[int, int, int], np.ndarray]:
     """The checks of simulate_nested_binning that need no codebook, in its order.
 
     Returns the codebook sizes (bins, subbins, per-subbin) and px as an
@@ -485,7 +484,7 @@ def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
     Deterministic given the seed: codebook, encoder and channel noise
     use separate substreams of one seed sequence.
     """
-    counts, px = check_simulation(ch, px, rates, n, trials)
+    counts, px = _check_simulation(ch, px, rates, n, trials)
     ss = np.random.SeedSequence(seed)
     rng_cb, rng_trials = (np.random.default_rng(s) for s in ss.spawn(2))
     codebook = make_codebook(px, n, counts, rng_cb)

@@ -177,7 +177,7 @@ def _cmd_sim_dmc(args) -> int:
     except ValueError:
         raise ValueError(f"--n must be comma-separated integers, got {args.n!r}") from None
     for n in blocks:  # reject every block before simulating any
-        binning.check_simulation(ch, px, rates, n, args.trials)
+        binning._check_simulation(ch, px, rates, n, args.trials)
     reports = [binning.simulate_nested_binning(ch, px, rates, n=n, trials=args.trials,
                                                seed=args.seed,
                                                measure_leakage=not args.no_leakage)

@@ -245,9 +245,12 @@ def column_subset_dim(m, subset) -> int:
 
 NODE_LIMIT = 20_000_000  # default node cap of the min-rank search
 
-# Elements of one supports-by-words comparison in the min-rank search (about
-# 9 bytes each in temporaries); larger batches of supports are split.
-_SCAN_ELEMENTS = 1 << 20
+# The min-rank search counts listed words for a subcode dimension only when
+# there are at most this many: one expansion adds at most as many supports as
+# there are words, so its supports-by-words comparison stays within
+# _COUNT_WORDS**2 elements (about 9 bytes each in temporaries), and a support
+# costs at most _COUNT_WORDS comparisons.  Longer lists reduce rows instead.
+_COUNT_WORDS = 1 << 10
 
 
 def _span(rows, dtype) -> np.ndarray:
@@ -258,7 +261,7 @@ def _span(rows, dtype) -> np.ndarray:
     return span
 
 
-def _subcode_dims(words: np.ndarray, supports: list[int]) -> list[int]:
+def _counted_dims(words: np.ndarray, supports: list[int]) -> list[int]:
     """Dimension of the subcode inside each support, read off the listed words.
 
     Every code word inside a support U weighs at most |U|, within the bound
@@ -266,12 +269,18 @@ def _subcode_dims(words: np.ndarray, supports: list[int]) -> list[int]:
     U, and that count's popcount is dim.
     """
     cols = np.array(supports, dtype=words.dtype)[:, None]
-    step = max(1, _SCAN_ELEMENTS // len(words))
-    counts = []
-    for i in range(0, len(cols), step):
-        u = cols[i:i + step]
-        counts.append(((words | u) == u).sum(axis=1))
-    return np.bitwise_count(np.concatenate(counts)).tolist()
+    return np.bitwise_count(((words | cols) == cols).sum(axis=1)).tolist()
+
+
+def _reduced_dim(rows: list[int], private: list[int], support: int) -> int:
+    """Dimension of the subcode inside support, from the rows alone.
+
+    private[i] is a bit that rows[i] alone has, so a sum of rows lies inside
+    the support only if each summed row's private bit does; the sums of
+    those rows that vanish outside the support are the subcode.
+    """
+    inside = [r & ~support for r, p in zip(rows, private) if p & support]
+    return len(inside) - len(_rref(inside))
 
 
 def min_rank_over_column_subsets(m, size: int, *, node_limit: int = NODE_LIMIT) -> int:
@@ -287,7 +296,9 @@ def min_rank_over_column_subsets(m, size: int, *, node_limit: int = NODE_LIMIT) 
     ints beyond), so each expanded support scans them in array operations.
 
     node_limit caps the listed words (2**dim - 1) plus those each expanded
-    support scans, each checked before the work, so it bounds the time.
+    support scans, each checked before the work.  Each scanned word adds at
+    most one support, whose dimension costs at most _COUNT_WORDS word
+    comparisons or one reduction of the rows, so the limit bounds the time.
     Raises ValueError when node_limit < 1, and BudgetExceededError past it:
     the instance is beyond desk scale, and the error carries the bracket
     [lower, upper] on the minimum reached so far.
@@ -305,11 +316,14 @@ def min_rank_over_column_subsets(m, size: int, *, node_limit: int = NODE_LIMIT) 
     if lb == ub:
         return lb
     # Either side answers top - r, so the smaller top grows fewer levels.
-    sides = [(full, list(basis.values()), n - size), (size, _kernel_rows(basis, n), size)]
+    # Each row comes with a bit no other row of its side has: its pivot, or
+    # the free column of a kernel row.
+    sides = [(full, list(basis.values()), list(basis), n - size),
+             (size, _kernel_rows(basis, n), _free_bits(basis, n), size)]
     sides = [side for side in sides if (1 << len(side[1])) - 1 <= node_limit]
     if not sides:
         raise BudgetExceededError(node_limit, lb, ub)
-    top, rows, bound = min(sides, key=lambda side: (side[0], len(side[1])))
+    top, rows, private, bound = min(sides, key=lambda side: (side[0], len(side[1])))
     nodes = (1 << len(rows)) - 1
     # Each word of the span of rows[12:] shifts the whole span of rows[:12] once.
     low = _span(rows[:12], np.uint64 if n <= 64 else object)
@@ -336,7 +350,11 @@ def min_rank_over_column_subsets(m, size: int, *, node_limit: int = NODE_LIMIT) 
             if not fresh:
                 continue
             seen.update(fresh)
-            for u, dim_u in zip(fresh, _subcode_dims(light, fresh)):
+            if len(light) <= _COUNT_WORDS:
+                dims = _counted_dims(light, fresh)
+            else:  # one support at a time, so the exit at lb comes at the first match
+                dims = (_reduced_dim(rows, private, u) for u in fresh)
+            for u, dim_u in zip(fresh, dims):
                 if top - dim_u == lb:
                     return lb
                 r = max(r, dim_u)

@@ -451,8 +451,8 @@ def test_min_rank_traversal_pinned():
 
 
 def test_min_rank_scan_memory_is_bounded():
-    # the first expanded support checks 2,371 new supports against the 2,371
-    # listed words; unchunked, that comparison would take about 48 MiB
+    # the first expanded support adds 2,371 new supports to the 2,371 listed
+    # words; counting them all against each other would take about 48 MiB
     m = gf2.random_matrix(12, 24, np.random.default_rng(0))
     tracemalloc.start()
     try:
@@ -460,7 +460,18 @@ def test_min_rank_scan_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 << 20  # 9.4 MiB with the search's 2**20-element batches
+    assert peak < 16 << 20  # 4.2 MiB
+
+
+def test_min_rank_default_budget_bounds_time_on_a_long_list():
+    # 75,000 listed words, each a new support of the first expansion: counting
+    # listed words for each of them took 47 s on a 2-vCPU host
+    m = gf2.random_matrix(17, 34, np.random.default_rng(0))
+    start = time.process_time()
+    with pytest.raises(gf2.BudgetExceededError) as exc:
+        gf2.min_rank_over_column_subsets(m, 17)
+    assert time.process_time() - start < 15.0  # 4.4-5.7 s on that host
+    assert (exc.value.nodes, exc.value.lower, exc.value.upper) == (gf2.NODE_LIMIT, 0, 13)
 
 
 @pytest.mark.parametrize("k, n", [(3, 70), (4, 100)])
