@@ -10,46 +10,4 @@ rate-region type (:mod:`secembed.regions`) and a command-line front end
 (:mod:`secembed.cli`).
 """
 
-from secembed.coset import (
-    CosetCodePair,
-    WiretapIIParams,
-    audit_code,
-    construct,
-    equivocation,
-    union_bound_report,
-    worst_case_security,
-)
-from secembed.dmc import DmcTriple
-from secembed.gauss import (
-    ParallelGaussChannel,
-    ScalarGaussChannel,
-    cs_scalar,
-    naive_region,
-    region_parallel_individual,
-    region_parallel_total,
-    region_scalar,
-)
-from secembed.gf2 import BudgetExceededError, InfeasibleSystemError
-from secembed.regions import RateRegion
-
-__all__ = [
-    "BudgetExceededError",
-    "CosetCodePair",
-    "DmcTriple",
-    "InfeasibleSystemError",
-    "ParallelGaussChannel",
-    "RateRegion",
-    "ScalarGaussChannel",
-    "WiretapIIParams",
-    "audit_code",
-    "construct",
-    "cs_scalar",
-    "equivocation",
-    "naive_region",
-    "region_parallel_individual",
-    "region_parallel_total",
-    "region_scalar",
-    "union_bound_report",
-    "worst_case_security",
-]
 __version__ = "0.1.0"

@@ -347,23 +347,30 @@ def _leakage_general(codebook: NestedCodebook, w: np.ndarray, level: str) -> flo
     return entropy_bits(total / n_groups) - h_cond
 
 
+def _leakage_path(w: np.ndarray, n: int):
+    """Kernel w's erasure decomposition, or None for the general path, once its
+    leakage at block length n is within LEAKAGE_BUDGET: 2**n patterns on the
+    erasure path, |Z|**n outputs on the general one."""
+    dec = _erasure_decomposition(w)
+    if dec is None:
+        if w.shape[1]**n > LEAKAGE_BUDGET:
+            raise ValueError(f"|Z|**n = {w.shape[1]**n} exceeds the exact-leakage "
+                             f"budget {LEAKAGE_BUDGET}")
+    elif 2**n > LEAKAGE_BUDGET:
+        raise ValueError(
+            f"2**n = {2**n} patterns exceed the exact-leakage budget {LEAKAGE_BUDGET}")
+    return dec
+
+
 def _leakages(codebook: NestedCodebook, requests) -> list:
-    """Exact leakage in bits of each (kernel, level) request, in order: LEAKAGE_BUDGET
-    bounds 2**n patterns on the erasure path and |Z|**n outputs on the general one."""
-    n = codebook.n
+    """Exact leakage in bits of each (kernel, level) request, in order."""
     profiles = {}
     out = []
     for w, level in requests:
-        dec = _erasure_decomposition(w)
+        dec = _leakage_path(w, codebook.n)
         if dec is None:
-            if w.shape[1]**n > LEAKAGE_BUDGET:
-                raise ValueError(f"|Z|**n = {w.shape[1]**n} exceeds the exact-leakage "
-                                 f"budget {LEAKAGE_BUDGET}")
             out.append(_leakage_general(codebook, w, level))
             continue
-        if 2**n > LEAKAGE_BUDGET:
-            raise ValueError(
-                f"2**n = {2**n} patterns exceed the exact-leakage budget {LEAKAGE_BUDGET}")
         key = dec[1].tobytes()
         if key not in profiles:
             profiles[key] = _erasure_profile(codebook, dec[1])
@@ -454,13 +461,14 @@ class SimReport:
         }
 
 
-def _check_simulation(ch: DmcTriple, px, rates, n: int,
-                      trials: int) -> tuple[tuple[int, int, int], np.ndarray]:
-    """The checks of simulate_nested_binning that need no codebook, in its order.
+def _check_simulation(ch: DmcTriple, px, rates, n: int, trials: int,
+                      leakage: bool) -> tuple[tuple[int, int, int], np.ndarray]:
+    """Every check of simulate_nested_binning that needs no codebook, in its order.
 
     Returns the codebook sizes (bins, subbins, per-subbin) and px as an
-    array; raises the ValueError that the simulation would raise before
-    its leakage, so a sweep can reject every block before simulating any.
+    array; raises the ValueError that the simulation would raise, the
+    leakage budget of both eavesdroppers included when leakage is
+    measured, so a sweep can reject every block before simulating any.
     """
     counts = rates_to_counts(rates, n)
     if trials < 0:
@@ -472,6 +480,9 @@ def _check_simulation(ch: DmcTriple, px, rates, n: int,
             f"codebook needs {total_symbols} symbols, over the budget {CODEBOOK_BUDGET}")
     if trials:
         _check_trials(trials, n)
+    if leakage:
+        for w in (ch.pz1_x, ch.pz2_x):
+            _leakage_path(w, n)
     return counts, px
 
 
@@ -484,7 +495,7 @@ def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
     Deterministic given the seed: codebook, encoder and channel noise
     use separate substreams of one seed sequence.
     """
-    counts, px = _check_simulation(ch, px, rates, n, trials)
+    counts, px = _check_simulation(ch, px, rates, n, trials, measure_leakage)
     ss = np.random.SeedSequence(seed)
     rng_cb, rng_trials = (np.random.default_rng(s) for s in ss.spawn(2))
     codebook = make_codebook(px, n, counts, rng_cb)

@@ -89,12 +89,9 @@ def _cmd_region_scalar(args) -> int:
 
 
 def _parallel_channel(args, pooled: bool) -> gauss.ParallelGaussChannel:
-    if getattr(args, "preset", None) == "two-subchannel-reference":
-        a, b1, b2 = (1.0, 1.0), (0.8, 0.25), (0.1, 0.1)
-        total = 1.0
-        if pooled:
-            return gauss.ParallelGaussChannel(a=a, b1=b1, b2=b2, total_power=total)
-        return gauss.ParallelGaussChannel(a=a, b1=b1, b2=b2, powers=(0.5, 0.5))
+    if args.preset == "two-subchannel-reference":
+        power = {"total_power": 1.0} if pooled else {"powers": (0.5, 0.5)}
+        return gauss.ParallelGaussChannel(a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1), **power)
     flags = ("a", "b1", "b2") if pooled else ("a", "b1", "b2", "powers")
     missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
     if missing:
@@ -126,12 +123,15 @@ def _cmd_region_parallel_total(args) -> int:
     return 0
 
 
+def _wiretap_params(args) -> coset.WiretapIIParams:
+    return coset.WiretapIIParams(n=args.n, alpha1=args.alpha1, alpha2=args.alpha2,
+                                 eps=args.eps)
+
+
 def _cmd_code_construct(args) -> int:
     _check_seed(args)
-    params = coset.WiretapIIParams(n=args.n, alpha1=args.alpha1, alpha2=args.alpha2,
-                                   eps=args.eps)
-    code = coset.construct(params, seed=args.seed, max_attempts=args.max_attempts,
-                           node_limit=args.node_limit)
+    code = coset.construct(_wiretap_params(args), seed=args.seed,
+                           max_attempts=args.max_attempts, node_limit=args.node_limit)
     _emit_json(code.to_bundle(seed=args.seed), args.out)
     return 0
 
@@ -146,9 +146,7 @@ def _cmd_code_audit(args) -> int:
 
 
 def _cmd_code_bound(args) -> int:
-    params = coset.WiretapIIParams(n=args.n, alpha1=args.alpha1, alpha2=args.alpha2,
-                                   eps=args.eps)
-    report = coset.union_bound_report(params, exact_counts=args.exact)
+    report = coset.union_bound_report(_wiretap_params(args), exact_counts=args.exact)
     _emit_json(report.to_dict(), args.out)
     return 0
 
@@ -177,7 +175,7 @@ def _cmd_sim_dmc(args) -> int:
     except ValueError:
         raise ValueError(f"--n must be comma-separated integers, got {args.n!r}") from None
     for n in blocks:  # reject every block before simulating any
-        binning._check_simulation(ch, px, rates, n, args.trials)
+        binning._check_simulation(ch, px, rates, n, args.trials, not args.no_leakage)
     reports = [binning.simulate_nested_binning(ch, px, rates, n=n, trials=args.trials,
                                                seed=args.seed,
                                                measure_leakage=not args.no_leakage)
@@ -227,115 +225,97 @@ def _cmd_fm_derive(args) -> int:
     return 0
 
 
-def _add_budget_args(p):
-    p.add_argument("--node-limit", type=int, default=gf2.NODE_LIMIT,
-                   help="hard node cap for the exact certificate search")
+def _options(**flags) -> argparse.ArgumentParser:
+    """One option group, declared once; subcommands take it through parents=."""
+    group = argparse.ArgumentParser(add_help=False)
+    for name, kwargs in flags.items():
+        group.add_argument("--" + name.replace("_", "-"), **kwargs)
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="secembed",
                                   description="security-embedding coding toolkit")
     sub = top.add_subparsers(dest="group", required=True)
+    out, csv = _options(out={}), _options(csv={})
+    points = _options(points=dict(type=int, default=gauss.N_BOUNDARY))
+    gains = _options(a={}, b1={}, b2={})
+    preset = _options(preset=dict(choices=["two-subchannel-reference"]))
+    real = dict(type=float, required=True)
+    wiretap = _options(n=dict(type=int, required=True), alpha1=real, alpha2=real, eps=real)
+    seed = _options(seed=dict(type=int, required=True))
+    channel = _options(channel=dict(help="channel JSON file"),
+                       bec=dict(help="D1,D2: noiseless main + two erasure eavesdroppers"))
+    node_limit = _options(node_limit=dict(type=int, default=gf2.NODE_LIMIT,
+                                          help="hard node cap for the exact certificate search"))
 
     region = sub.add_parser("region", help="Gaussian secrecy regions")
     rsub = region.add_subparsers(dest="cmd", required=True)
 
-    rs = rsub.add_parser("scalar", help="scalar channel region and corner point")
-    rs.add_argument("--P", type=float, required=True)
-    rs.add_argument("--a", type=float, required=True)
-    rs.add_argument("--b1", type=float, required=True)
-    rs.add_argument("--b2", type=float, required=True)
-    rs.add_argument("--points", type=int, default=gauss.N_BOUNDARY)
-    rs.add_argument("--out")
-    rs.add_argument("--csv")
+    rs = rsub.add_parser("scalar", help="scalar channel region and corner point",
+                         parents=[points, out, csv])
+    for flag in ("--P", "--a", "--b1", "--b2"):
+        rs.add_argument(flag, type=float, required=True)
     rs.set_defaults(func=_cmd_region_scalar)
 
-    rp = rsub.add_parser("parallel", help="per-subchannel power constraints")
-    rp.add_argument("--a")
-    rp.add_argument("--b1")
-    rp.add_argument("--b2")
+    rp = rsub.add_parser("parallel", help="per-subchannel power constraints",
+                         parents=[gains, preset, points, out, csv])
     rp.add_argument("--powers")
-    rp.add_argument("--preset", choices=["two-subchannel-reference"])
-    rp.add_argument("--points", type=int, default=gauss.N_BOUNDARY)
-    rp.add_argument("--out")
-    rp.add_argument("--csv")
     rp.set_defaults(func=_cmd_region_parallel)
 
-    rt = rsub.add_parser("parallel-total", help="pooled power budget")
-    rt.add_argument("--a")
-    rt.add_argument("--b1")
-    rt.add_argument("--b2")
+    rt = rsub.add_parser("parallel-total", help="pooled power budget",
+                         parents=[gains, preset, out, csv])
     rt.add_argument("--P", type=float, default=1.0)
-    rt.add_argument("--preset", choices=["two-subchannel-reference"])
     rt.add_argument("--grid", type=float, default=1e-3,
                     help="accepted for compatibility and must be positive; the "
                          "allocation is solved exactly and the result does not "
                          "depend on it")
-    rt.add_argument("--out")
-    rt.add_argument("--csv")
     rt.set_defaults(func=_cmd_region_parallel_total)
 
     code = sub.add_parser("code", help="two-level coset codes")
     csub = code.add_subparsers(dest="cmd", required=True)
 
-    cc = csub.add_parser("construct", help="rejection-sample a certified code")
-    cc.add_argument("--n", type=int, required=True)
-    cc.add_argument("--alpha1", type=float, required=True)
-    cc.add_argument("--alpha2", type=float, required=True)
-    cc.add_argument("--eps", type=float, required=True)
-    cc.add_argument("--seed", type=int, required=True)
+    cc = csub.add_parser("construct", help="rejection-sample a certified code",
+                         parents=[wiretap, seed, node_limit, out])
     cc.add_argument("--max-attempts", type=int, default=coset.MAX_ATTEMPTS)
-    _add_budget_args(cc)
-    cc.add_argument("--out")
     cc.set_defaults(func=_cmd_code_construct)
 
-    ca = csub.add_parser("audit", help="re-verify a code bundle exactly")
+    ca = csub.add_parser("audit", help="re-verify a code bundle exactly",
+                         parents=[node_limit, out])
     ca.add_argument("--bundle", required=True)
-    _add_budget_args(ca)
-    ca.add_argument("--out")
     ca.set_defaults(func=_cmd_code_audit)
 
-    cb = csub.add_parser("bound", help="random-construction rejection bound")
-    cb.add_argument("--n", type=int, required=True)
-    cb.add_argument("--alpha1", type=float, required=True)
-    cb.add_argument("--alpha2", type=float, required=True)
-    cb.add_argument("--eps", type=float, required=True)
+    cb = csub.add_parser("bound", help="random-construction rejection bound",
+                         parents=[wiretap, out])
     cb.add_argument("--exact", action="store_true",
                     help="exact binomial subset counts instead of the loose 2**n")
-    cb.add_argument("--out")
     cb.set_defaults(func=_cmd_code_bound)
 
     sim = sub.add_parser("sim", help="nested-binning simulation")
     ssub = sim.add_subparsers(dest="cmd", required=True)
-    sd = ssub.add_parser("dmc", help="simulate one or more block lengths")
-    sd.add_argument("--channel", help="channel JSON file")
-    sd.add_argument("--bec", help="D1,D2: noiseless main + two erasure eavesdroppers")
+    sd = ssub.add_parser("dmc", help="simulate one or more block lengths",
+                         parents=[channel, seed, out, csv])
     sd.add_argument("--px", required=True)
     sd.add_argument("--rates", required=True, help="R1,R2,T in bits/use")
     sd.add_argument("--n", required=True, help="block length, or comma list for a sweep")
     sd.add_argument("--trials", type=int, default=200)
-    sd.add_argument("--seed", type=int, required=True)
     sd.add_argument("--no-leakage", action="store_true")
-    sd.add_argument("--out")
-    sd.add_argument("--csv")
     sd.set_defaults(func=_cmd_sim_dmc)
 
     dgroup = sub.add_parser("dmc", help="finite-alphabet region points")
     dsub = dgroup.add_subparsers(dest="cmd", required=True)
-    dp = dsub.add_parser("region-point", help="evaluate rate bounds at a distribution")
-    dp.add_argument("--channel")
-    dp.add_argument("--bec")
+    dp = dsub.add_parser("region-point", help="evaluate rate bounds at a distribution",
+                         parents=[channel, out])
     dp.add_argument("--px")
     dp.add_argument("--aux", help="JSON file with pu, pv_u, px_v")
-    dp.add_argument("--out")
     dp.set_defaults(func=_cmd_dmc_region_point)
 
     fmp = sub.add_parser("fm", help="symbolic rate-region derivation")
     fsub = fmp.add_subparsers(dest="cmd", required=True)
-    fd = fsub.add_parser("derive", help="rederive a region from its constraints")
+    fd = fsub.add_parser("derive", help="rederive a region from its constraints",
+                         parents=[out])
     fd.add_argument("--preset", choices=sorted(_FM_PRESETS), required=True)
     fd.add_argument("--json", action="store_true")
-    fd.add_argument("--out")
     fd.set_defaults(func=_cmd_fm_derive)
 
     return top

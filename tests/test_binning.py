@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secembed import binning, dmc
+from secembed import binning, coset, dmc, gf2
 from secembed.binning import NestedCodebook
 from secembed.dmc import DmcTriple
 
@@ -367,6 +367,75 @@ def test_leakage_erasure_wide_keys_match_reference():
     profile = binning._erasure_profile(cb, reveal)
     got = [binning._erasure_leakage(profile[0], 0.5), binning._erasure_leakage(profile[1], 0.9)]
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_leakage_budget_of_both_eavesdroppers_checked_before_any_profile(monkeypatch):
+    """A BEC strong eavesdropper and a weak one over 3**16 outputs, past the budget."""
+    weak = [[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]]  # not erasure-style: two live outputs per input
+    ch = DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.5), weak)
+    calls = []
+    monkeypatch.setattr(binning, "_erasure_profile", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"^\|Z\|\*\*n = 43046721 exceeds the "
+                                         r"exact-leakage budget 16777216$"):
+        binning.simulate_nested_binning(ch, [0.5, 0.5], (0.0, 0.0, 0.0), n=16, trials=0,
+                                        seed=1)
+    assert calls == []
+
+
+def coset_code(n, k1, k2, rng):
+    """A random two-level coset code whose stacked matrix has full row rank."""
+    while gf2.rank(stacked := rng.integers(0, 2, size=(k1 + k2, n))) < k1 + k2:
+        pass
+    params = coset.WiretapIIParams(n=n, alpha1=(n - k1) / n, alpha2=(n - k1 - k2) / n)
+    return coset.CosetCodePair(params=params, h1=stacked[:k1], h2=stacked[k1:],
+                               d1_star=0, d2_star=0)
+
+
+def coset_codebook(code):
+    """Every n-bit word, binned by its syndrome m1 | m2 << k1: bin m1, subbin m2,
+    and the members of coset (m1, m2) as its slots."""
+    n, k1, k2 = code.n, code.k1, code.k2
+    words = np.arange(2**n)[:, None] >> np.arange(n) & 1
+    syndromes = (words @ code.stacked.T % 2) @ (1 << np.arange(k1 + k2))
+    by_syndrome = words[np.argsort(syndromes, kind="stable")]
+    return NestedCodebook(by_syndrome.reshape(2**k2, 2**k1, -1, n).swapaxes(0, 1), 2)
+
+
+DELTAS = (0.1, 0.5, 0.85)
+
+
+def check_coset_codes_are_linear_nested_binning(code):
+    """Erasure profile and leakage of the coset codebook against the equivocation
+    identity of coset, summed over every reveal set B."""
+    n = code.n
+    reveal_sets = [[i for i in range(n) if mask >> i & 1] for mask in range(2**n)]
+    info = np.array([[code.k1 - coset.equivocation(code, b, "high"),
+                      code.k1 + code.k2 - coset.equivocation(code, b, "both")]
+                     for b in reveal_sets])
+    sizes = np.array([len(b) for b in reveal_sets])
+    profile = [np.bincount(sizes, info[:, level], n + 1) for level in (0, 1)]
+    got = binning._erasure_profile(coset_codebook(code), np.array([0, 1]))
+    assert got == pytest.approx(np.array(profile), abs=1e-9)
+    for d in DELTAS:
+        leakage = (1 - d)**sizes * d**(n - sizes) @ info
+        assert [binning._erasure_leakage(row, d) for row in got] == pytest.approx(
+            leakage, abs=1e-9)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_coset_codes_are_linear_nested_binning(data):
+    n = data.draw(st.integers(1, 10))
+    k1 = data.draw(st.integers(0, n))
+    k2 = data.draw(st.integers(0, n - k1))
+    check_coset_codes_are_linear_nested_binning(
+        coset_code(n, k1, k2, np.random.default_rng(data.draw(st.integers(0, 2**32)))))
+
+
+@pytest.mark.parametrize("k1, k2, seed", [(3, 3, 1), (4, 4, 2)])
+def test_coset_codes_are_linear_nested_binning_pinned(k1, k2, seed):
+    check_coset_codes_are_linear_nested_binning(
+        coset_code(12, k1, k2, np.random.default_rng(seed)))
 
 
 def test_leakage_erasure_constant_kernel_is_zero():

@@ -1,13 +1,18 @@
 """CLI surface tests: formats, exit codes, determinism, round trips."""
 
+import argparse
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import secembed
 from secembed import binning, cli, dmc, gf2
 from secembed.cli import main
 
@@ -391,7 +396,9 @@ def test_sim_dmc_trials_over_budget_is_domain_error(capsys):
     (["--rates", "0.25,0.25,0", "--n", "8,12", "--trials", "131072", "--no-leakage"],
      "trials * n = 1572864 exceeds the budget 1048576 sampled symbols; lower trials "
      "(got 131072)"),
-], ids=["codebook", "trials"])
+    (["--rates", "0,0,0", "--n", "8,25", "--trials", "10"],
+     "2**n = 33554432 patterns exceed the exact-leakage budget 16777216"),
+], ids=["codebook", "trials", "leakage"])
 def test_sim_dmc_checks_every_block_before_simulating(monkeypatch, capsys, extra, message):
     # only the last block is over budget, so no block may be simulated
     calls = []
@@ -406,6 +413,13 @@ def test_sim_dmc_checks_every_block_before_simulating(monkeypatch, capsys, extra
     assert calls == []
     assert code == 1 and not out
     assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def test_sim_dmc_no_leakage_runs_past_the_leakage_budget(capsys):
+    code, out, err = run_cli(capsys, *SIM_BEC, "--rates", "0,0,0", "--n", "8,25",
+                             "--trials", "10", "--no-leakage")
+    assert code == 0 and not err
+    assert [run["n"] for run in json.loads(out)["runs"]] == [8, 25]
 
 
 @pytest.mark.parametrize("px", ["1", "0.5,0.25,0.25"])
@@ -576,3 +590,121 @@ def test_code_audit_rejects_transposed_parity_check(tmp_path, capsys):
     error = json.loads(err)
     assert error["error"] == "ValueError"
     assert "(16, 4)" in error["message"]
+
+
+# Every action of every subcommand, by dest: (option strings, type, default,
+# required, choices).  Sharing option groups between subcommands may reorder
+# --help, but must leave each flag as it is here.
+OPTION_TABLE = {
+    "region scalar": {
+        "P": (("--P",), "float", None, True, None),
+        "a": (("--a",), "float", None, True, None),
+        "b1": (("--b1",), "float", None, True, None),
+        "b2": (("--b2",), "float", None, True, None),
+        "csv": (("--csv",), None, None, False, None),
+        "help": (("-h", "--help"), None, "==SUPPRESS==", False, None),
+        "out": (("--out",), None, None, False, None),
+        "points": (("--points",), "int", 201, False, None),
+    },
+    "region parallel": {
+        "a": (("--a",), None, None, False, None),
+        "b1": (("--b1",), None, None, False, None),
+        "b2": (("--b2",), None, None, False, None),
+        "csv": (("--csv",), None, None, False, None),
+        "help": (("-h", "--help"), None, "==SUPPRESS==", False, None),
+        "out": (("--out",), None, None, False, None),
+        "points": (("--points",), "int", 201, False, None),
+        "powers": (("--powers",), None, None, False, None),
+        "preset": (("--preset",), None, None, False, ["two-subchannel-reference"]),
+    },
+    "region parallel-total": {
+        "P": (("--P",), "float", 1.0, False, None),
+        "a": (("--a",), None, None, False, None),
+        "b1": (("--b1",), None, None, False, None),
+        "b2": (("--b2",), None, None, False, None),
+        "csv": (("--csv",), None, None, False, None),
+        "grid": (("--grid",), "float", 0.001, False, None),
+        "help": (("-h", "--help"), None, "==SUPPRESS==", False, None),
+        "out": (("--out",), None, None, False, None),
+        "preset": (("--preset",), None, None, False, ["two-subchannel-reference"]),
+    },
+    "code construct": {
+        "alpha1": (("--alpha1",), "float", None, True, None),
+        "alpha2": (("--alpha2",), "float", None, True, None),
+        "eps": (("--eps",), "float", None, True, None),
+        "help": (("-h", "--help"), None, "==SUPPRESS==", False, None),
+        "max_attempts": (("--max-attempts",), "int", 100, False, None),
+        "n": (("--n",), "int", None, True, None),
+        "node_limit": (("--node-limit",), "int", 20000000, False, None),
+        "out": (("--out",), None, None, False, None),
+        "seed": (("--seed",), "int", None, True, None),
+    },
+    "code audit": {
+        "bundle": (("--bundle",), None, None, True, None),
+        "help": (("-h", "--help"), None, "==SUPPRESS==", False, None),
+        "node_limit": (("--node-limit",), "int", 20000000, False, None),
+        "out": (("--out",), None, None, False, None),
+    },
+    "code bound": {
+        "alpha1": (("--alpha1",), "float", None, True, None),
+        "alpha2": (("--alpha2",), "float", None, True, None),
+        "eps": (("--eps",), "float", None, True, None),
+        "exact": (("--exact",), None, False, False, None),
+        "help": (("-h", "--help"), None, "==SUPPRESS==", False, None),
+        "n": (("--n",), "int", None, True, None),
+        "out": (("--out",), None, None, False, None),
+    },
+    "sim dmc": {
+        "bec": (("--bec",), None, None, False, None),
+        "channel": (("--channel",), None, None, False, None),
+        "csv": (("--csv",), None, None, False, None),
+        "help": (("-h", "--help"), None, "==SUPPRESS==", False, None),
+        "n": (("--n",), None, None, True, None),
+        "no_leakage": (("--no-leakage",), None, False, False, None),
+        "out": (("--out",), None, None, False, None),
+        "px": (("--px",), None, None, True, None),
+        "rates": (("--rates",), None, None, True, None),
+        "seed": (("--seed",), "int", None, True, None),
+        "trials": (("--trials",), "int", 200, False, None),
+    },
+    "dmc region-point": {
+        "aux": (("--aux",), None, None, False, None),
+        "bec": (("--bec",), None, None, False, None),
+        "channel": (("--channel",), None, None, False, None),
+        "help": (("-h", "--help"), None, "==SUPPRESS==", False, None),
+        "out": (("--out",), None, None, False, None),
+        "px": (("--px",), None, None, False, None),
+    },
+    "fm derive": {
+        "help": (("-h", "--help"), None, "==SUPPRESS==", False, None),
+        "json": (("--json",), None, False, False, None),
+        "out": (("--out",), None, None, False, None),
+        "preset": (("--preset",), None, None, True, ["layered", "nested-binning"]),
+    },
+}
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_option_table_pinned():
+    table = {}
+    for group, group_parser in _subparsers(cli.build_parser()).choices.items():
+        for cmd, parser in _subparsers(group_parser).choices.items():
+            table[f"{group} {cmd}"] = {
+                a.dest: (tuple(a.option_strings), getattr(a.type, "__name__", a.type),
+                         a.default, a.required, a.choices)
+                for a in parser._actions}
+    assert table == OPTION_TABLE
+
+
+def test_importing_gf2_loads_no_other_module():
+    src = str(Path(secembed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, secembed.gf2; "
+         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'secembed'))"],
+        capture_output=True, text=True, check=True, env=env).stdout.split()
+    assert loaded == ["secembed", "secembed.gf2"]
