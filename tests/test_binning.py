@@ -549,10 +549,43 @@ def test_decoder_chunking_does_not_change_error_rate(monkeypatch, seed):
     cb = binning.make_codebook([0.5, 0.5], 8, (4, 4, 9), np.random.default_rng(seed))
     kernel = dmc.bsc_kernel(0.1)
     whole = binning.empirical_error_rate(cb, kernel, 97, np.random.default_rng(seed))
-    for scores in (1, 144 * 5, 144 * 96 + 1):  # 1 row, 5 rows, 96 rows per chunk
+    for scores in (1, 144 * 5, 144 * 96 + 1):  # 1 row, 1 row, 12 rows per chunk
         monkeypatch.setattr(binning, "_DECODE_SCORES", scores)
         assert binning.empirical_error_rate(cb, kernel, 97,
                                             np.random.default_rng(seed)) == whole
+
+
+@pytest.mark.parametrize("scores", [1, 2**20])
+@pytest.mark.parametrize("n, counts, kernel", [
+    # K = 1 < nx: no prefix is scored ahead, every position is gathered per word
+    (5, (1, 1, 1), [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]),
+    # nx**n = K: the prefix table holds every word's whole score
+    (3, (2, 2, 2), [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]),
+    # ternary input, 3**3 <= K = 80 < 3**4: prefixes of 3 positions, 4 gathered
+    (7, (4, 4, 5), [[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.0, 0.5, 0.5]]),
+], ids=["k_below_nx", "whole_words", "ternary"])
+def test_decoder_prefix_table_edges_match_reference(scores, n, counts, kernel):
+    nx = len(kernel)
+    for seed in range(3):
+        cb = binning.make_codebook(np.full(nx, 1.0 / nx), n, counts,
+                                   np.random.default_rng(seed))
+        want = error_rate_reference(cb, kernel, 50, np.random.default_rng(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(binning, "_DECODE_SCORES", scores)
+            got = binning.empirical_error_rate(cb, kernel, 50, np.random.default_rng(seed))
+        assert got == want
+
+
+def test_decoder_memory_bounded_at_benchmark_shape():
+    """One decoding run of the benchmark's n = 12 codebook (K = 1,728), 400 trials."""
+    cb = binning.make_codebook([0.5, 0.5], 12, (8, 8, 27), np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        binning.empirical_error_rate(cb, dmc.bsc_kernel(0.02), 400, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # one 400 x 1,728 score matrix and its gathers take 11 MB
 
 
 @pytest.mark.parametrize("px", [[math.nan, 1.0], [0.5, math.inf], [-math.inf, 1.0]])
