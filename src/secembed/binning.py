@@ -199,7 +199,9 @@ def _erasure_profile(codebook: NestedCodebook, reveal: np.ndarray) -> np.ndarray
 
     The walk is split into one contiguous range of blocks per usable CPU,
     each run by a thread (numpy releases the interpreter lock in the
-    sorts and reductions) that sorts and reduces a whole block per step.
+    sorts and reductions) that sorts and reduces a whole block per step,
+    so each thread holds one block's scratch (about 40 bytes per key) and
+    the peak memory grows with the thread count.
     Each block's partial profile is kept and the partials are added in
     block order, so the result does not depend on the thread count.
     """

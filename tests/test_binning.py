@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secembed import binning, coset, dmc, gf2
@@ -253,6 +253,24 @@ def test_erasure_profile_more_threads_than_cores_with_fast_switching():
     assert np.array_equal(one, eight)
 
 
+def test_erasure_profile_scratch_is_one_block_per_thread(monkeypatch):
+    """Each walk thread holds one block's scratch, so the peak grows with the threads, no faster."""
+    cb = binning.make_codebook([0.5, 0.5], 12, (8, 8, 27), np.random.default_rng(1))
+    peaks = {}
+    for threads in (1, 8):
+        monkeypatch.setattr(binning, "_usable_cpus", lambda threads=threads: threads)
+        tracemalloc.start()
+        try:
+            binning._erasure_profile(cb, np.array([0, 1]))
+            peaks[threads] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # 64 rows x 1,728 keys per block; about 4.5 MB on one thread, 21 MB on eight
+    block_keys = 64 * 1728
+    assert peaks[1] < 48 * block_keys
+    assert peaks[8] < 8 * 48 * block_keys
+
+
 def test_simulation_leaves_no_thread_behind(monkeypatch):
     monkeypatch.setattr(binning, "_usable_cpus", lambda: 3)
     before = threading.active_count()
@@ -299,8 +317,8 @@ def test_caller_error_stops_the_workers_early(monkeypatch):
     cb = binning.make_codebook([0.5, 0.5], 12, (8, 8, 27), np.random.default_rng(1))
     with pytest.raises(RuntimeError, match="caller failed"):
         binning._erasure_profile(cb, np.array([0, 1]))
-    # the two helpers own blocks 21..63, 12 calls each (4 quarter-block sorts of 3)
-    assert len(worker_calls) < 43 * 12 // 2
+    # the two helpers own blocks 21..63, 3 calls each (one whole-block sort)
+    assert len(worker_calls) < 43 * 3 // 2
 
 
 @st.composite
@@ -532,9 +550,24 @@ def decode_cases(draw):
     return cb, weights / weights.sum(axis=1, keepdims=True), trials, seed
 
 
+def decode_example(n, counts, kernel, trials=40, seed=0):
+    """A decode_cases value with a fixed codebook shape and kernel."""
+    kernel = np.asarray(kernel, dtype=float)
+    cb = binning.make_codebook(np.full(len(kernel), 1.0 / len(kernel)), n, counts,
+                               np.random.default_rng(seed))
+    return cb, kernel, trials, seed
+
+
 @pytest.mark.parametrize("scores", [1, 2**20])
 @settings(max_examples=60, deadline=None)
 @given(case=decode_cases())
+# the decoder's prefix table at its edges: K = 1 < nx, so no position is scored
+# ahead; nx**n = K, so the table holds every whole word; ternary input with
+# 3**3 <= K = 45 < 3**4, so 3 positions are scored ahead and 4 gathered
+@example(case=decode_example(5, (1, 1, 1), [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]))
+@example(case=decode_example(3, (2, 2, 2), [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]))
+@example(case=decode_example(7, (3, 3, 5), [[0.6, 0.2, 0.2], [0.2, 0.6, 0.2],
+                                            [0.0, 0.5, 0.5]]))
 def test_error_rate_matches_fancy_indexing_reference(case, scores):
     cb, kernel, trials, seed = case
     want = error_rate_reference(cb, kernel, trials, np.random.default_rng(seed))
@@ -549,31 +582,10 @@ def test_decoder_chunking_does_not_change_error_rate(monkeypatch, seed):
     cb = binning.make_codebook([0.5, 0.5], 8, (4, 4, 9), np.random.default_rng(seed))
     kernel = dmc.bsc_kernel(0.1)
     whole = binning.empirical_error_rate(cb, kernel, 97, np.random.default_rng(seed))
-    for scores in (1, 144 * 5, 144 * 96 + 1):  # 1 row, 1 row, 12 rows per chunk
+    for scores in (1, 144 * 5 * 8, 144 * 96 * 8 + 1):  # 1 row, 5 rows, 96 rows per chunk
         monkeypatch.setattr(binning, "_DECODE_SCORES", scores)
         assert binning.empirical_error_rate(cb, kernel, 97,
                                             np.random.default_rng(seed)) == whole
-
-
-@pytest.mark.parametrize("scores", [1, 2**20])
-@pytest.mark.parametrize("n, counts, kernel", [
-    # K = 1 < nx: no prefix is scored ahead, every position is gathered per word
-    (5, (1, 1, 1), [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]),
-    # nx**n = K: the prefix table holds every word's whole score
-    (3, (2, 2, 2), [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]),
-    # ternary input, 3**3 <= K = 80 < 3**4: prefixes of 3 positions, 4 gathered
-    (7, (4, 4, 5), [[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.0, 0.5, 0.5]]),
-], ids=["k_below_nx", "whole_words", "ternary"])
-def test_decoder_prefix_table_edges_match_reference(scores, n, counts, kernel):
-    nx = len(kernel)
-    for seed in range(3):
-        cb = binning.make_codebook(np.full(nx, 1.0 / nx), n, counts,
-                                   np.random.default_rng(seed))
-        want = error_rate_reference(cb, kernel, 50, np.random.default_rng(seed))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(binning, "_DECODE_SCORES", scores)
-            got = binning.empirical_error_rate(cb, kernel, 50, np.random.default_rng(seed))
-        assert got == want
 
 
 def test_decoder_memory_bounded_at_benchmark_shape():
