@@ -44,4 +44,4 @@ for side in ("strong_eavesdropper", "weak_eavesdropper"):
 
 bound = coset.union_bound_report(params, exact_counts=True)
 print(f"\nrandom-construction rejection bound (exact counts): "
-      f"{bound.total:.3e} (conclusive at this n: {bound.conclusive})")
+      f"{bound['total']:.3e} (conclusive at this n: {bound['conclusive']})")

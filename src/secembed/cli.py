@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from secembed import binning, coset, dmc, fm, gauss, gf2
+from secembed import binning, coset, dmc, fm, gauss
 
 
 def _emit_text(text: str, out: str | None):
@@ -130,8 +130,7 @@ def _wiretap_params(args) -> coset.WiretapIIParams:
 
 def _cmd_code_construct(args) -> int:
     _check_seed(args)
-    code = coset.construct(_wiretap_params(args), seed=args.seed,
-                           max_attempts=args.max_attempts, node_limit=args.node_limit)
+    code = coset.construct(_wiretap_params(args), seed=args.seed)
     _emit_json(code.to_bundle(seed=args.seed), args.out)
     return 0
 
@@ -140,14 +139,14 @@ def _cmd_code_audit(args) -> int:
     with open(args.bundle) as f:
         bundle = json.load(f)
     code = coset.CosetCodePair.from_bundle(bundle)
-    report = coset.audit_code(code, node_limit=args.node_limit)
+    report = coset.audit_code(code)
     _emit_json(report, args.out)
     return 0 if report["pass"] else 1
 
 
 def _cmd_code_bound(args) -> int:
-    report = coset.union_bound_report(_wiretap_params(args), exact_counts=args.exact)
-    _emit_json(report.to_dict(), args.out)
+    _emit_json(coset.union_bound_report(_wiretap_params(args), exact_counts=args.exact),
+               args.out)
     return 0
 
 
@@ -246,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     seed = _options(seed=dict(type=int, required=True))
     channel = _options(channel=dict(help="channel JSON file"),
                        bec=dict(help="D1,D2: noiseless main + two erasure eavesdroppers"))
-    node_limit = _options(node_limit=dict(type=int, default=gf2.NODE_LIMIT,
-                                          help="hard node cap for the exact certificate search"))
 
     region = sub.add_parser("region", help="Gaussian secrecy regions")
     rsub = region.add_subparsers(dest="cmd", required=True)
@@ -276,12 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     csub = code.add_subparsers(dest="cmd", required=True)
 
     cc = csub.add_parser("construct", help="rejection-sample a certified code",
-                         parents=[wiretap, seed, node_limit, out])
-    cc.add_argument("--max-attempts", type=int, default=coset.MAX_ATTEMPTS)
+                         parents=[wiretap, seed, out])
     cc.set_defaults(func=_cmd_code_construct)
 
     ca = csub.add_parser("audit", help="re-verify a code bundle exactly",
-                         parents=[node_limit, out])
+                         parents=[out])
     ca.add_argument("--bundle", required=True)
     ca.set_defaults(func=_cmd_code_audit)
 

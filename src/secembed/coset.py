@@ -38,7 +38,6 @@ __all__ = [
     "CosetCodePair",
     "Observation",
     "ConstructionExhaustedError",
-    "UnionBoundReport",
     "encode",
     "decode",
     "eavesdrop",
@@ -53,7 +52,7 @@ ERASURE = -1
 
 
 class ConstructionExhaustedError(RuntimeError):
-    """No acceptable parity-check matrix found within max_attempts."""
+    """No acceptable parity-check matrix found within MAX_ATTEMPTS draws."""
 
 
 def _as_int(value: float, what: str) -> int:
@@ -63,6 +62,8 @@ def _as_int(value: float, what: str) -> int:
 
 
 def _is_finite_real(value) -> bool:
+    if isinstance(value, bool):  # a JSON true is no number
+        return False
     try:
         return isinstance(value, numbers.Real) and isfinite(value)
     except OverflowError:  # an int beyond float range
@@ -151,8 +152,9 @@ class CosetCodePair:
     subsets of n*(1-alpha1) positions; ``d2_star`` the same for the
     stacked matrix over subsets of n*(1-alpha2) positions.  Certificates
     of codes built by construct() always satisfy the 3/eps thresholds;
-    externally supplied bundles are checked by audit_code rather than
-    rejected here.
+    externally supplied values are checked by audit_code rather than
+    rejected here, but both must be ints (not bools), so that to_bundle
+    writes a bundle from_bundle reads back.
 
     The code owns one read-only copy of the full-row-rank parity-check
     matrix ``stacked`` = [h1; h2]; ``h1`` and ``h2`` are row views of it.
@@ -172,6 +174,9 @@ class CosetCodePair:
     _columns: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not all(isinstance(d, int) and not isinstance(d, bool)
+                   for d in (self.d1_star, self.d2_star)):
+            raise ValueError("d1_star and d2_star must be integers")
         p = self.params
         h1 = gf2.bit_array(self.h1, "h1")
         h2 = gf2.bit_array(self.h2, "h2")
@@ -230,8 +235,6 @@ class CosetCodePair:
             raise ValueError("bundle params must have exactly the keys n, alpha1, alpha2, eps")
         if not (isinstance(bundle["H1"], str) and isinstance(bundle["H2"], str)):
             raise ValueError("bundle H1 and H2 must be matrix text")
-        if not (isinstance(bundle["d1_star"], int) and isinstance(bundle["d2_star"], int)):
-            raise ValueError("bundle d1_star and d2_star must be integers")
         return cls(
             params=WiretapIIParams(**params),
             h1=gf2.matrix_from_text(bundle["H1"]),
@@ -317,16 +320,13 @@ def equivocation(code: CosetCodePair, observed, level: str = "both") -> int:
     return len(gf2._rref([c & mask for i, c in enumerate(code._columns) if i not in s]))
 
 
-def _certificates(p: WiretapIIParams, stacked: np.ndarray, node_limit: int) -> tuple[int, int]:
+def _certificates(p: WiretapIIParams, stacked: np.ndarray) -> tuple[int, int]:
     """(d1_star, d2_star) of the stacked matrix [h1; h2] under params p."""
-    d1 = gf2.min_rank_over_column_subsets(stacked[:p.k1], p.n - p.n_alpha1,
-                                          node_limit=node_limit)
-    d2 = gf2.min_rank_over_column_subsets(stacked, p.n - p.n_alpha2, node_limit=node_limit)
-    return d1, d2
+    return (gf2.min_rank_over_column_subsets(stacked[:p.k1], p.n - p.n_alpha1),
+            gf2.min_rank_over_column_subsets(stacked, p.n - p.n_alpha2))
 
 
-def worst_case_security(code: CosetCodePair, *,
-                        node_limit: int = gf2.NODE_LIMIT) -> tuple[int, int]:
+def worst_case_security(code: CosetCodePair) -> tuple[int, int]:
     """Exact (d1_star, d2_star): worst-case equivocations over all observed sets.
 
     d1_star minimizes the h1 column-subspace dimension over all position
@@ -334,16 +334,15 @@ def worst_case_security(code: CosetCodePair, *,
     d2_star does the same for the stacked matrix at size n*(1-alpha2).
     Both come from the generalized-Hamming-weight search of
     gf2.min_rank_over_column_subsets (row space or kernel side), which
-    raises BudgetExceededError past node_limit words and subcodes.
+    raises BudgetExceededError past gf2.NODE_LIMIT words and subcodes.
     """
-    return _certificates(code.params, code.stacked, node_limit)
+    return _certificates(code.params, code.stacked)
 
 
-MAX_ATTEMPTS = 100  # default cap on the matrices construct draws
+MAX_ATTEMPTS = 100  # cap on the matrices construct draws, read at each call
 
 
-def construct(params: WiretapIIParams, seed: int, max_attempts: int = MAX_ATTEMPTS, *,
-              node_limit: int = gf2.NODE_LIMIT) -> CosetCodePair:
+def construct(params: WiretapIIParams, seed: int) -> CosetCodePair:
     """Rejection-sample a two-level coset code with exact security certificates.
 
     Each attempt draws the stacked parity-check matrix with i.i.d.
@@ -356,72 +355,26 @@ def construct(params: WiretapIIParams, seed: int, max_attempts: int = MAX_ATTEMP
     (both vacuous when negative, as happens at small n).  Attempt i uses
     the seed stream (seed, i), so results are identical no matter how
     attempts are scheduled; the accepted attempt is the lowest index.
+    After MAX_ATTEMPTS draws it raises ConstructionExhaustedError.
     """
     if params.eps <= 0:
         raise ValueError("construct requires eps > 0")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
     rows = params.k1 + params.k2
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         h = gf2.random_matrix(rows, params.n, rng)
         if gf2.rank(h) != rows:
             continue
-        d1, d2 = _certificates(params, h, node_limit)
+        d1, d2 = _certificates(params, h)
         if d1 >= params.d1_threshold and d2 >= params.d2_threshold:
             return CosetCodePair(params=params, h1=h[:params.k1], h2=h[params.k1:],
                                  d1_star=d1, d2_star=d2)
     raise ConstructionExhaustedError(
-        f"no acceptable matrix in {max_attempts} attempts at n={params.n}; "
+        f"no acceptable matrix in {MAX_ATTEMPTS} attempts at n={params.n}; "
         "small blocks can legitimately fail the certificate thresholds")
 
 
-@dataclass(frozen=True)
-class UnionBoundReport:
-    """Union-bound estimate that a uniform random matrix is rejected.
-
-    ``rank_term`` bounds the probability of a rank deficit; ``subset_term``
-    bounds the probability that some observed set defeats a certificate,
-    either with the loose 2**n subset count or with exact binomial counts.
-    ``conclusive`` reproduces the analytic chain: existence of an
-    acceptable matrix is guaranteed once both terms are below 1/2.
-    """
-
-    n: int
-    mode: str
-    rank_term: float
-    subset_term: float
-
-    @property
-    def rank_ok(self) -> bool:
-        return self.rank_term < 0.5
-
-    @property
-    def subset_ok(self) -> bool:
-        return self.subset_term < 0.5
-
-    @property
-    def total(self) -> float:
-        return self.rank_term + self.subset_term
-
-    @property
-    def conclusive(self) -> bool:
-        return self.rank_ok and self.subset_ok
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mode": self.mode,
-            "rank_term": self.rank_term,
-            "subset_term": self.subset_term,
-            "total": self.total,
-            "rank_term_below_half": self.rank_ok,
-            "subset_term_below_half": self.subset_ok,
-            "conclusive": self.conclusive,
-        }
-
-
-def union_bound_report(params: WiretapIIParams, *, exact_counts: bool = False) -> UnionBoundReport:
+def union_bound_report(params: WiretapIIParams, *, exact_counts: bool = False) -> dict:
     """Expected-rejection bound for uniform random parity-check matrices.
 
     rank term:  n(1-alpha2-eps) * 2**(-n(alpha2+eps)) / (1 - 2**(-n(alpha2+eps)))
@@ -430,7 +383,11 @@ def union_bound_report(params: WiretapIIParams, *, exact_counts: bool = False) -
 
     The loose count follows the analytic argument verbatim; the exact
     binomial count is never larger, which makes the bound usable at desk
-    scale.  Requires eps > 0.
+    scale.  The rank term bounds the probability of a rank deficit, the
+    subset term that of an observed set defeating a certificate.  Returns
+    a JSON-ready report of both terms, their total and whether each is
+    below 1/2; it is ``conclusive``, reproducing the analytic chain, when
+    both are: an acceptable matrix then exists.  Requires eps > 0.
     """
     if params.eps <= 0:
         raise ValueError("union bound requires eps > 0")
@@ -446,10 +403,13 @@ def union_bound_report(params: WiretapIIParams, *, exact_counts: bool = False) -
     else:
         subset_term = float(Fraction(2 << n, 1 << (2 * n)))
         mode = "loose"
-    return UnionBoundReport(n=n, mode=mode, rank_term=rank_term, subset_term=subset_term)
+    rank_ok, subset_ok = rank_term < 0.5, subset_term < 0.5
+    return {"n": n, "mode": mode, "rank_term": rank_term, "subset_term": subset_term,
+            "total": rank_term + subset_term, "rank_term_below_half": rank_ok,
+            "subset_term_below_half": subset_ok, "conclusive": rank_ok and subset_ok}
 
 
-def audit_code(code: CosetCodePair, *, node_limit: int = gf2.NODE_LIMIT) -> dict:
+def audit_code(code: CosetCodePair) -> dict:
     """Re-derive the security certificates exactly and check the 3/eps bounds.
 
     Returns a JSON-ready report: recomputed d1_star/d2_star, whether they
@@ -458,7 +418,7 @@ def audit_code(code: CosetCodePair, *, node_limit: int = gf2.NODE_LIMIT) -> dict
     equivocation) and a pass flag against the 3/eps allowance.
     """
     p = code.params
-    d1, d2 = worst_case_security(code, node_limit=node_limit)
+    d1, d2 = worst_case_security(code)
     finite = p.eps > 0
     report = {
         "params": p.to_dict(),

@@ -52,7 +52,7 @@ class InfeasibleSystemError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exact search exceeds its configured node budget.
+    """Raised when the min-rank search exceeds its node budget, NODE_LIMIT.
 
     ``nodes`` counts the listed code words plus those scanned per expanded
     support; the exact answer is known to lie in [``lower``, ``upper``].
@@ -243,7 +243,7 @@ def column_subset_dim(m, subset) -> int:
     return rank(a[:, positions(subset, a.shape[1])])
 
 
-NODE_LIMIT = 20_000_000  # default node cap of the min-rank search
+NODE_LIMIT = 20_000_000  # node cap of the min-rank search, read at each call
 
 # The min-rank search counts listed words for a subcode dimension only when
 # there are at most this many: one expansion adds at most as many supports as
@@ -283,7 +283,7 @@ def _reduced_dim(rows: list[int], private: list[int], support: int) -> int:
     return len(inside) - len(_rref(inside))
 
 
-def min_rank_over_column_subsets(m, size: int, *, node_limit: int = NODE_LIMIT) -> int:
+def min_rank_over_column_subsets(m, size: int) -> int:
     """Exact minimum of rank(m[:, S]) over all column subsets of the given size.
 
     By Wei's generalized-Hamming-weight identity, with C the row space of m
@@ -295,16 +295,13 @@ def min_rank_over_column_subsets(m, size: int, *, node_limit: int = NODE_LIMIT) 
     Words are bit masks in one numpy array (uint64 up to 64 positions, Python
     ints beyond), so each expanded support scans them in array operations.
 
-    node_limit caps the listed words (2**dim - 1) plus those each expanded
+    NODE_LIMIT caps the listed words (2**dim - 1) plus those each expanded
     support scans, each checked before the work.  Each scanned word adds at
     most one support, whose dimension costs at most _COUNT_WORDS word
     comparisons or one reduction of the rows, so the limit bounds the time.
-    Raises ValueError when node_limit < 1, and BudgetExceededError past it:
-    the instance is beyond desk scale, and the error carries the bracket
-    [lower, upper] on the minimum reached so far.
+    Past it the instance is beyond desk scale: BudgetExceededError carries
+    the bracket [lower, upper] on the minimum reached so far.
     """
-    if node_limit < 1:
-        raise ValueError(f"node_limit must be >= 1, got {node_limit}")
     a = _as_bits(m)
     n = a.shape[1]
     if not 0 <= size <= n:
@@ -320,9 +317,9 @@ def min_rank_over_column_subsets(m, size: int, *, node_limit: int = NODE_LIMIT) 
     # the free column of a kernel row.
     sides = [(full, list(basis.values()), list(basis), n - size),
              (size, _kernel_rows(basis, n), _free_bits(basis, n), size)]
-    sides = [side for side in sides if (1 << len(side[1])) - 1 <= node_limit]
+    sides = [side for side in sides if (1 << len(side[1])) - 1 <= NODE_LIMIT]
     if not sides:
-        raise BudgetExceededError(node_limit, lb, ub)
+        raise BudgetExceededError(NODE_LIMIT, lb, ub)
     top, rows, private, bound = min(sides, key=lambda side: (side[0], len(side[1])))
     nodes = (1 << len(rows)) - 1
     # Each word of the span of rows[12:] shifts the whole span of rows[:12] once.
@@ -342,8 +339,8 @@ def min_rank_over_column_subsets(m, size: int, *, node_limit: int = NODE_LIMIT) 
             if dim + bound - supp.bit_count() <= r:
                 continue
             nodes += len(light)  # the scan below
-            if nodes > node_limit:
-                raise BudgetExceededError(node_limit, lb, min(ub, top - r))
+            if nodes > NODE_LIMIT:
+                raise BudgetExceededError(NODE_LIMIT, lb, min(ub, top - r))
             unions = light | supp
             unions = unions[np.bitwise_count(unions) <= bound].tolist()
             fresh = [u for u in dict.fromkeys(unions) if u not in seen]

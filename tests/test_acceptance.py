@@ -53,7 +53,7 @@ def criterion_1_line() -> tuple[bool, str]:
             audit_out = pathlib.Path(tmp) / f"audit_{n}.json"
             rc = main(["code", "construct", "--n", str(n), "--alpha1", "0.5",
                        "--alpha2", "0.25", "--eps", "0.25", "--seed", "7",
-                       "--max-attempts", "100", "--out", str(bundle)])
+                       "--out", str(bundle)])
             ok = ok and rc == 0
             rc = main(["code", "audit", "--bundle", str(bundle), "--out", str(audit_out)])
             ok = ok and rc == 0
@@ -250,13 +250,13 @@ def criterion_8_line() -> tuple[bool, str]:
         exact = coset.union_bound_report(params, exact_counts=True)
         q = 2.0 ** (-(na2 + ne))
         want_rank = (params.k1 + params.k2) * q / (1 - q)
-        ok = ok and abs(rep.rank_term - want_rank) < 1e-12 * max(1, want_rank)
-        ok = ok and rep.subset_term == 2.0 ** (1 - n)
-        ok = ok and rep.subset_ok == (n > 2)
-        ok = ok and rep.conclusive == ((rep.rank_term < 0.5) and (n > 2))
-        if rep.conclusive:
-            ok = ok and rep.total < 1.0
-        ok = ok and exact.subset_term <= rep.subset_term
+        ok = ok and abs(rep["rank_term"] - want_rank) < 1e-12 * max(1, want_rank)
+        ok = ok and rep["subset_term"] == 2.0 ** (1 - n)
+        ok = ok and rep["subset_term_below_half"] == (n > 2)
+        ok = ok and rep["conclusive"] == ((rep["rank_term"] < 0.5) and (n > 2))
+        if rep["conclusive"]:
+            ok = ok and rep["total"] < 1.0
+        ok = ok and exact["subset_term"] <= rep["subset_term"]
         checked += 1
     ok = ok and checked >= 60
     return ok, acceptance_line(

@@ -1,9 +1,12 @@
 """CLI surface tests: formats, exit codes, determinism, round trips."""
 
 import argparse
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -486,23 +489,11 @@ CONSTRUCT_16 = ["code", "construct", "--n", "16", "--alpha1", "0.5", "--alpha2",
                 "--eps", "0.25", "--seed", "7"]
 
 
-@pytest.mark.parametrize("limit", ["0", "-5"])
-def test_node_limit_below_one_is_domain_error(tmp_path, capsys, limit):
-    code, out, err = run_cli(capsys, *CONSTRUCT_16, "--node-limit", limit)
-    assert code == 1 and not out
-    assert json.loads(err)["error"] == "ValueError"
-    bundle = tmp_path / "bundle.json"
-    assert run_cli(capsys, *CONSTRUCT_16, "--out", str(bundle))[0] == 0
-    code, out, err = run_cli(capsys, "code", "audit", "--bundle", str(bundle),
-                             "--node-limit", limit)
-    assert code == 1 and not out
-    assert json.loads(err)["error"] == "ValueError"
-
-
 def test_node_budget_error_reports_bracket(capsys):
-    code, out, err = run_cli(capsys, "code", "construct", "--n", "24", "--alpha1", "0.5",
-                             "--alpha2", "0.25", "--eps", "0.25", "--seed", "1",
-                             "--node-limit", "5")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2, "NODE_LIMIT", 5)
+        code, out, err = run_cli(capsys, "code", "construct", "--n", "24", "--alpha1", "0.5",
+                                 "--alpha2", "0.25", "--eps", "0.25", "--seed", "1")
     assert code == 1 and not out
     payload = json.loads(err)
     assert payload["error"] == "BudgetExceededError"
@@ -633,16 +624,13 @@ OPTION_TABLE = {
         "alpha2": (("--alpha2",), "float", None, True, None),
         "eps": (("--eps",), "float", None, True, None),
         "help": (("-h", "--help"), None, "==SUPPRESS==", False, None),
-        "max_attempts": (("--max-attempts",), "int", 100, False, None),
         "n": (("--n",), "int", None, True, None),
-        "node_limit": (("--node-limit",), "int", 20000000, False, None),
         "out": (("--out",), None, None, False, None),
         "seed": (("--seed",), "int", None, True, None),
     },
     "code audit": {
         "bundle": (("--bundle",), None, None, True, None),
         "help": (("-h", "--help"), None, "==SUPPRESS==", False, None),
-        "node_limit": (("--node-limit",), "int", 20000000, False, None),
         "out": (("--out",), None, None, False, None),
     },
     "code bound": {
@@ -697,6 +685,64 @@ def test_option_table_pinned():
                          a.default, a.required, a.choices)
                 for a in parser._actions}
     assert table == OPTION_TABLE
+
+
+# Every parameter with a default of each public function, class and class method
+# of each secembed module, with the repr of its default.  A new knob must be
+# added here; the search and construction budgets are module constants instead.
+DEFAULTS_TABLE = {
+    "binning.exact_leakage": {"level": "'bin'"},
+    "binning.simulate_nested_binning": {"measure_leakage": "True"},
+    "cli.main": {"argv": "None"},
+    "coset.CosetCodePair.to_bundle": {"seed": "None"},
+    "coset.WiretapIIParams": {"eps": "0.0"},
+    "coset.equivocation": {"level": "'both'"},
+    "coset.union_bound_report": {"exact_counts": "False"},
+    "dmc.RatePointBounds": {"side_condition_ok": "None"},
+    "dmc.check_degraded": {"which": "'z2_of_z1'"},
+    "dmc.embeddability_report": {"px_candidates": "()", "aux_candidates": "()"},
+    "fm.LinIneq": {"strict": "False"},
+    "fm.LinIneq.at_most": {"const": "0", "strict": "False"},
+    "fm.LinIneq.make": {"const": "0", "strict": "False"},
+    "fm.LinIneq.render": {"variables": "()"},
+    "fm.LinIneqSystem": {"nonneg_constants": "<factory>"},
+    "fm.LinIneqSystem.build": {"nonneg_constants": "None"},
+    "fm.LinIneqSystem.implies": {"assumptions": "()"},
+    "fm.LinIneqSystem.is_feasible": {"extra": "()"},
+    "fm.LinIneqSystem.pretty": {"aliases": "()"},
+    "fm.LinIneqSystem.relax_closure": {"slack_symbol": "None"},
+    "fm.LinIneqSystem.simplify_with_assumptions": {"assumptions": "()"},
+    "gauss.ParallelGaussChannel": {"powers": "None", "total_power": "None"},
+    "gauss.TotalPowerBoundary.contains": {"tol": "1e-09"},
+    "gf2.bit_array": {"what": "'matrix'"},
+    "regions.HalfSpace": {"strict": "False"},
+    "regions.RateRegion.contains": {"tol": "1e-12"},
+}
+
+
+def _defaults(fn) -> dict:
+    try:
+        params = inspect.signature(fn).parameters.values()
+    except ValueError:  # an exception class that keeps the builtin constructor
+        return {}
+    return {p.name: repr(p.default) for p in params if p.default is not p.empty}
+
+
+def test_library_defaults_pinned():
+    table = {}
+    for info in pkgutil.iter_modules(secembed.__path__):
+        module = importlib.import_module(f"secembed.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", getattr(member, "__func__", member))
+                            for attr, member in vars(obj).items() if not attr.startswith("_")]
+            for qualname, fn in members:
+                if callable(fn) and _defaults(fn):
+                    table[f"{info.name}.{qualname}"] = _defaults(fn)
+    assert table == DEFAULTS_TABLE
 
 
 def test_importing_gf2_loads_no_other_module():

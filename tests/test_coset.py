@@ -255,28 +255,25 @@ def test_construct_collapsed_second_level():
     assert coset.decode(code, x) == (3, 0)
 
 
-def test_construct_requires_positive_eps_and_attempts():
+def test_construct_requires_positive_eps():
     params = WiretapIIParams(n=4, alpha1=0.75, alpha2=0.5, eps=0.0)
     with pytest.raises(ValueError):
         coset.construct(params, seed=0)
-    good = WiretapIIParams(n=8, alpha1=0.5, alpha2=0.25, eps=0.25)
-    with pytest.raises(ValueError):
-        coset.construct(good, seed=0, max_attempts=0)
 
 
 def test_union_bound_loose_chain():
     # subset term literally equals 2**(1-n); below 1/2 exactly when n > 2
     p2 = WiretapIIParams(n=2, alpha1=0.5, alpha2=0.0, eps=0.5)
     r2 = coset.union_bound_report(p2)
-    assert r2.subset_term == 0.5 and not r2.subset_ok
+    assert r2["subset_term"] == 0.5 and r2["subset_term_below_half"] is False
     for n in (4, 8, 16, 32):
         p = WiretapIIParams(n=n, alpha1=0.5, alpha2=0.25, eps=0.25)
         r = coset.union_bound_report(p)
-        assert r.subset_term == 2.0 ** (1 - n)
+        assert r["subset_term"] == 2.0 ** (1 - n)
         q = 2.0 ** (-(p.n_alpha2 + round(n * p.eps)))
-        assert r.rank_term == pytest.approx((p.k1 + p.k2) * q / (1 - q), rel=1e-12)
-        if r.conclusive:
-            assert r.total < 1.0
+        assert r["rank_term"] == pytest.approx((p.k1 + p.k2) * q / (1 - q), rel=1e-12)
+        if r["conclusive"]:
+            assert r["total"] < 1.0
 
 
 def test_union_bound_exact_not_looser():
@@ -284,8 +281,8 @@ def test_union_bound_exact_not_looser():
         p = WiretapIIParams(n=n, alpha1=0.5, alpha2=0.25, eps=0.25)
         loose = coset.union_bound_report(p)
         exact = coset.union_bound_report(p, exact_counts=True)
-        assert exact.subset_term <= loose.subset_term
-        assert exact.rank_term == loose.rank_term
+        assert exact["subset_term"] <= loose["subset_term"]
+        assert exact["rank_term"] == loose["rank_term"]
 
 
 def test_bundle_roundtrip_and_audit():
@@ -440,6 +437,14 @@ def test_parity_checks_are_read_exactly(h1, h2, match):
         CosetCodePair(params=params, h1=h1, h2=h2, d1_star=1, d2_star=1)
 
 
+@pytest.mark.parametrize("d1_star, d2_star", [(True, 1), (1, 1.5), (1, None), (np.int64(1), 1)])
+def test_certificates_must_be_ints(d1_star, d2_star):
+    params = WiretapIIParams(n=4, alpha1=0.75, alpha2=0.5, eps=0.0)
+    with pytest.raises(ValueError, match="d1_star and d2_star must be integers"):
+        CosetCodePair(params=params, h1=[[1, 1, 1, 1]], h2=PARITY_H2,
+                      d1_star=d1_star, d2_star=d2_star)
+
+
 @pytest.mark.parametrize("h1, h2", [
     ([[1, 1, 0, 0], [1, 1, 0, 0]], [[0, 0, 1, 0]]),
     ([[1, 1, 0, 0], [0, 0, 0, 0]], [[0, 0, 1, 0]]),
@@ -498,9 +503,10 @@ def test_construct_skips_rank_deficient_draws_and_exhausts(monkeypatch):
     assert len(draws) == 2 and np.array_equal(code.stacked, draws[1])
     monkeypatch.setattr(gf2, "random_matrix",
                         lambda rows, cols, rng: np.zeros((rows, cols), np.uint8))
-    with pytest.raises(coset.ConstructionExhaustedError,
-                       match="no acceptable matrix in 3 attempts at n=16"):
-        coset.construct(params, seed=1, max_attempts=3)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(
+            coset.ConstructionExhaustedError, match="no acceptable matrix in 3 attempts at n=16"):
+        mp.setattr(coset, "MAX_ATTEMPTS", 3)
+        coset.construct(params, seed=1)
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -513,6 +519,9 @@ def test_construct_skips_rank_deficient_draws_and_exhausts(monkeypatch):
     ({"eps": math.inf}, "eps = inf must be a finite real number"),
     ({"eps": 10**400}, "must be a finite real number"),
     ({"eps": 1e308}, "n\\*\\(1-alpha1-eps\\) = -inf must be an integer"),
+    ({"alpha1": True}, "alpha1 = True must be a finite real number"),
+    ({"alpha2": False}, "alpha2 = False must be a finite real number"),
+    ({"eps": False}, "eps = False must be a finite real number"),
 ])
 def test_params_reject_non_numeric_and_non_finite(kwargs, match):
     args = {"n": 16, "alpha1": 0.5, "alpha2": 0.25, "eps": 0.25, **kwargs}
@@ -545,8 +554,12 @@ def _code_bundle():
     (lambda b: {k: v for k, v in b.items() if k not in ("params", "H2")},
      r"lacks the key\(s\) params, H2$"),
     (lambda b: {"seed": 6}, r"lacks the key\(s\) params, H1, H2, d1_star, d2_star$"),
+    (lambda b: {**b, "d1_star": True}, "must be integers"),
+    (lambda b: {**b, "d2_star": False}, "must be integers"),
+    (lambda b: {**b, "params": {**b["params"], "alpha1": True}},
+     "alpha1 = True must be a finite real number"),
 ], ids=["list", "text", "params-list", "params-extra", "params-no-eps", "H1-list", "H2-none",
-        "d1-none", "no-H1", "no-params-H2", "only-seed"])
+        "d1-none", "no-H1", "no-params-H2", "only-seed", "d1-true", "d2-false", "alpha1-true"])
 def test_from_bundle_rejects_malformed_bundles(edit, match):
     with pytest.raises(ValueError, match=match):
         CosetCodePair.from_bundle(edit(_code_bundle()))

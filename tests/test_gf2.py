@@ -262,7 +262,9 @@ def test_min_rank_budget_bracket_contains_oracle(data):
     node_limit = data.draw(st.integers(1, 30))
     want = min_rank_oracle(m, size)
     try:
-        got = gf2.min_rank_over_column_subsets(m, size, node_limit=node_limit)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf2, "NODE_LIMIT", node_limit)
+            got = gf2.min_rank_over_column_subsets(m, size)
     except gf2.BudgetExceededError as exc:
         assert exc.nodes == node_limit
         assert exc.lower <= want <= exc.upper <= min(size, gf2.rank(m))
@@ -397,8 +399,9 @@ def test_min_rank_budget_bracket_tightens_as_subcodes_grow():
     # so the bracket's upper end is rank 6 - 2, below min(size, rank) = 6
     m = gf2.random_matrix(6, 16, np.random.default_rng(2))
     assert gf2.min_rank_over_column_subsets(m, 8) == reference_min_rank(m, 8) == 4
-    with pytest.raises(gf2.BudgetExceededError) as exc:
-        gf2.min_rank_over_column_subsets(m, 8, node_limit=200)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(gf2.BudgetExceededError) as exc:
+        mp.setattr(gf2, "NODE_LIMIT", 200)
+        gf2.min_rank_over_column_subsets(m, 8)
     assert (exc.value.nodes, exc.value.lower, exc.value.upper) == (200, 0, 4)
 
 
@@ -407,8 +410,9 @@ def test_min_rank_node_limit_bounds_time():
     # it did not, this instance ran 6.6 s on a 2-vCPU host and returned 10
     m = gf2.random_matrix(14, 28, np.random.default_rng(0))
     start = time.process_time()
-    with pytest.raises(gf2.BudgetExceededError) as exc:
-        gf2.min_rank_over_column_subsets(m, 14, node_limit=10**6)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(gf2.BudgetExceededError) as exc:
+        mp.setattr(gf2, "NODE_LIMIT", 10**6)
+        gf2.min_rank_over_column_subsets(m, 14)
     assert time.process_time() - start < 2.0  # 0.6-0.9 s on that host
     assert exc.value.nodes == 10**6 and exc.value.lower <= 10 <= exc.value.upper
 
@@ -436,8 +440,9 @@ def test_min_rank_traversal_pinned():
     m = gf2.random_matrix(14, 28, np.random.default_rng(0))
     for node_limit, upper in [(10**5, 11), (10**6, 11), (1_444_087, 11), (1_444_088, 10),
                               (gf2.NODE_LIMIT, 10)]:
-        with pytest.raises(gf2.BudgetExceededError) as exc:
-            gf2.min_rank_over_column_subsets(m, 14, node_limit=node_limit)
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(gf2.BudgetExceededError) as exc:
+            mp.setattr(gf2, "NODE_LIMIT", node_limit)
+            gf2.min_rank_over_column_subsets(m, 14)
         assert (exc.value.nodes, exc.value.lower, exc.value.upper) == (node_limit, 0, upper)
     # (d1*, d2*) of 20 random n = 32 certificate shapes: 8 x 32 at size 16, 16 x 32 at size 24
     rng = np.random.default_rng(32)
@@ -520,16 +525,9 @@ def test_min_rank_identity_and_zero_column():
 def test_min_rank_node_budget_error():
     rng = np.random.default_rng(2)
     m = gf2.random_matrix(12, 28, rng)
-    with pytest.raises(gf2.BudgetExceededError):
-        gf2.min_rank_over_column_subsets(m, 14, node_limit=3)
-
-
-def test_min_rank_rejects_node_limit_below_one():
-    m = np.eye(3, dtype=np.uint8)
-    for node_limit in (0, -5):
-        for size in (0, 2):
-            with pytest.raises(ValueError, match="node_limit"):
-                gf2.min_rank_over_column_subsets(m, size, node_limit=node_limit)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(gf2.BudgetExceededError):
+        mp.setattr(gf2, "NODE_LIMIT", 3)
+        gf2.min_rank_over_column_subsets(m, 14)
 
 
 def test_matrix_text_roundtrip():
