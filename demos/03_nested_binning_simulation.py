@@ -16,7 +16,7 @@ from secembed.dmc import DmcTriple
 ch = DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.5),
                            dmc.bec_kernel(0.9))
 point = dmc.region_point_simple(ch, [0.5, 0.5])
-print(f"uniform-input bounds: R1 <= {point.r1_max}, R1+R2 <= {point.sum_max}")
+print(f"uniform-input bounds: R1 <= {point['r1_max']}, R1+R2 <= {point['sum_max']}")
 
 rates = (0.25, 0.25, np.log2(3) / 4)
 print(f"simulated rates (R1, R2, T) = ({rates[0]}, {rates[1]}, {rates[2]:.6f})")
@@ -25,8 +25,8 @@ print(f"{'n':>4} {'codewords':>10} {'error':>8} {'leak m1|strong':>15} "
 for n in (8, 12, 16):
     rep = binning.simulate_nested_binning(ch, [0.5, 0.5], rates, n=n,
                                           trials=400, seed=1)
-    k = rep.counts[0] * rep.counts[1] * rep.counts[2]
-    print(f"{n:>4} {k:>10} {rep.error_rate:>8.4f} {rep.leak_m1_strong:>15.6f} "
-          f"{rep.leak_messages_weak:>15.6f}")
+    k = rep["counts"]["bins"] * rep["counts"]["subbins"] * rep["counts"]["per_subbin"]
+    print(f"{n:>4} {k:>10} {rep['error_rate']:>8.4f} {rep['normalized_leak_m1_strong']:>15.6f} "
+          f"{rep['normalized_leak_messages_weak']:>15.6f}")
 print("\nleakages are exact mutual informations of the realized codebook,")
 print("computed by marginalizing the channel law over bins and subbins.")

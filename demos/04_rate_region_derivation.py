@@ -38,4 +38,4 @@ region = nested.instantiate({"I_XY": ixy, "I_XZ1": ixz1, "I_XZ2": ixz2})
 direct = dmc.region_point_simple(ch, px)
 print("\ninstantiated at the erasure reference channel (uniform input):")
 print(f"  symbolic region max R2 at R1=0.3: {region.max_r2_at(0.3):.6f}")
-print(f"  direct bounds: R1 <= {direct.r1_max}, R1+R2 <= {direct.sum_max}")
+print(f"  direct bounds: R1 <= {direct['r1_max']}, R1+R2 <= {direct['sum_max']}")

@@ -32,7 +32,6 @@ from secembed.dmc import DmcTriple, _check_distribution, _check_stochastic, entr
 
 __all__ = [
     "NestedCodebook",
-    "SimReport",
     "rates_to_counts",
     "make_codebook",
     "exact_leakage",
@@ -445,31 +444,6 @@ def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
     return float(errs.mean())
 
 
-@dataclass(frozen=True)
-class SimReport:
-    n: int
-    rates: tuple
-    counts: tuple
-    trials: int
-    seed: int
-    error_rate: float | None
-    leak_m1_strong: float | None
-    leak_messages_weak: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rates": {"r1": self.rates[0], "r2": self.rates[1], "t": self.rates[2]},
-            "counts": {"bins": self.counts[0], "subbins": self.counts[1],
-                       "per_subbin": self.counts[2]},
-            "trials": self.trials,
-            "seed": self.seed,
-            "error_rate": self.error_rate,
-            "normalized_leak_m1_strong": self.leak_m1_strong,
-            "normalized_leak_messages_weak": self.leak_messages_weak,
-        }
-
-
 def _check_simulation(ch: DmcTriple, px, rates, n: int, trials: int,
                       leakage: bool) -> tuple[tuple[int, int, int], np.ndarray]:
     """Every check of simulate_nested_binning that needs no codebook, in its order.
@@ -496,11 +470,14 @@ def _check_simulation(ch: DmcTriple, px, rates, n: int, trials: int,
 
 
 def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
-                            seed: int, *, measure_leakage: bool = True) -> SimReport:
+                            seed: int, *, measure_leakage: bool = True) -> dict:
     """Build one random codebook, measure decoding error and exact leakage.
 
-    Reported leakages are normalized: (1/n) I(M1; Z1^n) against the
-    strong eavesdropper and (1/n) I(M1, M2; Z2^n) against the weak one.
+    Returns the JSON-ready report that ``sim dmc`` prints.  Its leakages
+    are normalized: ``normalized_leak_m1_strong`` is (1/n) I(M1; Z1^n)
+    against the strong eavesdropper and ``normalized_leak_messages_weak``
+    (1/n) I(M1, M2; Z2^n) against the weak one, both None unless measured;
+    ``error_rate`` is None without trials.
     Deterministic given the seed: codebook, encoder and channel noise
     use separate substreams of one seed sequence.
     """
@@ -514,6 +491,7 @@ def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
     if measure_leakage:
         leak1, leak2 = (leak / n for leak in _leakages(
             codebook, [(ch.pz1_x, "bin"), (ch.pz2_x, "subbin")]))
-    return SimReport(n=n, rates=tuple(rates), counts=counts, trials=trials,
-                     seed=seed, error_rate=error,
-                     leak_m1_strong=leak1, leak_messages_weak=leak2)
+    return {"n": n, "rates": dict(zip(("r1", "r2", "t"), rates)),
+            "counts": dict(zip(("bins", "subbins", "per_subbin"), counts)),
+            "trials": trials, "seed": seed, "error_rate": error,
+            "normalized_leak_m1_strong": leak1, "normalized_leak_messages_weak": leak2}

@@ -179,13 +179,12 @@ def _cmd_sim_dmc(args) -> int:
                                                seed=args.seed,
                                                measure_leakage=not args.no_leakage)
                for n in blocks]
-    payload = {"seed": args.seed, "runs": [r.to_dict() for r in reports]}
-    _emit_json(payload if len(reports) > 1 else reports[0].to_dict(), args.out)
+    payload = {"seed": args.seed, "runs": reports}
+    _emit_json(payload if len(reports) > 1 else reports[0], args.out)
     if args.csv:
-        fields = ("error_rate", "leak_m1_strong", "leak_messages_weak")
-        rows = [(r.n, *(float("nan") if getattr(r, f) is None else getattr(r, f) for f in fields))
-                for r in reports]
-        _emit_csv(rows, ("n", *fields), args.csv)
+        keys = ("n", "error_rate", "normalized_leak_m1_strong", "normalized_leak_messages_weak")
+        rows = [[float("nan") if r[k] is None else r[k] for k in keys] for r in reports]
+        _emit_csv(rows, ("n", "error_rate", "leak_m1_strong", "leak_messages_weak"), args.csv)
     return 0
 
 
@@ -204,7 +203,7 @@ def _cmd_dmc_region_point(args) -> int:
             raise ValueError("--aux must hold a JSON object with pu, pv_u, px_v")
         aux = dmc.AuxiliaryChain(*(np.asarray(spec[k], dtype=float) for k in keys))
         bounds = dmc.region_point_full(ch, aux)
-    _emit_json(bounds.to_dict(), args.out)
+    _emit_json(bounds, args.out)
     return 0
 
 

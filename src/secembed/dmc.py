@@ -10,6 +10,7 @@ auxiliary chains; no optimization over distributions is attempted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,6 @@ __all__ = [
     "DmcTriple",
     "AuxiliaryChain",
     "DegradationResult",
-    "RatePointBounds",
     "EmbeddabilityReport",
     "entropy_bits",
     "mi_bits",
@@ -141,7 +141,8 @@ class DmcTriple:
         size = math.prod(shape)
         p = d.get("p")
         if not (isinstance(p, list) and len(p) == size
-                and all(type(v) in (int, float) for v in p)):
+                and all(type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
+                        for v in p)):
             raise ValueError(f"channel p must be a list of {size} numbers")
         return cls(np.asarray(p, dtype=float).reshape(shape))
 
@@ -247,53 +248,37 @@ def check_degraded(ch: DmcTriple, which: str = "z2_of_z1") -> DegradationResult:
     return DegradationResult(degraded=False, witness=None, residual=residual)
 
 
-@dataclass(frozen=True)
-class RatePointBounds:
-    """Achievable-rate bounds (R1 <= r1_max, R1 + R2 <= sum_max) at one point.
-
-    ``raw`` keeps the unclamped information differences; the bounds are
-    their nonnegative parts.  ``side_condition_ok`` is None for plain
-    input distributions and reports I(U;Y) >= I(U;Z2) for full chains.
-    """
-
-    r1_max: float
-    sum_max: float
-    raw: tuple
-    side_condition_ok: bool | None = None
-
-    def to_dict(self) -> dict:
-        d = {"r1_max": self.r1_max, "sum_max": self.sum_max,
-             "raw_r1": self.raw[0], "raw_sum": self.raw[1]}
-        if self.side_condition_ok is not None:
-            d["side_condition_ok"] = self.side_condition_ok
-        return d
+def _rate_point(raw1: float, raw_sum: float) -> dict:
+    """Bounds R1 <= r1_max, R1 + R2 <= sum_max: the raw differences clamped at 0."""
+    return {"r1_max": max(0.0, raw1), "sum_max": max(0.0, raw_sum),
+            "raw_r1": raw1, "raw_sum": raw_sum}
 
 
-def region_point_simple(ch: DmcTriple, px) -> RatePointBounds:
+def region_point_simple(ch: DmcTriple, px) -> dict:
     """Nested-binning bounds for one input distribution:
 
         R1      <= I(X;Y)  - I(X;Z1)
         R1 + R2 <= I(X;Y)  - I(X;Z2)
 
-    both clamped at zero, computed exactly in bits.
+    computed exactly in bits, as the JSON-ready rate point that
+    ``dmc region-point --px`` prints: ``r1_max`` and ``sum_max`` clamped at
+    zero, ``raw_r1`` and ``raw_sum`` unclamped.
     """
     px = _check_distribution(px, "px", size=ch.nx)
     ixy = mi_bits(px[:, None] * ch.py_x)
     ixz1 = mi_bits(px[:, None] * ch.pz1_x)
     ixz2 = mi_bits(px[:, None] * ch.pz2_x)
-    raw1 = ixy - ixz1
-    raw_sum = ixy - ixz2
-    return RatePointBounds(r1_max=max(0.0, raw1), sum_max=max(0.0, raw_sum),
-                           raw=(raw1, raw_sum))
+    return _rate_point(ixy - ixz1, ixy - ixz2)
 
 
-def region_point_full(ch: DmcTriple, aux: AuxiliaryChain) -> RatePointBounds:
+def region_point_full(ch: DmcTriple, aux: AuxiliaryChain) -> dict:
     """Superposition bounds for an auxiliary chain U -> V -> X:
 
         R1      <= I(V;Y|U) - I(V;Z1|U)
         R1 + R2 <= I(V;Y)   - I(V;Z2)
 
-    clamped at zero, plus the side condition I(U;Y) >= I(U;Z2).
+    as the rate point of region_point_simple plus ``side_condition_ok``,
+    whether I(U;Y) >= I(U;Z2); ``dmc region-point --aux`` prints it.
     """
     if aux.px_v.shape[1] != ch.nx:
         raise ValueError("auxiliary chain does not match the channel input alphabet")
@@ -305,9 +290,7 @@ def region_point_full(ch: DmcTriple, aux: AuxiliaryChain) -> RatePointBounds:
     raw_sum = mi_bits(np.einsum("uvy->vy", juvy)) - mi_bits(np.einsum("uvy->vy", juvz2))
     iuy = mi_bits(np.einsum("uvy->uy", juvy))
     iuz2 = mi_bits(np.einsum("uvy->uy", juvz2))
-    return RatePointBounds(
-        r1_max=max(0.0, raw1), sum_max=max(0.0, raw_sum), raw=(raw1, raw_sum),
-        side_condition_ok=bool(iuy >= iuz2 - 1e-12))
+    return {**_rate_point(raw1, raw_sum), "side_condition_ok": bool(iuy >= iuz2 - 1e-12)}
 
 
 @dataclass(frozen=True)
@@ -319,7 +302,7 @@ class EmbeddabilityReport:
     sum bound matches the best sum bound found while its R1 bound is
     positive; ``perfectly_embeddable`` additionally requires the R1
     bound to match the best R1 bound found anywhere in the candidate
-    set.
+    set.  ``evaluations`` holds the rate point of each candidate, in order.
     """
 
     best_sum: float
@@ -349,14 +332,14 @@ def embeddability_report(ch: DmcTriple, px_candidates=(),
     for aux in aux_candidates:
         b = region_point_full(ch, aux)
         evals.append(b)
-        if b.side_condition_ok:
+        if b["side_condition_ok"]:
             usable.append(b)
     if not usable:
         return EmbeddabilityReport(0.0, 0.0, 0.0, False, False, tuple(evals))
-    best_sum = max(b.sum_max for b in usable)
-    at_best = [b for b in usable if b.sum_max >= best_sum - _EMBED_TOL]
-    best_r1_at_best_sum = max(b.r1_max for b in at_best)
-    best_r1_overall = max(b.r1_max for b in usable)
+    best_sum = max(b["sum_max"] for b in usable)
+    at_best = [b for b in usable if b["sum_max"] >= best_sum - _EMBED_TOL]
+    best_r1_at_best_sum = max(b["r1_max"] for b in at_best)
+    best_r1_overall = max(b["r1_max"] for b in usable)
     embeddable = best_sum > _EMBED_TOL and best_r1_at_best_sum > _EMBED_TOL
     perfectly = embeddable and best_r1_at_best_sum >= best_r1_overall - _EMBED_TOL
     return EmbeddabilityReport(

@@ -380,15 +380,13 @@ def matrix_from_text(text: str) -> np.ndarray:
     if not lines:
         raise ValueError("empty matrix text")
     head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("first line must be 'rows cols'")
+    if len(head) != 2 or not all(h.isdecimal() for h in head):
+        raise ValueError("first line must be 'rows cols', two nonnegative integers")
     rows, cols = int(head[0]), int(head[1])
     body = lines[1:]
     if len(body) != rows:
         raise ValueError(f"expected {rows} row lines, got {len(body)}")
-    out = np.zeros((rows, cols), dtype=np.uint8)
-    for i, ln in enumerate(body):
+    for i, ln in enumerate(body):  # every line checked before any allocation
         if len(ln) != cols or set(ln) - {"0", "1"}:
             raise ValueError(f"row {i}: expected {cols} characters of 0/1")
-        out[i] = [1 if c == "1" else 0 for c in ln]
-    return out
+    return np.frombuffer("".join(body).encode(), dtype=np.uint8).reshape(rows, cols) - ord("0")

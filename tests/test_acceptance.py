@@ -172,9 +172,9 @@ def criterion_6_line() -> tuple[bool, str]:
                                                 trials=400, seed=seed)
                 for seed in range(1, 11)]
         means[n] = (
-            float(np.mean([r.error_rate for r in runs])),
-            float(np.mean([r.leak_m1_strong for r in runs])),
-            float(np.mean([r.leak_messages_weak for r in runs])),
+            float(np.mean([r["error_rate"] for r in runs])),
+            float(np.mean([r["normalized_leak_m1_strong"] for r in runs])),
+            float(np.mean([r["normalized_leak_messages_weak"] for r in runs])),
         )
     ok = True
     for k in range(3):
@@ -210,10 +210,10 @@ def criterion_7_line() -> tuple[bool, str]:
             cur = by_coeffs.get(hs.coeffs)
             by_coeffs[hs.coeffs] = hs.bound if cur is None else min(cur, hs.bound)
         worst_box = max(worst_box,
-                        abs(max(by_coeffs[(1.0, 0.0)], 0.0) - bounds.r1_max),
-                        abs(max(by_coeffs[(1.0, 1.0)], 0.0) - bounds.sum_max),
-                        abs(by_coeffs[(1.0, 0.0)] - bounds.raw[0]),
-                        abs(by_coeffs[(1.0, 1.0)] - bounds.raw[1]))
+                        abs(max(by_coeffs[(1.0, 0.0)], 0.0) - bounds["r1_max"]),
+                        abs(max(by_coeffs[(1.0, 1.0)], 0.0) - bounds["sum_max"]),
+                        abs(by_coeffs[(1.0, 0.0)] - bounds["raw_r1"]),
+                        abs(by_coeffs[(1.0, 1.0)] - bounds["raw_sum"]))
     worst_aux = 0.0
     for _ in range(100):
         p = rng.uniform(0.02, 1.0, size=(2, 2, 3, 2))
@@ -223,8 +223,8 @@ def criterion_7_line() -> tuple[bool, str]:
         aux = dmc.AuxiliaryChain(pu=[1.0], pv_u=[px.tolist()], px_v=np.eye(2))
         full = dmc.region_point_full(ch, aux)
         simple = dmc.region_point_simple(ch, px)
-        worst_aux = max(worst_aux, abs(full.r1_max - simple.r1_max),
-                        abs(full.sum_max - simple.sum_max))
+        worst_aux = max(worst_aux, abs(full["r1_max"] - simple["r1_max"]),
+                        abs(full["sum_max"] - simple["sum_max"]))
     ok = worst_box <= 1e-10 and worst_aux <= 1e-10
     return ok, acceptance_line(
         7, ok, f"box gap <= {worst_box:.2e}, constant-U gap <= {worst_aux:.2e} "

@@ -146,6 +146,19 @@ def test_sim_dmc_sweep_csv(tmp_path, capsys):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "n,error_rate,leak_m1_strong,leak_messages_weak"
     assert len(lines) == 3
+    keys = ("n", "error_rate", "normalized_leak_m1_strong", "normalized_leak_messages_weak")
+    assert [line.split(",") for line in lines[1:]] == [
+        [f"{run[k]:.12g}" for k in keys] for run in payload["runs"]]
+
+
+def test_sim_dmc_prints_the_library_report(capsys):
+    code, out, err = run_cli(capsys, "sim", "dmc", "--bec", "0.5,0.9", "--px", "0.5,0.5",
+                             "--rates", "0.25,0.25,0.25", "--n", "8", "--trials", "50",
+                             "--seed", "2")
+    assert code == 0
+    report = binning.simulate_nested_binning(bec_channel(), [0.5, 0.5], (0.25, 0.25, 0.25),
+                                             n=8, trials=50, seed=2)
+    assert report == json.loads(out)
 
 
 def test_sim_dmc_no_leakage_skips_only_the_leaks(tmp_path, capsys):
@@ -190,6 +203,23 @@ def test_dmc_region_point_aux(tmp_path, capsys):
     assert payload["r1_max"] == pytest.approx(0.5, abs=1e-10)
 
 
+AUX_CHAIN = {"pu": [0.5, 0.5], "pv_u": [[0.9, 0.1], [0.2, 0.8]], "px_v": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("flag", ["--px", "--aux"])
+def test_dmc_region_point_prints_the_library_report(tmp_path, capsys, flag):
+    aux = tmp_path / "aux.json"
+    aux.write_text(json.dumps(AUX_CHAIN))
+    code, out, err = run_cli(capsys, "dmc", "region-point", "--bec", "0.5,0.9",
+                             flag, "0.5,0.5" if flag == "--px" else str(aux))
+    assert code == 0
+    if flag == "--px":
+        report = dmc.region_point_simple(bec_channel(), [0.5, 0.5])
+    else:
+        report = dmc.region_point_full(bec_channel(), dmc.AuxiliaryChain(**AUX_CHAIN))
+    assert report == json.loads(out)
+
+
 def test_fm_derive_text_matches_golden(capsys, tmp_path):
     import pathlib
 
@@ -223,10 +253,14 @@ def test_channel_file_roundtrip(tmp_path, capsys):
     assert json.loads(out)["sum_max"] == pytest.approx(0.9, abs=1e-12)
 
 
+def bec_channel():
+    """The channel that ``--bec 0.5,0.9`` names."""
+    return dmc.DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.5),
+                                     dmc.bec_kernel(0.9))
+
+
 def bec_channel_dict(**changes):
-    ch = dmc.DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.5),
-                                   dmc.bec_kernel(0.9))
-    return {**ch.to_dict(), **changes}
+    return {**bec_channel().to_dict(), **changes}
 
 
 @pytest.mark.parametrize("command", [
@@ -243,6 +277,7 @@ def bec_channel_dict(**changes):
     bec_channel_dict(p=5),
     bec_channel_dict(p=[0.5] * 4),
     {"nx": 2, "ny": 1, "nz1": 1, "nz2": 1, "p": [{}, {}]},
+    {"nx": 2, "ny": 1, "nz1": 1, "nz2": 1, "p": [10**400, 1]},
 ])
 def test_malformed_channel_file_is_domain_error(tmp_path, capsys, command, channel):
     path = tmp_path / "ch.json"
@@ -553,7 +588,10 @@ def test_code_non_finite_eps_is_domain_error(capsys, verb, eps):
     lambda b: {k: v for k, v in b.items() if k != "H1"},
     lambda b: {k: v for k, v in b.items() if k != "H2"},
     lambda b: {k: v for k, v in b.items() if k != "params"},
-], ids=["list", "n-float", "n-text", "params-extra", "H1-none", "no-H1", "no-H2", "no-params"])
+    lambda b: {**b, "H1": "1 10000000000000\n0110\n"},
+    lambda b: {**b, "H1": "2 -3\n011\n110\n"},
+], ids=["list", "n-float", "n-text", "params-extra", "H1-none", "no-H1", "no-H2", "no-params",
+        "H1-huge-cols", "H1-negative-cols"])
 def test_code_audit_malformed_bundle_is_domain_error(tmp_path, capsys, edit):
     bundle = tmp_path / "bundle.json"
     assert run_cli(capsys, *CONSTRUCT_16, "--out", str(bundle))[0] == 0
@@ -698,7 +736,6 @@ DEFAULTS_TABLE = {
     "coset.WiretapIIParams": {"eps": "0.0"},
     "coset.equivocation": {"level": "'both'"},
     "coset.union_bound_report": {"exact_counts": "False"},
-    "dmc.RatePointBounds": {"side_condition_ok": "None"},
     "dmc.check_degraded": {"which": "'z2_of_z1'"},
     "dmc.embeddability_report": {"px_candidates": "()", "aux_candidates": "()"},
     "fm.LinIneq": {"strict": "False"},

@@ -92,7 +92,7 @@ def test_region_point_simple_point_mass():
     ch = DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.5),
                                dmc.bec_kernel(0.9))
     b = dmc.region_point_simple(ch, [1.0, 0.0])
-    assert b.r1_max == 0.0 and b.sum_max == 0.0
+    assert b["r1_max"] == 0.0 and b["sum_max"] == 0.0
 
 
 def test_region_point_simple_reference_channel():
@@ -100,8 +100,8 @@ def test_region_point_simple_reference_channel():
     ch = DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bsc_kernel(0.5),
                                CONSTANT)
     b = dmc.region_point_simple(ch, [0.5, 0.5])
-    assert b.r1_max == pytest.approx(1.0, abs=1e-12)
-    assert b.sum_max == pytest.approx(1.0, abs=1e-12)
+    assert b["r1_max"] == pytest.approx(1.0, abs=1e-12)
+    assert b["sum_max"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_region_point_simple_strong_eavesdropper_equals_y():
@@ -109,16 +109,16 @@ def test_region_point_simple_strong_eavesdropper_equals_y():
                                dmc.bsc_kernel(0.4))
     # identical marginals for Y and Z1: R1 bound collapses to 0
     b = dmc.region_point_simple(ch, [0.5, 0.5])
-    assert b.r1_max == pytest.approx(0.0, abs=1e-12)
-    assert b.sum_max > 0
+    assert b["r1_max"] == pytest.approx(0.0, abs=1e-12)
+    assert b["sum_max"] > 0
 
 
 def test_region_point_simple_bec_corner():
     ch = DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.5),
                                dmc.bec_kernel(0.9))
     b = dmc.region_point_simple(ch, [0.5, 0.5])
-    assert b.r1_max == pytest.approx(0.5, abs=1e-12)
-    assert b.sum_max == pytest.approx(0.9, abs=1e-12)
+    assert b["r1_max"] == pytest.approx(0.5, abs=1e-12)
+    assert b["sum_max"] == pytest.approx(0.9, abs=1e-12)
 
 
 def test_region_point_full_constant_u_matches_simple():
@@ -129,9 +129,9 @@ def test_region_point_full_constant_u_matches_simple():
         aux = AuxiliaryChain(pu=[1.0], pv_u=[px.tolist()], px_v=np.eye(2))
         full = dmc.region_point_full(ch, aux)
         simple = dmc.region_point_simple(ch, px)
-        assert full.r1_max == pytest.approx(simple.r1_max, abs=1e-10)
-        assert full.sum_max == pytest.approx(simple.sum_max, abs=1e-10)
-        assert full.side_condition_ok  # I(U;.) = 0 on both sides
+        assert full["r1_max"] == pytest.approx(simple["r1_max"], abs=1e-10)
+        assert full["sum_max"] == pytest.approx(simple["sum_max"], abs=1e-10)
+        assert full["side_condition_ok"]  # I(U;.) = 0 on both sides
 
 
 def test_region_point_full_rejects_chain_over_wrong_alphabet():
@@ -146,7 +146,7 @@ def test_region_point_full_v_equals_u_kills_r1():
     ch = random_triple(rng)
     aux = AuxiliaryChain(pu=[0.4, 0.6], pv_u=np.eye(2), px_v=[[0.8, 0.2], [0.3, 0.7]])
     b = dmc.region_point_full(ch, aux)
-    assert b.r1_max == pytest.approx(0.0, abs=1e-10)
+    assert b["r1_max"] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_data_processing_along_declared_degradation():
@@ -173,8 +173,8 @@ def test_embeddability_report_discretized_gaussian_like():
     assert rep.embeddable
     assert rep.perfectly_embeddable
     uniform = dmc.region_point_simple(ch, [0.5, 0.5])
-    assert rep.best_sum == pytest.approx(uniform.sum_max, abs=1e-12)
-    assert rep.best_r1_at_best_sum == pytest.approx(uniform.r1_max, abs=1e-12)
+    assert rep.best_sum == pytest.approx(uniform["sum_max"], abs=1e-12)
+    assert rep.best_r1_at_best_sum == pytest.approx(uniform["r1_max"], abs=1e-12)
 
 
 def quantized_gaussian_triple(a, b1, b2, n_in=41, n_out=81, span=4.5):
@@ -211,14 +211,14 @@ def test_embeddability_discretized_gaussian_matches_closed_form():
     triple, px = quantized_gaussian_triple(1.0, 0.5, 0.1)
     full_power = dmc.region_point_simple(triple, px(1.0))
     # discretized evaluation approaches the closed-form capacities
-    assert full_power.r1_max == pytest.approx(gauss.cs_scalar(1, 1, 0.5), abs=0.02)
-    assert full_power.sum_max == pytest.approx(gauss.cs_scalar(1, 1, 0.1), abs=0.02)
+    assert full_power["r1_max"] == pytest.approx(gauss.cs_scalar(1, 1, 0.5), abs=0.02)
+    assert full_power["sum_max"] == pytest.approx(gauss.cs_scalar(1, 1, 0.1), abs=0.02)
     # among quantized-Gaussian candidates the full-power one certifies
     # perfect embedding, as the scalar Gaussian region predicts
     rep = dmc.embeddability_report(
         triple, px_candidates=[px(p) for p in (0.25, 0.5, 1.0)])
     assert rep.embeddable and rep.perfectly_embeddable
-    assert rep.best_sum == pytest.approx(full_power.sum_max, abs=1e-12)
+    assert rep.best_sum == pytest.approx(full_power["sum_max"], abs=1e-12)
 
 
 def test_embeddability_report_strong_equals_y_blocks_r1():
@@ -245,10 +245,10 @@ def test_embeddability_report_excludes_chains_failing_the_side_condition():
     uniform = dmc.region_point_simple(ch, [0.25] * 4)
     rep = dmc.embeddability_report(ch, px_candidates=[[0.25] * 4], aux_candidates=[chain])
     assert rep.evaluations == (uniform, dmc.region_point_full(ch, chain))
-    assert rep.evaluations[1].side_condition_ok is False
-    assert rep.evaluations[1].r1_max == pytest.approx(1.0, abs=1e-12)
-    assert rep.best_r1_overall == uniform.r1_max == pytest.approx(0.531004406, abs=1e-9)
-    assert rep.best_sum == uniform.sum_max
+    assert rep.evaluations[1]["side_condition_ok"] is False
+    assert rep.evaluations[1]["r1_max"] == pytest.approx(1.0, abs=1e-12)
+    assert rep.best_r1_overall == uniform["r1_max"] == pytest.approx(0.531004406, abs=1e-9)
+    assert rep.best_sum == uniform["sum_max"]
     assert rep.perfectly_embeddable
 
 

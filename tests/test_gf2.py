@@ -546,6 +546,11 @@ def test_matrix_text_rejects_garbage():
         gf2.matrix_from_text("2 2\n10\n")
     with pytest.raises(ValueError):
         gf2.matrix_from_text("1 3\n10x\n")
+    # the header alone names a 9 TiB matrix; its one row line is rejected first
+    with pytest.raises(ValueError, match="expected 10000000000000 characters"):
+        gf2.matrix_from_text("1 10000000000000\n0110\n")
+    with pytest.raises(ValueError, match="two nonnegative integers"):
+        gf2.matrix_from_text("2 -3\n011\n110\n")
 
 
 def test_nullspace_spans_kernel():
