@@ -57,59 +57,53 @@ def _check_seed(args):
         raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
 
 
+MAX_POINTS = 1_000_000  # largest --points: a CSV of about 30 MB
+
+
 def _check_points(args):
-    if args.points < 2:
-        raise ValueError(f"--points must be at least 2, got {args.points}")
+    if not 2 <= args.points <= MAX_POINTS:
+        raise ValueError(f"--points must be from 2 to {MAX_POINTS}, got {args.points}")
 
 
-def _emit_corner_csv(cap_high: float, cap_low: float, args):
-    """Boundary CSV of {R1 <= cap_high, R1 + R2 <= cap_low}."""
-    pts = gauss.boundary_points([(cap_high, cap_low)], cap_high, cap_low, args.points)
-    _emit_csv(pts, ("R1", "R2"), args.csv)
+def _emit_corner_report(report: dict, high: str, low: str, args) -> int:
+    """The report, then with --csv the boundary of {R1 <= report[high], R1 + R2 <= report[low]}."""
+    _emit_json(report, args.out)
+    if args.csv:
+        cap_high, cap_low = report[high], report[low]
+        pts = gauss.boundary_points([(cap_high, cap_low)], cap_high, cap_low, args.points)
+        _emit_csv(pts, ("R1", "R2"), args.csv)
+    return 0
 
 
 def _cmd_region_scalar(args) -> int:
     _check_points(args)
     ch = gauss.ScalarGaussChannel(power=args.P, a=args.a, b1=args.b1, b2=args.b2)
-    res = gauss.region_scalar(ch)
-    naive = gauss.naive_region(ch)
-    payload = {
-        "channel": {"P": args.P, "a": args.a, "b1": args.b1, "b2": args.b2},
-        "cap_high": res.cap_high,
-        "cap_low": res.cap_low,
-        "corner": list(res.corner),
-        "naive_degenerate": naive.degenerate,
-        "corner_outside_naive": (None if naive.degenerate
-                                 else naive.hull_violation(res.corner) > 0),
-    }
-    _emit_json(payload, args.out)
-    if args.csv:
-        _emit_corner_csv(res.cap_high, res.cap_low, args)
-    return 0
+    return _emit_corner_report(gauss.region_scalar(ch), "cap_high", "cap_low", args)
 
 
 def _parallel_channel(args, pooled: bool) -> gauss.ParallelGaussChannel:
+    flags = ("a", "b1", "b2") if pooled else ("a", "b1", "b2", "powers")
     if args.preset == "two-subchannel-reference":
+        given = [f"--{flag}" for flag in flags + ("P",) * pooled
+                 if getattr(args, flag) is not None]
+        if given:
+            raise ValueError(f"--preset fixes the channel; drop {', '.join(given)}")
         power = {"total_power": 1.0} if pooled else {"powers": (0.5, 0.5)}
         return gauss.ParallelGaussChannel(a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1), **power)
-    flags = ("a", "b1", "b2") if pooled else ("a", "b1", "b2", "powers")
     missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
     if missing:
         raise ValueError(f"missing {', '.join(missing)}; give them or --preset")
     kwargs = {flag: _floats(getattr(args, flag), flag) for flag in flags}
     if pooled:
-        kwargs["total_power"] = args.P
+        kwargs["total_power"] = 1.0 if args.P is None else args.P
     return gauss.ParallelGaussChannel(**kwargs)
 
 
 def _cmd_region_parallel(args) -> int:
     _check_points(args)
     ch = _parallel_channel(args, pooled=False)
-    res = gauss.region_parallel_individual(ch)
-    _emit_json(res.to_dict(), args.out)
-    if args.csv:
-        _emit_corner_csv(res.cap_high_sum, res.cap_low_sum, args)
-    return 0
+    return _emit_corner_report(gauss.region_parallel_individual(ch), "cap_high_sum",
+                               "cap_low_sum", args)
 
 
 def _cmd_region_parallel_total(args) -> int:
@@ -261,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rt = rsub.add_parser("parallel-total", help="pooled power budget",
                          parents=[gains, preset, out, csv])
-    rt.add_argument("--P", type=float, default=1.0)
+    rt.add_argument("--P", type=float, help="total power (default 1.0)")
     rt.add_argument("--grid", type=float, default=1e-3,
                     help="accepted for compatibility and must be positive; the "
                          "allocation is solved exactly and the result does not "

@@ -29,9 +29,7 @@ __all__ = [
     "cs_scalar",
     "ScalarGaussChannel",
     "ParallelGaussChannel",
-    "ScalarRegionResult",
     "NaiveRegionResult",
-    "ParallelRegionResult",
     "TotalPowerBoundary",
     "region_scalar",
     "naive_region",
@@ -140,28 +138,24 @@ class ParallelGaussChannel:
         return len(self.a)
 
 
-@dataclass(frozen=True)
-class ScalarRegionResult:
-    cap_high: float
-    cap_low: float
-    corner: tuple
-    region: RateRegion
+def region_scalar(ch: ScalarGaussChannel) -> dict:
+    """The ``region scalar`` report of {R1 <= Cs(P,a,b1); R1+R2 <= Cs(P,a,b2)}.
 
-
-def region_scalar(ch: ScalarGaussChannel) -> ScalarRegionResult:
-    """Region {R1 <= Cs(P,a,b1); R1+R2 <= Cs(P,a,b2)} plus its corner point.
-
-    The corner (Cs(P,a,b1), Cs(P,a,b2) - Cs(P,a,b1)) carries the
-    high-security message at full rate with no sum-rate loss.
+    Keys: ``channel``, ``cap_high``, ``cap_low``, the ``corner``
+    [cap_high, cap_low - cap_high], which carries the high-security message
+    at full rate with no sum-rate loss, ``naive_degenerate`` and
+    ``corner_outside_naive`` (None when the separate-coding hull is degenerate).
     """
-    cap_high = cs_scalar(ch.power, ch.a, ch.b1)
-    cap_low = cs_scalar(ch.power, ch.a, ch.b2)
-    return ScalarRegionResult(
-        cap_high=cap_high,
-        cap_low=cap_low,
-        corner=(cap_high, cap_low - cap_high),
-        region=RateRegion.from_rate_bounds(cap_high, cap_low),
-    )
+    naive = naive_region(ch)
+    corner = [naive.cap_high, naive.cap_low - naive.cap_high]
+    return {
+        "channel": {"P": ch.power, "a": ch.a, "b1": ch.b1, "b2": ch.b2},
+        "cap_high": naive.cap_high,
+        "cap_low": naive.cap_low,
+        "corner": corner,
+        "naive_degenerate": naive.degenerate,
+        "corner_outside_naive": None if naive.degenerate else naive.hull_violation(corner) > 0,
+    }
 
 
 @dataclass(frozen=True)
@@ -205,41 +199,27 @@ def naive_region(ch: ScalarGaussChannel) -> NaiveRegionResult:
     return NaiveRegionResult(cap_high, cap_low, region, degenerate=True)
 
 
-@dataclass(frozen=True)
-class ParallelRegionResult:
-    cap_high_sum: float
-    cap_low_sum: float
-    corner: tuple
-    region: RateRegion
-    per_subchannel: tuple
+def region_parallel_individual(ch: ParallelGaussChannel) -> dict:
+    """The ``region parallel`` report: with per-subchannel power constraints the
+    bounds are sums of scalar capacities.
 
-    def to_dict(self) -> dict:
-        return {
-            "cap_high_sum": self.cap_high_sum,
-            "cap_low_sum": self.cap_low_sum,
-            "corner": list(self.corner),
-            "per_subchannel": [list(p) for p in self.per_subchannel],
-            "region": self.region.to_dict(),
-        }
-
-
-def region_parallel_individual(ch: ParallelGaussChannel) -> ParallelRegionResult:
-    """Per-subchannel power constraints: bounds are sums of scalar capacities."""
+    Keys: ``cap_high_sum``, ``cap_low_sum``, the ``corner``
+    [cap_high_sum, cap_low_sum - cap_high_sum], ``per_subchannel`` [high, low]
+    pairs and the ``region`` as ``RateRegion.to_dict``.
+    """
     if ch.powers is None:
         raise ValueError("per-subchannel region needs fixed per-subchannel powers")
-    per = tuple(
-        (cs_scalar(p, a, s), cs_scalar(p, a, w))
-        for p, a, s, w in zip(ch.powers, ch.a, ch.b1, ch.b2)
-    )
+    per = [[cs_scalar(p, a, s), cs_scalar(p, a, w)]
+           for p, a, s, w in zip(ch.powers, ch.a, ch.b1, ch.b2)]
     cap_high = sum(p[0] for p in per)
     cap_low = sum(p[1] for p in per)
-    return ParallelRegionResult(
-        cap_high_sum=cap_high,
-        cap_low_sum=cap_low,
-        corner=(cap_high, cap_low - cap_high),
-        region=RateRegion.from_rate_bounds(cap_high, cap_low),
-        per_subchannel=per,
-    )
+    return {
+        "cap_high_sum": cap_high,
+        "cap_low_sum": cap_low,
+        "corner": [cap_high, cap_low - cap_high],
+        "per_subchannel": per,
+        "region": RateRegion.from_rate_bounds(cap_high, cap_low).to_dict(),
+    }
 
 
 FRONTIER_SAG = 1e-8  # vertical sag (bits) certified for every traced frontier chord

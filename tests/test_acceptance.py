@@ -23,6 +23,7 @@ from secembed.cli import main
 from secembed.coset import WiretapIIParams
 from secembed.dmc import DmcTriple
 from secembed.gauss import ParallelGaussChannel, ScalarGaussChannel
+from secembed.regions import RateRegion
 
 
 def acceptance_line(idx, ok, detail) -> str:
@@ -96,11 +97,13 @@ def criterion_3_line() -> tuple[bool, str]:
     ch = ScalarGaussChannel(power=1.0, a=1.0, b1=0.5, b2=0.1)
     res = gauss.region_scalar(ch)
     naive = gauss.naive_region(ch)
-    inside = res.region.contains(res.corner, tol=1e-12)
-    margin = naive.hull_violation(res.corner)
+    corner = res["corner"]
+    region = RateRegion.from_rate_bounds(res["cap_high"], res["cap_low"])
+    inside = region.contains(corner, tol=1e-12)
+    margin = naive.hull_violation(corner)
     ok = inside and margin > 1e-9
     return ok, acceptance_line(
-        3, ok, f"corner=({res.corner[0]:.6f},{res.corner[1]:.6f}) in region; "
+        3, ok, f"corner=({corner[0]:.6f},{corner[1]:.6f}) in region; "
                f"naive hull violation {margin:.6f} > 0")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import secembed
-from secembed import binning, cli, dmc, gf2
+from secembed import binning, cli, dmc, gauss, gf2
 from secembed.cli import main
 
 
@@ -40,6 +40,35 @@ def test_region_scalar_json_and_csv(tmp_path, capsys):
     assert first == (0.0, pytest.approx(payload["cap_low"]))
 
 
+@pytest.mark.parametrize("argv, report", [
+    (["scalar", "--P", "1", "--a", "1", "--b1", "0.5", "--b2", "0.1"],
+     gauss.region_scalar(gauss.ScalarGaussChannel(1.0, 1.0, 0.5, 0.1))),
+    (["parallel", "--preset", "two-subchannel-reference"],
+     gauss.region_parallel_individual(gauss.ParallelGaussChannel(
+         a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1), powers=(0.5, 0.5)))),
+], ids=["scalar", "parallel"])
+def test_region_prints_the_library_report(capsys, argv, report):
+    code, out, err = run_cli(capsys, "region", *argv)
+    assert code == 0 and not err
+    assert report == json.loads(out)
+
+
+# b1 = b2 puts the corner on the separate-coding hull; b1 > a leaves no
+# high-security rate, so that hull is an axis segment.
+@pytest.mark.parametrize("b1, b2, degenerate, outside", [
+    ("0.5", "0.1", False, True),
+    ("0.3", "0.3", False, False),
+    ("1.5", "0.1", True, None),
+])
+def test_region_scalar_naive_fields(capsys, b1, b2, degenerate, outside):
+    code, out, err = run_cli(capsys, "region", "scalar", "--P", "1", "--a", "1",
+                             "--b1", b1, "--b2", b2)
+    assert code == 0 and not err
+    payload = json.loads(out)
+    assert payload["naive_degenerate"] is degenerate
+    assert payload["corner_outside_naive"] is outside
+
+
 def test_region_parallel_preset(capsys):
     code, out, err = run_cli(capsys, "region", "parallel", "--preset",
                              "two-subchannel-reference")
@@ -47,6 +76,34 @@ def test_region_parallel_preset(capsys):
     payload = json.loads(out)
     assert payload["cap_low_sum"] == pytest.approx(
         2 * 0.5 * np.log2(1.5 / 1.05), abs=1e-12)
+
+
+@pytest.mark.parametrize("argv, given", [
+    (["parallel-total", "--P", "5"], "--P"),
+    (["parallel-total", "--P", "1"], "--P"),
+    (["parallel-total", "--a", "3,3", "--b1", "0.1,0.1"], "--a, --b1"),
+    (["parallel-total", "--b2", "0.1,0.1", "--P", "2"], "--b2, --P"),
+    (["parallel", "--powers", "9,9"], "--powers"),
+    (["parallel", "--a", "1,1", "--b1", "0.8,0.25", "--b2", "0.1,0.1", "--powers", "0.5,0.5"],
+     "--a, --b1, --b2, --powers"),
+], ids=["total-P5", "total-P1", "total-gains", "total-b2-P", "powers", "every-flag"])
+def test_region_preset_with_channel_flags_is_domain_error(tmp_path, capsys, argv, given):
+    csv = tmp_path / "boundary.csv"
+    code, out, err = run_cli(capsys, "region", *argv, "--preset", "two-subchannel-reference",
+                             "--csv", str(csv))
+    assert code == 1 and not out
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert payload["message"] == f"--preset fixes the channel; drop {given}"
+    assert not csv.exists()
+
+
+def test_region_parallel_total_p_defaults_to_one(capsys):
+    gains = ["--a", "1,1", "--b1", "0.8,0.25", "--b2", "0.1,0.1"]
+    runs = [run_cli(capsys, "region", "parallel-total", *argv)
+            for argv in (gains, [*gains, "--P", "1"], ["--preset", "two-subchannel-reference"])]
+    assert [code for code, _, _ in runs] == [0, 0, 0]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_region_parallel_total_reference(capsys):
@@ -504,8 +561,8 @@ def test_sim_dmc_bsc_eavesdroppers_pinned(tmp_path, capsys):
     ["region", "scalar", "--P", "1", "--a", "1", "--b1", "0.5", "--b2", "0.1"],
     ["region", "parallel", "--preset", "two-subchannel-reference"],
 ])
-@pytest.mark.parametrize("points", ["-3", "1"])
-def test_region_points_below_two_prints_no_result(tmp_path, capsys, argv, points):
+@pytest.mark.parametrize("points", ["-3", "1", "10000000000000"])
+def test_region_points_out_of_range_prints_no_result(tmp_path, capsys, argv, points):
     csv = tmp_path / "boundary.csv"
     code, out, err = run_cli(capsys, *argv, "--csv", str(csv), "--points", points)
     assert code == 1 and not out
@@ -647,7 +704,7 @@ OPTION_TABLE = {
         "preset": (("--preset",), None, None, False, ["two-subchannel-reference"]),
     },
     "region parallel-total": {
-        "P": (("--P",), "float", 1.0, False, None),
+        "P": (("--P",), "float", None, False, None),
         "a": (("--a",), None, None, False, None),
         "b1": (("--b1",), None, None, False, None),
         "b2": (("--b2",), None, None, False, None),

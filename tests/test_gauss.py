@@ -5,6 +5,12 @@ import pytest
 
 from secembed import gauss
 from secembed.gauss import ParallelGaussChannel, ScalarGaussChannel
+from secembed.regions import RateRegion
+
+
+def corner_region(report, high="cap_high", low="cap_low") -> RateRegion:
+    """{R1 <= report[high], R1 + R2 <= report[low]}, the region a fixed-power report names."""
+    return RateRegion.from_rate_bounds(report[high], report[low])
 
 
 def test_cs_scalar_zero_cases():
@@ -66,22 +72,23 @@ def test_non_finite_power_and_gains_rejected(bad):
 def test_region_scalar_degenerate_orders():
     # both eavesdroppers at least as strong as the legitimate receiver
     res = gauss.region_scalar(ScalarGaussChannel(1.0, 0.5, 1.0, 0.8))
-    assert res.cap_high == res.cap_low == 0.0
-    assert res.region.contains((0.0, 0.0))
-    assert not res.region.contains((0.01, 0.0))
+    assert res["cap_high"] == res["cap_low"] == 0.0
+    assert corner_region(res).contains((0.0, 0.0))
+    assert not corner_region(res).contains((0.01, 0.0))
     # strong above, weak below: only the low-security rate survives
     res = gauss.region_scalar(ScalarGaussChannel(1.0, 1.0, 1.5, 0.1))
-    assert res.cap_high == 0.0 and res.cap_low > 0
-    assert res.corner[0] == 0.0
-    assert res.region.contains((0.0, res.cap_low))
-    assert not res.region.contains((1e-6, res.cap_low))
+    assert res["cap_high"] == 0.0 and res["cap_low"] > 0
+    assert res["corner"][0] == 0.0
+    assert corner_region(res).contains((0.0, res["cap_low"]))
+    assert not corner_region(res).contains((1e-6, res["cap_low"]))
 
 
 def test_region_scalar_corner_inside_region():
     res = gauss.region_scalar(ScalarGaussChannel(1.0, 1.0, 0.5, 0.1))
-    assert res.corner == (pytest.approx(0.207518749639422), pytest.approx(0.2237294884856105))
-    assert res.region.contains(res.corner, tol=1e-12)
-    assert not res.region.contains((res.corner[0] + 1e-9, res.corner[1]))
+    corner = res["corner"]
+    assert corner == [pytest.approx(0.207518749639422), pytest.approx(0.2237294884856105)]
+    assert corner_region(res).contains(corner, tol=1e-12)
+    assert not corner_region(res).contains((corner[0] + 1e-9, corner[1]))
 
 
 def test_naive_region_endpoints_and_violation():
@@ -92,10 +99,10 @@ def test_naive_region_endpoints_and_violation():
     assert naive.region.contains((naive.cap_high, 0.0), tol=1e-12)
     assert naive.region.contains((0.0, naive.cap_low), tol=1e-12)
     # the joint-coding corner strictly violates the time-sharing hull
-    violation = naive.hull_violation(res.corner)
+    violation = naive.hull_violation(res["corner"])
     assert violation > 1e-9
     # algebraic form: c1/c1 + (c2-c1)/c2 - 1 = (c2-c1)/c2 > 0 iff c2 > c1
-    want = (res.cap_low - res.cap_high) / res.cap_low
+    want = (res["cap_low"] - res["cap_high"]) / res["cap_low"]
     assert violation == pytest.approx(want, abs=1e-12)
 
 
@@ -103,9 +110,9 @@ def test_naive_region_coincides_when_eavesdroppers_match():
     ch = ScalarGaussChannel(1.0, 1.0, 0.3, 0.3)
     res = gauss.region_scalar(ch)
     naive = gauss.naive_region(ch)
-    grid = np.linspace(0, res.cap_low, 40)
+    grid = np.linspace(0, res["cap_low"], 40)
     for r1 in grid:
-        full = res.region.max_r2_at(float(r1))
+        full = corner_region(res).max_r2_at(float(r1))
         hull = naive.region.max_r2_at(float(r1))
         assert full == pytest.approx(hull, abs=1e-12)
 
@@ -123,9 +130,9 @@ def test_parallel_individual_single_subchannel_reduces_to_scalar():
     ch = ParallelGaussChannel(a=(1.0,), b1=(0.5,), b2=(0.1,), powers=(1.0,))
     par = gauss.region_parallel_individual(ch)
     sca = gauss.region_scalar(ScalarGaussChannel(1.0, 1.0, 0.5, 0.1))
-    assert par.cap_high_sum == pytest.approx(sca.cap_high, abs=1e-15)
-    assert par.cap_low_sum == pytest.approx(sca.cap_low, abs=1e-15)
-    assert par.region == sca.region
+    assert par["cap_high_sum"] == pytest.approx(sca["cap_high"], abs=1e-15)
+    assert par["cap_low_sum"] == pytest.approx(sca["cap_low"], abs=1e-15)
+    assert par["region"] == corner_region(sca).to_dict()
 
 
 def test_parallel_individual_additivity_and_corner():
@@ -134,29 +141,31 @@ def test_parallel_individual_additivity_and_corner():
     par = gauss.region_parallel_individual(ch)
     want_high = gauss.cs_scalar(0.5, 1.0, 0.8) + gauss.cs_scalar(0.5, 1.0, 0.25)
     want_low = 2 * gauss.cs_scalar(0.5, 1.0, 0.1)
-    assert par.cap_high_sum == pytest.approx(want_high, abs=1e-15)
-    assert par.cap_low_sum == pytest.approx(want_low, abs=1e-15)
+    assert par["cap_high_sum"] == pytest.approx(want_high, abs=1e-15)
+    assert par["cap_low_sum"] == pytest.approx(want_low, abs=1e-15)
     # every fixed allocation is perfectly embeddable: corner lies in the region
-    assert par.region.contains(par.corner, tol=1e-12)
+    region = corner_region(par, "cap_high_sum", "cap_low_sum")
+    assert par["region"] == region.to_dict()
+    assert region.contains(par["corner"], tol=1e-12)
 
 
 def test_parallel_individual_zero_high_when_b1_matches_a():
     ch = ParallelGaussChannel(a=(1.0, 2.0), b1=(1.0, 2.0), b2=(0.1, 0.2),
                               powers=(1.0, 1.0))
     par = gauss.region_parallel_individual(ch)
-    assert par.cap_high_sum == 0.0
-    assert par.cap_low_sum > 0.0
+    assert par["cap_high_sum"] == 0.0
+    assert par["cap_low_sum"] > 0.0
 
 
 def test_parallel_total_single_subchannel_matches_scalar_boundary():
     ch = ParallelGaussChannel(a=(1.0,), b1=(0.5,), b2=(0.1,), total_power=1.0)
     bnd = gauss.region_parallel_total(ch)
     sca = gauss.region_scalar(ScalarGaussChannel(1.0, 1.0, 0.5, 0.1))
-    assert bnd.max_r1 == pytest.approx(sca.cap_high, abs=1e-12)
-    assert bnd.max_sum == pytest.approx(sca.cap_low, abs=1e-12)
-    for r1 in np.linspace(0, sca.cap_high, 23):
+    assert bnd.max_r1 == pytest.approx(sca["cap_high"], abs=1e-12)
+    assert bnd.max_sum == pytest.approx(sca["cap_low"], abs=1e-12)
+    for r1 in np.linspace(0, sca["cap_high"], 23):
         assert bnd.max_r2_at(float(r1)) == pytest.approx(
-            sca.region.max_r2_at(float(r1)), abs=1e-9)
+            corner_region(sca).max_r2_at(float(r1)), abs=1e-9)
 
 
 def test_parallel_total_symmetric_subchannels_split_evenly():
@@ -195,8 +204,8 @@ def test_parallel_total_region_nests_fixed_allocations():
         split = float(rng.uniform(0, 1))
         fixed = gauss.region_parallel_individual(
             ParallelGaussChannel(a=ch.a, b1=ch.b1, b2=ch.b2, powers=(split, 1 - split)))
-        assert bnd.contains(fixed.corner, tol=1e-6)
-        assert bnd.contains((fixed.cap_high_sum, 0.0), tol=1e-6)
+        assert bnd.contains(fixed["corner"], tol=1e-6)
+        assert bnd.contains((fixed["cap_high_sum"], 0.0), tol=1e-6)
 
 
 def test_boundary_points_monotone_and_feasible():
@@ -213,13 +222,14 @@ def test_boundary_points_monotone_and_feasible():
 @pytest.mark.parametrize("b1, b2", [(0.5, 0.1), (1.5, 0.1), (1.0, 1.0), (0.3, 0.3)])
 def test_boundary_points_one_vertex_frontier_is_the_corner_region(b1, b2):
     res = gauss.region_scalar(ScalarGaussChannel(1.0, 1.0, b1, b2))
-    pts = gauss.boundary_points([(res.cap_high, res.cap_low)], res.cap_high, res.cap_low, 57)
+    high, low = res["cap_high"], res["cap_low"]
+    pts = gauss.boundary_points([(high, low)], high, low, 57)
     assert pts.shape == (57, 2)
-    assert pts[0, 0] == 0.0 and pts[-1, 0] == res.cap_high
+    assert pts[0, 0] == 0.0 and pts[-1, 0] == high
     for r1, r2 in pts:
-        assert r2 == max(res.cap_low - r1, 0.0)
-        assert r2 == pytest.approx(res.region.max_r2_at(r1), abs=1e-15)
-        assert res.region.contains((r1, r2))
+        assert r2 == max(low - r1, 0.0)
+        assert r2 == pytest.approx(corner_region(res).max_r2_at(r1), abs=1e-15)
+        assert corner_region(res).contains((r1, r2))
 
 
 def test_boundary_points_r1_extent_is_explicit():
