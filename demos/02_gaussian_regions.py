@@ -30,17 +30,19 @@ print("  boundary written to scalar_region.csv")
 
 pch = ParallelGaussChannel(a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1),
                            total_power=1.0)
-bnd = gauss.region_parallel_total(pch)
+pooled = gauss.region_parallel_total(pch)
 print("\ntwo subchannels, pooled power P=1 (exact water-filling)")
-print(f"  allocation maximizing R1:       {bnd.alloc_max_r1}")
-print(f"  allocation maximizing sum rate: {bnd.alloc_max_sum}")
-print(f"  max R1 = {bnd.max_r1:.6f}, max sum = {bnd.max_sum:.6f}")
-print(f"  would-be corner sits {bnd.embedding_gap():.6f} bits above the boundary")
+print(f"  allocation maximizing R1:       {tuple(pooled['alloc_max_r1'])}")
+print(f"  allocation maximizing sum rate: {tuple(pooled['alloc_max_sum'])}")
+max_r1, max_sum = pooled["max_r1"], pooled["max_sum"]
+print(f"  max R1 = {max_r1:.6f}, max sum = {max_sum:.6f}")
+print(f"  would-be corner sits {pooled['embedding_gap']:.6f} bits above the boundary")
 print("  (embeddable, but not perfectly embeddable under pooled power)")
 
 with open("pooled_region.csv", "w") as f:
     f.write("R1,R2\n")
-    for r1, r2 in bnd.points:
+    for r1, r2 in gauss.boundary_points(gauss.pooled_frontier(pch, pooled), max_r1, max_sum,
+                                        gauss.N_BOUNDARY):
         f.write(f"{r1:.9f},{r2:.9f}\n")
 print("  boundary written to pooled_region.csv")
 
@@ -48,10 +50,10 @@ print("  boundary written to pooled_region.csv")
 tri = gauss.region_parallel_total(ParallelGaussChannel(
     a=(1.0, 1.2, 0.9), b1=(0.5, 0.3, 0.4), b2=(0.1, 0.1, 0.1), total_power=1.0))
 print("\nthree subchannels, pooled power P=1")
-print("  allocation maximizing R1:       " + ", ".join(f"{p:.4f}" for p in tri.alloc_max_r1))
-print("  allocation maximizing sum rate: " + ", ".join(f"{p:.4f}" for p in tri.alloc_max_sum))
-print(f"  max R1 = {tri.max_r1:.6f}, max sum = {tri.max_sum:.6f}, "
-      f"gap {tri.embedding_gap():.6f} bits")
+print("  allocation maximizing R1:       " + ", ".join(f"{p:.4f}" for p in tri["alloc_max_r1"]))
+print("  allocation maximizing sum rate: " + ", ".join(f"{p:.4f}" for p in tri["alloc_max_sum"]))
+print(f"  max R1 = {tri['max_r1']:.6f}, max sum = {tri['max_sum']:.6f}, "
+      f"gap {tri['embedding_gap']:.6f} bits")
 
 # fixed split for contrast: every fixed allocation is perfectly embeddable
 fixed = gauss.region_parallel_individual(

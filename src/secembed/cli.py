@@ -38,11 +38,22 @@ def _emit_json(payload: dict, out: str | None):
     _emit_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False), out)
 
 
-def _emit_csv(rows, header, path: str):
-    with open(path, "w") as f:
+def _emit_report(report: dict, args, rows, header=("R1", "R2")) -> int:
+    """The JSON report, then with --csv the table ``rows()`` under ``header``.
+
+    The rows are computed and the CSV opened before the report is printed,
+    so a domain error or a CSV path that cannot be opened prints nothing.
+    """
+    if not args.csv:
+        _emit_json(report, args.out)
+        return 0
+    table = rows()
+    with open(args.csv, "w") as f:
+        _emit_json(report, args.out)
         f.write(",".join(header) + "\n")
-        for row in rows:
+        for row in table:
             f.write(",".join(f"{v:.12g}" for v in row) + "\n")
+    return 0
 
 
 def _floats(text: str, flag: str) -> tuple:
@@ -67,12 +78,9 @@ def _check_points(args):
 
 def _emit_corner_report(report: dict, high: str, low: str, args) -> int:
     """The report, then with --csv the boundary of {R1 <= report[high], R1 + R2 <= report[low]}."""
-    _emit_json(report, args.out)
-    if args.csv:
-        cap_high, cap_low = report[high], report[low]
-        pts = gauss.boundary_points([(cap_high, cap_low)], cap_high, cap_low, args.points)
-        _emit_csv(pts, ("R1", "R2"), args.csv)
-    return 0
+    cap_high, cap_low = report[high], report[low]
+    return _emit_report(report, args, lambda: gauss.boundary_points(
+        [(cap_high, cap_low)], cap_high, cap_low, args.points))
 
 
 def _cmd_region_scalar(args) -> int:
@@ -110,11 +118,9 @@ def _cmd_region_parallel_total(args) -> int:
     ch = _parallel_channel(args, pooled=True)
     if not args.grid > 0:
         raise ValueError("grid resolution must be positive")
-    bnd = gauss.region_parallel_total(ch)
-    _emit_json(bnd.to_dict(), args.out)
-    if args.csv:
-        _emit_csv(bnd.points, ("R1", "R2"), args.csv)
-    return 0
+    report = gauss.region_parallel_total(ch)
+    return _emit_report(report, args, lambda: gauss.boundary_points(  # traced only for --csv
+        gauss.pooled_frontier(ch, report), report["max_r1"], report["max_sum"], gauss.N_BOUNDARY))
 
 
 def _wiretap_params(args) -> coset.WiretapIIParams:
@@ -173,13 +179,11 @@ def _cmd_sim_dmc(args) -> int:
                                                seed=args.seed,
                                                measure_leakage=not args.no_leakage)
                for n in blocks]
-    payload = {"seed": args.seed, "runs": reports}
-    _emit_json(payload if len(reports) > 1 else reports[0], args.out)
-    if args.csv:
-        keys = ("n", "error_rate", "normalized_leak_m1_strong", "normalized_leak_messages_weak")
-        rows = [[float("nan") if r[k] is None else r[k] for k in keys] for r in reports]
-        _emit_csv(rows, ("n", "error_rate", "leak_m1_strong", "leak_messages_weak"), args.csv)
-    return 0
+    payload = {"seed": args.seed, "runs": reports} if len(reports) > 1 else reports[0]
+    keys = ("n", "error_rate", "normalized_leak_m1_strong", "normalized_leak_messages_weak")
+    rows = [[float("nan") if r[k] is None else r[k] for k in keys] for r in reports]
+    return _emit_report(payload, args, lambda: rows,
+                        ("n", "error_rate", "leak_m1_strong", "leak_messages_weak"))
 
 
 def _cmd_dmc_region_point(args) -> int:

@@ -18,7 +18,6 @@ sampled by the one routine ``boundary_points``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import log2
 
 import numpy as np
@@ -30,11 +29,11 @@ __all__ = [
     "ScalarGaussChannel",
     "ParallelGaussChannel",
     "NaiveRegionResult",
-    "TotalPowerBoundary",
     "region_scalar",
     "naive_region",
     "region_parallel_individual",
     "region_parallel_total",
+    "pooled_frontier",
     "boundary_points",
 ]
 
@@ -223,7 +222,7 @@ def region_parallel_individual(ch: ParallelGaussChannel) -> dict:
 
 
 FRONTIER_SAG = 1e-8  # vertical sag (bits) certified for every traced frontier chord
-N_BOUNDARY = 201  # evenly spaced R1 samples: TotalPowerBoundary.points, default --points
+N_BOUNDARY = 201  # evenly spaced R1 samples: the parallel-total CSV, default --points
 
 
 def _cap_pairs(ch: ParallelGaussChannel, p) -> tuple:
@@ -327,66 +326,16 @@ def _trace_frontier(ch: ParallelGaussChannel, left: tuple, right: tuple) -> np.n
     return pts[pts[:, 1] > later_max]  # Pareto filter
 
 
-@dataclass(frozen=True)
-class TotalPowerBoundary:
-    """Upper boundary of the pooled-power region (union over allocations).
+def region_parallel_total(ch: ParallelGaussChannel) -> dict:
+    """The ``region parallel-total`` report, by exact secrecy water-filling.
 
-    ``max_r1`` and ``max_sum`` are the largest high-security and sum rates,
-    reached by the two extreme allocations.  ``frontier`` (traced on first
-    use) holds (cap_high_sum, cap_low_sum) pairs by increasing cap_high, with
-    no achievable pair over FRONTIER_SAG bits above their polyline.
-    """
-
-    channel: ParallelGaussChannel
-    alloc_max_r1: tuple
-    alloc_max_sum: tuple
-    max_r1: float
-    max_sum: float
-
-    @cached_property
-    def frontier(self) -> np.ndarray:
-        high, low = _cap_pairs(self.channel, [self.alloc_max_sum, self.alloc_max_r1])
-        return _trace_frontier(self.channel, (high[0], self.max_sum), (self.max_r1, low[1]))
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        return boundary_points(self.frontier, self.max_r1, self.max_sum, N_BOUNDARY)
-
-    def best_sum_given_r1(self, r1: float):
-        """max cap_low_sum over allocations whose cap_high_sum covers r1."""
-        if r1 > self.max_r1 + 1e-12:
-            return None
-        return float(_sum_rate_at(self.frontier, self.max_sum, r1))
-
-    def max_r2_at(self, r1: float):
-        s = self.best_sum_given_r1(r1)
-        return None if s is None else max(s - r1, 0.0)
-
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        r1, r2 = float(point[0]), float(point[1])
-        if r1 < -tol or r2 < -tol or r1 > self.max_r1 + tol:
-            return False
-        r2_max = self.max_r2_at(min(max(r1, 0.0), self.max_r1))
-        return r2 <= r2_max + tol
-
-    def embedding_gap(self) -> float:
-        """Vertical distance of (max_r1, max_sum - max_r1) above the boundary.
-
-        The best sum rate at R1 = max_r1 is the low-security sum at the only
-        allocation reaching max_r1.  Positive means the channel is not
-        perfectly embeddable under the pooled power constraint.
-        """
-        low = float(_cap_pairs(self.channel, self.alloc_max_r1)[1])
-        return (self.max_sum - self.max_r1) - max(low - self.max_r1, 0.0)
-
-    def to_dict(self) -> dict:
-        return {"max_r1": self.max_r1, "max_sum": self.max_sum,
-                "alloc_max_r1": list(self.alloc_max_r1), "alloc_max_sum": list(self.alloc_max_sum),
-                "embedding_gap": self.embedding_gap()}
-
-
-def region_parallel_total(ch: ParallelGaussChannel) -> TotalPowerBoundary:
-    """Pooled-power region boundary by exact secrecy water-filling.
+    Keys: ``max_r1`` and ``max_sum``, the largest high-security and sum
+    rates under the pooled budget; ``alloc_max_r1`` and ``alloc_max_sum``,
+    the allocations (lists) that reach them; and ``embedding_gap``, the
+    height of the would-be corner (max_r1, max_sum - max_r1) above the
+    boundary, whose best sum rate at R1 = max_r1 is the low-security sum at
+    the only allocation reaching max_r1.  A positive gap means the channel
+    is not perfectly embeddable under the pooled power constraint.
 
     The extreme allocations are single-objective ``_waterfill`` solves.  An
     objective with no subchannel of a > b is flat: the low one then takes
@@ -396,10 +345,24 @@ def region_parallel_total(ch: ParallelGaussChannel) -> TotalPowerBoundary:
     if ch.total_power is None:
         raise ValueError("pooled-power region needs total_power")
     total, dims = float(ch.total_power), ch.n_sub
-    alloc_sum = alloc_r1 = tuple(total / dims for _ in range(dims))
+    alloc_sum = alloc_r1 = [total / dims] * dims
     if total > 0 and any(a > w for a, w in zip(ch.a, ch.b2)):
         both = any(a > s for a, s in zip(ch.a, ch.b1))  # else the high objective is flat
         rows = _waterfill(ch, [0.0, 1.0][:1 + both], [1.0, 0.0][:1 + both]).tolist()
-        alloc_sum, alloc_r1 = tuple(rows[0]), tuple(rows[-1])
+        alloc_sum, alloc_r1 = rows[0], rows[-1]
     high, low = _cap_pairs(ch, [alloc_r1, alloc_sum])
-    return TotalPowerBoundary(ch, alloc_r1, alloc_sum, float(high[0]), float(low[1]))
+    max_r1, max_sum = float(high[0]), float(low[1])
+    return {"max_r1": max_r1, "max_sum": max_sum,
+            "alloc_max_r1": list(alloc_r1), "alloc_max_sum": list(alloc_sum),
+            "embedding_gap": (max_sum - max_r1) - max(float(low[0]) - max_r1, 0.0)}
+
+
+def pooled_frontier(ch: ParallelGaussChannel, report: dict) -> np.ndarray:
+    """Upper boundary of the pooled-power region of ``region_parallel_total(ch)``.
+
+    (cap_high_sum, cap_low_sum) vertices by increasing cap_high, traced from
+    the report's two allocations, with no achievable pair over FRONTIER_SAG
+    bits above their polyline.  Tracing costs tens of times the report.
+    """
+    high, low = _cap_pairs(ch, [report["alloc_max_sum"], report["alloc_max_r1"]])
+    return _trace_frontier(ch, (high[0], report["max_sum"]), (report["max_r1"], low[1]))

@@ -1,6 +1,7 @@
 """CLI surface tests: formats, exit codes, determinism, round trips."""
 
 import argparse
+import ast
 import importlib
 import inspect
 import json
@@ -46,11 +47,43 @@ def test_region_scalar_json_and_csv(tmp_path, capsys):
     (["parallel", "--preset", "two-subchannel-reference"],
      gauss.region_parallel_individual(gauss.ParallelGaussChannel(
          a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1), powers=(0.5, 0.5)))),
-], ids=["scalar", "parallel"])
+    (["parallel-total", "--preset", "two-subchannel-reference"],
+     gauss.region_parallel_total(gauss.ParallelGaussChannel(
+         a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1), total_power=1.0))),
+    (["parallel-total", "--a", "1,1.2,0.9", "--b1", "0.5,0.3,0.4", "--b2", "0.1,0.1,0.1"],
+     gauss.region_parallel_total(gauss.ParallelGaussChannel(
+         a=(1.0, 1.2, 0.9), b1=(0.5, 0.3, 0.4), b2=(0.1, 0.1, 0.1), total_power=1.0))),
+], ids=["scalar", "parallel", "parallel-total", "parallel-total-sub3"])
 def test_region_prints_the_library_report(capsys, argv, report):
     code, out, err = run_cli(capsys, "region", *argv)
     assert code == 0 and not err
     assert report == json.loads(out)
+
+
+def test_pooled_frontier_is_traced_only_for_csv(tmp_path, capsys, monkeypatch):
+    calls = []
+    trace = gauss._trace_frontier
+    monkeypatch.setattr(gauss, "_trace_frontier", lambda *a: calls.append(a) or trace(*a))
+    argv = ["region", "parallel-total", "--preset", "two-subchannel-reference"]
+    assert run_cli(capsys, *argv)[0] == 0 and len(calls) == 0
+    assert run_cli(capsys, *argv, "--csv", str(tmp_path / "b.csv"))[0] == 0 and len(calls) == 1
+
+
+CSV_VERBS = {
+    "scalar": ["region", "scalar", "--P", "1", "--a", "1", "--b1", "0.5", "--b2", "0.1"],
+    "parallel": ["region", "parallel", "--preset", "two-subchannel-reference"],
+    "parallel-total": ["region", "parallel-total", "--preset", "two-subchannel-reference"],
+    "sim-dmc": ["sim", "dmc", "--bec", "0.5,0.9", "--px", "0.5,0.5", "--rates",
+                "0.25,0.25,0.39624062518028907", "--n", "8", "--trials", "4", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", CSV_VERBS.values(), ids=CSV_VERBS.keys())
+def test_unopenable_csv_prints_no_result(tmp_path, capsys, argv):
+    # the CSV is opened before the report is printed, so stdout stays empty
+    code, out, err = run_cli(capsys, *argv, "--csv", str(tmp_path / "nodir" / "x.csv"))
+    assert code == 1 and not out and err.count("\n") == 1
+    assert json.loads(err)["error"] == "FileNotFoundError"
 
 
 # b1 = b2 puts the corner on the separate-coding hull; b1 > a leaves no
@@ -807,7 +840,6 @@ DEFAULTS_TABLE = {
     "fm.LinIneqSystem.relax_closure": {"slack_symbol": "None"},
     "fm.LinIneqSystem.simplify_with_assumptions": {"assumptions": "()"},
     "gauss.ParallelGaussChannel": {"powers": "None", "total_power": "None"},
-    "gauss.TotalPowerBoundary.contains": {"tol": "1e-09"},
     "gf2.bit_array": {"what": "'matrix'"},
     "regions.HalfSpace": {"strict": "False"},
     "regions.RateRegion.contains": {"tol": "1e-12"},
@@ -837,6 +869,20 @@ def test_library_defaults_pinned():
                 if callable(fn) and _defaults(fn):
                     table[f"{info.name}.{qualname}"] = _defaults(fn)
     assert table == DEFAULTS_TABLE
+
+
+def test_no_unused_import_in_src():
+    unused = []
+    for path in sorted(Path(secembed.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}: {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in names]
+    assert not unused
 
 
 def test_importing_gf2_loads_no_other_module():

@@ -1,9 +1,12 @@
 """Gaussian secrecy region tests, including the separate-coding comparison."""
 
+import json
+
 import numpy as np
 import pytest
 
 from secembed import gauss
+from secembed.cli import main
 from secembed.gauss import ParallelGaussChannel, ScalarGaussChannel
 from secembed.regions import RateRegion
 
@@ -11,6 +14,20 @@ from secembed.regions import RateRegion
 def corner_region(report, high="cap_high", low="cap_low") -> RateRegion:
     """{R1 <= report[high], R1 + R2 <= report[low]}, the region a fixed-power report names."""
     return RateRegion.from_rate_bounds(report[high], report[low])
+
+
+def pooled_contains(frontier, report, point, tol=1e-9) -> bool:
+    """Whether ``point`` lies within ``tol`` of the pooled-power region of ``report``.
+
+    R1 must lie in [0, max_r1] and R2 at most the sum rate at R1, read from
+    ``frontier`` as ``boundary_points`` reads it, less R1.
+    """
+    r1, r2 = float(point[0]), float(point[1])
+    if r1 < -tol or r2 < -tol or r1 > report["max_r1"] + tol:
+        return False
+    r1 = min(max(r1, 0.0), report["max_r1"])
+    r2_max = max(float(gauss._sum_rate_at(frontier, report["max_sum"], r1)) - r1, 0.0)
+    return r2 <= r2_max + tol
 
 
 def test_cs_scalar_zero_cases():
@@ -159,64 +176,68 @@ def test_parallel_individual_zero_high_when_b1_matches_a():
 
 def test_parallel_total_single_subchannel_matches_scalar_boundary():
     ch = ParallelGaussChannel(a=(1.0,), b1=(0.5,), b2=(0.1,), total_power=1.0)
-    bnd = gauss.region_parallel_total(ch)
+    r = gauss.region_parallel_total(ch)
+    front = gauss.pooled_frontier(ch, r)
     sca = gauss.region_scalar(ScalarGaussChannel(1.0, 1.0, 0.5, 0.1))
-    assert bnd.max_r1 == pytest.approx(sca["cap_high"], abs=1e-12)
-    assert bnd.max_sum == pytest.approx(sca["cap_low"], abs=1e-12)
+    assert r["max_r1"] == pytest.approx(sca["cap_high"], abs=1e-12)
+    assert r["max_sum"] == pytest.approx(sca["cap_low"], abs=1e-12)
     for r1 in np.linspace(0, sca["cap_high"], 23):
-        assert bnd.max_r2_at(float(r1)) == pytest.approx(
-            corner_region(sca).max_r2_at(float(r1)), abs=1e-9)
+        r2 = max(float(gauss._sum_rate_at(front, r["max_sum"], float(r1))) - r1, 0.0)
+        assert r2 == pytest.approx(corner_region(sca).max_r2_at(float(r1)), abs=1e-9)
 
 
 def test_parallel_total_symmetric_subchannels_split_evenly():
     ch = ParallelGaussChannel(a=(1.0, 1.0), b1=(0.5, 0.5), b2=(0.1, 0.1),
                               total_power=1.0)
-    bnd = gauss.region_parallel_total(ch)
-    assert bnd.alloc_max_sum[0] == pytest.approx(0.5, abs=1e-3)
-    assert bnd.alloc_max_r1[0] == pytest.approx(0.5, abs=1e-3)
-    assert bnd.embedding_gap() == pytest.approx(0.0, abs=1e-9)
+    r = gauss.region_parallel_total(ch)
+    assert r["alloc_max_sum"][0] == pytest.approx(0.5, abs=1e-3)
+    assert r["alloc_max_r1"][0] == pytest.approx(0.5, abs=1e-3)
+    assert r["embedding_gap"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_parallel_total_two_subchannel_reference():
     ch = ParallelGaussChannel(a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1),
                               total_power=1.0)
-    bnd = gauss.region_parallel_total(ch)
+    r = gauss.region_parallel_total(ch)
     # the weak-eavesdropper objective is symmetric: even split
-    assert bnd.alloc_max_sum[0] == pytest.approx(0.5, abs=2e-3)
+    assert r["alloc_max_sum"][0] == pytest.approx(0.5, abs=2e-3)
     # the strong-eavesdropper objective prefers the better second subchannel
-    assert bnd.alloc_max_r1[1] > 0.95
-    assert abs(bnd.alloc_max_r1[0] - bnd.alloc_max_sum[0]) > 0.1
+    assert r["alloc_max_r1"][1] > 0.95
+    assert abs(r["alloc_max_r1"][0] - r["alloc_max_sum"][0]) > 0.1
     # grid-search oracle at fixed resolution for max_r1
     grid = np.linspace(0.0, 1.0, 1001)
     vals = [gauss.cs_scalar(p, 1.0, 0.8) + gauss.cs_scalar(1 - p, 1.0, 0.25) for p in grid]
-    assert bnd.max_r1 == pytest.approx(max(vals), abs=1e-6)
+    assert r["max_r1"] == pytest.approx(max(vals), abs=1e-6)
     # not perfectly embeddable: the would-be corner sits above the boundary
-    assert bnd.embedding_gap() > 1e-4
-    assert not bnd.contains((bnd.max_r1, bnd.max_sum - bnd.max_r1), tol=1e-6)
+    assert r["embedding_gap"] > 1e-4
+    corner = (r["max_r1"], r["max_sum"] - r["max_r1"])
+    assert not pooled_contains(gauss.pooled_frontier(ch, r), r, corner, tol=1e-6)
 
 
 def test_parallel_total_region_nests_fixed_allocations():
     ch = ParallelGaussChannel(a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1),
                               total_power=1.0)
-    bnd = gauss.region_parallel_total(ch)
+    r = gauss.region_parallel_total(ch)
+    front = gauss.pooled_frontier(ch, r)
     rng = np.random.default_rng(8)
     for _ in range(25):
         split = float(rng.uniform(0, 1))
         fixed = gauss.region_parallel_individual(
             ParallelGaussChannel(a=ch.a, b1=ch.b1, b2=ch.b2, powers=(split, 1 - split)))
-        assert bnd.contains(fixed["corner"], tol=1e-6)
-        assert bnd.contains((fixed["cap_high_sum"], 0.0), tol=1e-6)
+        assert pooled_contains(front, r, fixed["corner"], tol=1e-6)
+        assert pooled_contains(front, r, (fixed["cap_high_sum"], 0.0), tol=1e-6)
 
 
 def test_boundary_points_monotone_and_feasible():
     ch = ParallelGaussChannel(a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1),
                               total_power=1.0)
-    bnd = gauss.region_parallel_total(ch)
-    pts = bnd.points
+    r = gauss.region_parallel_total(ch)
+    pts = gauss.boundary_points(gauss.pooled_frontier(ch, r), r["max_r1"], r["max_sum"],
+                                gauss.N_BOUNDARY)
     assert (np.diff(pts[:, 0]) > 0).all()
     assert (pts[:, 1] >= -1e-12).all()
     # sum rate along the boundary never exceeds the pooled maximum
-    assert (pts.sum(axis=1) <= bnd.max_sum + 1e-9).all()
+    assert (pts.sum(axis=1) <= r["max_sum"] + 1e-9).all()
 
 
 @pytest.mark.parametrize("b1, b2", [(0.5, 0.1), (1.5, 0.1), (1.0, 1.0), (0.3, 0.3)])
@@ -243,11 +264,18 @@ def test_boundary_points_r1_extent_is_explicit():
                        rtol=0, atol=1e-15)
 
 
-def test_total_power_points_sample_its_frontier():
+def test_total_power_points_sample_its_frontier(tmp_path, capsys):
     ch = ParallelGaussChannel(a=(1.0, 1.2, 0.9), b1=(0.5, 0.3, 0.4), b2=(0.1, 0.1, 0.1),
                               total_power=1.0)
-    bnd = gauss.region_parallel_total(ch)
-    want = gauss.boundary_points(bnd.frontier, bnd.max_r1, bnd.max_sum, gauss.N_BOUNDARY)
-    assert np.array_equal(bnd.points, want)
-    for r1, r2 in bnd.points:
-        assert bnd.max_r2_at(r1) == pytest.approx(r2, abs=1e-12)
+    r = gauss.region_parallel_total(ch)
+    front = gauss.pooled_frontier(ch, r)
+    pts = gauss.boundary_points(front, r["max_r1"], r["max_sum"], gauss.N_BOUNDARY)
+    csv = tmp_path / "boundary.csv"
+    assert main(["region", "parallel-total", "--a", "1,1.2,0.9", "--b1", "0.5,0.3,0.4",
+                 "--b2", "0.1,0.1,0.1", "--csv", str(csv)]) == 0
+    assert json.loads(capsys.readouterr().out) == r
+    want = ["R1,R2"] + [f"{r1:.12g},{r2:.12g}" for r1, r2 in pts]
+    assert csv.read_text().splitlines() == want  # the CLI samples this frontier
+    for r1, r2 in pts:
+        r2_max = max(float(gauss._sum_rate_at(front, r["max_sum"], r1)) - r1, 0.0)
+        assert r2_max == pytest.approx(r2, abs=1e-12)

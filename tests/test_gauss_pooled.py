@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from secembed import gauss
 from secembed.cli import main
 from secembed.gauss import ParallelGaussChannel
+from test_gauss import pooled_contains
 
 # three subchannels: the grid search this solver replaced crashed on this input
 CRASH3 = dict(a=(1.0, 1.2, 0.9), b1=(0.5, 0.3, 0.4), b2=(0.1, 0.1, 0.1))
@@ -62,34 +63,35 @@ def test_simplex_grid_oracle():
 
 def test_three_subchannels_match_dense_grid_oracle():
     ch = ParallelGaussChannel(**CRASH3, total_power=1.0)
-    bnd = gauss.region_parallel_total(ch)
+    r = gauss.region_parallel_total(ch)
     steps = 800
     # the optimum is within 2/steps of a grid point in every coordinate, and
     # each term's curvature is at most a^2/(2 ln 2) bits per unit power^2
     err = 0.5 * sum(a * a for a in ch.a) / (2 * math.log(2)) * (2 / steps) ** 2
-    for got, eve in ((bnd.max_r1, ch.b1), (bnd.max_sum, ch.b2)):
+    for got, eve in ((r["max_r1"], ch.b1), (r["max_sum"], ch.b2)):
         oracle = grid_max(ch, eve, steps)
         assert oracle - 1e-12 <= got <= oracle + err
-    assert bnd.max_r1 == pytest.approx(0.4003774250, abs=1e-10)
-    assert bnd.max_sum == pytest.approx(0.5769805063, abs=1e-10)
-    assert bnd.embedding_gap() > 1e-3
-    assert_kkt(bnd.alloc_max_r1, ch.a, ch.b1)
-    assert_kkt(bnd.alloc_max_sum, ch.a, ch.b2)
+    assert r["max_r1"] == pytest.approx(0.4003774250, abs=1e-10)
+    assert r["max_sum"] == pytest.approx(0.5769805063, abs=1e-10)
+    assert r["embedding_gap"] > 1e-3
+    assert_kkt(r["alloc_max_r1"], ch.a, ch.b1)
+    assert_kkt(r["alloc_max_sum"], ch.a, ch.b2)
 
 
 def test_four_subchannels_kkt_and_random_allocations():
     ch = ParallelGaussChannel(**SUB4, total_power=2.0)
-    bnd = gauss.region_parallel_total(ch)
-    assert sum(bnd.alloc_max_r1) == pytest.approx(2.0, abs=1e-12)
-    assert_kkt(bnd.alloc_max_r1, ch.a, ch.b1)
-    assert_kkt(bnd.alloc_max_sum, ch.a, ch.b2)
+    r = gauss.region_parallel_total(ch)
+    front = gauss.pooled_frontier(ch, r)
+    assert sum(r["alloc_max_r1"]) == pytest.approx(2.0, abs=1e-12)
+    assert_kkt(r["alloc_max_r1"], ch.a, ch.b1)
+    assert_kkt(r["alloc_max_sum"], ch.a, ch.b2)
     rng = np.random.default_rng(5)
     for p in rng.dirichlet(np.ones(4), size=200) * 2.0:
         high, low = values(ch, p)
-        assert high <= bnd.max_r1 + 1e-12 and low <= bnd.max_sum + 1e-12
-        assert low <= bnd.best_sum_given_r1(high) + gauss.FRONTIER_SAG
-    assert bnd.contains((bnd.max_r1, 0.0))
-    assert not bnd.contains((bnd.max_r1, bnd.max_sum - bnd.max_r1))
+        assert high <= r["max_r1"] + 1e-12 and low <= r["max_sum"] + 1e-12
+        assert low <= gauss._sum_rate_at(front, r["max_sum"], high) + gauss.FRONTIER_SAG
+    assert pooled_contains(front, r, (r["max_r1"], 0.0))
+    assert not pooled_contains(front, r, (r["max_r1"], r["max_sum"] - r["max_r1"]))
 
 
 @pytest.mark.parametrize("gains", [CRASH3, SUB4], ids=["sub3", "sub4"])
@@ -130,10 +132,12 @@ def test_nonpositive_grid_is_rejected(capsys, grid):
 
 # ---------------------------------------------------------------- degenerate inputs
 
-def finite(bnd):
-    parts = [bnd.max_r1, bnd.max_sum, bnd.embedding_gap(), *bnd.alloc_max_r1,
-             *bnd.alloc_max_sum]
-    return np.isfinite(parts).all() and np.isfinite(bnd.points).all()
+def finite(ch, r):
+    parts = [r["max_r1"], r["max_sum"], r["embedding_gap"], *r["alloc_max_r1"],
+             *r["alloc_max_sum"]]
+    pts = gauss.boundary_points(gauss.pooled_frontier(ch, r), r["max_r1"], r["max_sum"],
+                                gauss.N_BOUNDARY)
+    return np.isfinite(parts).all() and np.isfinite(pts).all()
 
 
 HUGE_POWER = {
@@ -163,9 +167,9 @@ def test_huge_power_is_a_domain_error(capsys, argv):
 def test_power_just_inside_the_limit_is_solved():
     scale = np.finfo(float).max ** (1 / 3)  # the largest power * max(1, gain)**2
     ch = ParallelGaussChannel(**CRASH3, total_power=1e100)
-    assert finite(gauss.region_parallel_total(ch))
+    assert finite(ch, gauss.region_parallel_total(ch))
     ch = ParallelGaussChannel(a=(1.0, 2.0), b1=(0.25, 0.5), b2=(0.0, 0.1), total_power=scale / 4)
-    assert finite(gauss.region_parallel_total(ch))
+    assert finite(ch, gauss.region_parallel_total(ch))
     with pytest.raises(ValueError, match="total power"):
         ParallelGaussChannel(a=(1.0, 2.0), b1=(0.25, 0.5), b2=(0.0, 0.1),
                              total_power=scale / 4 * 1.001)
@@ -201,8 +205,8 @@ def test_held_level_is_shared_inversely_to_the_rate_of_descent():
     # both slopes start at 1 and 1 + a*P rounds to 1: to first order the slope falls
     # like 1 - (a + b) p, so the power splits 1 : 5
     ch = ParallelGaussChannel(a=(3.0, 1.0), b1=(2.0, 0.0), b2=(2.0, 0.0), total_power=1e-200)
-    bnd = gauss.region_parallel_total(ch)
-    assert bnd.alloc_max_sum == pytest.approx((1e-200 / 6, 5e-200 / 6), rel=1e-12)
+    r = gauss.region_parallel_total(ch)
+    assert r["alloc_max_sum"] == pytest.approx([1e-200 / 6, 5e-200 / 6], rel=1e-12)
 
 
 @pytest.mark.filterwarnings("error")
@@ -210,55 +214,57 @@ def test_held_level_leaves_the_steep_subchannel_its_power():
     # the first slope is flat over [0, P] in float (a*P = 1e-20), so mu stays at 1e-80;
     # the second takes the power where its slope falls to that level, the first the rest
     ch = ParallelGaussChannel(a=(1e-80, 1.0), b1=(0.0, 0.5), b2=(0.0, 0.5), total_power=1e60)
-    bnd = gauss.region_parallel_total(ch)
-    assert bnd.alloc_max_sum[1] == pytest.approx(1e40, rel=1e-3)
-    assert sum(bnd.alloc_max_sum) == pytest.approx(1e60, rel=1e-12)
-    assert_kkt(bnd.alloc_max_sum, ch.a, ch.b2)
+    r = gauss.region_parallel_total(ch)
+    assert r["alloc_max_sum"][1] == pytest.approx(1e40, rel=1e-3)
+    assert sum(r["alloc_max_sum"]) == pytest.approx(1e60, rel=1e-12)
+    assert_kkt(r["alloc_max_sum"], ch.a, ch.b2)
 
 
 def test_high_objective_flat_when_a_le_b1_everywhere():
     ch = ParallelGaussChannel(a=(1.0, 0.5, 0.8), b1=(1.0, 0.7, 0.9), b2=(0.2, 0.1, 0.3),
                               total_power=1.0)
-    bnd = gauss.region_parallel_total(ch)
-    assert bnd.max_r1 == 0.0 and bnd.embedding_gap() == 0.0
-    assert bnd.alloc_max_r1 == bnd.alloc_max_sum
-    assert bnd.max_sum > 0 and finite(bnd)
-    assert_kkt(bnd.alloc_max_sum, ch.a, ch.b2)
+    r = gauss.region_parallel_total(ch)
+    assert r["max_r1"] == 0.0 and r["embedding_gap"] == 0.0
+    assert r["alloc_max_r1"] == r["alloc_max_sum"]
+    assert r["max_sum"] > 0 and finite(ch, r)
+    assert_kkt(r["alloc_max_sum"], ch.a, ch.b2)
 
 
 def test_everything_zero_when_a_le_b2_everywhere():
     ch = ParallelGaussChannel(a=(1.0, 0.5), b1=(1.5, 0.9), b2=(1.2, 0.5), total_power=3.0)
-    bnd = gauss.region_parallel_total(ch)
-    assert bnd.max_r1 == bnd.max_sum == bnd.embedding_gap() == 0.0
-    assert bnd.alloc_max_r1 == bnd.alloc_max_sum == (1.5, 1.5)
-    assert finite(bnd) and bnd.contains((0.0, 0.0)) and not bnd.contains((0.0, 1e-6))
+    r = gauss.region_parallel_total(ch)
+    front = gauss.pooled_frontier(ch, r)
+    assert r["max_r1"] == r["max_sum"] == r["embedding_gap"] == 0.0
+    assert r["alloc_max_r1"] == r["alloc_max_sum"] == [1.5, 1.5]
+    assert finite(ch, r) and pooled_contains(front, r, (0.0, 0.0))
+    assert not pooled_contains(front, r, (0.0, 1e-6))
 
 
 def test_zero_total_power():
     ch = ParallelGaussChannel(**CRASH3, total_power=0.0)
-    bnd = gauss.region_parallel_total(ch)
-    assert bnd.alloc_max_r1 == bnd.alloc_max_sum == (0.0, 0.0, 0.0)
-    assert bnd.max_r1 == bnd.max_sum == bnd.embedding_gap() == 0.0
-    assert finite(bnd) and len(bnd.frontier) == 1
+    r = gauss.region_parallel_total(ch)
+    assert r["alloc_max_r1"] == r["alloc_max_sum"] == [0.0, 0.0, 0.0]
+    assert r["max_r1"] == r["max_sum"] == r["embedding_gap"] == 0.0
+    assert finite(ch, r) and len(gauss.pooled_frontier(ch, r)) == 1
 
 
 def test_equal_eavesdroppers_are_perfectly_embeddable():
     ch = ParallelGaussChannel(a=(1.0, 1.2, 0.9), b1=(0.5, 0.3, 0.4), b2=(0.5, 0.3, 0.4),
                               total_power=1.0)
-    bnd = gauss.region_parallel_total(ch)
-    assert bnd.alloc_max_r1 == bnd.alloc_max_sum
-    assert bnd.max_r1 == bnd.max_sum > 0
-    assert bnd.embedding_gap() == 0.0 and finite(bnd)
-    assert bnd.contains((bnd.max_r1, 0.0), tol=1e-12)
+    r = gauss.region_parallel_total(ch)
+    assert r["alloc_max_r1"] == r["alloc_max_sum"]
+    assert r["max_r1"] == r["max_sum"] > 0
+    assert r["embedding_gap"] == 0.0 and finite(ch, r)
+    assert pooled_contains(gauss.pooled_frontier(ch, r), r, (r["max_r1"], 0.0), tol=1e-12)
 
 
 def test_one_subchannel_takes_all_power():
     ch = ParallelGaussChannel(a=(2.0,), b1=(0.5,), b2=(0.25,), total_power=1.5)
-    bnd = gauss.region_parallel_total(ch)
-    assert bnd.alloc_max_r1 == bnd.alloc_max_sum == (1.5,)
-    assert bnd.max_r1 == gauss.cs_scalar(1.5, 2.0, 0.5)
-    assert bnd.max_sum == gauss.cs_scalar(1.5, 2.0, 0.25)
-    assert bnd.embedding_gap() == 0.0 and finite(bnd)
+    r = gauss.region_parallel_total(ch)
+    assert r["alloc_max_r1"] == r["alloc_max_sum"] == [1.5]
+    assert r["max_r1"] == gauss.cs_scalar(1.5, 2.0, 0.5)
+    assert r["max_sum"] == gauss.cs_scalar(1.5, 2.0, 0.25)
+    assert r["embedding_gap"] == 0.0 and finite(ch, r)
 
 
 # ---------------------------------------------------------------- properties
@@ -279,43 +285,44 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 @PROPERTY
 @given(pooled_channels())
 def test_property_allocations_split_the_total_and_beat_feasible_points(ch):
-    bnd = gauss.region_parallel_total(ch)
+    r = gauss.region_parallel_total(ch)
     total, n = ch.total_power, ch.n_sub
-    for alloc in (bnd.alloc_max_r1, bnd.alloc_max_sum):
+    for alloc in (r["alloc_max_r1"], r["alloc_max_sum"]):
         assert min(alloc) >= 0.0 and abs(sum(alloc) - total) <= 1e-12
     rng = np.random.default_rng(n)
     candidates = [np.eye(n)[k] * total for k in range(n)] + [np.full(n, total / n)]
     candidates += list(rng.dirichlet(np.ones(n), size=20) * total)
     for p in candidates:
         high, low = values(ch, p)
-        assert bnd.max_r1 >= high - 1e-12 and bnd.max_sum >= low - 1e-12
-    assert bnd.embedding_gap() >= -1e-12
+        assert r["max_r1"] >= high - 1e-12 and r["max_sum"] >= low - 1e-12
+    assert r["embedding_gap"] >= -1e-12
 
 
 @PROPERTY
 @given(pooled_channels())
 def test_property_kkt_conditions(ch):
-    bnd = gauss.region_parallel_total(ch)
+    r = gauss.region_parallel_total(ch)
     if any(a > s for a, s in zip(ch.a, ch.b1)):
-        assert_kkt(bnd.alloc_max_r1, ch.a, ch.b1)
+        assert_kkt(r["alloc_max_r1"], ch.a, ch.b1)
     if any(a > w for a, w in zip(ch.a, ch.b2)):
-        assert_kkt(bnd.alloc_max_sum, ch.a, ch.b2)
+        assert_kkt(r["alloc_max_sum"], ch.a, ch.b2)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(pooled_channels())
 def test_property_frontier_is_a_certified_inner_approximation(ch):
-    bnd = gauss.region_parallel_total(ch)
-    front = bnd.frontier
+    r = gauss.region_parallel_total(ch)
+    front = gauss.pooled_frontier(ch, r)
     assert (np.diff(front[:, 0]) > 0).all() and (np.diff(front[:, 1]) < 0).all()
     rng = np.random.default_rng(ch.n_sub)
     spread = rng.dirichlet(np.ones(ch.n_sub), size=60) * ch.total_power
     # allocations close to the max-R1 end, where the frontier is steepest
-    near = np.array(bnd.alloc_max_r1) + np.logspace(-6, -1, 20)[:, None] * (
-        spread[:20] - np.array(bnd.alloc_max_r1))
+    near = np.array(r["alloc_max_r1"]) + np.logspace(-6, -1, 20)[:, None] * (
+        spread[:20] - np.array(r["alloc_max_r1"]))
     for p in np.vstack([spread, near]):
         high, low = values(ch, p)
-        assert low <= bnd.best_sum_given_r1(min(high, bnd.max_r1)) + gauss.FRONTIER_SAG
+        best = gauss._sum_rate_at(front, r["max_sum"], min(high, r["max_r1"]))
+        assert low <= best + gauss.FRONTIER_SAG
 
 
 def log_uniform():
