@@ -9,9 +9,8 @@ splits differ, so the corner is unreachable.  The gap is printed and the
 boundary written as CSV, for two and for three subchannels.
 """
 
-from secembed import gauss
+from secembed import gauss, regions
 from secembed.gauss import ParallelGaussChannel, ScalarGaussChannel
-from secembed.regions import RateRegion
 
 ch = ScalarGaussChannel(power=1.0, a=1.0, b1=0.5, b2=0.1)
 res = gauss.region_scalar(ch)
@@ -20,7 +19,7 @@ print("scalar channel P=1, a=1, b1=0.5, b2=0.1")
 cap_high, cap_low, corner = res["cap_high"], res["cap_low"], res["corner"]
 print(f"  cap_high={cap_high:.6f}  cap_low={cap_low:.6f}")
 print(f"  corner point ({corner[0]:.6f}, {corner[1]:.6f})")
-print(f"  naive hull violation at corner: {naive.hull_violation(corner):.6f}")
+print(f"  naive hull violation at corner: {naive['corner_violation']:.6f}")
 
 with open("scalar_region.csv", "w") as f:
     f.write("R1,R2\n")
@@ -58,6 +57,5 @@ print(f"  max R1 = {tri['max_r1']:.6f}, max sum = {tri['max_sum']:.6f}, "
 # fixed split for contrast: every fixed allocation is perfectly embeddable
 fixed = gauss.region_parallel_individual(
     ParallelGaussChannel(a=pch.a, b1=pch.b1, b2=pch.b2, powers=(0.5, 0.5)))
-region = RateRegion.from_rate_bounds(fixed["cap_high_sum"], fixed["cap_low_sum"])
 print(f"\nfixed even split: corner ({fixed['corner'][0]:.6f}, {fixed['corner'][1]:.6f}) "
-      f"inside its region: {region.contains(fixed['corner'])}")
+      f"inside its region: {regions.contains(fixed['region'], fixed['corner'])}")

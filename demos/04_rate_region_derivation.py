@@ -11,7 +11,7 @@ numbers from a concrete channel and compared against the direct
 evaluation.
 """
 
-from secembed import dmc, fm
+from secembed import dmc, fm, regions
 from secembed.dmc import DmcTriple
 
 print("nested-binning constraints:")
@@ -37,5 +37,5 @@ ixz2 = dmc.mi_bits(0.5 * ch.pz2_x)
 region = nested.instantiate({"I_XY": ixy, "I_XZ1": ixz1, "I_XZ2": ixz2})
 direct = dmc.region_point_simple(ch, px)
 print("\ninstantiated at the erasure reference channel (uniform input):")
-print(f"  symbolic region max R2 at R1=0.3: {region.max_r2_at(0.3):.6f}")
+print(f"  symbolic region max R2 at R1=0.3: {regions.max_r2_at(region, 0.3):.6f}")
 print(f"  direct bounds: R1 <= {direct['r1_max']}, R1+R2 <= {direct['sum_max']}")

@@ -23,13 +23,13 @@ print(np.round(dmc.check_degraded(ch, "z2_of_z1").witness, 6))
 candidates = [np.array([q, 1 - q]) for q in np.linspace(0.1, 0.9, 17)]
 rep = dmc.embeddability_report(ch, px_candidates=candidates)
 print(f"\nsearched {len(candidates)} input distributions:")
-print(f"  best sum rate    {rep.best_sum:.6f}")
-print(f"  best R1 there    {rep.best_r1_at_best_sum:.6f}")
-print(f"  embeddable: {rep.embeddable}, perfectly: {rep.perfectly_embeddable}")
+print(f"  best sum rate    {rep['best_sum']:.6f}")
+print(f"  best R1 there    {rep['best_r1_at_best_sum']:.6f}")
+print(f"  embeddable: {rep['embeddable']}, perfectly: {rep['perfectly_embeddable']}")
 
 # an adversarial case: the strong eavesdropper sees exactly what the
 # receiver sees, so no candidate can place the high-security message
 flat = DmcTriple.independent(dmc.bsc_kernel(0.1), dmc.bsc_kernel(0.1),
                              dmc.bsc_kernel(0.3))
 rep = dmc.embeddability_report(flat, px_candidates=candidates)
-print(f"\nstrong eavesdropper = receiver: embeddable={rep.embeddable}")
+print(f"\nstrong eavesdropper = receiver: embeddable={rep['embeddable']}")

@@ -5,8 +5,8 @@ codes for the erasure-eavesdropper setting (:mod:`secembed.coset`),
 Gaussian secrecy capacity regions (:mod:`secembed.gauss`),
 finite-alphabet channels and the nested-binning simulator
 (:mod:`secembed.dmc`, :mod:`secembed.binning`), exact rational
-Fourier-Motzkin elimination (:mod:`secembed.fm`), the shared numeric
-rate-region type (:mod:`secembed.regions`) and a command-line front end
+Fourier-Motzkin elimination (:mod:`secembed.fm`), numeric rate regions
+as plain dicts (:mod:`secembed.regions`) and a command-line front end
 (:mod:`secembed.cli`).
 """
 

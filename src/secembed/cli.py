@@ -17,8 +17,10 @@ error JSON on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -41,18 +43,36 @@ def _emit_json(payload: dict, out: str | None):
 def _emit_report(report: dict, args, rows, header=("R1", "R2")) -> int:
     """The JSON report, then with --csv the table ``rows()`` under ``header``.
 
-    The rows are computed and the CSV opened before the report is printed,
-    so a domain error or a CSV path that cannot be opened prints nothing.
+    With --csv the rows are computed and each file is written to a temporary
+    file in its own directory before any is moved into place and the report
+    printed, so a domain error or a path that cannot be written prints
+    nothing and leaves both destinations as they were.
     """
     if not args.csv:
         _emit_json(report, args.out)
         return 0
-    table = rows()
-    with open(args.csv, "w") as f:
-        _emit_json(report, args.out)
-        f.write(",".join(header) + "\n")
-        for row in table:
-            f.write(",".join(f"{v:.12g}" for v in row) + "\n")
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    files = {args.csv: ",".join(header) + "\n" + "".join(
+        ",".join(f"{v:.12g}" for v in row) + "\n" for row in rows())}
+    if args.out:
+        files[args.out] = text + "\n"
+    written = []  # (temporary, destination): only these temporaries are ours to remove
+    try:
+        for path, content in files.items():
+            path = os.path.realpath(path)  # through a symlink to its target, as open() writes
+            if os.path.isdir(path):  # os.replace would refuse it only after the other is moved
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            with open(f"{path}.{os.getpid()}.tmp", "x") as f:
+                written.append((f.name, path))
+                f.write(content)
+        for temp, path in written:
+            os.replace(temp, path)
+    finally:
+        for temp, _ in written:
+            if os.path.exists(temp):
+                os.remove(temp)
+    if not args.out:
+        print(text)
     return 0
 
 

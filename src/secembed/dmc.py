@@ -19,7 +19,6 @@ __all__ = [
     "DmcTriple",
     "AuxiliaryChain",
     "DegradationResult",
-    "EmbeddabilityReport",
     "entropy_bits",
     "mi_bits",
     "conditional_mi_bits",
@@ -293,60 +292,35 @@ def region_point_full(ch: DmcTriple, aux: AuxiliaryChain) -> dict:
     return {**_rate_point(raw1, raw_sum), "side_condition_ok": bool(iuy >= iuz2 - 1e-12)}
 
 
-@dataclass(frozen=True)
-class EmbeddabilityReport:
-    """Best rate points found over the supplied candidates only.
-
-    This is a search over user-supplied distributions, not a proof of
-    channel-wide optimality: ``embeddable`` certifies a candidate whose
-    sum bound matches the best sum bound found while its R1 bound is
-    positive; ``perfectly_embeddable`` additionally requires the R1
-    bound to match the best R1 bound found anywhere in the candidate
-    set.  ``evaluations`` holds the rate point of each candidate, in order.
-    """
-
-    best_sum: float
-    best_r1_at_best_sum: float
-    best_r1_overall: float
-    embeddable: bool
-    perfectly_embeddable: bool
-    evaluations: tuple
-
-
 _EMBED_TOL = 1e-9  # bound gaps at or below this are read as ties or zero
 
 
-def embeddability_report(ch: DmcTriple, px_candidates=(),
-                         aux_candidates=()) -> EmbeddabilityReport:
-    """Evaluate candidates and report the embedding certificates found.
+def embeddability_report(ch: DmcTriple, px_candidates=(), aux_candidates=()) -> dict:
+    """Best rate points found over the supplied candidates only.
 
-    Auxiliary-chain candidates whose side condition fails are evaluated
-    but excluded from the certificates.
+    A search over user-supplied distributions, not a proof of channel-wide
+    optimality.  Keys: ``best_sum``; the best R1 bounds ``best_r1_at_best_sum``
+    (among candidates tying it) and ``best_r1_overall``; ``embeddable``,
+    whether ``best_sum`` and the tie's R1 bound are positive;
+    ``perfectly_embeddable``, whether the tie's R1 bound also matches the
+    overall best; and ``evaluations``, the list of the candidates' rate
+    points, in order.  Auxiliary chains failing the side condition are
+    evaluated but excluded from the certificates.
     """
-    evals = []
-    usable = []
-    for px in px_candidates:
-        b = region_point_simple(ch, px)
-        evals.append(b)
-        usable.append(b)
-    for aux in aux_candidates:
-        b = region_point_full(ch, aux)
-        evals.append(b)
-        if b["side_condition_ok"]:
-            usable.append(b)
-    if not usable:
-        return EmbeddabilityReport(0.0, 0.0, 0.0, False, False, tuple(evals))
-    best_sum = max(b["sum_max"] for b in usable)
-    at_best = [b for b in usable if b["sum_max"] >= best_sum - _EMBED_TOL]
-    best_r1_at_best_sum = max(b["r1_max"] for b in at_best)
-    best_r1_overall = max(b["r1_max"] for b in usable)
+    evals = [region_point_simple(ch, px) for px in px_candidates]
+    evals += [region_point_full(ch, aux) for aux in aux_candidates]
+    usable = [b for b in evals if b.get("side_condition_ok", True)]
+    best_sum = max((b["sum_max"] for b in usable), default=0.0)
+    best_r1_at_best_sum = max((b["r1_max"] for b in usable
+                               if b["sum_max"] >= best_sum - _EMBED_TOL), default=0.0)
+    best_r1_overall = max((b["r1_max"] for b in usable), default=0.0)
     embeddable = best_sum > _EMBED_TOL and best_r1_at_best_sum > _EMBED_TOL
     perfectly = embeddable and best_r1_at_best_sum >= best_r1_overall - _EMBED_TOL
-    return EmbeddabilityReport(
-        best_sum=best_sum,
-        best_r1_at_best_sum=best_r1_at_best_sum,
-        best_r1_overall=best_r1_overall,
-        embeddable=embeddable,
-        perfectly_embeddable=bool(perfectly),
-        evaluations=tuple(evals),
-    )
+    return {
+        "best_sum": best_sum,
+        "best_r1_at_best_sum": best_r1_at_best_sum,
+        "best_r1_overall": best_r1_overall,
+        "embeddable": embeddable,
+        "perfectly_embeddable": bool(perfectly),
+        "evaluations": evals,
+    }

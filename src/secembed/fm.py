@@ -305,8 +305,8 @@ class LinIneqSystem:
         return self.replace(kept)
 
     def instantiate(self, values: dict):
-        """Bind every constant to a number and return the numeric RateRegion."""
-        from secembed.regions import HalfSpace, RateRegion
+        """Bind every constant to a number and return the numeric region dict."""
+        from secembed import regions
 
         missing = [c for c in self.constants
                    if c not in values and any(iq.coeff(c) != 0 for iq in self.inequalities)]
@@ -320,9 +320,8 @@ class LinIneqSystem:
                 a = iq.coeff(c)
                 if a != 0:
                     shift += a * _q(values[c])
-            halfspaces.append(HalfSpace(coeffs=coeffs, bound=float(-shift),
-                                        strict=iq.strict))
-        return RateRegion(variables=self.variables, halfspaces=tuple(halfspaces))
+            halfspaces.append((coeffs, float(-shift), iq.strict))
+        return regions.region(self.variables, halfspaces)
 
     def structural_inequalities(self) -> tuple:
         """Inequalities other than plain variable nonnegativity."""

@@ -22,13 +22,12 @@ from math import log2
 
 import numpy as np
 
-from secembed.regions import HalfSpace, RateRegion
+from secembed import regions
 
 __all__ = [
     "cs_scalar",
     "ScalarGaussChannel",
     "ParallelGaussChannel",
-    "NaiveRegionResult",
     "region_scalar",
     "naive_region",
     "region_parallel_individual",
@@ -146,56 +145,38 @@ def region_scalar(ch: ScalarGaussChannel) -> dict:
     ``corner_outside_naive`` (None when the separate-coding hull is degenerate).
     """
     naive = naive_region(ch)
-    corner = [naive.cap_high, naive.cap_low - naive.cap_high]
+    cap_high, cap_low = naive["cap_high"], naive["cap_low"]
     return {
         "channel": {"P": ch.power, "a": ch.a, "b1": ch.b1, "b2": ch.b2},
-        "cap_high": naive.cap_high,
-        "cap_low": naive.cap_low,
-        "corner": corner,
-        "naive_degenerate": naive.degenerate,
-        "corner_outside_naive": None if naive.degenerate else naive.hull_violation(corner) > 0,
+        "cap_high": cap_high,
+        "cap_low": cap_low,
+        "corner": [cap_high, cap_low - cap_high],
+        "naive_degenerate": naive["degenerate"],
+        "corner_outside_naive": None if naive["degenerate"] else naive["corner_violation"] > 0,
     }
 
 
-@dataclass(frozen=True)
-class NaiveRegionResult:
-    """Time-sharing region of two separately encoded wiretap codes."""
-
-    cap_high: float
-    cap_low: float
-    region: RateRegion
-    degenerate: bool
-
-    def hull_violation(self, point) -> float:
-        """Positive when the point lies strictly outside the time-sharing hull.
-
-        Defined as R1/cap_high + R2/cap_low - 1 when both capacities are
-        positive; only meaningful in that non-degenerate case.
-        """
-        if self.degenerate:
-            raise ValueError("hull violation undefined for a degenerate naive region")
-        return point[0] / self.cap_high + point[1] / self.cap_low - 1.0
-
-
-def naive_region(ch: ScalarGaussChannel) -> NaiveRegionResult:
+def naive_region(ch: ScalarGaussChannel) -> dict:
     """Separate-encoding benchmark: convex hull of the two single-code endpoints.
 
     With both capacities positive this is {R1/cap_high + R2/cap_low <= 1}
     over nonnegative rates; with either capacity zero it collapses to an
-    axis segment.
+    axis segment, and is ``degenerate``.  Keys: ``cap_high``, ``cap_low``,
+    ``degenerate``, the ``region`` dict and ``corner_violation``, the hull's
+    R1/cap_high + R2/cap_low - 1 at the joint-coding corner
+    [cap_high, cap_low - cap_high]: positive when the corner lies strictly
+    outside the hull, None when the hull is degenerate.
     """
     cap_high = cs_scalar(ch.power, ch.a, ch.b1)
     cap_low = cs_scalar(ch.power, ch.a, ch.b2)
-    nonneg = (HalfSpace((-1.0, 0.0), 0.0), HalfSpace((0.0, -1.0), 0.0))
-    if cap_high > 0 and cap_low > 0:
-        hull = HalfSpace((1.0 / cap_high, 1.0 / cap_low), 1.0)
-        region = RateRegion(("R1", "R2"), (hull,) + nonneg)
-        return NaiveRegionResult(cap_high, cap_low, region, degenerate=False)
-    region = RateRegion(
-        ("R1", "R2"),
-        (HalfSpace((1.0, 0.0), cap_high), HalfSpace((0.0, 1.0), cap_low)) + nonneg,
-    )
-    return NaiveRegionResult(cap_high, cap_low, region, degenerate=True)
+    degenerate = not (cap_high > 0 and cap_low > 0)
+    bounds = ([((1.0, 0.0), cap_high, False), ((0.0, 1.0), cap_low, False)] if degenerate
+              else [((1.0 / cap_high, 1.0 / cap_low), 1.0, False)])
+    nonneg = [((-1.0, 0.0), 0.0, False), ((0.0, -1.0), 0.0, False)]
+    return {"cap_high": cap_high, "cap_low": cap_low, "degenerate": degenerate,
+            "region": regions.region(("R1", "R2"), bounds + nonneg),
+            "corner_violation": None if degenerate
+            else cap_high / cap_high + (cap_low - cap_high) / cap_low - 1.0}
 
 
 def region_parallel_individual(ch: ParallelGaussChannel) -> dict:
@@ -204,7 +185,7 @@ def region_parallel_individual(ch: ParallelGaussChannel) -> dict:
 
     Keys: ``cap_high_sum``, ``cap_low_sum``, the ``corner``
     [cap_high_sum, cap_low_sum - cap_high_sum], ``per_subchannel`` [high, low]
-    pairs and the ``region`` as ``RateRegion.to_dict``.
+    pairs and the ``region`` dict of ``regions.corner_region``.
     """
     if ch.powers is None:
         raise ValueError("per-subchannel region needs fixed per-subchannel powers")
@@ -217,7 +198,7 @@ def region_parallel_individual(ch: ParallelGaussChannel) -> dict:
         "cap_low_sum": cap_low,
         "corner": [cap_high, cap_low - cap_high],
         "per_subchannel": per,
-        "region": RateRegion.from_rate_bounds(cap_high, cap_low).to_dict(),
+        "region": regions.corner_region(cap_high, cap_low),
     }
 
 

@@ -19,12 +19,11 @@ import cli_golden
 import test_coset
 import test_fm
 import test_gauss
-from secembed import binning, coset, dmc, fm, gauss
+from secembed import binning, coset, dmc, fm, gauss, regions
 from secembed.cli import main
 from secembed.coset import WiretapIIParams
 from secembed.dmc import DmcTriple
 from secembed.gauss import ParallelGaussChannel, ScalarGaussChannel
-from secembed.regions import RateRegion
 
 
 def acceptance_line(idx, ok, detail) -> str:
@@ -99,9 +98,9 @@ def criterion_3_line() -> tuple[bool, str]:
     res = gauss.region_scalar(ch)
     naive = gauss.naive_region(ch)
     corner = res["corner"]
-    region = RateRegion.from_rate_bounds(res["cap_high"], res["cap_low"])
-    inside = region.contains(corner, tol=1e-12)
-    margin = naive.hull_violation(corner)
+    region = regions.corner_region(res["cap_high"], res["cap_low"])
+    inside = regions.contains(region, corner)
+    margin = naive["corner_violation"]
     ok = inside and margin > 1e-9
     return ok, acceptance_line(
         3, ok, f"corner=({corner[0]:.6f},{corner[1]:.6f}) in region; "
@@ -212,9 +211,10 @@ def criterion_7_line() -> tuple[bool, str]:
         ixz2 = dmc.mi_bits(px[:, None] * ch.pz2_x)
         region = shape.instantiate({"I_XY": ixy, "I_XZ1": ixz1, "I_XZ2": ixz2})
         by_coeffs = {}
-        for hs in region.halfspaces:
-            cur = by_coeffs.get(hs.coeffs)
-            by_coeffs[hs.coeffs] = hs.bound if cur is None else min(cur, hs.bound)
+        for hs in region["halfspaces"]:
+            coeffs = tuple(hs["coeffs"])
+            cur = by_coeffs.get(coeffs)
+            by_coeffs[coeffs] = hs["bound"] if cur is None else min(cur, hs["bound"])
         worst_box = max(worst_box,
                         abs(max(by_coeffs[(1.0, 0.0)], 0.0) - bounds["r1_max"]),
                         abs(max(by_coeffs[(1.0, 1.0)], 0.0) - bounds["sum_max"]),

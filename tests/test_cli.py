@@ -86,6 +86,22 @@ def test_unopenable_csv_prints_no_result(tmp_path, capsys, argv):
     assert json.loads(err)["error"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("argv", CSV_VERBS.values(), ids=CSV_VERBS.keys())
+def test_unopenable_out_leaves_the_csv_as_it_was(tmp_path, capsys, argv):
+    # each file is written in full before either is moved into place
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"0123456789")
+    (tmp_path / "adir").mkdir()
+    for bad, error in [("nodir/x.json", "FileNotFoundError"), ("adir", "IsADirectoryError")]:
+        for csv in (tmp_path / "new.csv", old):
+            code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / bad),
+                                     "--csv", str(csv))
+            assert code == 1 and not out and err.count("\n") == 1
+            assert json.loads(err)["error"] == error
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "old.csv"]
+    assert old.read_bytes() == b"0123456789"
+
+
 # b1 = b2 puts the corner on the separate-coding hull; b1 > a leaves no
 # high-security rate, so that hull is an axis segment.
 @pytest.mark.parametrize("b1, b2, degenerate, outside", [
@@ -841,8 +857,6 @@ DEFAULTS_TABLE = {
     "fm.LinIneqSystem.simplify_with_assumptions": {"assumptions": "()"},
     "gauss.ParallelGaussChannel": {"powers": "None", "total_power": "None"},
     "gf2.bit_array": {"what": "'matrix'"},
-    "regions.HalfSpace": {"strict": "False"},
-    "regions.RateRegion.contains": {"tol": "1e-12"},
 }
 
 
@@ -883,6 +897,21 @@ def test_no_unused_import_in_src():
                 unused += [f"{path.name}: {alias.name}" for alias in node.names
                            if (alias.asname or alias.name.split(".")[0]) not in names]
     assert not unused
+
+
+def test_all_lists_the_public_functions_and_classes():
+    # constants such as coset.ERASURE may be listed too, but every listed name must exist
+    def defined(obj):
+        return inspect.isfunction(obj) or inspect.isclass(obj)
+
+    for info in pkgutil.iter_modules(secembed.__path__):
+        if info.name == "cli":
+            continue
+        module = importlib.import_module(f"secembed.{info.name}")
+        listed = {name for name in module.__all__ if defined(getattr(module, name))}
+        public = {name for name, obj in vars(module).items() if not name.startswith("_")
+                  and defined(obj) and obj.__module__ == module.__name__}
+        assert listed == public, info.name
 
 
 def test_importing_gf2_loads_no_other_module():

@@ -170,11 +170,11 @@ def test_embeddability_report_discretized_gaussian_like():
                                dmc.bsc_kernel(0.45))
     candidates = [np.array([q, 1 - q]) for q in np.linspace(0.05, 0.95, 19)]
     rep = dmc.embeddability_report(ch, px_candidates=candidates)
-    assert rep.embeddable
-    assert rep.perfectly_embeddable
+    assert rep["embeddable"]
+    assert rep["perfectly_embeddable"]
     uniform = dmc.region_point_simple(ch, [0.5, 0.5])
-    assert rep.best_sum == pytest.approx(uniform["sum_max"], abs=1e-12)
-    assert rep.best_r1_at_best_sum == pytest.approx(uniform["r1_max"], abs=1e-12)
+    assert rep["best_sum"] == pytest.approx(uniform["sum_max"], abs=1e-12)
+    assert rep["best_r1_at_best_sum"] == pytest.approx(uniform["r1_max"], abs=1e-12)
 
 
 def quantized_gaussian_triple(a, b1, b2, n_in=41, n_out=81, span=4.5):
@@ -217,8 +217,8 @@ def test_embeddability_discretized_gaussian_matches_closed_form():
     # perfect embedding, as the scalar Gaussian region predicts
     rep = dmc.embeddability_report(
         triple, px_candidates=[px(p) for p in (0.25, 0.5, 1.0)])
-    assert rep.embeddable and rep.perfectly_embeddable
-    assert rep.best_sum == pytest.approx(full_power["sum_max"], abs=1e-12)
+    assert rep["embeddable"] and rep["perfectly_embeddable"]
+    assert rep["best_sum"] == pytest.approx(full_power["sum_max"], abs=1e-12)
 
 
 def test_embeddability_report_strong_equals_y_blocks_r1():
@@ -226,8 +226,8 @@ def test_embeddability_report_strong_equals_y_blocks_r1():
                                dmc.bsc_kernel(0.3))
     candidates = [np.array([q, 1 - q]) for q in np.linspace(0.1, 0.9, 9)]
     rep = dmc.embeddability_report(ch, px_candidates=candidates)
-    assert not rep.embeddable
-    assert rep.best_r1_overall == pytest.approx(0.0, abs=1e-12)
+    assert not rep["embeddable"]
+    assert rep["best_r1_overall"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_embeddability_report_excludes_chains_failing_the_side_condition():
@@ -244,19 +244,19 @@ def test_embeddability_report_excludes_chains_failing_the_side_condition():
                            px_v=np.eye(4))
     uniform = dmc.region_point_simple(ch, [0.25] * 4)
     rep = dmc.embeddability_report(ch, px_candidates=[[0.25] * 4], aux_candidates=[chain])
-    assert rep.evaluations == (uniform, dmc.region_point_full(ch, chain))
-    assert rep.evaluations[1]["side_condition_ok"] is False
-    assert rep.evaluations[1]["r1_max"] == pytest.approx(1.0, abs=1e-12)
-    assert rep.best_r1_overall == uniform["r1_max"] == pytest.approx(0.531004406, abs=1e-9)
-    assert rep.best_sum == uniform["sum_max"]
-    assert rep.perfectly_embeddable
+    assert rep["evaluations"] == [uniform, dmc.region_point_full(ch, chain)]
+    assert rep["evaluations"][1]["side_condition_ok"] is False
+    assert rep["evaluations"][1]["r1_max"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["best_r1_overall"] == uniform["r1_max"] == pytest.approx(0.531004406, abs=1e-9)
+    assert rep["best_sum"] == uniform["sum_max"]
+    assert rep["perfectly_embeddable"]
 
 
 def test_embeddability_report_empty():
     rng = np.random.default_rng(2)
     rep = dmc.embeddability_report(random_triple(rng))
-    assert not rep.embeddable and not rep.perfectly_embeddable
-    assert rep.evaluations == ()
+    assert not rep["embeddable"] and not rep["perfectly_embeddable"]
+    assert rep["evaluations"] == []
 
 
 def test_channel_dict_roundtrip():

@@ -5,15 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from secembed import gauss
+from secembed import gauss, regions
 from secembed.cli import main
 from secembed.gauss import ParallelGaussChannel, ScalarGaussChannel
-from secembed.regions import RateRegion
 
 
-def corner_region(report, high="cap_high", low="cap_low") -> RateRegion:
+def corner_region(report, high="cap_high", low="cap_low") -> dict:
     """{R1 <= report[high], R1 + R2 <= report[low]}, the region a fixed-power report names."""
-    return RateRegion.from_rate_bounds(report[high], report[low])
+    return regions.corner_region(report[high], report[low])
 
 
 def pooled_contains(frontier, report, point, tol=1e-9) -> bool:
@@ -90,33 +89,33 @@ def test_region_scalar_degenerate_orders():
     # both eavesdroppers at least as strong as the legitimate receiver
     res = gauss.region_scalar(ScalarGaussChannel(1.0, 0.5, 1.0, 0.8))
     assert res["cap_high"] == res["cap_low"] == 0.0
-    assert corner_region(res).contains((0.0, 0.0))
-    assert not corner_region(res).contains((0.01, 0.0))
+    assert regions.contains(corner_region(res), (0.0, 0.0))
+    assert not regions.contains(corner_region(res), (0.01, 0.0))
     # strong above, weak below: only the low-security rate survives
     res = gauss.region_scalar(ScalarGaussChannel(1.0, 1.0, 1.5, 0.1))
     assert res["cap_high"] == 0.0 and res["cap_low"] > 0
     assert res["corner"][0] == 0.0
-    assert corner_region(res).contains((0.0, res["cap_low"]))
-    assert not corner_region(res).contains((1e-6, res["cap_low"]))
+    assert regions.contains(corner_region(res), (0.0, res["cap_low"]))
+    assert not regions.contains(corner_region(res), (1e-6, res["cap_low"]))
 
 
 def test_region_scalar_corner_inside_region():
     res = gauss.region_scalar(ScalarGaussChannel(1.0, 1.0, 0.5, 0.1))
     corner = res["corner"]
     assert corner == [pytest.approx(0.207518749639422), pytest.approx(0.2237294884856105)]
-    assert corner_region(res).contains(corner, tol=1e-12)
-    assert not corner_region(res).contains((corner[0] + 1e-9, corner[1]))
+    assert regions.contains(corner_region(res), corner)
+    assert not regions.contains(corner_region(res), (corner[0] + 1e-9, corner[1]))
 
 
 def test_naive_region_endpoints_and_violation():
     ch = ScalarGaussChannel(1.0, 1.0, 0.5, 0.1)
     res = gauss.region_scalar(ch)
     naive = gauss.naive_region(ch)
-    assert not naive.degenerate
-    assert naive.region.contains((naive.cap_high, 0.0), tol=1e-12)
-    assert naive.region.contains((0.0, naive.cap_low), tol=1e-12)
+    assert not naive["degenerate"]
+    assert regions.contains(naive["region"], (naive["cap_high"], 0.0))
+    assert regions.contains(naive["region"], (0.0, naive["cap_low"]))
     # the joint-coding corner strictly violates the time-sharing hull
-    violation = naive.hull_violation(res["corner"])
+    violation = naive["corner_violation"]
     assert violation > 1e-9
     # algebraic form: c1/c1 + (c2-c1)/c2 - 1 = (c2-c1)/c2 > 0 iff c2 > c1
     want = (res["cap_low"] - res["cap_high"]) / res["cap_low"]
@@ -129,18 +128,17 @@ def test_naive_region_coincides_when_eavesdroppers_match():
     naive = gauss.naive_region(ch)
     grid = np.linspace(0, res["cap_low"], 40)
     for r1 in grid:
-        full = corner_region(res).max_r2_at(float(r1))
-        hull = naive.region.max_r2_at(float(r1))
+        full = regions.max_r2_at(corner_region(res), float(r1))
+        hull = regions.max_r2_at(naive["region"], float(r1))
         assert full == pytest.approx(hull, abs=1e-12)
 
 
 def test_naive_region_degenerate():
     naive = gauss.naive_region(ScalarGaussChannel(1.0, 1.0, 1.5, 0.1))
-    assert naive.degenerate
-    assert naive.region.contains((0.0, naive.cap_low))
-    assert not naive.region.contains((0.01, 0.0))
-    with pytest.raises(ValueError):
-        naive.hull_violation((0.0, 0.0))
+    assert naive["degenerate"]
+    assert regions.contains(naive["region"], (0.0, naive["cap_low"]))
+    assert not regions.contains(naive["region"], (0.01, 0.0))
+    assert naive["corner_violation"] is None
 
 
 def test_parallel_individual_single_subchannel_reduces_to_scalar():
@@ -149,7 +147,7 @@ def test_parallel_individual_single_subchannel_reduces_to_scalar():
     sca = gauss.region_scalar(ScalarGaussChannel(1.0, 1.0, 0.5, 0.1))
     assert par["cap_high_sum"] == pytest.approx(sca["cap_high"], abs=1e-15)
     assert par["cap_low_sum"] == pytest.approx(sca["cap_low"], abs=1e-15)
-    assert par["region"] == corner_region(sca).to_dict()
+    assert par["region"] == corner_region(sca)
 
 
 def test_parallel_individual_additivity_and_corner():
@@ -162,8 +160,8 @@ def test_parallel_individual_additivity_and_corner():
     assert par["cap_low_sum"] == pytest.approx(want_low, abs=1e-15)
     # every fixed allocation is perfectly embeddable: corner lies in the region
     region = corner_region(par, "cap_high_sum", "cap_low_sum")
-    assert par["region"] == region.to_dict()
-    assert region.contains(par["corner"], tol=1e-12)
+    assert par["region"] == region
+    assert regions.contains(region, par["corner"])
 
 
 def test_parallel_individual_zero_high_when_b1_matches_a():
@@ -183,7 +181,7 @@ def test_parallel_total_single_subchannel_matches_scalar_boundary():
     assert r["max_sum"] == pytest.approx(sca["cap_low"], abs=1e-12)
     for r1 in np.linspace(0, sca["cap_high"], 23):
         r2 = max(float(gauss._sum_rate_at(front, r["max_sum"], float(r1))) - r1, 0.0)
-        assert r2 == pytest.approx(corner_region(sca).max_r2_at(float(r1)), abs=1e-9)
+        assert r2 == pytest.approx(regions.max_r2_at(corner_region(sca), float(r1)), abs=1e-9)
 
 
 def test_parallel_total_symmetric_subchannels_split_evenly():
@@ -249,8 +247,8 @@ def test_boundary_points_one_vertex_frontier_is_the_corner_region(b1, b2):
     assert pts[0, 0] == 0.0 and pts[-1, 0] == high
     for r1, r2 in pts:
         assert r2 == max(low - r1, 0.0)
-        assert r2 == pytest.approx(corner_region(res).max_r2_at(r1), abs=1e-15)
-        assert corner_region(res).contains((r1, r2))
+        assert r2 == pytest.approx(regions.max_r2_at(corner_region(res), r1), abs=1e-15)
+        assert regions.contains(corner_region(res), (r1, r2))
 
 
 def test_boundary_points_r1_extent_is_explicit():
