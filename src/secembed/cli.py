@@ -17,10 +17,10 @@ error JSON on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -28,10 +28,31 @@ import numpy as np
 from secembed import binning, coset, dmc, fm, gauss
 
 
+def _write(files) -> None:
+    """Write each (path, text) pair in place once every path is open, so a
+    path that cannot be opened leaves every destination as it was."""
+    opened = []  # (file, path created here or None, text)
+    try:
+        for path, text in files:
+            new = None if os.path.exists(path) else path
+            opened.append((open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w"), new, text))
+    except OSError:
+        for f, new, _ in opened:
+            f.close()
+            if new:
+                os.remove(os.path.realpath(new))  # a dangling symlink keeps its link
+        raise
+    for f, new, text in opened:
+        with f:
+            # a device or FIFO is not truncated, nor a file created empty above
+            if not new and stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate(0)
+            f.write(text)
+
+
 def _emit_text(text: str, out: str | None):
     if out:
-        with open(out, "w") as f:
-            f.write(text + "\n")
+        _write([(out, text + "\n")])
     else:
         print(text)
 
@@ -43,34 +64,18 @@ def _emit_json(payload: dict, out: str | None):
 def _emit_report(report: dict, args, rows, header=("R1", "R2")) -> int:
     """The JSON report, then with --csv the table ``rows()`` under ``header``.
 
-    With --csv the rows are computed and each file is written to a temporary
-    file in its own directory before any is moved into place and the report
-    printed, so a domain error or a path that cannot be written prints
-    nothing and leaves both destinations as they were.
+    The rows are computed and every destination opened before anything is
+    written or printed, so a domain error or a path that cannot be opened
+    prints nothing and leaves every destination as it was.
     """
-    if not args.csv:
-        _emit_json(report, args.out)
-        return 0
+    if args.csv and args.out and os.path.realpath(args.csv) == os.path.realpath(args.out):
+        raise ValueError("--out and --csv name the same file")
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-    files = {args.csv: ",".join(header) + "\n" + "".join(
-        ",".join(f"{v:.12g}" for v in row) + "\n" for row in rows())}
-    if args.out:
-        files[args.out] = text + "\n"
-    written = []  # (temporary, destination): only these temporaries are ours to remove
-    try:
-        for path, content in files.items():
-            path = os.path.realpath(path)  # through a symlink to its target, as open() writes
-            if os.path.isdir(path):  # os.replace would refuse it only after the other is moved
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            with open(f"{path}.{os.getpid()}.tmp", "x") as f:
-                written.append((f.name, path))
-                f.write(content)
-        for temp, path in written:
-            os.replace(temp, path)
-    finally:
-        for temp, _ in written:
-            if os.path.exists(temp):
-                os.remove(temp)
+    files = [(args.out, text + "\n")] if args.out else []
+    if args.csv:
+        files.append((args.csv, ",".join(header) + "\n" + "".join(
+            ",".join(f"{v:.12g}" for v in row) + "\n" for row in rows())))
+    _write(files)
     if not args.out:
         print(text)
     return 0

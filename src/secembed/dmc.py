@@ -316,11 +316,6 @@ def embeddability_report(ch: DmcTriple, px_candidates=(), aux_candidates=()) -> 
     best_r1_overall = max((b["r1_max"] for b in usable), default=0.0)
     embeddable = best_sum > _EMBED_TOL and best_r1_at_best_sum > _EMBED_TOL
     perfectly = embeddable and best_r1_at_best_sum >= best_r1_overall - _EMBED_TOL
-    return {
-        "best_sum": best_sum,
-        "best_r1_at_best_sum": best_r1_at_best_sum,
-        "best_r1_overall": best_r1_overall,
-        "embeddable": embeddable,
-        "perfectly_embeddable": bool(perfectly),
-        "evaluations": evals,
-    }
+    return {"best_sum": best_sum, "best_r1_at_best_sum": best_r1_at_best_sum,
+            "best_r1_overall": best_r1_overall, "embeddable": embeddable,
+            "perfectly_embeddable": bool(perfectly), "evaluations": evals}

@@ -312,17 +312,16 @@ def min_rank_over_column_subsets(m, size: int) -> int:
     ub = min(size, full)
     if lb == ub:
         return lb
-    # Either side answers top - r, so the smaller top grows fewer levels; the
-    # row side, (top, dim) = (full, full), wins ties.  Each row comes with a
-    # bit no other row of its side has: its pivot, or the free column of a
-    # kernel row.
-    sides = [side for side in [(full, full), (size, n - full)] if (1 << side[1]) - 1 <= NODE_LIMIT]
+    # Either side answers top - r, so the smaller top grows fewer levels; only
+    # the side searched builds its rows.  Each row comes with a bit no other
+    # row of its side has: its pivot, or the free column of a kernel row.
+    sides = [(full, full, lambda: (list(basis.values()), list(basis), n - size)),
+             (size, n - full, lambda: (_kernel_rows(basis, n), _free_bits(basis, n), size))]
+    sides = [side for side in sides if (1 << side[1]) - 1 <= NODE_LIMIT]
     if not sides:
         raise BudgetExceededError(NODE_LIMIT, lb, ub)
-    if min(sides) == (full, full):
-        top, rows, private, bound = full, list(basis.values()), list(basis), n - size
-    else:
-        top, rows, private, bound = size, _kernel_rows(basis, n), _free_bits(basis, n), size
+    top, _, build = min(sides, key=lambda side: side[:2])
+    rows, private, bound = build()
     nodes = (1 << len(rows)) - 1
     # Each word of the span of rows[12:] shifts the whole span of rows[:12] once.
     low = _span(rows[:12], np.uint64 if n <= 64 else object)

@@ -88,7 +88,7 @@ def test_unopenable_csv_prints_no_result(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", CSV_VERBS.values(), ids=CSV_VERBS.keys())
 def test_unopenable_out_leaves_the_csv_as_it_was(tmp_path, capsys, argv):
-    # each file is written in full before either is moved into place
+    # every destination is opened before either is written
     old = tmp_path / "old.csv"
     old.write_bytes(b"0123456789")
     (tmp_path / "adir").mkdir()
@@ -100,6 +100,28 @@ def test_unopenable_out_leaves_the_csv_as_it_was(tmp_path, capsys, argv):
             assert json.loads(err)["error"] == error
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "old.csv"]
     assert old.read_bytes() == b"0123456789"
+
+
+@pytest.mark.parametrize("argv", CSV_VERBS.values(), ids=CSV_VERBS.keys())
+def test_csv_destinations_are_written_in_place(tmp_path, capsys, argv):
+    # an existing file keeps its inode, and a device is written, not replaced
+    csv, report = tmp_path / "r.csv", tmp_path / "r.json"
+    csv.write_text("old contents, longer than nothing\n")
+    inode = csv.stat().st_ino
+    code, out, err = run_cli(capsys, *argv, "--out", os.devnull, "--csv", str(csv))
+    assert code == 0 and not out and not err
+    assert csv.stat().st_ino == inode and csv.read_text().startswith(("R1,R2\n", "n,"))
+    code, out, err = run_cli(capsys, *argv, "--out", str(report), "--csv", os.devnull)
+    assert code == 0 and not out and not err and json.loads(report.read_text())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
+
+
+def test_same_out_and_csv_is_domain_error(tmp_path, capsys):
+    (tmp_path / "sub").mkdir()
+    code, out, err = run_cli(capsys, *CSV_VERBS["scalar"], "--out", str(tmp_path / "same.txt"),
+                             "--csv", str(tmp_path / "sub" / ".." / "same.txt"))
+    assert code == 1 and not out and json.loads(err)["error"] == "ValueError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
 
 # b1 = b2 puts the corner on the separate-coding hull; b1 > a leaves no
