@@ -50,30 +50,22 @@ def _write(files) -> None:
             f.write(text)
 
 
-def _emit_text(text: str, out: str | None):
-    if out:
-        _write([(out, text + "\n")])
-    else:
-        print(text)
+def _emit(args, report, rows=None, header=("R1", "R2")) -> int:
+    """Print the report, or write it to --out: a str as it is, a dict as sorted JSON.
 
-
-def _emit_json(payload: dict, out: str | None):
-    _emit_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False), out)
-
-
-def _emit_report(report: dict, args, rows, header=("R1", "R2")) -> int:
-    """The JSON report, then with --csv the table ``rows()`` under ``header``.
-
-    The rows are computed and every destination opened before anything is
-    written or printed, so a domain error or a path that cannot be opened
-    prints nothing and leaves every destination as it was.
+    When ``rows`` is given, --csv also takes the table ``rows()`` under
+    ``header``.  The rows are computed and every destination opened before
+    anything is written or printed, so a domain error or a path that cannot
+    be opened prints nothing and leaves every destination as it was.
     """
-    if args.csv and args.out and os.path.realpath(args.csv) == os.path.realpath(args.out):
+    csv = rows is not None and args.csv
+    if csv and args.out and os.path.realpath(csv) == os.path.realpath(args.out):
         raise ValueError("--out and --csv name the same file")
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    text = report if isinstance(report, str) else json.dumps(
+        report, sort_keys=True, indent=2, allow_nan=False)
     files = [(args.out, text + "\n")] if args.out else []
-    if args.csv:
-        files.append((args.csv, ",".join(header) + "\n" + "".join(
+    if csv:
+        files.append((csv, ",".join(header) + "\n" + "".join(
             ",".join(f"{v:.12g}" for v in row) + "\n" for row in rows())))
     _write(files)
     if not args.out:
@@ -104,7 +96,7 @@ def _check_points(args):
 def _emit_corner_report(report: dict, high: str, low: str, args) -> int:
     """The report, then with --csv the boundary of {R1 <= report[high], R1 + R2 <= report[low]}."""
     cap_high, cap_low = report[high], report[low]
-    return _emit_report(report, args, lambda: gauss.boundary_points(
+    return _emit(args, report, lambda: gauss.boundary_points(
         [(cap_high, cap_low)], cap_high, cap_low, args.points))
 
 
@@ -144,7 +136,7 @@ def _cmd_region_parallel_total(args) -> int:
     if not args.grid > 0:
         raise ValueError("grid resolution must be positive")
     report = gauss.region_parallel_total(ch)
-    return _emit_report(report, args, lambda: gauss.boundary_points(  # traced only for --csv
+    return _emit(args, report, lambda: gauss.boundary_points(  # traced only for --csv
         gauss.pooled_frontier(ch, report), report["max_r1"], report["max_sum"], gauss.N_BOUNDARY))
 
 
@@ -156,8 +148,7 @@ def _wiretap_params(args) -> coset.WiretapIIParams:
 def _cmd_code_construct(args) -> int:
     _check_seed(args)
     code = coset.construct(_wiretap_params(args), seed=args.seed)
-    _emit_json(code.to_bundle(seed=args.seed), args.out)
-    return 0
+    return _emit(args, code.to_bundle(seed=args.seed))
 
 
 def _cmd_code_audit(args) -> int:
@@ -165,14 +156,12 @@ def _cmd_code_audit(args) -> int:
         bundle = json.load(f)
     code = coset.CosetCodePair.from_bundle(bundle)
     report = coset.audit_code(code)
-    _emit_json(report, args.out)
+    _emit(args, report)
     return 0 if report["pass"] else 1
 
 
 def _cmd_code_bound(args) -> int:
-    _emit_json(coset.union_bound_report(_wiretap_params(args), exact_counts=args.exact),
-               args.out)
-    return 0
+    return _emit(args, coset.union_bound_report(_wiretap_params(args), exact_counts=args.exact))
 
 
 def _load_channel(args) -> dmc.DmcTriple:
@@ -207,8 +196,8 @@ def _cmd_sim_dmc(args) -> int:
     payload = {"seed": args.seed, "runs": reports} if len(reports) > 1 else reports[0]
     keys = ("n", "error_rate", "normalized_leak_m1_strong", "normalized_leak_messages_weak")
     rows = [[float("nan") if r[k] is None else r[k] for k in keys] for r in reports]
-    return _emit_report(payload, args, lambda: rows,
-                        ("n", "error_rate", "leak_m1_strong", "leak_messages_weak"))
+    return _emit(args, payload, lambda: rows,
+                 ("n", "error_rate", "leak_m1_strong", "leak_messages_weak"))
 
 
 def _cmd_dmc_region_point(args) -> int:
@@ -221,13 +210,16 @@ def _cmd_dmc_region_point(args) -> int:
         with open(args.aux) as f:
             spec = json.load(f)
         keys = ("pu", "pv_u", "px_v")
-        if not isinstance(spec, dict) or any(
-                np.asarray(spec.get(k)).dtype.kind not in "iuf" for k in keys):
+        try:  # numpy rejects a ragged list with a ValueError of its own
+            numeric = isinstance(spec, dict) and all(
+                np.asarray(spec.get(k)).dtype.kind in "iuf" for k in keys)
+        except ValueError:
+            numeric = False
+        if not numeric:
             raise ValueError("--aux must hold a JSON object with pu, pv_u, px_v")
         aux = dmc.AuxiliaryChain(*(np.asarray(spec[k], dtype=float) for k in keys))
         bounds = dmc.region_point_full(ch, aux)
-    _emit_json(bounds, args.out)
-    return 0
+    return _emit(args, bounds)
 
 
 _FM_PRESETS = {
@@ -239,11 +231,7 @@ _FM_PRESETS = {
 def _cmd_fm_derive(args) -> int:
     derive, aliases = _FM_PRESETS[args.preset]
     region = derive()
-    if args.json:
-        _emit_json(region.to_dict(), args.out)
-    else:
-        _emit_text(region.pretty(aliases=aliases), args.out)
-    return 0
+    return _emit(args, region.to_dict() if args.json else region.pretty(aliases=aliases))
 
 
 def _options(**flags) -> argparse.ArgumentParser:

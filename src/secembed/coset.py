@@ -355,11 +355,15 @@ def construct(params: WiretapIIParams, seed: int) -> CosetCodePair:
     (both vacuous when negative, as happens at small n).  Attempt i uses
     the seed stream (seed, i), so results are identical no matter how
     attempts are scheduled; the accepted attempt is the lowest index.
-    After MAX_ATTEMPTS draws it raises ConstructionExhaustedError.
+    After MAX_ATTEMPTS draws it raises ConstructionExhaustedError.  A
+    certificate whose search cannot start within gf2.NODE_LIMIT raises
+    BudgetExceededError before the first draw, d1 checked first.
     """
     if params.eps <= 0:
         raise ValueError("construct requires eps > 0")
     rows = params.k1 + params.k2
+    for k, size in ((params.k1, params.n - params.n_alpha1), (rows, params.n - params.n_alpha2)):
+        gf2._bracket(params.n, k, size)
     for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         h = gf2.random_matrix(rows, params.n, rng)

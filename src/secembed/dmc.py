@@ -172,6 +172,8 @@ class AuxiliaryChain:
     px_v: np.ndarray
 
     def __post_init__(self):
+        if np.ndim(self.pu) != 1:
+            raise ValueError("p(u) must be a 1-D vector")
         pu = _check_distribution(self.pu, "p(u)", sum_tol=1e-12)
         pv_u = np.asarray(self.pv_u, dtype=float)
         px_v = np.asarray(self.px_v, dtype=float)

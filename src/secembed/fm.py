@@ -1,13 +1,13 @@
 """Exact Fourier-Motzkin elimination over symbolic rate inequalities.
 
 Systems mix eliminable rate variables (message and randomness rates)
-with opaque constant symbols (mutual-information placeholders, assumed
-nonnegative unless declared otherwise).  Coefficients are exact
-rationals, and strictness is tracked through elimination: combining a
-strict bound with a non-strict one yields a strict consequence.  The
-closure step sets the slack symbol to zero and relaxes strict
-inequalities to weak ones, mirroring the limit that turns achievability
-constraints into a closed rate region.
+with opaque constant symbols (mutual-information placeholders, every
+one nonnegative).  Coefficients are exact rationals, and strictness is
+tracked through elimination: combining a strict bound with a non-strict
+one yields a strict consequence.  The closure step sets the slack
+symbol to zero and relaxes strict inequalities to weak ones, mirroring
+the limit that turns achievability constraints into a closed rate
+region.
 
 Every inequality is built in one canonical form: zero terms dropped,
 terms sorted by symbol, and the whole scaled by the unique positive
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -63,14 +63,18 @@ def _q(x) -> int | Fraction:
 
 @dataclass(frozen=True)
 class LinIneq:
-    """sum(coeff * symbol) + const  <=  0   (or < 0 when strict), as coprime ints."""
+    """sum(coeff * symbol) + const  <=  0   (or < 0 when strict), as coprime ints.
+
+    terms is given as a {symbol: coeff} map or (symbol, coeff) pairs and
+    stored as sorted pairs.
+    """
 
     terms: tuple
-    const: int
+    const: int = 0
     strict: bool = False
 
     def __post_init__(self):
-        terms = sorted((s, _q(c)) for s, c in self.terms)
+        terms = sorted((s, _q(c)) for s, c in dict(self.terms).items())
         terms = [(s, c) for s, c in terms if c]
         values = [c for _, c in terms] + [_q(self.const)]
         den = lcm(*(v.denominator for v in values))
@@ -81,16 +85,12 @@ class LinIneq:
         object.__setattr__(self, "const", nums[-1])
 
     @classmethod
-    def make(cls, coeffs, const=0, strict=False) -> "LinIneq":
-        return cls(terms=tuple(dict(coeffs).items()), const=const, strict=strict)
-
-    @classmethod
-    def at_most(cls, lhs, rhs, const=0, strict=False) -> "LinIneq":
-        """lhs <= rhs + const, both sides as {symbol: coeff} maps."""
+    def at_most(cls, lhs, rhs, strict=False) -> "LinIneq":
+        """lhs <= rhs, both sides as {symbol: coeff} maps."""
         coeffs = dict(lhs)
         for s, c in dict(rhs).items():
             coeffs[s] = _q(coeffs.get(s, 0)) - _q(c)
-        return cls.make(coeffs, const=-_q(const), strict=strict)
+        return cls(coeffs, strict=strict)
 
     def coeff(self, symbol) -> int:
         for s, c in self.terms:
@@ -112,10 +112,9 @@ class LinIneq:
         return self.const > 0 or (self.const == 0 and self.strict)
 
     def negation(self) -> "LinIneq":
-        return LinIneq.make({s: -c for s, c in self.terms}, const=-self.const,
-                            strict=not self.strict)
+        return LinIneq({s: -c for s, c in self.terms}, -self.const, not self.strict)
 
-    def render(self, variables=()) -> str:
+    def render(self, variables) -> str:
         """Human form: variable terms on the left, the rest on the right.
 
         A pure lower bound (every variable coefficient negative) is
@@ -124,8 +123,7 @@ class LinIneq:
         var_set = set(variables)
         flip = any(s in var_set for s, _ in self.terms) and all(
             c < 0 for s, c in self.terms if s in var_set)
-        ineq = LinIneq.make({s: -c for s, c in self.terms}, const=-self.const,
-                            strict=self.strict) if flip else self
+        ineq = LinIneq({s: -c for s, c in self.terms}, -self.const, self.strict) if flip else self
         lhs = [(s, c) for s, c in ineq.terms if s in var_set]
         rhs = [(s, -c) for s, c in ineq.terms if s not in var_set]
         rhs_const = -ineq.const
@@ -197,39 +195,27 @@ def _fm_step(ineqs, var) -> tuple:
             coeffs = {s: a_up * c for s, c in lo.terms}
             for s, c in up.terms:
                 coeffs[s] = coeffs.get(s, 0) + a_lo * c
-            combos.append(LinIneq(terms=tuple(coeffs.items()),
-                                  const=a_up * lo.const + a_lo * up.const,
-                                  strict=lo.strict or up.strict))
+            combos.append(LinIneq(coeffs, a_up * lo.const + a_lo * up.const,
+                                  lo.strict or up.strict))
     return _prune(rest + combos)
 
 
 @dataclass(frozen=True)
 class LinIneqSystem:
-    """Inequality system over declared rate variables and constant symbols."""
+    """Inequality system over declared rate variables and nonnegative constant symbols."""
 
     variables: tuple
     constants: tuple
     inequalities: tuple
-    nonneg_constants: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        for name in ("variables", "constants", "inequalities"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         declared = set(self.variables) | set(self.constants)
         for iq in self.inequalities:
             loose = iq.symbols() - declared
             if loose:
                 raise ValueError(f"undeclared symbols in inequality: {sorted(loose)}")
-        if not set(self.nonneg_constants) <= set(self.constants):
-            raise ValueError("nonneg_constants must be declared constants")
-
-    @classmethod
-    def build(cls, variables, constants, inequalities,
-              nonneg_constants=None) -> "LinIneqSystem":
-        nn = frozenset(constants if nonneg_constants is None else nonneg_constants)
-        return cls(variables=tuple(variables), constants=tuple(constants),
-                   inequalities=tuple(inequalities), nonneg_constants=nn)
-
-    def replace(self, inequalities) -> "LinIneqSystem":
-        return dataclasses.replace(self, inequalities=tuple(inequalities))
 
     def eliminate(self, var: str) -> "LinIneqSystem":
         """Project away one variable by combining its lower and upper bounds.
@@ -246,26 +232,23 @@ class LinIneqSystem:
 
     def relax_closure(self, slack_symbol=None) -> "LinIneqSystem":
         """Take the vanishing-slack limit: slack := 0, strict becomes weak."""
-        weak = [LinIneq(terms=tuple((s, c) for s, c in iq.terms if s != slack_symbol),
-                        const=iq.const) for iq in self.inequalities]
+        weak = [LinIneq([(s, c) for s, c in iq.terms if s != slack_symbol], iq.const)
+                for iq in self.inequalities]
         return LinIneqSystem(
-            variables=tuple(v for v in self.variables if v != slack_symbol),
-            constants=tuple(c for c in self.constants if c != slack_symbol),
+            variables=[v for v in self.variables if v != slack_symbol],
+            constants=[c for c in self.constants if c != slack_symbol],
             inequalities=_prune(weak),
-            nonneg_constants=self.nonneg_constants - {slack_symbol},
         )
-
-    def _domain_facts(self) -> list:
-        return [LinIneq.make({c: -1}) for c in sorted(self.nonneg_constants)]
 
     def is_feasible(self, extra=()) -> bool:
         """Exact rational satisfiability over all symbols (reals).
 
         Eliminates every symbol by Fourier-Motzkin (cheapest pair count
-        first) and checks the remaining ground facts; nonnegativity of
-        declared constants is included.
+        first) and checks the remaining ground facts, with every constant
+        nonnegative.
         """
-        facts = _prune(list(self.inequalities) + self._domain_facts() + list(extra))
+        facts = _prune([*self.inequalities, *(LinIneq({c: -1}) for c in sorted(self.constants)),
+                        *extra])
         while not any(iq.is_contradiction() for iq in facts):
             signs = {}  # symbol -> [lower-bound count, upper-bound count]
             for iq in facts:
@@ -277,32 +260,28 @@ class LinIneqSystem:
             facts = _fm_step(facts, var)
         return False
 
-    def implies(self, target: LinIneq, assumptions=()) -> bool:
-        """Exact implication: system + assumptions forces the target."""
-        return not self.is_feasible(extra=list(assumptions) + [target.negation()])
-
     def simplify_with_assumptions(self, assumptions=()) -> "LinIneqSystem":
         """Remove inequalities implied by the rest plus the assumptions.
 
-        Assumptions are linear facts over the constant symbols.  If the
-        system and the assumptions together are infeasible (one assumption
-        alone, or several jointly), ContradictionError is raised.
+        Assumptions are LinIneq facts over the constant symbols.  An
+        inequality goes when the others, the assumptions and its negation
+        are infeasible together.  If the system and the assumptions are
+        infeasible (one assumption alone, or several jointly),
+        ContradictionError is raised.
         """
-        assumptions = [a if isinstance(a, LinIneq) else LinIneq.make(a)
-                       for a in assumptions]
+        assumptions = list(assumptions)
         if assumptions and not self.is_feasible(extra=assumptions):
             shown = "; ".join(a.render(self.variables) for a in assumptions)
             raise ContradictionError(f"assumptions contradict the system: {shown}")
         kept = list(_prune(self.inequalities))
         i = 0
         while i < len(kept):
-            candidate = kept[i]
-            others = kept[:i] + kept[i + 1:]
-            if self.replace(others).implies(candidate, assumptions):
-                kept.pop(i)
-            else:
+            others = dataclasses.replace(self, inequalities=kept[:i] + kept[i + 1:])
+            if others.is_feasible(extra=[*assumptions, kept[i].negation()]):
                 i += 1
-        return self.replace(kept)
+            else:
+                kept.pop(i)
+        return dataclasses.replace(self, inequalities=kept)
 
     def instantiate(self, values: dict):
         """Bind every constant to a number and return the numeric region dict."""
@@ -365,8 +344,7 @@ class LinIneqSystem:
                 for s, c in group.items():
                     coeffs.pop(s)
                 coeffs[name] = coeffs.get(name, 0) + q
-        shown = LinIneq.make(coeffs, const=iq.const, strict=iq.strict)
-        return shown.render(self.variables)
+        return LinIneq(coeffs, iq.const, iq.strict).render(self.variables)
 
     def to_dict(self) -> dict:
         def frac(x):
@@ -375,7 +353,7 @@ class LinIneqSystem:
         return {
             "variables": list(self.variables),
             "constants": list(self.constants),
-            "nonneg_constants": sorted(self.nonneg_constants),
+            "nonneg_constants": sorted(self.constants),
             "inequalities": [
                 {"coeffs": {s: frac(c) for s, c in iq.terms},
                  "const": frac(iq.const),
@@ -398,11 +376,11 @@ def nested_binning_constraints() -> LinIneqSystem:
         LinIneq.at_most({"R1": 1, "R2": 1, "T": 1}, {"I_XY": 1}, strict=True),
         LinIneq.at_most({"I_XZ1": 1}, {"R2": 1, "T": 1}, strict=True),
         LinIneq.at_most({"I_XZ2": 1}, {"T": 1}, strict=True),
-        LinIneq.make({"R1": -1}),
-        LinIneq.make({"R2": -1}),
-        LinIneq.make({"T": -1}),
+        LinIneq({"R1": -1}),
+        LinIneq({"R2": -1}),
+        LinIneq({"T": -1}),
     ]
-    return LinIneqSystem.build(v, c, ineqs)
+    return LinIneqSystem(v, c, ineqs)
 
 
 def derive_nested_binning_region() -> LinIneqSystem:
@@ -434,13 +412,13 @@ def layered_scheme_constraints() -> LinIneqSystem:
         LinIneq.at_most({"I_VZ2_U": 1}, {"T": 1}, strict=True),
         LinIneq.at_most({"R2": 1}, {"R2a": 1, "R2b": 1}),
         LinIneq.at_most({"R2a": 1, "R2b": 1}, {"R2": 1}),
-        LinIneq.make({"R1": -1}),
-        LinIneq.make({"R2": -1}),
-        LinIneq.make({"R2a": -1}),
-        LinIneq.make({"R2b": -1}),
-        LinIneq.make({"T": -1}),
+        LinIneq({"R1": -1}),
+        LinIneq({"R2": -1}),
+        LinIneq({"R2a": -1}),
+        LinIneq({"R2b": -1}),
+        LinIneq({"T": -1}),
     ]
-    return LinIneqSystem.build(v, c, ineqs)
+    return LinIneqSystem(v, c, ineqs)
 
 
 def derive_layered_region() -> LinIneqSystem:

@@ -253,6 +253,22 @@ NODE_LIMIT = 20_000_000  # node cap of the min-rank search, read at each call
 _COUNT_WORDS = 1 << 10
 
 
+def _bracket(n: int, full: int, size: int) -> tuple[int, int, list[int]]:
+    """The bracket [lb, ub] on the minimum rank over column subsets of a given
+    size of a rank-full matrix with n columns, and the sides (0 the row
+    space, 1 the kernel) whose 2**dim - 1 listed words fit NODE_LIMIT.
+
+    With lb < ub and neither side within the limit, the search cannot start:
+    BudgetExceededError carries [lb, ub].
+    """
+    lb = max(0, size - (n - full))
+    ub = min(size, full)
+    fits = [side for side, dim in enumerate((full, n - full)) if (1 << dim) - 1 <= NODE_LIMIT]
+    if lb < ub and not fits:
+        raise BudgetExceededError(NODE_LIMIT, lb, ub)
+    return lb, ub, fits
+
+
 def _span(rows, dtype) -> np.ndarray:
     """All 2**len(rows) GF(2) combinations of packed rows: word i sums the rows at i's set bits."""
     span = np.zeros(1, dtype)
@@ -308,8 +324,7 @@ def min_rank_over_column_subsets(m, size: int) -> int:
         raise ValueError(f"subset size {size} out of range 0..{n}")
     basis = _rref(pack_rows(a))
     full = len(basis)
-    lb = max(0, size - (n - full))
-    ub = min(size, full)
+    lb, ub, fits = _bracket(n, full, size)
     if lb == ub:
         return lb
     # Either side answers top - r, so the smaller top grows fewer levels; only
@@ -317,10 +332,7 @@ def min_rank_over_column_subsets(m, size: int) -> int:
     # row of its side has: its pivot, or the free column of a kernel row.
     sides = [(full, full, lambda: (list(basis.values()), list(basis), n - size)),
              (size, n - full, lambda: (_kernel_rows(basis, n), _free_bits(basis, n), size))]
-    sides = [side for side in sides if (1 << side[1]) - 1 <= NODE_LIMIT]
-    if not sides:
-        raise BudgetExceededError(NODE_LIMIT, lb, ub)
-    top, _, build = min(sides, key=lambda side: side[:2])
+    top, _, build = min((sides[i] for i in fits), key=lambda side: side[:2])
     rows, private, bound = build()
     nodes = (1 << len(rows)) - 1
     # Each word of the span of rows[12:] shifts the whole span of rows[:12] once.

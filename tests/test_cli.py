@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -432,6 +433,21 @@ def test_malformed_aux_file_is_domain_error(tmp_path, capsys, spec):
         "message": "--aux must hold a JSON object with pu, pv_u, px_v"}
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"pu": [[1.0]], "pv_u": [[0.5, 0.5]], "px_v": [[1.0, 0.0], [0.0, 1.0]]},
+     "p(u) must be a 1-D vector"),
+    ({**AUX_CHAIN, "px_v": [[1.0, 0.0], [1.0]]},
+     "--aux must hold a JSON object with pu, pv_u, px_v"),
+], ids=["pu-2d", "px_v-ragged"])
+def test_aux_shape_is_a_named_domain_error(tmp_path, capsys, spec, message):
+    aux = tmp_path / "aux.json"
+    aux.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "dmc", "region-point", "--bec", "0.5,0.9",
+                             "--aux", str(aux))
+    assert code == 1 and not out
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 @pytest.mark.parametrize("key, value, what", [
     ("pv_u", 0, "p(v|u)"),
     ("pv_u", [1, 1], "p(v|u)"),
@@ -643,9 +659,9 @@ def test_region_points_out_of_range_prints_no_result(tmp_path, capsys, argv, poi
     assert not csv.exists()
 
 
-def test_emit_json_refuses_non_json_numbers():
+def test_emit_refuses_non_json_numbers():
     with pytest.raises(ValueError):
-        cli._emit_json({"x": float("nan")}, None)
+        cli._emit(argparse.Namespace(out=None), {"x": float("nan")})
 
 
 CONSTRUCT_16 = ["code", "construct", "--n", "16", "--alpha1", "0.5", "--alpha2", "0.25",
@@ -681,6 +697,31 @@ def test_readme_command_line_block_parses():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: secembed {shlex.join(argv)}")
+
+
+def test_readme_api_names_resolve():
+    # every backticked dotted name (calls included) rooted at a secembed module or public class
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    roots = {}
+    for info in pkgutil.iter_modules(secembed.__path__):
+        module = importlib.import_module(f"secembed.{info.name}")
+        roots[info.name] = module
+        roots.update((name, obj) for name, obj in vars(module).items()
+                     if inspect.isclass(obj) and not name.startswith("_")
+                     and obj.__module__ == module.__name__)
+    chains = [m[1].split(".") for m in re.finditer(r"`(\w+(?:\.\w+)*)(?:\([^`]*\))?`", readme)]
+    chains = [chain for chain in chains if chain[0] in roots]
+
+    def resolves(chain):
+        obj = roots[chain[0]]
+        for attr in chain[1:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+
+    assert len(chains) >= 20
+    assert [".".join(chain) for chain in chains if not resolves(chain)] == []
 
 
 @pytest.mark.parametrize("argv, missing", [
@@ -866,13 +907,8 @@ DEFAULTS_TABLE = {
     "coset.union_bound_report": {"exact_counts": "False"},
     "dmc.check_degraded": {"which": "'z2_of_z1'"},
     "dmc.embeddability_report": {"px_candidates": "()", "aux_candidates": "()"},
-    "fm.LinIneq": {"strict": "False"},
-    "fm.LinIneq.at_most": {"const": "0", "strict": "False"},
-    "fm.LinIneq.make": {"const": "0", "strict": "False"},
-    "fm.LinIneq.render": {"variables": "()"},
-    "fm.LinIneqSystem": {"nonneg_constants": "<factory>"},
-    "fm.LinIneqSystem.build": {"nonneg_constants": "None"},
-    "fm.LinIneqSystem.implies": {"assumptions": "()"},
+    "fm.LinIneq": {"const": "0", "strict": "False"},
+    "fm.LinIneq.at_most": {"strict": "False"},
     "fm.LinIneqSystem.is_feasible": {"extra": "()"},
     "fm.LinIneqSystem.pretty": {"aliases": "()"},
     "fm.LinIneqSystem.relax_closure": {"slack_symbol": "None"},

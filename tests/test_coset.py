@@ -509,6 +509,18 @@ def test_construct_skips_rank_deficient_draws_and_exhausts(monkeypatch):
         coset.construct(params, seed=1)
 
 
+@pytest.mark.parametrize("n, bracket", [(400, (0, 100)), (56, (14, 28))])
+def test_construct_past_the_budget_fails_before_drawing(monkeypatch, n, bracket):
+    def no_draw(rows, cols, rng):
+        raise AssertionError("construct drew a matrix")
+
+    monkeypatch.setattr(gf2, "random_matrix", no_draw)
+    with pytest.raises(gf2.BudgetExceededError) as exc:
+        coset.construct(WiretapIIParams(n, 0.5, 0.25, 0.25), seed=1)
+    # d1 at n = 400; d1 fits the budget at n = 56 and d2's bracket is reported
+    assert (exc.value.nodes, exc.value.lower, exc.value.upper) == (gf2.NODE_LIMIT, *bracket)
+
+
 @pytest.mark.parametrize("kwargs, match", [
     ({"n": 16.0}, "n = 16.0 must be an integer"),
     ({"n": "16"}, "n = '16' must be an integer"),

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from secembed import fm, regions
@@ -67,9 +67,9 @@ def random_system(rng, max_vars=6):
     for _ in range(int(rng.integers(2, 8))):
         coeffs = {v: Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
                   for v in variables}
-        ineqs.append(LinIneq.make(coeffs, const=Fraction(int(rng.integers(-6, 7))),
-                                  strict=bool(rng.integers(0, 2))))
-    return LinIneqSystem.build(variables, (), ineqs)
+        ineqs.append(LinIneq(coeffs, const=Fraction(int(rng.integers(-6, 7))),
+                             strict=bool(rng.integers(0, 2))))
+    return LinIneqSystem(variables, (), ineqs)
 
 
 def random_point(rng, symbols):
@@ -117,25 +117,25 @@ def test_eliminate_randomness_rate_reproduces_target_shape():
 
 
 def test_eliminate_absent_variable_is_identity():
-    sys = LinIneqSystem.build(("x", "y"), (), [LinIneq.make({"x": 1}, const=-1)])
+    sys = LinIneqSystem(("x", "y"), (), [LinIneq({"x": 1}, const=-1)])
     out = sys.eliminate("y")
     assert canon(out) == canon(sys)
     assert out.variables == ("x",)
 
 
 def test_eliminate_prunes_trivially_true_consequence():
-    sys = LinIneqSystem.build(("x",), (), [
-        LinIneq.make({"x": -1}),            # x >= 0
-        LinIneq.make({"x": 1}, const=-1),   # x <= 1
+    sys = LinIneqSystem(("x",), (), [
+        LinIneq({"x": -1}),            # x >= 0
+        LinIneq({"x": 1}, const=-1),   # x <= 1
     ])
     out = sys.eliminate("x")
     assert out.inequalities == ()
 
 
 def test_eliminate_keeps_contradiction_fact():
-    sys = LinIneqSystem.build(("x",), (), [
-        LinIneq.make({"x": -1}, const=2),   # x >= 2
-        LinIneq.make({"x": 1}, const=-1),   # x <= 1
+    sys = LinIneqSystem(("x",), (), [
+        LinIneq({"x": -1}, const=2),   # x >= 2
+        LinIneq({"x": 1}, const=-1),   # x <= 1
     ])
     out = sys.eliminate("x")
     assert any(iq.is_contradiction() for iq in out.inequalities)
@@ -143,9 +143,9 @@ def test_eliminate_keeps_contradiction_fact():
 
 
 def test_strictness_propagates_through_combination():
-    sys = LinIneqSystem.build(("x", "y"), (), [
-        LinIneq.make({"y": 1, "x": -1}, strict=True),   # x > y
-        LinIneq.make({"x": 1}, const=-2),               # x <= 2
+    sys = LinIneqSystem(("x", "y"), (), [
+        LinIneq({"y": 1, "x": -1}, strict=True),   # x > y
+        LinIneq({"x": 1}, const=-2),               # x <= 2
     ])
     out = sys.eliminate("x")
     (iq,) = out.inequalities
@@ -170,22 +170,22 @@ def test_golden_layered_region():
 
 
 def test_simplify_without_assumptions_is_dominance_only():
-    sys = LinIneqSystem.build(("x",), ("c",), [
-        LinIneq.make({"x": 1, "c": -1}),            # x <= c
-        LinIneq.make({"x": 2, "c": -2}),            # same after normalization
-        LinIneq.make({"x": 1, "c": -1}, const=-1),  # x <= c + 1 (weaker, kept: needs LP)
-    ], nonneg_constants=())
+    sys = LinIneqSystem(("x",), ("c",), [
+        LinIneq({"x": 1, "c": -1}),            # x <= c
+        LinIneq({"x": 2, "c": -2}),            # same after normalization
+        LinIneq({"x": 1, "c": -1}, const=-1),  # x <= c + 1 (weaker, kept: needs LP)
+    ])
     out = sys.simplify_with_assumptions()
     # x <= c + 1 is implied by x <= c, so exact implication removes it too
-    assert canon(out) == {LinIneq.make({"x": 1, "c": -1})}
+    assert canon(out) == {LinIneq({"x": 1, "c": -1})}
 
 
 def test_simplify_contradictory_assumption_raises():
     sys = fm.nested_binning_constraints()
     with pytest.raises(fm.ContradictionError):
-        sys.simplify_with_assumptions([LinIneq.make({}, const=1)])  # 1 <= 0
+        sys.simplify_with_assumptions([LinIneq({}, const=1)])  # 1 <= 0
     with pytest.raises(fm.ContradictionError):
-        sys.simplify_with_assumptions([LinIneq.make({}, strict=True)])  # 0 < 0
+        sys.simplify_with_assumptions([LinIneq({}, strict=True)])  # 0 < 0
 
 
 def test_simplify_jointly_contradictory_assumptions_raise():
@@ -193,30 +193,30 @@ def test_simplify_jointly_contradictory_assumptions_raise():
     sys = fm.nested_binning_constraints()
     with pytest.raises(fm.ContradictionError,
                        match="0 <= -I_XZ2 \\+ 1; 0 <= I_XZ2 - 2"):
-        sys.simplify_with_assumptions([LinIneq.make({"I_XZ2": 1}, const=-1),
-                                       LinIneq.make({"I_XZ2": -1}, const=2)])
+        sys.simplify_with_assumptions([LinIneq({"I_XZ2": 1}, const=-1),
+                                       LinIneq({"I_XZ2": -1}, const=2)])
 
 
 def test_make_stores_primitive_integer_form():
-    iq = LinIneq.make({"x": Fraction(1, 2)}, const=1)   # x/2 + 1 <= 0
+    iq = LinIneq({"x": Fraction(1, 2)}, const=1)   # x/2 + 1 <= 0
     assert iq.terms == (("x", 1),) and iq.const == 2
     assert type(iq.terms[0][1]) is int and type(iq.const) is int
-    assert LinIneq.make({"y": 6, "x": -4}, const=Fraction(2, 3)) == \
-        LinIneq.make({"x": -6, "y": 9}, const=1)
-    assert LinIneq.make({"x": 0}, const=-3) == LinIneq.make({}, const=-1)
+    assert LinIneq({"y": 6, "x": -4}, const=Fraction(2, 3)) == \
+        LinIneq({"x": -6, "y": 9}, const=1)
+    assert LinIneq({"x": 0}, const=-3) == LinIneq({}, const=-1)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_rationals_are_domain_errors(bad):
     match = f"{bad!r} is not a finite rational"
     with pytest.raises(ValueError, match=match):
-        LinIneq.make({"x": bad})
+        LinIneq({"x": bad})
     with pytest.raises(ValueError, match=match):
-        LinIneq.make({"x": 1}, const=bad)
+        LinIneq({"x": 1}, const=bad)
     with pytest.raises(ValueError, match=match):
         LinIneq.at_most({"x": 1}, {"y": bad})
     with pytest.raises(ValueError, match=match):
-        LinIneq.at_most({"x": 1}, {}, const=bad)
+        LinIneq.at_most({"x": bad}, {})
     with pytest.raises(ValueError, match=match):
         fm.derive_nested_binning_region().instantiate(
             {"I_XY": bad, "I_XZ1": 0.5, "I_XZ2": 0.1})
@@ -225,25 +225,25 @@ def test_non_finite_rationals_are_domain_errors(bad):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float16])
 def test_numpy_floats_convert_exactly(dtype):
-    assert LinIneq.make({"x": dtype(0.5)}, const=dtype(-1.5)) == \
-        LinIneq.make({"x": Fraction(1, 2)}, const=Fraction(-3, 2))
-    assert LinIneq.at_most({"x": dtype(0.25)}, {"y": dtype(1)}, const=dtype(0.75)) == \
-        LinIneq.at_most({"x": Fraction(1, 4)}, {"y": 1}, const=Fraction(3, 4))
+    assert LinIneq({"x": dtype(0.5)}, const=dtype(-1.5)) == \
+        LinIneq({"x": Fraction(1, 2)}, const=Fraction(-3, 2))
+    assert LinIneq.at_most({"x": dtype(0.25)}, {"y": dtype(1)}) == \
+        LinIneq.at_most({"x": Fraction(1, 4)}, {"y": 1})
     region = fm.derive_nested_binning_region()
     exact = {"I_XY": 1.0, "I_XZ1": 0.5, "I_XZ2": 0.125}
     assert region.instantiate({k: dtype(v) for k, v in exact.items()}) == \
         region.instantiate(exact)
     for bad in (dtype("nan"), dtype("inf")):
         with pytest.raises(ValueError, match="is not a finite rational"):
-            LinIneq.make({"x": bad})
+            LinIneq({"x": bad})
 
 
 @pytest.mark.parametrize("bad", [None, [1], object()])
 def test_non_numbers_are_domain_errors(bad):
     with pytest.raises(ValueError, match="is not a finite rational"):
-        LinIneq.make({"x": bad})
+        LinIneq({"x": bad})
     with pytest.raises(ValueError, match="is not a finite rational"):
-        LinIneq.at_most({"x": 1}, {}, const=bad)
+        LinIneq.at_most({"x": bad}, {})
 
 def test_constraint_presets_pretty():
     # these reach the flipped (lower-bound) and strict render paths
@@ -305,8 +305,8 @@ def test_derived_regions_store_python_ints(derive):
 
 def test_alias_with_non_unit_group_divides_exactly():
     # x + a + 2b - 1 <= 0: the group a + 2b is G/3 for the alias G = 3a + 6b
-    sys = LinIneqSystem.build(("x",), ("a", "b"),
-                              [LinIneq.make({"x": 1, "a": 1, "b": 2}, const=-1)])
+    sys = LinIneqSystem(("x",), ("a", "b"),
+                        [LinIneq({"x": 1, "a": 1, "b": 2}, const=-1)])
     assert sys.pretty(aliases=(("G", {"a": 3, "b": 6}),)) == "3 x <= -G + 3"
 
 
@@ -332,8 +332,7 @@ def build(raw, rescale):
     coeffs, const, strict, q = raw
     if not rescale:
         q = 1
-    return LinIneq.make({s: c * q for s, c in coeffs.items()}, const=const * q,
-                        strict=strict)
+    return LinIneq({s: c * q for s, c in coeffs.items()}, const=const * q, strict=strict)
 
 
 @settings(max_examples=80, deadline=None)
@@ -352,22 +351,50 @@ def test_positive_rescaling_changes_nothing(raws, target):
         raw = [coeffs[s] for s, _ in iq.terms] + [const]
         lam = next((v / r for v, r in zip(values, raw) if r), None)
         assert lam is None or (lam > 0 and all(v == lam * r for v, r in zip(values, raw)))
-    a = LinIneqSystem.build(SYMBOLS, (), plain)
-    b = LinIneqSystem.build(SYMBOLS, (), rescaled)
+    a = LinIneqSystem(SYMBOLS, (), plain)
+    b = LinIneqSystem(SYMBOLS, (), rescaled)
     for var in SYMBOLS:
         assert set(a.eliminate(var).inequalities) == set(b.eliminate(var).inequalities)
     assert a.is_feasible() == b.is_feasible()
-    assert a.implies(build(target, False)) == b.implies(build(target, True))
+    assert a.is_feasible(extra=[build(target, False).negation()]) == \
+        b.is_feasible(extra=[build(target, True).negation()])
 
 
 def test_relax_closure_drops_the_slack_and_weakens():
-    sys = LinIneqSystem.build(("R",), ("I", "eps"), [
+    sys = LinIneqSystem(("R",), ("I", "eps"), [
         LinIneq.at_most({"R": 2, "eps": 2}, {"I": 2}, strict=True),
-        LinIneq.at_most({"R": 1}, {"I": 1}, const=-1),
-        LinIneq.make({"eps": 1}, strict=True),
+        LinIneq({"R": 1, "I": -1}, 1),
+        LinIneq({"eps": 1}, strict=True),
     ])
     out = sys.relax_closure(slack_symbol="eps")
-    assert (out.variables, out.constants, out.nonneg_constants) == (("R",), ("I",),
-                                                                     frozenset({"I"}))
+    assert (out.variables, out.constants) == (("R",), ("I",))
     # 2R + 2eps < 2I loses eps and gives way to the tighter R <= I - 1; eps < 0 becomes 0 <= 0
-    assert out.inequalities == (LinIneq.at_most({"R": 1}, {"I": 1}, const=-1),)
+    assert out.inequalities == (LinIneq({"R": 1, "I": -1}, 1),)
+
+
+SMALL_VARS, SMALL_CONSTS = ("x", "y"), ("a", "b")
+
+
+def small_inequalities(symbols):
+    return st.builds(LinIneq, st.fixed_dictionaries({s: st.integers(-1, 1) for s in symbols}),
+                     st.integers(-2, 2), st.booleans())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ineqs=st.lists(small_inequalities(SMALL_VARS + SMALL_CONSTS), min_size=1, max_size=5),
+       assumptions=st.lists(small_inequalities(SMALL_CONSTS), max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_simplify_keeps_the_region(ineqs, assumptions, seed):
+    system = LinIneqSystem(SMALL_VARS, SMALL_CONSTS, ineqs)
+    try:
+        out = system.simplify_with_assumptions(assumptions)
+    except fm.ContradictionError:
+        reject()  # covered by the contradiction tests above
+    assert set(out.inequalities) <= set(system.inequalities)
+    # half-integer points in [-3, 3], constants nonnegative
+    halves = np.random.default_rng(seed).integers(-6, 7, size=(200, 4))
+    halves[:, 2:] = abs(halves[:, 2:])
+    for values in halves.tolist():
+        point = {s: Fraction(v, 2) for s, v in zip(SMALL_VARS + SMALL_CONSTS, values)}
+        if all(satisfies(a, point) for a in assumptions):
+            assert system_satisfied(out, point) == system_satisfied(system, point)
