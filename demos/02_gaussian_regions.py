@@ -56,6 +56,6 @@ print(f"  max R1 = {tri['max_r1']:.6f}, max sum = {tri['max_sum']:.6f}, "
 
 # fixed split for contrast: every fixed allocation is perfectly embeddable
 fixed = gauss.region_parallel_individual(
-    ParallelGaussChannel(a=pch.a, b1=pch.b1, b2=pch.b2, powers=(0.5, 0.5)))
+    [ScalarGaussChannel(0.5, a, b1, b2) for a, b1, b2 in zip(pch.a, pch.b1, pch.b2)])
 print(f"\nfixed even split: corner ({fixed['corner'][0]:.6f}, {fixed['corner'][1]:.6f}) "
       f"inside its region: {regions.contains(fixed['region'], fixed['corner'])}")

@@ -106,28 +106,32 @@ def _cmd_region_scalar(args) -> int:
     return _emit_corner_report(gauss.region_scalar(ch), "cap_high", "cap_low", args)
 
 
-def _parallel_channel(args, pooled: bool) -> gauss.ParallelGaussChannel:
+def _parallel_channel(args, pooled: bool):
+    """The pooled channel, or with fixed powers the list of its scalar subchannels."""
     flags = ("a", "b1", "b2") if pooled else ("a", "b1", "b2", "powers")
     if args.preset == "two-subchannel-reference":
         given = [f"--{flag}" for flag in flags + ("P",) * pooled
                  if getattr(args, flag) is not None]
         if given:
             raise ValueError(f"--preset fixes the channel; drop {', '.join(given)}")
-        power = {"total_power": 1.0} if pooled else {"powers": (0.5, 0.5)}
-        return gauss.ParallelGaussChannel(a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1), **power)
-    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
-    if missing:
-        raise ValueError(f"missing {', '.join(missing)}; give them or --preset")
-    kwargs = {flag: _floats(getattr(args, flag), flag) for flag in flags}
+        lists = [(1.0, 1.0), (0.8, 0.25), (0.1, 0.1), (0.5, 0.5)][:len(flags)]
+    else:
+        missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
+        if missing:
+            raise ValueError(f"missing {', '.join(missing)}; give them or --preset")
+        lists = [_floats(getattr(args, flag), flag) for flag in flags]
     if pooled:
-        kwargs["total_power"] = 1.0 if args.P is None else args.P
-    return gauss.ParallelGaussChannel(**kwargs)
+        return gauss.ParallelGaussChannel(*lists, 1.0 if args.P is None else args.P)
+    if len(set(map(len, lists))) != 1:
+        raise ValueError("--a, --b1, --b2 and --powers must have equal lengths")
+    a, b1, b2, powers = lists
+    return [gauss.ScalarGaussChannel(*sub) for sub in zip(powers, a, b1, b2)]
 
 
 def _cmd_region_parallel(args) -> int:
     _check_points(args)
-    ch = _parallel_channel(args, pooled=False)
-    return _emit_corner_report(gauss.region_parallel_individual(ch), "cap_high_sum",
+    subchannels = _parallel_channel(args, pooled=False)
+    return _emit_corner_report(gauss.region_parallel_individual(subchannels), "cap_high_sum",
                                "cap_low_sum", args)
 
 

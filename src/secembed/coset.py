@@ -130,16 +130,6 @@ class WiretapIIParams:
         """Leakage allowance 3/eps in bits (inf when eps = 0)."""
         return 3.0 / self.eps if self.eps > 0 else inf
 
-    @property
-    def d1_threshold(self) -> float:
-        """Acceptance threshold for d1_star, k1 - 3/eps (may be vacuous)."""
-        return self.k1 - self.margin_bits
-
-    @property
-    def d2_threshold(self) -> float:
-        """Acceptance threshold for d2_star, (k1 + k2) - 3/eps."""
-        return self.k1 + self.k2 - self.margin_bits
-
     def to_dict(self) -> dict:
         return {"n": self.n, "alpha1": self.alpha1, "alpha2": self.alpha2, "eps": self.eps}
 
@@ -151,7 +141,7 @@ class CosetCodePair:
     ``d1_star`` is the exact minimum column-subspace dimension of h1 over
     subsets of n*(1-alpha1) positions; ``d2_star`` the same for the
     stacked matrix over subsets of n*(1-alpha2) positions.  Certificates
-    of codes built by construct() always satisfy the 3/eps thresholds;
+    of codes built by construct() always meet the 3/eps leakage bound;
     externally supplied values are checked by audit_code rather than
     rejected here, but both must be ints (not bools), so that to_bundle
     writes a bundle from_bundle reads back.
@@ -346,13 +336,10 @@ def construct(params: WiretapIIParams, seed: int) -> CosetCodePair:
     """Rejection-sample a two-level coset code with exact security certificates.
 
     Each attempt draws the stacked parity-check matrix with i.i.d.
-    uniform {0,1} entries and accepts iff it has full row rank and the
-    exact certificates clear their thresholds:
-
-        d2_star >= n*(1-alpha2-eps) - 3/eps
-        d1_star >= n*(1-alpha1-eps) - 3/eps
-
-    (both vacuous when negative, as happens at small n).  Attempt i uses
+    uniform {0,1} entries and accepts iff it has full row rank and both
+    exact certificates leave at most 3/eps bits of worst-case leakage, as
+    audit_code checks: k1 - d1_star <= 3/eps and k1 + k2 - d2_star <= 3/eps
+    (both hold for any certificate at small n).  Attempt i uses
     the seed stream (seed, i), so results are identical no matter how
     attempts are scheduled; the accepted attempt is the lowest index.
     After MAX_ATTEMPTS draws it raises ConstructionExhaustedError.  A
@@ -370,7 +357,7 @@ def construct(params: WiretapIIParams, seed: int) -> CosetCodePair:
         if gf2.rank(h) != rows:
             continue
         d1, d2 = _certificates(params, h)
-        if d1 >= params.d1_threshold and d2 >= params.d2_threshold:
+        if max(params.k1 - d1, params.k1 + params.k2 - d2) <= params.margin_bits:
             return CosetCodePair(params=params, h1=h[:params.k1], h2=h[params.k1:],
                                  d1_star=d1, d2_star=d2)
     raise ConstructionExhaustedError(

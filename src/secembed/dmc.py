@@ -46,10 +46,12 @@ def _check_stochastic(mat: np.ndarray, what: str):
 
 def _check_distribution(p, what: str, *, neg_tol: float = _ATOL,
                         sum_tol: float = 1e-9, size: int | None = None) -> np.ndarray:
-    """``p`` as a flat float vector, or ValueError naming ``what`` unless it is a
+    """``p`` as a float vector, or ValueError naming ``what`` unless it is a 1-D
     finite distribution (entries >= -neg_tol, summing to 1 within sum_tol) with
     ``size`` entries when ``size`` is given (the input alphabet's size)."""
-    p = np.asarray(p, dtype=float).reshape(-1)
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D vector")
     if not np.isfinite(p).all() or (p < -neg_tol).any() or abs(p.sum() - 1.0) > sum_tol:
         raise ValueError(f"{what} must be a distribution of finite entries")
     if size is not None and p.shape[0] != size:
@@ -172,8 +174,6 @@ class AuxiliaryChain:
     px_v: np.ndarray
 
     def __post_init__(self):
-        if np.ndim(self.pu) != 1:
-            raise ValueError("p(u) must be a 1-D vector")
         pu = _check_distribution(self.pu, "p(u)", sum_tol=1e-12)
         pv_u = np.asarray(self.pv_u, dtype=float)
         px_v = np.asarray(self.px_v, dtype=float)

@@ -65,8 +65,8 @@ def _q(x) -> int | Fraction:
 class LinIneq:
     """sum(coeff * symbol) + const  <=  0   (or < 0 when strict), as coprime ints.
 
-    terms is given as a {symbol: coeff} map or (symbol, coeff) pairs and
-    stored as sorted pairs.
+    terms is given as a {symbol: coeff} map or (symbol, coeff) pairs, whose
+    repeated symbols add up, and stored as sorted pairs.
     """
 
     terms: tuple
@@ -74,8 +74,10 @@ class LinIneq:
     strict: bool = False
 
     def __post_init__(self):
-        terms = sorted((s, _q(c)) for s, c in dict(self.terms).items())
-        terms = [(s, c) for s, c in terms if c]
+        coeffs = {}
+        for s, c in self.terms.items() if isinstance(self.terms, dict) else self.terms:
+            coeffs[s] = coeffs.get(s, 0) + _q(c)
+        terms = sorted((s, c) for s, c in coeffs.items() if c)
         values = [c for _, c in terms] + [_q(self.const)]
         den = lcm(*(v.denominator for v in values))
         nums = [v.numerator * (den // v.denominator) for v in values]

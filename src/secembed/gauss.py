@@ -17,6 +17,7 @@ sampled by the one routine ``boundary_points``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import log2
 
@@ -43,11 +44,11 @@ def _check_nonneg(values, what: str):
         raise ValueError(f"{what} must be finite and nonnegative")
 
 
-def _check_powers(powers, gains, what: str):
-    """Reject NaN, infinite or negative powers, and powers with power * max(1, gain)**2
+def _check_power(power, gains, what: str):
+    """Reject a NaN, infinite or negative power, or one with power * max(1, gain)**2
     above the cube root of the largest float, the domain the solvers are checked on."""
-    _check_nonneg(powers, what)
-    power, g, limit = float(max(powers)), float(max(1.0, *gains)), np.finfo(float).max ** (1 / 3)
+    _check_nonneg((power,), what)
+    power, g, limit = float(power), float(max(1.0, *gains)), np.finfo(float).max ** (1 / 3)
     if power * g * g > limit:
         raise ValueError(f"{what} too large for these gains: "
                          f"{power:g} * max(1, gain)**2 exceeds {limit:.4g}")
@@ -92,24 +93,23 @@ class ScalarGaussChannel:
 
     def __post_init__(self):
         _check_nonneg((self.power, self.a, self.b1, self.b2), "power and gains")
-        _check_powers((self.power,), (self.a, self.b1, self.b2), "power")
+        _check_power(self.power, (self.a, self.b1, self.b2), "power")
         if self.b1 < self.b2:
             raise ValueError("strong eavesdropper gain b1 must be >= b2")
 
 
 @dataclass(frozen=True)
 class ParallelGaussChannel:
-    """Independent parallel subchannels, powers fixed per subchannel or pooled.
+    """Independent parallel subchannels sharing one pooled power budget.
 
-    Exactly one of ``powers`` (per-subchannel budgets) and ``total_power``
-    must be given.
+    With a fixed power per subchannel the channel is its subchannels, a
+    sequence of ``ScalarGaussChannel`` (see ``region_parallel_individual``).
     """
 
     a: tuple
     b1: tuple
     b2: tuple
-    powers: tuple | None = None
-    total_power: float | None = None
+    total_power: float
 
     def __post_init__(self):
         for name in ("a", "b1", "b2"):
@@ -120,16 +120,7 @@ class ParallelGaussChannel:
         _check_nonneg(a + b1 + b2, "gains")
         if any(s < w for s, w in zip(b1, b2)):
             raise ValueError("need b1_l >= b2_l in every subchannel")
-        if (self.powers is None) == (self.total_power is None):
-            raise ValueError("give exactly one of powers / total_power")
-        if self.powers is not None:
-            powers = tuple(float(p) for p in self.powers)
-            if len(powers) != len(a):
-                raise ValueError("powers must match subchannels")
-            _check_powers(powers, a + b1 + b2, "powers")
-            object.__setattr__(self, "powers", powers)
-        else:
-            _check_powers((self.total_power,), a + b1 + b2, "total power")
+        _check_power(self.total_power, a + b1 + b2, "total power")
 
     @property
     def n_sub(self) -> int:
@@ -179,18 +170,17 @@ def naive_region(ch: ScalarGaussChannel) -> dict:
             else cap_high / cap_high + (cap_low - cap_high) / cap_low - 1.0}
 
 
-def region_parallel_individual(ch: ParallelGaussChannel) -> dict:
-    """The ``region parallel`` report: with per-subchannel power constraints the
-    bounds are sums of scalar capacities.
+def region_parallel_individual(subchannels: Sequence[ScalarGaussChannel]) -> dict:
+    """The ``region parallel`` report: with a fixed power in each subchannel, a
+    ``ScalarGaussChannel`` each, the bounds are sums of scalar capacities.
 
     Keys: ``cap_high_sum``, ``cap_low_sum``, the ``corner``
     [cap_high_sum, cap_low_sum - cap_high_sum], ``per_subchannel`` [high, low]
     pairs and the ``region`` dict of ``regions.corner_region``.
     """
-    if ch.powers is None:
-        raise ValueError("per-subchannel region needs fixed per-subchannel powers")
-    per = [[cs_scalar(p, a, s), cs_scalar(p, a, w)]
-           for p, a, s, w in zip(ch.powers, ch.a, ch.b1, ch.b2)]
+    if not subchannels:
+        raise ValueError("need at least one subchannel")
+    per = [[cs_scalar(c.power, c.a, c.b1), cs_scalar(c.power, c.a, c.b2)] for c in subchannels]
     cap_high = sum(p[0] for p in per)
     cap_low = sum(p[1] for p in per)
     return {
@@ -323,8 +313,6 @@ def region_parallel_total(ch: ParallelGaussChannel) -> dict:
     the equal split and the high one the low one's allocation, so the gap
     is 0.
     """
-    if ch.total_power is None:
-        raise ValueError("pooled-power region needs total_power")
     total, dims = float(ch.total_power), ch.n_sub
     alloc_sum = alloc_r1 = [total / dims] * dims
     if total > 0 and any(a > w for a, w in zip(ch.a, ch.b2)):

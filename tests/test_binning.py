@@ -714,6 +714,19 @@ def test_simulate_rejects_px_over_wrong_alphabet(px):
                                         n=8, trials=10, seed=1)
 
 
+@pytest.mark.parametrize("px", [[[0.5, 0.5]], [[0.5], [0.5]], 1.0], ids=["row", "column", "0-d"])
+@pytest.mark.parametrize("use", [
+    lambda px: dmc.region_point_simple(bec_triple(), px),
+    lambda px: binning.make_codebook(px, 4, (2, 2, 1), np.random.default_rng(0)),
+    lambda px: binning.simulate_nested_binning(bec_triple(), px, (0.25, 0.25, 0.0),
+                                               n=8, trials=10, seed=1),
+], ids=["region_point_simple", "make_codebook", "simulate_nested_binning"])
+def test_px_that_is_not_1d_is_rejected(use, px):
+    # a flattened px once passed for a distribution over the input alphabet
+    with pytest.raises(ValueError, match="px must be a 1-D vector"):
+        use(px)
+
+
 def test_make_codebook_shape_and_determinism():
     rng = np.random.default_rng(3)
     cb = binning.make_codebook([0.5, 0.5], 6, (2, 4, 3), rng)

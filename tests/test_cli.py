@@ -46,8 +46,8 @@ def test_region_scalar_json_and_csv(tmp_path, capsys):
     (["scalar", "--P", "1", "--a", "1", "--b1", "0.5", "--b2", "0.1"],
      gauss.region_scalar(gauss.ScalarGaussChannel(1.0, 1.0, 0.5, 0.1))),
     (["parallel", "--preset", "two-subchannel-reference"],
-     gauss.region_parallel_individual(gauss.ParallelGaussChannel(
-         a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1), powers=(0.5, 0.5)))),
+     gauss.region_parallel_individual([gauss.ScalarGaussChannel(0.5, 1.0, 0.8, 0.1),
+                                       gauss.ScalarGaussChannel(0.5, 1.0, 0.25, 0.1)])),
     (["parallel-total", "--preset", "two-subchannel-reference"],
      gauss.region_parallel_total(gauss.ParallelGaussChannel(
          a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1), total_power=1.0))),
@@ -913,7 +913,6 @@ DEFAULTS_TABLE = {
     "fm.LinIneqSystem.pretty": {"aliases": "()"},
     "fm.LinIneqSystem.relax_closure": {"slack_symbol": "None"},
     "fm.LinIneqSystem.simplify_with_assumptions": {"assumptions": "()"},
-    "gauss.ParallelGaussChannel": {"powers": "None", "total_power": "None"},
     "gf2.bit_array": {"what": "'matrix'"},
 }
 

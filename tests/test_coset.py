@@ -208,10 +208,11 @@ def test_construct_rate_identities_and_leakage_bound():
 
 
 def test_construct_acceptance_rate_full_rank_regime():
-    # thresholds are vacuous at these parameters, so acceptance is exactly
-    # the full-rank event; Monte Carlo rate should be near the analytic one
+    # the 3/eps leakage bound holds for any certificate at these parameters, so
+    # acceptance is exactly the full-rank event; Monte Carlo rate should be near
+    # the analytic one
     params = WiretapIIParams(n=16, alpha1=0.5, alpha2=0.25, eps=0.25)
-    assert params.d1_threshold < 0 and params.d2_threshold < 0
+    assert params.k1 < params.margin_bits and params.k1 + params.k2 < params.margin_bits
     rows = params.k1 + params.k2
     accepted = 0
     trials = 300

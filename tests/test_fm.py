@@ -206,6 +206,13 @@ def test_make_stores_primitive_integer_form():
     assert LinIneq({"x": 0}, const=-3) == LinIneq({}, const=-1)
 
 
+def test_repeated_symbols_add_up():
+    assert LinIneq((("x", 1), ("x", 1)), -2) == LinIneq({"x": 2}, -2)
+    assert LinIneq((("x", 1), ("y", 3), ("x", Fraction(1, 2))), 1) == \
+        LinIneq({"x": Fraction(3, 2), "y": 3}, 1)
+    assert LinIneq((("x", 1), ("x", -1)), -2).terms == ()
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_rationals_are_domain_errors(bad):
     match = f"{bad!r} is not a finite rational"

@@ -62,9 +62,9 @@ def test_channel_validation():
     with pytest.raises(ValueError):
         ScalarGaussChannel(power=-1.0, a=1.0, b1=0.5, b2=0.1)
     with pytest.raises(ValueError):
-        ParallelGaussChannel(a=(1,), b1=(0.5,), b2=(0.1,))  # no power mode
+        ParallelGaussChannel(a=(), b1=(), b2=(), total_power=1.0)
     with pytest.raises(ValueError):
-        ParallelGaussChannel(a=(1,), b1=(0.5,), b2=(0.1,), powers=(1,), total_power=1.0)
+        gauss.region_parallel_individual([])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -80,7 +80,8 @@ def test_non_finite_power_and_gains_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         ParallelGaussChannel(a=(1, bad), b1=(0.5, 0.5), b2=(0.1, 0.1), total_power=1.0)
     with pytest.raises(ValueError, match="finite"):
-        ParallelGaussChannel(a=(1, 1), b1=(0.5, 0.5), b2=(0.1, 0.1), powers=(0.5, bad))
+        gauss.region_parallel_individual([ScalarGaussChannel(0.5, 1, 0.5, 0.1),
+                                          ScalarGaussChannel(bad, 1, 0.5, 0.1)])
     with pytest.raises(ValueError, match="finite"):
         ParallelGaussChannel(a=(1, 1), b1=(0.5, 0.5), b2=(0.1, 0.1), total_power=bad)
 
@@ -142,8 +143,7 @@ def test_naive_region_degenerate():
 
 
 def test_parallel_individual_single_subchannel_reduces_to_scalar():
-    ch = ParallelGaussChannel(a=(1.0,), b1=(0.5,), b2=(0.1,), powers=(1.0,))
-    par = gauss.region_parallel_individual(ch)
+    par = gauss.region_parallel_individual([ScalarGaussChannel(1.0, 1.0, 0.5, 0.1)])
     sca = gauss.region_scalar(ScalarGaussChannel(1.0, 1.0, 0.5, 0.1))
     assert par["cap_high_sum"] == pytest.approx(sca["cap_high"], abs=1e-15)
     assert par["cap_low_sum"] == pytest.approx(sca["cap_low"], abs=1e-15)
@@ -151,9 +151,8 @@ def test_parallel_individual_single_subchannel_reduces_to_scalar():
 
 
 def test_parallel_individual_additivity_and_corner():
-    ch = ParallelGaussChannel(a=(1.0, 1.0), b1=(0.8, 0.25), b2=(0.1, 0.1),
-                              powers=(0.5, 0.5))
-    par = gauss.region_parallel_individual(ch)
+    par = gauss.region_parallel_individual([ScalarGaussChannel(0.5, 1.0, 0.8, 0.1),
+                                            ScalarGaussChannel(0.5, 1.0, 0.25, 0.1)])
     want_high = gauss.cs_scalar(0.5, 1.0, 0.8) + gauss.cs_scalar(0.5, 1.0, 0.25)
     want_low = 2 * gauss.cs_scalar(0.5, 1.0, 0.1)
     assert par["cap_high_sum"] == pytest.approx(want_high, abs=1e-15)
@@ -165,9 +164,8 @@ def test_parallel_individual_additivity_and_corner():
 
 
 def test_parallel_individual_zero_high_when_b1_matches_a():
-    ch = ParallelGaussChannel(a=(1.0, 2.0), b1=(1.0, 2.0), b2=(0.1, 0.2),
-                              powers=(1.0, 1.0))
-    par = gauss.region_parallel_individual(ch)
+    par = gauss.region_parallel_individual([ScalarGaussChannel(1.0, 1.0, 1.0, 0.1),
+                                            ScalarGaussChannel(1.0, 2.0, 2.0, 0.2)])
     assert par["cap_high_sum"] == 0.0
     assert par["cap_low_sum"] > 0.0
 
@@ -221,7 +219,8 @@ def test_parallel_total_region_nests_fixed_allocations():
     for _ in range(25):
         split = float(rng.uniform(0, 1))
         fixed = gauss.region_parallel_individual(
-            ParallelGaussChannel(a=ch.a, b1=ch.b1, b2=ch.b2, powers=(split, 1 - split)))
+            [ScalarGaussChannel(p, a, b1, b2)
+             for p, a, b1, b2 in zip((split, 1 - split), ch.a, ch.b1, ch.b2)])
         assert pooled_contains(front, r, fixed["corner"], tol=1e-6)
         assert pooled_contains(front, r, (fixed["cap_high_sum"], 0.0), tol=1e-6)
 

@@ -1,4 +1,5 @@
-"""Pooled-power region: exact water-filling against oracles, KKT and edge cases."""
+"""Pooled-power region: exact water-filling against oracles, KKT and edge cases;
+the domain of every Gaussian verb."""
 
 import contextlib
 import io
@@ -338,24 +339,83 @@ def wide_subchannel(draw):
     return a, b1, b2
 
 
+def run_main(argv) -> tuple:
+    """(exit code, stdout, stderr) of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def flag_lists(flags, columns) -> list:
+    """argv giving each flag its column of values, comma-separated."""
+    return [item for flag, column in zip(flags, columns)
+            for item in (flag, ",".join(map(repr, column)))]
+
+
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(wide_subchannel(), min_size=1, max_size=3), log_uniform())
 def test_property_parallel_total_answers_or_names_the_input(subchannels, power):
-    argv = ["region", "parallel-total", "--P", repr(power)]
-    for flag, gains in zip(("--a", "--b1", "--b2"), zip(*subchannels)):
-        argv += [flag, ",".join(map(repr, gains))]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    argv = ["region", "parallel-total", "--P", repr(power),
+            *flag_lists(("--a", "--b1", "--b2"), zip(*subchannels))]
+    code, out, err = run_main(argv)
     if code == 0:
-        payload = json.loads(out.getvalue())
-        assert not err.getvalue()
+        payload = json.loads(out)
+        assert not err
         assert all(math.isfinite(payload[k]) for k in ("max_r1", "max_sum", "embedding_gap"))
         for key in ("alloc_max_r1", "alloc_max_sum"):
             assert min(payload[key]) >= 0.0 and math.isfinite(sum(payload[key]))
             assert sum(payload[key]) == pytest.approx(power, rel=1e-12)
     else:
-        assert code == 1 and not out.getvalue() and err.getvalue().count("\n") == 1
-        message = json.loads(err.getvalue())["message"]
+        assert code == 1 and not out and err.count("\n") == 1
+        message = json.loads(err)["message"]
         assert "total power" in message or "gain" in message
+
+
+def numbers(payload) -> list:
+    """Every number in a JSON payload."""
+    if isinstance(payload, dict):
+        return [x for v in payload.values() for x in numbers(v)]
+    if isinstance(payload, list):
+        return [x for v in payload for x in numbers(v)]
+    return [payload] if isinstance(payload, (int, float)) and not isinstance(payload, bool) else []
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(wide_subchannel(), log_uniform()), min_size=1, max_size=3))
+def test_property_parallel_answers_or_names_the_input(subchannels):
+    gains, powers = zip(*subchannels)
+    argv = ["region", "parallel",
+            *flag_lists(("--a", "--b1", "--b2", "--powers"), [*zip(*gains), powers])]
+    code, out, err = run_main(argv)
+    if code == 0:
+        payload = json.loads(out)
+        assert not err
+        assert all(math.isfinite(x) for x in numbers(payload))
+        assert len(payload["per_subchannel"]) == len(subchannels)
+        assert all(len(pair) == 2 for pair in payload["per_subchannel"])
+    else:
+        assert code == 1 and not out and err.count("\n") == 1
+        message = json.loads(err)["message"]
+        assert "power" in message or "gain" in message
+
+
+def test_parallel_checks_each_power_against_its_own_gains():
+    # a huge gain beside a tiny power: the largest power times the largest gain
+    # squared once put this channel past the power limit
+    code, out, err = run_main(["region", "parallel", "--a", "1,1e50", "--b1", "0.5,0.1",
+                               "--b2", "0.1,0.1", "--powers", "1e3,1e-200"])
+    assert code == 0 and not err
+    payload = json.loads(out)
+    want = gauss.cs_scalar(1e3, 1.0, 0.5) + gauss.cs_scalar(1e-200, 1e50, 0.1)
+    assert payload["cap_high_sum"] == want == pytest.approx(0.49928, abs=1e-5)
+
+
+def test_parallel_lengths_that_differ_name_the_flags():
+    code, out, err = run_main(["region", "parallel", "--a", "1,1", "--b1", "0.5,0.5",
+                               "--b2", "0.1,0.1", "--powers", "1"])
+    assert code == 1 and not out
+    assert json.loads(err) == {"error": "ValueError", "message":
+                               "--a, --b1, --b2 and --powers must have equal lengths"}
