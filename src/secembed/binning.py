@@ -28,7 +28,7 @@ from math import isfinite, log2
 
 import numpy as np
 
-from secembed.dmc import DmcTriple, _check_distribution, _check_stochastic, entropy_bits
+from secembed.dmc import DmcTriple, _check_distribution, _check_kernel, entropy_bits
 
 __all__ = [
     "NestedCodebook",
@@ -110,7 +110,7 @@ class NestedCodebook:
 
 def make_codebook(px, n: int, counts, rng: np.random.Generator) -> NestedCodebook:
     """Draw all codewords i.i.d. from px (bin/subbin structure is just labeling)."""
-    px = _check_distribution(px, "px", neg_tol=0.0)
+    px = _check_distribution(px, "px")
     n_bins, n_subbins, n_per = counts
     words = rng.choice(len(px), size=(n_bins, n_subbins, n_per, n), p=px)
     return NestedCodebook(codewords=words, nx=len(px))
@@ -152,9 +152,11 @@ _BLOCK_KEYS = 2**16
 _DECODE_SCORES = 2**20
 
 # Fixed budgets: enumerated outputs or reveal patterns of one exact leakage,
+# pattern keys (2**n patterns x K codewords) of one erasure-style leakage,
 # codeword symbols of one simulated codebook, and channel symbols (trials x n)
 # sampled by one decoding run.
 LEAKAGE_BUDGET = 2**24
+LEAKAGE_KEY_BUDGET = 2**32
 CODEBOOK_BUDGET = 2**20
 TRIALS_BUDGET = 2**20
 
@@ -345,10 +347,10 @@ def _leakage_general(codebook: NestedCodebook, w: np.ndarray, level: str) -> flo
     return entropy_bits(total / n_groups) - h_cond
 
 
-def _leakage_path(w: np.ndarray, n: int):
-    """Kernel w's erasure decomposition, or None for the general path, once its
-    leakage at block length n is within LEAKAGE_BUDGET: 2**n patterns on the
-    erasure path, |Z|**n outputs on the general one."""
+def _leakage_path(w: np.ndarray, n: int, k_total: int):
+    """Kernel w's erasure decomposition, or None for the general path, once its leakage
+    at block length n is within LEAKAGE_BUDGET (2**n patterns on the erasure path, |Z|**n
+    outputs on the general one) and LEAKAGE_KEY_BUDGET (2**n * k_total erasure keys)."""
     dec = _erasure_decomposition(w)
     if dec is None:
         if w.shape[1]**n > LEAKAGE_BUDGET:
@@ -357,6 +359,9 @@ def _leakage_path(w: np.ndarray, n: int):
     elif 2**n > LEAKAGE_BUDGET:
         raise ValueError(
             f"2**n = {2**n} patterns exceed the exact-leakage budget {LEAKAGE_BUDGET}")
+    elif 2**n * k_total > LEAKAGE_KEY_BUDGET:
+        raise ValueError(f"2**n * K = {2**n * k_total} pattern keys exceed the "
+                         f"exact-leakage key budget {LEAKAGE_KEY_BUDGET}")
     return dec
 
 
@@ -365,7 +370,7 @@ def _leakages(codebook: NestedCodebook, requests) -> list:
     profiles = {}
     out = []
     for w, level in requests:
-        dec = _leakage_path(w, codebook.n)
+        dec = _leakage_path(w, codebook.n, codebook.size)
         if dec is None:
             out.append(_leakage_general(codebook, w, level))
             continue
@@ -380,12 +385,7 @@ def exact_leakage(codebook: NestedCodebook, kernel, level: str = "bin") -> float
     """Exact I(M1; Z^n) (level='bin') or I(M1,M2; Z^n) (level='subbin') in bits."""
     if level not in ("bin", "subbin"):
         raise ValueError("level must be 'bin' or 'subbin'")
-    w = np.asarray(kernel, dtype=float)
-    if w.ndim != 2:
-        raise ValueError("kernel must be a 2-D matrix p(z|x)")
-    _check_stochastic(w, "kernel")
-    if w.shape[0] != codebook.nx:
-        raise ValueError("kernel input alphabet does not match the codebook")
+    w = _check_kernel(kernel, "kernel", codebook.nx)
     return _leakages(codebook, [(w, level)])[0]
 
 
@@ -408,10 +408,7 @@ def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
     if trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials}")
     _check_trials(trials, codebook.n)
-    w = np.asarray(py_x, dtype=float)
-    if w.ndim != 2 or w.shape[0] != codebook.nx:
-        raise ValueError("py_x must have one row per codebook input symbol")
-    _check_stochastic(w, "py_x")
+    w = _check_kernel(py_x, "py_x", codebook.nx)
     flat = codebook.flat()
     k_total = codebook.size
     logw = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -1e30)
@@ -445,28 +442,28 @@ def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
 
 
 def _check_simulation(ch: DmcTriple, px, rates, n: int, trials: int,
-                      leakage: bool) -> tuple[tuple[int, int, int], np.ndarray]:
+                      leakage: bool) -> tuple[int, int, int]:
     """Every check of simulate_nested_binning that needs no codebook, in its order.
 
-    Returns the codebook sizes (bins, subbins, per-subbin) and px as an
-    array; raises the ValueError that the simulation would raise, the
-    leakage budget of both eavesdroppers included when leakage is
-    measured, so a sweep can reject every block before simulating any.
+    Returns the codebook sizes (bins, subbins, per-subbin); raises the
+    ValueError that the simulation would raise, the leakage budgets of both
+    eavesdroppers included when leakage is measured, so a sweep can reject
+    every block before simulating any.
     """
     counts = rates_to_counts(rates, n)
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    px = _check_distribution(px, "px", neg_tol=0.0, size=ch.nx)
-    total_symbols = counts[0] * counts[1] * counts[2] * n
-    if total_symbols > CODEBOOK_BUDGET:
+    _check_distribution(px, "px", size=ch.nx)
+    k_total = counts[0] * counts[1] * counts[2]
+    if k_total * n > CODEBOOK_BUDGET:
         raise ValueError(
-            f"codebook needs {total_symbols} symbols, over the budget {CODEBOOK_BUDGET}")
+            f"codebook needs {k_total * n} symbols, over the budget {CODEBOOK_BUDGET}")
     if trials:
         _check_trials(trials, n)
     if leakage:
         for w in (ch.pz1_x, ch.pz2_x):
-            _leakage_path(w, n)
-    return counts, px
+            _leakage_path(w, n, k_total)
+    return counts
 
 
 def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
@@ -481,7 +478,7 @@ def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
     Deterministic given the seed: codebook, encoder and channel noise
     use separate substreams of one seed sequence.
     """
-    counts, px = _check_simulation(ch, px, rates, n, trials, measure_leakage)
+    counts = _check_simulation(ch, px, rates, n, trials, measure_leakage)
     ss = np.random.SeedSequence(seed)
     rng_cb, rng_trials = (np.random.default_rng(s) for s in ss.spawn(2))
     codebook = make_codebook(px, n, counts, rng_cb)

@@ -23,8 +23,6 @@ import os
 import stat
 import sys
 
-import numpy as np
-
 from secembed import binning, coset, dmc, fm, gauss
 
 
@@ -121,11 +119,21 @@ def _parallel_channel(args, pooled: bool):
             raise ValueError(f"missing {', '.join(missing)}; give them or --preset")
         lists = [_floats(getattr(args, flag), flag) for flag in flags]
     if pooled:
-        return gauss.ParallelGaussChannel(*lists, 1.0 if args.P is None else args.P)
+        try:
+            return gauss.ParallelGaussChannel(*lists, 1.0 if args.P is None else args.P)
+        except ValueError as exc:  # the power's messages start with its name
+            flags = "--P" if str(exc).startswith("total power") else "--a, --b1, --b2"
+            raise ValueError(f"{flags}: {exc}") from None
     if len(set(map(len, lists))) != 1:
         raise ValueError("--a, --b1, --b2 and --powers must have equal lengths")
     a, b1, b2, powers = lists
-    return [gauss.ScalarGaussChannel(*sub) for sub in zip(powers, a, b1, b2)]
+    subchannels = []
+    for l, sub in enumerate(zip(powers, a, b1, b2)):
+        try:
+            subchannels.append(gauss.ScalarGaussChannel(*sub))
+        except ValueError as exc:
+            raise ValueError(f"--a, --b1, --b2 and --powers at l = {l}: {exc}") from None
+    return subchannels
 
 
 def _cmd_region_parallel(args) -> int:
@@ -214,15 +222,9 @@ def _cmd_dmc_region_point(args) -> int:
         with open(args.aux) as f:
             spec = json.load(f)
         keys = ("pu", "pv_u", "px_v")
-        try:  # numpy rejects a ragged list with a ValueError of its own
-            numeric = isinstance(spec, dict) and all(
-                np.asarray(spec.get(k)).dtype.kind in "iuf" for k in keys)
-        except ValueError:
-            numeric = False
-        if not numeric:
+        if not (isinstance(spec, dict) and all(k in spec for k in keys)):
             raise ValueError("--aux must hold a JSON object with pu, pv_u, px_v")
-        aux = dmc.AuxiliaryChain(*(np.asarray(spec[k], dtype=float) for k in keys))
-        bounds = dmc.region_point_full(ch, aux)
+        bounds = dmc.region_point_full(ch, dmc.AuxiliaryChain(*(spec[k] for k in keys)))
     return _emit(args, bounds)
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, inf, isfinite
 from typing import FrozenSet
 
@@ -385,14 +384,13 @@ def union_bound_report(params: WiretapIIParams, *, exact_counts: bool = False) -
     n = params.n
     k_low = params.k1 + params.k2  # n(1 - alpha2 - eps)
     exp = params.n_alpha2 + (n - params.n_alpha1 - params.k1)  # n(alpha2 + eps)
-    q = Fraction(1, 1 << exp)
-    rank_term = float(k_low * q / (1 - q))
+    # int true division is correctly rounded: each term is its exact ratio rounded once
+    rank_term = k_low / ((1 << exp) - 1)
     if exact_counts:
-        count = comb(n, params.n_alpha1) + comb(n, params.n_alpha2)
-        subset_term = float(Fraction(count, 1 << (2 * n)))
+        subset_term = (comb(n, params.n_alpha1) + comb(n, params.n_alpha2)) / (1 << 2 * n)
         mode = "exact"
     else:
-        subset_term = float(Fraction(2 << n, 1 << (2 * n)))
+        subset_term = (2 << n) / (1 << 2 * n)
         mode = "loose"
     rank_ok, subset_ok = rank_term < 0.5, subset_term < 0.5
     return {"n": n, "mode": mode, "rank_term": rank_term, "subset_term": subset_term,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,19 +44,38 @@ def _check_stochastic(mat: np.ndarray, what: str):
         raise ValueError(f"{what} rows must sum to 1 within 1e-12")
 
 
-def _check_distribution(p, what: str, *, neg_tol: float = _ATOL,
-                        sum_tol: float = 1e-9, size: int | None = None) -> np.ndarray:
-    """``p`` as a float vector, or ValueError naming ``what`` unless it is a 1-D
-    finite distribution (entries >= -neg_tol, summing to 1 within sum_tol) with
+def _as_numbers(x, what: str, ndim: int) -> np.ndarray:
+    """``x`` as floats, or ValueError naming ``what`` unless numpy reads it as an ``ndim``-D
+    int or float array: not strings, None, all-bool arrays, ragged lists or huge ints."""
+    try:  # numpy rejects a ragged list with a ValueError of its own
+        a = np.asarray(x)
+        if a.dtype.kind in "iuf" and a.ndim == ndim:
+            return a.astype(float)
+    except ValueError:
+        pass
+    raise ValueError(f"{what} must be a {('1-D vector', '2-D matrix')[ndim - 1]} of numbers")
+
+
+def _check_distribution(p, what: str, size: int | None = None) -> np.ndarray:
+    """``p`` with its entries below 0 set to 0, or ValueError naming ``what`` unless
+    it is a 1-D vector of finite numbers >= -1e-12 summing to 1 within 1e-9, with
     ``size`` entries when ``size`` is given (the input alphabet's size)."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ValueError(f"{what} must be a 1-D vector")
-    if not np.isfinite(p).all() or (p < -neg_tol).any() or abs(p.sum() - 1.0) > sum_tol:
+    p = _as_numbers(p, what, 1)
+    if not np.isfinite(p).all() or (p < -_ATOL).any() or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"{what} must be a distribution of finite entries")
     if size is not None and p.shape[0] != size:
         raise ValueError(f"{what} must be a distribution over the input alphabet")
-    return p
+    return np.maximum(p, 0.0)
+
+
+def _check_kernel(w, what: str, rows: int) -> np.ndarray:
+    """``w`` as a float matrix, or ValueError naming ``what`` unless it is a 2-D
+    matrix of numbers with ``rows`` rows, one per input symbol, each a distribution."""
+    w = _as_numbers(w, what, 2)
+    if w.shape[0] != rows:
+        raise ValueError(f"{what} must have {rows} rows, one per input symbol")
+    _check_stochastic(w, what)
+    return w
 
 
 def entropy_bits(p) -> float:
@@ -86,18 +105,22 @@ def conditional_mi_bits(joint3) -> float:
 
 @dataclass(frozen=True)
 class DmcTriple:
-    """Transition law p(y, z1, z2 | x) as a (|X|, |Y|, |Z1|, |Z2|) tensor."""
+    """Transition law p(y, z1, z2 | x) as a (|X|, |Y|, |Z1|, |Z2|) tensor, and its marginals."""
 
     p: np.ndarray
+    py_x: np.ndarray = field(init=False, repr=False, compare=False)
+    pz1_x: np.ndarray = field(init=False, repr=False, compare=False)
+    pz2_x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+        p = np.array(self.p, dtype=float)  # a copy: the caller's array is never aliased
         if p.ndim != 4:
             raise ValueError("transition tensor must have axes (x, y, z1, z2)")
         _check_stochastic(p, "p(y,z1,z2|x)")
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
+        for name, value in (("p", p), ("py_x", p.sum(axis=(2, 3))),
+                            ("pz1_x", p.sum(axis=(1, 3))), ("pz2_x", p.sum(axis=(1, 2)))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
     def independent(cls, py_x, pz1_x, pz2_x) -> "DmcTriple":
@@ -110,18 +133,6 @@ class DmcTriple:
     @property
     def nx(self) -> int:
         return self.p.shape[0]
-
-    @property
-    def py_x(self) -> np.ndarray:
-        return self.p.sum(axis=(2, 3))
-
-    @property
-    def pz1_x(self) -> np.ndarray:
-        return self.p.sum(axis=(1, 3))
-
-    @property
-    def pz2_x(self) -> np.ndarray:
-        return self.p.sum(axis=(1, 2))
 
     def to_dict(self) -> dict:
         return {
@@ -174,17 +185,10 @@ class AuxiliaryChain:
     px_v: np.ndarray
 
     def __post_init__(self):
-        pu = _check_distribution(self.pu, "p(u)", sum_tol=1e-12)
-        pv_u = np.asarray(self.pv_u, dtype=float)
-        px_v = np.asarray(self.px_v, dtype=float)
-        for mat, what in ((pv_u, "p(v|u)"), (px_v, "p(x|v)")):
-            if mat.ndim != 2:
-                raise ValueError(f"{what} must be a 2-D matrix")
-            _check_stochastic(mat, what)
-        if pv_u.shape[0] != pu.shape[0] or px_v.shape[0] != pv_u.shape[1]:
-            raise ValueError("chain shapes do not compose")
+        pu = _check_distribution(self.pu, "p(u)")
+        pv_u = _check_kernel(self.pv_u, "p(v|u)", len(pu))
+        px_v = _check_kernel(self.px_v, "p(x|v)", pv_u.shape[1])
         for arr, name in ((pu, "pu"), (pv_u, "pv_u"), (px_v, "px_v")):
-            arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -118,8 +118,9 @@ class ParallelGaussChannel:
         if not (len(a) == len(b1) == len(b2)) or not a:
             raise ValueError("gain lists must be nonempty and of equal length")
         _check_nonneg(a + b1 + b2, "gains")
-        if any(s < w for s, w in zip(b1, b2)):
-            raise ValueError("need b1_l >= b2_l in every subchannel")
+        bad = [l for l, (s, w) in enumerate(zip(b1, b2)) if s < w]
+        if bad:
+            raise ValueError(f"need b1_l >= b2_l in every subchannel; l = {bad[0]} has b1_l < b2_l")
         _check_power(self.total_power, a + b1 + b2, "total power")
 
     @property

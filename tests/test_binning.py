@@ -401,6 +401,26 @@ def test_leakage_budget_of_both_eavesdroppers_checked_before_any_profile(monkeyp
     assert calls == []
 
 
+def test_leakage_key_budget_checked_before_any_codebook():
+    # 2**24 patterns of K = 4,096 keys: within LEAKAGE_BUDGET, a 7-minute walk past this one
+    with pytest.raises(ValueError, match=r"^2\*\*n \* K = 68719476736 pattern keys exceed "
+                                         r"the exact-leakage key budget 4294967296$"):
+        binning._check_simulation(bec_triple(), [0.5, 0.5], (0.25, 0.25, 0.0), 24, 1, True)
+    binning._check_simulation(bec_triple(), [0.5, 0.5], (0.25, 0.25, 0.0), 24, 1, False)
+
+
+def test_leakage_key_budget_admits_its_bound(monkeypatch):
+    calls = []
+    monkeypatch.setattr(binning, "_erasure_profile",
+                        lambda cb, reveal: calls.append(cb.size) or np.zeros((2, cb.n + 1)))
+    cb = binning.make_codebook([0.5, 0.5], 24, (1, 1, 256), np.random.default_rng(1))
+    assert binning.exact_leakage(cb, dmc.bec_kernel(0.5), "bin") == 0.0  # 2**32 keys
+    cb = binning.make_codebook([0.5, 0.5], 24, (1, 1, 257), np.random.default_rng(1))
+    with pytest.raises(ValueError, match=r"key budget 4294967296$"):
+        binning.exact_leakage(cb, dmc.bec_kernel(0.5), "bin")
+    assert calls == [256]
+
+
 def coset_code(n, k1, k2, rng):
     """A random two-level coset code whose stacked matrix has full row rank."""
     while gf2.rank(stacked := rng.integers(0, 2, size=(k1 + k2, n))) < k1 + k2:
@@ -681,10 +701,14 @@ def test_error_rate_accepts_trials_at_budget(monkeypatch):
         binning.empirical_error_rate(cb, dmc.bsc_kernel(0.1), 9, np.random.default_rng(1))
 
 
-@pytest.mark.parametrize("py_x", [[[0.9, 0.1]], [[0.9, 0.1]] * 3, [0.9, 0.1]])
-def test_error_rate_rejects_py_x_over_wrong_alphabet(py_x):
+@pytest.mark.parametrize("py_x, message", [
+    ([[0.9, 0.1]], "py_x must have 2 rows, one per input symbol"),
+    ([[0.9, 0.1]] * 3, "py_x must have 2 rows, one per input symbol"),
+    ([0.9, 0.1], "py_x must be a 2-D matrix of numbers"),
+], ids=["py_x0", "py_x1", "py_x2"])
+def test_error_rate_rejects_py_x_over_wrong_alphabet(py_x, message):
     cb = binning.make_codebook([0.5, 0.5], 4, (2, 2, 2), np.random.default_rng(1))
-    with pytest.raises(ValueError, match="py_x must have one row per codebook input symbol"):
+    with pytest.raises(ValueError, match=message):
         binning.empirical_error_rate(cb, py_x, 10, np.random.default_rng(1))
 
 
@@ -703,7 +727,7 @@ def test_error_rate_rejects_non_stochastic_py_x(py_x, match):
 
 def test_exact_leakage_rejects_kernel_over_wrong_alphabet():
     cb = binning.make_codebook([0.5, 0.5], 4, (2, 2, 2), np.random.default_rng(1))
-    with pytest.raises(ValueError, match="kernel input alphabet does not match the codebook"):
+    with pytest.raises(ValueError, match="kernel must have 2 rows, one per input symbol"):
         binning.exact_leakage(cb, dmc.bec_kernel(0.5)[[0, 1, 1]], "bin")
 
 

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import secembed
 from secembed import binning, cli, dmc, gauss, gf2
@@ -417,27 +419,28 @@ def test_malformed_channel_file_is_domain_error(tmp_path, capsys, command, chann
     assert payload["error"] == "ValueError" and "channel" in payload["message"]
 
 
-@pytest.mark.parametrize("spec", [
-    [1], "aux", 3,
-    {"pu": {"a": 1}, "pv_u": [[1]], "px_v": [[0.5, 0.5]]},
-    {"pu": [1]},
-])
-def test_malformed_aux_file_is_domain_error(tmp_path, capsys, spec):
+NOT_AUX = "--aux must hold a JSON object with pu, pv_u, px_v"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([1], NOT_AUX), ("aux", NOT_AUX), (3, NOT_AUX),
+    ({"pu": {"a": 1}, "pv_u": [[1]], "px_v": [[0.5, 0.5]]}, "p(u) must be a 1-D vector of numbers"),
+    ({"pu": [1]}, NOT_AUX),
+], ids=["spec0", "aux", "3", "spec3", "spec4"])
+def test_malformed_aux_file_is_domain_error(tmp_path, capsys, spec, message):
     aux = tmp_path / "aux.json"
     aux.write_text(json.dumps(spec))
     code, out, err = run_cli(capsys, "dmc", "region-point", "--bec", "0.5,0.9",
                              "--aux", str(aux))
     assert code == 1 and not out
-    assert json.loads(err) == {
-        "error": "ValueError",
-        "message": "--aux must hold a JSON object with pu, pv_u, px_v"}
+    assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
 @pytest.mark.parametrize("spec, message", [
     ({"pu": [[1.0]], "pv_u": [[0.5, 0.5]], "px_v": [[1.0, 0.0], [0.0, 1.0]]},
-     "p(u) must be a 1-D vector"),
+     "p(u) must be a 1-D vector of numbers"),
     ({**AUX_CHAIN, "px_v": [[1.0, 0.0], [1.0]]},
-     "--aux must hold a JSON object with pu, pv_u, px_v"),
+     "p(x|v) must be a 2-D matrix of numbers"),
 ], ids=["pu-2d", "px_v-ragged"])
 def test_aux_shape_is_a_named_domain_error(tmp_path, capsys, spec, message):
     aux = tmp_path / "aux.json"
@@ -446,6 +449,17 @@ def test_aux_shape_is_a_named_domain_error(tmp_path, capsys, spec, message):
                              "--aux", str(aux))
     assert code == 1 and not out
     assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def test_aux_pu_takes_the_px_rule(tmp_path, capsys):
+    # p(u) once had to sum to 1 within 1e-12 where px may be off by 1e-9
+    spec = {**AUX_CHAIN, "pu": [0.5, 0.5000000001]}
+    aux = tmp_path / "aux.json"
+    aux.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "dmc", "region-point", "--bec", "0.5,0.9",
+                             "--aux", str(aux))
+    assert code == 0 and not err
+    assert json.loads(out) == dmc.region_point_full(bec_channel(), dmc.AuxiliaryChain(**spec))
 
 
 @pytest.mark.parametrize("key, value, what", [
@@ -462,7 +476,8 @@ def test_aux_matrix_that_is_not_2d_is_domain_error(tmp_path, capsys, key, value,
                              "--aux", str(aux))
     assert code == 1 and not out
     assert err.count("\n") == 1
-    assert json.loads(err) == {"error": "ValueError", "message": f"{what} must be a 2-D matrix"}
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": f"{what} must be a 2-D matrix of numbers"}
 
 
 def test_domain_error_exit_code_and_stderr_json(capsys):
@@ -553,7 +568,9 @@ def test_non_finite_px_is_domain_error(capsys, argv):
      "2**n = 33554432 patterns exceed the exact-leakage budget 16777216"),
     (["--rates", "0.5,0.5,0.25", "--n", "16"],
      "codebook needs 16777216 symbols, over the budget 1048576"),
-], ids=["leakage", "codebook"])
+    (["--rates", "0.25,0.25,0", "--n", "24"],
+     "2**n * K = 68719476736 pattern keys exceed the exact-leakage key budget 4294967296"),
+], ids=["leakage", "codebook", "leakage-keys"])
 def test_sim_dmc_budget_error_is_domain_error(capsys, extra, message):
     code, out, err = run_cli(capsys, *SIM_BEC, *extra, "--trials", "1")
     assert code == 1 and not out
@@ -615,6 +632,44 @@ def test_sim_dmc_px_over_wrong_alphabet_is_domain_error(tmp_path, capsys, px):
     assert payload["error"] == "ValueError"
     assert "px must be a distribution over the input alphabet" in payload["message"]
     assert not out_file.exists()
+
+
+def test_tiny_negative_px_is_zero_to_both_verbs(capsys):
+    # region-point once answered with raw_r1 -2.2e-14 where sim dmc refused the same px
+    code, out, err = run_cli(capsys, "dmc", "region-point", "--bec", "0.5,0.9",
+                             "--px=1,-1e-13")
+    assert code == 0 and not err
+    assert json.loads(out) == {"r1_max": 0.0, "sum_max": 0.0, "raw_r1": 0.0, "raw_sum": 0.0}
+    code, out, err = run_cli(capsys, "sim", "dmc", "--bec", "0.5,0.9", "--px=1,-1e-13",
+                             "--rates", "0.25,0.25,0", "--n", "8", "--trials", "10",
+                             "--seed", "1")
+    assert code == 0 and not err
+    assert json.loads(out)["normalized_leak_messages_weak"] == 0.0  # every codeword is 0
+
+
+def px_entry():
+    """A --px entry: a probability, a tiny negative, a non-finite value or a near-miss."""
+    return st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+        ["-1e-13", "-1e-12", "-2e-12", "-1e-9", "nan", "inf", "-inf", "0.5000000001",
+         "0.500000002"]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    st.lists(px_entry(), min_size=1, max_size=3),
+    st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-10, -1e-10, 2e-9, -2e-9]))
+    .map(lambda t: [t[0], 1.0 - t[0] + t[1]])))
+@example(["1", "-1e-13"])
+def test_property_px_means_the_same_to_both_verbs(capsys, entries):
+    px = ",".join(e if isinstance(e, str) else repr(e) for e in entries)
+    point = run_cli(capsys, "dmc", "region-point", "--bec", "0.5,0.9", f"--px={px}")
+    sim = run_cli(capsys, "sim", "dmc", "--bec", "0.5,0.9", f"--px={px}", "--rates",
+                  "0.25,0.25,0", "--n", "8", "--trials", "0", "--no-leakage", "--seed", "1")
+    assert point[0] == sim[0] and point[0] in (0, 1)
+    if point[0] == 1:
+        assert point[2] == sim[2]
+        assert json.loads(point[2])["message"].startswith("px must be a distribution")
 
 
 # (error_rate, normalized_leak_m1_strong, normalized_leak_messages_weak) of

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -284,6 +285,26 @@ def test_union_bound_exact_not_looser():
         exact = coset.union_bound_report(p, exact_counts=True)
         assert exact["subset_term"] <= loose["subset_term"]
         assert exact["rank_term"] == loose["rank_term"]
+
+
+def test_union_bound_matches_fraction_reference():
+    """Every term is the exact rational rounded once to a float."""
+    checked = 0
+    for n in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 256, 1024, 2048):
+        for a1, a2, e in itertools.product(range(0, n + 1, max(1, n // 8)), repeat=3):
+            if not (a2 <= a1 and 1 <= e <= n - a1):
+                continue
+            p = WiretapIIParams(n=n, alpha1=a1 / n, alpha2=a2 / n, eps=e / n)
+            q = Fraction(1, 1 << (p.n_alpha2 + e))
+            rank = float((p.k1 + p.k2) * q / (1 - q))
+            loose = float(Fraction(2 << n, 1 << (2 * n)))
+            exact = float(Fraction(math.comb(n, p.n_alpha1) + math.comb(n, p.n_alpha2),
+                                   1 << (2 * n)))
+            for exact_counts, subset in ((False, loose), (True, exact)):
+                r = coset.union_bound_report(p, exact_counts=exact_counts)
+                assert (r["rank_term"], r["subset_term"]) == (rank, subset)
+            checked += 1
+    assert checked > 1000, checked
 
 
 def test_bundle_roundtrip_and_audit():

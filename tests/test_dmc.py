@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -287,3 +288,60 @@ def test_kernels_reject_non_finite_entries(bad):
         AuxiliaryChain(pu=[1.0], pv_u=[[bad, 1.0]], px_v=np.eye(2))
     with pytest.raises(ValueError, match=r"p\(x\|v\) has non-finite entries"):
         AuxiliaryChain(pu=[1.0], pv_u=[[0.5, 0.5]], px_v=[[1.0, 0.0], [bad, 1.0]])
+
+
+@pytest.mark.parametrize("what", ["px", "p(u)"])
+def test_one_distribution_rule(what):
+    """Entries >= -1e-12 read as 0 past it, and a sum within 1e-9 of 1, for px and p(u)."""
+    ch = DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.5),
+                               dmc.bec_kernel(0.9))
+
+    def check(p):
+        if what == "px":
+            return dmc.region_point_simple(ch, p)
+        return AuxiliaryChain(pu=p, pv_u=np.eye(2), px_v=np.eye(2)).pu
+
+    for p in ([1.0, -1e-12], [1.0, -1e-13], [0.5, 0.5000000001], [0.5, 0.5 - 9e-10]):
+        check(p)
+    for p in ([1.0, -2e-12], [0.5, 0.5 + 2e-9], [0.5, 0.5 - 2e-9]):
+        with pytest.raises(ValueError, match=re.escape(f"{what} must be a distribution")):
+            check(p)
+
+
+def test_tiny_negative_px_reads_as_zero():
+    ch = DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.5),
+                               dmc.bec_kernel(0.9))
+    # the negative entry once reached the information sums: raw_r1 was -2.2e-14
+    assert dmc.region_point_simple(ch, [1.0, -1e-13]) == dmc.region_point_simple(ch, [1.0, 0.0])
+    assert dmc.region_point_simple(ch, [1.0, -1e-13])["raw_r1"] == 0.0
+    assert dmc._check_distribution([1.0, -1e-13], "px").tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", [[True, False], ["0.5", "0.5"], [None, 1.0], [10**400, 1],
+                                 [[1.0], [0.5, 0.5]], [0.5 + 0j, 0.5]])
+def test_distribution_and_kernel_must_be_numbers(bad):
+    with pytest.raises(ValueError, match=r"^p\(u\) must be a 1-D vector of numbers$"):
+        AuxiliaryChain(pu=bad, pv_u=np.eye(2), px_v=np.eye(2))
+    with pytest.raises(ValueError, match=r"^p\(v\|u\) must be a 2-D matrix of numbers$"):
+        AuxiliaryChain(pu=[0.5, 0.5], pv_u=[bad, bad], px_v=np.eye(2))
+
+
+@pytest.mark.parametrize("pv_u, px_v, message", [
+    (np.eye(3), np.eye(2), "p(v|u) must have 2 rows, one per input symbol"),
+    ([[0.5, 0.25, 0.25]] * 2, np.eye(2), "p(x|v) must have 3 rows, one per input symbol"),
+], ids=["p(v|u)", "p(x|v)"])
+def test_chain_kernels_take_one_row_per_input_symbol(pv_u, px_v, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        AuxiliaryChain(pu=[0.5, 0.5], pv_u=pv_u, px_v=px_v)
+
+
+def test_marginals_are_summed_once_and_read_only():
+    ch = random_triple(np.random.default_rng(7), nx=2, ny=3, nz1=2, nz2=4)
+    for name, axes in (("py_x", (2, 3)), ("pz1_x", (1, 3)), ("pz2_x", (1, 2))):
+        kernel = getattr(ch, name)
+        assert kernel is getattr(ch, name)
+        assert np.array_equal(kernel, ch.p.sum(axis=axes))
+        with pytest.raises(ValueError):
+            kernel[0, 0] = 0.0
+    with pytest.raises(TypeError):
+        DmcTriple(ch.p, py_x=ch.py_x)

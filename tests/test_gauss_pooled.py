@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -371,6 +372,7 @@ def test_property_parallel_total_answers_or_names_the_input(subchannels, power):
         assert code == 1 and not out and err.count("\n") == 1
         message = json.loads(err)["message"]
         assert "total power" in message or "gain" in message
+        assert message.startswith(("--P: total power", "--a, --b1, --b2: "))
 
 
 def numbers(payload) -> list:
@@ -400,6 +402,7 @@ def test_property_parallel_answers_or_names_the_input(subchannels):
         assert code == 1 and not out and err.count("\n") == 1
         message = json.loads(err)["message"]
         assert "power" in message or "gain" in message
+        assert re.match(r"--a, --b1, --b2 and --powers at l = [0-2]: ", message)
 
 
 def test_parallel_checks_each_power_against_its_own_gains():
@@ -419,3 +422,20 @@ def test_parallel_lengths_that_differ_name_the_flags():
     assert code == 1 and not out
     assert json.loads(err) == {"error": "ValueError", "message":
                                "--a, --b1, --b2 and --powers must have equal lengths"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["parallel", "--a", "1,1", "--b1", "0.5,0.1", "--b2", "0.1,0.2", "--powers", "1,1"],
+     "--a, --b1, --b2 and --powers at l = 1: strong eavesdropper gain b1 must be >= b2"),
+    (["parallel", "--a", "1,1", "--b1", "0.5,0.1", "--b2", "0.1,0.1", "--powers", "1,1e200"],
+     "--a, --b1, --b2 and --powers at l = 1: power too large for these gains: "
+     "1e+200 * max(1, gain)**2 exceeds 5.644e+102"),
+    (["parallel-total", "--a", "1,1,1", "--b1", "0.5,0.1,0.5", "--b2", "0.1,0.2,0.6"],
+     "--a, --b1, --b2: need b1_l >= b2_l in every subchannel; l = 1 has b1_l < b2_l"),
+    (["parallel-total", "--a", "1,1", "--b1", "0.5,0.1", "--b2", "0.1,0.1", "--P", "1e200"],
+     "--P: total power too large for these gains: 1e+200 * max(1, gain)**2 exceeds 5.644e+102"),
+], ids=["parallel-order", "parallel-power", "parallel-total-order", "parallel-total-power"])
+def test_gaussian_errors_name_the_flags(argv, message):
+    code, out, err = run_main(["region", *argv])
+    assert code == 1 and not out
+    assert json.loads(err) == {"error": "ValueError", "message": message}
