@@ -21,6 +21,7 @@ request and picks the path per kernel, subject to the leakage budget:
 
 from __future__ import annotations
 
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -46,14 +47,16 @@ def rates_to_counts(rates, n: int) -> tuple[int, int, int]:
     Each 2**(n*rate) must be an integer count (relative tolerance 1e-6
     against the nearest integer); anything else is rejected rather than
     rounded, so the realized rates are exactly the requested ones.  The
-    block length n must be a positive integer.
+    block length n must be a positive integer, and no rate or n a bool.
     """
     if len(rates) != 3:
         raise ValueError("rates must be (R1, R2, T)")
-    if n < 1:
-        raise ValueError(f"block length n must be a positive integer, got n={n}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"block length n must be a positive integer, got n={n!r}")
     counts = []
     for r in rates:
+        if isinstance(r, bool) or not isinstance(r, numbers.Real):
+            raise ValueError(f"rate {r!r} is not a number")
         if not isfinite(r):
             raise ValueError(f"rate {r} is not finite")
         if r < 0:
@@ -405,8 +408,8 @@ def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
     differs from the transmitted one.  All trials are sampled at once, so
     trials * n may not exceed TRIALS_BUDGET.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials}")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     _check_trials(trials, codebook.n)
     w = _check_kernel(py_x, "py_x", codebook.nx)
     flat = codebook.flat()
@@ -451,6 +454,8 @@ def _check_simulation(ch: DmcTriple, px, rates, n: int, trials: int,
     every block before simulating any.
     """
     counts = rates_to_counts(rates, n)
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     _check_distribution(px, "px", size=ch.nx)

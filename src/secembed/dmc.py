@@ -10,6 +10,7 @@ auxiliary chains; no optimization over distributions is attempted.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -46,10 +47,12 @@ def _check_stochastic(mat: np.ndarray, what: str):
 
 def _as_numbers(x, what: str, ndim: int) -> np.ndarray:
     """``x`` as floats, or ValueError naming ``what`` unless numpy reads it as an ``ndim``-D
-    int or float array: not strings, None, all-bool arrays, ragged lists or huge ints."""
+    int or float array with no bool in it: not strings, None, bools, ragged lists or huge ints."""
     try:  # numpy rejects a ragged list with a ValueError of its own
         a = np.asarray(x)
-        if a.dtype.kind in "iuf" and a.ndim == ndim:
+        # numpy reads [True, 0.0] as [1.0, 0.0]: an array's dtype tells, a list's items do
+        if a.dtype.kind in "iuf" and a.ndim == ndim and (a is x or not any(
+                isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat)):
             return a.astype(float)
     except ValueError:
         pass
@@ -68,11 +71,12 @@ def _check_distribution(p, what: str, size: int | None = None) -> np.ndarray:
     return np.maximum(p, 0.0)
 
 
-def _check_kernel(w, what: str, rows: int) -> np.ndarray:
-    """``w`` as a float matrix, or ValueError naming ``what`` unless it is a 2-D
-    matrix of numbers with ``rows`` rows, one per input symbol, each a distribution."""
+def _check_kernel(w, what: str, rows: int | None = None) -> np.ndarray:
+    """``w`` as a float matrix, or ValueError naming ``what`` unless it is a 2-D matrix
+    of numbers whose rows are distributions, ``rows`` of them (one per input symbol)
+    when ``rows`` is given."""
     w = _as_numbers(w, what, 2)
-    if w.shape[0] != rows:
+    if rows is not None and w.shape[0] != rows:
         raise ValueError(f"{what} must have {rows} rows, one per input symbol")
     _check_stochastic(w, what)
     return w
@@ -125,9 +129,9 @@ class DmcTriple:
     @classmethod
     def independent(cls, py_x, pz1_x, pz2_x) -> "DmcTriple":
         """Compose from per-output kernels, conditionally independent given x."""
-        py_x = np.asarray(py_x, dtype=float)
-        pz1_x = np.asarray(pz1_x, dtype=float)
-        pz2_x = np.asarray(pz2_x, dtype=float)
+        py_x = _check_kernel(py_x, "p(y|x)")
+        pz1_x = _check_kernel(pz1_x, "p(z1|x)", len(py_x))
+        pz2_x = _check_kernel(pz2_x, "p(z2|x)", len(py_x))
         return cls(np.einsum("xy,xa,xb->xyab", py_x, pz1_x, pz2_x))
 
     @property
@@ -161,14 +165,14 @@ class DmcTriple:
 
 def bec_kernel(delta: float) -> np.ndarray:
     """Binary erasure kernel: outputs (0, 1, erasure), erasure probability delta."""
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("erasure probability must be in [0, 1]")
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0.0 <= delta <= 1.0:
+        raise ValueError("erasure probability must be a number in [0, 1]")
     return np.array([[1 - delta, 0.0, delta], [0.0, 1 - delta, delta]])
 
 
 def bsc_kernel(flip: float) -> np.ndarray:
-    if not 0.0 <= flip <= 1.0:
-        raise ValueError("flip probability must be in [0, 1]")
+    if isinstance(flip, bool) or not isinstance(flip, numbers.Real) or not 0.0 <= flip <= 1.0:
+        raise ValueError("flip probability must be a number in [0, 1]")
     return np.array([[1 - flip, flip], [flip, 1 - flip]])
 
 

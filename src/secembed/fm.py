@@ -53,12 +53,14 @@ def _q(x) -> int | Fraction:
     """x exact: int and Fraction unchanged, a non-Rational real (np.float32, ...) via float."""
     if isinstance(x, (int, Fraction)):
         return x
-    try:
-        if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational):
-            x = float(x)
-        return Fraction(x)
-    except (OverflowError, ValueError, TypeError):
-        raise ValueError(f"{x!r} is not a finite rational") from None
+    if not isinstance(x, str):  # Fraction would parse "1/3"
+        try:
+            if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational):
+                x = float(x)
+            return Fraction(x)
+        except (OverflowError, ValueError, TypeError):
+            pass
+    raise ValueError(f"{x!r} is not a finite rational")
 
 
 @dataclass(frozen=True)
@@ -89,10 +91,8 @@ class LinIneq:
     @classmethod
     def at_most(cls, lhs, rhs, strict=False) -> "LinIneq":
         """lhs <= rhs, both sides as {symbol: coeff} maps."""
-        coeffs = dict(lhs)
-        for s, c in dict(rhs).items():
-            coeffs[s] = _q(coeffs.get(s, 0)) - _q(c)
-        return cls(coeffs, strict=strict)
+        return cls(list(dict(lhs).items()) + [(s, -_q(c)) for s, c in dict(rhs).items()],
+                   strict=strict)
 
     def coeff(self, symbol) -> int:
         for s, c in self.terms:
@@ -125,35 +125,26 @@ class LinIneq:
         var_set = set(variables)
         flip = any(s in var_set for s, _ in self.terms) and all(
             c < 0 for s, c in self.terms if s in var_set)
-        ineq = LinIneq({s: -c for s, c in self.terms}, -self.const, self.strict) if flip else self
-        lhs = [(s, c) for s, c in ineq.terms if s in var_set]
-        rhs = [(s, -c) for s, c in ineq.terms if s not in var_set]
-        rhs_const = -ineq.const
-
-        def side(parts, const):
-            if not parts and const == 0:
-                return "0"
-            out = ""
-            for i, (s, c) in enumerate(parts):
-                mag = abs(c)
-                body = s if mag == 1 else f"{mag} {s}"
-                if i == 0:
-                    out = body if c > 0 else f"-{body}"
-                else:
-                    out += f" + {body}" if c > 0 else f" - {body}"
-            if const != 0:
-                sign = "+" if const > 0 else "-"
-                if out:
-                    out += f" {sign} {abs(const)}"
-                else:
-                    out = str(const)
-            return out
-
+        sign = -1 if flip else 1
+        lhs = [(s, sign * c) for s, c in self.terms if s in var_set]
+        rhs = [(s, -sign * c) for s, c in self.terms if s not in var_set]
         if flip:
             rel = ">" if self.strict else ">="
         else:
             rel = "<" if self.strict else "<="
-        return f"{side(lhs, 0)} {rel} {side(rhs, rhs_const)}"
+        return f"{_side(lhs, 0)} {rel} {_side(rhs, -sign * self.const)}"
+
+
+def _side(terms, const) -> str:
+    """One side of a rendered inequality, e.g. 'x - 2 y + 3', or '0' when it is empty."""
+    words = []
+    for s, c in terms:
+        words += ["+" if c > 0 else "-", s if abs(c) == 1 else f"{abs(c)} {s}"]
+    if const:
+        words += ["+" if const > 0 else "-", str(abs(const))]
+    if not words:
+        return "0"
+    return ("-" if words[0] == "-" else "") + " ".join(words[1:])
 
 
 def _prune(ineqs) -> tuple:
@@ -194,10 +185,8 @@ def _fm_step(ineqs, var) -> tuple:
     combos = []
     for lo, a_lo in lowers:
         for up, a_up in uppers:
-            coeffs = {s: a_up * c for s, c in lo.terms}
-            for s, c in up.terms:
-                coeffs[s] = coeffs.get(s, 0) + a_lo * c
-            combos.append(LinIneq(coeffs, a_up * lo.const + a_lo * up.const,
+            terms = [(s, a_up * c) for s, c in lo.terms] + [(s, a_lo * c) for s, c in up.terms]
+            combos.append(LinIneq(terms, a_up * lo.const + a_lo * up.const,
                                   lo.strict or up.strict))
     return _prune(rest + combos)
 
@@ -289,18 +278,16 @@ class LinIneqSystem:
         """Bind every constant to a number and return the numeric region dict."""
         from secembed import regions
 
-        missing = [c for c in self.constants
-                   if c not in values and any(iq.coeff(c) != 0 for iq in self.inequalities)]
+        used = {s for iq in self.inequalities for s in iq.symbols()}
+        missing = [c for c in self.constants if c not in values and c in used]
         if missing:
             raise UnboundConstantError(f"unbound constants: {missing}")
+        constants = set(self.constants)
         halfspaces = []
         for iq in self.inequalities:
-            coeffs = tuple(float(iq.coeff(v)) for v in self.variables)
-            shift = iq.const
-            for c in self.constants:
-                a = iq.coeff(c)
-                if a != 0:
-                    shift += a * _q(values[c])
+            terms = dict(iq.terms)
+            coeffs = tuple(float(terms.get(v, 0)) for v in self.variables)
+            shift = iq.const + sum(a * _q(values[s]) for s, a in iq.terms if s in constants)
             halfspaces.append((coeffs, float(-shift), iq.strict))
         return regions.region(self.variables, halfspaces)
 
@@ -315,10 +302,6 @@ class LinIneqSystem:
             out.append(iq)
         return tuple(out)
 
-    def _sort_key(self, iq: LinIneq):
-        return (tuple(iq.coeff(v) for v in self.variables),
-                tuple(iq.coeff(c) for c in self.constants), iq.const, iq.strict)
-
     def pretty(self, aliases=()) -> str:
         """Stable text rendering; aliases rewrite constant groups for display.
 
@@ -326,7 +309,9 @@ class LinIneqSystem:
         the group scaled by a common rational with the alias name; it
         affects presentation only, never the stored system.
         """
-        structural = sorted(self.structural_inequalities(), key=self._sort_key)
+        structural = sorted(self.structural_inequalities(), key=lambda iq: (
+            tuple(iq.coeff(v) for v in self.variables),
+            tuple(iq.coeff(c) for c in self.constants), iq.const, iq.strict))
         lines = [self._alias_render(iq, aliases) for iq in structural]
         nonneg = [iq for iq in self.inequalities if iq not in structural]
         if nonneg:
@@ -339,26 +324,21 @@ class LinIneqSystem:
         for name, group in aliases:
             group = {s: _q(c) for s, c in dict(group).items()}
             anchor = next(iter(group))
-            while True:
-                q = Fraction(coeffs.get(anchor, 0), group[anchor])  # exact, never int / int
-                if q == 0 or any(coeffs.get(s, 0) != q * c for s, c in group.items()):
-                    break
-                for s, c in group.items():
+            q = Fraction(coeffs.get(anchor, 0), group[anchor])  # exact, never int / int
+            if q != 0 and all(coeffs.get(s, 0) == q * c for s, c in group.items()):
+                for s in group:
                     coeffs.pop(s)
                 coeffs[name] = coeffs.get(name, 0) + q
         return LinIneq(coeffs, iq.const, iq.strict).render(self.variables)
 
     def to_dict(self) -> dict:
-        def frac(x):
-            return [x.numerator, x.denominator]
-
         return {
             "variables": list(self.variables),
             "constants": list(self.constants),
             "nonneg_constants": sorted(self.constants),
             "inequalities": [
-                {"coeffs": {s: frac(c) for s, c in iq.terms},
-                 "const": frac(iq.const),
+                {"coeffs": {s: [c, 1] for s, c in iq.terms},  # stored ints: c is c/1
+                 "const": [iq.const, 1],
                  "relation": "<" if iq.strict else "<="}
                 for iq in self.inequalities
             ],
@@ -378,9 +358,7 @@ def nested_binning_constraints() -> LinIneqSystem:
         LinIneq.at_most({"R1": 1, "R2": 1, "T": 1}, {"I_XY": 1}, strict=True),
         LinIneq.at_most({"I_XZ1": 1}, {"R2": 1, "T": 1}, strict=True),
         LinIneq.at_most({"I_XZ2": 1}, {"T": 1}, strict=True),
-        LinIneq({"R1": -1}),
-        LinIneq({"R2": -1}),
-        LinIneq({"T": -1}),
+        *(LinIneq({x: -1}) for x in v),
     ]
     return LinIneqSystem(v, c, ineqs)
 
@@ -414,11 +392,7 @@ def layered_scheme_constraints() -> LinIneqSystem:
         LinIneq.at_most({"I_VZ2_U": 1}, {"T": 1}, strict=True),
         LinIneq.at_most({"R2": 1}, {"R2a": 1, "R2b": 1}),
         LinIneq.at_most({"R2a": 1, "R2b": 1}, {"R2": 1}),
-        LinIneq({"R1": -1}),
-        LinIneq({"R2": -1}),
-        LinIneq({"R2a": -1}),
-        LinIneq({"R2b": -1}),
-        LinIneq({"T": -1}),
+        *(LinIneq({x: -1}) for x in v),
     ]
     return LinIneqSystem(v, c, ineqs)
 

@@ -17,6 +17,7 @@ sampled by the one routine ``boundary_points``.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import log2
@@ -39,8 +40,9 @@ __all__ = [
 
 
 def _check_nonneg(values, what: str):
-    """Reject NaN, infinite or negative powers and gains."""
-    if not np.isfinite(values).all() or min(values) < 0:
+    """Reject strings, bools, None and NaN, infinite or negative powers and gains."""
+    reals = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)
+    if not reals or not np.isfinite(values).all() or min(values) < 0:
         raise ValueError(f"{what} must be finite and nonnegative")
 
 
@@ -112,12 +114,13 @@ class ParallelGaussChannel:
     total_power: float
 
     def __post_init__(self):
-        for name in ("a", "b1", "b2"):
-            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
-        a, b1, b2 = self.a, self.b1, self.b2
+        a, b1, b2 = (tuple(getattr(self, name)) for name in ("a", "b1", "b2"))
         if not (len(a) == len(b1) == len(b2)) or not a:
             raise ValueError("gain lists must be nonempty and of equal length")
-        _check_nonneg(a + b1 + b2, "gains")
+        _check_nonneg(a + b1 + b2, "gains")  # before float() would read "1.5" or True
+        for name, values in zip(("a", "b1", "b2"), (a, b1, b2)):
+            object.__setattr__(self, name, tuple(float(x) for x in values))
+        a, b1, b2 = self.a, self.b1, self.b2
         bad = [l for l, (s, w) in enumerate(zip(b1, b2)) if s < w]
         if bad:
             raise ValueError(f"need b1_l >= b2_l in every subchannel; l = {bad[0]} has b1_l < b2_l")

@@ -106,6 +106,21 @@ def test_unopenable_out_leaves_the_csv_as_it_was(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", CSV_VERBS.values(), ids=CSV_VERBS.keys())
+def test_unopenable_csv_removes_the_out_it_created(tmp_path, capsys, argv):
+    # --out is opened first: a file it created goes, an existing one keeps its bytes
+    old = tmp_path / "old.json"
+    old.write_bytes(b"0123456789")
+    csv = tmp_path / "nodir" / "x.csv"
+    for report in (tmp_path / "new.json", old):
+        code, out, err = run_cli(capsys, *argv, "--out", str(report), "--csv", str(csv))
+        assert code == 1 and not out
+        assert json.loads(err) == {"error": "FileNotFoundError",
+                                   "message": f"[Errno 2] No such file or directory: '{csv}'"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+    assert old.read_bytes() == b"0123456789"
+
+
+@pytest.mark.parametrize("argv", CSV_VERBS.values(), ids=CSV_VERBS.keys())
 def test_csv_destinations_are_written_in_place(tmp_path, capsys, argv):
     # an existing file keeps its inode, and a device is written, not replaced
     csv, report = tmp_path / "r.csv", tmp_path / "r.json"
@@ -478,6 +493,33 @@ def test_aux_matrix_that_is_not_2d_is_domain_error(tmp_path, capsys, key, value,
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "ValueError",
                                "message": f"{what} must be a 2-D matrix of numbers"}
+
+
+def test_aux_with_a_bool_is_a_domain_error(tmp_path, capsys):
+    aux = tmp_path / "aux.json"
+    aux.write_text(json.dumps({**AUX_CHAIN, "pu": [True, 0.0]}))
+    code, out, err = run_cli(capsys, "dmc", "region-point", "--bec", "0.5,0.9",
+                             "--aux", str(aux))
+    assert code == 1 and not out
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "p(u) must be a 1-D vector of numbers"}
+
+
+@pytest.mark.parametrize("inputs", [[], ["--px", "0.5,0.5", "--aux", "aux.json"]],
+                         ids=["neither", "both"])
+def test_region_point_takes_exactly_one_input_law(capsys, inputs):
+    code, out, err = run_cli(capsys, "dmc", "region-point", "--bec", "0.5,0.9", *inputs)
+    assert code == 1 and not out
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "give exactly one of --px or --aux"}
+
+
+def test_sim_dmc_without_a_channel_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "sim", "dmc", "--px", "0.5,0.5", "--rates",
+                             "0.25,0.25,0", "--n", "8", "--seed", "1")
+    assert code == 1 and not out
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "give either --channel FILE or --bec D1,D2"}
 
 
 def test_domain_error_exit_code_and_stderr_json(capsys):

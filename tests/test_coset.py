@@ -57,6 +57,12 @@ def test_params_validation():
         WiretapIIParams(n=4, alpha1=0.25, alpha2=0.5, eps=0.0)  # alpha order
     with pytest.raises(ValueError):
         WiretapIIParams(n=4, alpha1=0.3, alpha2=0.1, eps=0.0)  # non-integer products
+    with pytest.raises(ValueError, match="^block length must be >= 1$"):
+        WiretapIIParams(n=0, alpha1=0.5, alpha2=0.25)
+    with pytest.raises(ValueError, match="^eps must be >= 0$"):
+        WiretapIIParams(n=8, alpha1=0.5, alpha2=0.25, eps=-0.1)
+    with pytest.raises(ValueError, match=r"^n\*\(1-alpha1-eps\) must be nonnegative$"):
+        WiretapIIParams(n=4, alpha1=0.75, alpha2=0.0, eps=0.5)  # k1 = -1
     p = WiretapIIParams(n=16, alpha1=0.5, alpha2=0.25, eps=0.25)
     assert (p.k1, p.k2, p.n_alpha1, p.n_alpha2) == (4, 4, 8, 4)
     assert p.r1 == pytest.approx(1 - 0.5 - 0.25)
@@ -687,3 +693,13 @@ def test_coset_code_bec_leakage_is_a_rank_sum_n12():
     assert len({tuple(w) for w in cb.flat()}) == 2**12
     got = binning.exact_leakage(cb, dmc.bec_kernel(0.3), "subbin")
     assert got == pytest.approx(bec_leakage_oracle(code, 0.3, "subbin"), abs=1e-12)
+
+
+def test_code_guards_name_the_input():
+    code = parity_code()
+    with pytest.raises(ValueError, match="^codeword length 3 != n = 4$"):
+        coset.decode(code, [0, 1, 0])
+    with pytest.raises(ValueError, match="^level must be 'both' or 'high'$"):
+        coset.equivocation(code, [0], level="x")
+    with pytest.raises(ValueError, match="^union bound requires eps > 0$"):
+        coset.union_bound_report(WiretapIIParams(8, 0.5, 0.25, 0.0))

@@ -34,6 +34,8 @@ def random_triple(rng, nx=2, ny=2, nz1=2, nz2=2):
 def test_tensor_validation():
     with pytest.raises(ValueError):
         DmcTriple(np.ones((2, 2, 2, 2)))
+    with pytest.raises(ValueError, match=r"^transition tensor must have axes \(x, y, z1, z2\)$"):
+        DmcTriple(np.ones((2, 1)))
     bad = np.zeros((2, 2, 2, 2))
     bad[:, 0, 0, 0] = 1.0
     bad[0, 0, 0, 0] = 1.0 + 1e-6
@@ -318,7 +320,8 @@ def test_tiny_negative_px_reads_as_zero():
 
 
 @pytest.mark.parametrize("bad", [[True, False], ["0.5", "0.5"], [None, 1.0], [10**400, 1],
-                                 [[1.0], [0.5, 0.5]], [0.5 + 0j, 0.5]])
+                                 [[1.0], [0.5, 0.5]], [0.5 + 0j, 0.5],
+                                 [True, 0.0], [0.0, np.True_]])
 def test_distribution_and_kernel_must_be_numbers(bad):
     with pytest.raises(ValueError, match=r"^p\(u\) must be a 1-D vector of numbers$"):
         AuxiliaryChain(pu=bad, pv_u=np.eye(2), px_v=np.eye(2))
@@ -345,3 +348,31 @@ def test_marginals_are_summed_once_and_read_only():
             kernel[0, 0] = 0.0
     with pytest.raises(TypeError):
         DmcTriple(ch.p, py_x=ch.py_x)
+
+
+@pytest.mark.parametrize("kernels, message", [
+    ((np.eye(2), np.eye(3), np.eye(2)), "p(z1|x) must have 2 rows, one per input symbol"),
+    ((np.eye(2), np.eye(2), np.eye(3)), "p(z2|x) must have 2 rows, one per input symbol"),
+    (([0.5, 0.5], np.eye(2), np.eye(2)), "p(y|x) must be a 2-D matrix of numbers"),
+    ((np.eye(2), [0.5, 0.5], np.eye(2)), "p(z1|x) must be a 2-D matrix of numbers"),
+    ((np.eye(2), np.eye(2), [[0.5, 0.6], [0.5, 0.5]]), "p(z2|x) rows must sum to 1"),
+], ids=["z1-rows", "z2-rows", "y-1d", "z1-1d", "z2-not-stochastic"])
+def test_independent_names_the_kernel(kernels, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DmcTriple.independent(*kernels)
+
+
+def test_independent_keeps_the_bits_of_a_valid_channel():
+    rng = np.random.default_rng(3)
+    kernels = [rng.dirichlet(np.ones(k), size=3) for k in (2, 3, 4)]
+    kernels[0] = kernels[0].tolist()  # a list reads as np.asarray(..., dtype=float) does
+    want = np.einsum("xy,xa,xb->xyab", *(np.asarray(w, dtype=float) for w in kernels))
+    assert np.array_equal(DmcTriple.independent(*kernels).p, want)
+
+
+@pytest.mark.parametrize("kernel, what", [(dmc.bec_kernel, "erasure"), (dmc.bsc_kernel, "flip")])
+@pytest.mark.parametrize("bad", [1.5, -0.1, "0.5", True, None, math.nan])
+def test_kernel_parameters_are_numbers_in_the_unit_interval(kernel, what, bad):
+    message = f"{what} probability must be a number in [0, 1]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        kernel(bad)

@@ -245,12 +245,18 @@ def test_numpy_floats_convert_exactly(dtype):
             LinIneq({"x": bad})
 
 
-@pytest.mark.parametrize("bad", [None, [1], object()])
+@pytest.mark.parametrize("bad", [None, [1], object(), "1", "1/3"])
 def test_non_numbers_are_domain_errors(bad):
     with pytest.raises(ValueError, match="is not a finite rational"):
         LinIneq({"x": bad})
     with pytest.raises(ValueError, match="is not a finite rational"):
         LinIneq.at_most({"x": bad}, {})
+    with pytest.raises(ValueError, match="is not a finite rational"):
+        LinIneq({"x": 1}, const=bad)
+    with pytest.raises(ValueError, match="is not a finite rational"):
+        fm.derive_nested_binning_region().instantiate(
+            {"I_XY": bad, "I_XZ1": 0.5, "I_XZ2": 0.1})
+
 
 def test_constraint_presets_pretty():
     # these reach the flipped (lower-bound) and strict render paths
@@ -315,6 +321,18 @@ def test_alias_with_non_unit_group_divides_exactly():
     sys = LinIneqSystem(("x",), ("a", "b"),
                         [LinIneq({"x": 1, "a": 1, "b": 2}, const=-1)])
     assert sys.pretty(aliases=(("G", {"a": 3, "b": 6}),)) == "3 x <= -G + 3"
+
+
+def test_alias_named_after_its_own_symbol_is_substituted_once():
+    sys = LinIneqSystem(("x",), ("a",), [LinIneq({"x": 1, "a": -1})])
+    assert sys.pretty(aliases=(("a", {"a": 1}),)) == "x <= a"
+
+
+def test_system_guards_name_the_symbol():
+    with pytest.raises(ValueError, match=r"^undeclared symbols in inequality: \['y'\]$"):
+        LinIneqSystem(("x",), ("c",), [LinIneq({"x": 1, "y": 1})])
+    with pytest.raises(ValueError, match="^I_XY is not a declared variable$"):
+        fm.nested_binning_constraints().eliminate("I_XY")
 
 
 def test_projection_soundness_completeness_sample():

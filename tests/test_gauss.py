@@ -67,7 +67,8 @@ def test_channel_validation():
         gauss.region_parallel_individual([])
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 "1", "1.5", True, None])
 def test_non_finite_power_and_gains_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         gauss.cs_scalar(bad, 1.0, 0.1)
@@ -84,6 +85,15 @@ def test_non_finite_power_and_gains_rejected(bad):
                                           ScalarGaussChannel(bad, 1, 0.5, 0.1)])
     with pytest.raises(ValueError, match="finite"):
         ParallelGaussChannel(a=(1, 1), b1=(0.5, 0.5), b2=(0.1, 0.1), total_power=bad)
+
+
+def test_numbers_keep_their_values():
+    ch = ScalarGaussChannel(1, 2, np.float32(0.5), 0.1)
+    assert (type(ch.power), type(ch.a), type(ch.b1)) == (int, int, np.float32)
+    pooled = ParallelGaussChannel([1, np.float32(0.3)], np.array([0.5, 0.1]), (0.1, 0.1), 2)
+    assert pooled.a == (1.0, float(np.float32(0.3))) and pooled.b1 == (0.5, 0.1)
+    assert all(type(v) is float for v in pooled.a + pooled.b1 + pooled.b2)
+    assert gauss.cs_scalar(1, 1, 0) == gauss.cs_scalar(1.0, 1.0, 0.0) == 0.5
 
 
 def test_region_scalar_degenerate_orders():

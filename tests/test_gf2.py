@@ -542,6 +542,8 @@ def test_matrix_text_roundtrip():
 
 
 def test_matrix_text_rejects_garbage():
+    with pytest.raises(ValueError, match="^empty matrix text$"):
+        gf2.matrix_from_text("")
     with pytest.raises(ValueError):
         gf2.matrix_from_text("2 2\n10\n")
     with pytest.raises(ValueError):
@@ -675,3 +677,13 @@ def test_reduction_matches_column_scan_reference(system, seed):
         got = gf2.solve_affine(h.T, s, np.random.default_rng(seed))
         assert np.array_equal(got, want)
         assert np.array_equal(h.astype(int) @ got % 2, s)
+
+
+def test_guards_name_the_input():
+    m = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
+    with pytest.raises(ValueError, match="^expected a 2-D binary matrix$"):
+        gf2.rank(np.array([1, 0, 1], dtype=np.uint8))
+    with pytest.raises(ValueError, match="^syndrome length 1 != number of constraints 3$"):
+        gf2.solve_affine(m, [1], np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"^subset size 4 out of range 0\.\.3$"):
+        gf2.min_rank_over_column_subsets(m, 4)

@@ -1,5 +1,6 @@
 """Rate-region dict tests: the two readers agree on every region the library builds."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,3 +39,9 @@ def test_contains_agrees_with_max_r2_at(case, frac):
         assert regions.contains(region, (r1, 0.0))
         assert regions.contains(region, (r1, m))
         assert not regions.contains(region, (r1, m + 1e-6))
+
+
+def test_max_r2_at_needs_two_variables():
+    three = regions.region(("R1", "R2", "T"), [((1.0, 1.0, 1.0), 1.0, False)])
+    with pytest.raises(ValueError, match="^max_r2_at applies to two-variable regions$"):
+        regions.max_r2_at(three, 0.5)
