@@ -21,14 +21,14 @@ request and picks the path per kernel, subject to the leakage budget:
 
 from __future__ import annotations
 
-import numbers
 import os
 import threading
 from dataclasses import dataclass
-from math import isfinite, log2
+from math import log2, prod
 
 import numpy as np
 
+from secembed import _integer, _real
 from secembed.dmc import DmcTriple, _check_distribution, _check_kernel, entropy_bits
 
 __all__ = [
@@ -47,19 +47,16 @@ def rates_to_counts(rates, n: int) -> tuple[int, int, int]:
     Each 2**(n*rate) must be an integer count (relative tolerance 1e-6
     against the nearest integer); anything else is rejected rather than
     rounded, so the realized rates are exactly the requested ones.  The
-    block length n must be a positive integer, and no rate or n a bool.
+    block length n must be a positive integer, each rate a finite real.
     """
     if len(rates) != 3:
         raise ValueError("rates must be (R1, R2, T)")
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+    n = _real(_integer(n, "n"), "n")  # n * rate is a float
+    if n < 1:
         raise ValueError(f"block length n must be a positive integer, got n={n!r}")
     counts = []
     for r in rates:
-        if isinstance(r, bool) or not isinstance(r, numbers.Real):
-            raise ValueError(f"rate {r!r} is not a number")
-        if not isfinite(r):
-            raise ValueError(f"rate {r} is not finite")
-        if r < 0:
+        if _real(r, "rate") < 0:
             raise ValueError("rates must be nonnegative")
         if n * r >= 1024:  # 2.0 ** 1024 overflows a float
             raise ValueError(
@@ -75,17 +72,30 @@ def rates_to_counts(rates, n: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class NestedCodebook:
-    """Codewords indexed (bin, subbin, within-subbin), each a length-n word."""
+    """Codewords indexed (bin, subbin, within-subbin), each a length-n word.
+
+    nx >= 1 is the input alphabet size; every entry must equal one of its symbols
+    0..nx-1 by value (an integral float passes), never truncated or wrapped.
+    """
 
     codewords: np.ndarray
     nx: int
 
     def __post_init__(self):
-        cw = np.array(self.codewords, dtype=np.int64)  # a copy: the caller's array is never aliased
-        if cw.ndim != 4:
-            raise ValueError("codewords must have axes (bin, subbin, slot, position)")
+        nx = _integer(self.nx, "nx")
+        if nx < 1:
+            raise ValueError(f"nx = {nx} must be >= 1")
+        words = np.asarray(self.codewords)
+        if words.ndim != 4 or 0 in words.shape:
+            raise ValueError("codewords must have axes (bin, subbin, slot, position), none empty")
+        top = min(nx, 2**63)  # stored as int64; a float array cannot compare with 10**400
+        in_range = words.dtype.kind in "biuf" and ((words >= 0) & (words < top)).all()
+        cw = words.astype(np.int64) if in_range else None  # a copy: the caller's is never aliased
+        if cw is None or not np.array_equal(cw, words):
+            raise ValueError(f"codeword entries must be symbols 0..{nx - 1}")
         cw.flags.writeable = False
         object.__setattr__(self, "codewords", cw)
+        object.__setattr__(self, "nx", nx)
 
     @property
     def n(self) -> int:
@@ -112,10 +122,15 @@ class NestedCodebook:
 
 
 def make_codebook(px, n: int, counts, rng: np.random.Generator) -> NestedCodebook:
-    """Draw all codewords i.i.d. from px (bin/subbin structure is just labeling)."""
+    """Draw all codewords i.i.d. from px (bin/subbin structure is just labeling).
+
+    n and the counts (bins, subbins, per-subbin) are integers >= 1, their
+    product at most CODEBOOK_BUDGET symbols.
+    """
     px = _check_distribution(px, "px")
-    n_bins, n_subbins, n_per = counts
-    words = rng.choice(len(px), size=(n_bins, n_subbins, n_per, n), p=px)
+    shape = (*(_integer(c, "counts") for c in counts), _integer(n, "n"))
+    _check_codebook_size(prod(shape))
+    words = rng.choice(len(px), size=shape, p=px)
     return NestedCodebook(codewords=words, nx=len(px))
 
 
@@ -392,6 +407,11 @@ def exact_leakage(codebook: NestedCodebook, kernel, level: str = "bin") -> float
     return _leakages(codebook, [(w, level)])[0]
 
 
+def _check_codebook_size(symbols: int) -> None:
+    if symbols > CODEBOOK_BUDGET:
+        raise ValueError(f"codebook needs {symbols} symbols, over the budget {CODEBOOK_BUDGET}")
+
+
 def _check_trials(trials: int, n: int) -> None:
     if trials * n > TRIALS_BUDGET:
         raise ValueError(f"trials * n = {trials * n} exceeds the budget "
@@ -408,7 +428,8 @@ def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
     differs from the transmitted one.  All trials are sampled at once, so
     trials * n may not exceed TRIALS_BUDGET.
     """
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+    trials = _integer(trials, "trials")
+    if trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     _check_trials(trials, codebook.n)
     w = _check_kernel(py_x, "py_x", codebook.nx)
@@ -454,15 +475,11 @@ def _check_simulation(ch: DmcTriple, px, rates, n: int, trials: int,
     every block before simulating any.
     """
     counts = rates_to_counts(rates, n)
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 0:
+    if _integer(trials, "trials") < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     _check_distribution(px, "px", size=ch.nx)
     k_total = counts[0] * counts[1] * counts[2]
-    if k_total * n > CODEBOOK_BUDGET:
-        raise ValueError(
-            f"codebook needs {k_total * n} symbols, over the budget {CODEBOOK_BUDGET}")
+    _check_codebook_size(k_total * n)
     if trials:
         _check_trials(trials, n)
     if leakage:
@@ -484,6 +501,8 @@ def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
     use separate substreams of one seed sequence.
     """
     counts = _check_simulation(ch, px, rates, n, trials, measure_leakage)
+    # the report holds Python ints, whatever integers came in
+    n, trials, seed = _integer(n, "n"), _integer(trials, "trials"), _integer(seed, "seed")
     ss = np.random.SeedSequence(seed)
     rng_cb, rng_trials = (np.random.default_rng(s) for s in ss.spawn(2))
     codebook = make_codebook(px, n, counts, rng_cb)

@@ -21,15 +21,13 @@ matrices until full row rank and both certificates clear their
 
 from __future__ import annotations
 
-import numbers
-import operator
 from dataclasses import dataclass, field
 from math import comb, inf, isfinite
 from typing import FrozenSet
 
 import numpy as np
 
-from secembed import gf2
+from secembed import _integer, _real, gf2
 
 __all__ = [
     "ERASURE",
@@ -60,15 +58,6 @@ def _as_int(value: float, what: str) -> int:
     return int(round(value))
 
 
-def _is_finite_real(value) -> bool:
-    if isinstance(value, bool):  # a JSON true is no number
-        return False
-    try:
-        return isinstance(value, numbers.Real) and isfinite(value)
-    except OverflowError:  # an int beyond float range
-        return False
-
-
 @dataclass(frozen=True)
 class WiretapIIParams:
     """Block length and level fractions for a two-level erasure-wiretap code.
@@ -92,12 +81,10 @@ class WiretapIIParams:
     k2: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"n = {self.n!r} must be an integer")
-        object.__setattr__(self, "n", int(self.n))
-        for name in ("n", "alpha1", "alpha2", "eps"):
-            if not _is_finite_real(getattr(self, name)):
-                raise ValueError(f"{name} = {getattr(self, name)!r} must be a finite real number")
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        _real(self.n, "n")  # n times a fraction is a float
+        for name in ("alpha1", "alpha2", "eps"):  # stored as floats, as to_dict writes them
+            object.__setattr__(self, name, float(_real(getattr(self, name), name)))
         if self.n < 1:
             raise ValueError("block length must be >= 1")
         if not (1.0 >= self.alpha1 >= self.alpha2 >= 0.0):
@@ -142,8 +129,8 @@ class CosetCodePair:
     stacked matrix over subsets of n*(1-alpha2) positions.  Certificates
     of codes built by construct() always meet the 3/eps leakage bound;
     externally supplied values are checked by audit_code rather than
-    rejected here, but both must be ints (not bools), so that to_bundle
-    writes a bundle from_bundle reads back.
+    rejected here, but both must be integers (not bools), stored as Python
+    ints, so that to_bundle writes a bundle from_bundle reads back.
 
     The code owns one read-only copy of the full-row-rank parity-check
     matrix ``stacked`` = [h1; h2]; ``h1`` and ``h2`` are row views of it.
@@ -163,9 +150,8 @@ class CosetCodePair:
     _columns: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not all(isinstance(d, int) and not isinstance(d, bool)
-                   for d in (self.d1_star, self.d2_star)):
-            raise ValueError("d1_star and d2_star must be integers")
+        for name in ("d1_star", "d2_star"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         p = self.params
         h1 = gf2.bit_array(self.h1, "h1")
         h2 = gf2.bit_array(self.h2, "h2")
@@ -259,7 +245,7 @@ def encode(code: CosetCodePair, m1: int, m2: int, rng: np.random.Generator) -> n
     ``stacked.T``.  Infeasibility cannot occur because the stacked
     matrix has full row rank.
     """
-    m1, m2 = operator.index(m1), operator.index(m2)  # Python ints: no shift overflow
+    m1, m2 = _integer(m1, "m1"), _integer(m2, "m2")  # Python ints: no shift overflow
     for m, k in ((m1, code.k1), (m2, code.k2)):
         if not 0 <= m < (1 << k):
             raise ValueError(f"message index {m} out of range 0..{(1 << k) - 1}")
@@ -345,6 +331,7 @@ def construct(params: WiretapIIParams, seed: int) -> CosetCodePair:
     certificate whose search cannot start within gf2.NODE_LIMIT raises
     BudgetExceededError before the first draw, d1 checked first.
     """
+    seed = _integer(seed, "seed")
     if params.eps <= 0:
         raise ValueError("construct requires eps > 0")
     rows = params.k1 + params.k2

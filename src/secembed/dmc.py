@@ -10,11 +10,11 @@ auxiliary chains; no optimization over distributions is attempted.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from secembed import _integer, _real
 
 __all__ = [
     "DmcTriple",
@@ -155,28 +155,31 @@ class DmcTriple:
         if len(shape) != 4 or not all(type(v) is int and v >= 1 for v in shape):
             raise ValueError("channel must be a JSON object with integers nx, ny, nz1, nz2 >= 1")
         size = math.prod(shape)
-        p = d.get("p")
-        if not (isinstance(p, list) and len(p) == size
-                and all(type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
-                        for v in p)):
+        p = _as_numbers(d.get("p"), "channel p", 1)
+        if len(p) != size:
             raise ValueError(f"channel p must be a list of {size} numbers")
-        return cls(np.asarray(p, dtype=float).reshape(shape))
+        return cls(p.reshape(shape))
 
 
 def bec_kernel(delta: float) -> np.ndarray:
     """Binary erasure kernel: outputs (0, 1, erasure), erasure probability delta."""
-    if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0.0 <= delta <= 1.0:
+    delta = float(_real(delta, "erasure probability"))  # float64: each row sums to 1
+    if not 0.0 <= delta <= 1.0:
         raise ValueError("erasure probability must be a number in [0, 1]")
     return np.array([[1 - delta, 0.0, delta], [0.0, 1 - delta, delta]])
 
 
 def bsc_kernel(flip: float) -> np.ndarray:
-    if isinstance(flip, bool) or not isinstance(flip, numbers.Real) or not 0.0 <= flip <= 1.0:
+    flip = float(_real(flip, "flip probability"))
+    if not 0.0 <= flip <= 1.0:
         raise ValueError("flip probability must be a number in [0, 1]")
     return np.array([[1 - flip, flip], [flip, 1 - flip]])
 
 
 def noiseless_kernel(size: int) -> np.ndarray:
+    """Identity kernel over an alphabet of size >= 1."""
+    if _integer(size, "size") < 1:
+        raise ValueError(f"size = {size} must be >= 1")
     return np.eye(size)
 
 

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from secembed import _integer
+
 __all__ = [
     "LinIneq",
     "LinIneqSystem",
@@ -50,12 +52,17 @@ class UnboundConstantError(KeyError):
 
 
 def _q(x) -> int | Fraction:
-    """x exact: int and Fraction unchanged, a non-Rational real (np.float32, ...) via float."""
-    if isinstance(x, (int, Fraction)):
+    """x exact: int and Fraction unchanged, another Rational (np.int64, ...) by its
+    parts as Python ints, a non-Rational real (np.float32, ...) via float; a bool
+    or str is no number."""
+    if type(x) is int or type(x) is Fraction:
         return x
-    if not isinstance(x, str):  # Fraction would parse "1/3"
+    if not isinstance(x, (bool, str)):  # Fraction would parse "1/3"
         try:
-            if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational):
+            if isinstance(x, numbers.Rational):  # Fraction(x) keeps np.int64 parts
+                return Fraction(_integer(x.numerator, "numerator"),
+                                _integer(x.denominator, "denominator"))
+            if isinstance(x, numbers.Real):
                 x = float(x)
             return Fraction(x)
         except (OverflowError, ValueError, TypeError):

@@ -17,14 +17,13 @@ sampled by the one routine ``boundary_points``.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import log2
 
 import numpy as np
 
-from secembed import regions
+from secembed import _real, regions
 
 __all__ = [
     "cs_scalar",
@@ -41,8 +40,7 @@ __all__ = [
 
 def _check_nonneg(values, what: str):
     """Reject strings, bools, None and NaN, infinite or negative powers and gains."""
-    reals = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)
-    if not reals or not np.isfinite(values).all() or min(values) < 0:
+    if min(_real(v, what) for v in values) < 0:
         raise ValueError(f"{what} must be finite and nonnegative")
 
 
@@ -64,7 +62,7 @@ def _cs(power, a, b):
 def cs_scalar(power: float, a: float, b: float) -> float:
     """Secrecy capacity [0.5*log2(1+a*P) - 0.5*log2(1+b*P)]^+ in bits/use."""
     _check_nonneg((power, a, b), "power and gains")
-    return float(_cs(power, a, b))
+    return float(_cs(float(power), float(a), float(b)))  # float64, whatever numbers came in
 
 
 def boundary_points(frontier, max_r1: float, max_sum: float, num: int) -> np.ndarray:

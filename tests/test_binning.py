@@ -639,17 +639,26 @@ def test_rates_to_counts():
         binning.rates_to_counts((-0.1, 0.0, 0.0), 8)
 
 
+# ids kept from when the messages were "not finite", "rate 'a' is not a number" and
+# "positive integer, got n=8.5": the cases are the same, the scalar readers' messages new
 @pytest.mark.parametrize("rates, n, match", [
-    ((math.inf, 0.0, 0.0), 8, "not finite"),
-    ((math.nan, 0.0, 0.0), 8, "not finite"),
+    pytest.param((math.inf, 0.0, 0.0), 8, "^rate = inf must be a finite real number$",
+                 id="rates0-8-not finite"),
+    pytest.param((math.nan, 0.0, 0.0), 8, "^rate = nan must be a finite real number$",
+                 id="rates1-8-not finite"),
     ((300.0, 0.0, 0.0), 8, "too large"),
     ((0.25, 0.25, 0.0), 0, "positive integer, got n=0"),
     ((0.25, 0.25, 0.0), -4, "positive integer, got n=-4"),
-    (("a", 0, 0), 8, "rate 'a' is not a number"),
-    ((True, 0, 0), 8, "rate True is not a number"),
-    ((0.25, 0.25, 0.0), 8.5, "positive integer, got n=8.5"),
-    ((0.25, 0.25, 0.0), True, "positive integer, got n=True"),
-    ((0.25, 0.25, 0.0), "8", "positive integer, got n='8'"),
+    pytest.param(("a", 0, 0), 8, "^rate = 'a' must be a finite real number$",
+                 id="rates5-8-rate 'a' is not a number"),
+    pytest.param((True, 0, 0), 8, "^rate = True must be a finite real number$",
+                 id="rates6-8-rate True is not a number"),
+    pytest.param((0.25, 0.25, 0.0), 8.5, r"^n = 8\.5 must be an integer$",
+                 id="rates7-8.5-positive integer, got n=8.5"),
+    pytest.param((0.25, 0.25, 0.0), True, "^n = True must be an integer$",
+                 id="rates8-True-positive integer, got n=True"),
+    pytest.param((0.25, 0.25, 0.0), "8", "^n = '8' must be an integer$",
+                 id="rates9-8-positive integer, got n='8'"),
     ((0.25, 0.25), 8, r"^rates must be \(R1, R2, T\)$"),
 ])
 def test_rates_to_counts_domain_errors(rates, n, match):
@@ -664,10 +673,10 @@ def test_simulate_rejects_negative_trials():
 
 
 @pytest.mark.parametrize("n, trials, message", [
-    (8.0, 4, "block length n must be a positive integer, got n=8.0"),
-    (8, "5", "trials must be an integer, got '5'"),
-    (8, 5.0, "trials must be an integer, got 5.0"),
-    (8, True, "trials must be an integer, got True"),
+    (8.0, 4, "n = 8.0 must be an integer"),
+    (8, "5", "trials = '5' must be an integer"),
+    (8, 5.0, "trials = 5.0 must be an integer"),
+    (8, True, "trials = True must be an integer"),
 ], ids=["n=8.0", "trials=str", "trials=5.0", "trials=True"])
 def test_simulate_reads_n_and_trials_as_integers(n, trials, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -678,7 +687,7 @@ def test_simulate_reads_n_and_trials_as_integers(n, trials, message):
 @pytest.mark.parametrize("trials", ["5", 5.0, True])
 def test_error_rate_reads_trials_as_an_integer(trials):
     cb = binning.make_codebook([0.5, 0.5], 4, (2, 2, 2), np.random.default_rng(1))
-    message = f"trials must be a positive integer, got {trials!r}"
+    message = f"trials = {trials!r} must be an integer"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         binning.empirical_error_rate(cb, dmc.bsc_kernel(0.1), trials, np.random.default_rng(1))
 
@@ -690,6 +699,54 @@ def test_codebook_and_leakage_guards_name_the_input():
     cb = binning.make_codebook([0.5, 0.5], 4, (2, 2, 2), np.random.default_rng(1))
     with pytest.raises(ValueError, match="^level must be 'bin' or 'subbin'$"):
         binning.exact_leakage(cb, dmc.bec_kernel(0.5), level="x")
+
+
+SYMBOLS = "^codeword entries must be symbols 0..1$"
+
+
+def test_codebook_of_fractions_is_not_truncated():
+    with pytest.raises(ValueError, match=SYMBOLS):
+        NestedCodebook(np.full((2, 2, 2, 4), 0.5), nx=2)
+    words = np.ones((2, 2, 2, 4))  # an integral float array reads by value
+    assert np.array_equal(NestedCodebook(words, nx=2).codewords, words.astype(np.int64))
+
+
+def test_negative_symbol_does_not_wrap():
+    words = np.zeros((2, 2, 2, 4), dtype=np.int64)
+    words[0, 0, 0, 0] = -1  # at the parent, numpy's index -1 read it as symbol 1: leakage 0.0
+    with pytest.raises(ValueError, match=SYMBOLS):
+        binning.exact_leakage(NestedCodebook(words, nx=2), dmc.bec_kernel(0.5))
+
+
+@pytest.mark.parametrize("measure", ["leakage", "error rate"])
+def test_symbol_outside_the_alphabet_is_a_domain_error(measure):
+    words = np.zeros((2, 2, 2, 4), dtype=np.int64)
+    words[1, 1, 1, 3] = 2  # == nx: an IndexError inside the measure at the parent
+    with pytest.raises(ValueError, match=SYMBOLS):
+        cb = NestedCodebook(words, nx=2)
+        if measure == "leakage":
+            binning.exact_leakage(cb, dmc.bec_kernel(0.5))
+        else:
+            binning.empirical_error_rate(cb, np.eye(2), 4, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("nx, message", [
+    (True, "nx = True must be an integer"), (1.5, "nx = 1.5 must be an integer"),
+    (0, "nx = 0 must be >= 1")], ids=["True", "1.5", "0"])
+def test_alphabet_size_is_read_as_an_integer(nx, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        NestedCodebook(np.zeros((2, 2, 2, 4), dtype=np.int64), nx=nx)
+    assert NestedCodebook(np.zeros((2, 2, 2, 4)), nx=np.int64(2)).nx == 2
+
+
+@pytest.mark.parametrize("axis", range(4))
+def test_empty_codebook_axis_is_a_domain_error(axis):
+    shape = [2, 2, 2, 4]
+    shape[axis] = 0  # an empty bin axis gave "math domain error" in the leakage at the parent
+    with pytest.raises(ValueError, match=re.escape(
+            "codewords must have axes (bin, subbin, slot, position), none empty")):
+        binning.exact_leakage(NestedCodebook(np.zeros(shape, dtype=np.int64), nx=2),
+                              dmc.bec_kernel(0.5))
 
 
 def test_pattern_keys_beyond_64_bits_are_refused():
@@ -995,3 +1052,45 @@ def test_simulated_leakage_matches_the_codebook_ensemble():
         leaks = np.array([run[key] for run in runs])
         stderr = leaks.std(ddof=1) / math.sqrt(len(leaks))
         assert abs(leaks.mean() - ensemble) <= 4 * stderr, (key, leaks.mean(), ensemble)
+
+
+def ensemble_codebooks(seeds):
+    """The n = 8 codebooks of test_simulated_leakage_matches_the_codebook_ensemble,
+    drawn as simulate_nested_binning draws them."""
+    counts = binning.rates_to_counts((0.25, 0.25, np.log2(3) / 4), 8)
+    for seed in seeds:
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+        yield binning.make_codebook([0.5, 0.5], 8, counts, rng)
+
+
+def test_erasure_profile_rows_match_the_codebook_ensemble():
+    """Over seeds 1-400, each profile entry's mean lies within 4 standard errors of
+    C(8, k) [g(144, 2**k) - g(N, 2**k)]: the leakage ensemble row by row, N = 36
+    words per bin (level 0) and 9 per subbin (level 1); the empty pattern gives 0."""
+    profiles = np.array([binning._erasure_profile(cb, np.arange(2))
+                         for cb in ensemble_codebooks(range(1, 401))])
+    assert not profiles[:, :, 0].any()
+    for level, words in ((0, 36), (1, 9)):
+        for k in range(1, 9):
+            rows = profiles[:, level, k]
+            want = math.comb(8, k) * (ensemble_gain(144, 2**k) - ensemble_gain(words, 2**k))
+            stderr = rows.std(ddof=1) / math.sqrt(len(rows))
+            assert abs(rows.mean() - want) <= 4 * stderr, (level, k, rows.mean(), want)
+
+
+def test_noiseless_error_rate_matches_the_codebook_ensemble():
+    """Over seeds 1-400 (100 trials each), the mean error rate lies within 4 standard
+    errors of its ensemble value.
+
+    Over a noiseless channel the decoder errs exactly when a lower-index word of
+    another (bin, subbin) group equals the sent one; a word of group g = 0..15 has
+    9 g such words, each equal with probability 2**-8."""
+    ch = DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.5), dmc.bec_kernel(0.9))
+    rates = (0.25, 0.25, np.log2(3) / 4)
+    errors = np.array([binning.simulate_nested_binning(
+        ch, [0.5, 0.5], rates, n=8, trials=100, seed=s, measure_leakage=False)["error_rate"]
+        for s in range(1, 401)])
+    want = np.mean([1 - (1 - 2.0**-8) ** (9 * g) for g in range(16)])
+    assert want == pytest.approx(0.22201, abs=5e-6)
+    stderr = errors.std(ddof=1) / math.sqrt(len(errors))
+    assert abs(errors.mean() - want) <= 4 * stderr, (errors.mean(), want)

@@ -553,7 +553,8 @@ SIM_BEC = ["sim", "dmc", "--bec", "0.5,0.9", "--px", "0.5,0.5", "--seed", "1"]
 
 
 @pytest.mark.parametrize("extra, match", [
-    (["--rates", "inf,0,0", "--n", "8"], "not finite"),
+    pytest.param(["--rates", "inf,0,0", "--n", "8"], "rate = inf must be a finite real number",
+                 id="extra0-not finite"),  # the id of the old message, "not finite"
     (["--rates", "300,0,0", "--n", "8"], "too large"),
     (["--rates", "0.25,0.25,0", "--n", "8,0"], "positive integer, got n=0"),
     (["--rates", "0.25,0.25,0", "--n", "-4"], "positive integer, got n=-4"),
@@ -1051,6 +1052,22 @@ def test_no_unused_import_in_src():
                 unused += [f"{path.name}: {alias.name}" for alias in node.names
                            if (alias.asname or alias.name.split(".")[0]) not in names]
     assert not unused
+
+
+def test_one_scalar_rule_in_src():
+    """Only the package root (the scalar readers) and fm (its exact rationals) import
+    numbers, so a module with its own copy of the rule fails here; the root imports
+    only the standard library, so importing gf2 still loads no other module."""
+    importers, root_imports = [], set()
+    for path in sorted(Path(secembed.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            importers += [path.name for name in names if name == "numbers"]
+            if path.name == "__init__.py":
+                root_imports.update(name.split(".")[0] for name in names)
+    assert importers == ["__init__.py", "fm.py"]
+    assert root_imports <= sys.stdlib_module_names, root_imports
 
 
 def test_all_lists_the_public_functions_and_classes():

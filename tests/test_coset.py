@@ -465,12 +465,21 @@ def test_parity_checks_are_read_exactly(h1, h2, match):
         CosetCodePair(params=params, h1=h1, h2=h2, d1_star=1, d2_star=1)
 
 
-@pytest.mark.parametrize("d1_star, d2_star", [(True, 1), (1, 1.5), (1, None), (np.int64(1), 1)])
+@pytest.mark.parametrize("d1_star, d2_star", [(True, 1), (1, 1.5), (1, None)])
 def test_certificates_must_be_ints(d1_star, d2_star):
     params = WiretapIIParams(n=4, alpha1=0.75, alpha2=0.5, eps=0.0)
-    with pytest.raises(ValueError, match="d1_star and d2_star must be integers"):
+    with pytest.raises(ValueError, match=r"^d[12]_star = (True|1\.5|None) must be an integer$"):
         CosetCodePair(params=params, h1=[[1, 1, 1, 1]], h2=PARITY_H2,
                       d1_star=d1_star, d2_star=d2_star)
+
+
+def test_numpy_certificates_are_stored_as_ints():
+    params = WiretapIIParams(n=4, alpha1=0.75, alpha2=0.5, eps=0.0)
+    code = CosetCodePair(params=params, h1=[[1, 1, 1, 1]], h2=PARITY_H2,
+                         d1_star=np.int64(1), d2_star=np.uint8(1))
+    assert (type(code.d1_star), type(code.d2_star)) == (int, int)
+    back = CosetCodePair.from_bundle(json.loads(json.dumps(code.to_bundle())))
+    assert (back.d1_star, back.d2_star) == (1, 1) and np.array_equal(back.stacked, code.stacked)
 
 
 @pytest.mark.parametrize("h1, h2", [
@@ -589,13 +598,13 @@ def _code_bundle():
      "exactly the keys"),
     (lambda b: {**b, "H1": [[1, 0]]}, "must be matrix text"),
     (lambda b: {**b, "H2": None}, "must be matrix text"),
-    (lambda b: {**b, "d1_star": None}, "must be integers"),
+    (lambda b: {**b, "d1_star": None}, "^d1_star = None must be an integer$"),
     (lambda b: {k: v for k, v in b.items() if k != "H1"}, r"lacks the key\(s\) H1$"),
     (lambda b: {k: v for k, v in b.items() if k not in ("params", "H2")},
      r"lacks the key\(s\) params, H2$"),
     (lambda b: {"seed": 6}, r"lacks the key\(s\) params, H1, H2, d1_star, d2_star$"),
-    (lambda b: {**b, "d1_star": True}, "must be integers"),
-    (lambda b: {**b, "d2_star": False}, "must be integers"),
+    (lambda b: {**b, "d1_star": True}, "^d1_star = True must be an integer$"),
+    (lambda b: {**b, "d2_star": False}, "^d2_star = False must be an integer$"),
     (lambda b: {**b, "params": {**b["params"], "alpha1": True}},
      "alpha1 = True must be a finite real number"),
 ], ids=["list", "text", "params-list", "params-extra", "params-no-eps", "H1-list", "H2-none",
