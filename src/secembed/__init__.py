@@ -28,12 +28,12 @@ def _integer(x, what: str) -> int:
     raise ValueError(f"{what} = {x!r} must be an integer")
 
 
-def _real(x, what: str):
-    """Every module's real rule: ``x`` unchanged when it is a finite ``numbers.Real`` and
-    no bool, else ValueError naming ``what``; an int beyond float range is not finite."""
+def _real(x, what: str) -> float:
+    """Every module's real rule: ``x`` as a Python float when it is a finite ``numbers.Real``
+    and no bool, else ValueError naming ``what``; an int beyond float range is not finite."""
     try:
         if isinstance(x, numbers.Real) and not isinstance(x, bool) and isfinite(x):
-            return x
+            return float(x)
     except OverflowError:
         pass
     raise ValueError(f"{what} = {x!r} must be a finite real number")

@@ -51,7 +51,8 @@ def rates_to_counts(rates, n: int) -> tuple[int, int, int]:
     """
     if len(rates) != 3:
         raise ValueError("rates must be (R1, R2, T)")
-    n = _real(_integer(n, "n"), "n")  # n * rate is a float
+    n = _integer(n, "n")
+    _real(n, "n")  # n * rate is a float
     if n < 1:
         raise ValueError(f"block length n must be a positive integer, got n={n!r}")
     counts = []
@@ -129,7 +130,7 @@ def make_codebook(px, n: int, counts, rng: np.random.Generator) -> NestedCodeboo
     """
     px = _check_distribution(px, "px")
     shape = (*(_integer(c, "counts") for c in counts), _integer(n, "n"))
-    _check_codebook_size(prod(shape))
+    _within(f"K * n = {prod(shape[:3])} * {shape[3]}", prod(shape), "CODEBOOK_BUDGET")
     words = rng.choice(len(px), size=shape, p=px)
     return NestedCodebook(codewords=words, nx=len(px))
 
@@ -177,6 +178,14 @@ LEAKAGE_BUDGET = 2**24
 LEAKAGE_KEY_BUDGET = 2**32
 CODEBOOK_BUDGET = 2**20
 TRIALS_BUDGET = 2**20
+
+
+def _within(expr: str, amount: int, name: str) -> None:
+    """The one budget check: amount, the work that expr asks for, must not exceed the
+    module constant called name, read at call time so that tests can lower it."""
+    limit = globals()[name]
+    if amount > limit:
+        raise ValueError(f"{expr} = {amount} exceeds binning.{name} = {limit}")
 
 
 def _row_clogc(bounds: np.ndarray, first_runs: np.ndarray,
@@ -231,10 +240,7 @@ def _erasure_profile(codebook: NestedCodebook, reveal: np.ndarray) -> np.ndarray
     if base < 2:
         return profile
     groups = codebook.n_bins * codebook.n_subbins
-    span_bits = n * log2(base) + log2(max(groups, 1))
-    if span_bits > 62:
-        raise ValueError("pattern projection would overflow 64-bit keys")
-    dtype = np.int32 if span_bits <= 30 else np.int64
+    dtype = np.int32 if n * log2(base) + log2(groups) <= 30 else np.int64
     proj_units = reveal[codebook.flat()].astype(dtype)
     weights = (base ** np.arange(n)).astype(dtype)
     contrib = np.ascontiguousarray((proj_units * weights[None, :]).T * dtype(groups))
@@ -365,21 +371,19 @@ def _leakage_general(codebook: NestedCodebook, w: np.ndarray, level: str) -> flo
     return entropy_bits(total / n_groups) - h_cond
 
 
-def _leakage_path(w: np.ndarray, n: int, k_total: int):
-    """Kernel w's erasure decomposition, or None for the general path, once its leakage
-    at block length n is within LEAKAGE_BUDGET (2**n patterns on the erasure path, |Z|**n
-    outputs on the general one) and LEAKAGE_KEY_BUDGET (2**n * k_total erasure keys)."""
+def _leakage_path(w: np.ndarray, n: int, k_total: int, groups: int):
+    """Kernel w's erasure decomposition, or None for the general path, once its leakage at
+    block length n is within LEAKAGE_BUDGET (2**n patterns, or |Z|**n outputs on the general
+    path), LEAKAGE_KEY_BUDGET (2**n * k_total keys) and 64-bit keys over `groups` groups."""
     dec = _erasure_decomposition(w)
     if dec is None:
-        if w.shape[1]**n > LEAKAGE_BUDGET:
-            raise ValueError(f"|Z|**n = {w.shape[1]**n} exceeds the exact-leakage "
-                             f"budget {LEAKAGE_BUDGET}")
-    elif 2**n > LEAKAGE_BUDGET:
-        raise ValueError(
-            f"2**n = {2**n} patterns exceed the exact-leakage budget {LEAKAGE_BUDGET}")
-    elif 2**n * k_total > LEAKAGE_KEY_BUDGET:
-        raise ValueError(f"2**n * K = {2**n * k_total} pattern keys exceed the "
-                         f"exact-leakage key budget {LEAKAGE_KEY_BUDGET}")
+        _within(f"|Z|**n = {w.shape[1]}**{n}", w.shape[1]**n, "LEAKAGE_BUDGET")
+        return dec
+    _within(f"2**n = 2**{n}", 2**n, "LEAKAGE_BUDGET")
+    _within(f"2**n * K = 2**{n} * {k_total}", 2**n * k_total, "LEAKAGE_KEY_BUDGET")
+    base = int(dec[1].max()) + 1
+    if base > 1 and n * log2(base) + log2(groups) > 62:
+        raise ValueError("pattern projection would overflow 64-bit keys")
     return dec
 
 
@@ -388,7 +392,7 @@ def _leakages(codebook: NestedCodebook, requests) -> list:
     profiles = {}
     out = []
     for w, level in requests:
-        dec = _leakage_path(w, codebook.n, codebook.size)
+        dec = _leakage_path(w, codebook.n, codebook.size, codebook.n_bins * codebook.n_subbins)
         if dec is None:
             out.append(_leakage_general(codebook, w, level))
             continue
@@ -407,17 +411,6 @@ def exact_leakage(codebook: NestedCodebook, kernel, level: str = "bin") -> float
     return _leakages(codebook, [(w, level)])[0]
 
 
-def _check_codebook_size(symbols: int) -> None:
-    if symbols > CODEBOOK_BUDGET:
-        raise ValueError(f"codebook needs {symbols} symbols, over the budget {CODEBOOK_BUDGET}")
-
-
-def _check_trials(trials: int, n: int) -> None:
-    if trials * n > TRIALS_BUDGET:
-        raise ValueError(f"trials * n = {trials * n} exceeds the budget "
-                         f"{TRIALS_BUDGET} sampled symbols; lower trials (got {trials})")
-
-
 def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
                          rng: np.random.Generator) -> float:
     """Message error rate of maximum-likelihood decoding over the codebook.
@@ -431,7 +424,7 @@ def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
     trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    _check_trials(trials, codebook.n)
+    _within(f"trials * n = {trials} * {codebook.n}", trials * codebook.n, "TRIALS_BUDGET")
     w = _check_kernel(py_x, "py_x", codebook.nx)
     flat = codebook.flat()
     k_total = codebook.size
@@ -475,16 +468,16 @@ def _check_simulation(ch: DmcTriple, px, rates, n: int, trials: int,
     every block before simulating any.
     """
     counts = rates_to_counts(rates, n)
-    if _integer(trials, "trials") < 0:
+    n, trials = _integer(n, "n"), _integer(trials, "trials")
+    if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     _check_distribution(px, "px", size=ch.nx)
     k_total = counts[0] * counts[1] * counts[2]
-    _check_codebook_size(k_total * n)
-    if trials:
-        _check_trials(trials, n)
+    _within(f"K * n = {k_total} * {n}", k_total * n, "CODEBOOK_BUDGET")
+    _within(f"trials * n = {trials} * {n}", trials * n, "TRIALS_BUDGET")
     if leakage:
         for w in (ch.pz1_x, ch.pz2_x):
-            _leakage_path(w, n, k_total)
+            _leakage_path(w, n, k_total, counts[0] * counts[1])
     return counts
 
 
@@ -501,8 +494,9 @@ def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
     use separate substreams of one seed sequence.
     """
     counts = _check_simulation(ch, px, rates, n, trials, measure_leakage)
-    # the report holds Python ints, whatever integers came in
+    # the report holds Python numbers, whatever numbers came in
     n, trials, seed = _integer(n, "n"), _integer(trials, "trials"), _integer(seed, "seed")
+    rates = [_real(r, "rate") for r in rates]
     ss = np.random.SeedSequence(seed)
     rng_cb, rng_trials = (np.random.default_rng(s) for s in ss.spawn(2))
     codebook = make_codebook(px, n, counts, rng_cb)

@@ -84,7 +84,7 @@ class WiretapIIParams:
         object.__setattr__(self, "n", _integer(self.n, "n"))
         _real(self.n, "n")  # n times a fraction is a float
         for name in ("alpha1", "alpha2", "eps"):  # stored as floats, as to_dict writes them
-            object.__setattr__(self, name, float(_real(getattr(self, name), name)))
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.n < 1:
             raise ValueError("block length must be >= 1")
         if not (1.0 >= self.alpha1 >= self.alpha2 >= 0.0):
@@ -194,7 +194,7 @@ class CosetCodePair:
             "H2": gf2.matrix_to_text(self.h2),
             "d1_star": self.d1_star,
             "d2_star": self.d2_star,
-            "seed": seed,
+            "seed": seed if seed is None else _integer(seed, "seed"),
         }
 
     @classmethod

@@ -151,9 +151,13 @@ class DmcTriple:
     @classmethod
     def from_dict(cls, d: dict) -> "DmcTriple":
         """Inverse of to_dict; a malformed document is a ValueError."""
-        shape = [d.get(k) for k in ("nx", "ny", "nz1", "nz2")] if isinstance(d, dict) else []
-        if len(shape) != 4 or not all(type(v) is int and v >= 1 for v in shape):
+        if not isinstance(d, dict):
             raise ValueError("channel must be a JSON object with integers nx, ny, nz1, nz2 >= 1")
+        shape = []
+        for key in ("nx", "ny", "nz1", "nz2"):
+            shape.append(_integer(d.get(key), f"channel {key}"))
+            if shape[-1] < 1:
+                raise ValueError(f"channel {key} = {shape[-1]} must be >= 1")
         size = math.prod(shape)
         p = _as_numbers(d.get("p"), "channel p", 1)
         if len(p) != size:
@@ -163,14 +167,14 @@ class DmcTriple:
 
 def bec_kernel(delta: float) -> np.ndarray:
     """Binary erasure kernel: outputs (0, 1, erasure), erasure probability delta."""
-    delta = float(_real(delta, "erasure probability"))  # float64: each row sums to 1
+    delta = _real(delta, "erasure probability")  # float64: each row sums to 1
     if not 0.0 <= delta <= 1.0:
         raise ValueError("erasure probability must be a number in [0, 1]")
     return np.array([[1 - delta, 0.0, delta], [0.0, 1 - delta, delta]])
 
 
 def bsc_kernel(flip: float) -> np.ndarray:
-    flip = float(_real(flip, "flip probability"))
+    flip = _real(flip, "flip probability")
     if not 0.0 <= flip <= 1.0:
         raise ValueError("flip probability must be a number in [0, 1]")
     return np.array([[1 - flip, flip], [flip, 1 - flip]])

@@ -38,20 +38,24 @@ __all__ = [
 ]
 
 
-def _check_nonneg(values, what: str):
-    """Reject strings, bools, None and NaN, infinite or negative powers and gains."""
-    if min(_real(v, what) for v in values) < 0:
+def _check_nonneg(values, what: str) -> list:
+    """The values as floats; reject strings, bools, None and NaN, infinite or negative ones."""
+    values = [_real(v, what) for v in values]
+    if min(values) < 0:
         raise ValueError(f"{what} must be finite and nonnegative")
+    return values
 
 
-def _check_power(power, gains, what: str):
-    """Reject a NaN, infinite or negative power, or one with power * max(1, gain)**2
-    above the cube root of the largest float, the domain the solvers are checked on."""
-    _check_nonneg((power,), what)
-    power, g, limit = float(power), float(max(1.0, *gains)), np.finfo(float).max ** (1 / 3)
+def _check_power(power, gains, what: str) -> float:
+    """The power as a float; reject a NaN, infinite or negative power, or one with
+    power * max(1, gain)**2 above the cube root of the largest float, the domain the
+    solvers are checked on.  The gains are floats."""
+    (power,) = _check_nonneg((power,), what)
+    g, limit = max(1.0, *gains), np.finfo(float).max ** (1 / 3)
     if power * g * g > limit:
         raise ValueError(f"{what} too large for these gains: "
                          f"{power:g} * max(1, gain)**2 exceeds {limit:.4g}")
+    return power
 
 
 def _cs(power, a, b):
@@ -61,8 +65,7 @@ def _cs(power, a, b):
 
 def cs_scalar(power: float, a: float, b: float) -> float:
     """Secrecy capacity [0.5*log2(1+a*P) - 0.5*log2(1+b*P)]^+ in bits/use."""
-    _check_nonneg((power, a, b), "power and gains")
-    return float(_cs(float(power), float(a), float(b)))  # float64, whatever numbers came in
+    return float(_cs(*_check_nonneg((power, a, b), "power and gains")))
 
 
 def boundary_points(frontier, max_r1: float, max_sum: float, num: int) -> np.ndarray:
@@ -92,8 +95,10 @@ class ScalarGaussChannel:
     b2: float
 
     def __post_init__(self):
-        _check_nonneg((self.power, self.a, self.b1, self.b2), "power and gains")
-        _check_power(self.power, (self.a, self.b1, self.b2), "power")
+        values = _check_nonneg((self.power, self.a, self.b1, self.b2), "power and gains")
+        for name, value in zip(("power", "a", "b1", "b2"), values):  # stored as floats
+            object.__setattr__(self, name, value)
+        _check_power(self.power, values[1:], "power")
         if self.b1 < self.b2:
             raise ValueError("strong eavesdropper gain b1 must be >= b2")
 
@@ -115,14 +120,15 @@ class ParallelGaussChannel:
         a, b1, b2 = (tuple(getattr(self, name)) for name in ("a", "b1", "b2"))
         if not (len(a) == len(b1) == len(b2)) or not a:
             raise ValueError("gain lists must be nonempty and of equal length")
-        _check_nonneg(a + b1 + b2, "gains")  # before float() would read "1.5" or True
+        _check_nonneg(a + b1 + b2, "gains")  # every gain, before any is stored
         for name, values in zip(("a", "b1", "b2"), (a, b1, b2)):
-            object.__setattr__(self, name, tuple(float(x) for x in values))
+            object.__setattr__(self, name, tuple(_real(x, "gains") for x in values))
         a, b1, b2 = self.a, self.b1, self.b2
         bad = [l for l, (s, w) in enumerate(zip(b1, b2)) if s < w]
         if bad:
             raise ValueError(f"need b1_l >= b2_l in every subchannel; l = {bad[0]} has b1_l < b2_l")
-        _check_power(self.total_power, a + b1 + b2, "total power")
+        object.__setattr__(self, "total_power",
+                           _check_power(self.total_power, a + b1 + b2, "total power"))
 
     @property
     def n_sub(self) -> int:
@@ -315,7 +321,7 @@ def region_parallel_total(ch: ParallelGaussChannel) -> dict:
     the equal split and the high one the low one's allocation, so the gap
     is 0.
     """
-    total, dims = float(ch.total_power), ch.n_sub
+    total, dims = ch.total_power, ch.n_sub
     alloc_sum = alloc_r1 = [total / dims] * dims
     if total > 0 and any(a > w for a, w in zip(ch.a, ch.b2)):
         both = any(a > s for a, s in zip(ch.a, ch.b1))  # else the high objective is flat

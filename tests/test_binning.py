@@ -358,8 +358,8 @@ def test_leakage_general_budget_raises_before_allocating():
     cb = binning.make_codebook([0.5, 0.5], 25, (1, 1, 1), np.random.default_rng(1))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"\|Z\|\*\*n = 33554432 exceeds the "
-                                             r"exact-leakage budget 16777216"):
+        with pytest.raises(ValueError, match=re.escape(
+                "|Z|**n = 2**25 = 33554432 exceeds binning.LEAKAGE_BUDGET = 16777216")):
             binning.exact_leakage(cb, dmc.bsc_kernel(0.2), "subbin")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -396,8 +396,8 @@ def test_leakage_budget_of_both_eavesdroppers_checked_before_any_profile(monkeyp
     ch = DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.5), weak)
     calls = []
     monkeypatch.setattr(binning, "_erasure_profile", lambda *args: calls.append(args))
-    with pytest.raises(ValueError, match=r"^\|Z\|\*\*n = 43046721 exceeds the "
-                                         r"exact-leakage budget 16777216$"):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "|Z|**n = 3**16 = 43046721 exceeds binning.LEAKAGE_BUDGET = 16777216") + "$"):
         binning.simulate_nested_binning(ch, [0.5, 0.5], (0.0, 0.0, 0.0), n=16, trials=0,
                                         seed=1)
     assert calls == []
@@ -405,8 +405,9 @@ def test_leakage_budget_of_both_eavesdroppers_checked_before_any_profile(monkeyp
 
 def test_leakage_key_budget_checked_before_any_codebook():
     # 2**24 patterns of K = 4,096 keys: within LEAKAGE_BUDGET, a 7-minute walk past this one
-    with pytest.raises(ValueError, match=r"^2\*\*n \* K = 68719476736 pattern keys exceed "
-                                         r"the exact-leakage key budget 4294967296$"):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "2**n * K = 2**24 * 4096 = 68719476736 exceeds binning.LEAKAGE_KEY_BUDGET = "
+            "4294967296") + "$"):
         binning._check_simulation(bec_triple(), [0.5, 0.5], (0.25, 0.25, 0.0), 24, 1, True)
     binning._check_simulation(bec_triple(), [0.5, 0.5], (0.25, 0.25, 0.0), 24, 1, False)
 
@@ -418,7 +419,9 @@ def test_leakage_key_budget_admits_its_bound(monkeypatch):
     cb = binning.make_codebook([0.5, 0.5], 24, (1, 1, 256), np.random.default_rng(1))
     assert binning.exact_leakage(cb, dmc.bec_kernel(0.5), "bin") == 0.0  # 2**32 keys
     cb = binning.make_codebook([0.5, 0.5], 24, (1, 1, 257), np.random.default_rng(1))
-    with pytest.raises(ValueError, match=r"key budget 4294967296$"):
+    with pytest.raises(ValueError, match=re.escape(
+            "2**n * K = 2**24 * 257 = 4311744512 exceeds binning.LEAKAGE_KEY_BUDGET = "
+            "4294967296") + "$"):
         binning.exact_leakage(cb, dmc.bec_kernel(0.5), "bin")
     assert calls == [256]
 
@@ -756,6 +759,26 @@ def test_pattern_keys_beyond_64_bits_are_refused():
         binning.exact_leakage(cb, np.eye(256))
 
 
+def erasure16_triple():
+    """Noiseless over 16 symbols; both eavesdroppers see a symbol or, half the time, erase it."""
+    erasure = np.hstack([0.5 * np.eye(16), 0.5 * np.ones((16, 1))])
+    return DmcTriple.independent(np.eye(16), erasure, erasure)
+
+
+def test_pattern_key_span_checked_before_any_codebook(monkeypatch):
+    # n = 16 digits of base 16 and 256 (bin, subbin) groups span 72 key bits
+    ch, px = erasure16_triple(), np.full(16, 1 / 16)
+    binning._check_simulation(ch, px, (0.25, 0.25, 0.0), 8, 50, True)  # 36 bits
+    with pytest.raises(ValueError, match="^pattern projection would overflow 64-bit keys$"):
+        binning._check_simulation(ch, px, (0.25, 0.25, 0.0), 16, 50, True)
+    binning._check_simulation(ch, px, (0.25, 0.25, 0.0), 16, 50, False)
+    calls = []
+    monkeypatch.setattr(binning, "make_codebook", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="^pattern projection would overflow 64-bit keys$"):
+        binning.simulate_nested_binning(ch, px, (0.25, 0.25, 0.0), n=16, trials=50, seed=1)
+    assert calls == []
+
+
 @pytest.mark.parametrize("kernel, match", [
     ([[2.0, 0.0], [0.0, 2.0]], "kernel rows must sum to 1"),
     ([[math.nan, 1.0], [0.0, 1.0]], "kernel has non-finite"),
@@ -783,9 +806,9 @@ def test_error_rate_rejects_trials_over_budget_before_sampling():
     trials = binning.TRIALS_BUDGET // 8 + 1
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"trials \\* n = {trials * 8} exceeds the "
-                                             f"budget {binning.TRIALS_BUDGET} sampled "
-                                             f"symbols; lower trials \\(got {trials}\\)"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"trials * n = {trials} * 8 = {trials * 8} exceeds binning.TRIALS_BUDGET = "
+                f"{binning.TRIALS_BUDGET}")):
             binning.empirical_error_rate(cb, dmc.bsc_kernel(0.1), trials,
                                          np.random.default_rng(1))
         peak = tracemalloc.get_traced_memory()[1]
@@ -799,7 +822,8 @@ def test_error_rate_accepts_trials_at_budget(monkeypatch):
     monkeypatch.setattr(binning, "TRIALS_BUDGET", 64)
     rate = binning.empirical_error_rate(cb, dmc.bsc_kernel(0.1), 8, np.random.default_rng(1))
     assert 0.0 <= rate <= 1.0
-    with pytest.raises(ValueError, match="trials \\* n = 72 exceeds the budget 64"):
+    with pytest.raises(ValueError, match=re.escape(
+            "trials * n = 9 * 8 = 72 exceeds binning.TRIALS_BUDGET = 64")):
         binning.empirical_error_rate(cb, dmc.bsc_kernel(0.1), 9, np.random.default_rng(1))
 
 

@@ -608,11 +608,11 @@ def test_non_finite_px_is_domain_error(capsys, argv):
 
 @pytest.mark.parametrize("extra, message", [
     (["--rates", "0,0,0", "--n", "25"],
-     "2**n = 33554432 patterns exceed the exact-leakage budget 16777216"),
+     "2**n = 2**25 = 33554432 exceeds binning.LEAKAGE_BUDGET = 16777216"),
     (["--rates", "0.5,0.5,0.25", "--n", "16"],
-     "codebook needs 16777216 symbols, over the budget 1048576"),
+     "K * n = 1048576 * 16 = 16777216 exceeds binning.CODEBOOK_BUDGET = 1048576"),
     (["--rates", "0.25,0.25,0", "--n", "24"],
-     "2**n * K = 68719476736 pattern keys exceed the exact-leakage key budget 4294967296"),
+     "2**n * K = 2**24 * 4096 = 68719476736 exceeds binning.LEAKAGE_KEY_BUDGET = 4294967296"),
 ], ids=["leakage", "codebook", "leakage-keys"])
 def test_sim_dmc_budget_error_is_domain_error(capsys, extra, message):
     code, out, err = run_cli(capsys, *SIM_BEC, *extra, "--trials", "1")
@@ -629,17 +629,17 @@ def test_sim_dmc_trials_over_budget_is_domain_error(capsys):
     assert err.count("\n") == 1
     payload = json.loads(err)
     assert payload["error"] == "ValueError"
-    assert f"lower trials (got {trials})" in payload["message"]
+    assert payload["message"] == (f"trials * n = {trials} * 8 = {trials * 8} exceeds "
+                                  "binning.TRIALS_BUDGET = 1048576")
 
 
 @pytest.mark.parametrize("extra, message", [
     (["--rates", "0.5,0.5,0.25", "--n", "8,12,16", "--trials", "10"],
-     "codebook needs 16777216 symbols, over the budget 1048576"),
+     "K * n = 1048576 * 16 = 16777216 exceeds binning.CODEBOOK_BUDGET = 1048576"),
     (["--rates", "0.25,0.25,0", "--n", "8,12", "--trials", "131072", "--no-leakage"],
-     "trials * n = 1572864 exceeds the budget 1048576 sampled symbols; lower trials "
-     "(got 131072)"),
+     "trials * n = 131072 * 12 = 1572864 exceeds binning.TRIALS_BUDGET = 1048576"),
     (["--rates", "0,0,0", "--n", "8,25", "--trials", "10"],
-     "2**n = 33554432 patterns exceed the exact-leakage budget 16777216"),
+     "2**n = 2**25 = 33554432 exceeds binning.LEAKAGE_BUDGET = 16777216"),
 ], ids=["codebook", "trials", "leakage"])
 def test_sim_dmc_checks_every_block_before_simulating(monkeypatch, capsys, extra, message):
     # only the last block is over budget, so no block may be simulated
@@ -655,6 +655,30 @@ def test_sim_dmc_checks_every_block_before_simulating(monkeypatch, capsys, extra
     assert calls == []
     assert code == 1 and not out
     assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def test_sim_dmc_checks_the_key_span_of_every_block_before_simulating(
+        monkeypatch, tmp_path, capsys):
+    # 16 erasure-revealed symbols at n = 16 in 256 groups need 72 key bits; n = 8 needs 36
+    erasure = np.hstack([0.5 * np.eye(16), 0.5 * np.ones((16, 1))])
+    path = tmp_path / "ch16.json"
+    path.write_text(json.dumps(dmc.DmcTriple.independent(np.eye(16), erasure, erasure)
+                               .to_dict()))
+    calls = []
+    simulate = binning.simulate_nested_binning
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["n"])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(binning, "simulate_nested_binning", counted)
+    code, out, err = run_cli(capsys, "sim", "dmc", "--channel", str(path),
+                             "--px", ",".join(["0.0625"] * 16), "--rates", "0.25,0.25,0",
+                             "--n", "8,16", "--trials", "10", "--seed", "1")
+    assert calls == []
+    assert code == 1 and not out
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "pattern projection would overflow 64-bit keys"}
 
 
 def test_sim_dmc_no_leakage_runs_past_the_leakage_budget(capsys):
@@ -1068,6 +1092,22 @@ def test_one_scalar_rule_in_src():
                 root_imports.update(name.split(".")[0] for name in names)
     assert importers == ["__init__.py", "fm.py"]
     assert root_imports <= sys.stdlib_module_names, root_imports
+
+
+def test_one_budget_rule_in_src():
+    """In binning a *_BUDGET constant is read only inside _within, the one budget check,
+    so a check written out by hand, with its own wording, fails here; the module-level
+    assignments of the constants are exempt."""
+    tree = ast.parse(Path(binning.__file__).read_text())
+    within = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_within"]
+    exempt = within + [node for node in tree.body if isinstance(node, ast.Assign) and all(
+        isinstance(t, ast.Name) and t.id.endswith("_BUDGET") for t in node.targets)]
+    uses = sorted(node.lineno for top in tree.body if top not in exempt
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.Name) and node.id.endswith("_BUDGET"))
+    assert uses == [], f"budget constants read outside _within on lines {uses}"
+    assert len(within) == 1
 
 
 def test_all_lists_the_public_functions_and_classes():

@@ -19,7 +19,7 @@ def test_golden_list_has_no_stale_files():
     """Each stored output belongs to a case or a demo, so a renamed case leaves nothing."""
     want = {f"{name}.out" for name in cli_golden.CASES}
     want |= {f"{name}.csv" for name, argv in cli_golden.CASES.items() if "{csv}" in argv}
-    want |= {cli_golden.demo_golden(name).name for name in cli_golden.QUICK_DEMOS}
+    want |= {cli_golden.demo_golden(name).name for name in cli_golden.DEMOS}
     have = {p.name for p in cli_golden.GOLDEN.iterdir() if p.suffix in (".out", ".csv")}
     assert have == want
     assert set(cli_golden.exit_codes()) == set(cli_golden.CASES)

@@ -1,6 +1,6 @@
-"""The quick demos run to completion and print exactly their golden stdout.
+"""The demos run to completion and print exactly their golden stdout.
 
-Demo 03 (an n = 16 exact-leakage pass, ~12 s) is left to manual runs.
+Demo 03 (an n = 16 exact-leakage pass) is marked slow, as criterion 6 is.
 """
 
 import pytest
@@ -8,7 +8,8 @@ import pytest
 import cli_golden
 
 
-@pytest.mark.parametrize("name", cli_golden.QUICK_DEMOS)
+@pytest.mark.parametrize("name", [*cli_golden.QUICK_DEMOS,
+                                  pytest.param(cli_golden.SLOW_DEMO, marks=pytest.mark.slow)])
 def test_demo_runs(name, tmp_path):
     # the demo imports the same secembed as this test; its files land in tmp_path
     done = cli_golden.run_demo(name, tmp_path)

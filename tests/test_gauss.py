@@ -89,7 +89,7 @@ def test_non_finite_power_and_gains_rejected(bad):
 
 def test_numbers_keep_their_values():
     ch = ScalarGaussChannel(1, 2, np.float32(0.5), 0.1)
-    assert (type(ch.power), type(ch.a), type(ch.b1)) == (int, int, np.float32)
+    assert (type(ch.power), type(ch.a), type(ch.b1)) == (float, float, float)
     pooled = ParallelGaussChannel([1, np.float32(0.3)], np.array([0.5, 0.1]), (0.1, 0.1), 2)
     assert pooled.a == (1.0, float(np.float32(0.3))) and pooled.b1 == (0.5, 0.1)
     assert all(type(v) is float for v in pooled.a + pooled.b1 + pooled.b2)

@@ -8,7 +8,9 @@ names the parameter (fm's, the value), an integer out of the parameter's range
 raises a ValueError, and no other exception or warning escapes.
 """
 
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -26,6 +28,10 @@ RATES = (0.25, 0.25, 0.0)
 def bec_triple():
     return dmc.DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.5),
                                      dmc.bec_kernel(0.9))
+
+
+def channel_of(**changes):
+    return dmc.DmcTriple.from_dict({**bec_triple().to_dict(), **changes}).to_dict()
 
 
 def params_of(**changes):
@@ -108,6 +114,10 @@ ROWS = {
     "bsc_kernel": (lambda v: dmc.bsc_kernel(v).tolist(), "flip probability", np.float32(0.1),
                    False),
     "noiseless_kernel": (lambda v: dmc.noiseless_kernel(v).tolist(), "size", np.int64(3), False),
+    "DmcTriple.from_dict.nx": (lambda v: channel_of(nx=v), "nx", np.int64(2), False),
+    "DmcTriple.from_dict.ny": (lambda v: channel_of(ny=v), "ny", np.int64(2), False),
+    "DmcTriple.from_dict.nz1": (lambda v: channel_of(nz1=v), "nz1", np.int64(3), False),
+    "DmcTriple.from_dict.nz2": (lambda v: channel_of(nz2=v), "nz2", np.uint8(3), False),
     "cs_scalar.power": (lambda v: gauss.cs_scalar(v, 1.0, 0.5), "power", np.float32(0.3),
                         False),
     "cs_scalar.b": (lambda v: gauss.cs_scalar(1.0, 1.0, v), "gains", np.float32(0.3), False),
@@ -162,3 +172,39 @@ def test_non_number_is_a_named_domain_error(row, value):
         assert message == f"{value!r} is not a finite rational"
     else:
         assert message.startswith(f"{name} ") or f" {name} " in message, message
+
+
+# id: (a call of one scalar, a value that is no number or out of range there, its message)
+REJECTIONS = {
+    "noiseless_kernel-0": (dmc.noiseless_kernel, 0, "size = 0 must be >= 1"),
+    "noiseless_kernel--1": (dmc.noiseless_kernel, -1, "size = -1 must be >= 1"),
+    "from_dict.nx-True": (lambda v: channel_of(nx=v), True, "channel nx = True must be an integer"),
+    "from_dict.nx-2.0": (lambda v: channel_of(nx=v), 2.0, "channel nx = 2.0 must be an integer"),
+    "from_dict.nx-'2'": (lambda v: channel_of(nx=v), "2", "channel nx = '2' must be an integer"),
+    "from_dict.ny-None": (lambda v: channel_of(ny=v), None, "channel ny = None must be an integer"),
+    "from_dict.nz1-0": (lambda v: channel_of(nz1=v), 0, "channel nz1 = 0 must be >= 1"),
+    "to_bundle.seed-True": (lambda v: CODE.to_bundle(seed=v), True,
+                            "seed = True must be an integer"),
+    "to_bundle.seed-1.5": (lambda v: CODE.to_bundle(seed=v), 1.5, "seed = 1.5 must be an integer"),
+    "to_bundle.seed-'x'": (lambda v: CODE.to_bundle(seed=v), "x", "seed = 'x' must be an integer"),
+}
+
+
+@pytest.mark.parametrize("row", REJECTIONS)
+def test_rejection_message_is_exact(row):
+    call, value, message = REJECTIONS[row]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        quiet(call, value)
+
+
+def test_reports_are_json_ready_whatever_numbers_came_in():
+    """A numpy scalar in is a Python number out, so every report serializes."""
+    f32 = np.float32
+    reports = [
+        gauss.region_scalar(gauss.ScalarGaussChannel(f32(1), 1, 0.5, 0.1)),
+        binning.simulate_nested_binning(bec_triple(), [0.5, 0.5], (f32(0.25), f32(0.25), 0.0),
+                                        n=4, trials=3, seed=1),
+        CODE.to_bundle(seed=np.int64(3)),
+    ]
+    for report in reports:
+        json.dumps(report, allow_nan=False)
