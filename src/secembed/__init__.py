@@ -17,23 +17,36 @@ from math import isfinite
 __version__ = "0.1.0"
 
 
-def _integer(x, what: str) -> int:
+def _integer(x, what: str, least=None, most=None) -> int:
     """Every module's integer rule: ``x`` as a Python int by ``operator.index`` (numpy
-    integers pass), or ValueError naming ``what``; a bool, float, str or None is none."""
+    integers pass), or ValueError naming ``what``; a bool, float, str or None is none.
+    A bound given, ``least`` or ``most``, is then checked by ``_bounded``."""
     if not isinstance(x, bool):
         try:
-            return operator.index(x)
+            x = operator.index(x)
         except TypeError:
             pass
+        else:
+            return _bounded(x, what, least, most)
     raise ValueError(f"{what} = {x!r} must be an integer")
 
 
-def _real(x, what: str) -> float:
+def _real(x, what: str, least=None, most=None) -> float:
     """Every module's real rule: ``x`` as a Python float when it is a finite ``numbers.Real``
-    and no bool, else ValueError naming ``what``; an int beyond float range is not finite."""
+    and no bool, else ValueError naming ``what``; an int beyond float range is not finite.
+    A bound given, ``least`` or ``most``, is then checked by ``_bounded``."""
     try:
         if isinstance(x, numbers.Real) and not isinstance(x, bool) and isfinite(x):
-            return float(x)
+            return _bounded(float(x), what, least, most)
     except OverflowError:
         pass
     raise ValueError(f"{what} = {x!r} must be a finite real number")
+
+
+def _bounded(v, what: str, least, most):
+    """The one range rule: v when least <= v <= most (None is no bound), else ValueError."""
+    if least is not None and v < least:
+        raise ValueError(f"{what} = {v} must be >= {least}")
+    if most is not None and v > most:
+        raise ValueError(f"{what} = {v} must be <= {most}")
+    return v

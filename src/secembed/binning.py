@@ -47,18 +47,15 @@ def rates_to_counts(rates, n: int) -> tuple[int, int, int]:
     Each 2**(n*rate) must be an integer count (relative tolerance 1e-6
     against the nearest integer); anything else is rejected rather than
     rounded, so the realized rates are exactly the requested ones.  The
-    block length n must be a positive integer, each rate a finite real.
+    block length n must be an integer >= 1, each rate a finite real >= 0.
     """
     if len(rates) != 3:
         raise ValueError("rates must be (R1, R2, T)")
-    n = _integer(n, "n")
+    n = _integer(n, "n", 1)
     _real(n, "n")  # n * rate is a float
-    if n < 1:
-        raise ValueError(f"block length n must be a positive integer, got n={n!r}")
     counts = []
     for r in rates:
-        if _real(r, "rate") < 0:
-            raise ValueError("rates must be nonnegative")
+        r = _real(r, "rate", 0)
         if n * r >= 1024:  # 2.0 ** 1024 overflows a float
             raise ValueError(
                 f"2**(n*{r}) at n={n} is too large to be a codebook count")
@@ -83,9 +80,7 @@ class NestedCodebook:
     nx: int
 
     def __post_init__(self):
-        nx = _integer(self.nx, "nx")
-        if nx < 1:
-            raise ValueError(f"nx = {nx} must be >= 1")
+        nx = _integer(self.nx, "nx", 1)
         words = np.asarray(self.codewords)
         if words.ndim != 4 or 0 in words.shape:
             raise ValueError("codewords must have axes (bin, subbin, slot, position), none empty")
@@ -129,7 +124,7 @@ def make_codebook(px, n: int, counts, rng: np.random.Generator) -> NestedCodeboo
     product at most CODEBOOK_BUDGET symbols.
     """
     px = _check_distribution(px, "px")
-    shape = (*(_integer(c, "counts") for c in counts), _integer(n, "n"))
+    shape = (*(_integer(c, "counts", 1) for c in counts), _integer(n, "n", 1))
     _within(f"K * n = {prod(shape[:3])} * {shape[3]}", prod(shape), "CODEBOOK_BUDGET")
     words = rng.choice(len(px), size=shape, p=px)
     return NestedCodebook(codewords=words, nx=len(px))
@@ -182,10 +177,13 @@ TRIALS_BUDGET = 2**20
 
 def _within(expr: str, amount: int, name: str) -> None:
     """The one budget check: amount, the work that expr asks for, must not exceed the
-    module constant called name, read at call time so that tests can lower it."""
+    module constant called name, read at call time so that tests can lower it.  The
+    message shows amount in decimal below 2**64 only: expr alone names a larger one,
+    whose decimal could pass Python's limit on int-to-str digits."""
     limit = globals()[name]
     if amount > limit:
-        raise ValueError(f"{expr} = {amount} exceeds binning.{name} = {limit}")
+        shown = f"{expr} = {amount}" if amount < 2**64 else expr
+        raise ValueError(f"{shown} exceeds binning.{name} = {limit}")
 
 
 def _row_clogc(bounds: np.ndarray, first_runs: np.ndarray,
@@ -421,9 +419,7 @@ def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
     differs from the transmitted one.  All trials are sampled at once, so
     trials * n may not exceed TRIALS_BUDGET.
     """
-    trials = _integer(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    trials = _integer(trials, "trials", 1)
     _within(f"trials * n = {trials} * {codebook.n}", trials * codebook.n, "TRIALS_BUDGET")
     w = _check_kernel(py_x, "py_x", codebook.nx)
     flat = codebook.flat()
@@ -468,9 +464,7 @@ def _check_simulation(ch: DmcTriple, px, rates, n: int, trials: int,
     every block before simulating any.
     """
     counts = rates_to_counts(rates, n)
-    n, trials = _integer(n, "n"), _integer(trials, "trials")
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
+    n, trials = _integer(n, "n"), _integer(trials, "trials", 0)
     _check_distribution(px, "px", size=ch.nx)
     k_total = counts[0] * counts[1] * counts[2]
     _within(f"K * n = {k_total} * {n}", k_total * n, "CODEBOOK_BUDGET")
@@ -495,7 +489,7 @@ def simulate_nested_binning(ch: DmcTriple, px, rates, n: int, trials: int,
     """
     counts = _check_simulation(ch, px, rates, n, trials, measure_leakage)
     # the report holds Python numbers, whatever numbers came in
-    n, trials, seed = _integer(n, "n"), _integer(trials, "trials"), _integer(seed, "seed")
+    n, trials, seed = _integer(n, "n"), _integer(trials, "trials"), _integer(seed, "seed", 0)
     rates = [_real(r, "rate") for r in rates]
     ss = np.random.SeedSequence(seed)
     rng_cb, rng_trials = (np.random.default_rng(s) for s in ss.spawn(2))

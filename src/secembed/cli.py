@@ -83,12 +83,9 @@ def _check_seed(args):
         raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
 
 
-MAX_POINTS = 1_000_000  # largest --points: a CSV of about 30 MB
-
-
 def _check_points(args):
-    if not 2 <= args.points <= MAX_POINTS:
-        raise ValueError(f"--points must be from 2 to {MAX_POINTS}, got {args.points}")
+    if not 2 <= args.points <= gauss.MAX_POINTS:
+        raise ValueError(f"--points must be from 2 to {gauss.MAX_POINTS}, got {args.points}")
 
 
 def _emit_corner_report(report: dict, high: str, low: str, args) -> int:

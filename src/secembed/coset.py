@@ -81,16 +81,13 @@ class WiretapIIParams:
     k2: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "n", _integer(self.n, "n", 1))
         _real(self.n, "n")  # n times a fraction is a float
-        for name in ("alpha1", "alpha2", "eps"):  # stored as floats, as to_dict writes them
+        for name in ("alpha1", "alpha2"):  # stored as floats, as to_dict writes them
             object.__setattr__(self, name, _real(getattr(self, name), name))
-        if self.n < 1:
-            raise ValueError("block length must be >= 1")
+        object.__setattr__(self, "eps", _real(self.eps, "eps", 0))
         if not (1.0 >= self.alpha1 >= self.alpha2 >= 0.0):
             raise ValueError("need 1 >= alpha1 >= alpha2 >= 0")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
         # n*(alpha1-alpha2) rounds to n_alpha1 - n_alpha2: all four lie within 1e-9 of ints
         for name, (value, what) in zip(("n_alpha1", "n_alpha2", "k1", "k2"), [
             (self.n * self.alpha1, "n*alpha1"),
@@ -98,10 +95,7 @@ class WiretapIIParams:
             (self.n * (1.0 - self.alpha1 - self.eps), "n*(1-alpha1-eps)"),
             (self.n * (self.alpha1 - self.alpha2), "n*(alpha1-alpha2)"),
         ]):
-            size = _as_int(value, what)
-            if size < 0:
-                raise ValueError(f"{what} must be nonnegative")
-            object.__setattr__(self, name, size)
+            object.__setattr__(self, name, _integer(_as_int(value, what), what, 0))
 
     @property
     def r1(self) -> float:
@@ -194,7 +188,7 @@ class CosetCodePair:
             "H2": gf2.matrix_to_text(self.h2),
             "d1_star": self.d1_star,
             "d2_star": self.d2_star,
-            "seed": seed if seed is None else _integer(seed, "seed"),
+            "seed": seed if seed is None else _integer(seed, "seed", 0),
         }
 
     @classmethod
@@ -245,10 +239,9 @@ def encode(code: CosetCodePair, m1: int, m2: int, rng: np.random.Generator) -> n
     ``stacked.T``.  Infeasibility cannot occur because the stacked
     matrix has full row rank.
     """
-    m1, m2 = _integer(m1, "m1"), _integer(m2, "m2")  # Python ints: no shift overflow
-    for m, k in ((m1, code.k1), (m2, code.k2)):
-        if not 0 <= m < (1 << k):
-            raise ValueError(f"message index {m} out of range 0..{(1 << k) - 1}")
+    # Python ints: no shift overflow
+    m1 = _integer(m1, "m1", 0, (1 << code.k1) - 1)
+    m2 = _integer(m2, "m2", 0, (1 << code.k2) - 1)
     x = gf2._sample_affine(code._encoder, m1 | m2 << code.k1, rng)
     return gf2.unpack_rows([x], code.n)[0]
 
@@ -331,7 +324,7 @@ def construct(params: WiretapIIParams, seed: int) -> CosetCodePair:
     certificate whose search cannot start within gf2.NODE_LIMIT raises
     BudgetExceededError before the first draw, d1 checked first.
     """
-    seed = _integer(seed, "seed")
+    seed = _integer(seed, "seed", 0)
     if params.eps <= 0:
         raise ValueError("construct requires eps > 0")
     rows = params.k1 + params.k2
@@ -347,8 +340,8 @@ def construct(params: WiretapIIParams, seed: int) -> CosetCodePair:
             return CosetCodePair(params=params, h1=h[:params.k1], h2=h[params.k1:],
                                  d1_star=d1, d2_star=d2)
     raise ConstructionExhaustedError(
-        f"no acceptable matrix in {MAX_ATTEMPTS} attempts at n={params.n}; "
-        "small blocks can legitimately fail the certificate thresholds")
+        f"no acceptable matrix in {MAX_ATTEMPTS} attempts at n={params.n}; small blocks "
+        f"can legitimately fail the certificate thresholds (coset.MAX_ATTEMPTS = {MAX_ATTEMPTS})")
 
 
 def union_bound_report(params: WiretapIIParams, *, exact_counts: bool = False) -> dict:

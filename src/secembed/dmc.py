@@ -153,11 +153,7 @@ class DmcTriple:
         """Inverse of to_dict; a malformed document is a ValueError."""
         if not isinstance(d, dict):
             raise ValueError("channel must be a JSON object with integers nx, ny, nz1, nz2 >= 1")
-        shape = []
-        for key in ("nx", "ny", "nz1", "nz2"):
-            shape.append(_integer(d.get(key), f"channel {key}"))
-            if shape[-1] < 1:
-                raise ValueError(f"channel {key} = {shape[-1]} must be >= 1")
+        shape = [_integer(d.get(key), f"channel {key}", 1) for key in ("nx", "ny", "nz1", "nz2")]
         size = math.prod(shape)
         p = _as_numbers(d.get("p"), "channel p", 1)
         if len(p) != size:
@@ -167,24 +163,18 @@ class DmcTriple:
 
 def bec_kernel(delta: float) -> np.ndarray:
     """Binary erasure kernel: outputs (0, 1, erasure), erasure probability delta."""
-    delta = _real(delta, "erasure probability")  # float64: each row sums to 1
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("erasure probability must be a number in [0, 1]")
+    delta = _real(delta, "erasure probability", 0, 1)  # float64: each row sums to 1
     return np.array([[1 - delta, 0.0, delta], [0.0, 1 - delta, delta]])
 
 
 def bsc_kernel(flip: float) -> np.ndarray:
-    flip = _real(flip, "flip probability")
-    if not 0.0 <= flip <= 1.0:
-        raise ValueError("flip probability must be a number in [0, 1]")
+    flip = _real(flip, "flip probability", 0, 1)
     return np.array([[1 - flip, flip], [flip, 1 - flip]])
 
 
 def noiseless_kernel(size: int) -> np.ndarray:
     """Identity kernel over an alphabet of size >= 1."""
-    if _integer(size, "size") < 1:
-        raise ValueError(f"size = {size} must be >= 1")
-    return np.eye(size)
+    return np.eye(_integer(size, "size", 1))
 
 
 @dataclass(frozen=True)

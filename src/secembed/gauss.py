@@ -23,7 +23,7 @@ from math import log2
 
 import numpy as np
 
-from secembed import _real, regions
+from secembed import _integer, _real, regions
 
 __all__ = [
     "cs_scalar",
@@ -38,19 +38,11 @@ __all__ = [
 ]
 
 
-def _check_nonneg(values, what: str) -> list:
-    """The values as floats; reject strings, bools, None and NaN, infinite or negative ones."""
-    values = [_real(v, what) for v in values]
-    if min(values) < 0:
-        raise ValueError(f"{what} must be finite and nonnegative")
-    return values
-
-
 def _check_power(power, gains, what: str) -> float:
     """The power as a float; reject a NaN, infinite or negative power, or one with
     power * max(1, gain)**2 above the cube root of the largest float, the domain the
     solvers are checked on.  The gains are floats."""
-    (power,) = _check_nonneg((power,), what)
+    power = _real(power, what, 0)
     g, limit = max(1.0, *gains), np.finfo(float).max ** (1 / 3)
     if power * g * g > limit:
         raise ValueError(f"{what} too large for these gains: "
@@ -65,7 +57,10 @@ def _cs(power, a, b):
 
 def cs_scalar(power: float, a: float, b: float) -> float:
     """Secrecy capacity [0.5*log2(1+a*P) - 0.5*log2(1+b*P)]^+ in bits/use."""
-    return float(_cs(*_check_nonneg((power, a, b), "power and gains")))
+    return float(_cs(_real(power, "power", 0), _real(a, "a", 0), _real(b, "b", 0)))
+
+
+MAX_POINTS = 1_000_000  # most boundary samples: two floats each, a CSV of about 30 MB
 
 
 def boundary_points(frontier, max_r1: float, max_sum: float, num: int) -> np.ndarray:
@@ -76,8 +71,9 @@ def boundary_points(frontier, max_r1: float, max_sum: float, num: int) -> np.nda
     and R2 is the sum rate less R1, clamped at zero.  A corner region
     {R1 <= cap_high, R1 + R2 <= cap_low} is the one-vertex frontier
     [(cap_high, cap_low)] with max_r1 = cap_high and max_sum = cap_low.
+    ``num`` is an integer from 2 to MAX_POINTS.
     """
-    r1 = np.linspace(0.0, max_r1, num)
+    r1 = np.linspace(0.0, max_r1, _integer(num, "num", 2, MAX_POINTS))
     return np.column_stack([r1, np.maximum(_sum_rate_at(frontier, max_sum, r1) - r1, 0.0)])
 
 
@@ -95,10 +91,9 @@ class ScalarGaussChannel:
     b2: float
 
     def __post_init__(self):
-        values = _check_nonneg((self.power, self.a, self.b1, self.b2), "power and gains")
-        for name, value in zip(("power", "a", "b1", "b2"), values):  # stored as floats
-            object.__setattr__(self, name, value)
-        _check_power(self.power, values[1:], "power")
+        for name in ("power", "a", "b1", "b2"):  # stored as floats
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0))
+        _check_power(self.power, (self.a, self.b1, self.b2), "power")
         if self.b1 < self.b2:
             raise ValueError("strong eavesdropper gain b1 must be >= b2")
 
@@ -120,10 +115,9 @@ class ParallelGaussChannel:
         a, b1, b2 = (tuple(getattr(self, name)) for name in ("a", "b1", "b2"))
         if not (len(a) == len(b1) == len(b2)) or not a:
             raise ValueError("gain lists must be nonempty and of equal length")
-        _check_nonneg(a + b1 + b2, "gains")  # every gain, before any is stored
-        for name, values in zip(("a", "b1", "b2"), (a, b1, b2)):
-            object.__setattr__(self, name, tuple(_real(x, "gains") for x in values))
-        a, b1, b2 = self.a, self.b1, self.b2
+        a, b1, b2 = (tuple(_real(x, "gains", 0) for x in values) for values in (a, b1, b2))
+        for name, values in zip(("a", "b1", "b2"), (a, b1, b2)):  # once every gain is read
+            object.__setattr__(self, name, values)
         bad = [l for l, (s, w) in enumerate(zip(b1, b2)) if s < w]
         if bad:
             raise ValueError(f"need b1_l >= b2_l in every subchannel; l = {bad[0]} has b1_l < b2_l")

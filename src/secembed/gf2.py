@@ -29,6 +29,8 @@ import operator
 
 import numpy as np
 
+from secembed import _integer
+
 __all__ = [
     "InfeasibleSystemError",
     "BudgetExceededError",
@@ -61,7 +63,7 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, nodes: int, lower: int, upper: int):
         super().__init__(
             f"subset-rank search exceeded {nodes} nodes with the minimum rank in "
-            f"[{lower}, {upper}]; instance beyond desk scale")
+            f"[{lower}, {upper}]; instance beyond desk scale (gf2.NODE_LIMIT = {NODE_LIMIT})")
         self.nodes = nodes
         self.lower = lower
         self.upper = upper
@@ -320,8 +322,7 @@ def min_rank_over_column_subsets(m, size: int) -> int:
     """
     a = _as_bits(m)
     n = a.shape[1]
-    if not 0 <= size <= n:
-        raise ValueError(f"subset size {size} out of range 0..{n}")
+    size = _integer(size, "size", 0, n)
     basis = _rref(pack_rows(a))
     full = len(basis)
     lb, ub, fits = _bracket(n, full, size)

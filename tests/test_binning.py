@@ -412,6 +412,22 @@ def test_leakage_key_budget_checked_before_any_codebook():
     binning._check_simulation(bec_triple(), [0.5, 0.5], (0.25, 0.25, 0.0), 24, 1, False)
 
 
+@pytest.mark.parametrize("weak, n, message", [
+    (None, 63, "2**n = 2**63 = 9223372036854775808 exceeds binning.LEAKAGE_BUDGET = 16777216"),
+    (None, 64, "2**n = 2**64 exceeds binning.LEAKAGE_BUDGET = 16777216"),
+    (None, 20000, "2**n = 2**20000 exceeds binning.LEAKAGE_BUDGET = 16777216"),
+    ([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]], 20000,
+     "|Z|**n = 3**20000 exceeds binning.LEAKAGE_BUDGET = 16777216"),
+], ids=["2**63", "2**64", "2**20000", "3**20000"])
+def test_budget_error_names_its_budget_at_any_n(weak, n, message):
+    """An amount of 2**64 or more is named by its expression alone: the decimal of
+    2**20000 passes Python's 4300-digit limit on int-to-str conversion."""
+    ch = bec_triple() if weak is None else DmcTriple.independent(
+        dmc.noiseless_kernel(2), weak, weak)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        binning._check_simulation(ch, [0.5, 0.5], (0.0, 0.0, 0.0), n, 1, True)
+
+
 def test_leakage_key_budget_admits_its_bound(monkeypatch):
     calls = []
     monkeypatch.setattr(binning, "_erasure_profile",
@@ -642,16 +658,19 @@ def test_rates_to_counts():
         binning.rates_to_counts((-0.1, 0.0, 0.0), 8)
 
 
-# ids kept from when the messages were "not finite", "rate 'a' is not a number" and
-# "positive integer, got n=8.5": the cases are the same, the scalar readers' messages new
+# ids kept from when the messages were "not finite", "rate 'a' is not a number",
+# "positive integer, got n=8.5" and "positive integer, got n=0": the cases are the
+# same, the scalar readers' messages new
 @pytest.mark.parametrize("rates, n, match", [
     pytest.param((math.inf, 0.0, 0.0), 8, "^rate = inf must be a finite real number$",
                  id="rates0-8-not finite"),
     pytest.param((math.nan, 0.0, 0.0), 8, "^rate = nan must be a finite real number$",
                  id="rates1-8-not finite"),
     ((300.0, 0.0, 0.0), 8, "too large"),
-    ((0.25, 0.25, 0.0), 0, "positive integer, got n=0"),
-    ((0.25, 0.25, 0.0), -4, "positive integer, got n=-4"),
+    pytest.param((0.25, 0.25, 0.0), 0, "^n = 0 must be >= 1$",
+                 id="rates3-0-positive integer, got n=0"),
+    pytest.param((0.25, 0.25, 0.0), -4, "^n = -4 must be >= 1$",
+                 id="rates4--4-positive integer, got n=-4"),
     pytest.param(("a", 0, 0), 8, "^rate = 'a' must be a finite real number$",
                  id="rates5-8-rate 'a' is not a number"),
     pytest.param((True, 0, 0), 8, "^rate = True must be a finite real number$",
@@ -670,7 +689,7 @@ def test_rates_to_counts_domain_errors(rates, n, match):
 
 
 def test_simulate_rejects_negative_trials():
-    with pytest.raises(ValueError, match="trials must be nonnegative, got -5"):
+    with pytest.raises(ValueError, match="^trials = -5 must be >= 0$"):
         binning.simulate_nested_binning(bec_triple(), [0.5, 0.5], (0.25, 0.25, 0.0),
                                         n=8, trials=-5, seed=1)
 
@@ -796,7 +815,7 @@ def test_exact_leakage_rejects_non_stochastic_kernel(kernel, match):
 @pytest.mark.parametrize("trials", [0, -3])
 def test_error_rate_rejects_trials_below_one(trials):
     cb = binning.make_codebook([0.5, 0.5], 4, (2, 2, 2), np.random.default_rng(1))
-    with pytest.raises(ValueError, match=f"trials must be a positive integer, got {trials}"):
+    with pytest.raises(ValueError, match=f"^trials = {trials} must be >= 1$"):
         binning.empirical_error_rate(cb, dmc.bsc_kernel(0.1), trials,
                                      np.random.default_rng(1))
 

@@ -57,11 +57,11 @@ def test_params_validation():
         WiretapIIParams(n=4, alpha1=0.25, alpha2=0.5, eps=0.0)  # alpha order
     with pytest.raises(ValueError):
         WiretapIIParams(n=4, alpha1=0.3, alpha2=0.1, eps=0.0)  # non-integer products
-    with pytest.raises(ValueError, match="^block length must be >= 1$"):
+    with pytest.raises(ValueError, match="^n = 0 must be >= 1$"):
         WiretapIIParams(n=0, alpha1=0.5, alpha2=0.25)
-    with pytest.raises(ValueError, match="^eps must be >= 0$"):
+    with pytest.raises(ValueError, match=r"^eps = -0\.1 must be >= 0$"):
         WiretapIIParams(n=8, alpha1=0.5, alpha2=0.25, eps=-0.1)
-    with pytest.raises(ValueError, match=r"^n\*\(1-alpha1-eps\) must be nonnegative$"):
+    with pytest.raises(ValueError, match=r"^n\*\(1-alpha1-eps\) = -1 must be >= 0$"):
         WiretapIIParams(n=4, alpha1=0.75, alpha2=0.0, eps=0.5)  # k1 = -1
     p = WiretapIIParams(n=16, alpha1=0.5, alpha2=0.25, eps=0.25)
     assert (p.k1, p.k2, p.n_alpha1, p.n_alpha2) == (4, 4, 8, 4)
@@ -393,7 +393,7 @@ def test_encode_numpy_messages_beyond_63_syndrome_bits():
         x = coset.encode(code, m1, m2, np.random.default_rng(3))
         assert np.array_equal(x, reference_encode(code, m1, m2, np.random.default_rng(3)))
         assert coset.decode(code, x) == (m1, m2)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="m1 = 281474976710656 must be <= 281474976710655"):
         coset.encode(code, np.int64(2**48), 0, np.random.default_rng(0))
 
 
@@ -541,9 +541,11 @@ def test_construct_skips_rank_deficient_draws_and_exhausts(monkeypatch):
     monkeypatch.setattr(gf2, "random_matrix",
                         lambda rows, cols, rng: np.zeros((rows, cols), np.uint8))
     with pytest.MonkeyPatch.context() as mp, pytest.raises(
-            coset.ConstructionExhaustedError, match="no acceptable matrix in 3 attempts at n=16"):
+            coset.ConstructionExhaustedError,
+            match="no acceptable matrix in 3 attempts at n=16") as exc:
         mp.setattr(coset, "MAX_ATTEMPTS", 3)
         coset.construct(params, seed=1)
+    assert str(exc.value).endswith("(coset.MAX_ATTEMPTS = 3)")
 
 
 @pytest.mark.parametrize("n, bracket", [(400, (0, 100)), (56, (14, 28))])

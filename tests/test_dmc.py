@@ -373,8 +373,9 @@ def test_independent_keeps_the_bits_of_a_valid_channel():
 @pytest.mark.parametrize("kernel, what", [(dmc.bec_kernel, "erasure"), (dmc.bsc_kernel, "flip")])
 @pytest.mark.parametrize("bad", [1.5, -0.1, "0.5", True, None, math.nan])
 def test_kernel_parameters_are_numbers_in_the_unit_interval(kernel, what, bad):
-    message = f"{what} probability must be a number in [0, 1]"
-    if not isinstance(bad, float) or math.isnan(bad):  # not a finite real: the scalar reader's
+    if isinstance(bad, float) and not math.isnan(bad):  # a finite real outside [0, 1]
+        message = f"{what} probability = {bad} must be {'<= 1' if bad > 1 else '>= 0'}"
+    else:  # not a finite real: the scalar reader's
         message = f"{what} probability = {bad!r} must be a finite real number"
     with pytest.raises(ValueError, match=re.escape(message)):
         kernel(bad)

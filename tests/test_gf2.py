@@ -685,5 +685,5 @@ def test_guards_name_the_input():
         gf2.rank(np.array([1, 0, 1], dtype=np.uint8))
     with pytest.raises(ValueError, match="^syndrome length 1 != number of constraints 3$"):
         gf2.solve_affine(m, [1], np.random.default_rng(0))
-    with pytest.raises(ValueError, match=r"^subset size 4 out of range 0\.\.3$"):
+    with pytest.raises(ValueError, match="^size = 4 must be <= 3$"):
         gf2.min_rank_over_column_subsets(m, 4)

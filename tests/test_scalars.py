@@ -5,7 +5,8 @@ Each row calls one public function or constructor with one scalar replaced.
 A valid numpy scalar gives the same result, by ``repr``, as the Python number
 it holds; every value that is no number there raises a ValueError whose message
 names the parameter (fm's, the value), an integer out of the parameter's range
-raises a ValueError, and no other exception or warning escapes.
+raises a ValueError, and no other exception or warning escapes.  Each bound of a
+parameter is accepted, and one step past it is the range rule's exact message.
 """
 
 import json
@@ -16,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from secembed import binning, coset, dmc, fm, gauss
+from secembed import binning, coset, dmc, fm, gauss, gf2
 from secembed.coset import CosetCodePair, WiretapIIParams
 
 PARAMS = WiretapIIParams(4, 0.75, 0.5, 0.0)
@@ -84,6 +85,19 @@ def lin_ineq(coeff=1, const=0):
     return fm.LinIneq({"x": coeff, "y": 2}, const=const)
 
 
+def min_rank(size):
+    return gf2.min_rank_over_column_subsets(np.array([[1, 0, 1], [0, 1, 1]]), size)
+
+
+def boundary(num):
+    return gauss.boundary_points([(0.5, 1.0)], 0.5, 1.0, num)
+
+
+def unit_channel(key, v):
+    return dmc.DmcTriple.from_dict({**dict.fromkeys(("nx", "ny", "nz1", "nz2"), 1), key: v,
+                                    "p": [1.0]})
+
+
 # id: (call with the scalar, the name its message gives, a valid numpy scalar,
 #      whether an int beyond float range is a valid value there)
 ROWS = {
@@ -120,13 +134,15 @@ ROWS = {
     "DmcTriple.from_dict.nz2": (lambda v: channel_of(nz2=v), "nz2", np.uint8(3), False),
     "cs_scalar.power": (lambda v: gauss.cs_scalar(v, 1.0, 0.5), "power", np.float32(0.3),
                         False),
-    "cs_scalar.b": (lambda v: gauss.cs_scalar(1.0, 1.0, v), "gains", np.float32(0.3), False),
+    "cs_scalar.b": (lambda v: gauss.cs_scalar(1.0, 1.0, v), "b", np.float32(0.3), False),
     "ScalarGaussChannel.power": (lambda v: scalar_region(power=v), "power", np.float32(0.3),
                                  False),
-    "ScalarGaussChannel.b1": (lambda v: scalar_region(b1=v), "gains", np.float32(0.3), False),
+    "ScalarGaussChannel.b1": (lambda v: scalar_region(b1=v), "b1", np.float32(0.3), False),
     "ParallelGaussChannel.total_power": (lambda v: pooled_region(total_power=v), "total power",
                                          np.float32(0.3), False),
     "ParallelGaussChannel.a": (lambda v: pooled_region(gain=v), "gains", np.float32(0.7), False),
+    "boundary_points.num": (lambda v: boundary(v).tolist(), "num", np.int64(5), False),
+    "min_rank_over_column_subsets.size": (min_rank, "size", np.int64(2), False),
     # fm reads exact rationals: 1.5 and 10**400 are numbers there, and its message
     # names the value, "<value> is not a finite rational"
     "LinIneq.coefficient": (lambda v: lin_ineq(coeff=v), None, np.float32(0.1), True),
@@ -187,6 +203,13 @@ REJECTIONS = {
                             "seed = True must be an integer"),
     "to_bundle.seed-1.5": (lambda v: CODE.to_bundle(seed=v), 1.5, "seed = 1.5 must be an integer"),
     "to_bundle.seed-'x'": (lambda v: CODE.to_bundle(seed=v), "x", "seed = 'x' must be an integer"),
+    "min_rank.size-2.5": (min_rank, 2.5, "size = 2.5 must be an integer"),
+    "min_rank.size-True": (min_rank, True, "size = True must be an integer"),
+    "min_rank.size-'3'": (min_rank, "3", "size = '3' must be an integer"),
+    "boundary_points.num-1.5": (boundary, 1.5, "num = 1.5 must be an integer"),
+    "boundary_points.num-True": (boundary, True, "num = True must be an integer"),
+    "boundary_points.num-0": (boundary, 0, "num = 0 must be >= 2"),
+    "boundary_points.num-10**12": (boundary, 10**12, "num = 1000000000000 must be <= 1000000"),
 }
 
 
@@ -195,6 +218,87 @@ def test_rejection_message_is_exact(row):
     call, value, message = REJECTIONS[row]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         quiet(call, value)
+
+
+BELOW_0, ABOVE_1 = math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0)  # one float past
+
+# id: (a call of one scalar, its bound, one step past the bound, that step's message)
+RANGES = {
+    "rates_to_counts.n": (lambda v: binning.rates_to_counts((0.0, 0.0, 0.0), v), 1, 0,
+                          "n = 0 must be >= 1"),
+    "rates_to_counts.rate": (lambda v: binning.rates_to_counts((v, 0.25, 0.0), 8), 0.0,
+                             BELOW_0, "rate = -5e-324 must be >= 0"),
+    "make_codebook.n": (lambda v: codebook_of(n=v), 1, 0, "n = 0 must be >= 1"),
+    "make_codebook.counts": (lambda v: codebook_of(counts=(2, v, 1)), 1, 0,
+                             "counts = 0 must be >= 1"),
+    "make_codebook.counts-first": (lambda v: codebook_of(counts=(v, 2, 2)), 1, -1,
+                                   "counts = -1 must be >= 1"),
+    "NestedCodebook.nx": (nested, 1, 0, "nx = 0 must be >= 1"),
+    "empirical_error_rate.trials": (error_rate, 1, 0, "trials = 0 must be >= 1"),
+    "simulate_nested_binning.trials": (lambda v: simulated(trials=v), 0, -1,
+                                       "trials = -1 must be >= 0"),
+    "simulate_nested_binning.seed": (lambda v: simulated(seed=v), 0, -1,
+                                     "seed = -1 must be >= 0"),
+    "WiretapIIParams.n": (lambda v: WiretapIIParams(v, 1.0, 0.0), 1, 0, "n = 0 must be >= 1"),
+    "WiretapIIParams.eps": (lambda v: params_of(eps=v), 0.0, BELOW_0,
+                            "eps = -5e-324 must be >= 0"),
+    "WiretapIIParams.k1": (lambda v: WiretapIIParams(4, 0.75, 0.0, v), 0.25, 0.5,
+                           "n*(1-alpha1-eps) = -1 must be >= 0"),
+    "encode.m1-least": (lambda v: encoded(v, 0), 0, -1, "m1 = -1 must be >= 0"),
+    "encode.m1-most": (lambda v: encoded(v, 0), 1, 2, "m1 = 2 must be <= 1"),
+    "encode.m2-least": (lambda v: encoded(0, v), 0, -1, "m2 = -1 must be >= 0"),
+    "encode.m2-most": (lambda v: encoded(0, v), 1, 2, "m2 = 2 must be <= 1"),
+    "construct.seed": (lambda v: coset.construct(WiretapIIParams(8, 0.5, 0.25, 0.25), v), 0,
+                       -1, "seed = -1 must be >= 0"),
+    "to_bundle.seed": (lambda v: CODE.to_bundle(seed=v), 0, -1, "seed = -1 must be >= 0"),
+    "DmcTriple.from_dict.nx": (lambda v: unit_channel("nx", v), 1, 0,
+                               "channel nx = 0 must be >= 1"),
+    "DmcTriple.from_dict.ny": (lambda v: unit_channel("ny", v), 1, 0,
+                               "channel ny = 0 must be >= 1"),
+    "DmcTriple.from_dict.nz1": (lambda v: unit_channel("nz1", v), 1, 0,
+                                "channel nz1 = 0 must be >= 1"),
+    "DmcTriple.from_dict.nz2": (lambda v: unit_channel("nz2", v), 1, 0,
+                                "channel nz2 = 0 must be >= 1"),
+    "bec_kernel-least": (dmc.bec_kernel, 0.0, BELOW_0,
+                         "erasure probability = -5e-324 must be >= 0"),
+    "bec_kernel-most": (dmc.bec_kernel, 1.0, ABOVE_1,
+                        "erasure probability = 1.0000000000000002 must be <= 1"),
+    "bsc_kernel-least": (dmc.bsc_kernel, 0.0, BELOW_0, "flip probability = -5e-324 must be >= 0"),
+    "bsc_kernel-most": (dmc.bsc_kernel, 1.0, ABOVE_1,
+                        "flip probability = 1.0000000000000002 must be <= 1"),
+    "noiseless_kernel": (dmc.noiseless_kernel, 1, 0, "size = 0 must be >= 1"),
+    "min_rank.size-least": (min_rank, 0, -1, "size = -1 must be >= 0"),
+    "min_rank.size-most": (min_rank, 3, 4, "size = 4 must be <= 3"),
+    "cs_scalar.power": (lambda v: gauss.cs_scalar(v, 1.0, 0.5), 0.0, BELOW_0,
+                        "power = -5e-324 must be >= 0"),
+    "cs_scalar.a": (lambda v: gauss.cs_scalar(1.0, v, 0.5), 0.0, BELOW_0,
+                    "a = -5e-324 must be >= 0"),
+    "cs_scalar.b": (lambda v: gauss.cs_scalar(1.0, 1.0, v), 0.0, BELOW_0,
+                    "b = -5e-324 must be >= 0"),
+    "ScalarGaussChannel.power": (lambda v: scalar_region(power=v), 0.0, BELOW_0,
+                                 "power = -5e-324 must be >= 0"),
+    "ScalarGaussChannel.a": (lambda v: scalar_region(a=v), 0.0, BELOW_0,
+                             "a = -5e-324 must be >= 0"),
+    "ScalarGaussChannel.b1": (lambda v: scalar_region(b1=v, b2=0.0), 0.0, BELOW_0,
+                              "b1 = -5e-324 must be >= 0"),
+    "ScalarGaussChannel.b2": (lambda v: scalar_region(b2=v), 0.0, BELOW_0,
+                              "b2 = -5e-324 must be >= 0"),
+    "ParallelGaussChannel.total_power": (lambda v: pooled_region(total_power=v), 0.0, BELOW_0,
+                                         "total power = -5e-324 must be >= 0"),
+    "ParallelGaussChannel.a": (lambda v: pooled_region(gain=v), 0.0, BELOW_0,
+                               "gains = -5e-324 must be >= 0"),
+    "boundary_points.num-least": (boundary, 2, 1, "num = 1 must be >= 2"),
+    "boundary_points.num-most": (boundary, gauss.MAX_POINTS, gauss.MAX_POINTS + 1,
+                                 "num = 1000001 must be <= 1000000"),
+}
+
+
+@pytest.mark.parametrize("row", RANGES)
+def test_bound_is_accepted_and_one_step_past_it_is_not(row):
+    call, bound, past, message = RANGES[row]
+    quiet(call, bound)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        quiet(call, past)
 
 
 def test_reports_are_json_ready_whatever_numbers_came_in():
