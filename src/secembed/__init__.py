@@ -12,7 +12,7 @@ as plain dicts (:mod:`secembed.regions`) and a command-line front end
 
 import numbers
 import operator
-from math import isfinite
+from math import isfinite, log10
 
 __version__ = "0.1.0"
 
@@ -40,13 +40,24 @@ def _real(x, what: str, least=None, most=None) -> float:
             return _bounded(float(x), what, least, most)
     except OverflowError:
         pass
-    raise ValueError(f"{what} = {x!r} must be a finite real number")
+    raise ValueError(f"{what} = {_shown(x)} must be a finite real number")
 
 
 def _bounded(v, what: str, least, most):
     """The one range rule: v when least <= v <= most (None is no bound), else ValueError."""
     if least is not None and v < least:
-        raise ValueError(f"{what} = {v} must be >= {least}")
+        raise ValueError(f"{what} = {_shown(v)} must be >= {least}")
     if most is not None and v > most:
-        raise ValueError(f"{what} = {v} must be <= {most}")
+        raise ValueError(f"{what} = {_shown(v)} must be <= {most}")
     return v
+
+
+def _shown(v) -> str:
+    """v for a message: its repr, or for an int too long for Python's int-to-str
+    limit, its digit count ("a 5001-digit integer", "a negative ...")."""
+    try:
+        return repr(v)
+    except ValueError:
+        digits = int(abs(v).bit_length() * log10(2))  # the count, or one less
+        digits += abs(v) >= 10**digits
+        return f"a {'negative ' * (v < 0)}{digits}-digit integer"

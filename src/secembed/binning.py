@@ -28,7 +28,7 @@ from math import log2, prod
 
 import numpy as np
 
-from secembed import _integer, _real
+from secembed import _integer, _real, _shown
 from secembed.dmc import DmcTriple, _check_distribution, _check_kernel, entropy_bits
 
 __all__ = [
@@ -420,7 +420,8 @@ def empirical_error_rate(codebook: NestedCodebook, py_x, trials: int,
     trials * n may not exceed TRIALS_BUDGET.
     """
     trials = _integer(trials, "trials", 1)
-    _within(f"trials * n = {trials} * {codebook.n}", trials * codebook.n, "TRIALS_BUDGET")
+    _within(f"trials * n = {_shown(trials)} * {codebook.n}", trials * codebook.n,
+            "TRIALS_BUDGET")
     w = _check_kernel(py_x, "py_x", codebook.nx)
     flat = codebook.flat()
     k_total = codebook.size
@@ -468,7 +469,7 @@ def _check_simulation(ch: DmcTriple, px, rates, n: int, trials: int,
     _check_distribution(px, "px", size=ch.nx)
     k_total = counts[0] * counts[1] * counts[2]
     _within(f"K * n = {k_total} * {n}", k_total * n, "CODEBOOK_BUDGET")
-    _within(f"trials * n = {trials} * {n}", trials * n, "TRIALS_BUDGET")
+    _within(f"trials * n = {_shown(trials)} * {n}", trials * n, "TRIALS_BUDGET")
     if leakage:
         for w in (ch.pz1_x, ch.pz2_x):
             _leakage_path(w, n, k_total, counts[0] * counts[1])

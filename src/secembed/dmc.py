@@ -172,9 +172,12 @@ def bsc_kernel(flip: float) -> np.ndarray:
     return np.array([[1 - flip, flip], [flip, 1 - flip]])
 
 
+MAX_ALPHABET = 1024  # largest noiseless_kernel size: a 1024 x 1024 identity takes 8 MiB
+
+
 def noiseless_kernel(size: int) -> np.ndarray:
-    """Identity kernel over an alphabet of size >= 1."""
-    return np.eye(_integer(size, "size", 1))
+    """Identity kernel over an alphabet of size 1 to MAX_ALPHABET."""
+    return np.eye(_integer(size, "size", 1, MAX_ALPHABET))
 
 
 @dataclass(frozen=True)
@@ -199,59 +202,93 @@ class AuxiliaryChain:
 
 @dataclass(frozen=True)
 class DegradationResult:
+    """check_degraded's verdict and its certificate, which can be checked without the solver.
+
+    Degraded: ``witness`` is a row-stochastic kernel W with tgt = src·W, and
+    ``residual`` is max|src·W − tgt|, recomputed from W, at most _DEGRADED_TOL.
+    Not degraded: ``witness`` is None, ``dual`` is a matrix Y shaped like tgt, and
+    ``residual`` is ``(⟨Y, tgt⟩ − Σ_s max_t (srcᵀY)[s, t]) / ‖Y‖₁``, by weak duality a
+    lower bound on max|src·W − tgt| over every row-stochastic W (src and tgt are the
+    pair's kernels p(source|x) and p(target|x)).
+    """
+
     degraded: bool
     witness: np.ndarray | None
     residual: float
+    dual: np.ndarray | None = None
 
 
-_DEGRADED_TOL = 1e-9  # largest LP residual still read as degraded
+_DEGRADED_TOL = 1e-9  # largest witness residual still read as degraded
 _DEGRADE_PAIRS = {
     "z2_of_z1": ("pz1_x", "pz2_x"),
     "z2_of_y": ("py_x", "pz2_x"),
     "z1_of_y": ("py_x", "pz1_x"),
 }
+NNLS_STEPS = 10_000  # cap on the active-set steps of check_degraded, read at each call
+
+
+def _nnls(ata: np.ndarray, atb: np.ndarray) -> np.ndarray:
+    """argmin ‖Ax − b‖ over x >= 0, given ata = AᵀA and atb = Aᵀb: Lawson and Hanson's
+    active set on the normal equations, as in Bro and De Jong's fast NNLS.  Each step
+    solves the unconstrained problem on the passive set; raises RuntimeError after
+    NNLS_STEPS steps."""
+    tol = 10 * len(atb) * np.finfo(float).eps
+    x = z = np.zeros(len(atb))
+    passive = np.zeros(len(atb), dtype=bool)
+    for _ in range(NNLS_STEPS):
+        if (z[passive] > 0).all():  # z is feasible: take it, and free the steepest variable
+            x = z
+            grad = np.where(passive, -np.inf, atb - ata @ x)
+            j = np.argmax(grad)
+            if grad[j] <= tol:
+                return x
+            passive[j] = True
+        else:  # move toward z until a passive variable reaches 0, and fix it there
+            neg = passive & (z <= 0)
+            x = x + np.min(x[neg] / (x[neg] - z[neg])) * (z - x)
+            passive &= x > tol
+        idx = np.flatnonzero(passive)
+        z = np.zeros(len(atb))
+        z[idx] = np.linalg.solve(ata[idx[:, None], idx], atb[idx])
+    raise RuntimeError(f"degradation solve did not converge in dmc.NNLS_STEPS = {NNLS_STEPS} "
+                       "active-set steps")
+
+
+def _dual_bound(src: np.ndarray, tgt: np.ndarray, y: np.ndarray) -> float:
+    """(⟨Y, tgt⟩ − Σ_s max_t (srcᵀY)[s, t]) / ‖Y‖₁ for a nonzero Y, a lower bound on
+    max|src·W − tgt| over every row-stochastic W: for such a W, ⟨Y, tgt − src·W⟩ is at
+    least the numerator and at most ‖Y‖₁ max|src·W − tgt|.  Y is scaled to max|Y| = 1
+    first: products of a subnormal Y round coarsely enough to lift the bound."""
+    y = y / np.abs(y).max()
+    return float((np.vdot(y, tgt) - (src.T @ y).max(axis=1).sum()) / np.abs(y).sum())
 
 
 def check_degraded(ch: DmcTriple, which: str = "z2_of_z1") -> DegradationResult:
-    """Decide whether the target output is a stochastic degradation of the source.
+    """Decide whether the target output is a stochastic degradation of the source:
+    whether some row-stochastic kernel W has p(target|x) = Σ_source p(source|x) W.
 
-    Solves the linear feasibility problem for a kernel w with
-    p(target|x) = sum_source p(source|x) w(target|source) by minimizing
-    the maximum equation residual; degraded iff the optimum is within
-    _DEGRADED_TOL.  Returns the witness kernel when feasible, otherwise the
-    best-achievable residual as an infeasibility certificate.
+    A non-negative least-squares solve of the stacked system {W >= 0, W·1 = 1,
+    src·W = tgt} gives a candidate W.  The verdict rests on certificates alone:
+    degraded iff W with its rows normalized has max|src·W − tgt| within
+    _DEGRADED_TOL, and then that recomputed value is ``residual``.  Otherwise
+    ``residual`` is the weak-duality bound of Y = tgt − src·W (``dual``): a
+    certified lower bound on the best max-residual of any kernel, not that optimum.
     """
-    from scipy.optimize import linprog  # slow to import, and only needed here
-
     if which not in _DEGRADE_PAIRS:
         raise ValueError(f"which must be one of {sorted(_DEGRADE_PAIRS)}")
-    src_name, tgt_name = _DEGRADE_PAIRS[which]
-    src = getattr(ch, src_name)
-    tgt = getattr(ch, tgt_name)
-    nx, ns = src.shape
-    nt = tgt.shape[1]
-    nvar = ns * nt + 1  # w entries then the residual bound t
-
-    # |sum_s src[x,s] w[s,t'] - tgt[x,t']| <= t  for every (x, t'): row x*nt + t'
-    # of kron(src, I) is the sum; its + and - rows alternate
-    m = np.kron(src, np.eye(nt))
-    t_col = np.full((nx * nt, 1), -1.0)
-    a_ub = np.stack([np.hstack([m, t_col]), np.hstack([-m, t_col])], axis=1)
-    a_ub = a_ub.reshape(-1, nvar)
-    b_ub = np.stack([tgt.reshape(-1), -tgt.reshape(-1)], axis=1).reshape(-1)
-    # each row of w sums to one
-    a_eq = np.hstack([np.kron(np.eye(ns), np.ones(nt)), np.zeros((ns, 1))])
-    c = np.zeros(nvar)
-    c[-1] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(ns),
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        return DegradationResult(degraded=False, witness=None, residual=float("inf"))
-    residual = float(res.x[-1])
-    witness = res.x[:-1].reshape(ns, nt)
+    src, tgt = (getattr(ch, name) for name in _DEGRADE_PAIRS[which])
+    ns, nt = src.shape[1], tgt.shape[1]
+    # the system's rows are kron(src, I) vec(W) = vec(tgt) and kron(I, 1ᵀ) vec(W) = 1, so
+    # AᵀA[(s, t), (s', t')] = (srcᵀsrc)[s, s'] δ(t, t') + δ(s, s') and Aᵀb = srcᵀtgt + 1
+    ata = (src.T @ src)[:, None, :, None] * np.eye(nt)[:, None] + np.eye(ns)[:, None, :, None]
+    w = _nnls(ata.reshape(ns * nt, -1), (src.T @ tgt).reshape(-1) + 1.0).reshape(ns, nt)
+    witness = w / w.sum(axis=1, keepdims=True)
+    residual = float(np.abs(src @ witness - tgt).max())
     if residual <= _DEGRADED_TOL:
         return DegradationResult(degraded=True, witness=witness, residual=residual)
-    return DegradationResult(degraded=False, witness=None, residual=residual)
+    y = tgt - src @ w
+    return DegradationResult(degraded=False, witness=None, residual=_dual_bound(src, tgt, y),
+                             dual=y)
 
 
 def _rate_point(raw1: float, raw_sum: float) -> dict:

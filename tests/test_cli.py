@@ -1033,6 +1033,7 @@ DEFAULTS_TABLE = {
     "coset.WiretapIIParams": {"eps": "0.0"},
     "coset.equivocation": {"level": "'both'"},
     "coset.union_bound_report": {"exact_counts": "False"},
+    "dmc.DegradationResult": {"dual": "None"},
     "dmc.check_degraded": {"which": "'z2_of_z1'"},
     "dmc.embeddability_report": {"px_candidates": "()", "aux_candidates": "()"},
     "fm.LinIneq": {"const": "0", "strict": "False"},

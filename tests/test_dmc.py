@@ -2,10 +2,16 @@
 
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secembed import dmc
 from secembed.dmc import AuxiliaryChain, DmcTriple
@@ -89,6 +95,135 @@ def test_degraded_of_y_variants():
     assert dmc.check_degraded(ch, "z2_of_y").degraded
     with pytest.raises(ValueError):
         dmc.check_degraded(ch, "y_of_z1")
+
+
+def highs_residual(src, tgt):
+    """The best max|src·W − tgt| over row-stochastic W, by scipy's HiGHS: the oracle."""
+    from scipy.optimize import linprog
+
+    nx, ns = src.shape
+    nt = tgt.shape[1]
+    # variables: W row-major, then the bound t on every |(src·W − tgt)[x, t']|
+    m = np.kron(src, np.eye(nt))
+    t_col = np.ones((nx * nt, 1))
+    a_ub = np.vstack([np.hstack([m, -t_col]), np.hstack([-m, -t_col])])
+    b_ub = np.concatenate([tgt.reshape(-1), -tgt.reshape(-1)])
+    a_eq = np.hstack([np.kron(np.eye(ns), np.ones(nt)), np.zeros((ns, 1))])
+    c = np.zeros(ns * nt + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(ns), bounds=(0, None),
+                  method="highs")
+    assert res.success
+    return float(res.x[-1])
+
+
+def random_kernel(rng, rows, cols):
+    """A row-stochastic matrix, with about a third of its entries zero half the time."""
+    w = rng.dirichlet(np.ones(cols), size=rows)
+    if rng.random() < 0.5:
+        w[rng.random(w.shape) < 0.3] = 0.0
+        w[w.sum(axis=1) == 0, 0] = 1.0
+        w /= w.sum(axis=1, keepdims=True)
+    return w
+
+
+def verdict(src, tgt):
+    """check_degraded on the pair, after checking its certificate independently."""
+    ch = DmcTriple.independent(src, src, tgt)
+    res = dmc.check_degraded(ch, "z2_of_z1")
+    src, tgt = ch.pz1_x, ch.pz2_x  # the kernels as the channel holds them
+    if res.degraded:
+        w = res.witness
+        assert res.dual is None
+        assert (w >= 0).all() and np.allclose(w.sum(axis=1), 1.0, atol=1e-15, rtol=0)
+        assert res.residual == np.abs(src @ w - tgt).max() <= 1e-9
+    else:
+        assert res.witness is None and res.dual.shape == tgt.shape
+        assert res.residual == dmc._dual_bound(src, tgt, res.dual) > 0
+    return res
+
+
+def test_verdicts_agree_with_highs_on_random_pairs():
+    """1200 pairs over 2-4 symbols, half degraded by construction: the same verdicts as
+    HiGHS's optimum read at _DEGRADED_TOL, and every bound at most that optimum."""
+    rng = np.random.default_rng(40)
+    verdicts = []
+    for _ in range(1200):
+        nx, ns, nt = rng.integers(2, 5, size=3)
+        src = random_kernel(rng, nx, ns)
+        tgt = src @ random_kernel(rng, ns, nt) if rng.random() < 0.5 else random_kernel(
+            rng, nx, nt)
+        best = highs_residual(src, tgt)
+        res = verdict(src, tgt)
+        assert res.degraded == (best <= dmc._DEGRADED_TOL), (src, tgt, best)
+        if not res.degraded:
+            assert res.residual <= best + 1e-12
+        verdicts.append(res.degraded)
+    assert 300 < sum(verdicts) < 900  # both verdicts are well represented
+
+
+def stochastic(rows, cols):
+    """Row-stochastic rows x cols matrices, drawn as weights normalized per row."""
+    weights = st.lists(st.floats(0, 1), min_size=cols, max_size=cols).filter(
+        lambda row: sum(row) > 1e-3)
+    return st.lists(weights, min_size=rows, max_size=rows).map(
+        lambda m: np.array(m) / np.sum(m, axis=1, keepdims=True))
+
+
+@st.composite
+def dual_cases(draw):
+    nx, ns, nt = (draw(st.integers(1, 4)) for _ in range(3))
+    y = np.array(draw(st.lists(st.floats(-1e300, 1e300), min_size=nx * nt,
+                               max_size=nx * nt).filter(any))).reshape(nx, nt)
+    return (draw(stochastic(nx, ns)), draw(stochastic(nx, nt)), y,
+            draw(stochastic(ns, nt)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=dual_cases())
+# a subnormal Y: unscaled, 0.8 * 5e-324 rounds up to 5e-324 and each 0.3 or 0.4 * 5e-324
+# down to 0, so the bound would read 1 where W reaches residual 0
+@example(case=(np.array([[0.3, 0.3, 0.4]]), np.array([[0.8, 0.2]]), np.array([[5e-324, 0.0]]),
+               np.array([[0.8, 0.2]] * 3)))
+def test_property_dual_bound_never_exceeds_any_kernels_residual(case):
+    src, tgt, y, w = case
+    assert dmc._dual_bound(src, tgt, y) <= np.abs(src @ w - tgt).max() + 1e-12
+
+
+@pytest.mark.parametrize("d1", [0.0, 0.25, 0.4, 0.75, 1.0])
+def test_bec_is_degraded_from_bec_iff_it_erases_more(d1):
+    for d2 in (0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 0.9, 1.0):
+        res = verdict(dmc.bec_kernel(d1), dmc.bec_kernel(d2))
+        assert res.degraded == (d2 >= d1), (d1, d2)
+
+
+@pytest.mark.parametrize("p1", [0.0, 0.1, 0.25, 0.4, 0.5])
+def test_bsc_is_degraded_from_bsc_iff_its_flip_lies_between_p1_and_1_minus_p1(p1):
+    for p2 in (0.0, 0.05, 0.1, 0.25, 0.4, 0.45, 0.5, 0.6, 0.75, 0.9, 1.0, 1 - p1):
+        res = verdict(dmc.bsc_kernel(p1), dmc.bsc_kernel(p2))
+        assert res.degraded == (p1 <= p2 <= 1 - p1), (p1, p2)
+
+
+def test_degradation_solve_names_its_step_cap(monkeypatch):
+    ch = DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.3),
+                               dmc.bec_kernel(0.58))
+    monkeypatch.setattr(dmc, "NNLS_STEPS", 1)
+    with pytest.raises(RuntimeError, match=re.escape("dmc.NNLS_STEPS = 1")):
+        dmc.check_degraded(ch)
+
+
+def test_check_degraded_imports_no_scipy():
+    src = str(Path(dmc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys; from secembed import dmc; "
+         "ch = dmc.DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.3), "
+         "dmc.bec_kernel(0.58)); "
+         "print(dmc.check_degraded(ch).degraded, dmc.check_degraded(ch, 'z1_of_y').degraded, "
+         "*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True, env=env).stdout.split()
+    assert loaded == ["True", "True"]
 
 
 def test_region_point_simple_point_mass():

@@ -210,6 +210,20 @@ REJECTIONS = {
     "boundary_points.num-True": (boundary, True, "num = True must be an integer"),
     "boundary_points.num-0": (boundary, 0, "num = 0 must be >= 2"),
     "boundary_points.num-10**12": (boundary, 10**12, "num = 1000000000000 must be <= 1000000"),
+    "noiseless_kernel-10**6": (dmc.noiseless_kernel, 10**6, "size = 1000000 must be <= 1024"),
+    # past Python's 4300-digit limit on int-to-str, the message gives the digit count
+    "encode.m1-10**5000": (lambda v: encoded(v, 0), 10**5000,
+                           "m1 = a 5001-digit integer must be <= 1"),
+    "encode.m1--10**5000": (lambda v: encoded(v, 0), -10**5000,
+                            "m1 = a negative 5001-digit integer must be >= 0"),
+    "cs_scalar.power-10**5000": (lambda v: gauss.cs_scalar(v, 1.0, 0.5), 10**5000,
+                                 "power = a 5001-digit integer must be a finite real number"),
+    "simulate_nested_binning.trials-10**5000": (
+        lambda v: simulated(trials=v), 10**5000,
+        "trials * n = a 5001-digit integer * 4 exceeds binning.TRIALS_BUDGET = 1048576"),
+    "empirical_error_rate.trials-10**5000": (
+        error_rate, 10**5000,
+        "trials * n = a 5001-digit integer * 4 exceeds binning.TRIALS_BUDGET = 1048576"),
 }
 
 
@@ -267,6 +281,8 @@ RANGES = {
     "bsc_kernel-most": (dmc.bsc_kernel, 1.0, ABOVE_1,
                         "flip probability = 1.0000000000000002 must be <= 1"),
     "noiseless_kernel": (dmc.noiseless_kernel, 1, 0, "size = 0 must be >= 1"),
+    "noiseless_kernel-most": (dmc.noiseless_kernel, dmc.MAX_ALPHABET, dmc.MAX_ALPHABET + 1,
+                              "size = 1025 must be <= 1024"),
     "min_rank.size-least": (min_rank, 0, -1, "size = -1 must be >= 0"),
     "min_rank.size-most": (min_rank, 3, 4, "size = 4 must be <= 3"),
     "cs_scalar.power": (lambda v: gauss.cs_scalar(v, 1.0, 0.5), 0.0, BELOW_0,
