@@ -20,6 +20,14 @@ for which in ("z2_of_z1", "z1_of_y", "z2_of_y"):
 print("witness kernel taking the strong output to the weak one:")
 print(np.round(dmc.check_degraded(ch, "z2_of_z1").witness, 6))
 
+# a pair that is not degraded: BSC(p) is a degradation of BEC(e) only when
+# e <= 2p, so BEC(0.3) cannot be turned into BSC(0.1); the residual is then
+# a certified lower bound on how far every kernel misses
+mixed = DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.3),
+                              dmc.bsc_kernel(0.1))
+res = dmc.check_degraded(mixed, "z2_of_z1")
+print(f"BSC(0.1) from BEC(0.3): degraded={res.degraded} (residual at least {res.residual:.2e})")
+
 candidates = [np.array([q, 1 - q]) for q in np.linspace(0.1, 0.9, 17)]
 rep = dmc.embeddability_report(ch, px_candidates=candidates)
 print(f"\nsearched {len(candidates)} input distributions:")

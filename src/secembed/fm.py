@@ -14,18 +14,26 @@ terms sorted by symbol, and the whole scaled by the unique positive
 factor that makes coefficients and constant coprime integers, held as
 Python ints (Fraction only converts inputs).  Equal half-spaces compare equal.
 
+Elimination, closure and feasibility run on rows: dense tuples
+(coefficient per column..., const, strict) of Python ints over one
+column order, the system's symbols sorted by name, so a row is the
+canonical form with its zeros written out.  LinIneq objects are built
+only where a system is read in and where one is returned.
+
 Redundancy removal happens at two levels: syntactic dominance (same
 coefficients, weaker constant side) during elimination, and exact
 implication checking (rational feasibility of the negation, via full
-elimination) in simplify_with_assumptions.
+elimination) in simplify_with_assumptions, which converts its system,
+assumptions and the constants' nonnegativity to rows once for all its
+checks.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 from secembed import _integer
@@ -86,13 +94,14 @@ class LinIneq:
         coeffs = {}
         for s, c in self.terms.items() if isinstance(self.terms, dict) else self.terms:
             coeffs[s] = coeffs.get(s, 0) + _q(c)
-        terms = sorted((s, c) for s, c in coeffs.items() if c)
-        values = [c for _, c in terms] + [_q(self.const)]
+        symbols = sorted(s for s, c in coeffs.items() if c)
+        values = [coeffs[s] for s in symbols] + [_q(self.const)]
         den = lcm(*(v.denominator for v in values))
         nums = [v.numerator * (den // v.denominator) for v in values]
-        g = gcd(*nums) or 1  # an all-zero row stays all-zero
-        nums = [v // g for v in nums]
-        object.__setattr__(self, "terms", tuple((s, v) for (s, _), v in zip(terms, nums)))
+        g = gcd(*nums)
+        if g > 1:  # an all-zero row stays all-zero
+            nums = [v // g for v in nums]
+        object.__setattr__(self, "terms", tuple(zip(symbols, nums)))
         object.__setattr__(self, "const", nums[-1])
 
     @classmethod
@@ -154,48 +163,134 @@ def _side(terms, const) -> str:
     return ("-" if words[0] == "-" else "") + " ".join(words[1:])
 
 
-def _prune(ineqs) -> tuple:
-    """Drop tautologies and syntactically dominated inequalities.
+def _row(vals, strict) -> tuple:
+    """The canonical row of vals (coefficients, then the constant): divided by their gcd."""
+    g = gcd(*vals)
+    if g > 1:
+        vals = [v // g for v in vals]
+    return (*vals, strict)
 
-    Inequalities are canonical, so two with the same terms share their
-    coefficient pattern; only the stronger constant side is kept (larger
-    constant; strict beats weak at equal constants), in first-seen order.
-    Contradiction facts (no symbols, false) are kept: they record an
-    infeasible projection.
+
+def _rows(ineqs, columns) -> list:
+    """Dense rows of canonical inequalities, one coefficient per column."""
+    index = {s: j for j, s in enumerate(columns)}
+    rows = []
+    for iq in ineqs:
+        row = [0] * len(columns)
+        for s, c in iq.terms:
+            row[index[s]] = c
+        rows.append((*row, iq.const, iq.strict))
+    return rows
+
+
+def _ineqs(rows, columns) -> tuple:
+    """The inequalities of canonical rows over sorted columns.
+
+    A row is already in canonical form, so each is stored as it is,
+    without the normalizing constructor.
+    """
+    out = []
+    for r in rows:
+        iq = object.__new__(LinIneq)
+        iq.__dict__.update(terms=tuple(compress(zip(columns, r), r)), const=r[-2], strict=r[-1])
+        out.append(iq)
+    return tuple(out)
+
+
+def _system(variables, constants, rows, columns) -> "LinIneqSystem":
+    """The system of canonical rows over declared columns, built without re-checking them."""
+    system = object.__new__(LinIneqSystem)
+    system.__dict__.update(variables=tuple(variables), constants=tuple(constants),
+                           inequalities=_ineqs(rows, columns))
+    return system
+
+
+def _nonneg(symbols, columns) -> list:
+    """The rows -s <= 0 for each symbol."""
+    return [(*(-1 if c == s else 0 for c in columns), 0, False) for s in symbols]
+
+
+def _prune(rows) -> list:
+    """Drop tautologies and syntactically dominated rows.
+
+    Rows are canonical, so two with the same coefficients share their
+    half-space's direction; only the stronger constant side is kept
+    (larger constant; strict beats weak at equal constants), in
+    first-seen order.  Contradiction facts (no coefficient, false) are
+    kept: they record an infeasible projection.
     """
     best = {}
-    for iq in ineqs:
-        if iq.is_tautology():
-            continue
-        cur = best.get(iq.terms)
-        if cur is None or (iq.const, iq.strict) > (cur.const, cur.strict):
-            best[iq.terms] = iq
-    return tuple(best.values())
+    for r in rows:
+        key = r[:-2]
+        if not any(key) and (r[-2] < 0 or (r[-2] == 0 and not r[-1])):
+            continue  # a tautology
+        cur = best.get(key)
+        if cur is None or r[-2:] > cur[-2:]:
+            best[key] = r
+    return list(best.values())
 
 
-def _fm_step(ineqs, var) -> tuple:
-    """One Fourier-Motzkin step on var.
+def _fm_step(rows, j) -> list:
+    """One Fourier-Motzkin step on column j.
 
-    Keeps the inequalities free of var and adds, for every lower bound
-    and every upper bound on var, the positive combination that cancels
-    it; the result is pruned.
+    Keeps the rows free of column j and adds, for every lower bound and
+    every upper bound on it, the positive combination that cancels it;
+    the result is pruned.
     """
-    lowers, uppers, rest = [], [], []
-    for iq in ineqs:
-        a = iq.coeff(var)
-        if a > 0:
-            uppers.append((iq, a))
-        elif a < 0:
-            lowers.append((iq, -a))
-        else:
-            rest.append(iq)
-    combos = []
-    for lo, a_lo in lowers:
-        for up, a_up in uppers:
-            terms = [(s, a_up * c) for s, c in lo.terms] + [(s, a_lo * c) for s, c in up.terms]
-            combos.append(LinIneq(terms, a_up * lo.const + a_lo * up.const,
-                                  lo.strict or up.strict))
-    return _prune(rest + combos)
+    lowers, uppers, out = [], [], []
+    for r in rows:
+        (uppers if r[j] > 0 else lowers if r[j] < 0 else out).append(r)
+    for lo in lowers:
+        a_lo = -lo[j]
+        for up in uppers:
+            a_up = up[j]
+            out.append(_row([a_up * x + a_lo * y for x, y in zip(lo[:-1], up[:-1])],
+                            lo[-1] or up[-1]))
+    return _prune(out)
+
+
+def _feasible(rows) -> bool:
+    """Exact rational satisfiability of rows over the reals.
+
+    A column whose coefficients share one sign bounds its symbol on one
+    side only, so every row on such a column goes at once.  Otherwise
+    one Fourier-Motzkin step eliminates the column with the fewest
+    lower-upper pairs (the first on ties).  Rows may repeat but hold no
+    tautology, and steps prune every tautology they make, so the rows
+    are infeasible exactly when one with no coefficient is left.  Row
+    sets are bit masks: bit i of column j's ups (lows) is set when row
+    i's coefficient j is positive (negative).
+    """
+    while rows:
+        signs, touched = [], 0
+        index = range(len(rows))
+        for col in list(zip(*rows))[:-2]:
+            ups = lows = 0
+            for i in compress(index, col):
+                if col[i] > 0:
+                    ups |= 1 << i
+                else:
+                    lows |= 1 << i
+            signs.append((ups, lows))
+            touched |= ups | lows
+        alive = (1 << len(rows)) - 1
+        if touched != alive:
+            return False
+        while alive:
+            lone = 0
+            for ups, lows in signs:
+                ups, lows = ups & alive, lows & alive
+                if (not ups) != (not lows):
+                    lone |= ups | lows
+            if not lone:
+                break
+            alive &= ~lone
+        if not alive:
+            return True
+        pairs = [((ups & alive).bit_count() * (lows & alive).bit_count(), j)
+                 for j, (ups, lows) in enumerate(signs) if ups & alive and lows & alive]
+        rows = _fm_step([r for i, r in enumerate(rows) if alive >> i & 1], min(pairs)[1])
+    return True
 
 
 @dataclass(frozen=True)
@@ -215,6 +310,10 @@ class LinIneqSystem:
             if loose:
                 raise ValueError(f"undeclared symbols in inequality: {sorted(loose)}")
 
+    def _columns(self) -> list:
+        """The one column order of rows: every declared symbol, sorted by name."""
+        return sorted({*self.variables, *self.constants})
+
     def eliminate(self, var: str) -> "LinIneqSystem":
         """Project away one variable by combining its lower and upper bounds.
 
@@ -224,62 +323,59 @@ class LinIneqSystem:
         """
         if var not in self.variables:
             raise ValueError(f"{var} is not a declared variable")
-        return dataclasses.replace(
-            self, variables=tuple(v for v in self.variables if v != var),
-            inequalities=_fm_step(self.inequalities, var))
+        columns = self._columns()
+        rows = _fm_step(_rows(self.inequalities, columns), columns.index(var))
+        return _system([v for v in self.variables if v != var], self.constants, rows, columns)
 
     def relax_closure(self, slack_symbol=None) -> "LinIneqSystem":
         """Take the vanishing-slack limit: slack := 0, strict becomes weak."""
-        weak = [LinIneq([(s, c) for s, c in iq.terms if s != slack_symbol], iq.const)
-                for iq in self.inequalities]
-        return LinIneqSystem(
-            variables=[v for v in self.variables if v != slack_symbol],
-            constants=[c for c in self.constants if c != slack_symbol],
-            inequalities=_prune(weak),
-        )
+        columns = self._columns()
+        rows = [_row([0 if s == slack_symbol else c for s, c in zip(columns, r)] + [r[-2]], False)
+                for r in _rows(self.inequalities, columns)]
+        return _system([v for v in self.variables if v != slack_symbol],
+                       [c for c in self.constants if c != slack_symbol], _prune(rows), columns)
 
     def is_feasible(self, extra=()) -> bool:
         """Exact rational satisfiability over all symbols (reals).
 
         Eliminates every symbol by Fourier-Motzkin (cheapest pair count
         first) and checks the remaining ground facts, with every constant
-        nonnegative.
+        nonnegative.  The extra inequalities may name any symbol.
         """
-        facts = _prune([*self.inequalities, *(LinIneq({c: -1}) for c in sorted(self.constants)),
-                        *extra])
-        while not any(iq.is_contradiction() for iq in facts):
-            signs = {}  # symbol -> [lower-bound count, upper-bound count]
-            for iq in facts:
-                for s, c in iq.terms:
-                    signs.setdefault(s, [0, 0])[c > 0] += 1
-            if not signs:
-                return True
-            var = min(signs, key=lambda s: (signs[s][0] * signs[s][1], s))
-            facts = _fm_step(facts, var)
-        return False
+        extra = list(extra)
+        columns = sorted({*self.variables, *self.constants,
+                          *(s for iq in extra for s, _ in iq.terms)})
+        return _feasible(_prune(_rows([*self.inequalities, *extra], columns)
+                                + _nonneg(self.constants, columns)))
 
     def simplify_with_assumptions(self, assumptions=()) -> "LinIneqSystem":
         """Remove inequalities implied by the rest plus the assumptions.
 
-        Assumptions are LinIneq facts over the constant symbols.  An
-        inequality goes when the others, the assumptions and its negation
-        are infeasible together.  If the system and the assumptions are
-        infeasible (one assumption alone, or several jointly),
-        ContradictionError is raised.
+        Assumptions are LinIneq facts over the constant symbols; one that
+        names any other symbol is a ValueError.  An inequality goes when
+        the others, the assumptions and its negation are infeasible
+        together.  If the system and the assumptions are infeasible (one
+        assumption alone, or several jointly), ContradictionError is raised.
         """
         assumptions = list(assumptions)
+        loose = {s for a in assumptions for s, _ in a.terms} - set(self.constants)
+        if loose:
+            raise ValueError(f"non-constant symbols in assumptions: {sorted(loose)}")
         if assumptions and not self.is_feasible(extra=assumptions):
             shown = "; ".join(a.render(self.variables) for a in assumptions)
             raise ContradictionError(f"assumptions contradict the system: {shown}")
-        kept = list(_prune(self.inequalities))
+        columns = self._columns()
+        facts = _prune(_rows(assumptions, columns) + _nonneg(self.constants, columns))
+        kept = _prune(_rows(self.inequalities, columns))
         i = 0
         while i < len(kept):
-            others = dataclasses.replace(self, inequalities=kept[:i] + kept[i + 1:])
-            if others.is_feasible(extra=[*assumptions, kept[i].negation()]):
+            # pruned: the negation of a contradiction fact is a tautology
+            negation = _prune([(*(-c for c in kept[i][:-1]), not kept[i][-1])])
+            if _feasible(kept[:i] + kept[i + 1:] + facts + negation):
                 i += 1
             else:
                 kept.pop(i)
-        return dataclasses.replace(self, inequalities=kept)
+        return _system(self.variables, self.constants, kept, columns)
 
     def instantiate(self, values: dict):
         """Bind every constant to a number and return the numeric region dict."""

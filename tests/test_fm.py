@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -178,6 +179,20 @@ def test_simplify_without_assumptions_is_dominance_only():
     out = sys.simplify_with_assumptions()
     # x <= c + 1 is implied by x <= c, so exact implication removes it too
     assert canon(out) == {LinIneq({"x": 1, "c": -1})}
+
+
+@pytest.mark.parametrize("assumption, loose", [
+    # 2 R1 <= I_XY - I_XZ1 names a rate: taken as a fact it drops R1 <= I_XY - I_XZ1
+    (LinIneq.at_most({"R1": 2}, {"I_XY": 1, "I_XZ1": -1}), ["R1"]),
+    (LinIneq.at_most({"I_XZ2": 1}, {"I_XZZ1": 1}), ["I_XZZ1"]),  # a misspelt constant
+])
+def test_simplify_rejects_assumptions_off_the_constants(assumption, loose):
+    closed = fm.nested_binning_constraints().eliminate("T").relax_closure()
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(f'non-constant symbols in assumptions: {loose}')}$"):
+        closed.simplify_with_assumptions([LinIneq.at_most({"I_XZ2": 1}, {"I_XZ1": 1}),
+                                          assumption])
+    assert closed.is_feasible(extra=[assumption])  # extra stays free over every symbol
 
 
 def test_simplify_contradictory_assumption_raises():
@@ -423,3 +438,104 @@ def test_simplify_keeps_the_region(ineqs, assumptions, seed):
         point = {s: Fraction(v, 2) for s, v in zip(SMALL_VARS + SMALL_CONSTS, values)}
         if all(satisfies(a, point) for a in assumptions):
             assert system_satisfied(out, point) == system_satisfied(system, point)
+
+
+def lp_feasible(system) -> bool:
+    """is_feasible's oracle, by scipy's HiGHS: the largest common slack t <= 1 of the
+    strict rows, over the rows with every constant nonnegative.
+
+    Feasible iff the LP is and either no row is strict or t* > 1e-9.  That threshold
+    cannot misjudge a system of lp_systems: a positive t* is a vertex value, a ratio of
+    integer determinants of size at most 6 (3 variables, 2 constants and t) whose
+    entries are at most 3 in size, so by Hadamard's bound the denominator is at most
+    54**3 and t* is at least about 6e-6.
+    """
+    from scipy.optimize import linprog
+
+    symbols = system.variables + system.constants
+    a_ub = [[iq.coeff(s) for s in symbols] + [int(iq.strict)] for iq in system.inequalities]
+    b_ub = [-iq.const for iq in system.inequalities]
+    bounds = ([(None, None)] * len(system.variables) + [(0, None)] * len(system.constants)
+              + [(None, 1)])
+    res = linprog([0] * len(symbols) + [-1], A_ub=a_ub, b_ub=b_ub, bounds=bounds,
+                  method="highs")
+    assert res.status in (0, 2), res.message  # solved or infeasible
+    if res.status == 2:
+        return False
+    return not any(iq.strict for iq in system.inequalities) or -res.fun > 1e-9
+
+
+small_ints = st.integers(-3, 3)
+
+
+@st.composite
+def lp_systems(draw, max_rows=6):
+    """Systems over at most 3 variables and 2 constants, integers in -3..3."""
+    variables = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    constants = ("a", "b")[:draw(st.integers(0, 2))]
+    rows = st.builds(LinIneq, st.fixed_dictionaries({s: small_ints
+                                                     for s in variables + constants}),
+                     small_ints, st.booleans())
+    return LinIneqSystem(variables, constants,
+                         draw(st.lists(rows, min_size=1, max_size=max_rows)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(system=lp_systems())
+def test_is_feasible_matches_the_lp_oracle(system):
+    assert system.is_feasible() == lp_feasible(system)
+
+
+def reference_prune(ineqs) -> tuple:
+    """The object-based dominance prune that the row core replaced, kept as the
+    ordering oracle: the stronger of two with equal terms, in first-seen order."""
+    best = {}
+    for iq in ineqs:
+        if iq.is_tautology():
+            continue
+        cur = best.get(iq.terms)
+        if cur is None or (iq.const, iq.strict) > (cur.const, cur.strict):
+            best[iq.terms] = iq
+    return tuple(best.values())
+
+
+def reference_fm_step(ineqs, var) -> tuple:
+    """The object-based Fourier-Motzkin step that the row core replaced: the rows free
+    of var, then each lower-upper combination, pruned."""
+    lowers, uppers, rest = [], [], []
+    for iq in ineqs:
+        a = iq.coeff(var)
+        if a > 0:
+            uppers.append((iq, a))
+        elif a < 0:
+            lowers.append((iq, -a))
+        else:
+            rest.append(iq)
+    combos = []
+    for lo, a_lo in lowers:
+        for up, a_up in uppers:
+            terms = [(s, a_up * c) for s, c in lo.terms] + [(s, a_lo * c) for s, c in up.terms]
+            combos.append(LinIneq(terms, a_up * lo.const + a_lo * up.const,
+                                  lo.strict or up.strict))
+    return reference_prune(rest + combos)
+
+
+def reference_relax_closure(ineqs, slack) -> tuple:
+    return reference_prune([LinIneq([(s, c) for s, c in iq.terms if s != slack], iq.const)
+                            for iq in ineqs])
+
+
+def stored_form(ineqs):
+    """Each inequality with the types of its fields, which == alone would not compare."""
+    return [(iq.terms, iq.const, type(iq.const), iq.strict, type(iq.strict)) for iq in ineqs]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(system=lp_systems(max_rows=8), data=st.data())
+def test_row_core_keeps_the_reference_order(system, data):
+    for var in system.variables:
+        assert stored_form(system.eliminate(var).inequalities) == \
+            stored_form(reference_fm_step(system.inequalities, var))
+    slack = data.draw(st.sampled_from((None,) + system.variables + system.constants))
+    assert stored_form(system.relax_closure(slack).inequalities) == \
+        stored_form(reference_relax_closure(system.inequalities, slack))
