@@ -43,6 +43,17 @@ def _real(x, what: str, least=None, most=None) -> float:
     raise ValueError(f"{what} = {_shown(x)} must be a finite real number")
 
 
+_COUNT_TOL = 1e-9  # relative: n*fraction and 2**(n*rate) land a few ulps from their counts
+
+
+def _count(x: float, what: str) -> int:
+    """The one count rule: the int k nearest the real ``x`` when x is finite and within
+    _COUNT_TOL * max(1, |k|) of it, else ValueError naming ``what``."""
+    if isfinite(x) and abs(x - (k := round(x))) <= _COUNT_TOL * max(1, abs(k)):
+        return k
+    raise ValueError(f"{what} = {_shown(x)} must be an integer")
+
+
 def _bounded(v, what: str, least, most):
     """The one range rule: v when least <= v <= most (None is no bound), else ValueError."""
     if least is not None and v < least:

@@ -28,7 +28,7 @@ from math import log2, prod
 
 import numpy as np
 
-from secembed import _integer, _real, _shown
+from secembed import _count, _integer, _real, _shown
 from secembed.dmc import DmcTriple, _check_distribution, _check_kernel, entropy_bits
 
 __all__ = [
@@ -44,10 +44,9 @@ __all__ = [
 def rates_to_counts(rates, n: int) -> tuple[int, int, int]:
     """Codebook sizes (bins, subbins, per-subbin) for rates in bits/use.
 
-    Each 2**(n*rate) must be an integer count (relative tolerance 1e-6
-    against the nearest integer); anything else is rejected rather than
-    rounded, so the realized rates are exactly the requested ones.  The
-    block length n must be an integer >= 1, each rate a finite real >= 0.
+    Each 2**(n*rate) must be a count by the one count rule (within 1e-9 of an
+    integer, relative), never rounded to one, so the realized rates are exactly
+    the requested ones.  n is an integer >= 1, each rate a finite real >= 0.
     """
     if len(rates) != 3:
         raise ValueError("rates must be (R1, R2, T)")
@@ -57,14 +56,8 @@ def rates_to_counts(rates, n: int) -> tuple[int, int, int]:
     for r in rates:
         r = _real(r, "rate", 0)
         if n * r >= 1024:  # 2.0 ** 1024 overflows a float
-            raise ValueError(
-                f"2**(n*{r}) at n={n} is too large to be a codebook count")
-        raw = 2.0 ** (n * r)
-        near = round(raw)
-        if near < 1 or abs(raw - near) > 1e-6 * max(near, 1):
-            raise ValueError(
-                f"2**(n*{r}) = {raw} is not an integer codebook count at n={n}")
-        counts.append(int(near))
+            raise ValueError(f"2**(n*{r}) at n={n} is too large to be a codebook count")
+        counts.append(_count(2.0 ** (n * r), f"2**({n}*{r})"))
     return tuple(counts)
 
 
@@ -130,6 +123,9 @@ def make_codebook(px, n: int, counts, rng: np.random.Generator) -> NestedCodeboo
     return NestedCodebook(codewords=words, nx=len(px))
 
 
+_ERASURE_TOL = 1e-9  # an entry this near its column's constant, 0 or 1 - delta is it: dmc._LAW_TOL
+
+
 def _erasure_decomposition(w: np.ndarray):
     """Split a kernel into input-independent noise symbols plus a reveal map.
 
@@ -138,20 +134,17 @@ def _erasure_decomposition(w: np.ndarray):
     or None when the kernel has no such structure (then the general
     enumeration path applies).
     """
-    atol = 1e-9  # an entry this close to constant across inputs, or to 0, is that
-    const = np.ptp(w, axis=0) <= atol
+    const = np.ptp(w, axis=0) <= _ERASURE_TOL
     delta = float(w[0, const].sum())
     rest = ~const
     if not rest.any():
         return delta, np.zeros(len(w), dtype=np.int64)
     sub = w[:, rest]
-    nonzero = sub > atol
-    if (nonzero.sum(axis=1) != 1).any():
+    nonzero = sub > _ERASURE_TOL
+    if ((nonzero.sum(axis=1) != 1).any()
+            or not np.allclose(sub[nonzero], 1.0 - delta, atol=_ERASURE_TOL)):
         return None
-    if not np.allclose(sub[nonzero], 1.0 - delta, atol=atol):
-        return None
-    reveal_local = nonzero.argmax(axis=1)
-    return delta, reveal_local.astype(np.int64)
+    return delta, nonzero.argmax(axis=1).astype(np.int64)
 
 
 # Keys per block of reveal patterns, rounded up to a power-of-two count of

@@ -22,12 +22,12 @@ matrices until full row rank and both certificates clear their
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, inf, isfinite
+from math import comb, inf
 from typing import FrozenSet
 
 import numpy as np
 
-from secembed import _integer, _real, gf2
+from secembed import _count, _integer, _real, gf2
 
 __all__ = [
     "ERASURE",
@@ -52,23 +52,16 @@ class ConstructionExhaustedError(RuntimeError):
     """No acceptable parity-check matrix found within MAX_ATTEMPTS draws."""
 
 
-def _as_int(value: float, what: str) -> int:
-    if not isfinite(value) or abs(value - round(value)) > 1e-9:
-        raise ValueError(f"{what} = {value} must be an integer (no silent rounding)")
-    return int(round(value))
-
-
 @dataclass(frozen=True)
 class WiretapIIParams:
     """Block length and level fractions for a two-level erasure-wiretap code.
 
-    Requires an integer n >= 1, finite reals 1 >= alpha1 >= alpha2 >= 0
-    and eps >= 0, and exact integrality of n*alpha1, n*alpha2,
-    n*(1-alpha1-eps) and n*(alpha1-alpha2).  Those sizes are derived
-    once: n_alpha1 and n_alpha2 are the eavesdroppers' observed counts,
-    k1 = n*(1-alpha1-eps) the high-security and k2 = n*(alpha1-alpha2)
-    the low-security message bits.  eps = 0 is allowed for hand-built
-    codes; construct() needs eps > 0.
+    Requires an integer n >= 1, finite reals 1 >= alpha1 >= alpha2 >= 0 and eps >= 0, and
+    that n*alpha1, n*alpha2, n*(1-alpha1-eps) and n*(alpha1-alpha2) are counts by the one
+    count rule (within 1e-9 * max(1, k) of an integer k), derived once: n_alpha1 and n_alpha2
+    are the eavesdroppers' observed counts, k1 and k2 the high- and low-security message
+    bits.  An eps > 0 must leave n*eps = n - n_alpha1 - k1 >= 1 margin positions, or 3/eps
+    bits would be allowed on none.  construct() needs eps > 0; hand-built codes may take 0.
     """
 
     n: int
@@ -88,14 +81,16 @@ class WiretapIIParams:
         object.__setattr__(self, "eps", _real(self.eps, "eps", 0))
         if not (1.0 >= self.alpha1 >= self.alpha2 >= 0.0):
             raise ValueError("need 1 >= alpha1 >= alpha2 >= 0")
-        # n*(alpha1-alpha2) rounds to n_alpha1 - n_alpha2: all four lie within 1e-9 of ints
+        # n*(alpha1-alpha2) rounds to n_alpha1 - n_alpha2: all four are near ints
         for name, (value, what) in zip(("n_alpha1", "n_alpha2", "k1", "k2"), [
             (self.n * self.alpha1, "n*alpha1"),
             (self.n * self.alpha2, "n*alpha2"),
             (self.n * (1.0 - self.alpha1 - self.eps), "n*(1-alpha1-eps)"),
             (self.n * (self.alpha1 - self.alpha2), "n*(alpha1-alpha2)"),
         ]):
-            object.__setattr__(self, name, _integer(_as_int(value, what), what, 0))
+            object.__setattr__(self, name, _integer(_count(value, what), what, 0))
+        if self.eps > 0:
+            _integer(self.n - self.n_alpha1 - self.k1, "n*eps", 1)
 
     @property
     def r1(self) -> float:

@@ -32,17 +32,20 @@ __all__ = [
     "noiseless_kernel",
 ]
 
-_ATOL = 1e-12
+_LAW_FLOOR = 1e-12  # least entry, read as 0 in a distribution: a computed 0 may round below 0
+_LAW_TOL = 1e-9  # slack of each sum: a law written to ten digits, as JSON inputs are, meets it
 
 
-def _check_stochastic(mat: np.ndarray, what: str):
-    if not np.isfinite(mat).all():
-        raise ValueError(f"{what} has non-finite entries")
-    if (mat < -_ATOL).any():
-        raise ValueError(f"{what} has negative entries")
-    rows = mat.reshape(mat.shape[0], -1).sum(axis=1)
-    if not np.allclose(rows, 1.0, atol=1e-12, rtol=0.0):
-        raise ValueError(f"{what} rows must sum to 1 within 1e-12")
+def _law_fault(rows: np.ndarray) -> str | None:
+    """The one probability rule: what keeps a row of the 2-D ``rows`` from having finite
+    entries >= -_LAW_FLOOR summing to 1 within _LAW_TOL, or None when nothing does."""
+    if not np.isfinite(rows).all():
+        return "has non-finite entries"
+    if (rows < -_LAW_FLOOR).any():
+        return "has negative entries"
+    if (np.abs(rows.sum(axis=1) - 1.0) > _LAW_TOL).any():
+        return f"rows must sum to 1 within {_LAW_TOL:g}"
+    return None
 
 
 def _as_numbers(x, what: str, ndim: int) -> np.ndarray:
@@ -61,10 +64,10 @@ def _as_numbers(x, what: str, ndim: int) -> np.ndarray:
 
 def _check_distribution(p, what: str, size: int | None = None) -> np.ndarray:
     """``p`` with its entries below 0 set to 0, or ValueError naming ``what`` unless
-    it is a 1-D vector of finite numbers >= -1e-12 summing to 1 within 1e-9, with
-    ``size`` entries when ``size`` is given (the input alphabet's size)."""
+    it is a 1-D vector that meets ``_law_fault``'s rule, with ``size`` entries when
+    ``size`` is given (the input alphabet's size)."""
     p = _as_numbers(p, what, 1)
-    if not np.isfinite(p).all() or (p < -_ATOL).any() or abs(p.sum() - 1.0) > 1e-9:
+    if _law_fault(p[None]):
         raise ValueError(f"{what} must be a distribution of finite entries")
     if size is not None and p.shape[0] != size:
         raise ValueError(f"{what} must be a distribution over the input alphabet")
@@ -72,13 +75,13 @@ def _check_distribution(p, what: str, size: int | None = None) -> np.ndarray:
 
 
 def _check_kernel(w, what: str, rows: int | None = None) -> np.ndarray:
-    """``w`` as a float matrix, or ValueError naming ``what`` unless it is a 2-D matrix
-    of numbers whose rows are distributions, ``rows`` of them (one per input symbol)
-    when ``rows`` is given."""
+    """``w`` as a float matrix, or ValueError naming ``what`` unless it is a 2-D matrix of
+    numbers whose rows meet ``_law_fault``'s rule, one per input symbol if ``rows`` is given."""
     w = _as_numbers(w, what, 2)
     if rows is not None and w.shape[0] != rows:
         raise ValueError(f"{what} must have {rows} rows, one per input symbol")
-    _check_stochastic(w, what)
+    if fault := _law_fault(w):
+        raise ValueError(f"{what} {fault}")
     return w
 
 
@@ -107,6 +110,9 @@ def conditional_mi_bits(joint3) -> float:
     return total
 
 
+_SIZES = ("nx", "ny", "nz1", "nz2")  # a channel document's alphabet sizes, in axis order
+
+
 @dataclass(frozen=True)
 class DmcTriple:
     """Transition law p(y, z1, z2 | x) as a (|X|, |Y|, |Z1|, |Z2|) tensor, and its marginals."""
@@ -120,7 +126,7 @@ class DmcTriple:
         p = np.array(self.p, dtype=float)  # a copy: the caller's array is never aliased
         if p.ndim != 4:
             raise ValueError("transition tensor must have axes (x, y, z1, z2)")
-        _check_stochastic(p, "p(y,z1,z2|x)")
+        _check_kernel(p.reshape(len(p), -1), "p(y,z1,z2|x)")
         for name, value in (("p", p), ("py_x", p.sum(axis=(2, 3))),
                             ("pz1_x", p.sum(axis=(1, 3))), ("pz2_x", p.sum(axis=(1, 2)))):
             value.flags.writeable = False
@@ -139,21 +145,15 @@ class DmcTriple:
         return self.p.shape[0]
 
     def to_dict(self) -> dict:
-        return {
-            "nx": self.p.shape[0],
-            "ny": self.p.shape[1],
-            "nz1": self.p.shape[2],
-            "nz2": self.p.shape[3],
-            "index_order": "x,y,z1,z2 (row-major)",
-            "p": [float(v) for v in self.p.reshape(-1)],
-        }
+        return {**dict(zip(_SIZES, self.p.shape)), "index_order": "x,y,z1,z2 (row-major)",
+                "p": self.p.reshape(-1).tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DmcTriple":
         """Inverse of to_dict; a malformed document is a ValueError."""
         if not isinstance(d, dict):
             raise ValueError("channel must be a JSON object with integers nx, ny, nz1, nz2 >= 1")
-        shape = [_integer(d.get(key), f"channel {key}", 1) for key in ("nx", "ny", "nz1", "nz2")]
+        shape = [_integer(d.get(key), f"channel {key}", 1) for key in _SIZES]
         size = math.prod(shape)
         p = _as_numbers(d.get("p"), "channel p", 1)
         if len(p) != size:
@@ -218,7 +218,7 @@ class DegradationResult:
     dual: np.ndarray | None = None
 
 
-_DEGRADED_TOL = 1e-9  # largest witness residual still read as degraded
+_DEGRADED_TOL = 1e-9  # largest witness residual read as degraded: _LAW_TOL, as inputs round
 _DEGRADE_PAIRS = {
     "z2_of_z1": ("pz1_x", "pz2_x"),
     "z2_of_y": ("py_x", "pz2_x"),
@@ -291,6 +291,9 @@ def check_degraded(ch: DmcTriple, which: str = "z2_of_z1") -> DegradationResult:
                              dual=y)
 
 
+_EMBED_TOL = 1e-9  # information gaps (bits) read as ties or 0: _LAW_TOL moves bounds as much
+
+
 def _rate_point(raw1: float, raw_sum: float) -> dict:
     """Bounds R1 <= r1_max, R1 + R2 <= sum_max: the raw differences clamped at 0."""
     return {"r1_max": max(0.0, raw1), "sum_max": max(0.0, raw_sum),
@@ -333,10 +336,7 @@ def region_point_full(ch: DmcTriple, aux: AuxiliaryChain) -> dict:
     raw_sum = mi_bits(np.einsum("uvy->vy", juvy)) - mi_bits(np.einsum("uvy->vy", juvz2))
     iuy = mi_bits(np.einsum("uvy->uy", juvy))
     iuz2 = mi_bits(np.einsum("uvy->uy", juvz2))
-    return {**_rate_point(raw1, raw_sum), "side_condition_ok": bool(iuy >= iuz2 - 1e-12)}
-
-
-_EMBED_TOL = 1e-9  # bound gaps at or below this are read as ties or zero
+    return {**_rate_point(raw1, raw_sum), "side_condition_ok": bool(iuy >= iuz2 - _EMBED_TOL)}
 
 
 def embeddability_report(ch: DmcTriple, px_candidates=(), aux_candidates=()) -> dict:

@@ -195,6 +195,7 @@ def region_parallel_individual(subchannels: Sequence[ScalarGaussChannel]) -> dic
 
 
 FRONTIER_SAG = 1e-8  # vertical sag (bits) certified for every traced frontier chord
+_POWER_STOP, _LEVEL_STOP = 1e-12, 1e-13  # _waterfill's Newton stops, near float resolution
 N_BOUNDARY = 201  # evenly spaced R1 samples: the parallel-total CSV, default --points
 
 
@@ -247,7 +248,7 @@ def _waterfill(ch: ParallelGaussChannel, w1, w2) -> np.ndarray:
             s, ds = slope(p)
             step = np.divide(mu - s, ds, out=np.zeros_like(p), where=active)
             p = np.maximum(p + step, 0.0)
-            if np.all(np.abs(step) <= 1e-12 * (p + total)):
+            if np.all(np.abs(step) <= _POWER_STOP * (p + total)):
                 break
         return p, np.divide(1.0, ds, out=np.zeros_like(p), where=active)
 
@@ -261,7 +262,7 @@ def _waterfill(ch: ParallelGaussChannel, w1, w2) -> np.ndarray:
         step = np.maximum(np.divide(total - p.sum(axis=1, keepdims=True), dp,
                                     out=np.zeros_like(dp), where=dp != 0), lowest)
         mu = mu + step
-        if np.all(np.abs(step) <= 1e-13 * mu):
+        if np.all(np.abs(step) <= _LEVEL_STOP * mu):
             break
     held &= mu == u  # where mu stayed held, the held subchannels share the rest
     if held.any():  # -slope'/slope at 0 is a + the u-weighted mean of b1 and b2

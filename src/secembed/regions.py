@@ -14,7 +14,7 @@ import numpy as np
 
 __all__ = ["region", "corner_region", "contains", "max_r2_at"]
 
-_TOL = 1e-12  # slack of contains, and of max_r2_at's feasibility tests
+_TOL = 1e-12  # slack of contains and max_r2_at: a boundary point computed in float lies in it
 
 
 def region(variables, halfspaces) -> dict:

@@ -477,6 +477,21 @@ def test_aux_pu_takes_the_px_rule(tmp_path, capsys):
     assert json.loads(out) == dmc.region_point_full(bec_channel(), dmc.AuxiliaryChain(**spec))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("pv_u", [[0.9, 0.1], [0.2, 0.8000000001]]),
+    ("px_v", [[1.0, 0.0], [0.0, 0.9999999999]]),
+])
+def test_aux_kernel_rows_take_the_px_rule(tmp_path, capsys, key, value):
+    # a kernel row once had to sum to 1 within 1e-12 where p(u) may be off by 1e-9
+    spec = {**AUX_CHAIN, key: value}
+    aux = tmp_path / "aux.json"
+    aux.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "dmc", "region-point", "--bec", "0.5,0.9",
+                             "--aux", str(aux))
+    assert code == 0 and not err
+    assert json.loads(out) == dmc.region_point_full(bec_channel(), dmc.AuxiliaryChain(**spec))
+
+
 @pytest.mark.parametrize("key, value, what", [
     ("pv_u", 0, "p(v|u)"),
     ("pv_u", [1, 1], "p(v|u)"),
@@ -726,8 +741,7 @@ def px_entry():
          "0.500000002"]))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(
     st.lists(px_entry(), min_size=1, max_size=3),
     st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-10, -1e-10, 2e-9, -2e-9]))
@@ -874,6 +888,16 @@ def test_code_non_finite_eps_is_domain_error(capsys, verb, eps):
                              "--alpha2", "0.25", "--eps", eps, *verb[1:])
     assert code == 1 and not out
     assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("verb", [["construct", "--seed", "1"], ["bound"]])
+def test_code_eps_that_names_no_position_is_domain_error(capsys, verb):
+    # n*(1-alpha1-eps) = 4 - 8e-12 reads as the count 4, leaving n*eps = 0 margin positions
+    # for a 3e12-bit allowance; bound once divided by 2**(n*(alpha2+eps)) - 1 = 0 here
+    code, out, err = run_cli(capsys, "code", verb[0], "--n", "8", "--alpha1", "0.5",
+                             "--alpha2", "0", "--eps", "1e-12", *verb[1:])
+    assert code == 1 and not out and err.count("\n") == 1
+    assert json.loads(err) == {"error": "ValueError", "message": "n*eps = 0 must be >= 1"}
 
 
 @pytest.mark.parametrize("edit", [
@@ -1132,6 +1156,21 @@ def test_one_range_rule_in_src():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and states_a_range.search(node.value)]
     assert found == [], f"range messages written outside the range rule: {found}"
+
+
+def test_one_tolerance_rule_in_src():
+    """A tolerance, a float literal below 1e-5 in magnitude, is written only in a
+    module-level assignment, where it has a name and a comment saying what it decides,
+    so a bare literal in a comparison, with its own rule, fails here."""
+    found = []
+    for path in sorted(Path(secembed.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {id(node) for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                 for node in ast.walk(stmt)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                  and 0 < abs(node.value) < 1e-5 and id(node) not in named]
+    assert found == [], f"tolerances written outside a named module constant: {found}"
 
 
 def test_all_lists_the_public_functions_and_classes():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secembed import binning, coset, dmc, gf2
@@ -313,6 +313,42 @@ def test_union_bound_matches_fraction_reference():
     assert checked > 1000, checked
 
 
+def test_params_eps_must_leave_a_margin_position():
+    # at n = 8, n*(1-alpha1-eps) = 4 - 8e-12 reads as k1 = 4, which once left no margin
+    # position for a 3/eps = 3e12-bit allowance, and union_bound_report divided by 2**0 - 1
+    with pytest.raises(ValueError, match=r"^n\*eps = 0 must be >= 1$"):
+        WiretapIIParams(8, 0.5, 0.0, 1e-12)
+    assert WiretapIIParams(8, 0.5, 0.0, 0.125).k1 == 3
+    assert WiretapIIParams(8, 0.5, 0.0, 0.0).k1 == 4  # eps = 0, for hand-built codes
+
+
+@st.composite
+def params_args(draw):
+    """(n, alpha1, alpha2, eps) with n <= 16 and each fraction k/n moved by 0 to 1e-6."""
+    n = draw(st.integers(1, 16))
+    moves = st.sampled_from([0.0, 1e-15, 1e-12, 1e-10, 1e-9, 2e-9, 1e-7, 1e-6])
+    return (n, *(draw(st.integers(0, n)) / n + draw(moves) * draw(st.sampled_from([1, -1]))
+                 for _ in range(3)))
+
+
+@settings(max_examples=300)
+@given(args=params_args())
+@example(args=(8, 0.5, 0.0, 1e-12))
+def test_property_params_are_rejected_or_bound_finitely(args):
+    """Parameters are a domain error, or have a union bound of finite terms and, for
+    eps > 0, an allowance of about 3n bits at most: n*eps names at least one position."""
+    try:
+        params = WiretapIIParams(*args)
+    except ValueError:
+        return
+    if params.eps > 0:
+        assert params.margin_bits <= 3 * params.n * (1 + 1e-6)
+        for exact_counts in (False, True):
+            report = coset.union_bound_report(params, exact_counts=exact_counts)
+            assert all(map(math.isfinite, (report["rank_term"], report["subset_term"],
+                                           report["total"])))
+
+
 def test_bundle_roundtrip_and_audit():
     params = WiretapIIParams(n=16, alpha1=0.5, alpha2=0.25, eps=0.25)
     code = coset.construct(params, seed=6)
@@ -370,7 +406,7 @@ def codes(draw, max_n=24):
     return full_rank_code(params, np.random.default_rng(draw(st.integers(0, 2**32))))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(code=codes(), data=st.data())
 def test_encode_decode_match_two_block_reference(code, data):
     seed = data.draw(st.integers(0, 2**32))
@@ -397,7 +433,7 @@ def test_encode_numpy_messages_beyond_63_syndrome_bits():
         coset.encode(code, np.int64(2**48), 0, np.random.default_rng(0))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(code=codes(), data=st.data())
 def test_equivocation_matches_column_subset_dim(code, data):
     everything = set(range(code.n))
@@ -688,7 +724,7 @@ def bec_leakage_oracle(code, delta, level):
     return total
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(code=codes(max_n=10),
        delta=st.floats(0, 1, exclude_min=True, exclude_max=True),
        level=st.sampled_from(["bin", "subbin"]))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -179,7 +180,7 @@ def dual_cases(draw):
             draw(stochastic(ns, nt)))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(case=dual_cases())
 # a subnormal Y: unscaled, 0.8 * 5e-324 rounds up to 5e-324 and each 0.3 or 0.4 * 5e-324
 # down to 0, so the bound would read 1 where W reaches residual 0
@@ -202,6 +203,118 @@ def test_bsc_is_degraded_from_bsc_iff_its_flip_lies_between_p1_and_1_minus_p1(p1
     for p2 in (0.0, 0.05, 0.1, 0.25, 0.4, 0.45, 0.5, 0.6, 0.75, 0.9, 1.0, 1 - p1):
         res = verdict(dmc.bsc_kernel(p1), dmc.bsc_kernel(p2))
         assert res.degraded == (p1 <= p2 <= 1 - p1), (p1, p2)
+
+
+def roc_gap(src, tgt):
+    """The exact degradation verdict for binary inputs, in Fractions (Blackwell, 1953): tgt
+    is a degradation of src iff tgt's ROC curve lies on or under src's, iff this is <= 0.
+
+    A kernel's ROC curve is its columns (p(.|0), p(.|1)) sorted by likelihood ratio, largest
+    first, then summed cumulatively into vertices (x, y) = (Σ p(.|1), Σ p(.|0)).  It is
+    concave, so tgt's lies under src's iff h_tgt(g) <= h_src(g) for every g >= 0, where
+    h(g) = max (y − g·x) over the vertices.  h_tgt − h_src is linear in g between the two
+    curves' slopes and constant past the last, so the gap, the largest (h_tgt − h_src)/(1 + g),
+    is reached at 0 or at a slope."""
+    def roc(rows):
+        cols = sorted((c for c in zip(*rows) if any(c)), key=lambda c: c[0] / (c[0] + c[1]),
+                      reverse=True)
+        vertices = [(Fraction(0), Fraction(0))]
+        for p0, p1 in cols:
+            vertices.append((vertices[-1][0] + p1, vertices[-1][1] + p0))
+        return vertices
+
+    curves = roc(src), roc(tgt)
+    slopes = {p0 / p1 for rows in (src, tgt) for p0, p1 in zip(*rows) if p1} | {Fraction(0)}
+
+    def support(vertices, g):
+        return max(y - g * x for x, y in vertices)
+
+    return max((support(curves[1], g) - support(curves[0], g)) / (1 + g) for g in slopes)
+
+
+def bsc_fraction(p):
+    return [[1 - p, p], [p, 1 - p]]
+
+
+def bec_fraction(e):
+    return [[1 - e, 0, e], [0, 1 - e, e]]
+
+
+def as_floats(rows):
+    return np.array(rows, dtype=float)
+
+
+@pytest.mark.parametrize("e, degraded", [(Fraction(1, 5), True), (Fraction(21, 100), False)])
+def test_bsc_is_degraded_from_bec_iff_it_erases_at_most_twice_its_flip(e, degraded):
+    """Nair's threshold at p = 1/10 (IEEE T-IT 56(9), 2010): BSC(p) is a degradation of
+    BEC(e) iff e <= 2p.  The exact verdict holds of the rational pair; check_degraded,
+    given its float images, agrees."""
+    src, tgt = bec_fraction(e), bsc_fraction(Fraction(1, 10))
+    assert (roc_gap(src, tgt) <= 0) == degraded
+    assert verdict(as_floats(src), as_floats(tgt)).degraded == degraded
+
+
+def test_exact_verdict_reads_a_float_as_the_rational_it_stores():
+    # 1 - 0.9 != 0.1 in binary: read exactly, BSC(0.9) is no degradation of BSC(0.1), while
+    # check_degraded finds a witness within 3e-17
+    src, tgt = ([[Fraction(v) for v in row] for row in dmc.bsc_kernel(flip)] for flip in (0.1, 0.9))
+    assert roc_gap(src, tgt) > 0
+    assert verdict(dmc.bsc_kernel(0.1), dmc.bsc_kernel(0.9)).degraded
+
+
+def rational_kernel(rows, cols):
+    """rows x cols row-stochastic matrices of Fractions, from small integer weights."""
+    weights = st.lists(st.integers(0, 12), min_size=cols, max_size=cols).filter(any)
+    return st.lists(weights, min_size=rows, max_size=rows).map(
+        lambda m: [[Fraction(w, sum(row)) for w in row] for row in m])
+
+
+@st.composite
+def binary_pairs(draw):
+    """A binary-input (src, tgt) pair with 2-5 outputs each, half of them tgt = src·K."""
+    ns, nt = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    src = draw(rational_kernel(2, ns))
+    if not draw(st.booleans()):
+        return src, draw(rational_kernel(2, nt))
+    k = draw(rational_kernel(ns, nt))
+    return src, [[sum(row[s] * k[s][t] for s in range(ns)) for t in range(nt)] for row in src]
+
+
+@settings(max_examples=300)
+@given(pair=binary_pairs())
+def test_property_check_degraded_agrees_with_the_exact_roc_verdict(pair):
+    """Exactly degraded rational pairs are degraded; pairs past a margin are not.
+
+    The margin: given a row-stochastic W with max|src·W − tgt| <= r, src·W's curve lies under
+    src's, and each vertex of tgt's lies within nt·r in x and in y of the same columns' sums
+    under src·W, so h_tgt − h_src <= nt·r·(1 + g).  A degraded verdict gives such a W with r
+    at most _DEGRADED_TOL on the float images, which lie within 1e-15 of the rationals, as
+    W's row sums lie within 1e-15 of 1; so a gap over 2·nt·_DEGRADED_TOL rules it out."""
+    src, tgt = pair
+    gap = roc_gap(src, tgt)
+    res = verdict(as_floats(src), as_floats(tgt))
+    if gap <= 0:
+        assert res.degraded, (src, tgt)
+    elif gap > 2 * len(tgt[0]) * dmc._DEGRADED_TOL:
+        assert not res.degraded, (src, tgt, gap)
+
+
+@pytest.mark.parametrize("what", ["p(v|u)", "p(y,z1,z2|x)"])
+def test_kernel_rows_take_the_distribution_rule(what):
+    """Each row of a kernel or a channel tensor meets the rule of test_one_distribution_rule;
+    a kernel is kept as given, its tiny negative entries included."""
+    def check(row):
+        if what == "p(v|u)":
+            return AuxiliaryChain(pu=[0.5, 0.5], pv_u=[[1.0, 0.0], row], px_v=np.eye(2)).pv_u
+        return DmcTriple(np.array([[1.0, 0.0], row]).reshape(2, 2, 1, 1)).p.reshape(2, 2)
+
+    for row in ([1.0, -1e-12], [0.5, 0.5000000001], [0.5, 0.5 - 9e-10]):
+        assert check(row).tolist() == [[1.0, 0.0], row]
+    for row, fault in (([1.0, -2e-12], "has negative entries"),
+                       ([0.5, 0.5 + 2e-9], "rows must sum to 1 within 1e-09"),
+                       ([0.5, 0.5 - 2e-9], "rows must sum to 1 within 1e-09")):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{what} {fault}')}$"):
+            check(row)
 
 
 def test_degradation_solve_names_its_step_cap(monkeypatch):

@@ -375,7 +375,7 @@ def build(raw, rescale):
     return LinIneq({s: c * q for s, c in coeffs.items()}, const=const * q, strict=strict)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(raws=st.lists(raw_inequalities(), min_size=1, max_size=6),
        target=raw_inequalities())
 def test_positive_rescaling_changes_nothing(raws, target):
@@ -420,7 +420,7 @@ def small_inequalities(symbols):
                      st.integers(-2, 2), st.booleans())
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(ineqs=st.lists(small_inequalities(SMALL_VARS + SMALL_CONSTS), min_size=1, max_size=5),
        assumptions=st.lists(small_inequalities(SMALL_CONSTS), max_size=2),
        seed=st.integers(0, 2**32 - 1))
@@ -480,7 +480,7 @@ def lp_systems(draw, max_rows=6):
                          draw(st.lists(rows, min_size=1, max_size=max_rows)))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(system=lp_systems())
 def test_is_feasible_matches_the_lp_oracle(system):
     assert system.is_feasible() == lp_feasible(system)
@@ -530,7 +530,7 @@ def stored_form(ineqs):
     return [(iq.terms, iq.const, type(iq.const), iq.strict, type(iq.strict)) for iq in ineqs]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(system=lp_systems(max_rows=8), data=st.data())
 def test_row_core_keeps_the_reference_order(system, data):
     for var in system.variables:

@@ -281,7 +281,7 @@ def pooled_channels(draw):
     return ParallelGaussChannel(a=a, b1=b1, b2=b2, total_power=draw(st.floats(0.01, 10.0)))
 
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=60)
 
 
 @PROPERTY
@@ -310,7 +310,7 @@ def test_property_kkt_conditions(ch):
         assert_kkt(r["alloc_max_sum"], ch.a, ch.b2)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(pooled_channels())
 def test_property_frontier_is_a_certified_inner_approximation(ch):
     r = gauss.region_parallel_total(ch)
@@ -355,7 +355,7 @@ def flag_lists(flags, columns) -> list:
 
 
 @pytest.mark.filterwarnings("error")
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.lists(wide_subchannel(), min_size=1, max_size=3), log_uniform())
 def test_property_parallel_total_answers_or_names_the_input(subchannels, power):
     argv = ["region", "parallel-total", "--P", repr(power),
@@ -385,7 +385,7 @@ def numbers(payload) -> list:
 
 
 @pytest.mark.filterwarnings("error")
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.lists(st.tuples(wide_subchannel(), log_uniform()), min_size=1, max_size=3))
 def test_property_parallel_answers_or_names_the_input(subchannels):
     gains, powers = zip(*subchannels)

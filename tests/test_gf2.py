@@ -248,14 +248,14 @@ def draw_min_rank_instance(data):
     return m, data.draw(st.integers(0, n))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.data())
 def test_min_rank_matches_oracle_property(data):
     m, size = draw_min_rank_instance(data)
     assert gf2.min_rank_over_column_subsets(m, size) == min_rank_oracle(m, size)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.data())
 def test_min_rank_budget_bracket_contains_oracle(data):
     m, size = draw_min_rank_instance(data)
@@ -387,7 +387,7 @@ def repetitive_matrices(draw):
     return gf2.unpack_rows(cols, k).T
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(repetitive_matrices())
 def test_min_rank_matches_branch_and_bound_reference(m):
     for size in range(m.shape[1] + 1):
@@ -571,7 +571,7 @@ WIDTHS = st.one_of(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 13
                    st.integers(0, 130))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.data())
 def test_pack_unpack_round_trip(data):
     width = data.draw(WIDTHS)
@@ -659,7 +659,7 @@ def systems(draw):
     return gf2.unpack_rows(rows, n), np.array(s, dtype=np.uint8)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(systems(), st.integers(0, 2**32))
 def test_reduction_matches_column_scan_reference(system, seed):
     h, s = system

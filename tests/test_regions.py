@@ -27,7 +27,7 @@ def built_regions(draw):
     return naive["region"], naive["cap_high"]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(case=built_regions(), frac=unit)
 def test_contains_agrees_with_max_r2_at(case, frac):
     region, largest_r1 = case
