@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Check degradation orderings and hunt for embedding certificates.
 
-Degradation is decided by exact linear feasibility (is one output a
-stochastic postprocessing of another?), and embeddability is searched
-over user-supplied input distributions: can the high-security message
-ride at a positive rate without hurting the best sum rate found?
+Degradation (is one output a stochastic postprocessing of another?) is
+decided by a non-negative least-squares solve whose verdict rests on a
+certificate: a witness kernel within dmc._DEGRADED_TOL of the target, or
+else a weak-duality lower bound on how far every kernel misses it.
+Embeddability is searched over user-supplied input distributions: can
+the high-security message ride at a positive rate without hurting the
+best sum rate found?
 """
 
 import numpy as np

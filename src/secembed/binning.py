@@ -142,7 +142,7 @@ def _erasure_decomposition(w: np.ndarray):
     sub = w[:, rest]
     nonzero = sub > _ERASURE_TOL
     if ((nonzero.sum(axis=1) != 1).any()
-            or not np.allclose(sub[nonzero], 1.0 - delta, atol=_ERASURE_TOL)):
+            or not np.allclose(sub[nonzero], 1.0 - delta, rtol=0, atol=_ERASURE_TOL)):
         return None
     return delta, nonzero.argmax(axis=1).astype(np.int64)
 

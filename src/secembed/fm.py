@@ -119,19 +119,6 @@ class LinIneq:
     def symbols(self) -> set:
         return {s for s, _ in self.terms}
 
-    def is_tautology(self) -> bool:
-        if self.terms:
-            return False
-        return self.const < 0 or (self.const == 0 and not self.strict)
-
-    def is_contradiction(self) -> bool:
-        if self.terms:
-            return False
-        return self.const > 0 or (self.const == 0 and self.strict)
-
-    def negation(self) -> "LinIneq":
-        return LinIneq({s: -c for s, c in self.terms}, -self.const, not self.strict)
-
     def render(self, variables) -> str:
         """Human form: variable terms on the left, the rest on the right.
 

@@ -316,9 +316,10 @@ def min_rank_over_column_subsets(m, size: int) -> int:
     NODE_LIMIT caps the listed words (2**dim - 1) plus those each expanded
     support scans, each checked before the work.  Each scanned word adds at
     most one support, whose dimension costs at most _COUNT_WORDS word
-    comparisons or one reduction of the rows, so the limit bounds the time.
-    Past it the instance is beyond desk scale: BudgetExceededError carries
-    the bracket [lower, upper] on the minimum reached so far.
+    comparisons or one reduction of the rows, so the limit bounds the work
+    per node, not the time: millions of reductions fit within it.  Past it
+    the instance is beyond desk scale: BudgetExceededError carries the
+    bracket [lower, upper] on the minimum reached so far.
     """
     a = _as_bits(m)
     n = a.shape[1]

@@ -9,9 +9,12 @@ files the commands read sit beside them: ``input_bsc_channel.json``,
 
 ``tests/test_cli_golden.py``, ``tests/test_demos.py`` and the criteria of
 ``tests/test_acceptance.py`` compare against these files.  After an intended
-output change, regenerate them (criterion 6 takes a few minutes) and name each
-changed file and the reason in CHANGES.md:
+output change, regenerate the files it touches, named by file stem (a case, a
+``demo_<script stem>`` or an ``acceptance_<k>``), or every file with no names
+(criterion 6 takes a few minutes), and name each changed file and the reason
+in CHANGES.md:
 
+    PYTHONPATH=src python tests/cli_golden.py code_construct_seed1 code_audit_seed1
     PYTHONPATH=src python tests/cli_golden.py
 """
 
@@ -40,8 +43,9 @@ QUICK_DEMOS = (
 SLOW_DEMO = "03_nested_binning_simulation.py"  # an n = 16 exact-leakage pass, about 8 s
 DEMOS = (*QUICK_DEMOS, SLOW_DEMO)
 
-_CODE = ["--n", "16", "--alpha1", "0.5", "--alpha2", "0.25", "--eps", "0.25"]
-_BOUND = ["code", "bound", "--n", "32", "--alpha1", "0.5", "--alpha2", "0.25", "--eps", "0.25"]
+_RATES = ["--alpha1", "0.5", "--alpha2", "0.25", "--eps", "0.25"]
+_CODE = ["--n", "16", *_RATES]
+_BOUND = ["code", "bound", "--n", "32", *_RATES]
 _SIM = ["sim", "dmc", "--px", "0.5,0.5", "--rates", "0.25,0.25,0.39624062518028907",
         "--trials", "400", "--seed", "1"]
 _REGIONS = {
@@ -59,6 +63,14 @@ CASES = {
        for s in (1, 2, 3)},
     **{f"code_audit_seed{s}": ["code", "audit", "--bundle", f"{{golden}}/code_construct_seed{s}.out"]
        for s in (1, 2, 3)},
+    # d2* searches the kernel side and d1* reduces rows per support: the min-rank
+    # paths that the n = 16 cases, which list and count on the row side, skip
+    "code_construct_n32_kernel_side": ["code", "construct", "--n", "32", "--alpha1", "0.25",
+                                       "--alpha2", "0.0625", "--eps", "0.0625", "--seed", "1"],
+    "code_audit_n32_kernel_side": ["code", "audit", "--bundle",
+                                   "{golden}/code_construct_n32_kernel_side.out"],
+    # neither side's words fit gf2.NODE_LIMIT: exit 1 before any draw, nothing on stdout
+    "code_construct_n56_over_budget": ["code", "construct", "--n", "56", *_RATES, "--seed", "1"],
     "code_bound": _BOUND,
     "code_bound_exact": [*_BOUND, "--exact"],
     **_REGIONS,
@@ -104,28 +116,39 @@ def exit_codes() -> dict:
     return json.loads((GOLDEN / "exit_codes.json").read_text())
 
 
-def regenerate():
+def regenerate(names=()):
+    """Rewrite the golden files of the named cases, demos and ACCEPTANCE lines, each
+    named by its file stem, with the exit codes of the named cases; no names, every file."""
     import test_acceptance  # a test module that imports this one
 
-    codes = {}
+    demos = {demo_golden(name).stem: name for name in DEMOS}
+    lines = [f"acceptance_{k}" for k in range(1, 9)]
+    known = [*CASES, *demos, *lines]
+    names = set(names or known)
+    if names - set(known):
+        raise SystemExit(f"unknown golden names {sorted(names - set(known))}; known: {known}")
+    codes = {name: code for name, code in exit_codes().items() if name in CASES}
     with tempfile.TemporaryDirectory() as tmp:
         scratch = pathlib.Path(tmp)
         for name in CASES:  # construct cases come first: the audits read their bundles
-            codes[name], stdout, csv = run_case(name, scratch)
-            (GOLDEN / f"{name}.out").write_text(stdout)
-            if csv is not None:
-                (GOLDEN / f"{name}.csv").write_text(csv)
-        for name in DEMOS:
-            done = run_demo(name, scratch)
-            if done.returncode:
-                raise SystemExit(f"{name} failed:\n{done.stderr}")
-            demo_golden(name).write_text(done.stdout)
+            if name in names:
+                codes[name], stdout, csv = run_case(name, scratch)
+                (GOLDEN / f"{name}.out").write_text(stdout)
+                if csv is not None:
+                    (GOLDEN / f"{name}.csv").write_text(csv)
+        for stem, name in demos.items():
+            if stem in names:
+                done = run_demo(name, scratch)
+                if done.returncode:
+                    raise SystemExit(f"{name} failed:\n{done.stderr}")
+                demo_golden(name).write_text(done.stdout)
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, sort_keys=True, indent=2) + "\n")
-    for k in range(1, 9):
-        line = getattr(test_acceptance, f"criterion_{k}_line")()[1]
-        (GOLDEN / f"acceptance_{k}.txt").write_text(line + "\n")
+    for k, stem in enumerate(lines, 1):
+        if stem in names:
+            line = getattr(test_acceptance, f"criterion_{k}_line")()[1]
+            (GOLDEN / f"{stem}.txt").write_text(line + "\n")
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-    regenerate()
+    regenerate(sys.argv[1:])

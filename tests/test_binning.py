@@ -951,6 +951,30 @@ def test_erasure_decomposition_detects_structure():
     dec = binning._erasure_decomposition(CONSTANT)
     assert dec is not None and dec[0] == 1.0
     assert binning._erasure_decomposition(dmc.bsc_kernel(0.1)) is None
+    # ten constant columns 0.9e-9 apart across the rows give delta = 0.5 + 9e-9, and
+    # row 1 reveals 0.5: 9e-9 from 1 - delta, beyond _ERASURE_TOL, so the kernel is general
+    drift = np.array([[0.05 + 0.9e-9] * 10 + [0.5 - 9e-9, 0.0],
+                      [0.05] * 10 + [0.0, 0.5]])
+    assert binning._erasure_decomposition(drift) is None
+
+
+MARGINALS = DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.3),
+                                  dmc.bec_kernel(0.9))
+
+
+@pytest.mark.parametrize("kernel, delta", [
+    (dmc.bec_kernel(1 / 3), 1 / 3),
+    (MARGINALS.pz1_x, 0.3),
+    (MARGINALS.pz2_x, 0.9),
+    (np.array([[0.6666666667, 0.0, 0.3333333333], [0.0, 0.6666666667, 0.3333333333]]),
+     0.3333333333),
+])
+def test_erasure_decomposition_keeps_bec_kernels_on_the_erasure_path(kernel, delta):
+    """Exact BECs, the marginals of a DmcTriple of BECs and a BEC written to ten digits."""
+    dec = binning._erasure_decomposition(kernel)
+    assert dec is not None
+    assert dec[0] == pytest.approx(delta, abs=1e-15)
+    assert list(dec[1]) == [0, 1]
 
 
 def test_exact_leakage_matches_oracle_general_path():
