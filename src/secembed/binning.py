@@ -61,7 +61,7 @@ def rates_to_counts(rates, n: int) -> tuple[int, int, int]:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NestedCodebook:
     """Codewords indexed (bin, subbin, within-subbin), each a length-n word.
 

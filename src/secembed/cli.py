@@ -10,8 +10,8 @@ One binary with subcommand groups:
 
 All outputs are deterministic for a fixed seed: JSON is emitted with
 sorted keys and no timestamps, and every randomized artifact records
-its seed.  Exit codes: 0 success, 1 domain error (machine-readable
-error JSON on stderr), 2 usage error.
+its seed.  Exit codes: 0 success, 1 domain error (a ValueError, OSError or
+RuntimeError; error JSON on stderr), 2 usage error; any other is a bug.
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, IndexError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n")
         return 1

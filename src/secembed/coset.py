@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, inf
-from typing import FrozenSet
 
 import numpy as np
 
@@ -46,6 +45,7 @@ __all__ = [
 ]
 
 ERASURE = -1
+MAX_N = 4096  # largest block length: construct draws at most n x n bits, 16 MiB as uint8
 
 
 class ConstructionExhaustedError(RuntimeError):
@@ -56,8 +56,8 @@ class ConstructionExhaustedError(RuntimeError):
 class WiretapIIParams:
     """Block length and level fractions for a two-level erasure-wiretap code.
 
-    Requires an integer n >= 1, finite reals 1 >= alpha1 >= alpha2 >= 0 and eps >= 0, and
-    that n*alpha1, n*alpha2, n*(1-alpha1-eps) and n*(alpha1-alpha2) are counts by the one
+    Requires an integer 1 <= n <= MAX_N, finite reals 1 >= alpha1 >= alpha2 >= 0 and eps >= 0,
+    and that n*alpha1, n*alpha2, n*(1-alpha1-eps) and n*(alpha1-alpha2) are counts by the one
     count rule (within 1e-9 * max(1, k) of an integer k), derived once: n_alpha1 and n_alpha2
     are the eavesdroppers' observed counts, k1 and k2 the high- and low-security message
     bits.  An eps > 0 must leave n*eps = n - n_alpha1 - k1 >= 1 margin positions, or 3/eps
@@ -75,7 +75,7 @@ class WiretapIIParams:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "n", 1))
-        _real(self.n, "n")  # n times a fraction is a float
+        _real(self.n, "n", most=MAX_N)  # n times a fraction is a float; n sizes construct's draws
         for name in ("alpha1", "alpha2"):  # stored as floats, as to_dict writes them
             object.__setattr__(self, name, _real(getattr(self, name), name))
         object.__setattr__(self, "eps", _real(self.eps, "eps", 0))
@@ -109,7 +109,7 @@ class WiretapIIParams:
         return {"n": self.n, "alpha1": self.alpha1, "alpha2": self.alpha2, "eps": self.eps}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetCodePair:
     """A two-level coset code with cached worst-case security certificates.
 
@@ -134,9 +134,9 @@ class CosetCodePair:
     h2: np.ndarray
     d1_star: int
     d2_star: int
-    stacked: np.ndarray = field(init=False, repr=False, compare=False)
-    _encoder: tuple = field(init=False, repr=False, compare=False)
-    _columns: list = field(init=False, repr=False, compare=False)
+    stacked: np.ndarray = field(init=False, repr=False)
+    _encoder: tuple = field(init=False, repr=False)
+    _columns: list = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("d1_star", "d2_star"):
@@ -208,18 +208,23 @@ class CosetCodePair:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observation:
-    """Eavesdropper view: transmitted bits on the observed set, erasures elsewhere."""
+    """Eavesdropper view: a read-only int8 copy of a word z of 0, 1 and ERASURE by value."""
 
     z: np.ndarray
-    observed: FrozenSet[int]
 
     def __post_init__(self):
-        z = np.array(self.z, dtype=np.int8)  # a copy: the caller's array is never aliased
+        z = np.asarray(self.z)
+        if z.ndim != 1 or not ((z == 0) | (z == 1) | (z == ERASURE)).all():
+            raise ValueError(f"observation z must be one word of 0, 1 or ERASURE = {ERASURE}")
+        z = z.astype(np.int8)  # a copy: the caller's array is never aliased
         z.flags.writeable = False
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "observed", frozenset(gf2.positions(self.observed, z.shape[0])))
+
+    @property
+    def observed(self) -> frozenset:
+        return frozenset(np.flatnonzero(self.z != ERASURE).tolist())
 
 
 def encode(code: CosetCodePair, m1: int, m2: int, rng: np.random.Generator) -> np.ndarray:
@@ -256,7 +261,7 @@ def eavesdrop(x, observed) -> Observation:
     idx = gf2.positions(observed, x.shape[0])
     z = np.full(x.shape[0], ERASURE, dtype=np.int8)
     z[idx] = x[idx]
-    return Observation(z=z, observed=idx)
+    return Observation(z)
 
 
 def equivocation(code: CosetCodePair, observed, level: str = "both") -> int:

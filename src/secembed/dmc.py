@@ -113,14 +113,14 @@ def conditional_mi_bits(joint3) -> float:
 _SIZES = ("nx", "ny", "nz1", "nz2")  # a channel document's alphabet sizes, in axis order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DmcTriple:
     """Transition law p(y, z1, z2 | x) as a (|X|, |Y|, |Z1|, |Z2|) tensor, and its marginals."""
 
     p: np.ndarray
-    py_x: np.ndarray = field(init=False, repr=False, compare=False)
-    pz1_x: np.ndarray = field(init=False, repr=False, compare=False)
-    pz2_x: np.ndarray = field(init=False, repr=False, compare=False)
+    py_x: np.ndarray = field(init=False, repr=False)
+    pz1_x: np.ndarray = field(init=False, repr=False)
+    pz2_x: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = np.array(self.p, dtype=float)  # a copy: the caller's array is never aliased
@@ -180,7 +180,7 @@ def noiseless_kernel(size: int) -> np.ndarray:
     return np.eye(_integer(size, "size", 1, MAX_ALPHABET))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuxiliaryChain:
     """Distributions p(u), p(v|u), p(x|v) composing a chain U -> V -> X."""
 
@@ -200,7 +200,7 @@ class AuxiliaryChain:
         return np.einsum("u,uv,vx->uvx", self.pu, self.pv_u, self.px_v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegradationResult:
     """check_degraded's verdict and its certificate, which can be checked without the solver.
 

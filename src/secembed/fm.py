@@ -55,7 +55,7 @@ class ContradictionError(ValueError):
     """The assumptions contradict the system (or each other)."""
 
 
-class UnboundConstantError(KeyError):
+class UnboundConstantError(ValueError):
     """instantiate() was called with a constant symbol left unbound."""
 
 
@@ -148,6 +148,25 @@ def _side(terms, const) -> str:
     if not words:
         return "0"
     return ("-" if words[0] == "-" else "") + " ".join(words[1:])
+
+
+def _alias_groups(aliases) -> list:
+    """Each alias (name, {symbol: coeff, ...}) as the name and its group with exact
+    coefficients; an alias that is no name with a nonempty group of nonzero
+    rationals is a ValueError naming it."""
+    groups = []
+    for alias in aliases:
+        try:
+            name, group = alias
+            group = {s: _q(c) for s, c in dict(group).items()}
+            ok = isinstance(name, str) and name and group and all(group.values())
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(f"alias {alias!r} must be a name and a nonempty map of "
+                             "symbols to nonzero rationals")
+        groups.append((name, group))
+    return groups
 
 
 def _row(vals, strict) -> tuple:
@@ -402,17 +421,17 @@ class LinIneqSystem:
         structural = sorted(self.structural_inequalities(), key=lambda iq: (
             tuple(iq.coeff(v) for v in self.variables),
             tuple(iq.coeff(c) for c in self.constants), iq.const, iq.strict))
-        lines = [self._alias_render(iq, aliases) for iq in structural]
+        groups = _alias_groups(aliases)
+        lines = [self._alias_render(iq, groups) for iq in structural]
         nonneg = [iq for iq in self.inequalities if iq not in structural]
         if nonneg:
             names = sorted(s for iq in nonneg for s in iq.symbols())
             lines.append("with " + ", ".join(f"{s} >= 0" for s in names))
         return "\n".join(lines)
 
-    def _alias_render(self, iq: LinIneq, aliases) -> str:
+    def _alias_render(self, iq: LinIneq, groups) -> str:
         coeffs = dict(iq.terms)
-        for name, group in aliases:
-            group = {s: _q(c) for s, c in dict(group).items()}
+        for name, group in groups:
             anchor = next(iter(group))
             q = Fraction(coeffs.get(anchor, 0), group[anchor])  # exact, never int / int
             if q != 0 and all(coeffs.get(s, 0) == q * c for s, c in group.items()):

@@ -66,20 +66,27 @@ MAX_POINTS = 1_000_000  # most boundary samples: two floats each, a CSV of about
 def boundary_points(frontier, max_r1: float, max_sum: float, num: int) -> np.ndarray:
     """(num, 2) samples (R1, R2) of a region's upper boundary, R1 evenly over [0, max_r1].
 
-    ``frontier`` holds (R1, sum-rate) vertices by increasing R1.  The sum
-    rate is ``max_sum`` up to the first vertex and their polyline after it,
-    and R2 is the sum rate less R1, clamped at zero.  A corner region
-    {R1 <= cap_high, R1 + R2 <= cap_low} is the one-vertex frontier
-    [(cap_high, cap_low)] with max_r1 = cap_high and max_sum = cap_low.
+    ``frontier`` holds one or more finite (R1, sum-rate) vertices by
+    nondecreasing R1.  The sum rate is ``max_sum`` up to the first vertex
+    and their polyline after it, and R2 is the sum rate less R1, clamped at
+    zero.  A corner region {R1 <= cap_high, R1 + R2 <= cap_low} is the
+    one-vertex frontier [(cap_high, cap_low)] with max_r1 = cap_high and
+    max_sum = cap_low.  ``max_r1`` and ``max_sum`` are reals >= 0 and
     ``num`` is an integer from 2 to MAX_POINTS.
     """
+    max_r1, max_sum = _real(max_r1, "max_r1", 0), _real(max_sum, "max_sum", 0)
     r1 = np.linspace(0.0, max_r1, _integer(num, "num", 2, MAX_POINTS))
     return np.column_stack([r1, np.maximum(_sum_rate_at(frontier, max_sum, r1) - r1, 0.0)])
 
 
 def _sum_rate_at(frontier, max_sum: float, r1):
     """Largest sum rate at ``r1`` under ``frontier``, as ``boundary_points`` reads it."""
-    a, b = np.asarray(frontier, dtype=float).T
+    f = np.asarray(frontier, dtype=float)
+    if not (f.ndim == 2 and f.shape[1] == 2 and len(f) and np.isfinite(f).all()
+            and (np.diff(f[:, 0]) >= 0).all()):  # np.interp reads R1 in that order
+        raise ValueError("frontier must hold one or more finite (R1, sum-rate) vertices "
+                         "by nondecreasing R1")
+    a, b = f.T
     return np.where(r1 <= a[0], max_sum, np.interp(r1, a, b))
 
 

@@ -29,7 +29,7 @@ import operator
 
 import numpy as np
 
-from secembed import _integer
+from secembed import _bounded, _integer
 
 __all__ = [
     "InfeasibleSystemError",
@@ -86,17 +86,17 @@ def bit_array(a, what: str = "matrix") -> np.ndarray:
 
 
 def positions(items, n: int) -> list[int]:
-    """Sorted distinct 0-based positions below n, read with operator.index:
-    numpy integers pass, a non-integral one (0.9, "3") is a ValueError."""
+    """Sorted distinct 0-based positions, each read by the integer rule and the ends by
+    the range rule: numpy integers pass, a bool, 0.9, "3", -1 or n is a ValueError."""
     idx = set()
     for i in items:
-        try:
-            idx.add(operator.index(i))
+        try:  # operator.index is the fast path; a bool passes it, so the rule reads it
+            idx.add(operator.index(i) if i.__class__ is not bool else _integer(i, "position"))
         except TypeError:
-            raise ValueError(f"position {i!r} is not an integer") from None
+            idx.add(_integer(i, "position"))
     idx = sorted(idx)
-    if idx and (idx[0] < 0 or idx[-1] >= n):
-        raise IndexError(f"positions must lie in 0..{n - 1}")
+    for end in idx[:1] + idx[-1:]:  # the least and the greatest
+        _bounded(end, "position", 0, n - 1)
     return idx
 
 
@@ -114,9 +114,11 @@ def pack_rows(m) -> list[int]:
 
 
 def unpack_rows(rows, length: int) -> np.ndarray:
-    """Inverse of pack_rows: row ints below 2**length to a (len(rows) x length) matrix."""
-    nbytes = (length + 7) // 8
-    buf = b"".join(operator.index(v).to_bytes(nbytes, "little") for v in rows)
+    """Inverse of pack_rows: row ints in 0..2**length-1 to a (len(rows) x length) matrix;
+    any other row is a ValueError, never cut to its low bits."""
+    nbytes, top = (length + 7) // 8, (1 << length) - 1
+    buf = b"".join(_bounded(operator.index(v), "row", 0, top).to_bytes(nbytes, "little")
+                   for v in rows)
     packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
     return np.unpackbits(packed, axis=1, count=length, bitorder="little")
 

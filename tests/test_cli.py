@@ -12,6 +12,10 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -809,6 +813,14 @@ CONSTRUCT_16 = ["code", "construct", "--n", "16", "--alpha1", "0.5", "--alpha2",
                 "--eps", "0.25", "--seed", "7"]
 
 
+def test_code_verbs_refuse_a_block_length_past_max_n(capsys):
+    rates = ["--n", str(10**30), "--alpha1", "0.5", "--alpha2", "0.25", "--eps", "0.25"]
+    for verb in (["bound", "--exact"], ["construct", "--seed", "1"]):
+        code, out, err = run_cli(capsys, "code", *verb, *rates)
+        assert code == 1 and not out
+        assert json.loads(err) == {"error": "ValueError", "message": "n = 1e+30 must be <= 4096"}
+
+
 def test_node_budget_error_reports_bracket(capsys):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gf2, "NODE_LIMIT", 5)
@@ -1046,6 +1058,128 @@ def test_option_table_pinned():
     assert table == OPTION_TABLE
 
 
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
+
+# One valid argv per verb of OPTION_TABLE as (flag, value) pairs, a switch's value
+# None; a file is named by its golden input
+VALID_ARGV = {
+    "region scalar": [("--P", "1"), ("--a", "1"), ("--b1", "0.5"), ("--b2", "0.1"),
+                      ("--points", "21")],
+    "region parallel": [("--a", "1,1"), ("--b1", "0.8,0.25"), ("--b2", "0.1,0.1"),
+                        ("--powers", "0.5,0.5"), ("--points", "21")],
+    "region parallel-total": [("--a", "1,1.2"), ("--b1", "0.5,0.3"), ("--b2", "0.1,0.1"),
+                              ("--P", "1")],
+    "code construct": [("--n", "16"), ("--alpha1", "0.5"), ("--alpha2", "0.25"),
+                       ("--eps", "0.25"), ("--seed", "1")],
+    "code audit": [("--bundle", "code_construct_seed1.out")],
+    "code bound": [("--n", "32"), ("--alpha1", "0.5"), ("--alpha2", "0.25"), ("--eps", "0.25"),
+                   ("--exact", None)],
+    "sim dmc": [("--channel", "input_bsc_channel.json"), ("--px", "0.5,0.5"),
+                ("--rates", "0.25,0.25,0.39624062518028907"), ("--n", "8"), ("--trials", "20"),
+                ("--seed", "1"), ("--no-leakage", None)],
+    "dmc region-point": [("--bec", "0.5,0.9"), ("--aux", "input_aux.json")],
+    "fm derive": [("--preset", "layered"), ("--json", None)],
+}
+FILE_FLAGS = ("--bundle", "--channel", "--aux")
+NON_NUMBERS = ["nan", "inf", "-inf", "-1", "-0.0", "0", "1e300", "1" + "0" * 30, "", "x", "1/2"]
+
+
+def replacement(verb, flag):
+    """A value for one flag: finite, non-finite, negative, zero, huge, empty or no number,
+    or a comma list of any length; the sizes that set run time stay small."""
+    bad = st.sampled_from(["", "x", "nan", "-1", "0", "1e1", "2.5", "8,"])
+    if (verb, flag) == ("sim dmc", "--n"):
+        return st.one_of(bad, st.lists(st.integers(-2, 12), min_size=1, max_size=3)
+                         .map(lambda ns: ",".join(map(str, ns))))
+    if (verb, flag) in (("sim dmc", "--trials"), ("code construct", "--n")):
+        return st.one_of(bad, st.integers(-3, 50 if flag == "--trials" else 24).map(str))
+    number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.integers(-3, 40).map(str), st.sampled_from(NON_NUMBERS))
+    return st.one_of(number, st.lists(number, min_size=1, max_size=4).map(",".join))
+
+
+def input_file(draw, name, work):
+    """The golden input, a copy with a key dropped, a type or a shape changed, or a
+    path that is missing, a directory or no JSON."""
+    kind = draw(st.sampled_from(["golden", "golden", "drop", "type", "shape", "missing",
+                                 "dir", "text"]))
+    if kind in ("golden", "missing", "dir", "text"):
+        path = {"golden": GOLDEN_CLI / name, "missing": work / "missing.json", "dir": work,
+                "text": work / "text.json"}[kind]
+        if kind == "text":
+            path.write_text("{not json")
+        return str(path)
+    doc = json.loads((GOLDEN_CLI / name).read_text())
+    holder = doc
+    if "params" in doc and draw(st.booleans()):
+        holder = doc["params"]
+    key = draw(st.sampled_from(sorted(holder)))
+    if kind == "drop":
+        del holder[key]
+    elif kind == "type":
+        holder[key] = draw(st.sampled_from(["x", None, 1.5, True, [], {}]))
+    else:
+        value = holder[key]
+        holder[key] = (value[:-1] if isinstance(value, list) and value and draw(st.booleans())
+                       else value.rsplit("\n", 2)[0] + "\n" if isinstance(value, str)
+                       else [value])
+    path = work / f"mutated-{name}"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@settings(max_examples=1000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(VALID_ARGV)), st.data())
+def test_property_every_verb_exits_0_1_or_2(tmp_path, verb, data):
+    """From a valid argv, replace up to three values, draw each input file, and sometimes
+    name a destination that cannot be written: main returns 0 or 1, or argparse exits
+    with 2, and nothing else escapes, warnings included.  Exit 1 is one error JSON line
+    on stderr with nothing on stdout and no new file, except a failed audit's report;
+    exit 0 prints JSON, except the text of fm derive."""
+    draw = data.draw
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    pairs = [(flag, input_file(draw, value, work) if flag in FILE_FLAGS else value)
+             for flag, value in VALID_ARGV[verb] if value is not None or draw(st.booleans())]
+    valued = [i for i, (flag, value) in enumerate(pairs)
+              if value is not None and flag not in FILE_FLAGS]
+    for i in draw(st.sets(st.sampled_from(valued), max_size=min(3, len(valued)))
+                  if valued else st.just(())):
+        pairs[i] = (pairs[i][0], draw(replacement(verb, pairs[i][0])))
+    for flag in ("--out", "--csv"):
+        if flag[2:] in OPTION_TABLE[verb]:
+            where = draw(st.sampled_from([None, "fresh", "missing dir", "dir"]))
+            pairs += [] if where is None else [(flag, str(
+                {"fresh": work / f"{flag[2:]}.txt", "missing dir": work / "no" / "f.txt",
+                 "dir": work}[where]))]
+    argv = [*verb.split(), *(flag if value is None else f"{flag}={value}"
+                             for flag, value in pairs)]
+    before = set(work.rglob("*"))
+    out, err = StringIO(), StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2, argv
+    if code == 2:
+        return
+    assert code in (0, 1), argv
+    created = set(work.rglob("*")) - before
+    dest = dict(pairs).get("--out")
+    printed = Path(dest).read_text() if dest and Path(dest).is_file() else out.getvalue()
+    if code == 1 and err.getvalue():
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}, argv
+        assert out.getvalue() == "" and not created, argv
+    elif code == 1:  # only a failed audit exits 1 with no error, and prints its report
+        assert verb == "code audit" and json.loads(printed)["pass"] is False, argv
+    else:
+        assert err.getvalue() == "" and (not dest or out.getvalue() == ""), argv
+        if not (verb == "fm derive" and "--json" not in argv):
+            json.loads(printed)
+
+
 # Every parameter with a default of each public function, class and class method
 # of each secembed module, with the repr of its default.  A new knob must be
 # added here; the search and construction budgets are module constants instead.
@@ -1148,7 +1282,7 @@ def test_one_range_rule_in_src():
     (``--seed``, ``--points``) rather than a library parameter, and tests of the command
     line pin those names."""
     states_a_range = re.compile(r"must be [<>]= (-?\d|$)|must be (finite and )?nonnegative"
-                                r"|positive integer|out of range|number in \[")
+                                r"|positive integer|out of range|number in \[|must lie in")
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(Path(secembed.__file__).parent.glob("*.py"))
              if path.name not in ("__init__.py", "cli.py")
@@ -1171,6 +1305,29 @@ def test_one_tolerance_rule_in_src():
                   if isinstance(node, ast.Constant) and isinstance(node.value, float)
                   and 0 < abs(node.value) < 1e-5 and id(node) not in named]
     assert found == [], f"tolerances written outside a named module constant: {found}"
+
+
+def test_one_error_kind_for_bad_values_in_src():
+    """A bad value is a ValueError in every module, so cli.main maps exactly three error
+    kinds: no module raises IndexError, KeyError or LookupError, or builds an error
+    class on one of them, and main catches ValueError, OSError and RuntimeError."""
+    lookup = {"IndexError", "KeyError", "LookupError"}
+    found, caught = [], []
+    for path in sorted(Path(secembed.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                found += [f"{path.name}:{node.lineno}"] * (
+                    getattr(exc, "id", getattr(exc, "attr", None)) in lookup)
+            elif isinstance(node, ast.ExceptHandler) and path.name == "cli.py":
+                caught.append([n.id for n in getattr(node.type, "elts", [])])
+    for info in pkgutil.iter_modules(secembed.__path__):
+        module = importlib.import_module(f"secembed.{info.name}")
+        found += [f"{info.name}.{name}" for name, obj in vars(module).items()
+                  if inspect.isclass(obj) and issubclass(obj, LookupError)
+                  and obj.__module__ == module.__name__]
+    assert found == [], f"lookup errors raised or built on in src: {found}"
+    assert ["ValueError", "OSError", "RuntimeError"] in caught
 
 
 def test_all_lists_the_public_functions_and_classes():

@@ -27,6 +27,7 @@ UNREACHED = {
     "gf2.column_subset_dim": "public API that perfbench/tracing.py patches by name; "
                              "the tests' per-subset rank oracle",
     "coset.CosetCodePair.rows": "benchmark traffic: the codec workload's equivocation reads it",
+    "coset.Observation.observed": "benchmark traffic: the codec workload's check reads it",
     "dmc.DmcTriple.to_dict": "benchmark traffic: the leakage and regions workloads write "
                              "their channel files with it",
 }

@@ -145,7 +145,7 @@ def test_eavesdrop_basics():
     assert np.array_equal(obs.z, x)
     obs = coset.eavesdrop(x, {1, 2})
     assert list(obs.z) == [coset.ERASURE, 0, 1, coset.ERASURE]
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         coset.eavesdrop(x, {4})
 
 
@@ -673,23 +673,60 @@ def test_binary_words_of_any_dtype_are_accepted(n16_code):
         assert np.array_equal(coset.eavesdrop(word, [0, 1]).z, coset.eavesdrop(x, [0, 1]).z)
 
 
-@pytest.mark.parametrize("observed", [[0.9], [0, 2.0], ["3"], [None]])
+@pytest.mark.parametrize("observed", [[0.9], [0, 2.0], ["3"], [None], [True, False]])
 def test_non_integral_positions_are_rejected(n16_code, observed):
     x = np.zeros(16, dtype=np.uint8)
-    with pytest.raises(ValueError, match="is not an integer"):
+    with pytest.raises(ValueError, match="must be an integer"):
         coset.eavesdrop(x, observed)
-    with pytest.raises(ValueError, match="is not an integer"):
+    with pytest.raises(ValueError, match="must be an integer"):
         coset.equivocation(n16_code, observed)
-    with pytest.raises(ValueError, match="is not an integer"):
-        coset.Observation(z=x, observed=observed)
 
 
 def test_observation_copies_the_caller_array():
     z = np.array([1, 0, -1, -1], dtype=np.int8)
-    obs = coset.Observation(z, [0, 1])
+    obs = coset.Observation(z)
     assert not np.shares_memory(obs.z, z) and not obs.z.flags.writeable
     z[...] = 1
-    assert list(obs.z) == [1, 0, -1, -1]
+    assert list(obs.z) == [1, 0, -1, -1] and obs.observed == {0, 1}
+
+
+@pytest.mark.parametrize("z", [[0.5, 1, -1], [7, 1, -1], [0, 1, -2], [np.nan, 1, -1], 5,
+                               [[0, 1, -1]], ["0", "1", "-1"], [None, 1, -1]])
+def test_observation_word_is_0_1_or_erasure(z):
+    message = "^observation z must be one word of 0, 1 or ERASURE = -1$"
+    with pytest.raises(ValueError, match=message):
+        coset.Observation(z)
+
+
+def test_observation_reads_its_observed_set_off_z(n16_code):
+    for z in ([0, 1, -1], [0.0, 1.0, -1.0], np.array([0, 1, -1], dtype=np.int64)):
+        obs = coset.Observation(z)
+        assert obs.z.dtype == np.int8 and list(obs.z) == [0, 1, -1] and obs.observed == {0, 1}
+    x = coset.encode(n16_code, 1, 2, np.random.default_rng(0))
+    assert coset.eavesdrop(x, [3, 0, 3]).observed == {0, 3}
+
+
+def test_value_types_that_hold_arrays_compare_and_hash_by_identity():
+    triple = dmc.DmcTriple.independent(dmc.noiseless_kernel(2), dmc.bec_kernel(0.5),
+                                       dmc.bec_kernel(0.9))
+    makers = [
+        lambda: dmc.DmcTriple(triple.p),
+        parity_code,
+        lambda: coset.Observation([0, 1, -1]),
+        lambda: binning.NestedCodebook(np.zeros((1, 1, 1, 2), dtype=np.int64), 2),
+        lambda: dmc.AuxiliaryChain([1.0], [[1.0]], [[0.5, 0.5]]),
+        lambda: dmc.check_degraded(triple),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b and hash(a) == hash(a) and len({a, b}) == 2
+
+
+def test_block_length_is_at_most_max_n():
+    p = WiretapIIParams(coset.MAX_N, 0.5, 0.25, 0.25)
+    assert coset.union_bound_report(p, exact_counts=True)["subset_term"] == 0.0
+    with pytest.raises(ValueError, match=f"^n = {coset.MAX_N + 1}.0 must be <= {coset.MAX_N}$"):
+        WiretapIIParams(coset.MAX_N + 1, 0.5, 0.25, 0.25)
 
 
 def test_numpy_integer_positions_are_accepted(n16_code):

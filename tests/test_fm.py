@@ -329,6 +329,29 @@ def test_instantiate_unbound_constant():
         fm.derive_nested_binning_region().instantiate({"I_XY": 1.0})
 
 
+def test_unbound_constant_is_a_value_error_with_a_plain_message():
+    with pytest.raises(ValueError) as info:
+        fm.derive_nested_binning_region().instantiate({"I_XY": 1.0})
+    assert not isinstance(info.value, KeyError)
+    assert str(info.value) == "unbound constants: ['I_XZ1', 'I_XZ2']"
+
+
+@pytest.mark.parametrize("derive, alias", [
+    (fm.derive_layered_region, ("G", {})),
+    (fm.derive_layered_region, ("G", {"I_UY": 0})),
+    (fm.derive_nested_binning_region, ("G", {"I_XZ1": 1, "I_QQ": 0})),
+    (fm.derive_nested_binning_region, ("G", {"I_XZ1": "1"})),
+    (fm.derive_nested_binning_region, ("G", {"I_XZ1": math.nan})),
+    (fm.derive_nested_binning_region, (1, {"I_XZ1": 1})),
+    (fm.derive_nested_binning_region, ("", {"I_XZ1": 1})),
+    (fm.derive_nested_binning_region, "G"),
+    (fm.derive_nested_binning_region, ("G", 3)),
+])
+def test_malformed_alias_is_a_value_error_naming_it(derive, alias):
+    with pytest.raises(ValueError, match=f"^alias {re.escape(repr(alias))} must be a name and"):
+        derive().pretty(aliases=[alias])
+
+
 def stored_types(system):
     return ({type(c) for iq in system.inequalities for _, c in iq.terms}
             | {type(iq.const) for iq in system.inequalities})

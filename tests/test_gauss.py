@@ -260,6 +260,13 @@ def test_boundary_points_one_vertex_frontier_is_the_corner_region(b1, b2):
         assert regions.contains(corner_region(res), (r1, r2))
 
 
+@pytest.mark.parametrize("frontier", [[1, 2], [[np.nan, 1]], [[0.5, np.inf]], [],
+                                      [[0.5, 1.0], [0.2, 1.1]], [[1, 2, 3]], [[[1, 2]]]])
+def test_boundary_points_frontier_is_finite_vertices_by_nondecreasing_r1(frontier):
+    with pytest.raises(ValueError, match="^frontier must hold one or more finite"):
+        gauss.boundary_points(frontier, 1.0, 1.0, 3)
+
+
 def test_boundary_points_r1_extent_is_explicit():
     # a frontier vertex just past max_r1 must not stretch the R1 samples
     frontier = np.array([[0.2, 1.0], [0.5, 0.9], [0.8 + 4e-16, 0.85]])

@@ -123,9 +123,28 @@ def test_binary_matrices_of_any_dtype_are_accepted():
     assert gf2.bit_array(a) is a  # a uint8 input is checked, not copied
 
 
+@pytest.mark.parametrize("row, message", [(16, "row = 16 must be <= 15"),
+                                          (256, "row = 256 must be <= 15"),
+                                          (-1, "row = -1 must be >= 0")])
+def test_unpack_rows_keeps_every_bit_or_refuses(row, message):
+    assert gf2.unpack_rows([15, 0], 4).tolist() == [[1, 1, 1, 1], [0, 0, 0, 0]]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gf2.unpack_rows([0, row], 4)
+
+
+def test_positions_take_the_integer_and_range_rules():
+    assert gf2.positions([np.int64(3), 0, 3], 4) == [0, 3]
+    with pytest.raises(ValueError, match="^position = True must be an integer$"):
+        gf2.positions([True, False], 4)
+    with pytest.raises(ValueError, match="^position = 4 must be <= 3$"):
+        gf2.positions([4, 0], 4)
+    with pytest.raises(ValueError, match="^position = -1 must be >= 0$"):
+        gf2.positions([2, -1], 4)
+
+
 def test_non_integral_column_positions_are_domain_errors():
     m = np.eye(4, dtype=np.uint8)
-    with pytest.raises(ValueError, match="position 0.5 is not an integer"):
+    with pytest.raises(ValueError, match="position = 0.5 must be an integer"):
         gf2.column_subset_dim(m, [0.5, 3.7])
     assert gf2.column_subset_dim(m, np.array([0, 3])) == 2
     assert gf2.column_subset_dim(m, [np.int64(0), np.uint8(3)]) == 2
@@ -203,7 +222,7 @@ def test_column_subset_dim_basics():
     ones = np.ones((1, 4), dtype=np.uint8)
     for j in range(4):
         assert gf2.column_subset_dim(ones, [j]) == 1
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         gf2.column_subset_dim(eye3, [3])
 
 

@@ -89,8 +89,8 @@ def min_rank(size):
     return gf2.min_rank_over_column_subsets(np.array([[1, 0, 1], [0, 1, 1]]), size)
 
 
-def boundary(num):
-    return gauss.boundary_points([(0.5, 1.0)], 0.5, 1.0, num)
+def boundary(num, max_r1=0.5, max_sum=1.0):
+    return gauss.boundary_points([(0.5, 1.0)], max_r1, max_sum, num)
 
 
 def unit_channel(key, v):
@@ -142,6 +142,10 @@ ROWS = {
                                          np.float32(0.3), False),
     "ParallelGaussChannel.a": (lambda v: pooled_region(gain=v), "gains", np.float32(0.7), False),
     "boundary_points.num": (lambda v: boundary(v).tolist(), "num", np.int64(5), False),
+    "boundary_points.max_r1": (lambda v: boundary(5, max_r1=v).tolist(), "max_r1",
+                               np.float32(0.5), False),
+    "boundary_points.max_sum": (lambda v: boundary(5, max_sum=v).tolist(), "max_sum",
+                                np.float32(0.75), False),
     "min_rank_over_column_subsets.size": (min_rank, "size", np.int64(2), False),
     # fm reads exact rationals: 1.5 and 10**400 are numbers there, and its message
     # names the value, "<value> is not a finite rational"
@@ -303,6 +307,10 @@ RANGES = {
                                          "total power = -5e-324 must be >= 0"),
     "ParallelGaussChannel.a": (lambda v: pooled_region(gain=v), 0.0, BELOW_0,
                                "gains = -5e-324 must be >= 0"),
+    "boundary_points.max_r1": (lambda v: boundary(5, max_r1=v), 0.0, BELOW_0,
+                               "max_r1 = -5e-324 must be >= 0"),
+    "boundary_points.max_sum": (lambda v: boundary(5, max_sum=v), 0.0, BELOW_0,
+                                "max_sum = -5e-324 must be >= 0"),
     "boundary_points.num-least": (boundary, 2, 1, "num = 1 must be >= 2"),
     "boundary_points.num-most": (boundary, gauss.MAX_POINTS, gauss.MAX_POINTS + 1,
                                  "num = 1000001 must be <= 1000000"),
