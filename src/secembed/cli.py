@@ -23,7 +23,7 @@ import os
 import stat
 import sys
 
-from secembed import binning, coset, dmc, fm, gauss
+from secembed import _integer, binning, coset, dmc, fm, gauss
 
 
 def _write(files) -> None:
@@ -78,16 +78,6 @@ def _floats(text: str, flag: str) -> tuple:
         raise ValueError(f"--{flag} must be comma-separated numbers, got {text!r}") from None
 
 
-def _check_seed(args):
-    if args.seed < 0:
-        raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
-
-
-def _check_points(args):
-    if not 2 <= args.points <= gauss.MAX_POINTS:
-        raise ValueError(f"--points must be from 2 to {gauss.MAX_POINTS}, got {args.points}")
-
-
 def _emit_corner_report(report: dict, high: str, low: str, args) -> int:
     """The report, then with --csv the boundary of {R1 <= report[high], R1 + R2 <= report[low]}."""
     cap_high, cap_low = report[high], report[low]
@@ -96,7 +86,7 @@ def _emit_corner_report(report: dict, high: str, low: str, args) -> int:
 
 
 def _cmd_region_scalar(args) -> int:
-    _check_points(args)
+    _integer(args.points, "--points", 2, gauss.MAX_POINTS)
     ch = gauss.ScalarGaussChannel(power=args.P, a=args.a, b1=args.b1, b2=args.b2)
     return _emit_corner_report(gauss.region_scalar(ch), "cap_high", "cap_low", args)
 
@@ -134,7 +124,7 @@ def _parallel_channel(args, pooled: bool):
 
 
 def _cmd_region_parallel(args) -> int:
-    _check_points(args)
+    _integer(args.points, "--points", 2, gauss.MAX_POINTS)
     subchannels = _parallel_channel(args, pooled=False)
     return _emit_corner_report(gauss.region_parallel_individual(subchannels), "cap_high_sum",
                                "cap_low_sum", args)
@@ -155,7 +145,7 @@ def _wiretap_params(args) -> coset.WiretapIIParams:
 
 
 def _cmd_code_construct(args) -> int:
-    _check_seed(args)
+    _integer(args.seed, "--seed", 0)
     code = coset.construct(_wiretap_params(args), seed=args.seed)
     return _emit(args, code.to_bundle(seed=args.seed))
 
@@ -188,7 +178,7 @@ def _load_channel(args) -> dmc.DmcTriple:
 
 
 def _cmd_sim_dmc(args) -> int:
-    _check_seed(args)
+    _integer(args.seed, "--seed", 0)
     ch = _load_channel(args)
     px = _floats(args.px, "px")
     rates = _floats(args.rates, "rates")

@@ -76,11 +76,10 @@ class WiretapIIParams:
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "n", 1))
         _real(self.n, "n", most=MAX_N)  # n times a fraction is a float; n sizes construct's draws
-        for name in ("alpha1", "alpha2"):  # stored as floats, as to_dict writes them
-            object.__setattr__(self, name, _real(getattr(self, name), name))
+        # stored as floats, as to_dict writes them
+        object.__setattr__(self, "alpha1", _real(self.alpha1, "alpha1", 0, 1))
+        object.__setattr__(self, "alpha2", _real(self.alpha2, "alpha2", 0, self.alpha1))
         object.__setattr__(self, "eps", _real(self.eps, "eps", 0))
-        if not (1.0 >= self.alpha1 >= self.alpha2 >= 0.0):
-            raise ValueError("need 1 >= alpha1 >= alpha2 >= 0")
         # n*(alpha1-alpha2) rounds to n_alpha1 - n_alpha2: all four are near ints
         for name, (value, what) in zip(("n_alpha1", "n_alpha2", "k1", "k2"), [
             (self.n * self.alpha1, "n*alpha1"),

@@ -23,7 +23,7 @@ from math import log2
 
 import numpy as np
 
-from secembed import _integer, _real, regions
+from secembed import _bounded, _integer, _real, regions
 
 __all__ = [
     "cs_scalar",
@@ -98,11 +98,10 @@ class ScalarGaussChannel:
     b2: float
 
     def __post_init__(self):
-        for name in ("power", "a", "b1", "b2"):  # stored as floats
+        for name in ("power", "a", "b1"):  # stored as floats
             object.__setattr__(self, name, _real(getattr(self, name), name, 0))
+        object.__setattr__(self, "b2", _real(self.b2, "b2", 0, self.b1))
         _check_power(self.power, (self.a, self.b1, self.b2), "power")
-        if self.b1 < self.b2:
-            raise ValueError("strong eavesdropper gain b1 must be >= b2")
 
 
 @dataclass(frozen=True)
@@ -125,9 +124,8 @@ class ParallelGaussChannel:
         a, b1, b2 = (tuple(_real(x, "gains", 0) for x in values) for values in (a, b1, b2))
         for name, values in zip(("a", "b1", "b2"), (a, b1, b2)):  # once every gain is read
             object.__setattr__(self, name, values)
-        bad = [l for l, (s, w) in enumerate(zip(b1, b2)) if s < w]
-        if bad:
-            raise ValueError(f"need b1_l >= b2_l in every subchannel; l = {bad[0]} has b1_l < b2_l")
+        for l, (s, w) in enumerate(zip(b1, b2)):
+            _bounded(w, f"b2_{l}", None, s)
         object.__setattr__(self, "total_power",
                            _check_power(self.total_power, a + b1 + b2, "total power"))
 
@@ -297,9 +295,10 @@ def _trace_frontier(ch: ParallelGaussChannel, left: tuple, right: tuple) -> np.n
         xi, yi, xj, yj = chords.T
         slope = (yi - yj) / (xj - xi)
         new = np.column_stack(_cap_pairs(ch, _waterfill(ch, slope, np.ones_like(slope))))
-        pts.append(new)
         x, y = new.T
-        split = (slope * (x - xi) + (y - yi) > FRONTIER_SAG) & (x > xi) & (x < xj)
+        inside = (x > xi) & (x < xj)  # on or past a chord's end: that end, rounded
+        pts.append(new[inside])
+        split = inside & (slope * (x - xi) + (y - yi) > FRONTIER_SAG)
         chords = np.vstack([np.column_stack([chords[split, :2], new[split]]),
                             np.column_stack([new[split], chords[split, 2:]])])
     pts = np.unique(np.vstack(pts), axis=0)  # sorted by cap_high, then cap_low
@@ -339,9 +338,10 @@ def region_parallel_total(ch: ParallelGaussChannel) -> dict:
 def pooled_frontier(ch: ParallelGaussChannel, report: dict) -> np.ndarray:
     """Upper boundary of the pooled-power region of ``region_parallel_total(ch)``.
 
-    (cap_high_sum, cap_low_sum) vertices by increasing cap_high, traced from
-    the report's two allocations, with no achievable pair over FRONTIER_SAG
-    bits above their polyline.  Tracing costs tens of times the report.
+    (cap_high_sum, cap_low_sum) vertices by increasing cap_high, from the
+    report's max_sum to its max_r1, traced from its two allocations, with no
+    achievable pair over FRONTIER_SAG bits above their polyline.  Tracing
+    costs tens of times the report.
     """
     high, low = _cap_pairs(ch, [report["alloc_max_sum"], report["alloc_max_r1"]])
     return _trace_frontier(ch, (high[0], report["max_sum"]), (report["max_r1"], low[1]))

@@ -592,26 +592,50 @@ def test_sim_dmc_bad_input_is_domain_error(tmp_path, capsys, extra, match):
     assert not out_file.exists()
 
 
-@pytest.mark.parametrize("argv, flag", [
+@pytest.mark.parametrize("argv, prefix", [
     (["sim", "dmc", "--bec", "0.5", "--px", "0.5,0.5", "--seed", "1",
-      "--rates", "0.25,0.25,0", "--n", "8"], "--bec"),
-    (["dmc", "region-point", "--bec", "0.5", "--px", "0.5,0.5"], "--bec"),
-    (["dmc", "region-point", "--bec", "0.5,0.9,0.1", "--px", "0.5,0.5"], "--bec"),
+      "--rates", "0.25,0.25,0", "--n", "8"], "--bec must be"),
+    (["dmc", "region-point", "--bec", "0.5", "--px", "0.5,0.5"], "--bec must be"),
+    (["dmc", "region-point", "--bec", "0.5,0.9,0.1", "--px", "0.5,0.5"], "--bec must be"),
     (["sim", "dmc", "--bec", "0.5,0.9", "--px", "0.5,0.5", "--seed", "-1",
-      "--rates", "0.25,0.25,0", "--n", "8"], "--seed"),
+      "--rates", "0.25,0.25,0", "--n", "8"], "--seed = -1 must be >= 0"),
     (["code", "construct", "--n", "16", "--alpha1", "0.5", "--alpha2", "0.25",
-      "--eps", "0.25", "--seed", "-1"], "--seed"),
-    ([*SIM_BEC, "--rates", "0.25,0.25,0", "--n", "8,x"], "--n"),
-    ([*SIM_BEC, "--rates", "0.25,x,0", "--n", "8"], "--rates"),
-    (["dmc", "region-point", "--bec", "0.5,0.9", "--px", "0.5,"], "--px"),
+      "--eps", "0.25", "--seed", "-1"], "--seed = -1 must be >= 0"),
+    ([*SIM_BEC, "--rates", "0.25,0.25,0", "--n", "8,x"], "--n must be"),
+    ([*SIM_BEC, "--rates", "0.25,x,0", "--n", "8"], "--rates must be"),
+    (["dmc", "region-point", "--bec", "0.5,0.9", "--px", "0.5,"], "--px must be"),
 ], ids=["sim-bec-one", "point-bec-one", "point-bec-three", "sim-seed", "construct-seed",
         "sim-n-text", "sim-rates-text", "point-px-empty"])
-def test_bad_flag_value_is_domain_error_naming_the_flag(capsys, argv, flag):
+def test_bad_flag_value_is_domain_error_naming_the_flag(capsys, argv, prefix):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and not out
     payload = json.loads(err)
     assert payload["error"] == "ValueError"
-    assert payload["message"].startswith(flag + " must be")
+    assert payload["message"].startswith(prefix)
+
+
+SCALAR_REGION = ["region", "scalar", "--P", "1", "--a", "1", "--b1", "0.5", "--b2", "0.1"]
+
+
+# (argv, its flag, the flag's bound, one past it, the range rule's message there)
+@pytest.mark.parametrize("argv, flag, bound, past, message", [
+    (["code", "construct", "--n", "8", "--alpha1", "0.5", "--alpha2", "0.25", "--eps", "0.25"],
+     "--seed", 0, -1, "--seed = -1 must be >= 0"),
+    (["sim", "dmc", "--bec", "0.5,0.9", "--px", "0.5,0.5", "--rates", "0.25,0.25,0",
+      "--n", "4", "--trials", "3"], "--seed", 0, -1, "--seed = -1 must be >= 0"),
+    (SCALAR_REGION, "--points", 2, 1, "--points = 1 must be >= 2"),
+    (SCALAR_REGION, "--points", gauss.MAX_POINTS, gauss.MAX_POINTS + 1,
+     "--points = 1000001 must be <= 1000000"),
+    (["region", "parallel", "--preset", "two-subchannel-reference"], "--points", 2, 1,
+     "--points = 1 must be >= 2"),
+], ids=["construct-seed", "sim-seed", "scalar-points-least", "scalar-points-most",
+        "parallel-points-least"])
+def test_flag_bound_is_accepted_and_one_past_it_is_not(capsys, argv, flag, bound, past, message):
+    code, out, err = run_cli(capsys, *argv, flag, str(bound))
+    assert code == 0 and out and not err
+    code, out, err = run_cli(capsys, *argv, flag, str(past))
+    assert code == 1 and not out
+    assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
 @pytest.mark.parametrize("argv", [
@@ -1276,16 +1300,15 @@ def test_one_budget_rule_in_src():
 
 
 def test_one_range_rule_in_src():
-    """A message stating a numeric range is written only by the package root's range rule
-    (``_bounded``, under ``_integer`` and ``_real``), so a range check written out by hand,
-    with its own wording, fails here.  cli.py is exempt: its flag messages name the flag
-    (``--seed``, ``--points``) rather than a library parameter, and tests of the command
-    line pin those names."""
-    states_a_range = re.compile(r"must be [<>]= (-?\d|$)|must be (finite and )?nonnegative"
+    """A message stating a numeric range or an order between two parameters is written
+    only by the package root's range rule (``_bounded``, under ``_integer`` and ``_real``),
+    so a range or order check written out by hand, with its own wording, fails here."""
+    states_a_range = re.compile(r"must be [<>]= (-?\d|[A-Za-z]|$)|\bneed .*[<>]="
+                                r"|must be (a |finite and )?nonnegative|must be from -?\d"
                                 r"|positive integer|out of range|number in \[|must lie in")
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(Path(secembed.__file__).parent.glob("*.py"))
-             if path.name not in ("__init__.py", "cli.py")
+             if path.name != "__init__.py"
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and states_a_range.search(node.value)]

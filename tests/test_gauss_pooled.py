@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secembed import gauss
@@ -311,11 +311,17 @@ def test_property_kkt_conditions(ch):
 
 
 @settings(max_examples=25)
+# a maximizer 2.2e-16 past max_r1 once became this channel's last vertex
+@example(ParallelGaussChannel(a=(1.053955379272966, 0.9444429873595236),
+                              b1=(0.8627924501618522, 0.8674827919017505),
+                              b2=(0.5269922816723818, 0.3321053848048184),
+                              total_power=2.481095284324735))
 @given(pooled_channels())
 def test_property_frontier_is_a_certified_inner_approximation(ch):
     r = gauss.region_parallel_total(ch)
     front = gauss.pooled_frontier(ch, r)
     assert (np.diff(front[:, 0]) > 0).all() and (np.diff(front[:, 1]) < 0).all()
+    assert front[0, 1] == r["max_sum"] and front[-1, 0] == r["max_r1"]  # so every R1 <= max_r1
     rng = np.random.default_rng(ch.n_sub)
     spread = rng.dirichlet(np.ones(ch.n_sub), size=60) * ch.total_power
     # allocations close to the max-R1 end, where the frontier is steepest
@@ -426,12 +432,12 @@ def test_parallel_lengths_that_differ_name_the_flags():
 
 @pytest.mark.parametrize("argv, message", [
     (["parallel", "--a", "1,1", "--b1", "0.5,0.1", "--b2", "0.1,0.2", "--powers", "1,1"],
-     "--a, --b1, --b2 and --powers at l = 1: strong eavesdropper gain b1 must be >= b2"),
+     "--a, --b1, --b2 and --powers at l = 1: b2 = 0.2 must be <= 0.1"),
     (["parallel", "--a", "1,1", "--b1", "0.5,0.1", "--b2", "0.1,0.1", "--powers", "1,1e200"],
      "--a, --b1, --b2 and --powers at l = 1: power too large for these gains: "
      "1e+200 * max(1, gain)**2 exceeds 5.644e+102"),
     (["parallel-total", "--a", "1,1,1", "--b1", "0.5,0.1,0.5", "--b2", "0.1,0.2,0.6"],
-     "--a, --b1, --b2: need b1_l >= b2_l in every subchannel; l = 1 has b1_l < b2_l"),
+     "--a, --b1, --b2: b2_1 = 0.2 must be <= 0.1"),
     (["parallel-total", "--a", "1,1", "--b1", "0.5,0.1", "--b2", "0.1,0.1", "--P", "1e200"],
      "--P: total power too large for these gains: 1e+200 * max(1, gain)**2 exceeds 5.644e+102"),
 ], ids=["parallel-order", "parallel-power", "parallel-total-order", "parallel-total-power"])

@@ -260,6 +260,16 @@ RANGES = {
     "WiretapIIParams.n": (lambda v: WiretapIIParams(v, 1.0, 0.0), 1, 0, "n = 0 must be >= 1"),
     "WiretapIIParams.eps": (lambda v: params_of(eps=v), 0.0, BELOW_0,
                             "eps = -5e-324 must be >= 0"),
+    "WiretapIIParams.alpha1-least": (lambda v: WiretapIIParams(4, v, 0.0), 0.0, BELOW_0,
+                                     "alpha1 = -5e-324 must be >= 0"),
+    "WiretapIIParams.alpha1-most": (lambda v: WiretapIIParams(4, v, 0.5), 1.0, ABOVE_1,
+                                    "alpha1 = 1.0000000000000002 must be <= 1"),
+    "WiretapIIParams.alpha2-least": (lambda v: WiretapIIParams(4, 0.5, v), 0.0, BELOW_0,
+                                     "alpha2 = -5e-324 must be >= 0"),
+    # alpha2 = alpha1 is allowed: the two eavesdroppers may see alike
+    "WiretapIIParams.alpha2-most": (lambda v: WiretapIIParams(4, 0.5, v), 0.5,
+                                    math.nextafter(0.5, 1.0),
+                                    "alpha2 = 0.5000000000000001 must be <= 0.5"),
     "WiretapIIParams.k1": (lambda v: WiretapIIParams(4, 0.75, 0.0, v), 0.25, 0.5,
                            "n*(1-alpha1-eps) = -1 must be >= 0"),
     "encode.m1-least": (lambda v: encoded(v, 0), 0, -1, "m1 = -1 must be >= 0"),
@@ -303,6 +313,11 @@ RANGES = {
                               "b1 = -5e-324 must be >= 0"),
     "ScalarGaussChannel.b2": (lambda v: scalar_region(b2=v), 0.0, BELOW_0,
                               "b2 = -5e-324 must be >= 0"),
+    "ScalarGaussChannel.b2-most": (lambda v: scalar_region(b2=v), 0.5, math.nextafter(0.5, 1.0),
+                                   "b2 = 0.5000000000000001 must be <= 0.5"),
+    "ParallelGaussChannel.b2_l-most": (lambda v: gauss.region_parallel_total(
+        gauss.ParallelGaussChannel((1.2, 1.0), (0.5, 0.3), (0.1, v), 1.0)), 0.3,
+        math.nextafter(0.3, 1.0), "b2_1 = 0.30000000000000004 must be <= 0.3"),
     "ParallelGaussChannel.total_power": (lambda v: pooled_region(total_power=v), 0.0, BELOW_0,
                                          "total power = -5e-324 must be >= 0"),
     "ParallelGaussChannel.a": (lambda v: pooled_region(gain=v), 0.0, BELOW_0,
