@@ -28,7 +28,7 @@ from math import log2, prod
 
 import numpy as np
 
-from secembed import _count, _integer, _real, _shown
+from secembed import _count, _integer, _real, _shown, gf2
 from secembed.dmc import DmcTriple, _check_distribution, _check_kernel, entropy_bits
 
 __all__ = [
@@ -74,14 +74,10 @@ class NestedCodebook:
 
     def __post_init__(self):
         nx = _integer(self.nx, "nx", 1)
-        words = np.asarray(self.codewords)
-        if words.ndim != 4 or 0 in words.shape:
+        cw = np.array(gf2._integer_array(  # a copy: the caller's array is never aliased
+            self.codewords, "codeword", (None,) * 4, 0, nx - 1, np.int64))
+        if 0 in cw.shape:
             raise ValueError("codewords must have axes (bin, subbin, slot, position), none empty")
-        top = min(nx, 2**63)  # stored as int64; a float array cannot compare with 10**400
-        in_range = words.dtype.kind in "biuf" and ((words >= 0) & (words < top)).all()
-        cw = words.astype(np.int64) if in_range else None  # a copy: the caller's is never aliased
-        if cw is None or not np.array_equal(cw, words):
-            raise ValueError(f"codeword entries must be symbols 0..{nx - 1}")
         cw.flags.writeable = False
         object.__setattr__(self, "codewords", cw)
         object.__setattr__(self, "nx", nx)

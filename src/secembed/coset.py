@@ -7,8 +7,8 @@ elsewhere.  A two-level coset code stacks two parity-check matrices,
 and ``h2`` (low-security syndromes, ``k2 = n*(alpha1 - alpha2)`` rows).
 Encoding picks a uniform solution of the stacked syndrome equations;
 decoding is syndrome computation.  Each code reduces its constraint
-rows once, when it is built, and every encode and equivocation call
-reads that reduction and the code's packed columns.
+rows once, when it is built, and every encode, decode and equivocation
+call reads that reduction or the code's packed columns.
 
 Security is certified exactly: for an observed position set S the
 eavesdropper's equivocation about the messages equals the GF(2)
@@ -22,6 +22,7 @@ matrices until full row rank and both certificates clear their
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import comb, inf
 
 import numpy as np
@@ -125,7 +126,7 @@ class CosetCodePair:
     Building the code reduces its rows once, each tagged with its own
     syndrome bit (``gf2._affine_map``): that checks the full row rank and
     gives encode its solution map.  It also packs the columns of
-    ``stacked`` for equivocation.
+    ``stacked`` for decode and equivocation.
     """
 
     params: WiretapIIParams
@@ -141,12 +142,8 @@ class CosetCodePair:
         for name in ("d1_star", "d2_star"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         p = self.params
-        h1 = gf2.bit_array(self.h1, "h1")
-        h2 = gf2.bit_array(self.h2, "h2")
-        if h1.shape != (p.k1, p.n) or h2.shape != (p.k2, p.n):
-            raise ValueError(
-                f"parity-check shapes {h1.shape}, {h2.shape} do not match "
-                f"(k1, n) = {(p.k1, p.n)}, (k2, n) = {(p.k2, p.n)}")
+        h1 = gf2._integer_array(self.h1, "h1", (p.k1, p.n))
+        h2 = gf2._integer_array(self.h2, "h2", (p.k2, p.n))
         stacked = np.vstack([h1, h2])  # a copy: the caller's arrays are never aliased
         encoder = gf2._affine_map(gf2.pack_rows(stacked), p.n)
         if encoder[2]:  # a dependency among the rows
@@ -214,10 +211,8 @@ class Observation:
     z: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.z)
-        if z.ndim != 1 or not ((z == 0) | (z == 1) | (z == ERASURE)).all():
-            raise ValueError(f"observation z must be one word of 0, 1 or ERASURE = {ERASURE}")
-        z = z.astype(np.int8)  # a copy: the caller's array is never aliased
+        z = np.array(gf2._integer_array(  # a copy: the caller's array is never aliased
+            self.z, "observation z", (None,), ERASURE, 1, np.int8))
         z.flags.writeable = False
         object.__setattr__(self, "z", z)
 
@@ -246,17 +241,16 @@ def encode(code: CosetCodePair, m1: int, m2: int, rng: np.random.Generator) -> n
 
 
 def decode(code: CosetCodePair, x) -> tuple[int, int]:
-    """Recover (m1, m2) by syndrome computation; exact inverse of encode."""
-    x = gf2.bit_array(x, "codeword").reshape(-1)
-    if x.shape[0] != code.n:
-        raise ValueError(f"codeword length {x.shape[0]} != n = {code.n}")
-    s = gf2.pack_rows([code.stacked @ x % 2])[0]
+    """Recover (m1, m2) from x, n bits on one axis, by its syndrome: the XOR of the code's
+    packed columns at x's ones.  Exact inverse of encode."""
+    x = gf2._integer_array(x, "codeword", (code.n,))
+    s = reduce(int.__xor__, (c for c, bit in zip(code._columns, x.tolist()) if bit), 0)
     return s & ((1 << code.k1) - 1), s >> code.k1
 
 
 def eavesdrop(x, observed) -> Observation:
-    """Observation with z_i = x_i for observed positions, erasure elsewhere."""
-    x = gf2.bit_array(x, "codeword").reshape(-1)
+    """Observation with z_i = x_i at observed positions, erasure elsewhere; x is one axis."""
+    x = gf2._integer_array(x, "codeword", (None,))
     idx = gf2.positions(observed, x.shape[0])
     z = np.full(x.shape[0], ERASURE, dtype=np.int8)
     z[idx] = x[idx]

@@ -81,7 +81,10 @@ def boundary_points(frontier, max_r1: float, max_sum: float, num: int) -> np.nda
 
 def _sum_rate_at(frontier, max_sum: float, r1):
     """Largest sum rate at ``r1`` under ``frontier``, as ``boundary_points`` reads it."""
-    f = np.asarray(frontier, dtype=float)
+    try:
+        f = np.asarray(frontier, dtype=float)
+    except (TypeError, ValueError):  # a text or ragged vertex: no vertex array at all
+        f = np.empty(0)
     if not (f.ndim == 2 and f.shape[1] == 2 and len(f) and np.isfinite(f).all()
             and (np.diff(f[:, 0]) >= 0).all()):  # np.interp reads R1 in that order
         raise ValueError("frontier must hold one or more finite (R1, sum-rate) vertices "
@@ -118,7 +121,10 @@ class ParallelGaussChannel:
     total_power: float
 
     def __post_init__(self):
-        a, b1, b2 = (tuple(getattr(self, name)) for name in ("a", "b1", "b2"))
+        try:
+            a, b1, b2 = (tuple(getattr(self, name)) for name in ("a", "b1", "b2"))
+        except TypeError:  # a gain given as a number, not a list
+            a = b1 = b2 = ()
         if not (len(a) == len(b1) == len(b2)) or not a:
             raise ValueError("gain lists must be nonempty and of equal length")
         a, b1, b2 = (tuple(_real(x, "gains", 0) for x in values) for values in (a, b1, b2))
@@ -187,6 +193,9 @@ def region_parallel_individual(subchannels: Sequence[ScalarGaussChannel]) -> dic
     """
     if not subchannels:
         raise ValueError("need at least one subchannel")
+    for l, c in enumerate(subchannels):
+        if not isinstance(c, ScalarGaussChannel):
+            raise ValueError(f"subchannel {l} = {c!r} must be a ScalarGaussChannel")
     per = [[cs_scalar(c.power, c.a, c.b1), cs_scalar(c.power, c.a, c.b2)] for c in subchannels]
     cap_high = sum(p[0] for p in per)
     cap_low = sum(p[1] for p in per)

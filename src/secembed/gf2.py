@@ -6,13 +6,15 @@ basis vectors, columns index code positions.  All functions are pure;
 the only source of randomness is an explicit ``numpy.random.Generator``
 argument, so results are reproducible from a seed.
 
-Internally rows and columns are packed into Python ints (bit ``j`` of a
-row int is column ``j``), which keeps Gaussian elimination fast at desk
-scale.  That format has one packer, ``pack_rows``, and one unpacker,
+Internally rows and columns are packed into Python ints (bit ``j`` of a row
+int is column ``j``), which keeps Gaussian elimination fast at desk scale.
+That format has one packer, ``pack_rows``, and one unpacker,
 ``unpack_rows``; every conversion between 0/1 arrays and ints goes through
-them.  The subset-rank search, which grows subcodes of bounded support
-by Wei's generalized Hamming weight identity, keeps the same bit masks
-in one numpy array of code words and scans it in array operations.
+them, and one rule, ``_integer_array``, reads every integer array given
+here, in coset or in binning.  The subset-rank search, which grows subcodes
+of bounded support by Wei's generalized Hamming weight identity, keeps the
+same bit masks in one numpy array of code words and scans it in array
+operations.
 
 Row reduction has one form, ``_rref``: the fully reduced echelon form
 whose pivots are each row's lowest set bit.  ``rank``, ``nullspace``,
@@ -29,14 +31,13 @@ import operator
 
 import numpy as np
 
-from secembed import _bounded, _integer
+from secembed import _bounded, _integer, _shown
 
 __all__ = [
     "InfeasibleSystemError",
     "BudgetExceededError",
     "pack_rows",
     "unpack_rows",
-    "bit_array",
     "positions",
     "rank",
     "nullspace",
@@ -69,20 +70,30 @@ class BudgetExceededError(RuntimeError):
         self.upper = upper
 
 
-def bit_array(a, what: str = "matrix") -> np.ndarray:
-    """a as uint8 once every entry equals 0 or 1, of any dtype (``np.eye(3)``).
-
-    2, 0.5 or -1 is a ValueError, never truncated; a uint8 array costs one
-    ``max()`` pass and no copy."""
+def _integer_array(a, what: str = "matrix", shape=(None, None), least: int = 0, most: int = 1,
+                   dtype=np.uint8) -> np.ndarray:
+    """The one rule for integer arrays: ``a`` as a ``dtype`` array once its shape is ``shape``
+    (an axis given as None of any length) and each entry equals an integer from ``least`` to
+    ``most`` by value, a bool or an integral float too, else ValueError naming ``what``, the
+    bounds and the shape: a bit of 2, 0.5 or -1 is never truncated or wrapped.  An array of
+    ``dtype`` is not copied and costs a ``max()`` pass, and a ``min()`` pass if the dtype is
+    signed or least > 0.  The defaults read a 0/1 matrix."""
     a = np.asarray(a)
-    if a.dtype == np.uint8:
-        bad = a.size and a.max() > 1
-    else:
-        bad = not ((a == 0) | (a == 1)).all()
-        a = a if bad else a.astype(np.uint8)
-    if bad:
-        raise ValueError(f"{what} entries must be 0 or 1")
-    return a
+    fits = a.ndim == len(shape) and all(w is None or w == s for w, s in zip(shape, a.shape))
+    if fits and a.dtype == dtype:
+        if not (a.size and (a.max() > most or (least > 0 or a.dtype.kind == "i")
+                            and a.min() < least)):
+            return a
+    # a float array cannot compare with 10**400, so most is cut to the dtype's range
+    elif fits and a.dtype.kind in "biuf" and (
+            (a >= least) & (a <= min(most, np.iinfo(dtype).max))).all():
+        read = a.astype(dtype)
+        if np.array_equal(read, a):
+            return read
+    want = str(tuple("*" if w is None else w for w in shape)).replace("'*'", "*")
+    bounds = f"integers from {least} to {_shown(most)}"
+    raise ValueError(f"{what} entries must be {bounds}, in shape {want}" if fits
+                     else f"{what} shape {a.shape} must be {want}, of {bounds}")
 
 
 def positions(items, n: int) -> list[int]:
@@ -100,16 +111,9 @@ def positions(items, n: int) -> list[int]:
     return idx
 
 
-def _as_bits(m) -> np.ndarray:
-    a = bit_array(m)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D binary matrix")
-    return a
-
-
 def pack_rows(m) -> list[int]:
-    """Pack each row of a 0/1 matrix into an int; bit j of the int is column j."""
-    packed = np.packbits(np.asarray(m, dtype=np.uint8), axis=1, bitorder="little")
+    """Pack each row of a 0/1 matrix (the array rule's) into an int; bit j is column j."""
+    packed = np.packbits(_integer_array(m), axis=1, bitorder="little")
     return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
@@ -117,8 +121,7 @@ def unpack_rows(rows, length: int) -> np.ndarray:
     """Inverse of pack_rows: row ints in 0..2**length-1 to a (len(rows) x length) matrix;
     any other row is a ValueError, never cut to its low bits."""
     nbytes, top = (length + 7) // 8, (1 << length) - 1
-    buf = b"".join(_bounded(operator.index(v), "row", 0, top).to_bytes(nbytes, "little")
-                   for v in rows)
+    buf = b"".join(_integer(v, "row", 0, top).to_bytes(nbytes, "little") for v in rows)
     packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
     return np.unpackbits(packed, axis=1, count=length, bitorder="little")
 
@@ -147,7 +150,7 @@ def _rref(rows) -> dict[int, int]:
 
 def rank(m) -> int:
     """GF(2) rank of a binary matrix (row rank = column rank)."""
-    return len(_rref(pack_rows(_as_bits(m))))
+    return len(_rref(pack_rows(m)))
 
 
 def _kernel_rows(basis: dict[int, int], ncols: int) -> list[int]:
@@ -170,7 +173,7 @@ def nullspace(m) -> np.ndarray:
 
     Returns a (0 x cols) matrix when the kernel is trivial.
     """
-    a = _as_bits(m)
+    a = _integer_array(m)
     n = a.shape[1]
     return unpack_rows(_kernel_rows(_rref(pack_rows(a)), n), n)
 
@@ -232,18 +235,16 @@ def solve_affine(m, s, rng: np.random.Generator) -> np.ndarray:
     Raises ValueError when s is not a 0/1 vector of length k, and
     InfeasibleSystemError when s is not in the image.
     """
-    a = _as_bits(m)
+    a = _integer_array(m)
     n, k = a.shape
-    s = bit_array(s, "syndrome").reshape(-1)
-    if s.shape[0] != k:
-        raise ValueError(f"syndrome length {s.shape[0]} != number of constraints {k}")
+    s = _integer_array(s, "syndrome", (k,))
     x = _sample_affine(_affine_map(pack_rows(a.T), n), pack_rows([s])[0], rng)
     return unpack_rows([x], n)[0]
 
 
 def column_subset_dim(m, subset) -> int:
     """Rank of the submatrix formed by the selected (0-based) columns."""
-    a = _as_bits(m)
+    a = _integer_array(m)
     return rank(a[:, positions(subset, a.shape[1])])
 
 
@@ -323,7 +324,7 @@ def min_rank_over_column_subsets(m, size: int) -> int:
     the instance is beyond desk scale: BudgetExceededError carries the
     bracket [lower, upper] on the minimum reached so far.
     """
-    a = _as_bits(m)
+    a = _integer_array(m)
     n = a.shape[1]
     size = _integer(size, "size", 0, n)
     basis = _rref(pack_rows(a))
@@ -384,7 +385,7 @@ def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 def matrix_to_text(m) -> str:
     """Serialize to the toolkit text format: 'rows cols' then 0/1 row lines."""
-    a = _as_bits(m)
+    a = _integer_array(m)
     lines = [f"{a.shape[0]} {a.shape[1]}"]
     for i in range(a.shape[0]):
         lines.append("".join("1" if b else "0" for b in a[i]))
@@ -392,7 +393,9 @@ def matrix_to_text(m) -> str:
 
 
 def matrix_from_text(text: str) -> np.ndarray:
-    """Parse the text format produced by matrix_to_text."""
+    """Parse the text format produced by matrix_to_text; text that is no str is a ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"matrix text must be a str, not {type(text).__name__}")
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix text")

@@ -749,15 +749,15 @@ def test_error_rate_reads_trials_as_an_integer(trials):
 
 
 def test_codebook_and_leakage_guards_name_the_input():
-    with pytest.raises(ValueError, match=re.escape(
-            "codewords must have axes (bin, subbin, slot, position)")):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "codeword shape (2, 2, 8) must be (*, *, *, *), of integers from 0 to 1") + "$"):
         NestedCodebook(np.zeros((2, 2, 8), dtype=np.int64), nx=2)
     cb = binning.make_codebook([0.5, 0.5], 4, (2, 2, 2), np.random.default_rng(1))
     with pytest.raises(ValueError, match="^level must be 'bin' or 'subbin'$"):
         binning.exact_leakage(cb, dmc.bec_kernel(0.5), level="x")
 
 
-SYMBOLS = "^codeword entries must be symbols 0..1$"
+SYMBOLS = f"^{re.escape('codeword entries must be integers from 0 to 1, in shape (*, *, *, *)')}$"
 
 
 def test_codebook_of_fractions_is_not_truncated():

@@ -1224,7 +1224,6 @@ DEFAULTS_TABLE = {
     "fm.LinIneqSystem.pretty": {"aliases": "()"},
     "fm.LinIneqSystem.relax_closure": {"slack_symbol": "None"},
     "fm.LinIneqSystem.simplify_with_assumptions": {"assumptions": "()"},
-    "gf2.bit_array": {"what": "'matrix'"},
 }
 
 
@@ -1313,6 +1312,29 @@ def test_one_range_rule_in_src():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and states_a_range.search(node.value)]
     assert found == [], f"range messages written outside the range rule: {found}"
+
+
+def test_one_integer_array_rule_in_src():
+    """In gf2, coset and binning an integer array a caller passes (bits, an erasure word,
+    codeword symbols) is read only by gf2._integer_array, with its shape, so an
+    ``np.asarray`` outside that rule, or an input flattened by ``.reshape(-1)``, which
+    takes a 2-D array for a word, fails here; a local array may still be reshaped."""
+    found = set()
+    for name in ("gf2.py", "coset.py", "binning.py"):
+        for fn in ast.walk(ast.parse((Path(secembed.__file__).parent / name).read_text())):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "_integer_array":
+                continue
+            inputs = {arg.arg for arg in fn.args.args + fn.args.kwonlyargs}
+            for node in ast.walk(fn):
+                call = getattr(node, "func", None)
+                if not isinstance(call, ast.Attribute):
+                    continue
+                read = call.attr == "asarray" and getattr(call.value, "id", None) == "np"
+                flattened = call.attr == "reshape" and ast.unparse(node.args) == "-1" and any(
+                    isinstance(n, ast.Name) and n.id in inputs for n in ast.walk(call.value))
+                if read or flattened:
+                    found.add(f"{name}:{node.lineno}")
+    assert not found, f"integer arrays read outside the array rule: {sorted(found)}"
 
 
 def test_one_tolerance_rule_in_src():

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -486,12 +487,12 @@ PARITY_H2 = [[1, 0, 1, 0]]
 
 
 @pytest.mark.parametrize("h1, h2, match", [
-    ([[1, 0.5, 1.9, 1]], PARITY_H2, "h1 entries must be 0 or 1"),
-    ([[1, 1, 1, 1]], [[1, 0, 2, 0]], "h2 entries must be 0 or 1"),
-    ([[1, 1], [1, 1]], PARITY_H2, r"\(2, 2\), \(1, 4\) do not match"),
-    ([[1], [1], [1], [1]], PARITY_H2, r"\(4, 1\), \(1, 4\) do not match"),
-    ([1, 1, 1, 1], PARITY_H2, r"\(4,\), \(1, 4\) do not match"),
-    ([[1, 1, 1, 1]], [], r"\(1, 4\), \(0,\) do not match"),
+    ([[1, 0.5, 1.9, 1]], PARITY_H2, r"^h1 entries must be integers from 0 to 1, in shape \(1, 4"),
+    ([[1, 1, 1, 1]], [[1, 0, 2, 0]], r"^h2 entries must be integers from 0 to 1, in shape \(1, 4"),
+    ([[1, 1], [1, 1]], PARITY_H2, r"^h1 shape \(2, 2\) must be \(1, 4\), of integers from 0 to 1$"),
+    ([[1], [1], [1], [1]], PARITY_H2, r"^h1 shape \(4, 1\) must be \(1, 4\), of integers"),
+    ([1, 1, 1, 1], PARITY_H2, r"^h1 shape \(4,\) must be \(1, 4\), of integers"),
+    ([[1, 1, 1, 1]], [], r"^h2 shape \(0,\) must be \(1, 4\), of integers"),
 ], ids=["h1-fraction", "h2-two", "h1-2x2", "h1-transposed", "h1-flat", "h2-flat-empty"])
 def test_parity_checks_are_read_exactly(h1, h2, match):
     """Entries must be 0 or 1 and shapes exactly (k1, n) and (k2, n): never
@@ -658,12 +659,20 @@ def n16_code():
 
 
 @pytest.mark.parametrize("word", [[2] * 16, [0.5] * 16, [1.9] + [0] * 15, [-1] * 16,
-                                  [256] + [0] * 15, [np.nan] * 16])
+                                  [256] + [0] * 15, [np.nan] * 16, np.zeros((2, 8)), [0] * 15])
 def test_non_binary_words_are_rejected(n16_code, word):
-    with pytest.raises(ValueError, match="codeword entries must be 0 or 1"):
+    """A word is bits along one axis, n of them for decode and any number for eavesdrop,
+    so a 2-D array of n bits is no word."""
+    shape = np.shape(word)
+    message = ("codeword entries must be integers from 0 to 1, in shape {}" if shape == (16,)
+               else f"codeword shape {shape} must be {{}}, of integers from 0 to 1")
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format('(16,)'))}$"):
         coset.decode(n16_code, word)
-    with pytest.raises(ValueError, match="codeword entries must be 0 or 1"):
-        coset.eavesdrop(word, [0, 1])
+    if shape == (15,):
+        assert len(coset.eavesdrop(word, [0, 1]).z) == 15
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format('(*,)'))}$"):
+            coset.eavesdrop(word, [0, 1])
 
 
 def test_binary_words_of_any_dtype_are_accepted(n16_code):
@@ -693,8 +702,10 @@ def test_observation_copies_the_caller_array():
 @pytest.mark.parametrize("z", [[0.5, 1, -1], [7, 1, -1], [0, 1, -2], [np.nan, 1, -1], 5,
                                [[0, 1, -1]], ["0", "1", "-1"], [None, 1, -1]])
 def test_observation_word_is_0_1_or_erasure(z):
-    message = "^observation z must be one word of 0, 1 or ERASURE = -1$"
-    with pytest.raises(ValueError, match=message):
+    rule = "integers from -1 to 1"  # ERASURE = -1
+    message = (f"observation z entries must be {rule}, in shape (*,)" if np.ndim(z) == 1
+               else f"observation z shape {np.shape(z)} must be (*,), of {rule}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         coset.Observation(z)
 
 
@@ -781,7 +792,8 @@ def test_coset_code_bec_leakage_is_a_rank_sum_n12():
 
 def test_code_guards_name_the_input():
     code = parity_code()
-    with pytest.raises(ValueError, match="^codeword length 3 != n = 4$"):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "codeword shape (3,) must be (4,), of integers from 0 to 1") + "$"):
         coset.decode(code, [0, 1, 0])
     with pytest.raises(ValueError, match="^level must be 'both' or 'high'$"):
         coset.equivocation(code, [0], level="x")

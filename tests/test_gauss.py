@@ -67,6 +67,19 @@ def test_channel_validation():
         gauss.region_parallel_individual([])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ParallelGaussChannel(1.0, (0.1,), (0.1,), 1.0),
+     "gain lists must be nonempty and of equal length"),
+    (lambda: ParallelGaussChannel((1.0,), (0.5,), None, 1.0),
+     "gain lists must be nonempty and of equal length"),
+    (lambda: gauss.region_parallel_individual([ScalarGaussChannel(1.0, 1.0, 0.5, 0.1), 1.0]),
+     "subchannel 1 = 1.0 must be a ScalarGaussChannel"),
+], ids=["number-gain", "none-gain", "number-subchannel"])
+def test_malformed_channels_are_domain_errors(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
                                  "1", "1.5", True, None])
 def test_non_finite_power_and_gains_rejected(bad):
@@ -261,7 +274,8 @@ def test_boundary_points_one_vertex_frontier_is_the_corner_region(b1, b2):
 
 
 @pytest.mark.parametrize("frontier", [[1, 2], [[np.nan, 1]], [[0.5, np.inf]], [],
-                                      [[0.5, 1.0], [0.2, 1.1]], [[1, 2, 3]], [[[1, 2]]]])
+                                      [[0.5, 1.0], [0.2, 1.1]], [[1, 2, 3]], [[[1, 2]]],
+                                      [["a", 1.0]], [[0.5, 1.0], [0.8]]])
 def test_boundary_points_frontier_is_finite_vertices_by_nondecreasing_r1(frontier):
     with pytest.raises(ValueError, match="^frontier must hold one or more finite"):
         gauss.boundary_points(frontier, 1.0, 1.0, 3)

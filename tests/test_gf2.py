@@ -1,6 +1,7 @@
 """GF(2) linear algebra tests against brute-force oracles."""
 
 import itertools
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -99,33 +100,45 @@ def test_solve_affine_infeasible():
         gf2.solve_affine(np.zeros((2, 1), dtype=np.uint8), [1], np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("s", [[2, 1, 0], [0, 1, 0.5]])
-def test_solve_affine_rejects_non_binary_syndrome(s):
-    with pytest.raises(ValueError, match="0 or 1"):
+@pytest.mark.parametrize("s, message", [
+    ([2, 1, 0], "syndrome entries must be integers from 0 to 1, in shape (3,)"),
+    ([0, 1, 0.5], "syndrome entries must be integers from 0 to 1, in shape (3,)"),
+    ([[1, 0, 1]], "syndrome shape (1, 3) must be (3,), of integers from 0 to 1")],
+    ids=["s0", "s1", "s2"])
+def test_solve_affine_rejects_non_binary_syndrome(s, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         gf2.solve_affine(np.eye(3, dtype=np.uint8), s, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("m", [[[0.5, 1.0]], [[1.7, 1.0]], [[256, 1]], [[-1, 1]],
-                               [[np.nan, 1]], [["1", "0"]]])
+                               [[np.nan, 1]], [["1", "0"]], [[2, 0]]])
 def test_non_binary_matrices_are_domain_errors(m):
-    for fn in (gf2.rank, gf2.nullspace, gf2.matrix_to_text):
-        with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
+    message = re.escape("matrix entries must be integers from 0 to 1, in shape (*, *)")
+    for fn in (gf2.rank, gf2.nullspace, gf2.matrix_to_text, gf2.pack_rows):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             fn(m)
-    with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         gf2.column_subset_dim(m, [0])
 
 
 def test_binary_matrices_of_any_dtype_are_accepted():
     for m in (np.eye(3), np.eye(3, dtype=bool), np.eye(3, dtype=np.int64), np.eye(3).tolist()):
         assert gf2.rank(m) == 3
-    assert gf2.bit_array([[True, False]]).dtype == np.uint8
+    assert gf2._integer_array([[True, False]]).dtype == np.uint8
+    # an input already of the target dtype is checked, not copied
     a = gf2.random_matrix(4, 6, np.random.default_rng(0))
-    assert gf2.bit_array(a) is a  # a uint8 input is checked, not copied
+    assert gf2._integer_array(a) is a
+    z = np.array([1, 0, -1], dtype=np.int8)
+    assert gf2._integer_array(z, "z", (None,), -1, 1, np.int8) is z
+    words = np.zeros((2, 2, 2, 4), dtype=np.int64)
+    assert gf2._integer_array(words, "codeword", (None,) * 4, 0, 1, np.int64) is words
 
 
 @pytest.mark.parametrize("row, message", [(16, "row = 16 must be <= 15"),
                                           (256, "row = 256 must be <= 15"),
-                                          (-1, "row = -1 must be >= 0")])
+                                          (-1, "row = -1 must be >= 0"),
+                                          (1.0, "row = 1.0 must be an integer"),
+                                          (True, "row = True must be an integer")])
 def test_unpack_rows_keeps_every_bit_or_refuses(row, message):
     assert gf2.unpack_rows([15, 0], 4).tolist() == [[1, 1, 1, 1], [0, 0, 0, 0]]
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -560,6 +573,13 @@ def test_matrix_text_roundtrip():
     assert gf2.matrix_to_text(np.array([[1, 0], [0, 1]], dtype=np.uint8)) == "2 2\n10\n01\n"
 
 
+@pytest.mark.parametrize("text", [None, b"1 1\n1", 5, ["1 1", "1"]])
+def test_matrix_text_is_a_str(text):
+    message = f"matrix text must be a str, not {type(text).__name__}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gf2.matrix_from_text(text)
+
+
 def test_matrix_text_rejects_garbage():
     with pytest.raises(ValueError, match="^empty matrix text$"):
         gf2.matrix_from_text("")
@@ -700,9 +720,11 @@ def test_reduction_matches_column_scan_reference(system, seed):
 
 def test_guards_name_the_input():
     m = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-    with pytest.raises(ValueError, match="^expected a 2-D binary matrix$"):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "matrix shape (3,) must be (*, *), of integers from 0 to 1") + "$"):
         gf2.rank(np.array([1, 0, 1], dtype=np.uint8))
-    with pytest.raises(ValueError, match="^syndrome length 1 != number of constraints 3$"):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "syndrome shape (1,) must be (3,), of integers from 0 to 1") + "$"):
         gf2.solve_affine(m, [1], np.random.default_rng(0))
     with pytest.raises(ValueError, match="^size = 4 must be <= 3$"):
         gf2.min_rank_over_column_subsets(m, 4)
